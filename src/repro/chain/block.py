@@ -12,6 +12,7 @@ UTXO transactions, account transactions, and stubs in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Generic, Iterator, Sequence, TypeVar
 
 from repro.chain.hashing import hash_fields
@@ -54,9 +55,13 @@ class BlockHeader:
         if self.difficulty <= 0:
             raise ValueError("difficulty must be positive")
 
-    @property
+    @cached_property
     def block_hash(self) -> str:
-        """Hash of all header fields; identifies the block."""
+        """Hash of all header fields; identifies the block.
+
+        Computed on first access and kept on the instance (the fields
+        are frozen, so it cannot go stale).
+        """
         return hash_fields(
             self.height,
             self.parent_hash,
@@ -66,6 +71,15 @@ class BlockHeader:
             self.nonce,
             self.miner,
             self.extra,
+        )
+
+    def __reduce__(self):
+        # Fields only: a header that arrives from elsewhere is rebuilt
+        # through ``__init__`` and hashes itself; the sender's memo
+        # never travels.
+        return (
+            BlockHeader,
+            tuple(getattr(self, name) for name in self.__dataclass_fields__),
         )
 
 

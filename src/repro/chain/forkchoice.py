@@ -51,8 +51,7 @@ class BlockTree(Generic[TxT]):
     def __init__(self) -> None:
         self._blocks: dict[str, Block[TxT]] = {}
         self._work: dict[str, float] = {}
-        self._arrival: dict[str, int] = {}
-        self._counter = 0
+        self._best: str | None = None
 
     def __contains__(self, block_hash: str) -> bool:
         return block_hash in self._blocks
@@ -91,8 +90,12 @@ class BlockTree(Generic[TxT]):
             parent_work = self._work[parent_hash]
         self._blocks[block_hash] = block
         self._work[block_hash] = parent_work + block.header.difficulty
-        self._arrival[block_hash] = self._counter
-        self._counter += 1
+        # Strictly more work takes the tip, so among equals the first
+        # seen keeps it.
+        if self._best is None or (
+            self._work[block_hash] > self._work[self._best]
+        ):
+            self._best = block_hash
 
     def block(self, block_hash: str) -> Block[TxT]:
         try:
@@ -105,12 +108,11 @@ class BlockTree(Generic[TxT]):
 
     def heaviest_tip(self) -> str | None:
         """Hash of the most-work block; first-seen wins ties."""
-        if not self._blocks:
-            return None
-        return min(
-            self._blocks,
-            key=lambda h: (-self._work[h], self._arrival[h]),
-        )
+        return self._best
+
+    def parent(self, block: Block[TxT]) -> Block[TxT] | None:
+        """The stored parent of *block*; None above genesis."""
+        return self._blocks.get(block.header.parent_hash)
 
     def path_to_genesis(self, block_hash: str) -> list[Block[TxT]]:
         """Blocks from genesis to *block_hash*, inclusive, in order."""
@@ -162,15 +164,24 @@ class ForkChoice(Generic[TxT]):
             return Reorg(
                 rolled_back=(), applied=tuple(applied), new_head=best
             )
-        old_path = self.tree.path_to_genesis(old_head)
-        new_path = self.tree.path_to_genesis(best)
-        fork_point = 0
-        for old, new in zip(old_path, new_path):
-            if old.block_hash != new.block_hash:
-                break
-            fork_point += 1
+        # Walk both tips back to their common ancestor (None when the
+        # two chains start from different genesis blocks): the cost is
+        # the depth of the reorg, not the length of the chain.
+        rolled_back: list[Block[TxT]] = []
+        applied: list[Block[TxT]] = []
+        old = self.tree.block(old_head)
+        new = self.tree.block(best)
+        while old is not new:
+            if new is None or (
+                old is not None and old.height >= new.height
+            ):
+                rolled_back.append(old)
+                old = self.tree.parent(old)
+            else:
+                applied.append(new)
+                new = self.tree.parent(new)
         return Reorg(
-            rolled_back=tuple(reversed(old_path[fork_point:])),
-            applied=tuple(new_path[fork_point:]),
+            rolled_back=tuple(rolled_back),
+            applied=tuple(reversed(applied)),
             new_head=best,
         )

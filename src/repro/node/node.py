@@ -6,9 +6,11 @@ only simulated stage by stage:
 * **ingress** — :meth:`Node.submit_tx` admits a client transaction
   into the node's fee-market :class:`~repro.mempool.pool.Mempool`
   (minting the lifecycle ``admitted`` root span) and push-relays it;
-* **gossip** — a receive loop dedups tx/block frames through bounded
-  :class:`~repro.network.gossip.BoundedSeenCache` LRUs and floods them
-  on (``relayed`` events carry the hop depth);
+* **gossip** — a receive loop dedups tx/block frames on the hash in
+  their header through bounded
+  :class:`~repro.network.gossip.BoundedSeenCache` LRUs, decodes only
+  what it has not seen, checks the body against that hash, and floods
+  the frame on as received (``relayed`` events carry the hop depth);
 * **proposer** — PoW interval draws
   (:class:`~repro.consensus.pow.PoWSimulator`) or round-robin PBFT
   rounds (:class:`~repro.consensus.pbft.PBFTCommittee`) gate packing a
@@ -56,7 +58,7 @@ from repro.execution.parallel_replay import (
 )
 from repro.mempool.pool import AdmissionError, Mempool, PoolEntry
 from repro.network.gossip import BoundedSeenCache
-from repro.node.transport import Frame
+from repro.node.transport import Frame, MalformedFrame
 from repro.obs.critical_path import profile_events
 from repro.obs.lifecycle import stitch_execution_events
 from repro.obs.monitor import BlockSample
@@ -294,7 +296,9 @@ class Node:
             return False
         if not self._admit_to_pool(ntx):
             return False
-        self._relay(Frame("tx", self.node_id, ntx, hops=1))
+        self._relay(
+            Frame("tx", self.node_id, ntx, hops=1, key=ntx.tx_hash)
+        )
         return True
 
     def _admit_to_pool(self, ntx: NodeTx) -> bool:
@@ -336,7 +340,16 @@ class Node:
             frame = await self.inbox.get()
             if frame is SHUTDOWN or not self.running:
                 break
-            await self._dispatch(frame)
+            try:
+                await self._dispatch(frame)
+            except MalformedFrame:
+                self._reject_frame()
+
+    def _reject_frame(self) -> None:
+        """Count a frame a peer should not have sent; the loop goes on."""
+        self.stats.rejected += 1
+        if obs.enabled():
+            obs.counter("node.net.malformed").inc()
 
     async def _dispatch(self, frame: Frame) -> None:
         kind = frame.kind
@@ -353,22 +366,32 @@ class Node:
         elif kind == "pull_txs":
             self._on_pull_txs(frame)
         else:
-            raise ValueError(f"unknown frame kind {kind!r}")
+            self._reject_frame()
 
     def _on_tx(self, frame: Frame) -> None:
-        ntx: NodeTx = frame.payload
-        tx_hash = ntx.tx_hash
-        requested = tx_hash in self._wanted
-        if requested:
-            self._wanted.discard(tx_hash)
+        # Everything up to the membership test reads the header only;
+        # six of the nine copies of a transaction in a 4-node mesh end
+        # here without their body being decoded.
+        tx_hash = frame.key
+        if tx_hash not in self._wanted and tx_hash in self.seen_txs:
             self.seen_txs.add(tx_hash)
-        elif not self.seen_txs.add(tx_hash):
             self.stats.duplicate_txs += 1
             if obs.enabled():
                 obs.counter("node.relay.duplicate_drops", kind="tx").inc()
             return
         if tx_hash in self.chain_txs or tx_hash in self.pool:
+            # Already held: nothing to decode.
+            self._wanted.discard(tx_hash)
+            self.seen_txs.add(tx_hash)
             return
+        ntx: NodeTx = frame.payload
+        if getattr(ntx, "tx_hash", None) != tx_hash:
+            # Not marked seen: the honest frame for this hash must
+            # still get through.
+            self._reject_frame()
+            return
+        self._wanted.discard(tx_hash)
+        self.seen_txs.add(tx_hash)
         if not self._admit_to_pool(ntx):
             return
         life = obs.lifecycle()
@@ -376,22 +399,25 @@ class Node:
             life.record(
                 tx_hash, "relayed", node=self.node_id, hop=frame.hops
             )
-        self._relay(
-            Frame("tx", self.node_id, ntx, hops=frame.hops + 1),
-            exclude=frame.src,
-        )
+        self._relay(frame.forward(self.node_id), exclude=frame.src)
 
     async def _on_block(self, frame: Frame) -> None:
-        block: Block[NodeTx] = frame.payload
-        if not self.seen_blocks.add(block.block_hash):
+        block_hash = frame.key
+        if block_hash in self.seen_blocks:
+            self.seen_blocks.add(block_hash)
             self.stats.duplicate_blocks += 1
             if obs.enabled():
                 obs.counter(
                     "node.relay.duplicate_drops", kind="block"
                 ).inc()
             return
+        block: Block[NodeTx] = frame.payload
+        if getattr(block, "block_hash", None) != block_hash:
+            self._reject_frame()
+            return
+        self.seen_blocks.add(block_hash)
         await self._ingest_block(
-            block, src=frame.src, hops=frame.hops, relay=True
+            block, src=frame.src, relay=frame.forward(self.node_id)
         )
 
     # -- anti-entropy ----------------------------------------------------------
@@ -447,7 +473,7 @@ class Node:
     async def _on_chain(self, frame: Frame) -> None:
         for block in sorted(frame.payload, key=lambda b: b.height):
             self.seen_blocks.add(block.block_hash)
-            await self._ingest_block(block, src=frame.src, relay=False)
+            await self._ingest_block(block, src=frame.src, relay=None)
 
     def _on_pull_txs(self, frame: Frame) -> None:
         for tx_hash in frame.payload:
@@ -456,7 +482,10 @@ class Node:
                 self.stats.pulls_served += 1
                 self.transport.send(
                     frame.src,
-                    Frame("tx", self.node_id, entry.payload, hops=1),
+                    Frame(
+                        "tx", self.node_id, entry.payload,
+                        hops=1, key=tx_hash,
+                    ),
                 )
 
     # -- validation + fork choice ---------------------------------------------
@@ -495,9 +524,10 @@ class Node:
         block: Block[NodeTx],
         *,
         src: str | None = None,
-        hops: int = 0,
-        relay: bool = True,
+        relay: Frame | None,
     ) -> None:
+        """Validate *block* and apply it; *relay* is the frame that
+        carries it on to the peers other than *src* (None: keep it)."""
         block_hash = block.block_hash
         if block_hash in self.forkchoice.tree:
             return
@@ -531,7 +561,7 @@ class Node:
             return
         self._admit(
             block, replay, events,
-            relay=relay, exclude=src, hops=hops, stitched=False,
+            relay=relay, exclude=src, stitched=False,
         )
         await self._drain_orphans(block_hash)
 
@@ -540,7 +570,9 @@ class Node:
         if not children:
             return
         for block in sorted(children.values(), key=lambda b: b.height):
-            await self._ingest_block(block, relay=True)
+            await self._ingest_block(
+                block, relay=self._block_frame(block)
+            )
 
     def _admit(
         self,
@@ -548,9 +580,8 @@ class Node:
         replay: BlockReplay,
         events: tuple,
         *,
-        relay: bool,
+        relay: Frame | None,
         exclude: str | None,
-        hops: int,
         stitched: bool,
     ) -> None:
         block_hash = block.block_hash
@@ -579,11 +610,14 @@ class Node:
             and reorg.new_head == block_hash
         ):
             self._emit_sample(block, replay, events)
-        if relay:
-            self._relay(
-                Frame("block", self.node_id, block, hops=hops + 1),
-                exclude=exclude,
-            )
+        if relay is not None:
+            self._relay(relay, exclude=exclude)
+
+    def _block_frame(self, block: Block[NodeTx]) -> Frame:
+        """A frame for a block this node puts on the network itself."""
+        return Frame(
+            "block", self.node_id, block, hops=1, key=block.block_hash
+        )
 
     def _apply_reorg(self, reorg: Reorg[NodeTx]) -> None:
         if reorg.rolled_back:
@@ -743,7 +777,7 @@ class Node:
             obs.counter("node.blocks.proposed").inc()
         self._admit(
             block, replay, events,
-            relay=True, exclude=None, hops=0, stitched=True,
+            relay=self._block_frame(block), exclude=None, stitched=True,
         )
         return block
 

@@ -34,6 +34,7 @@ never import it (the executors import ``repro.obs``).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -177,20 +178,38 @@ def longest_handoff_chain(
     """
     if not executions:
         return (), 0.0
-    current = max(executions, key=lambda e: (e.finish, e.cost))
-    chain = [current]
-    used = {id(current)}
+    # Positions sorted by finish clock, so a step looks only at the
+    # executions that finish around the current start.
+    by_finish = sorted(
+        range(len(executions)), key=lambda i: executions[i].finish
+    )
+    finishes = [executions[i].finish for i in by_finish]
+    last = max(
+        range(len(executions)),
+        key=lambda i: (executions[i].finish, executions[i].cost, -i),
+    )
+    chain = [last]
+    used = {last}
     while True:
+        start = executions[chain[-1]].start
+        # A window twice as wide as the test below, so rounding in the
+        # window's bounds cannot cut off an execution the test accepts.
+        low = bisect_left(finishes, start - 2 * eps)
+        high = bisect_right(finishes, start + 2 * eps)
         candidates = [
-            e for e in executions
-            if id(e) not in used and abs(e.finish - current.start) <= eps
+            i for i in by_finish[low:high]
+            if i not in used and abs(executions[i].finish - start) <= eps
         ]
         if not candidates:
             break
-        current = max(candidates, key=lambda e: (e.cost, -e.start))
-        chain.append(current)
-        used.add(id(current))
-    chain.reverse()
+        # Among equal (cost, -start) the earliest in *executions* wins.
+        best = max(
+            candidates,
+            key=lambda i: (executions[i].cost, -executions[i].start, -i),
+        )
+        chain.append(best)
+        used.add(best)
+    chain = [executions[i] for i in reversed(chain)]
     return tuple(e.task for e in chain), sum(e.cost for e in chain)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.chain.block import GENESIS_PARENT, BlockHeader, build_block
@@ -62,6 +64,25 @@ class TestBlockHeader:
                 timestamp=0.0,
                 difficulty=0.0,
             )
+
+    def test_hash_memo_does_not_travel_through_pickle(self):
+        header = BlockHeader(
+            height=3, parent_hash="p" * 64, merkle_root="m" * 64,
+            timestamp=4.0, difficulty=2.0, nonce=5, miner="alice",
+            extra="root",
+        )
+        honest = header.block_hash
+        assert header.block_hash is honest          # memoised
+        assert honest.encode() not in pickle.dumps(header)
+        # Poison the sender's memo: the receiver hashes the fields it got.
+        header.__dict__["block_hash"] = "f" * 64
+        received = pickle.loads(pickle.dumps(header))
+        assert received == header
+        assert received.block_hash == honest
+        block = _block(["cb", "a"], height=1, parent="p" * 64, timestamp=1.0)
+        honest = block.block_hash
+        block.header.__dict__["block_hash"] = "e" * 64
+        assert pickle.loads(pickle.dumps(block)).block_hash == honest
 
 
 class TestBuildBlock:

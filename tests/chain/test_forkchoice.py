@@ -127,6 +127,39 @@ class TestForkChoice:
         assert fc.head == side2.block_hash
         assert [b.height for b in fc.active_chain()] == [0, 1, 2]
 
+    def test_rival_genesis_rolls_back_to_nothing_in_common(self):
+        fc, genesis = self._bootstrap()
+        child = _block(1, genesis.block_hash)
+        fc.receive(child)
+        rival = _block(0, GENESIS_PARENT, difficulty=5.0, tag="rival")
+        reorg = fc.receive(rival)
+        assert reorg is not None
+        assert [b.block_hash for b in reorg.rolled_back] == [
+            child.block_hash, genesis.block_hash,
+        ]
+        assert [b.block_hash for b in reorg.applied] == [rival.block_hash]
+
+    def test_receive_does_not_walk_the_whole_chain(self):
+        """A head change deep in a long chain touches only the blocks
+        of the reorg, never the path back to genesis."""
+        fc, genesis = self._bootstrap()
+        tip = genesis
+        for height in range(1, 200):
+            tip = _block(height, tip.block_hash)
+            fc.receive(tip)
+        touched = []
+        real_parent = fc.tree.parent
+        fc.tree.parent = lambda block: (
+            touched.append(block.height) or real_parent(block)
+        )
+        fc.tree.path_to_genesis = None      # would raise if called
+        parent = fc.tree.block(tip.header.parent_hash)
+        reorg = fc.receive(
+            _block(tip.height, parent.block_hash, difficulty=3.0, tag="s")
+        )
+        assert reorg is not None and reorg.depth == 1
+        assert sorted(touched) == [199, 199]
+
     def test_reorg_replays_cleanly_on_utxo_state(self):
         """End-to-end: a reorg's rollback + apply keeps state consistent."""
         # Build two competing UTXO block-1 candidates over one genesis.

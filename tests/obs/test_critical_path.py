@@ -3,6 +3,8 @@ wall times, and strict executors must respect the Eq. 2 bound."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import obs
@@ -16,6 +18,7 @@ from repro.execution.speculative import (
 )
 from repro.obs.critical_path import (
     EQ2_STRICT_EXECUTORS,
+    Execution,
     compare_to_bounds,
     extract_executions,
     longest_handoff_chain,
@@ -102,6 +105,60 @@ class TestHandoffChain:
 
     def test_empty(self):
         assert longest_handoff_chain([]) == ((), 0.0)
+
+    @staticmethod
+    def _reference(executions, eps=1e-9):
+        """The full-scan walk the indexed one replaced."""
+        current = max(executions, key=lambda e: (e.finish, e.cost))
+        chain = [current]
+        used = {id(current)}
+        while True:
+            candidates = [
+                e for e in executions
+                if id(e) not in used
+                and abs(e.finish - current.start) <= eps
+            ]
+            if not candidates:
+                break
+            current = max(candidates, key=lambda e: (e.cost, -e.start))
+            chain.append(current)
+            used.add(id(current))
+        chain.reverse()
+        return tuple(e.task for e in chain), sum(e.cost for e in chain)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_full_scan_on_random_streams_with_ties(self, seed):
+        """Clocks on a coarse grid (many equal finishes, equal costs and
+        equal starts), some nudged by less than eps, in shuffled order:
+        the chain, its tie-breaks included, is the full scan's."""
+        rng = random.Random(seed)
+        executions = []
+        for index in range(rng.randrange(1, 120)):
+            start = float(rng.randrange(0, 12))
+            cost = float(rng.choice((0, 1, 1, 2, 3)))
+            nudge = rng.choice((0.0, 0.0, 4e-10, -4e-10, 9e-10))
+            executions.append(Execution(
+                task=f"t{index}", lane=rng.randrange(4),
+                round=rng.randrange(3), start=start,
+                finish=start + cost + nudge, cost=cost,
+                committed=rng.random() < 0.7,
+            ))
+        assert longest_handoff_chain(executions) == self._reference(
+            executions
+        )
+
+    def test_matches_full_scan_at_clocks_coarser_than_eps(self):
+        """Beyond 2**24 a float's neighbours are further apart than
+        eps; equal clocks must still link."""
+        base = float(2 ** 40)
+        executions = [
+            Execution("a", 0, 0, base, base + 2.0, 2.0, True),
+            Execution("b", 1, 0, base, base + 2.0, 2.0, True),
+            Execution("c", 0, 0, base + 2.0, base + 3.0, 1.0, True),
+        ]
+        assert longest_handoff_chain(executions) == self._reference(
+            executions
+        ) == (("a", "c"), 3.0)
 
 
 class TestProfileEvents:
