@@ -38,9 +38,9 @@ from repro.core.parallel import chunk_bounds, default_chunk_size
 from repro.core.scheduling import lpt_schedule
 from repro.execution.parallel_replay import (
     ENGINES,
-    _replay_chunk,
     replay_block_inputs,
     replay_chain,
+    replay_chunk,
 )
 from repro.workload.profiles import BITCOIN
 
@@ -76,10 +76,10 @@ def test_parallel_replay_speedup():
     chunk_seconds: list[float] = []
     serial_started = time.perf_counter()
     for start, stop in bounds:
-        chunk = _replay_chunk(
-            "utxo", inputs[start:stop], ENGINES, CORES, False
+        _records, elapsed, _dump, _rows = replay_chunk(
+            ("utxo", ENGINES, CORES), inputs[start:stop], False
         )
-        chunk_seconds.append(chunk.elapsed)
+        chunk_seconds.append(elapsed)
     serial_seconds = time.perf_counter() - serial_started
 
     serial_result, _ = _timed_replay(inputs, backend="serial")

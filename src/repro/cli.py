@@ -584,50 +584,32 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         record_timeline_metrics,
         task_conflict_profile,
     )
+    from repro.execution.parallel_replay import replay_block_inputs
+    from repro.execution.registry import PREDICTION_ENGINES, run_engine
     from repro.obs.exporters import write_chrome_trace
-    from repro.obs.regress import (
-        chain_prediction_blocks,
-        chain_task_blocks,
-        make_executor,
-        run_block_dag,
-    )
 
     profile = _resolve_profile(args.chain)
     if args.jobs < 1:
         raise CLIError("--jobs must be at least 1")
     if args.blocks < 1:
         raise CLIError("--blocks must be at least 1")
-    try:
-        executor = (
-            None if args.executor == "dag"
-            else make_executor(args.executor, args.jobs)
-        )
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
-    if args.executor == "static-grouped" and executor is not None:
-        predictions: dict[str, object] = {}
-        for _height, block_predictions in chain_prediction_blocks(
-            profile, blocks=args.blocks, seed=args.seed, scale=args.scale
-        ):
-            for prediction in block_predictions:
-                predictions[prediction.tx_hash] = prediction
-        executor.predictions = predictions
 
     info = sys.stderr if not args.out else sys.stdout
     rows = []
     with obs.instrumented() as state:
         recorder = state.recorder
-        for height, tasks, payload in chain_task_blocks(
-            profile, blocks=args.blocks, seed=args.seed, scale=args.scale
+        for block in replay_block_inputs(
+            profile, blocks=args.blocks, seed=args.seed, scale=args.scale,
+            predict=args.executor in PREDICTION_ENGINES,
         ):
-            if not tasks:
+            if not block.tasks:
                 continue
-            conflict = task_conflict_profile(tasks)
+            height = block.height
+            conflict = task_conflict_profile(block.tasks)
             with recorder.block(height):
-                if executor is None:
-                    report = run_block_dag(profile, payload, args.jobs)
-                else:
-                    report = executor.run(tasks)
+                report = run_engine(
+                    args.executor, profile.data_model, block, args.jobs
+                )
             block_profile = profile_events(
                 recorder.events(executor=report.executor, block=height)
             )
@@ -1438,10 +1420,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--chain", required=True, metavar="NAME",
         help=f"which blockchain profile to replay (one of: {known})",
     )
-    from repro.obs.regress import EXECUTOR_CHOICES
+    from repro.execution.registry import ENGINES
 
     sub.add_argument(
-        "--executor", default="speculative", choices=EXECUTOR_CHOICES,
+        "--executor", default="speculative", choices=ENGINES,
         help="execution engine to record (default: speculative)",
     )
     sub.add_argument(
@@ -1471,12 +1453,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--chain", required=True, metavar="NAME",
         help=f"which blockchain profile to replay (one of: {known})",
     )
-    from repro.execution.parallel_replay import ENGINES as _ENGINE_NAMES
-
     sub.add_argument(
         "--engines", default="", metavar="A,B,...",
         help="comma-separated engine subset (default: all of "
-             f"{', '.join(_ENGINE_NAMES)})",
+             f"{', '.join(ENGINES)})",
     )
     sub.add_argument("--blocks", type=int, default=20,
                      help="number of blocks to replay")
@@ -1503,10 +1483,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--chain", required=True, metavar="NAME",
         help=f"which blockchain profile to run (one of: {known})",
     )
-    from repro.obs.regress import EXECUTOR_CHOICES as _EXEC_CHOICES
-
     sub.add_argument(
-        "--executor", default="dag", choices=_EXEC_CHOICES,
+        "--executor", default="dag", choices=ENGINES,
         help="execution engine for the commit stage (default: dag)",
     )
     sub.add_argument("--blocks", type=int, default=5,
@@ -1545,7 +1523,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"which blockchain profile to run (one of: {known})",
     )
     sub.add_argument(
-        "--executor", default="dag", choices=_EXEC_CHOICES,
+        "--executor", default="dag", choices=ENGINES,
         help="execution engine for the commit stage (default: dag)",
     )
     sub.add_argument("--blocks", type=int, default=8,
@@ -1632,7 +1610,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"which blockchain profile to run (one of: {known})",
     )
     sub.add_argument(
-        "--executor", default="occ", choices=_EXEC_CHOICES,
+        "--executor", default="occ", choices=ENGINES,
         help="execution engine for proposal and validation replay "
              "(default: occ)",
     )

@@ -1,68 +1,76 @@
-"""Parallel block-analysis backend — fan per-block TDG work over workers.
+"""Ordered chunk fan-out, and the block-analysis pipeline built on it.
 
-The paper's headline measurement (per-block TDG construction plus the
-conflict metrics of Figs. 4-9) is embarrassingly parallel across blocks:
-each block's analysis reads only that block's transactions and touches
-no shared ledger state.  This module exploits that purity.  A chain's
-blocks are partitioned into contiguous chunks, each chunk is analyzed by
-:func:`repro.core.pipeline.analyze_utxo_block` /
-:func:`~repro.core.pipeline.analyze_account_block` inside a worker, and
-the resulting :class:`~repro.core.pipeline.BlockRecord` lists are
-reassembled in height order into a :class:`~repro.core.pipeline.ChainHistory`
-that is value-identical to the serial walk.
+The paper's per-block work — TDG construction plus the conflict metrics
+of Figs. 4-9, and equally an executor replay of the block — reads only
+that block's transactions and touches no shared ledger state.  This
+module exploits that purity twice over:
 
-Three backends share one code path:
+* :func:`ordered_chunk_map` is the repo's ONE fan-out.  It splits a
+  sequence of pure items into contiguous chunks, runs a module-level
+  chunk function over each chunk on the chosen backend, and returns the
+  per-chunk records concatenated in submission (= height) order.  It
+  owns start-method selection, the publication of the run to workers,
+  the worker initialiser, both pools, the process→thread fallback, the
+  ordered collection that merges worker observability back into the
+  parent, and the clean-up of whatever it published.
+* :func:`analyze_chain` is its first caller: chunks of
+  :class:`BlockInput` analyzed by
+  :func:`repro.core.pipeline.analyze_utxo_block` /
+  :func:`~repro.core.pipeline.analyze_account_block`, reassembled into a
+  :class:`~repro.core.pipeline.ChainHistory` value-identical to the
+  serial walk.  :func:`repro.execution.parallel_replay.replay_chain` is
+  the second.
+
+Backends:
 
 * ``"process"`` (the parallel default) — a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  Where the platform
-  forks (Linux), the block inputs are published in a module global
-  *before* the pool starts, so workers inherit them through fork and the
-  parent ships only ``(start, stop)`` index pairs — transaction payloads
-  are never pickled, only the small records come back.  On spawn-only
-  platforms the chunks are pickled explicitly.
-* ``"thread"`` — a :class:`concurrent.futures.ThreadPoolExecutor`;
-  useful under free-threaded/NumPy-heavy workloads and as the automatic
-  fallback when a process pool cannot start (sandboxes without
-  ``sem_open``).
-* ``"serial"`` — the plain in-process loop, byte-identical in behaviour
-  (spans, counters, records) to the original serial pipeline.
+  :class:`concurrent.futures.ProcessPoolExecutor` under the configured
+  multiprocessing start method, fork where none is configured.  The run
+  (chunk function, parameters, items) reaches the workers by the
+  cheapest transport available: a module global inherited through fork
+  (only ``(start, stop)`` pairs travel per chunk), else ONE pickle in a
+  :mod:`multiprocessing.shared_memory` segment that workers attach by
+  name (gauge ``<family>.shm_bytes``), else an explicit per-chunk slice
+  (counter ``<family>.shm_fallbacks``).
+* ``"thread"`` — a :class:`concurrent.futures.ThreadPoolExecutor` over
+  the same chunk function; also the automatic fallback when a process
+  pool cannot start (sandboxes without ``sem_open``; counter
+  ``<family>.fallbacks``).
+* ``"serial"`` — in-process.  :func:`analyze_chain` keeps its own plain
+  per-block loop here: it is the reference the golden and equivalence
+  suites compare the fan-out against.
 
-Determinism contract: per-block analysis is pure, chunking only changes
-*where* a block is analyzed, and reassembly is by chunk index — so the
-output history is identical regardless of backend, worker count, or
-chunk size.  ``tests/core/test_parallel.py`` and the golden-regression
-suite enforce this.
+Determinism contract: per-item work is pure, chunking only changes
+*where* an item is processed, and collection is by chunk index — so the
+output is identical regardless of backend, worker count, or chunk size.
+``tests/core/test_parallel.py``, the golden-regression suite and
+``tests/execution/test_differential.py`` enforce this.
 
-Observability (parent process only; see ``docs/parallel_pipeline.md``):
-
-* span ``pipeline.parallel.run`` wrapping the fan-out, with per-chunk
-  ``pipeline.parallel.chunk`` spans whose ``worker_seconds`` attribute
-  carries the in-worker wall time;
-* counters ``pipeline.parallel.runs`` / ``.chunks`` / ``.blocks`` /
-  ``.fallbacks`` and gauge ``pipeline.parallel.jobs`` (all labelled by
-  backend);
-* histogram ``pipeline.parallel.chunk_seconds`` of in-worker chunk times;
-* chunk-granularity flight-recorder events (``pipeline.<backend>``
-  executor, one schedule/start/commit triple per chunk, clocks in real
-  seconds since collection began).
-
-The per-block ``pipeline.blocks`` / ``tdg.*`` instrumentation fires
-inside the worker.  In-process backends (``serial``, ``thread``) record
-straight into the installed registry; under the ``process`` backend each
-chunk runs inside a private worker registry whose lossless dump rides
-back with the chunk result and is merged into the parent registry at join
-(counters sum, histogram observations concatenate), so metric totals
-match the serial walk for every backend.
+Observability, recorded in the parent under the caller's metric family
+(``pipeline.parallel`` / ``exec.replay``; see
+``docs/parallel_pipeline.md``): span ``<family>.run`` with one
+``<family>.chunk`` child per chunk (``worker_seconds`` carries the
+in-worker wall time); counters ``.runs`` / ``.chunks`` / ``.blocks`` /
+``.fallbacks`` and gauge ``.jobs``, labelled by backend; histogram
+``.chunk_seconds``; and one ``schedule``/``start``/``commit``
+flight-recorder triple per chunk on executor ``<lanes>.<backend>``
+(clocks in real seconds since collection began, one lane per worker).
+Whatever a chunk function records privately — a registry dump, recorder
+rows — rides back with its result and is merged at join, so metric
+totals and event streams match a serial walk for every backend.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro import obs
 from repro.chain.block import Block
@@ -72,6 +80,9 @@ from repro.core.pipeline import (
     analyze_account_block,
     analyze_utxo_block,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.timeline import QUEUE_LANE
+from repro.obs.tracer import NOOP_TRACER
 
 BACKENDS = ("serial", "thread", "process")
 DEFAULT_BACKEND = "process"
@@ -193,14 +204,376 @@ def coerce_block_inputs(source, data_model: str) -> list[BlockInput]:
     return account_block_inputs(items)
 
 
-# -- worker-side chunk analysis ----------------------------------------------
 
-# Inputs published to forked workers: set in the parent immediately
-# before the pool starts, inherited through fork, cleared after.  This
-# keeps transaction payloads out of the request pickle entirely; only
-# (start, stop) pairs go down and only BlockRecords come back.
-_FORK_INPUTS: list[BlockInput] | None = None
-_FORK_MODEL: str | None = None
+
+# -- the ordered chunk fan-out: worker side -----------------------------------
+
+# What a chunk function returns: (records, elapsed seconds, registry
+# dump or None, flight-recorder rows or None).  It is called as
+# ``chunk_fn(params, chunk, record_obs)`` where ``record_obs`` is falsy
+# or the parent registry's policy string ("exact" / "sketch") — a
+# request to record privately and hand the recordings back.
+ChunkFn = Callable[
+    [object, Sequence, "bool | str"],
+    "tuple[list, float, list[dict] | None, list | None]",
+]
+
+
+class ChunkResult(NamedTuple):
+    """What a worker ships back for one chunk.
+
+    ``obs_dump`` (see :meth:`repro.obs.metrics.MetricsRegistry.dump`)
+    and ``rows`` are the chunk function's private recordings, ``None``
+    when it made none; ``worker_id`` identifies the worker (pid for
+    processes, thread id for pool threads) so the parent can map chunks
+    onto stable flight-recorder lanes.
+    """
+
+    records: list
+    elapsed: float
+    worker_id: int
+    obs_dump: list[dict] | None
+    rows: list | None
+
+
+# Fork transport: the run — (chunk_fn, params, items) — published in
+# the parent immediately before the pool starts, inherited through
+# fork, cleared after.  Item payloads never enter a request pickle;
+# only (start, stop) pairs go down and only records come back.
+_FORK_RUN: tuple | None = None
+
+# Shared-memory transport: one pickled run per fan-out lives in a
+# segment; workers attach by name and unpickle once (cached here per
+# segment name), so the items cross the process boundary zero times
+# per chunk instead of once per chunk.
+_SHM_RUNS: dict[str, tuple] = {}
+
+
+def _worker_init() -> None:
+    """Process-pool worker initializer.
+
+    ``gc.freeze()`` moves the heap inherited through fork into the
+    permanent generation, so the worker's cyclic GC never traverses the
+    parent's (potentially millions of) chain objects.  Without this,
+    every gen-2 collection triggered by analysis allocations rescans the
+    whole inherited heap and also breaks copy-on-write sharing —
+    measured at ~5x wall-time overhead on a 2k-block chain.
+
+    ``obs.uninstall()`` drops any recording registry/tracer inherited
+    from an instrumented parent: recording into it would be invisible to
+    the parent anyway (the fork copy dies with the worker).  When the
+    parent *is* instrumented it instead asks each chunk to record
+    privately (``record_obs``) and merges what rides back at join.
+    """
+    import gc
+
+    gc.freeze()
+    obs.uninstall()
+
+
+def _run_chunk(
+    chunk_fn: ChunkFn, params: object, chunk: Sequence,
+    record_obs: bool | str,
+) -> ChunkResult:
+    """Run one chunk where it stands; the explicit-transport entry."""
+    worker_id = (
+        os.getpid() if threading.current_thread() is threading.main_thread()
+        else threading.get_ident()
+    )
+    records, elapsed, obs_dump, rows = chunk_fn(params, chunk, record_obs)
+    return ChunkResult(records, elapsed, worker_id, obs_dump, rows)
+
+
+def _chunk_from_fork(
+    start: int, stop: int, record_obs: bool | str
+) -> ChunkResult:
+    """Fork-transport entry: slice the inherited run by index."""
+    chunk_fn, params, items = _FORK_RUN
+    return _run_chunk(chunk_fn, params, items[start:stop], record_obs)
+
+
+def _chunk_from_shm(
+    name: str, start: int, stop: int, record_obs: bool | str
+) -> ChunkResult:
+    """Shared-memory-transport entry: slice the attached run by index."""
+    run = _SHM_RUNS.get(name)
+    if run is None:
+        segment = _attach_shm(name)
+        try:
+            # The segment may be page-rounded past the pickle; loads
+            # stops at the STOP opcode and ignores the tail.
+            run = pickle.loads(segment.buf)
+        finally:
+            segment.close()
+        _SHM_RUNS[name] = run
+    chunk_fn, params, items = run
+    return _run_chunk(chunk_fn, params, items[start:stop], record_obs)
+
+
+def _attach_shm(name: str):
+    """Attach to a named segment without resource-tracker side effects.
+
+    On 3.13+ ``track=False`` exists; earlier interpreters register every
+    attachment with the resource tracker, whose exit-time cleanup would
+    unlink the segment out from under the other workers (bpo-38119) —
+    unregister explicitly there.
+    """
+    from multiprocessing import shared_memory
+
+    try:
+        return shared_memory.SharedMemory(name=name, track=False)
+    except TypeError:
+        segment = shared_memory.SharedMemory(name=name)
+        try:
+            from multiprocessing import resource_tracker
+
+            resource_tracker.unregister(segment._name, "shared_memory")
+        except Exception:
+            pass
+        return segment
+
+
+def _publish_shm(run: tuple, family: str):
+    """Pickle *run* once into a fresh segment; ``None`` where there is
+    no shared memory (the caller then ships per-chunk slices)."""
+    payload = pickle.dumps(run, protocol=pickle.HIGHEST_PROTOCOL)
+    try:
+        from multiprocessing import shared_memory
+
+        segment = shared_memory.SharedMemory(
+            create=True, size=max(1, len(payload))
+        )
+    except (ImportError, OSError, PermissionError):
+        obs.counter(f"{family}.shm_fallbacks").inc()
+        return None
+    segment.buf[:len(payload)] = payload
+    obs.gauge(f"{family}.shm_bytes").set(len(payload))
+    return segment
+
+
+# -- the ordered chunk fan-out: parent side -----------------------------------
+
+
+def _collect_ordered(
+    resolvers: Iterable[Callable[[], ChunkResult]],
+    *,
+    bounds: Sequence[tuple[int, int]],
+    family: str,
+    lanes: str,
+    backend: str,
+) -> list:
+    """Gather chunk results in submission (= height) order, merging obs.
+
+    Joins the observability streams in the parent: the per-chunk
+    span/histogram family, worker registry dumps (merged into the
+    installed registry, closing the process-backend blind spot), worker
+    recorder rows (replayed chunk by chunk, so the parent's event stream
+    is byte-identical to a serial run's regardless of which worker
+    finished first) and chunk-granularity flight-recorder events.
+    Timeline clocks here are *real seconds* since collection began; a
+    chunk's ``start`` is inferred as arrival time minus its in-worker
+    elapsed, and lanes index distinct worker ids in order of first
+    appearance.
+    """
+    seconds = obs.histogram(f"{family}.chunk_seconds", backend=backend)
+    registry = obs.get_registry()
+    recorder = obs.get_recorder()
+    executor_name = f"{lanes}.{backend}"
+    lane_of: dict[int, int] = {}
+    collect_start = time.perf_counter()
+    records: list = []
+    for index, resolve in enumerate(resolvers):
+        start, stop = bounds[index]
+        with obs.trace_span(
+            f"{family}.chunk",
+            index=index, start=start, blocks=stop - start, backend=backend,
+        ) as span:
+            result = resolve()
+            span.set(worker_seconds=round(result.elapsed, 6))
+        seconds.observe(result.elapsed)
+        if result.obs_dump is not None:
+            registry.merge_dump(result.obs_dump)
+        if recorder.enabled:
+            if result.rows is not None:
+                recorder.extend(result.rows)
+            lane = lane_of.setdefault(result.worker_id, len(lane_of))
+            arrival = time.perf_counter() - collect_start
+            begun = max(0.0, arrival - result.elapsed)
+            task = f"chunk[{start}:{stop})"
+            recorder.extend([
+                (executor_name, None, 0, "schedule", task, QUEUE_LANE,
+                 0.0, 0.0),
+                (executor_name, None, 0, "start", task, lane,
+                 begun, result.elapsed),
+                (executor_name, None, 0, "commit", task, lane,
+                 arrival, result.elapsed),
+            ])
+        records.extend(result.records)
+    return records
+
+
+def _run_process_pool(
+    run: tuple,
+    bounds: Sequence[tuple[int, int]],
+    jobs: int,
+    record_obs: bool | str,
+    family: str,
+    collect: Callable[..., list],
+) -> list:
+    """Fan chunks over a process pool by the cheapest transport."""
+    global _FORK_RUN
+    # Lazy import: keeps serial/thread paths usable even where the
+    # multiprocessing primitives are unavailable (the caller catches the
+    # failure and falls back).
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Honour an explicitly configured start method (the spawn CI shard
+    # sets one); otherwise prefer fork where the platform offers it.
+    method = multiprocessing.get_start_method(allow_none=True)
+    fork_sharing = method in (None, "fork")
+    if fork_sharing:
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:
+            context = multiprocessing.get_context()
+            fork_sharing = False
+    else:
+        context = multiprocessing.get_context(method)
+
+    segment = None
+    try:
+        if fork_sharing:
+            _FORK_RUN = run
+        else:
+            segment = _publish_shm(run, family)
+
+        def job(start: int, stop: int) -> tuple:
+            if fork_sharing:
+                return _chunk_from_fork, start, stop, record_obs
+            if segment is not None:
+                return _chunk_from_shm, segment.name, start, stop, record_obs
+            chunk_fn, params, items = run
+            return _run_chunk, chunk_fn, params, items[start:stop], record_obs
+
+        with ProcessPoolExecutor(
+            max_workers=jobs, mp_context=context, initializer=_worker_init
+        ) as pool:
+            futures = [
+                pool.submit(*job(start, stop)) for start, stop in bounds
+            ]
+            return collect(
+                [future.result for future in futures], backend="process"
+            )
+    finally:
+        _FORK_RUN = None
+        if segment is not None:
+            segment.close()
+            try:
+                segment.unlink()
+            except FileNotFoundError:
+                pass
+
+
+def _run_thread_pool(
+    run: tuple,
+    bounds: Sequence[tuple[int, int]],
+    jobs: int,
+    record_obs: bool | str,
+    collect: Callable[..., list],
+) -> list:
+    chunk_fn, params, items = run
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        futures = [
+            pool.submit(
+                _run_chunk, chunk_fn, params, items[start:stop], record_obs
+            )
+            for start, stop in bounds
+        ]
+        return collect(
+            [future.result for future in futures], backend="thread"
+        )
+
+
+def ordered_chunk_map(
+    chunk_fn: ChunkFn,
+    params: object,
+    items: Sequence,
+    *,
+    family: str,
+    lanes: str,
+    backend: str,
+    jobs: int,
+    chunk_size: int,
+    **run_attrs: object,
+) -> list:
+    """Run *chunk_fn* over contiguous chunks of *items*; records in order.
+
+    Args:
+        chunk_fn: a module-level (picklable by reference) function
+            ``(params, chunk, record_obs) -> (records, elapsed,
+            obs_dump, rows)``; it must be pure in *chunk*.
+        params: the small picklable per-run parameters every chunk
+            shares.
+        items: the sliceable sequence of pure, picklable work items.
+        family: metric/span family (``"pipeline.parallel"``,
+            ``"exec.replay"``).
+        lanes: flight-recorder executor prefix (``"pipeline"``,
+            ``"replay"``) — chunk lanes land on ``<lanes>.<backend>``.
+        backend / jobs / chunk_size: already validated
+            (:func:`validate_backend` / :func:`validate_jobs` /
+            :func:`validate_chunk_size`).
+        run_attrs: extra attributes for the ``<family>.run`` span.
+
+    The concatenated records are identical for every (backend, jobs,
+    chunk_size); a process pool that cannot start degrades to the thread
+    backend (counted in ``<family>.fallbacks``).  An exception raised by
+    *chunk_fn* propagates, after the published run is withdrawn.
+    """
+    bounds = chunk_bounds(len(items), chunk_size)
+    # Workers start with obs uninstalled (_worker_init); when the parent
+    # is instrumented, ask each chunk to record privately.  The parent's
+    # policy string rides along so sketch-policy sweeps stay
+    # bounded-memory on both sides of the pool.
+    parent_registry = obs.get_registry()
+    record_obs: bool | str = (
+        parent_registry.policy if parent_registry.enabled else False
+    )
+    run = (chunk_fn, params, items)
+    collect = partial(
+        _collect_ordered, bounds=bounds, family=family, lanes=lanes
+    )
+    with obs.trace_span(
+        f"{family}.run",
+        backend=backend, jobs=jobs, chunks=len(bounds), blocks=len(items),
+        **run_attrs,
+    ):
+        obs.counter(f"{family}.runs", backend=backend).inc()
+        obs.counter(f"{family}.chunks", backend=backend).inc(len(bounds))
+        obs.counter(f"{family}.blocks", backend=backend).inc(len(items))
+        obs.gauge(f"{family}.jobs", backend=backend).set(jobs)
+        if backend == "serial":
+            return collect(
+                (
+                    partial(_run_chunk, chunk_fn, params, items[start:stop],
+                            record_obs)
+                    for start, stop in bounds
+                ),
+                backend="serial",
+            )
+        if backend == "process":
+            try:
+                return _run_process_pool(
+                    run, bounds, jobs, record_obs, family, collect
+                )
+            except (ImportError, NotImplementedError, OSError,
+                    PermissionError):
+                # Sandboxes without sem_open / fork; chunk purity makes
+                # the in-process retry safe.
+                obs.counter(f"{family}.fallbacks", backend="process").inc()
+        return _run_thread_pool(run, bounds, jobs, record_obs, collect)
+
+
+# -- block analysis over the fan-out ------------------------------------------
 
 
 def _analyze_block(data_model: str, item: BlockInput) -> BlockRecord:
@@ -229,221 +602,29 @@ def analyze_chunk(
     return records, time.perf_counter() - started
 
 
-class ChunkResult:
-    """What a worker ships back for one chunk.
+def _analyze_chunk_recording(
+    data_model: str, chunk: Sequence[BlockInput], record_obs: bool | str
+) -> tuple[list[BlockRecord], float, list[dict] | None, None]:
+    """The fan-out's chunk function over :func:`analyze_chunk`.
 
-    ``obs_dump`` is the worker-local registry dump (see
-    :meth:`repro.obs.metrics.MetricsRegistry.dump`) when the chunk ran
-    with worker-side recording (process backend under an instrumented
-    parent), else ``None``; ``worker_id`` identifies the worker (pid for
-    processes, thread id for threads) so the parent can map chunks onto
-    stable flight-recorder lanes.
+    Where a recording registry is reachable (thread workers under an
+    instrumented parent) the per-block ``pipeline.blocks`` / ``tdg.*``
+    instrumentation records straight into it.  Where none is (process
+    workers) and the parent asked for recordings, the chunk runs under a
+    private registry of the parent's policy — so a sketch-policy parent
+    merges sketch dumps instead of re-inflating raw observations — and
+    its lossless dump rides back.
     """
-
-    __slots__ = ("records", "elapsed", "worker_id", "obs_dump")
-
-    def __init__(self, records: list[BlockRecord], elapsed: float,
-                 worker_id: int, obs_dump: list[dict] | None):
-        self.records = records
-        self.elapsed = elapsed
-        self.worker_id = worker_id
-        self.obs_dump = obs_dump
-
-
-def _worker_init() -> None:
-    """Process-pool worker initializer.
-
-    ``gc.freeze()`` moves the heap inherited through fork into the
-    permanent generation, so the worker's cyclic GC never traverses the
-    parent's (potentially millions of) chain objects.  Without this,
-    every gen-2 collection triggered by analysis allocations rescans the
-    whole inherited heap and also breaks copy-on-write sharing —
-    measured at ~5x wall-time overhead on a 2k-block chain.
-
-    ``obs.uninstall()`` drops any recording registry/tracer inherited
-    from an instrumented parent: recording into it would be invisible to
-    the parent anyway (the fork copy dies with the worker).  When the
-    parent *is* instrumented it instead asks for worker-side recording
-    per chunk (``record_obs=True``), which scopes a private registry
-    around the chunk and ships its dump back for merging at join.
-    """
-    import gc
-
-    gc.freeze()
-    obs.uninstall()
-
-
-def _run_chunk(
-    data_model: str, chunk: Sequence[BlockInput],
-    record_obs: bool | str
-) -> ChunkResult:
-    """Analyze a chunk, optionally under a private worker registry.
-
-    ``record_obs`` is falsy (no worker-side recording) or the parent
-    registry's *policy string* (``"exact"`` / ``"sketch"``): the worker
-    builds its private registry under the same policy, so a
-    sketch-policy parent merges sketch dumps instead of re-inflating
-    raw observations.  Plain ``True`` keeps the historical meaning
-    (exact policy).
-    """
-    from repro.obs.metrics import MetricsRegistry
-
-    worker_id = os.getpid()
     if record_obs and not obs.get_registry().enabled:
         policy = record_obs if isinstance(record_obs, str) else "exact"
-        with obs.instrumented(
-            registry=MetricsRegistry(policy=policy)
-        ) as state:
+        registry = MetricsRegistry(policy=policy)
+        with obs.scoped(obs.ObservabilityState(
+            registry=registry, tracer=NOOP_TRACER
+        )):
             records, elapsed = analyze_chunk(data_model, chunk)
-        dump = state.registry.dump()
-        return ChunkResult(records, elapsed, worker_id, dump)
+        return records, elapsed, registry.dump(), None
     records, elapsed = analyze_chunk(data_model, chunk)
-    return ChunkResult(records, elapsed, worker_id, None)
-
-
-def _analyze_chunk_by_range(
-    start: int, stop: int, record_obs: bool | str = False
-) -> ChunkResult:
-    """Fork-path worker entry: slice the inherited inputs by index."""
-    assert _FORK_INPUTS is not None and _FORK_MODEL is not None
-    return _run_chunk(_FORK_MODEL, _FORK_INPUTS[start:stop], record_obs)
-
-
-def _analyze_chunk_explicit(
-    data_model: str, chunk: Sequence[BlockInput],
-    record_obs: bool | str = False
-) -> ChunkResult:
-    """Spawn-path / thread-pool worker entry: chunk shipped explicitly."""
-    return _run_chunk(data_model, chunk, record_obs)
-
-
-# -- the fan-out itself -------------------------------------------------------
-
-
-def _collect_ordered(futures, *, backend: str,
-                     bounds: Sequence[tuple[int, int]]) -> list[BlockRecord]:
-    """Gather chunk futures in submission (= height) order, recording obs.
-
-    Joins three observability streams in the parent: the per-chunk
-    span/histogram family, any worker-side registry dumps (merged into
-    the installed registry, closing the process-backend blind spot), and
-    chunk-granularity flight-recorder events.  Timeline clocks here are
-    *real seconds* since collection began (the pipeline has no simulated
-    cost units); a chunk's ``start`` is inferred as arrival time minus
-    its in-worker elapsed, and lanes index distinct worker ids in order
-    of first appearance.
-    """
-    from repro.obs.timeline import QUEUE_LANE
-
-    seconds = obs.histogram("pipeline.parallel.chunk_seconds",
-                            backend=backend)
-    registry = obs.get_registry()
-    recorder = obs.get_recorder()
-    executor_name = f"pipeline.{backend}"
-    lanes: dict[int, int] = {}
-    collect_start = time.perf_counter()
-    records: list[BlockRecord] = []
-    for index, future in enumerate(futures):
-        start, stop = bounds[index]
-        with obs.trace_span(
-            "pipeline.parallel.chunk",
-            index=index, start=start, blocks=stop - start, backend=backend,
-        ) as span:
-            result = future.result()
-            span.set(worker_seconds=round(result.elapsed, 6))
-        seconds.observe(result.elapsed)
-        if result.obs_dump is not None:
-            registry.merge_dump(result.obs_dump)
-        if recorder.enabled:
-            lane = lanes.setdefault(result.worker_id, len(lanes))
-            arrival = time.perf_counter() - collect_start
-            begun = max(0.0, arrival - result.elapsed)
-            task = f"chunk[{start}:{stop})"
-            recorder.extend([
-                (executor_name, None, 0, "schedule", task, QUEUE_LANE,
-                 0.0, 0.0),
-                (executor_name, None, 0, "start", task, lane,
-                 begun, result.elapsed),
-                (executor_name, None, 0, "commit", task, lane,
-                 arrival, result.elapsed),
-            ])
-        records.extend(result.records)
-    return records
-
-
-def _run_process_pool(
-    inputs: list[BlockInput],
-    data_model: str,
-    bounds: list[tuple[int, int]],
-    jobs: int,
-) -> list[BlockRecord]:
-    """Fan chunks over a process pool, fork-sharing inputs when possible."""
-    global _FORK_INPUTS, _FORK_MODEL
-    # Lazy import: keeps serial/thread paths usable even where the
-    # multiprocessing primitives are unavailable (the caller catches the
-    # failure and falls back).
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        context = multiprocessing.get_context("fork")
-        fork_sharing = True
-    except ValueError:
-        context = multiprocessing.get_context()
-        fork_sharing = False
-
-    # Workers start with obs uninstalled (_worker_init); when the parent
-    # is instrumented, ask each chunk to record into a private worker
-    # registry whose dump is merged back at join.  The parent's policy
-    # string rides along so sketch-policy sweeps stay bounded-memory on
-    # both sides of the pool.
-    parent_registry = obs.get_registry()
-    record_obs: bool | str = (
-        parent_registry.policy if parent_registry.enabled else False
-    )
-
-    if fork_sharing:
-        _FORK_INPUTS, _FORK_MODEL = inputs, data_model
-    try:
-        with ProcessPoolExecutor(
-            max_workers=jobs, mp_context=context, initializer=_worker_init
-        ) as pool:
-            if fork_sharing:
-                futures = [
-                    pool.submit(
-                        _analyze_chunk_by_range, start, stop, record_obs
-                    )
-                    for start, stop in bounds
-                ]
-            else:
-                futures = [
-                    pool.submit(
-                        _analyze_chunk_explicit, data_model,
-                        inputs[start:stop], record_obs,
-                    )
-                    for start, stop in bounds
-                ]
-            return _collect_ordered(
-                futures, backend="process", bounds=bounds
-            )
-    finally:
-        if fork_sharing:
-            _FORK_INPUTS, _FORK_MODEL = None, None
-
-
-def _run_thread_pool(
-    inputs: list[BlockInput],
-    data_model: str,
-    bounds: list[tuple[int, int]],
-    jobs: int,
-) -> list[BlockRecord]:
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(
-                _analyze_chunk_explicit, data_model, inputs[start:stop]
-            )
-            for start, stop in bounds
-        ]
-        return _collect_ordered(futures, backend="thread", bounds=bounds)
+    return records, elapsed, None, None
 
 
 def analyze_chain(
@@ -492,41 +673,14 @@ def analyze_chain(
     )
     with obs.trace_span("pipeline.chain", chain=name, model=data_model):
         if backend == "serial":
+            # The reference walk: no chunks, no parallel.* family.
             for item in inputs:
                 history.append(_analyze_block(data_model, item))
             return history
-
-        bounds = chunk_bounds(len(inputs), chunk_size)
-        with obs.trace_span(
-            "pipeline.parallel.run",
-            backend=backend, jobs=jobs, chunks=len(bounds),
-            blocks=len(inputs),
+        for record in ordered_chunk_map(
+            _analyze_chunk_recording, data_model, inputs,
+            family="pipeline.parallel", lanes="pipeline",
+            backend=backend, jobs=jobs, chunk_size=chunk_size,
         ):
-            obs.counter("pipeline.parallel.runs", backend=backend).inc()
-            obs.counter(
-                "pipeline.parallel.chunks", backend=backend
-            ).inc(len(bounds))
-            obs.counter(
-                "pipeline.parallel.blocks", backend=backend
-            ).inc(len(inputs))
-            obs.gauge("pipeline.parallel.jobs", backend=backend).set(jobs)
-            if backend == "process":
-                try:
-                    records = _run_process_pool(
-                        inputs, data_model, bounds, jobs
-                    )
-                except (ImportError, NotImplementedError, OSError,
-                        PermissionError):
-                    # Sandboxes without sem_open / fork; chunk purity
-                    # makes the in-process retry safe.
-                    obs.counter(
-                        "pipeline.parallel.fallbacks", backend="process"
-                    ).inc()
-                    records = _run_thread_pool(
-                        inputs, data_model, bounds, jobs
-                    )
-            else:
-                records = _run_thread_pool(inputs, data_model, bounds, jobs)
-        for record in records:
             history.append(record)
     return history

@@ -19,7 +19,6 @@ from repro.execution.dag import (
 from repro.execution.grouped import GroupedExecutor
 from repro.execution.occ import OCCExecutor
 from repro.execution.parallel_replay import (
-    ENGINES,
     BlockReplay,
     EngineSummary,
     ReplayBlock,
@@ -27,6 +26,12 @@ from repro.execution.parallel_replay import (
     replay_block_inputs,
     replay_chain,
     replay_profile,
+)
+from repro.execution.registry import (
+    ENGINES,
+    make_executor,
+    run_engine,
+    validate_engines,
 )
 from repro.execution.simulator import CoreSimulator, SimulatedRun
 from repro.execution.speculative import (
@@ -66,5 +71,8 @@ __all__ = [
     "SpeculativeExecutor",
     "StaticGroupedExecutor",
     "StaticInformedExecutor",
+    "make_executor",
+    "run_engine",
     "split_conflicted",
+    "validate_engines",
 ]

@@ -1,10 +1,11 @@
 """Parallel executor replay — fan per-block engine replay over workers.
 
-:mod:`repro.core.parallel` fans the *analysis* pipeline (TDG + metrics)
-across blocks; this module does the same for the *execution* replay
-itself.  A chain's blocks are partitioned into contiguous chunks, each
-chunk replays every requested engine (the seven of
-:data:`ENGINES`) inside a worker, and the per-(block, engine)
+:func:`repro.core.parallel.analyze_chain` fans the *analysis* pipeline
+(TDG + metrics) across blocks; this module is the second caller of the
+same :func:`~repro.core.parallel.ordered_chunk_map`, for the
+*execution* replay itself.  A chain's blocks are partitioned into
+contiguous chunks, each chunk replays every requested engine (the eight
+of :data:`ENGINES`) inside a worker, and the per-(block, engine)
 :class:`BlockReplay` records are reassembled in height order — together
 with two determinism digests per record:
 
@@ -13,77 +14,55 @@ with two determinism digests per record:
   block position breaking clock ties) and hashed over the sorted
   (location, chain) pairs.  Every engine preserves block order among
   the writers of any single location — that is the serializable-
-  equivalence contract the differential suite enforces — so all seven
+  equivalence contract the differential suite enforces — so all
   engines must produce byte-identical roots.
 * ``receipt_root`` — a digest of the block's raw payload (receipts /
   transactions) in block order.  It is engine-independent by
   construction and exists to prove the *transport* (fork globals,
   shared memory, explicit pickles) delivered the payload byte-exactly.
 
-Three backends share one code path (``serial`` / ``thread`` /
-``process``), with the same validation, chunking and fallback contract
-as :mod:`repro.core.parallel`.  The process backend adds a transport
-the analysis pipeline lacks: on spawn/forkserver platforms the
-``(inputs, engines, cores)`` context is pickled ONCE into a
-:class:`multiprocessing.shared_memory.SharedMemory` segment and workers
-attach by name — each worker unpickles from the shared buffer instead
-of receiving a per-chunk copy of the payload through the request pipe.
-Where the platform forks, module globals inherited through fork carry
-the context as before and only ``(start, stop)`` pairs travel.
-
-Observability: every chunk replays under a PRIVATE per-thread
-observability scope (:func:`repro.obs.scoped`) with an always-on
-:class:`~repro.obs.timeline.FlightRecorder` — the digests need the
-event stream even when the parent records nothing.  When the parent
-*is* instrumented, the worker registry dump and recorder rows ride
-back with the chunk result and merge in submission (= height) order,
+Backends, validation, chunking, transports and fallbacks are the
+fan-out's (``serial`` / ``thread`` / ``process``; see
+:mod:`repro.core.parallel`).  What is particular to replay is its chunk
+function, :func:`replay_chunk`: every block replays under a PRIVATE
+per-thread observability scope (:func:`repro.obs.scoped`) with an
+always-on :class:`~repro.obs.timeline.FlightRecorder` — the digests
+need the event stream even when the parent records nothing.  When the
+parent *is* instrumented, the chunk's registry dump and recorder rows
+ride back with its result and merge in submission (= height) order,
 so ``repro.cli timeline`` / ``regress`` read a fanned-out replay
-identically to a serial one.  The parent additionally records an
-``exec.replay.*`` family (runs / chunks / blocks / fallbacks /
-chunk_seconds / shm_bytes, labelled by backend) plus chunk-granularity
-``replay.<backend>`` flight-recorder triples.
+identically to a serial one.  The parent-side family is
+``exec.replay.*`` with chunk lanes on ``replay.<backend>``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import pickle
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro import obs
 from repro.account.receipts import ExecutedTransaction
 from repro.chain.hashing import hash_concat, hash_fields
 from repro.core.parallel import (
-    chunk_bounds,
+    ordered_chunk_map,
     validate_backend,
     validate_chunk_size,
     validate_jobs,
 )
-from repro.execution.engine import ExecutionReport, TxTask
+from repro.execution.engine import (
+    ExecutionReport,
+    TxTask,
+    tasks_from_account_block,
+    tasks_from_utxo_block,
+)
+from repro.execution.registry import ENGINES, run_engine, validate_engines
 from repro.obs import ObservabilityState
 from repro.obs.lifecycle import NOOP_LIFECYCLE
 from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
-from repro.obs.timeline import EventRow, FlightRecorder, QUEUE_LANE
+from repro.obs.timeline import EventRow, FlightRecorder
 from repro.obs.tracer import NOOP_TRACER
 from repro.utxo.transaction import UTXOTransaction
-
-# Mirrors repro.obs.regress.EXECUTOR_CHOICES; a unit test pins the two
-# tuples equal so the registries cannot drift apart silently.
-ENGINES = (
-    "sequential",
-    "speculative",
-    "speculative-informed",
-    "occ",
-    "grouped",
-    "static-informed",
-    "static-grouped",
-    "dag",
-)
 
 DEFAULT_CORES = 4
 DEFAULT_BACKEND = "process"
@@ -118,29 +97,55 @@ def replay_block_inputs(
     profile, *, blocks: int, seed: int, scale: float = 1.0,
     predict: bool = True,
 ) -> list[ReplayBlock]:
-    """Snapshot a seeded chain's blocks as replay inputs.
+    """Snapshot a seeded chain's blocks as replay inputs, from ONE build.
 
     With *predict* (the default) each block also carries its static
     access predictions; pass ``False`` to skip the analysis pass when
-    no requested engine consumes predictions.
+    no requested engine consumes predictions.  Account chains analyze
+    the final code registry/bindings (contracts only ever *gain* code
+    mid-chain, so the final closure is a sound over-approximation for
+    every height); UTXO predictions are exact by construction.
     """
-    from repro.obs.regress import chain_prediction_blocks, chain_task_blocks
+    # Imported here: repro.staticcheck.predict imports this package.
+    from repro.staticcheck.interproc import ContractAnalyzer, code_bindings
+    from repro.staticcheck.predict import predict_block, predict_utxo_block
+    from repro.workload.account_workload import build_account_chain
+    from repro.workload.utxo_workload import build_utxo_chain
 
-    predicted: dict[int, tuple] = {}
-    if predict:
-        predicted = dict(chain_prediction_blocks(
-            profile, blocks=blocks, seed=seed, scale=scale
-        ))
+    if profile.data_model == "utxo":
+        ledger = build_utxo_chain(
+            profile, num_blocks=blocks, seed=seed, scale=scale
+        )
+        return [
+            ReplayBlock(
+                height=block.height,
+                tasks=tuple(tasks_from_utxo_block(block.transactions)),
+                payload=tuple(block.transactions),
+                predictions=(
+                    tuple(predict_utxo_block(block.transactions))
+                    if predict else ()
+                ),
+            )
+            for block in ledger
+        ]
+    builder = build_account_chain(
+        profile, num_blocks=blocks, seed=seed, scale=scale
+    )
+    analyzer = (
+        ContractAnalyzer(builder.registry, code_bindings(builder.state))
+        if predict else None
+    )
     return [
         ReplayBlock(
-            height=height,
-            tasks=tuple(tasks),
-            payload=tuple(payload),
-            predictions=predicted.get(height, ()),
+            height=block.height,
+            tasks=tuple(tasks_from_account_block(executed)),
+            payload=tuple(executed),
+            predictions=(
+                tuple(predict_block([item.tx for item in executed], analyzer))
+                if predict else ()
+            ),
         )
-        for height, tasks, payload in chain_task_blocks(
-            profile, blocks=blocks, seed=seed, scale=scale
-        )
+        for block, executed in builder.executed_blocks
     ]
 
 
@@ -156,22 +161,6 @@ def coerce_replay_inputs(source) -> list[ReplayBlock]:
                 height=height, tasks=tuple(tasks), payload=tuple(payload),
             ))
     return out
-
-
-def validate_engines(engines: Sequence[str]) -> tuple[str, ...]:
-    """Normalise *engines* (order-preserving) or raise ValueError."""
-    chosen = tuple(engines)
-    if not chosen:
-        raise ValueError("engines must name at least one engine")
-    known = ", ".join(ENGINES)
-    for name in chosen:
-        if name not in ENGINES:
-            raise ValueError(
-                f"unknown engine {name!r}; expected one of: {known}"
-            )
-    if len(set(chosen)) != len(chosen):
-        raise ValueError("engines must not repeat")
-    return chosen
 
 
 # -- determinism digests ------------------------------------------------------
@@ -334,16 +323,6 @@ class ReplayResult:
 # -- worker-side replay -------------------------------------------------------
 
 
-def _run_dag_block(data_model: str, payload: Sequence, cores: int):
-    from repro.execution.dag import account_dag, run_dag, utxo_dag
-
-    if data_model == "utxo":
-        dag = utxo_dag(payload)
-    else:
-        dag = account_dag(payload)
-    return run_dag(dag, cores)
-
-
 class _EngineStats:
     __slots__ = ("scheduled", "aborted", "retried", "commits")
 
@@ -408,49 +387,32 @@ def _block_records(
     return records
 
 
-def _replay_block(
+def _replay_scoped(
     data_model: str,
     block: ReplayBlock,
     engines: Sequence[str],
     cores: int,
     registry: MetricsRegistry,
-) -> tuple[list[BlockReplay], list[EventRow]]:
-    """Replay one block through every engine under a private recorder.
+) -> tuple[dict[str, ExecutionReport], FlightRecorder]:
+    """Replay one block through *engines* under a private recorder.
 
     The recorder is fresh per block (and per thread, via
     :func:`repro.obs.scoped`), so concurrent chunks on the thread
-    backend cannot interleave events, and the row stream for a block is
-    identical no matter which worker replayed it.
+    backend cannot interleave events, the row stream for a block is
+    identical no matter which worker replayed it, and a node's
+    validators never touch the global traces (NOOP tracer/lifecycle).
     """
-    from repro.obs.regress import make_executor
-
     recorder = FlightRecorder()
     scope = ObservabilityState(
         registry=registry, tracer=NOOP_TRACER, recorder=recorder,
         lifecycle=NOOP_LIFECYCLE,
     )
-    reports: dict[str, ExecutionReport] = {}
-    with obs.scoped(scope):
-        with recorder.block(block.height):
-            for engine in engines:
-                if engine == "dag":
-                    reports[engine] = _run_dag_block(
-                        data_model, block.payload, cores
-                    )
-                elif engine == "static-grouped":
-                    lookup = {
-                        prediction.tx_hash: prediction
-                        for prediction in block.predictions
-                    }
-                    reports[engine] = make_executor(
-                        engine, cores, predictions=lookup
-                    ).run(block.tasks)
-                else:
-                    reports[engine] = make_executor(engine, cores).run(
-                        block.tasks
-                    )
-    rows = recorder.dump_rows()
-    return _block_records(block, engines, reports, rows), rows
+    with obs.scoped(scope), recorder.block(block.height):
+        reports = {
+            engine: run_engine(engine, data_model, block, cores)
+            for engine in engines
+        }
+    return reports, recorder
 
 
 def replay_single_block(
@@ -464,10 +426,8 @@ def replay_single_block(
     """Replay one block through one engine; return record + events.
 
     The node runtime's validation path calls this once per received
-    block: same private-scope contract as :func:`_replay_block` (a
-    fresh recorder, NOOP tracer/lifecycle so validators never touch
-    the global traces), but it returns the single
-    :class:`BlockReplay` together with the block's
+    block: same private-scope contract as a fanned-out chunk, but it
+    returns the single :class:`BlockReplay` together with the block's
     :class:`~repro.obs.timeline.TimelineEvent` stream so the caller
     can stitch lifecycle traces or profile lane utilization itself.
 
@@ -482,73 +442,32 @@ def replay_single_block(
     validate_engines((engine,))
     if cores < 1:
         raise ValueError("cores must be at least 1")
-    from repro.obs.regress import make_executor
-
-    recorder = FlightRecorder()
-    scope = ObservabilityState(
-        registry=registry if registry is not None else NOOP_REGISTRY,
-        tracer=NOOP_TRACER, recorder=recorder, lifecycle=NOOP_LIFECYCLE,
+    reports, recorder = _replay_scoped(
+        data_model, block, (engine,), cores,
+        registry if registry is not None else NOOP_REGISTRY,
     )
-    with obs.scoped(scope):
-        with recorder.block(block.height):
-            if engine == "dag":
-                report = _run_dag_block(data_model, block.payload, cores)
-            elif engine == "static-grouped":
-                lookup = {
-                    prediction.tx_hash: prediction
-                    for prediction in block.predictions
-                }
-                report = make_executor(
-                    engine, cores, predictions=lookup
-                ).run(block.tasks)
-            else:
-                report = make_executor(engine, cores).run(block.tasks)
     events = tuple(recorder.events(block=block.height))
     record = _block_records(
-        block, (engine,), {engine: report}, recorder.dump_rows()
+        block, (engine,), reports, recorder.dump_rows()
     )[0]
     return record, events
 
 
-class ReplayChunkResult:
-    """What a worker ships back for one chunk of blocks.
-
-    ``obs_dump`` / ``rows`` are the worker registry dump and recorder
-    rows when the parent asked for observability forwarding
-    (``record_obs=True``), else ``None`` — digests are carried by the
-    records themselves either way.
-    """
-
-    __slots__ = ("records", "elapsed", "worker_id", "obs_dump", "rows")
-
-    def __init__(
-        self,
-        records: list[BlockReplay],
-        elapsed: float,
-        worker_id: int,
-        obs_dump: list[dict] | None,
-        rows: list[EventRow] | None,
-    ):
-        self.records = records
-        self.elapsed = elapsed
-        self.worker_id = worker_id
-        self.obs_dump = obs_dump
-        self.rows = rows
-
-
-def _replay_chunk(
-    data_model: str,
+def replay_chunk(
+    params: tuple[str, Sequence[str], int],
     chunk: Sequence[ReplayBlock],
-    engines: Sequence[str],
-    cores: int,
     record_obs: bool | str,
-) -> ReplayChunkResult:
-    # ``record_obs`` is falsy or the parent registry's policy string
-    # ("exact"/"sketch"); plain True keeps the historical exact policy.
-    worker_id = (
-        os.getpid() if threading.current_thread() is threading.main_thread()
-        else threading.get_ident()
-    )
+) -> tuple[list[BlockReplay], float, list[dict] | None,
+           list[EventRow] | None]:
+    """Replay one chunk of blocks; the fan-out's chunk function.
+
+    *params* is ``(data_model, engines, cores)``.  Returns ``(records,
+    elapsed seconds, registry dump, recorder rows)`` — the last two
+    ``None`` unless *record_obs* (falsy, or the parent registry's
+    policy string) asked for them; digests are carried by the records
+    themselves either way.  Pure in *chunk*.
+    """
+    data_model, engines, cores = params
     if record_obs:
         policy = record_obs if isinstance(record_obs, str) else "exact"
         registry = MetricsRegistry(policy=policy)
@@ -558,272 +477,20 @@ def _replay_chunk(
     records: list[BlockReplay] = []
     started = time.perf_counter()
     for block in chunk:
-        block_records, rows = _replay_block(
+        reports, recorder = _replay_scoped(
             data_model, block, engines, cores, registry
         )
-        records.extend(block_records)
+        rows = recorder.dump_rows()
+        records.extend(_block_records(block, engines, reports, rows))
         if record_obs:
             all_rows.extend(rows)
     elapsed = time.perf_counter() - started
     if record_obs:
-        return ReplayChunkResult(
-            records, elapsed, worker_id, registry.dump(), all_rows
-        )
-    return ReplayChunkResult(records, elapsed, worker_id, None, None)
-
-
-def _worker_init() -> None:
-    """Process-pool worker initializer (same rationale as the pipeline's).
-
-    ``gc.freeze()`` keeps the worker's cyclic GC off the heap inherited
-    through fork; ``obs.uninstall()`` drops any recording state copied
-    from an instrumented parent — replay chunks always record into
-    their own scoped state and ship dumps back explicitly.
-    """
-    import gc
-
-    gc.freeze()
-    obs.uninstall()
-
-
-# -- transports ---------------------------------------------------------------
-
-# Fork path: context published in the parent immediately before the
-# pool starts, inherited through fork, cleared after — only
-# (start, stop) pairs travel per chunk.
-_FORK_CONTEXT: tuple | None = None
-
-# Spawn path: one pickled context per run lives in a shared-memory
-# segment; workers attach by name and unpickle once (cached here per
-# segment name), so the payload crosses the process boundary zero
-# times per chunk instead of once per chunk.
-_SHM_CACHE: dict[str, tuple] = {}
-
-
-def _replay_chunk_by_range(
-    start: int, stop: int, record_obs: bool | str = False
-) -> ReplayChunkResult:
-    assert _FORK_CONTEXT is not None
-    data_model, inputs, engines, cores = _FORK_CONTEXT
-    return _replay_chunk(
-        data_model, inputs[start:stop], engines, cores, record_obs
-    )
-
-
-def _attach_shm(name: str):
-    """Attach to a named segment without resource-tracker side effects.
-
-    On 3.13+ ``track=False`` exists; earlier interpreters register every
-    attachment with the resource tracker, whose exit-time cleanup would
-    unlink the segment out from under the other workers (bpo-38119) —
-    unregister explicitly there.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        segment = shared_memory.SharedMemory(name=name)
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:
-            pass
-        return segment
-
-
-def _load_shm_context(name: str) -> tuple:
-    context = _SHM_CACHE.get(name)
-    if context is None:
-        segment = _attach_shm(name)
-        try:
-            # The segment may be page-rounded past the pickle; loads
-            # stops at the STOP opcode and ignores the tail.
-            context = pickle.loads(segment.buf)
-        finally:
-            segment.close()
-        _SHM_CACHE[name] = context
-    return context
-
-
-def _replay_chunk_from_shm(
-    name: str, start: int, stop: int, record_obs: bool | str = False
-) -> ReplayChunkResult:
-    data_model, inputs, engines, cores = _load_shm_context(name)
-    return _replay_chunk(
-        data_model, inputs[start:stop], engines, cores, record_obs
-    )
-
-
-def _replay_chunk_explicit(
-    data_model: str,
-    chunk: Sequence[ReplayBlock],
-    engines: Sequence[str],
-    cores: int,
-    record_obs: bool | str = False,
-) -> ReplayChunkResult:
-    return _replay_chunk(data_model, chunk, engines, cores, record_obs)
+        return records, elapsed, registry.dump(), all_rows
+    return records, elapsed, None, None
 
 
 # -- the fan-out --------------------------------------------------------------
-
-
-def _collect_replay(
-    resolvers: Sequence[Callable[[], ReplayChunkResult]],
-    *,
-    bounds: Sequence[tuple[int, int]],
-    backend: str,
-) -> list[BlockReplay]:
-    """Gather chunk results in submission (= height) order, merging obs.
-
-    Worker registry dumps merge into the installed registry and worker
-    recorder rows replay into the installed recorder chunk by chunk, so
-    the parent's event stream is byte-identical to a serial replay's
-    regardless of which worker finished first.
-    """
-    seconds = obs.histogram("exec.replay.chunk_seconds", backend=backend)
-    registry = obs.get_registry()
-    recorder = obs.get_recorder()
-    executor_name = f"replay.{backend}"
-    lanes: dict[int, int] = {}
-    collect_start = time.perf_counter()
-    records: list[BlockReplay] = []
-    for index, resolve in enumerate(resolvers):
-        start, stop = bounds[index]
-        with obs.trace_span(
-            "exec.replay.chunk",
-            index=index, start=start, blocks=stop - start, backend=backend,
-        ) as span:
-            result = resolve()
-            span.set(worker_seconds=round(result.elapsed, 6))
-        seconds.observe(result.elapsed)
-        if result.obs_dump is not None:
-            registry.merge_dump(result.obs_dump)
-        if result.rows is not None and recorder.enabled:
-            recorder.extend(result.rows)
-        if recorder.enabled:
-            lane = lanes.setdefault(result.worker_id, len(lanes))
-            arrival = time.perf_counter() - collect_start
-            begun = max(0.0, arrival - result.elapsed)
-            task = f"chunk[{start}:{stop})"
-            recorder.extend([
-                (executor_name, None, 0, "schedule", task, QUEUE_LANE,
-                 0.0, 0.0),
-                (executor_name, None, 0, "start", task, lane,
-                 begun, result.elapsed),
-                (executor_name, None, 0, "commit", task, lane,
-                 arrival, result.elapsed),
-            ])
-        records.extend(result.records)
-    return records
-
-
-def _run_replay_process_pool(
-    inputs: list[ReplayBlock],
-    data_model: str,
-    engines: tuple[str, ...],
-    cores: int,
-    bounds: list[tuple[int, int]],
-    jobs: int,
-    record_obs: bool | str,
-) -> list[BlockReplay]:
-    """Fan chunks over a process pool: fork globals, else shared memory."""
-    global _FORK_CONTEXT
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Honour an explicitly configured start method (the spawn CI shard
-    # sets one); otherwise prefer fork where the platform offers it.
-    method = multiprocessing.get_start_method(allow_none=True)
-    if method in (None, "fork"):
-        try:
-            context = multiprocessing.get_context("fork")
-            fork_sharing = True
-        except ValueError:
-            context = multiprocessing.get_context()
-            fork_sharing = False
-    else:
-        context = multiprocessing.get_context(method)
-        fork_sharing = False
-
-    segment = None
-    if fork_sharing:
-        _FORK_CONTEXT = (data_model, inputs, engines, cores)
-    else:
-        payload = pickle.dumps(
-            (data_model, inputs, engines, cores),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        try:
-            from multiprocessing import shared_memory
-
-            segment = shared_memory.SharedMemory(
-                create=True, size=max(1, len(payload))
-            )
-            segment.buf[:len(payload)] = payload
-            obs.gauge("exec.replay.shm_bytes").set(len(payload))
-        except (ImportError, OSError, PermissionError):
-            # No shared memory on this platform/sandbox: ship each
-            # chunk's blocks explicitly (the pre-shm behaviour).
-            segment = None
-            obs.counter("exec.replay.shm_fallbacks").inc()
-    try:
-        with ProcessPoolExecutor(
-            max_workers=jobs, mp_context=context, initializer=_worker_init
-        ) as pool:
-            if fork_sharing:
-                futures = [
-                    pool.submit(_replay_chunk_by_range, start, stop,
-                                record_obs)
-                    for start, stop in bounds
-                ]
-            elif segment is not None:
-                futures = [
-                    pool.submit(_replay_chunk_from_shm, segment.name,
-                                start, stop, record_obs)
-                    for start, stop in bounds
-                ]
-            else:
-                futures = [
-                    pool.submit(_replay_chunk_explicit, data_model,
-                                inputs[start:stop], engines, cores,
-                                record_obs)
-                    for start, stop in bounds
-                ]
-            return _collect_replay(
-                [future.result for future in futures],
-                bounds=bounds, backend="process",
-            )
-    finally:
-        if fork_sharing:
-            _FORK_CONTEXT = None
-        if segment is not None:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass
-
-
-def _run_replay_thread_pool(
-    inputs: list[ReplayBlock],
-    data_model: str,
-    engines: tuple[str, ...],
-    cores: int,
-    bounds: list[tuple[int, int]],
-    jobs: int,
-    record_obs: bool | str,
-) -> list[BlockReplay]:
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(_replay_chunk_explicit, data_model,
-                        inputs[start:stop], engines, cores, record_obs)
-            for start, stop in bounds
-        ]
-        return _collect_replay(
-            [future.result for future in futures],
-            bounds=bounds, backend="thread",
-        )
 
 
 def replay_chain(
@@ -870,55 +537,12 @@ def replay_chain(
     chunk_size = validate_chunk_size(
         chunk_size, num_blocks=len(inputs), jobs=jobs
     )
-    # Carry the parent registry's histogram policy to the workers so a
-    # sketch-policy sweep stays bounded-memory end to end.
-    _parent_registry = obs.get_registry()
-    record_obs: bool | str = (
-        _parent_registry.policy if _parent_registry.enabled else False
+    records = ordered_chunk_map(
+        replay_chunk, (data_model, engines, cores), inputs,
+        family="exec.replay", lanes="replay",
+        backend=backend, jobs=jobs, chunk_size=chunk_size,
+        engines=len(engines),
     )
-
-    bounds = chunk_bounds(len(inputs), chunk_size)
-    with obs.trace_span(
-        "exec.replay.run",
-        backend=backend, jobs=jobs, chunks=len(bounds),
-        blocks=len(inputs), engines=len(engines),
-    ):
-        obs.counter("exec.replay.runs", backend=backend).inc()
-        obs.counter("exec.replay.chunks", backend=backend).inc(len(bounds))
-        obs.counter("exec.replay.blocks", backend=backend).inc(len(inputs))
-        obs.gauge("exec.replay.jobs", backend=backend).set(jobs)
-        if backend == "serial":
-            resolvers = [
-                (lambda s=start, e=stop: _replay_chunk(
-                    data_model, inputs[s:e], engines, cores, record_obs
-                ))
-                for start, stop in bounds
-            ]
-            records = _collect_replay(
-                resolvers, bounds=bounds, backend="serial"
-            )
-        elif backend == "process":
-            try:
-                records = _run_replay_process_pool(
-                    inputs, data_model, engines, cores, bounds, jobs,
-                    record_obs,
-                )
-            except (ImportError, NotImplementedError, OSError,
-                    PermissionError):
-                # Sandboxes without sem_open / fork; chunk purity makes
-                # the in-process retry safe.
-                obs.counter(
-                    "exec.replay.fallbacks", backend="process"
-                ).inc()
-                records = _run_replay_thread_pool(
-                    inputs, data_model, engines, cores, bounds, jobs,
-                    record_obs,
-                )
-        else:
-            records = _run_replay_thread_pool(
-                inputs, data_model, engines, cores, bounds, jobs,
-                record_obs,
-            )
     ordered = sorted(records, key=lambda r: (r.height, engines.index(r.engine)))
     return ReplayResult(engines=engines, records=tuple(ordered))
 
@@ -971,14 +595,15 @@ __all__ = [
     "BlockReplay",
     "EngineSummary",
     "ReplayBlock",
-    "ReplayChunkResult",
     "ReplayResult",
     "coerce_replay_inputs",
     "receipt_digest",
     "receipts_root",
     "replay_block_inputs",
     "replay_chain",
+    "replay_chunk",
     "replay_profile",
+    "replay_single_block",
     "state_root",
     "validate_engines",
 ]

@@ -43,6 +43,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro import obs
+from repro.execution.parallel_replay import ReplayBlock, replay_block_inputs
+from repro.execution.registry import run_engine, validate_engines
 from repro.mempool.pool import Mempool, PoolEntry
 from repro.network.gossip import GossipNetwork
 from repro.obs.critical_path import profile_events
@@ -55,10 +57,6 @@ from repro.obs.lifecycle import (
     stitch_execution_events,
 )
 from repro.obs.monitor import BlockSample
-from repro.obs.regress import (
-    chain_task_blocks,
-    make_executor,
-)
 
 DEFAULT_NODES = 24
 DEFAULT_COST_UNIT_SECONDS = 0.001
@@ -90,18 +88,6 @@ class LifecycleRunResult:
         return stage_breakdown(self.traces)
 
 
-def _block_dag(profile, payload, packed_hashes: set[str], cores: int):
-    """The dependency-DAG engine over the *packed* subset of a block."""
-    from repro.execution import account_dag, run_dag, utxo_dag
-
-    subset = [tx for tx in payload if tx.tx_hash in packed_hashes]
-    if profile.data_model == "utxo":
-        dag = utxo_dag(subset)
-    else:
-        dag = account_dag(subset)
-    return run_dag(dag, cores)
-
-
 def run_lifecycle(
     profile,
     *,
@@ -123,8 +109,8 @@ def run_lifecycle(
         blocks: number of blocks to generate and commit.
         seed: workload + pipeline randomness seed (deterministic).
         cores: simulated cores for the execution engine.
-        executor: engine name (``dag`` or any task-executor name from
-            :data:`repro.obs.regress.EXECUTOR_CHOICES`).
+        executor: engine name (one of
+            :data:`repro.execution.registry.ENGINES`).
         scale: workload scale factor passed to the chain builder.
         nodes: gossip topology size.
         mempool_weight: pool capacity; ``None`` sizes the pool to never
@@ -150,9 +136,7 @@ def run_lifecycle(
         raise ValueError("cost_unit_seconds must be positive")
     if mempool_weight is not None and mempool_weight < 1:
         raise ValueError("mempool_weight must be positive")
-    task_executor = (
-        None if executor == "dag" else make_executor(executor, cores)
-    )
+    validate_engines((executor,))
 
     rng = random.Random(seed)
     network = GossipNetwork.random_topology(
@@ -182,9 +166,10 @@ def run_lifecycle(
     with obs.trace_span(
         "lifecycle.run", chain=profile.name, executor=executor
     ):
-        for height, tasks, payload in chain_task_blocks(
-            profile, blocks=blocks, seed=seed, scale=scale
+        for block in replay_block_inputs(
+            profile, blocks=blocks, seed=seed, scale=scale, predict=False
         ):
+            height, tasks, payload = block.height, block.tasks, block.payload
             if not tasks:
                 continue
             block_started = time.perf_counter()
@@ -283,14 +268,17 @@ def run_lifecycle(
             packed_hashes = {entry.tx_hash for entry in packed}
             executed_hashes |= packed_hashes
             execute_at = life.clock
+            packed_block = ReplayBlock(
+                height=height,
+                tasks=tuple(entry.payload for entry in packed),
+                payload=tuple(
+                    tx for tx in payload if tx.tx_hash in packed_hashes
+                ),
+            )
             with recorder.block(height):
-                if task_executor is None:
-                    report = _block_dag(
-                        profile, payload, packed_hashes, cores
-                    )
-                else:
-                    packed_tasks = [entry.payload for entry in packed]
-                    report = task_executor.run(packed_tasks)
+                report = run_engine(
+                    executor, profile.data_model, packed_block, cores
+                )
             stitch_execution_events(
                 life,
                 recorder.events(block=height),

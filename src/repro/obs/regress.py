@@ -37,11 +37,20 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from repro import obs
+from repro.execution.parallel_replay import replay_block_inputs
+from repro.execution.registry import (
+    ENGINES as EXECUTOR_CHOICES,
+    PREDICTION_ENGINES,
+    make_executor,
+    run_engine,
+    validate_engines,
+)
 from repro.obs.critical_path import (
     compare_to_bounds,
     profile_events,
     task_conflict_profile,
 )
+from repro.obs.lifecycle_run import run_lifecycle
 
 SNAPSHOT_SCHEMA_VERSION = 1
 
@@ -83,157 +92,16 @@ def chain_task_blocks(
 ) -> Iterator[tuple[int, list, tuple]]:
     """Yield ``(height, tasks, payload)`` for a seeded chain's blocks.
 
-    ``payload`` is the raw per-block transaction sequence (UTXO
-    transactions or executed account transactions) from which the
-    dependency DAG can be built; ``tasks`` the executor-ready
+    A view of :func:`repro.execution.parallel_replay.replay_block_inputs`
+    without predictions: ``payload`` is the raw per-block transaction
+    sequence (UTXO transactions or executed account transactions) from
+    which the dependency DAG can be built; ``tasks`` the executor-ready
     :class:`~repro.execution.engine.TxTask` list.
     """
-    from repro.execution.engine import (
-        tasks_from_account_block,
-        tasks_from_utxo_block,
-    )
-    from repro.workload.account_workload import build_account_chain
-    from repro.workload.utxo_workload import build_utxo_chain
-
-    if profile.data_model == "utxo":
-        ledger = build_utxo_chain(
-            profile, num_blocks=blocks, seed=seed, scale=scale
-        )
-        for block in ledger:
-            yield (
-                block.height,
-                tasks_from_utxo_block(block.transactions),
-                tuple(block.transactions),
-            )
-    else:
-        builder = build_account_chain(
-            profile, num_blocks=blocks, seed=seed, scale=scale
-        )
-        for block, executed in builder.executed_blocks:
-            yield (
-                block.height,
-                tasks_from_account_block(executed),
-                tuple(executed),
-            )
-
-
-def chain_prediction_blocks(
-    profile, *, blocks: int, seed: int, scale: float = 1.0
-) -> list[tuple[int, tuple]]:
-    """Per-block static access predictions for a seeded chain.
-
-    Returns ``(height, predictions)`` pairs aligned with
-    :func:`chain_task_blocks` — the chain construction is deterministic
-    under a fixed seed, so rebuilding it here yields the exact blocks
-    the task snapshot walked.  The rebuild runs under a silenced
-    observability scope (an instrumented caller must not double-count
-    the ``consensus.*`` chain-construction metrics); the static
-    analysis itself runs in the ambient scope, so ``staticcheck.*``
-    counters land where the caller records.
-
-    Account chains analyze the final code registry/bindings (contracts
-    only ever *gain* code mid-chain, so the final closure is a sound
-    over-approximation for every height); UTXO predictions are exact by
-    construction.
-    """
-    from repro.obs import ObservabilityState
-    from repro.obs.metrics import NOOP_REGISTRY
-    from repro.obs.tracer import NOOP_TRACER
-    from repro.staticcheck.interproc import ContractAnalyzer, code_bindings
-    from repro.staticcheck.predict import predict_block, predict_utxo_block
-    from repro.workload.account_workload import build_account_chain
-    from repro.workload.utxo_workload import build_utxo_chain
-
-    silent = ObservabilityState(registry=NOOP_REGISTRY, tracer=NOOP_TRACER)
-    if profile.data_model == "utxo":
-        with obs.scoped(silent):
-            ledger = build_utxo_chain(
-                profile, num_blocks=blocks, seed=seed, scale=scale
-            )
-        return [
-            (block.height, tuple(predict_utxo_block(block.transactions)))
-            for block in ledger
-        ]
-    with obs.scoped(silent):
-        builder = build_account_chain(
-            profile, num_blocks=blocks, seed=seed, scale=scale
-        )
-    analyzer = ContractAnalyzer(
-        builder.registry, code_bindings(builder.state)
-    )
-    return [
-        (
-            block.height,
-            tuple(
-                predict_block([item.tx for item in executed], analyzer)
-            ),
-        )
-        for block, executed in builder.executed_blocks
-    ]
-
-
-def make_executor(name: str, cores: int, predictions=None):
-    """Instantiate one of the task executors by registry name.
-
-    ``dag`` is not constructible here — it consumes the raw payload via
-    :func:`run_block_dag`, not a task list.  Unknown names raise
-    :class:`ValueError` listing the choices.  *predictions* (``tx_hash``
-    → :class:`~repro.staticcheck.predict.PredictedAccess`) feeds the
-    ``static-grouped`` executor; other executors ignore it, and with no
-    predictions that executor degrades soundly to sequential block
-    order.
-    """
-    from repro.execution import (
-        GroupedExecutor,
-        InformedSpeculativeExecutor,
-        OCCExecutor,
-        SequentialExecutor,
-        SpeculativeExecutor,
-        StaticGroupedExecutor,
-        StaticInformedExecutor,
-    )
-
-    factories = {
-        "sequential": lambda: SequentialExecutor(),
-        "speculative": lambda: SpeculativeExecutor(cores),
-        "speculative-informed": lambda: InformedSpeculativeExecutor(cores),
-        "occ": lambda: OCCExecutor(cores),
-        "grouped": lambda: GroupedExecutor(cores),
-        "static-informed": lambda: StaticInformedExecutor(cores),
-        "static-grouped": lambda: StaticGroupedExecutor(
-            cores, predictions=dict(predictions or {})
-        ),
-    }
-    try:
-        return factories[name]()
-    except KeyError:
-        known = ", ".join((*sorted(factories), "dag"))
-        raise ValueError(
-            f"unknown executor {name!r}; expected one of: {known}"
-        ) from None
-
-
-def run_block_dag(profile, payload: Sequence, cores: int):
-    """Run one block's payload through the dependency-DAG engine."""
-    from repro.execution import account_dag, run_dag, utxo_dag
-
-    if profile.data_model == "utxo":
-        dag = utxo_dag(payload)
-    else:
-        dag = account_dag(payload)
-    return run_dag(dag, cores)
-
-
-EXECUTOR_CHOICES = (
-    "sequential",
-    "speculative",
-    "speculative-informed",
-    "occ",
-    "grouped",
-    "static-informed",
-    "static-grouped",
-    "dag",
-)
+    for block in replay_block_inputs(
+        profile, blocks=blocks, seed=seed, scale=scale, predict=False
+    ):
+        yield block.height, list(block.tasks), block.payload
 
 
 # -- snapshot construction ----------------------------------------------------
@@ -301,44 +169,26 @@ def build_snapshot(
         raise ValueError("blocks must be at least 1")
     if cores < 1:
         raise ValueError("cores must be at least 1")
-    task_executors = [
-        (name, make_executor(name, cores))
-        for name in executors
-        if name != "dag"
-    ]
-    run_dag_engine = "dag" in executors
+    executors = validate_engines(executors)
 
     bound_checks: dict[str, dict[str, float]] = {}
     with obs.instrumented(registry=MetricsRegistry(policy=policy)) as state:
         recorder = state.recorder
-        if any(name == "static-grouped" for name, _ in task_executors):
-            # Static predictions feed the static-grouped executor; the
-            # analysis pass runs inside the instrumented scope so the
-            # staticcheck.* counters gate deterministically too.
-            predictions: dict[str, object] = {}
-            for _height, block_predictions in chain_prediction_blocks(
-                profile, blocks=blocks, seed=seed
-            ):
-                for prediction in block_predictions:
-                    predictions[prediction.tx_hash] = prediction
-            for name, executor in task_executors:
-                if name == "static-grouped":
-                    executor.predictions = predictions
-        for height, tasks, payload in chain_task_blocks(
-            profile, blocks=blocks, seed=seed
+        # One chain build inside the instrumented scope: its consensus.*
+        # counters gate, and so do the staticcheck.* counters of the
+        # prediction pass the static-grouped executor needs.
+        for block in replay_block_inputs(
+            profile, blocks=blocks, seed=seed,
+            predict=not PREDICTION_ENGINES.isdisjoint(executors),
         ):
-            if not tasks:
+            if not block.tasks:
                 continue
-            conflict = task_conflict_profile(tasks)
-            with recorder.block(height):
+            conflict = task_conflict_profile(block.tasks)
+            with recorder.block(block.height):
                 reports = [
-                    (name, executor.run(tasks))
-                    for name, executor in task_executors
+                    (name, run_engine(name, profile.data_model, block, cores))
+                    for name in executors
                 ]
-                if run_dag_engine:
-                    reports.append(
-                        ("dag", run_block_dag(profile, payload, cores))
-                    )
             for name, report in reports:
                 comparison = compare_to_bounds(report, conflict)
                 stats = bound_checks.setdefault(
@@ -380,8 +230,6 @@ def build_snapshot(
         # instrumented scope, so its second executor replay cannot
         # bleed into the timeline/bounds sections above.  Only the
         # pipeline-stage metric families merge back.
-        from repro.obs.lifecycle_run import run_lifecycle
-
         with obs.instrumented() as life_state:
             life_result = run_lifecycle(
                 profile, blocks=blocks, seed=seed, cores=cores,
@@ -632,14 +480,12 @@ __all__ = [
     "RegressionReport",
     "Tolerance",
     "build_snapshot",
-    "chain_prediction_blocks",
     "chain_task_blocks",
     "compare_snapshots",
     "deterministic_metrics",
     "flatten_snapshot",
     "load_snapshot",
     "make_executor",
-    "run_block_dag",
     "tolerances_from_spec",
     "write_snapshot",
 ]

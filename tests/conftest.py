@@ -14,7 +14,7 @@ import pytest
 
 # The CI spawn shard exports REPRO_MP_START_METHOD=spawn so the
 # process-backend tests exercise the shared-memory transport instead of
-# fork globals (repro.execution.parallel_replay honours the configured
+# fork globals (repro.core.parallel's fan-out honours the configured
 # start method).  Force it before any pool exists; tests assert the
 # method actually took via test_differential.test_start_method_honoured.
 _START_METHOD = os.environ.get("REPRO_MP_START_METHOD")

@@ -12,6 +12,12 @@ traceback).
 
 from __future__ import annotations
 
+import concurrent.futures
+import multiprocessing
+import sys
+import time
+from multiprocessing import shared_memory
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +28,8 @@ from repro.core.components import (
     connected_components_bfs,
     connected_components_union_find,
 )
+from repro import obs
+from repro.core import parallel
 from repro.core.parallel import (
     BACKENDS,
     BlockInput,
@@ -29,12 +37,15 @@ from repro.core.parallel import (
     analyze_chain,
     chunk_bounds,
     default_chunk_size,
+    ordered_chunk_map,
     utxo_block_inputs,
     validate_backend,
     validate_chunk_size,
     validate_jobs,
 )
 from repro.core.pipeline import analyze_account_blocks, analyze_utxo_ledger
+from repro.execution.engine import tasks_from_utxo_block
+from repro.execution.parallel_replay import coerce_replay_inputs, replay_chain
 from repro.workload.account_workload import build_account_chain
 from repro.workload.profiles import BITCOIN, ETHEREUM
 from repro.workload.utxo_workload import build_utxo_chain
@@ -45,6 +56,38 @@ def _serial_records(inputs, data_model):
         inputs, data_model=data_model, name="ref", backend="serial"
     )
     return history.records
+
+
+# The fan-out's two callers, by the prefix of their recorder lanes.
+FAMILY_METRICS = {"pipeline": "pipeline.parallel", "replay": "exec.replay"}
+
+
+@pytest.fixture(scope="module")
+def family_inputs(small_bitcoin_ledger):
+    return {
+        "pipeline": utxo_block_inputs(small_bitcoin_ledger),
+        "replay": coerce_replay_inputs(
+            (
+                block.height,
+                tasks_from_utxo_block(block.transactions),
+                block.transactions,
+            )
+            for block in small_bitcoin_ledger
+        ),
+    }
+
+
+def _fan_out(family, inputs, backend, **kwargs):
+    """Records of one caller's run over its own kind of inputs."""
+    if family == "pipeline":
+        return analyze_chain(
+            inputs, data_model="utxo", name="btc", backend=backend,
+            **kwargs,
+        ).records
+    return list(replay_chain(
+        inputs, data_model="utxo", engines=("sequential", "occ"),
+        backend=backend, **kwargs,
+    ).records)
 
 
 # -- chunking helpers ---------------------------------------------------------
@@ -332,19 +375,47 @@ class TestProcessBackendObservability:
             assert merged["count"] == summary["count"]
             assert merged["sum"] == pytest.approx(summary["sum"])
 
-    def test_process_run_records_chunk_timeline(self, inputs):
-        _, events = self._snapshot(inputs, "process", 3)
-        chunk_events = [
-            e for e in events if e.executor == "pipeline.process"
-        ]
-        assert chunk_events, "no chunk timeline recorded"
-        # One schedule/start/commit triple per chunk, lanes keyed by
-        # worker first-appearance.
-        kinds = {e.kind for e in chunk_events}
-        assert kinds == {"schedule", "start", "commit"}
-        commits = [e for e in chunk_events if e.kind == "commit"]
-        assert len(commits) == len(chunk_bounds(len(inputs), 3))
-        assert all(e.lane >= 0 for e in commits)
+    def test_process_run_records_chunk_timeline(self, family_inputs):
+        # Both callers x both pools in one test (the id stays the one
+        # the floor list knows): {pipeline, replay} x {thread, process}.
+        jobs, chunk_size = 3, 2
+        forks = multiprocessing.get_start_method(allow_none=True) in (
+            None, "fork"
+        )
+        # A short switch interval lets every pool thread take a chunk
+        # before the first one has drained the queue.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for family, inputs in family_inputs.items():
+                chunks = len(chunk_bounds(len(inputs), chunk_size))
+                assert chunks >= 2 * jobs
+                for backend in ("thread", "process"):
+                    with obs.instrumented() as state:
+                        _fan_out(
+                            family, inputs, backend, jobs=jobs,
+                            chunk_size=chunk_size,
+                        )
+                    where = f"{family}.{backend}"
+                    chunk_events = state.recorder.events(executor=where)
+                    # One schedule/start/commit triple per chunk, lanes
+                    # keyed by worker first-appearance.
+                    assert {e.kind for e in chunk_events} == {
+                        "schedule", "start", "commit"
+                    }, where
+                    lanes = [
+                        e.lane for e in chunk_events if e.kind == "commit"
+                    ]
+                    assert len(lanes) == chunks, where
+                    assert set(lanes) == set(range(len(set(lanes)))), where
+                    # Spawned workers come up one import at a time, so
+                    # the first may drain a queue this short alone.
+                    if backend == "thread" or forks:
+                        assert len(set(lanes)) > 1, (
+                            f"{where}: every chunk landed on one lane"
+                        )
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_worker_dump_merge_is_exact_for_counts(self, inputs):
         # analyze_chunk keeps its public 2-tuple contract while the
@@ -354,3 +425,144 @@ class TestProcessBackendObservability:
         records, elapsed = analyze_chunk("utxo", inputs[:3])
         assert len(records) == 3
         assert elapsed >= 0.0
+
+
+# -- the fan-out primitive: fallbacks, transports, clean-up -------------------
+
+
+@pytest.fixture
+def spawn_start_method():
+    """Force the spawn start method, whatever the shard configured."""
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    yield
+    multiprocessing.set_start_method(previous, force=True)
+
+
+def _refuse(*_args, **_kwargs):
+    raise OSError("not in this sandbox")
+
+
+def _toy_chunk(params, chunk, record_obs):
+    """Square a chunk of ints, stamping each record with its finish time.
+
+    *params* picks a misbehaviour: ``"slow-head"`` holds the chunk that
+    starts at item 0 back, ``"boom"`` raises.
+    """
+    started = time.perf_counter()
+    if params == "boom":
+        published = parallel._FORK_RUN is not None
+        raise RuntimeError(f"boom, fork global published: {published}")
+    if params == "slow-head" and chunk[0] == 0:
+        time.sleep(0.2)
+    finished = time.perf_counter()
+    return [(x * x, finished) for x in chunk], finished - started, None, None
+
+
+def _toy_map(params, backend, **kwargs):
+    return ordered_chunk_map(
+        _toy_chunk, params, list(range(8)),
+        family="test.fanout", lanes="test", backend=backend, jobs=2,
+        chunk_size=2, **kwargs,
+    )
+
+
+@pytest.mark.parametrize("family", ["pipeline", "replay"])
+class TestFallbacks:
+    """Both callers survive a host with no process pool / no /dev/shm."""
+
+    def test_pool_that_cannot_start_degrades_to_threads(
+        self, family_inputs, family, monkeypatch
+    ):
+        inputs = family_inputs[family][:8]
+        expected = _fan_out(family, inputs, "serial")
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", _refuse
+        )
+        with obs.instrumented() as state:
+            records = _fan_out(
+                family, inputs, "process", jobs=2, chunk_size=2
+            )
+        assert records == expected
+        counters = state.registry.snapshot()["counters"]
+        metrics = FAMILY_METRICS[family]
+        assert counters[f"{metrics}.fallbacks{{backend=process}}"] == 1
+        assert state.recorder.events(executor=f"{family}.thread")
+        assert parallel._FORK_RUN is None
+
+    def test_no_shared_memory_ships_explicit_slices(
+        self, family_inputs, family, monkeypatch, spawn_start_method
+    ):
+        inputs = family_inputs[family][:8]
+        expected = _fan_out(family, inputs, "serial")
+        monkeypatch.setattr(shared_memory, "SharedMemory", _refuse)
+        with obs.instrumented() as state:
+            records = _fan_out(
+                family, inputs, "process", jobs=2, chunk_size=2
+            )
+        assert records == expected
+        snapshot = state.registry.snapshot()
+        metrics = FAMILY_METRICS[family]
+        assert snapshot["counters"][f"{metrics}.shm_fallbacks"] == 1
+        assert f"{metrics}.shm_bytes" not in snapshot["gauges"]
+        assert f"{metrics}.fallbacks{{backend=process}}" not in (
+            snapshot["counters"]
+        )
+
+    def test_spawn_publishes_one_shared_segment(
+        self, family_inputs, family, spawn_start_method
+    ):
+        """The analysis pipeline has the shm transport replay always had."""
+        inputs = family_inputs[family][:8]
+        expected = _fan_out(family, inputs, "serial")
+        with obs.instrumented() as state:
+            records = _fan_out(
+                family, inputs, "process", jobs=2, chunk_size=2
+            )
+        assert records == expected
+        snapshot = state.registry.snapshot()
+        metrics = FAMILY_METRICS[family]
+        assert snapshot["gauges"][f"{metrics}.shm_bytes"] > 0
+        assert f"{metrics}.shm_fallbacks" not in snapshot["counters"]
+
+
+class TestOrderedChunkMap:
+    def test_out_of_order_completion_is_returned_in_order(self):
+        records = _toy_map("slow-head", "thread")
+        assert [square for square, _ in records] == [
+            x * x for x in range(8)
+        ]
+        # Chunk 0 really did finish after the chunk behind it.
+        assert records[0][1] > records[2][1]
+
+    def test_raising_chunk_withdraws_the_fork_global(self):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("platform cannot fork")
+        previous = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("fork", force=True)
+        try:
+            with pytest.raises(RuntimeError, match="published: True"):
+                _toy_map("boom", "process")
+        finally:
+            multiprocessing.set_start_method(previous, force=True)
+        assert parallel._FORK_RUN is None
+
+    def test_raising_chunk_unlinks_the_segment(
+        self, monkeypatch, spawn_start_method
+    ):
+        created = []
+
+        def spy(*args, **kwargs):
+            segment = real(*args, **kwargs)
+            if kwargs.get("create"):
+                created.append(segment.name)
+            return segment
+
+        real = shared_memory.SharedMemory
+        monkeypatch.setattr(shared_memory, "SharedMemory", spy)
+        with pytest.raises(RuntimeError, match="published: False"):
+            _toy_map("boom", "process")
+        assert len(created) == 1
+        with pytest.raises(FileNotFoundError):
+            real(name=created[0])
+        assert parallel._FORK_RUN is None
