@@ -18,8 +18,8 @@ from typing import Sequence
 from repro import obs
 from repro.obs.timeline import sequential_rows
 from repro.account.receipts import ExecutedTransaction
-from repro.core.components import UnionFind
 from repro.core.tdg import TDGResult
+from repro.execution.conflict_partition import conflict_partition
 from repro.utxo.transaction import UTXOTransaction
 
 
@@ -107,33 +107,19 @@ def record_report(report: ExecutionReport) -> None:
 
 
 def conflict_groups(tasks: Sequence[TxTask]) -> list[list[TxTask]]:
-    """Partition *tasks* into storage-conflict groups via union-find."""
+    """Partition *tasks* into storage-conflict groups.
+
+    Groups in first-seen order, members in block order; the work is
+    :func:`repro.execution.conflict_partition.conflict_partition`'s.
+    """
     if obs.enabled():
         obs.counter("exec.conflict_checks").inc(
             sum(len(task.reads) + len(task.writes) for task in tasks)
         )
-    forest = UnionFind()
-    location_writer: dict[str, str] = {}
-    location_readers: dict[str, list[str]] = {}
-    by_hash: dict[str, TxTask] = {}
-    for task in tasks:
-        by_hash[task.tx_hash] = task
-        forest.add(task.tx_hash)
-        for location in task.writes:
-            if location in location_writer:
-                forest.union(location_writer[location], task.tx_hash)
-            else:
-                location_writer[location] = task.tx_hash
-            for reader in location_readers.get(location, ()):
-                forest.union(reader, task.tx_hash)
-        for location in task.reads:
-            location_readers.setdefault(location, []).append(task.tx_hash)
-            if location in location_writer:
-                forest.union(location_writer[location], task.tx_hash)
-    groups: dict[object, list[TxTask]] = {}
-    for tx_hash in by_hash:
-        groups.setdefault(forest.find(tx_hash), []).append(by_hash[tx_hash])
-    return list(groups.values())
+    return [
+        [tasks[index] for index in group]
+        for group in conflict_partition(tasks)
+    ]
 
 
 class SequentialExecutor:

@@ -218,12 +218,31 @@ def state_root(
     location's writers* and on nothing else — exactly the serializable
     state a real engine would have produced.
     """
+    return _fold_root(commit_order, writes_by_hash, {})
+
+
+def _fold_root(
+    commit_order: Sequence[str],
+    writes_by_hash: Mapping[str, Sequence[str]],
+    links: dict[tuple[str, str, str], str],
+) -> str:
+    """:func:`state_root`, hashing each link absent from *links* once.
+
+    A link is ``(previous chain digest, location, tx_hash)``; *links*
+    maps it to its digest.  Engines that commit a location's writers
+    in the same order walk the same links and share them; one that
+    does not leaves the shared path at the first writer out of order
+    (another ``previous``), hashes its own links from there, and so
+    still ends on a different root.
+    """
     chains: dict[str, str] = {}
     for tx_hash in commit_order:
         for location in writes_by_hash.get(tx_hash, ()):
-            chains[location] = hash_fields(
-                "write", chains.get(location, ""), location, tx_hash
-            )
+            link = (chains.get(location, ""), location, tx_hash)
+            digest = links.get(link)
+            if digest is None:
+                digest = links[link] = hash_fields("write", *link)
+            chains[location] = digest
     return hash_fields("state-root", tuple(sorted(chains.items())))
 
 
@@ -345,6 +364,9 @@ def _block_records(
         task.tx_hash: tuple(sorted(task.writes)) for task in block.tasks
     }
     receipt_root = receipts_root(block.payload)
+    # Write-chain links hashed so far, shared by this block's engines
+    # and dropped with this call: all correct engines agree on them.
+    links: dict[tuple[str, str, str], str] = {}
     stats = {engine: _EngineStats() for engine in engines}
     unknown = len(position)
     for executor, _block, _round, kind, task, _lane, clock, _cost in rows:
@@ -381,7 +403,7 @@ def _block_records(
             retried=bucket.retried,
             committed=len(order),
             commit_order=order,
-            state_root=state_root(order, writes),
+            state_root=_fold_root(order, writes, links),
             receipt_root=receipt_root,
         ))
     return records

@@ -5,8 +5,9 @@ scheduler with oracle information: it derives dependency groups from
 the runtime read/write sets, which only exist after execution.  This
 executor makes the static analyzer's predictions
 (:mod:`repro.staticcheck.predict`) load-bearing instead: each block is
-partitioned into conflict groups by union-find over *predicted*
-access-set overlaps, groups run as sequential chains across parallel
+partitioned into conflict groups by the location-indexed partition
+(:mod:`repro.execution.conflict_partition`) of its *predicted* access
+sets, groups run as sequential chains across parallel
 lanes, and the wall time is the scheduled makespan plus the analysis
 charge K — the realizable version of ``min(n, 1/l)`` (Eq. 2).
 
@@ -32,7 +33,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro import obs
-from repro.core.components import UnionFind
+from repro.execution.conflict_partition import (
+    conflict_partition,
+    cross_group_conflicts,
+)
 from repro.execution.engine import (
     ExecutionReport,
     TxTask,
@@ -79,7 +83,7 @@ class StaticGroupedExecutor:
     def _predicted_groups(
         self, tasks: Sequence[TxTask]
     ) -> list[list[TxTask]]:
-        """Union-find over predicted access-set overlaps.
+        """The conflict partition of the tasks' *predicted* access sets.
 
         Groups come out in first-seen order with members in block
         order, so each group's sequential chain preserves the block's
@@ -87,20 +91,11 @@ class StaticGroupedExecutor:
         state-root-equivalent to sequential execution when the
         predictions are sound.
         """
-        from repro.staticcheck.predict import predicted_conflicts
-
         items = [self._prediction(task.tx_hash) for task in tasks]
-        forest = UnionFind()
-        for task in tasks:
-            forest.add(task.tx_hash)
-        for i, a in enumerate(items):
-            for b in items[i + 1:]:
-                if predicted_conflicts(a, b):
-                    forest.union(a.tx_hash, b.tx_hash)
-        groups: dict[object, list[TxTask]] = {}
-        for task in tasks:
-            groups.setdefault(forest.find(task.tx_hash), []).append(task)
-        return list(groups.values())
+        return [
+            [tasks[index] for index in group]
+            for group in conflict_partition(items)
+        ]
 
     def _cross_group_aborts(
         self,
@@ -112,15 +107,10 @@ class StaticGroupedExecutor:
         for index, group in enumerate(groups):
             for task in group:
                 group_of[task.tx_hash] = index
-        aborted: dict[str, TxTask] = {}
-        for i, a in enumerate(tasks):
-            for b in tasks[i + 1:]:
-                if group_of[a.tx_hash] == group_of[b.tx_hash]:
-                    continue
-                if a.conflicts_with(b):
-                    aborted[a.tx_hash] = a
-                    aborted[b.tx_hash] = b
-        return [task for task in tasks if task.tx_hash in aborted]
+        labels = [group_of[task.tx_hash] for task in tasks]
+        return [
+            tasks[index] for index in cross_group_conflicts(tasks, labels)
+        ]
 
     def run(self, tasks: Sequence[TxTask]) -> ExecutionReport:
         """Schedule predicted groups in parallel lanes; retry misses."""

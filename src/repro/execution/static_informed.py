@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro import obs
+from repro.execution.conflict_partition import conflict_partition
 from repro.execution.engine import (
     ExecutionReport,
     TxTask,
@@ -67,17 +68,15 @@ class StaticInformedExecutor:
         return found if found is not None else unknown_access(tx_hash)
 
     def _predicted_conflicted(self, tasks: Sequence[TxTask]) -> set[str]:
-        """Hashes whose predicted sets conflict with another task's."""
-        from repro.staticcheck.predict import predicted_conflicts
-
+        """Hashes whose predicted sets conflict with another task's:
+        the members of every predicted group larger than one."""
         items = [self._prediction(task.tx_hash) for task in tasks]
-        conflicted: set[str] = set()
-        for i, a in enumerate(items):
-            for b in items[i + 1:]:
-                if predicted_conflicts(a, b):
-                    conflicted.add(a.tx_hash)
-                    conflicted.add(b.tx_hash)
-        return conflicted
+        return {
+            tasks[index].tx_hash
+            for group in conflict_partition(items)
+            if len(group) > 1
+            for index in group
+        }
 
     def run(self, tasks: Sequence[TxTask]) -> ExecutionReport:
         """Parallel phase over predicted-clean txs; bin runs in order."""

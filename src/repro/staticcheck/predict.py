@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
 
 from repro.account.transaction import AccountTransaction
-from repro.core.components import UnionFind
 from repro.core.tdg import TDGResult
+from repro.execution.conflict_partition import conflict_partition
 from repro.execution.engine import TxTask
 from repro.staticcheck.interproc import ClosedAccess
 from repro.utxo.transaction import UTXOTransaction
@@ -213,7 +213,10 @@ def predicted_conflicts(a: PredictedAccess, b: PredictedAccess) -> bool:
 
     Same write/write-or-read/write rule as
     :meth:`repro.execution.engine.TxTask.conflicts_with`, extended to
-    the widened forms.
+    the widened forms.  This is the two-item *definition*; a block's
+    conflict structure is computed per location by
+    :func:`~repro.execution.conflict_partition.conflict_partition`,
+    which the property tests hold against this predicate's closure.
     """
     if a.global_top or b.global_top:
         return True
@@ -232,21 +235,17 @@ def predicted_conflicts(a: PredictedAccess, b: PredictedAccess) -> bool:
 
 
 def predicted_tdg(predictions: Sequence[PredictedAccess]) -> TDGResult:
-    """Partition predictions into predicted dependency groups."""
-    forest = UnionFind()
-    for prediction in predictions:
-        forest.add(prediction.tx_hash)
-    for i, a in enumerate(predictions):
-        for b in predictions[i + 1:]:
-            if predicted_conflicts(a, b):
-                forest.union(a.tx_hash, b.tx_hash)
-    groups: dict[object, list[str]] = {}
-    for prediction in predictions:
-        groups.setdefault(
-            forest.find(prediction.tx_hash), []
-        ).append(prediction.tx_hash)
+    """Partition predictions into predicted dependency groups.
+
+    The groups are the connected components of
+    :func:`predicted_conflicts`, found per location rather than per
+    pair by :func:`~repro.execution.conflict_partition.conflict_partition`.
+    """
     return TDGResult(
-        groups=tuple(tuple(group) for group in groups.values()),
+        groups=tuple(
+            tuple(predictions[index].tx_hash for index in group)
+            for group in conflict_partition(predictions)
+        ),
         num_transactions=len(predictions),
     )
 

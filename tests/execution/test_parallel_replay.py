@@ -12,8 +12,11 @@ import pickle
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
+from repro.execution import parallel_replay
+from repro.execution.engine import ExecutionReport, TxTask
 from repro.execution.parallel_replay import (
     ENGINES,
     ReplayBlock,
@@ -144,6 +147,103 @@ class TestDigests:
         clone = pickle.loads(pickle.dumps(tiny_inputs))
         assert clone == tiny_inputs
         assert isinstance(clone[0], ReplayBlock)
+
+
+def records_for_orders(tasks, orders):
+    """``_block_records`` for engines that committed in *orders*."""
+    block = ReplayBlock(height=7, tasks=tuple(tasks), payload=())
+    engines = ENGINES[:len(orders)]
+    rows = [
+        (engine, 7, 0, "commit", tx_hash, 0, float(clock), 1.0)
+        for engine, order in zip(engines, orders)
+        for clock, tx_hash in enumerate(order)
+    ]
+    reports = {
+        engine: ExecutionReport(
+            executor=engine, cores=4, wall_time=1.0,
+            total_work=float(len(tasks)), num_tasks=len(tasks),
+        )
+        for engine in engines
+    }
+    return parallel_replay._block_records(block, engines, reports, rows)
+
+
+@st.composite
+def tasks_and_orders(draw):
+    """A block of writers over few locations, and one commit order
+    (any permutation, serializable or not) per engine."""
+    count = draw(st.integers(min_value=0, max_value=8))
+    tasks = [
+        TxTask(
+            tx_hash=f"tx{index}",
+            writes=draw(st.frozensets(st.sampled_from("wxyz"), max_size=3)),
+        )
+        for index in range(count)
+    ]
+    hashes = [task.tx_hash for task in tasks]
+    orders = [
+        tuple(draw(st.permutations(hashes))) for _ in range(len(ENGINES))
+    ]
+    return tasks, orders
+
+
+class TestSharedFold:
+    """One block's engines share each write-chain link they agree on;
+    the shared links must never make two different orders look alike."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=tasks_and_orders())
+    def test_each_root_equals_the_root_computed_alone(self, drawn):
+        tasks, orders = drawn
+        writes = {t.tx_hash: tuple(sorted(t.writes)) for t in tasks}
+        records = records_for_orders(tasks, orders)
+        assert [record.commit_order for record in records] == orders
+        assert [record.state_root for record in records] == [
+            state_root(order, writes) for order in orders
+        ]
+
+    def test_a_disagreeing_engine_keeps_its_own_root(self):
+        tasks = [
+            TxTask("a", writes=frozenset({"x", "y"})),
+            TxTask("b", writes=frozenset({"x"})),
+            TxTask("c", writes=frozenset({"z"})),
+        ]
+        agreed, swapped, moved = records_for_orders(
+            tasks, [("a", "b", "c"), ("b", "a", "c"), ("c", "a", "b")]
+        )
+        assert swapped.state_root != agreed.state_root
+        assert moved.state_root == agreed.state_root
+
+    def test_links_are_hashed_once_per_block(self, tiny_inputs, monkeypatch):
+        """A count, not a time: eight agreeing engines cost one hash
+        per write-chain link, not eight."""
+        block = max(tiny_inputs, key=lambda b: len(b.tasks))
+        links = sum(len(task.writes) for task in block.tasks)
+        assert links > 20
+        calls = []
+        real = parallel_replay.hash_fields
+
+        def counted(*fields):
+            calls.append(fields[0])
+            return real(*fields)
+
+        monkeypatch.setattr(parallel_replay, "hash_fields", counted)
+        result = replay_chain(
+            [block], data_model="utxo", engines=ENGINES, backend="serial"
+        )
+        assert len({record.state_root for record in result.records}) == 1
+        assert calls.count("write") == links
+        assert len(calls) <= links + len(ENGINES) + len(block.payload) + 1
+
+    def test_thread_backend_matches_serial(self, tiny_inputs):
+        """The link dictionary lives in one ``_block_records`` call, so
+        concurrent chunks have nothing to share or to race on."""
+        serial = replay_chain(tiny_inputs, data_model="utxo", backend="serial")
+        threaded = replay_chain(
+            tiny_inputs, data_model="utxo", backend="thread", jobs=4,
+            chunk_size=1,
+        )
+        assert threaded.records == serial.records
 
 
 class TestScopedObservability:
