@@ -82,8 +82,9 @@ class ReplayBlock:
     consume, and ``predictions`` the block's statically predicted
     access sets (frozen
     :class:`~repro.staticcheck.predict.PredictedAccess` records) that
-    feed the ``static-grouped`` engine — empty predictions degrade it
-    soundly to sequential block order.  Nothing references shared
+    feed the two prediction engines (``static-informed``,
+    ``static-grouped``) — empty predictions degrade them soundly to
+    sequential block order.  Nothing references shared
     ledger state, so a worker can replay the block in isolation.
     """
 

@@ -1,12 +1,13 @@
 """The engine registry: every engine name, and the one way to run one.
 
 Eight engines replay a block, and they do not all eat the same input:
-``dag`` builds a dependency DAG from the block's raw payload,
-``static-grouped`` wants the block's static access predictions next to
-its task list, and the rest take the task list alone.  That three-way
-split is decided here, in :func:`run_engine`, and nowhere else — the
-replay fan-out, the node's validation path, the regress snapshot, the
-lifecycle pipeline and the CLI all hand it a block and an engine name.
+``dag`` builds a dependency DAG from the block's raw payload, the two
+prediction engines (``static-informed``, ``static-grouped``) want the
+block's static access predictions next to its task list, and the rest
+take the task list alone.  That three-way split is decided here, in
+:func:`run_engine`, and nowhere else — the replay fan-out, the node's
+validation path, the regress snapshot, the lifecycle pipeline and the
+CLI all hand it a block and an engine name.
 """
 
 from __future__ import annotations
@@ -39,7 +40,11 @@ ENGINES = (
 )
 
 # Engines whose input includes the block's static access predictions.
-PREDICTION_ENGINES = frozenset({"static-grouped"})
+_PREDICTION_EXECUTORS: dict[str, Callable[..., object]] = {
+    "static-informed": StaticInformedExecutor,
+    "static-grouped": StaticGroupedExecutor,
+}
+PREDICTION_ENGINES = frozenset(_PREDICTION_EXECUTORS)
 
 # Task-list engines by name; ``dag`` is not constructible (it consumes
 # the raw payload, see run_engine).
@@ -49,7 +54,6 @@ _TASK_EXECUTORS: dict[str, Callable[[int], object]] = {
     "speculative-informed": InformedSpeculativeExecutor,
     "occ": OCCExecutor,
     "grouped": GroupedExecutor,
-    "static-informed": StaticInformedExecutor,
 }
 
 
@@ -76,12 +80,13 @@ def make_executor(name: str, cores: int, predictions: Mapping | None = None):
     :func:`run_engine`, not a task list.  Unknown names raise
     :class:`ValueError` listing the choices.  *predictions* (``tx_hash``
     → :class:`~repro.staticcheck.predict.PredictedAccess`) feeds the
-    ``static-grouped`` executor; other executors ignore it, and with no
-    predictions that executor degrades soundly to sequential block
-    order.
+    two :data:`PREDICTION_ENGINES`; other executors ignore it, and with
+    no predictions those two degrade soundly to sequential block order.
     """
     if name in PREDICTION_ENGINES:
-        return StaticGroupedExecutor(cores, predictions=predictions or {})
+        return _PREDICTION_EXECUTORS[name](
+            cores, predictions=predictions or {}
+        )
     try:
         return _TASK_EXECUTORS[name](cores)
     except KeyError:

@@ -33,6 +33,7 @@ from typing import Callable
 from repro import obs
 from repro.chain.hashing import hash_fields
 from repro.execution.parallel_replay import replay_block_inputs
+from repro.execution.registry import PREDICTION_ENGINES
 from repro.node.node import (
     Node,
     NodeConfig,
@@ -326,7 +327,7 @@ class NodeNetwork:
 
     async def _inject(self, runtime) -> None:
         config = self.config
-        predict = config.engine == "static-grouped"
+        predict = config.engine in PREDICTION_ENGINES
         txs = build_node_txs(
             self.profile,
             blocks=config.workload_blocks,

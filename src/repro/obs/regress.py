@@ -176,7 +176,7 @@ def build_snapshot(
         recorder = state.recorder
         # One chain build inside the instrumented scope: its consensus.*
         # counters gate, and so do the staticcheck.* counters of the
-        # prediction pass the static-grouped executor needs.
+        # prediction pass the two static executors need.
         for block in replay_block_inputs(
             profile, blocks=blocks, seed=seed,
             predict=not PREDICTION_ENGINES.isdisjoint(executors),

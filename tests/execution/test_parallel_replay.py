@@ -49,6 +49,26 @@ class TestEngineRegistry:
 
         assert EXECUTOR_CHOICES is registry_engines is ENGINES
 
+    def test_both_static_engines_receive_the_predictions(self, tiny_inputs):
+        """Reached by name, a prediction engine must see the block's
+        predictions — without them it is sequential in disguise."""
+        from repro.execution.registry import (
+            PREDICTION_ENGINES,
+            make_executor,
+            run_engine,
+        )
+
+        assert PREDICTION_ENGINES == {"static-informed", "static-grouped"}
+        block = max(tiny_inputs, key=lambda b: len(b.tasks))
+        by_hash = {p.tx_hash: p for p in block.predictions}
+        for name in sorted(PREDICTION_ENGINES):
+            by_name = run_engine(name, "utxo", block, 4)
+            direct = make_executor(name, 4, by_hash).run(block.tasks)
+            assert by_name == direct
+            assert by_name.speedup > 1.0
+            blind = make_executor(name, 4).run(block.tasks)
+            assert blind.wall_time == blind.total_work
+
     def test_validate_preserves_order(self):
         assert validate_engines(["dag", "occ"]) == ("dag", "occ")
 
