@@ -1,5 +1,5 @@
-"""The location-indexed conflict partition — the one place in ``src/``
-that computes conflict structure.
+"""The location-indexed conflict partition — the one place the
+execution engines' conflict structure is computed.
 
 Two items conflict when one writes a location the other reads or
 writes.  Asking that of every pair is quadratic in the block; filing
@@ -20,10 +20,9 @@ same answer, because a conflict is always *about* some location:
   that crosses it: per location, do its writers, or a reader and a
   writer, sit in different groups?
 
-:func:`repro.staticcheck.predict.predicted_conflicts` and
-:meth:`TxTask.conflicts_with <repro.execution.engine.TxTask.conflicts_with>`
-remain as the two-item predicates the property tests hold both
-functions against; no executor calls them.
+``predicted_conflicts`` and ``TxTask.conflicts_with`` remain as the
+two-item definitions the property tests hold both functions against;
+no executor calls them.
 """
 
 from __future__ import annotations
@@ -49,17 +48,9 @@ def _by_location(
     readers: dict[str, list[int]] = {}
     for index, item in enumerate(items):
         for location in item.writes:
-            filed = writers.get(location)
-            if filed is None:
-                writers[location] = [index]
-            else:
-                filed.append(index)
+            writers.setdefault(location, []).append(index)
         for location in item.reads:
-            filed = readers.get(location)
-            if filed is None:
-                readers[location] = [index]
-            else:
-                filed.append(index)
+            readers.setdefault(location, []).append(index)
     return writers, readers
 
 

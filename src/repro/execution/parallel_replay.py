@@ -229,12 +229,10 @@ def _fold_root(
 ) -> str:
     """:func:`state_root`, hashing each link absent from *links* once.
 
-    A link is ``(previous chain digest, location, tx_hash)``; *links*
-    maps it to its digest.  Engines that commit a location's writers
-    in the same order walk the same links and share them; one that
-    does not leaves the shared path at the first writer out of order
-    (another ``previous``), hashes its own links from there, and so
-    still ends on a different root.
+    *links* maps ``(previous chain digest, location, tx_hash)`` to its
+    digest.  Engines that commit a location's writers in one order
+    share its links; one that does not meets another ``previous`` at
+    the first writer out of order and still ends on a different root.
     """
     chains: dict[str, str] = {}
     for tx_hash in commit_order:

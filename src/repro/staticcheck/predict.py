@@ -213,9 +213,8 @@ def predicted_conflicts(a: PredictedAccess, b: PredictedAccess) -> bool:
 
     Same write/write-or-read/write rule as
     :meth:`repro.execution.engine.TxTask.conflicts_with`, extended to
-    the widened forms.  This is the two-item *definition*; a block's
-    conflict structure is computed per location by
-    :func:`~repro.execution.conflict_partition.conflict_partition`,
+    the widened forms.  The two-item *definition*: a block's groups
+    come from :func:`~repro.execution.conflict_partition.conflict_partition`,
     which the property tests hold against this predicate's closure.
     """
     if a.global_top or b.global_top:
@@ -235,12 +234,9 @@ def predicted_conflicts(a: PredictedAccess, b: PredictedAccess) -> bool:
 
 
 def predicted_tdg(predictions: Sequence[PredictedAccess]) -> TDGResult:
-    """Partition predictions into predicted dependency groups.
-
-    The groups are the connected components of
-    :func:`predicted_conflicts`, found per location rather than per
-    pair by :func:`~repro.execution.conflict_partition.conflict_partition`.
-    """
+    """Partition predictions into predicted dependency groups: the
+    connected components of :func:`predicted_conflicts`, found per
+    location rather than per pair."""
     return TDGResult(
         groups=tuple(
             tuple(predictions[index].tx_hash for index in group)

@@ -16,7 +16,11 @@ from repro.execution.conflict_partition import (
     conflict_partition,
     cross_group_conflicts,
 )
-from repro.execution.engine import TxTask, conflict_groups
+from repro.execution.engine import (
+    TxTask,
+    conflict_groups,
+    tasks_from_utxo_block,
+)
 from repro.execution.parallel_replay import (
     ENGINES,
     ReplayBlock,
@@ -30,7 +34,6 @@ from repro.staticcheck.predict import (
     predicted_conflicts,
     predicted_tdg,
 )
-from repro.execution.engine import tasks_from_utxo_block
 from repro.utxo.transaction import TxOutputSpec, make_transaction
 from repro.utxo.txo import OutPoint
 
