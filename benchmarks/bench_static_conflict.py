@@ -246,10 +246,7 @@ def test_static_conflict_prediction():
             total_cost += sum(task.cost for task in tasks)
             for key, report in reports.items():
                 wall[key] += report.wall_time
-                aborts[key] += (
-                    report.aborts if key != "speculative"
-                    else report.reexecuted
-                )
+                aborts[key] += report.aborts
             per_block.append({
                 "height": block.height,
                 "transactions": n,

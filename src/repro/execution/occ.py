@@ -112,6 +112,7 @@ class OCCExecutor:
                 wall_time=wall,
                 total_work=total,
                 num_tasks=len(tasks),
+                reexecuted=aborts,
                 aborts=aborts,
                 rounds=waves,
             )

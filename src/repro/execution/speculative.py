@@ -95,6 +95,7 @@ class SpeculativeExecutor:
                 total_work=total,
                 num_tasks=len(tasks),
                 reexecuted=len(binned),
+                aborts=len(binned),
                 rounds=2,
             )
         record_report(report)

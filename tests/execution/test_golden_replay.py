@@ -118,6 +118,20 @@ class TestGoldenReplay:
             assert result.summary("speculative").retried > 0
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("chain", CHAIN_NAMES)
+def test_report_counts_are_the_event_streams(serial_replays, chain, engine):
+    """``aborts`` / ``reexecuted`` mean one thing for every engine: the
+    number of ``abort`` / ``retry`` rows the engine recorded."""
+    result, _rows = serial_replays[chain]
+    for record in result.for_engine(engine):
+        assert record.aborts == record.aborted, record.height
+        assert record.reexecuted == record.retried, record.height
+        assert (
+            record.scheduled == record.committed == record.num_tasks
+        ), record.height
+
+
 if __name__ == "__main__":
     import sys
 

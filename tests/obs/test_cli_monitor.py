@@ -48,6 +48,17 @@ class TestMonitorCommand:
         assert code == 1
         assert "SLO BREACH: abort-rate" in err
 
+    def test_speculative_aborts_reach_the_hard_gate(self, capsys):
+        """The dashboard's abort count is the report's, and the report's
+        is the event stream's: the bin aborts, so the gate can fire."""
+        code, out, err = _run(
+            capsys, "--executor", "speculative", "--once",
+            "--max-abort-rate", "0.05",
+        )
+        assert code == 1
+        assert "SLO BREACH: abort-rate" in err
+        assert "aborted=0 " not in out
+
     def test_wall_gate_is_advisory_only(self, capsys):
         # An absurdly tight wall budget must report but never fail.
         code, out, err = _run(capsys, "--once", "--wall-p95", "1e-12")
