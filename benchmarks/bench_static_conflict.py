@@ -41,13 +41,13 @@ from repro import obs
 from repro.core.components import UnionFind
 from repro.core.tdg import TDGResult
 from repro.execution.engine import tasks_from_account_block
+from repro.execution.grouped import StaticGroupedExecutor
 from repro.execution.occ import OCCExecutor
 from repro.execution.speculative import (
     InformedSpeculativeExecutor,
     SpeculativeExecutor,
+    StaticInformedExecutor,
 )
-from repro.execution.static_grouped import StaticGroupedExecutor
-from repro.execution.static_informed import StaticInformedExecutor
 from repro.staticcheck import (
     ContractAnalyzer,
     code_bindings,

@@ -16,7 +16,7 @@ from repro.execution.dag import (
     run_dag,
     utxo_dag,
 )
-from repro.execution.grouped import GroupedExecutor
+from repro.execution.grouped import GroupedExecutor, StaticGroupedExecutor
 from repro.execution.occ import OCCExecutor
 from repro.execution.parallel_replay import (
     BlockReplay,
@@ -37,10 +37,9 @@ from repro.execution.simulator import CoreSimulator, SimulatedRun
 from repro.execution.speculative import (
     InformedSpeculativeExecutor,
     SpeculativeExecutor,
+    StaticInformedExecutor,
     split_conflicted,
 )
-from repro.execution.static_grouped import StaticGroupedExecutor
-from repro.execution.static_informed import StaticInformedExecutor
 
 __all__ = [
     "ExecutionReport",

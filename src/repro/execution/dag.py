@@ -243,7 +243,7 @@ def run_dag(dag: DependencyDAG, cores: int):
     Eq. 2 bound ``min(n, 1/l)``: the bound treats each dependency group
     as sequential, while the DAG exploits the partial order inside it.
     """
-    from repro.execution.engine import ExecutionReport, record_report
+    from repro.execution.engine import ExecutionReport, finish_run
 
     plan = dag.schedule(cores)
     recorder = obs.get_recorder()
@@ -288,16 +288,14 @@ def run_dag(dag: DependencyDAG, cores: int):
         obs.histogram("exec.dag.critical_path").observe(
             dag.critical_path()
         )
-    report = ExecutionReport(
+    return finish_run("dag", cores, ExecutionReport(
         executor="dag",
         cores=cores,
         wall_time=plan.makespan,
         total_work=dag.total_work,
         num_tasks=len(dag.order),
         rounds=1,
-    )
-    record_report(report)
-    return report
+    ))
 
 
 def utxo_dag(transactions: Sequence[UTXOTransaction]) -> DependencyDAG:

@@ -8,12 +8,18 @@ builds that engine in simulation: transactions become
 executors in :mod:`repro.execution.speculative`, :mod:`.grouped` and
 :mod:`.occ` schedule them on a simulated multicore, so their measured
 wall-clock can be compared against Eqs. 1-2.
+
+What every engine shares lives here: the constructor check
+(:func:`require`), the two sources of conflict information handed to
+the schedules as groups of tasks (:func:`conflict_groups` from the
+runtime sets, :func:`predicted_groups` from static predictions), and
+the one way a run ends (:func:`finish_run`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro import obs
 from repro.obs.timeline import sequential_rows
@@ -21,6 +27,12 @@ from repro.account.receipts import ExecutedTransaction
 from repro.core.tdg import TDGResult
 from repro.execution.conflict_partition import conflict_partition
 from repro.utxo.transaction import UTXOTransaction
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.staticcheck.predict import PredictedAccess
+
+# What the static engines are handed: ``tx_hash`` → its predicted sets.
+Predictions = Mapping[str, "PredictedAccess"]
 
 
 @dataclass(frozen=True)
@@ -83,16 +95,39 @@ class ExecutionReport:
         return self.speedup / self.cores
 
 
-def record_report(report: ExecutionReport) -> None:
-    """Feed an :class:`ExecutionReport` into the metrics registry.
+def require(cores: int, **costs: float) -> None:
+    """The constructor check of every engine: at least one core, and no
+    negative charge K (keyword = the engine's field name, for the
+    message)."""
+    if cores < 1:
+        raise ValueError("cores must be at least 1")
+    for name, value in costs.items():
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative")
+
+
+def finish_run(
+    name: str, cores: int, report: ExecutionReport | None = None
+) -> ExecutionReport:
+    """End a run: feed *report* into the metrics registry, return it.
 
     Shared by every executor so the snapshot carries a uniform
     ``exec.*`` family (runs, tasks, aborts, re-executions, wall-time
     and utilization distributions) labelled by executor and core count.
+    With no report — an empty block, which runs nothing and records
+    nothing — the all-zero report is returned.
     """
+    if report is None:
+        return ExecutionReport(
+            executor=name,
+            cores=cores,
+            wall_time=0.0,
+            total_work=0.0,
+            num_tasks=0,
+        )
     if not obs.enabled():
-        return
-    labels = {"executor": report.executor, "cores": report.cores}
+        return report
+    labels = {"executor": name, "cores": cores}
     obs.counter("exec.runs", **labels).inc()
     obs.counter("exec.tasks", **labels).inc(report.num_tasks)
     obs.counter("exec.aborts", **labels).inc(report.aborts)
@@ -104,6 +139,7 @@ def record_report(report: ExecutionReport) -> None:
         obs.histogram("exec.core_utilization", **labels).observe(
             report.efficiency
         )
+    return report
 
 
 def conflict_groups(tasks: Sequence[TxTask]) -> list[list[TxTask]]:
@@ -122,6 +158,33 @@ def conflict_groups(tasks: Sequence[TxTask]) -> list[list[TxTask]]:
     ]
 
 
+def predicted_groups(
+    predictions: Predictions, tasks: Sequence[TxTask]
+) -> list[list[TxTask]]:
+    """Partition *tasks* by the conflicts of their *predicted* sets.
+
+    Same order as :func:`conflict_groups` — groups first-seen, members
+    in block order, so a group run as a sequential chain preserves the
+    block's commit order, which is what makes the result state-root-
+    equivalent to sequential execution when the predictions are sound.
+    A task with no prediction is "may touch anything" (sound,
+    maximally pessimistic): it collapses the block into one group.
+    """
+    # Imported here: repro.staticcheck.predict imports this package.
+    from repro.staticcheck.predict import unknown_access
+
+    items = []
+    for task in tasks:
+        found = predictions.get(task.tx_hash)
+        items.append(
+            found if found is not None else unknown_access(task.tx_hash)
+        )
+    return [
+        [tasks[index] for index in group]
+        for group in conflict_partition(items)
+    ]
+
+
 class SequentialExecutor:
     """The baseline every blockchain client implements today (§II-A)."""
 
@@ -131,15 +194,13 @@ class SequentialExecutor:
         """Execute in block order on one core; wall time is total work."""
         total = sum(task.cost for task in tasks)
         sequential_rows(obs.get_recorder(), self.name, tasks)
-        report = ExecutionReport(
+        return finish_run(self.name, 1, ExecutionReport(
             executor=self.name,
             cores=1,
             wall_time=total,
             total_work=total,
             num_tasks=len(tasks),
-        )
-        record_report(report)
-        return report
+        ))
 
 
 # -- task adapters ------------------------------------------------------------

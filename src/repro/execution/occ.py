@@ -22,7 +22,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro import obs
-from repro.execution.engine import ExecutionReport, TxTask, record_report
+from repro.execution.engine import (
+    ExecutionReport,
+    TxTask,
+    finish_run,
+    require,
+)
 from repro.execution.simulator import CoreSimulator
 from repro.obs.timeline import wave_log_rows
 
@@ -37,20 +42,12 @@ class OCCExecutor:
     name = "occ"
 
     def __post_init__(self) -> None:
-        if self.cores < 1:
-            raise ValueError("cores must be at least 1")
+        require(self.cores)
 
     def run(self, tasks: Sequence[TxTask]) -> ExecutionReport:
         """Run waves until every transaction has committed."""
-        total = sum(task.cost for task in tasks)
         if not tasks:
-            return ExecutionReport(
-                executor=self.name,
-                cores=self.cores,
-                wall_time=0.0,
-                total_work=0.0,
-                num_tasks=0,
-            )
+            return finish_run(self.name, self.cores)
         with obs.trace_span("exec.occ.run", cores=self.cores) as span:
             recording = obs.enabled()
             recorder = obs.get_recorder()
@@ -110,11 +107,10 @@ class OCCExecutor:
                 executor=self.name,
                 cores=self.cores,
                 wall_time=wall,
-                total_work=total,
+                total_work=sum(task.cost for task in tasks),
                 num_tasks=len(tasks),
                 reexecuted=aborts,
                 aborts=aborts,
                 rounds=waves,
             )
-        record_report(report)
-        return report
+        return finish_run(self.name, self.cores, report)

@@ -1,60 +1,89 @@
-"""The engine registry: every engine name, and the one way to run one.
+"""The engine registry: one table of engines, and the one way to run one.
 
-Eight engines replay a block, and they do not all eat the same input:
-``dag`` builds a dependency DAG from the block's raw payload, the two
-prediction engines (``static-informed``, ``static-grouped``) want the
-block's static access predictions next to its task list, and the rest
-take the task list alone.  That three-way split is decided here, in
-:func:`run_engine`, and nowhere else — the replay fan-out, the node's
-validation path, the regress snapshot, the lifecycle pipeline and the
-CLI all hand it a block and an engine name.
+Eight engines replay a block.  Each is a *source of conflict
+information* crossed with a *schedule*, and :data:`ENGINE_SPECS` says
+which: every per-engine list — :data:`ENGINES`, the engines that want
+the block's static predictions next to its task list
+(:data:`PREDICTION_ENGINES`), the engines Eq. 2 binds
+(:data:`EQ2_STRICT_EXECUTORS`) — is derived from it, so a new engine is
+one new row.  They do not all eat the same input: ``dag`` builds a
+dependency DAG from the block's raw payload, the prediction engines
+take predictions, and the rest take the task list alone.  That
+three-way split is decided here, in :func:`run_engine`, and nowhere
+else — the replay fan-out, the node's validation path, the regress
+snapshot, the lifecycle pipeline and the CLI all hand it a block and
+an engine name.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from repro.execution.dag import account_dag, run_dag, utxo_dag
 from repro.execution.engine import ExecutionReport, SequentialExecutor
-from repro.execution.grouped import GroupedExecutor
+from repro.execution.grouped import GroupedExecutor, StaticGroupedExecutor
 from repro.execution.occ import OCCExecutor
 from repro.execution.speculative import (
     InformedSpeculativeExecutor,
     SpeculativeExecutor,
+    StaticInformedExecutor,
 )
-from repro.execution.static_grouped import StaticGroupedExecutor
-from repro.execution.static_informed import StaticInformedExecutor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.execution.parallel_replay import ReplayBlock
 
-ENGINES = (
-    "sequential",
-    "speculative",
-    "speculative-informed",
-    "occ",
-    "grouped",
-    "static-informed",
-    "static-grouped",
-    "dag",
-)
+
+class EngineSpec(NamedTuple):
+    """One engine: what it knows beforehand, and how it schedules.
+
+    ``information`` is ``"none"``, ``"oracle"`` (the runtime conflict
+    structure, which only exists after execution) or ``"predicted"``
+    (the static analyser's access sets).  ``schedule`` is
+    ``"sequential"``, ``"two-phase"`` (§V-A), ``"chain"`` (§V-B),
+    ``"occ"`` or ``"dag"``.  ``build`` makes the executor from a core
+    count (and, for predicted information, ``predictions=``); ``dag``
+    has none — it consumes the raw payload, see :func:`run_engine`.
+    """
+
+    information: str
+    schedule: str
+    build: Callable[..., object] | None
+
+
+ENGINE_SPECS: dict[str, EngineSpec] = {
+    "sequential": EngineSpec(
+        "none", "sequential", lambda cores: SequentialExecutor()
+    ),
+    "speculative": EngineSpec("none", "two-phase", SpeculativeExecutor),
+    "speculative-informed": EngineSpec(
+        "oracle", "two-phase", InformedSpeculativeExecutor
+    ),
+    "occ": EngineSpec("none", "occ", OCCExecutor),
+    "grouped": EngineSpec("oracle", "chain", GroupedExecutor),
+    "static-informed": EngineSpec(
+        "predicted", "two-phase", StaticInformedExecutor
+    ),
+    "static-grouped": EngineSpec(
+        "predicted", "chain", StaticGroupedExecutor
+    ),
+    "dag": EngineSpec("oracle", "dag", None),
+}
+
+ENGINES = tuple(ENGINE_SPECS)
 
 # Engines whose input includes the block's static access predictions.
-_PREDICTION_EXECUTORS: dict[str, Callable[..., object]] = {
-    "static-informed": StaticInformedExecutor,
-    "static-grouped": StaticGroupedExecutor,
-}
-PREDICTION_ENGINES = frozenset(_PREDICTION_EXECUTORS)
+PREDICTION_ENGINES = frozenset(
+    name for name, spec in ENGINE_SPECS.items()
+    if spec.information == "predicted"
+)
 
-# Task-list engines by name; ``dag`` is not constructible (it consumes
-# the raw payload, see run_engine).
-_TASK_EXECUTORS: dict[str, Callable[[int], object]] = {
-    "sequential": lambda cores: SequentialExecutor(),
-    "speculative": SpeculativeExecutor,
-    "speculative-informed": InformedSpeculativeExecutor,
-    "occ": OCCExecutor,
-    "grouped": GroupedExecutor,
-}
+# Engines whose schedule serializes whole conflict components; for
+# these the measured speed-up is provably <= Eq. 2's min(n, 1/l) under
+# unit costs.  OCC and DAG schedule inside components and may exceed it.
+EQ2_STRICT_EXECUTORS = frozenset(
+    name for name, spec in ENGINE_SPECS.items()
+    if spec.schedule in ("sequential", "two-phase", "chain")
+)
 
 
 def validate_engines(engines: Sequence[str]) -> tuple[str, ...]:
@@ -83,17 +112,15 @@ def make_executor(name: str, cores: int, predictions: Mapping | None = None):
     two :data:`PREDICTION_ENGINES`; other executors ignore it, and with
     no predictions those two degrade soundly to sequential block order.
     """
-    if name in PREDICTION_ENGINES:
-        return _PREDICTION_EXECUTORS[name](
-            cores, predictions=predictions or {}
-        )
-    try:
-        return _TASK_EXECUTORS[name](cores)
-    except KeyError:
+    spec = ENGINE_SPECS.get(name)
+    if spec is None or spec.build is None:
         known = ", ".join(ENGINES)
         raise ValueError(
             f"unknown executor {name!r}; expected one of: {known}"
-        ) from None
+        )
+    if spec.information == "predicted":
+        return spec.build(cores, predictions=predictions or {})
+    return spec.build(cores)
 
 
 def run_engine(
@@ -122,7 +149,10 @@ def run_engine(
 
 __all__ = [
     "ENGINES",
+    "ENGINE_SPECS",
+    "EQ2_STRICT_EXECUTORS",
     "PREDICTION_ENGINES",
+    "EngineSpec",
     "make_executor",
     "run_engine",
     "validate_engines",

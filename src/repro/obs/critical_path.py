@@ -18,10 +18,11 @@ quantities the paper reasons about analytically:
   relation the executors use (:func:`repro.execution.engine.conflict_groups`),
   so both sides of the comparison share one ground truth.
 
-Which executors the Eq. 2 bound actually binds: the speculative family
-and the grouped executor serialize every conflict component, so their
-measured speed-up can never exceed ``min(n, 1/l)`` under unit costs
-(:data:`EQ2_STRICT_EXECUTORS`; asserted in tests and the timeline CLI).
+Which executors the Eq. 2 bound actually binds: the sequential,
+two-phase and chain schedules serialize every conflict component, so
+their measured speed-up can never exceed ``min(n, 1/l)`` under unit
+costs (:data:`EQ2_STRICT_EXECUTORS`, derived from the engine table in
+:mod:`repro.execution.registry`; asserted in tests and the timeline CLI).
 The OCC and DAG engines exploit the partial order *inside* a component
 and may legitimately beat the bound — the LCC-sequential assumption is
 pessimistic for them (see :mod:`repro.execution.dag`), so they are
@@ -41,17 +42,8 @@ from typing import Mapping, Sequence
 from repro import obs
 from repro.core.speedup import group_speedup_bound, speculative_speedup
 from repro.execution.engine import ExecutionReport, TxTask, conflict_groups
+from repro.execution.registry import EQ2_STRICT_EXECUTORS
 from repro.obs.timeline import TimelineEvent
-
-# Executors whose model serializes whole conflict components; for these
-# the measured speed-up is provably <= Eq. 2's min(n, 1/l) under unit
-# costs.  OCC and DAG schedule inside components and may exceed it.
-EQ2_STRICT_EXECUTORS = (
-    "speculative",
-    "speculative-informed",
-    "static-informed",
-    "grouped",
-)
 
 _EPS = 1e-9
 

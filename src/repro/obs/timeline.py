@@ -309,8 +309,8 @@ def wave_rows(
     ``aborted`` is the subsequence of *tasks* whose finish is an
     ``abort`` instead of a ``commit``; ``scheduled=False`` suppresses
     the queue-side schedule events (for waves whose tasks were already
-    queued earlier, e.g. OCC retries, which emit ``retry`` via
-    :func:`retry_rows` instead).
+    queued earlier and re-enter on a ``retry`` event instead; OCC's
+    retry waves are recorded whole by :func:`wave_log_rows`).
     """
     if not recorder.enabled or not tasks:
         return
@@ -398,8 +398,9 @@ def wave_log_rows(
     the pending tasks, their simulated run, the wave's logical start
     offset, and the subsequence that aborted and re-queues.  Wave 0
     schedules every task; wave ``i``'s aborts emit ``retry`` events at
-    the wave boundary with ``round_index = i + 1``, matching what
-    per-wave :func:`wave_rows` + :func:`retry_rows` calls would record.
+    the wave boundary with ``round_index = i + 1``, matching what a
+    per-wave :func:`wave_rows` call plus one ``retry`` row per abort
+    would record.
     One deferred closure covers the entire run, so an engine with
     hundreds of retry waves pays a single ``list.append`` per wave plus
     one per run, instead of two helper calls per wave.
@@ -445,25 +446,6 @@ def wave_log_rows(
     recorder.defer(expand)
 
 
-def retry_rows(
-    recorder: FlightRecorder,
-    executor: str,
-    tasks: Sequence,
-    *,
-    clock: float,
-    round_index: int,
-) -> None:
-    """Record queue-side ``retry`` events for tasks re-entering a wave."""
-    if not recorder.enabled or not tasks:
-        return
-    block = recorder.current_block
-    recorder.defer(lambda: [
-        (executor, block, round_index, "retry", task.tx_hash,
-         QUEUE_LANE, clock, 0.0)
-        for task in tasks
-    ])
-
-
 __all__ = [
     "EDGE_SEPARATOR",
     "EVENT_KINDS",
@@ -473,7 +455,6 @@ __all__ = [
     "FlightRecorder",
     "NoopFlightRecorder",
     "TimelineEvent",
-    "retry_rows",
     "sequential_rows",
     "wave_log_rows",
     "wave_rows",

@@ -19,15 +19,16 @@ from repro.execution.conflict_partition import (
 from repro.execution.engine import (
     TxTask,
     conflict_groups,
+    predicted_groups,
     tasks_from_utxo_block,
 )
+from repro.execution.grouped import cross_group_aborts
 from repro.execution.parallel_replay import (
     ENGINES,
     ReplayBlock,
     replay_chain,
 )
-from repro.execution.static_grouped import StaticGroupedExecutor
-from repro.execution.static_informed import StaticInformedExecutor
+from repro.execution.speculative import split_conflicted
 from repro.staticcheck.predict import (
     PredictedAccess,
     predict_utxo_block,
@@ -162,17 +163,16 @@ class TestPartitionEqualsPairwiseClosure:
         # ... static-grouped's groups, static-informed's bin.
         tasks = [TxTask(tx_hash=item.tx_hash) for item in block]
         by_hash = {item.tx_hash: item for item in block}
-        grouped = StaticGroupedExecutor(2, predictions=by_hash)
+        groups = predicted_groups(by_hash, tasks)
         assert [
-            [task.tx_hash for task in group]
-            for group in grouped._predicted_groups(tasks)
+            [task.tx_hash for task in group] for group in groups
         ] == [[block[index].tx_hash for index in group] for group in expected]
         has_partner = {
             a.tx_hash for a in block
             if any(b is not a and predicted_conflicts(a, b) for b in block)
         }
-        informed = StaticInformedExecutor(2, predictions=by_hash)
-        assert informed._predicted_conflicted(tasks) == has_partner
+        _clean, binned = split_conflicted(tasks, groups)
+        assert {task.tx_hash for task in binned} == has_partner
 
     @settings(max_examples=200, deadline=None)
     @given(drawn=labelled_tasks())
@@ -244,8 +244,7 @@ class TestCrossGroupConflicts:
             groups.setdefault(label, []).append(task)
         ordered = list(groups.values())
         expected = pairwise_cross_group_aborts(tasks, ordered)
-        executor = StaticGroupedExecutor(2)
-        assert executor._cross_group_aborts(tasks, ordered) == expected
+        assert cross_group_aborts(tasks, ordered) == expected
         assert [
             tasks[index] for index in cross_group_conflicts(tasks, labels)
         ] == expected

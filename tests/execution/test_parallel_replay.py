@@ -69,6 +69,34 @@ class TestEngineRegistry:
             blind = make_executor(name, 4).run(block.tasks)
             assert blind.wall_time == blind.total_work
 
+    def test_every_engine_list_is_derived_from_the_one_table(self):
+        from repro.execution.registry import (
+            ENGINE_SPECS,
+            EQ2_STRICT_EXECUTORS,
+            PREDICTION_ENGINES,
+            make_executor,
+        )
+        from repro.obs import critical_path
+
+        assert ENGINES == tuple(ENGINE_SPECS)
+        for name in ENGINES:
+            if name == "dag":
+                with pytest.raises(ValueError, match="unknown executor"):
+                    make_executor(name, 2)
+            else:
+                assert make_executor(name, 2).name == name
+        assert PREDICTION_ENGINES == {
+            name for name, spec in ENGINE_SPECS.items()
+            if spec.information == "predicted"
+        }
+        assert EQ2_STRICT_EXECUTORS == {
+            name for name, spec in ENGINE_SPECS.items()
+            if spec.schedule in ("sequential", "two-phase", "chain")
+        }
+        assert "static-grouped" in EQ2_STRICT_EXECUTORS
+        assert EQ2_STRICT_EXECUTORS.isdisjoint({"occ", "dag"})
+        assert critical_path.EQ2_STRICT_EXECUTORS is EQ2_STRICT_EXECUTORS
+
     def test_validate_preserves_order(self):
         assert validate_engines(["dag", "occ"]) == ("dag", "occ")
 

@@ -6,8 +6,7 @@ import pytest
 
 from repro import obs
 from repro.execution.engine import TxTask
-from repro.execution.grouped import GroupedExecutor
-from repro.execution.static_grouped import StaticGroupedExecutor
+from repro.execution.grouped import GroupedExecutor, StaticGroupedExecutor
 from repro.staticcheck.predict import PredictedAccess, unknown_access
 
 

@@ -6,8 +6,11 @@ import pytest
 
 from repro import obs
 from repro.execution.engine import TxTask
-from repro.execution.speculative import InformedSpeculativeExecutor
-from repro.execution.static_informed import StaticInformedExecutor
+from repro.execution.parallel_replay import ReplayBlock, replay_chain
+from repro.execution.speculative import (
+    InformedSpeculativeExecutor,
+    StaticInformedExecutor,
+)
 from repro.staticcheck.predict import PredictedAccess, unknown_access
 
 
@@ -100,3 +103,33 @@ def test_reports_obs_counters():
     assert (
         counters["exec.runs{cores=2,executor=static-informed}"] == 1
     )
+
+
+def test_safety_net_retries_commit_in_block_order():
+    """Two hot locations, predictions that miss both: the safety net's
+    aborts re-run in block order (a b c d), as speculative's bin does
+    — not conflict group by conflict group (a c b d)."""
+    tasks = (
+        task("a", writes={"x"}),
+        task("b", writes={"y"}),
+        task("c", writes={"x"}),
+        task("d", writes={"y"}),
+    )
+    unsound = tuple(
+        PredictedAccess(
+            tx_hash=t.tx_hash, writes=frozenset({f"own:{t.tx_hash}"})
+        )
+        for t in tasks
+    )
+    block = ReplayBlock(
+        height=1, tasks=tasks, payload=(), predictions=unsound
+    )
+    result = replay_chain(
+        [block], data_model="account", backend="serial",
+        engines=("sequential", "speculative", "static-informed"),
+    )
+    sequential, speculative, static = result.records
+    assert static.aborted == static.retried == 4
+    assert static.commit_order == speculative.commit_order
+    assert static.commit_order == ("a", "b", "c", "d")
+    assert static.state_root == sequential.state_root

@@ -10,11 +10,12 @@ import pytest
 from repro import obs
 from repro.execution.dag import account_dag, run_dag
 from repro.execution.engine import SequentialExecutor, TxTask
-from repro.execution.grouped import GroupedExecutor
+from repro.execution.grouped import GroupedExecutor, StaticGroupedExecutor
 from repro.execution.occ import OCCExecutor
 from repro.execution.speculative import (
     InformedSpeculativeExecutor,
     SpeculativeExecutor,
+    StaticInformedExecutor,
 )
 from repro.obs.critical_path import (
     EQ2_STRICT_EXECUTORS,
@@ -28,6 +29,7 @@ from repro.obs.critical_path import (
     task_conflict_profile,
 )
 from repro.obs.timeline import FlightRecorder
+from repro.staticcheck.predict import PredictedAccess
 from repro.workload.account_workload import build_account_chain
 from repro.workload.profiles import ETHEREUM
 
@@ -240,15 +242,28 @@ class TestBounds:
         assert profile.c == profile.l == 0.0
 
     def test_strict_executors_stay_within_eq2(self, eth_blocks):
-        for name, executor in (
-            ("speculative", SpeculativeExecutor(cores=8)),
-            ("speculative-informed", InformedSpeculativeExecutor(cores=8)),
-            ("grouped", GroupedExecutor(cores=8)),
+        def exact(tasks):
+            return {
+                t.tx_hash: PredictedAccess(
+                    tx_hash=t.tx_hash, reads=t.reads, writes=t.writes
+                )
+                for t in tasks
+            }
+
+        for name, build in (
+            ("speculative", lambda tasks: SpeculativeExecutor(cores=8)),
+            ("speculative-informed",
+             lambda tasks: InformedSpeculativeExecutor(cores=8)),
+            ("grouped", lambda tasks: GroupedExecutor(cores=8)),
+            ("static-informed",
+             lambda tasks: StaticInformedExecutor(8, exact(tasks))),
+            ("static-grouped",
+             lambda tasks: StaticGroupedExecutor(8, exact(tasks))),
         ):
             assert name in EQ2_STRICT_EXECUTORS
             for _height, tasks, _executed in eth_blocks:
                 comparison = compare_to_bounds(
-                    executor.run(tasks), task_conflict_profile(tasks)
+                    build(tasks).run(tasks), task_conflict_profile(tasks)
                 )
                 assert comparison.strict
                 assert comparison.within_eq2, (
