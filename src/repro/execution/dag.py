@@ -320,7 +320,13 @@ def account_dag(
     Each transaction touches its regular and internal endpoints; a
     later transaction depends on the most recent earlier transaction
     touching each shared address (chaining per address, like per-cell
-    write locks).
+    write locks).  The endpoints are those of ``edges()`` — where a
+    creation's receiver is the created contract — plus the balance
+    cells :func:`~repro.execution.engine.tasks_from_account_block`
+    gives every transaction, ``tx.sender`` and ``tx.receiver``: a
+    creation's receiver there is the null address, so two creations
+    in a block conflict in every other engine's sets and in the
+    state-root fold, and must be ordered here as well.
     """
     dag = DependencyDAG()
     last_toucher: dict[str, str] = {}
@@ -329,7 +335,7 @@ def account_dag(
             continue
         cost = 1.0 if unit_cost else max(1.0, item.gas_used / 21_000.0)
         dag.add_task(item.tx_hash, cost=cost)
-        touched: set[str] = set()
+        touched = {item.tx.sender, item.tx.receiver}
         for sender, receiver in item.edges():
             touched.add(sender)
             touched.add(receiver)

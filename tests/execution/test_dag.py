@@ -164,3 +164,37 @@ class TestAccountDag:
             dag = account_dag(executed)
             chain_bound = tdg.num_transactions / tdg.lcc_size
             assert dag.speedup(64) >= chain_bound - 1e-9
+
+
+def test_two_creations_commit_in_block_order():
+    """Every creation writes the null address's balance cell in the
+    task sets and the state-root fold, so the DAG must order creations
+    too: the first one here waits on a transfer, the second is free."""
+    from repro.account.transaction import NULL_ADDRESS
+    from repro.execution.engine import tasks_from_account_block
+    from repro.execution.parallel_replay import ReplayBlock, replay_chain
+
+    def creation(sender, created):
+        tx = make_account_transaction(
+            sender=sender, receiver=NULL_ADDRESS, value=0, nonce=0
+        )
+        return ExecutedTransaction(tx=tx, receipt=Receipt(
+            tx_hash=tx.tx_hash, success=True, gas_used=53_000,
+            created_contract=created,
+        ))
+
+    payload = (
+        _executed("0xa", "0xb"),
+        creation("0xb", "0xc1"),
+        creation("0xd", "0xc2"),
+    )
+    block = ReplayBlock(
+        height=1, tasks=tuple(tasks_from_account_block(payload)),
+        payload=payload,
+    )
+    sequential, dag = replay_chain(
+        [block], data_model="account", backend="serial",
+        engines=("sequential", "dag"), cores=4,
+    ).records
+    assert dag.commit_order == sequential.commit_order
+    assert dag.state_root == sequential.state_root
