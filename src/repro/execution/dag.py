@@ -30,6 +30,7 @@ from typing import Sequence
 
 from repro import obs
 from repro.account.receipts import ExecutedTransaction
+from repro.execution.engine import ExecutionReport, finish_run, require
 from repro.obs.timeline import QUEUE_LANE
 from repro.utxo.transaction import UTXOTransaction
 
@@ -130,8 +131,7 @@ class DependencyDAG:
         earliest-free core — the classic HLF heuristic.  Returns the
         full per-task placement (start, finish, lane, ready time).
         """
-        if cores < 1:
-            raise ValueError("cores must be at least 1")
+        require(cores)
         if not self.order:
             return DAGSchedule(
                 cores=cores, makespan=0.0, start_times={},
@@ -231,7 +231,7 @@ class DependencyDAG:
         return self.total_work / makespan
 
 
-def run_dag(dag: DependencyDAG, cores: int):
+def run_dag(dag: DependencyDAG, cores: int) -> ExecutionReport:
     """Execute *dag* on a simulated multicore as the ``dag`` engine.
 
     Wraps :meth:`DependencyDAG.schedule` in the uniform executor
@@ -243,8 +243,6 @@ def run_dag(dag: DependencyDAG, cores: int):
     Eq. 2 bound ``min(n, 1/l)``: the bound treats each dependency group
     as sequential, while the DAG exploits the partial order inside it.
     """
-    from repro.execution.engine import ExecutionReport, finish_run
-
     plan = dag.schedule(cores)
     recorder = obs.get_recorder()
     if recorder.enabled and dag.order:
@@ -320,13 +318,12 @@ def account_dag(
     Each transaction touches its regular and internal endpoints; a
     later transaction depends on the most recent earlier transaction
     touching each shared address (chaining per address, like per-cell
-    write locks).  The endpoints are those of ``edges()`` — where a
-    creation's receiver is the created contract — plus the balance
-    cells :func:`~repro.execution.engine.tasks_from_account_block`
-    gives every transaction, ``tx.sender`` and ``tx.receiver``: a
-    creation's receiver there is the null address, so two creations
-    in a block conflict in every other engine's sets and in the
-    state-root fold, and must be ordered here as well.
+    write locks).  The endpoints are those of ``edges()``, where a
+    creation's receiver is the created contract, plus ``tx.sender`` and
+    ``tx.receiver``, the balance cells the task adapter gives every
+    transaction: there a creation's receiver is the null address, so
+    two creations in a block conflict in every other engine's sets and
+    in the state-root fold, and must be ordered here as well.
     """
     dag = DependencyDAG()
     last_toucher: dict[str, str] = {}

@@ -10,10 +10,9 @@ executors in :mod:`repro.execution.speculative`, :mod:`.grouped` and
 wall-clock can be compared against Eqs. 1-2.
 
 What every engine shares lives here: the constructor check
-(:func:`require`), the two sources of conflict information handed to
-the schedules as groups of tasks (:func:`conflict_groups` from the
-runtime sets, :func:`predicted_groups` from static predictions), and
-the one way a run ends (:func:`finish_run`).
+(:func:`require`), the two sources of conflict information, as groups
+of tasks (:func:`conflict_groups`, :func:`predicted_groups`), and the
+one way a run ends (:func:`finish_run`).
 """
 
 from __future__ import annotations

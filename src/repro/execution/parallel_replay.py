@@ -53,6 +53,7 @@ from repro.core.parallel import (
 from repro.execution.engine import (
     ExecutionReport,
     TxTask,
+    require,
     tasks_from_account_block,
     tasks_from_utxo_block,
 )
@@ -461,8 +462,7 @@ def replay_single_block(
             + ", ".join(DATA_MODELS)
         )
     validate_engines((engine,))
-    if cores < 1:
-        raise ValueError("cores must be at least 1")
+    require(cores)
     reports, recorder = _replay_scoped(
         data_model, block, (engine,), cores,
         registry if registry is not None else NOOP_REGISTRY,
@@ -550,8 +550,7 @@ def replay_chain(
     if data_model not in DATA_MODELS:
         raise ValueError(f"unknown data model {data_model!r}")
     engines = validate_engines(engines)
-    if cores < 1:
-        raise ValueError("cores must be at least 1")
+    require(cores)
     backend = validate_backend(backend)
     jobs = validate_jobs(jobs, backend=backend)
     inputs = coerce_replay_inputs(source)

@@ -38,11 +38,10 @@ class EngineSpec(NamedTuple):
 
     ``information`` is ``"none"``, ``"oracle"`` (the runtime conflict
     structure, which only exists after execution) or ``"predicted"``
-    (the static analyser's access sets).  ``schedule`` is
-    ``"sequential"``, ``"two-phase"`` (§V-A), ``"chain"`` (§V-B),
-    ``"occ"`` or ``"dag"``.  ``build`` makes the executor from a core
-    count (and, for predicted information, ``predictions=``); ``dag``
-    has none — it consumes the raw payload, see :func:`run_engine`.
+    (static access sets); ``schedule`` is ``"sequential"``,
+    ``"two-phase"`` (§V-A), ``"chain"`` (§V-B), ``"occ"`` or ``"dag"``.
+    ``build`` takes a core count (and ``predictions=`` when predicted);
+    ``dag`` has none — it consumes the payload, see :func:`run_engine`.
     """
 
     information: str

@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.execution.engine import TxTask
+from repro.execution.engine import TxTask, require
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,7 @@ class CoreSimulator:
     """A bank of *cores* identical cores with greedy dispatch."""
 
     def __init__(self, cores: int):
-        if cores < 1:
-            raise ValueError("cores must be at least 1")
+        require(cores)
         self.cores = cores
 
     def run_wave(self, tasks: Sequence[TxTask]) -> SimulatedRun:
