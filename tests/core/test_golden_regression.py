@@ -8,22 +8,42 @@ process backends — so a future refactor of the workload builders, the
 TDG, the metrics or the parallel fan-out cannot silently drift the
 paper's numbers.
 
-To regenerate the fixture after an *intentional* change::
+``golden/tdg_digest.json`` pins what the metrics cannot see — the
+*order* of each block's dependency groups and address components: per
+chain and block, a sha256 over the :class:`TDGResult` of the per-block
+analysis.  The account TDG is hashed exactly as returned.  The UTXO
+TDG's BFS seeds a group at its first block-order transaction but walks
+a frontier ``set``, so the order of a group's other members follows
+``PYTHONHASHSEED``; they are hashed sorted.
+
+To regenerate both fixtures after an *intentional* change::
 
     PYTHONPATH=src python tests/core/test_golden_regression.py --regen
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.core.pipeline import BlockRecord, ChainHistory
+from repro.core.parallel import account_block_inputs, utxo_block_inputs
+from repro.core.pipeline import (
+    BlockRecord,
+    ChainHistory,
+    analyze_account_block,
+    analyze_utxo_block,
+)
+from repro.core.tdg import TDGResult
+from repro.workload.account_workload import build_account_chain
 from repro.workload.generator import generate_chain
+from repro.workload.profiles import get_profile
+from repro.workload.utxo_workload import build_utxo_chain
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "chain_metrics.json"
+TDG_DIGEST_PATH = Path(__file__).parent / "golden" / "tdg_digest.json"
 
 # Small and fixed forever: cheap to regenerate in every test run, rich
 # enough (conflicts, internal txs, gas weighting) to catch drift.
@@ -74,6 +94,51 @@ def render_golden(**analyze_kwargs) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def golden_tdgs(name: str, args: dict) -> list[tuple[int, str, TDGResult]]:
+    """``(height, data model, TDG)`` of every block of one golden chain,
+    through the same per-block entry points the pipeline calls."""
+    profile = get_profile(name)
+    if profile.data_model == "utxo":
+        inputs = utxo_block_inputs(build_utxo_chain(profile, **args))
+        analyze_block = analyze_utxo_block
+    else:
+        inputs = account_block_inputs(
+            build_account_chain(profile, **args).executed_blocks
+        )
+        analyze_block = analyze_account_block
+    return [
+        (
+            item.height,
+            profile.data_model,
+            analyze_block(
+                item.payload, height=item.height, timestamp=item.timestamp
+            )[1],
+        )
+        for item in inputs
+    ]
+
+
+def tdg_digest(data_model: str, tdg: TDGResult) -> str:
+    if data_model == "utxo":
+        groups = [[group[0], *sorted(group[1:])] for group in tdg.groups]
+    else:
+        groups = tdg.groups
+    return hashlib.sha256(
+        json.dumps([groups, tdg.address_components]).encode()
+    ).hexdigest()
+
+
+def render_tdg_digest() -> str:
+    payload = {
+        name: [
+            {"height": height, "tdg": tdg_digest(data_model, tdg)}
+            for height, data_model, tdg in golden_tdgs(name, args)
+        ]
+        for name, args in GOLDEN_CHAINS
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 class TestGoldenRegression:
     def test_fixture_exists(self):
         assert GOLDEN_PATH.is_file(), (
@@ -108,12 +173,52 @@ class TestGoldenRegression:
         assert any(r["num_input_txos"] > 0 for r in btc)
 
 
+class TestGoldenTDGDigest:
+    def test_fixture_exists(self):
+        assert TDG_DIGEST_PATH.is_file(), (
+            "TDG digest fixture missing — regenerate with "
+            "`PYTHONPATH=src python tests/core/test_golden_regression.py"
+            " --regen`"
+        )
+
+    def test_per_block_analysis_reproduces_fixture_bytes(self):
+        assert render_tdg_digest() == TDG_DIGEST_PATH.read_text()
+
+    def test_digest_sees_order(self):
+        """What ``chain_metrics.json`` cannot: the same partition with
+        two groups, or two address components, swapped hashes apart."""
+        name, args = GOLDEN_CHAINS[1]
+        tdg = next(
+            tdg for _height, _model, tdg in golden_tdgs(name, args)
+            if len(tdg.groups) > 1 and len(tdg.address_components) > 1
+            and any(len(group) > 1 for group in tdg.groups)
+        )
+        first, second, *rest = tdg.groups
+        regrouped = TDGResult(
+            groups=(second, first, *rest),
+            num_transactions=tdg.num_transactions,
+            address_components=tdg.address_components,
+        )
+        first, second, *rest = tdg.address_components
+        recomponented = TDGResult(
+            groups=tdg.groups,
+            num_transactions=tdg.num_transactions,
+            address_components=(second, first, *rest),
+        )
+        digests = {
+            tdg_digest("account", each)
+            for each in (tdg, regrouped, recomponented)
+        }
+        assert len(digests) == 3
+
+
 if __name__ == "__main__":
     import sys
 
     if "--regen" in sys.argv:
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN_PATH.write_text(render_golden(backend="serial"))
-        print(f"wrote {GOLDEN_PATH}")
+        TDG_DIGEST_PATH.write_text(render_tdg_digest())
+        print(f"wrote {GOLDEN_PATH} and {TDG_DIGEST_PATH}")
     else:
         print(__doc__)
