@@ -84,16 +84,16 @@ class ExecutedTransaction:
         the null address, which would otherwise spuriously connect all
         creations in a block.
         """
-        if self.tx.is_coinbase:
+        tx = self.tx
+        if tx.is_coinbase:
             return []
-        receiver = self.tx.receiver
-        if self.tx.is_contract_creation and self.receipt.created_contract:
-            receiver = self.receipt.created_contract
-        pairs = [(self.tx.sender, receiver)]
-        pairs.extend(
-            (internal.sender, internal.receiver)
-            for internal in self.receipt.internal_transactions
-        )
+        receipt = self.receipt
+        receiver = tx.receiver
+        if tx.is_contract_creation and receipt.created_contract:
+            receiver = receipt.created_contract
+        pairs = [(tx.sender, receiver)]
+        for internal in receipt.internal_transactions:
+            pairs.append((internal.sender, internal.receiver))
         return pairs
 
 

@@ -102,21 +102,21 @@ def compute_block_metrics(
     the single rate is 0 while the group rate is 1/x (a lone transaction
     is its own LCC).  Property tests pin this down.
     """
-
-    def weight_of(tx_hash: str) -> float:
-        if weights is None:
-            return 1.0
-        return float(weights.get(tx_hash, 1.0))
-
     total_weight = 0.0
     conflicted_weight = 0.0
     lcc_weight = 0.0
     for group in tdg.groups:
-        group_weight = sum(weight_of(tx_hash) for tx_hash in group)
+        if weights is None:
+            group_weight = float(len(group))
+        else:
+            group_weight = sum(
+                [float(weights.get(tx_hash, 1.0)) for tx_hash in group]
+            )
         total_weight += group_weight
         if len(group) > 1:
             conflicted_weight += group_weight
-        lcc_weight = max(lcc_weight, group_weight)
+        if group_weight > lcc_weight:
+            lcc_weight = group_weight
     return BlockMetrics(
         num_transactions=tdg.num_transactions,
         num_conflicted=tdg.num_conflicted,

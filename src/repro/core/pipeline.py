@@ -121,10 +121,10 @@ def analyze_utxo_block(
 ) -> tuple[BlockRecord, TDGResult]:
     """Build the TDG and metrics for one UTXO block."""
     with obs.trace_span("pipeline.block", height=height, model="utxo"):
-        tdg = utxo_tdg(transactions)
+        regular = [tx for tx in transactions if not tx.is_coinbase]
+        tdg = utxo_tdg(regular)
         with obs.trace_span("pipeline.metrics", height=height):
             metrics = compute_block_metrics(tdg)
-        regular = [tx for tx in transactions if not tx.is_coinbase]
         record = BlockRecord(
             height=height,
             timestamp=timestamp,
@@ -146,22 +146,26 @@ def analyze_account_block(
 ) -> tuple[BlockRecord, TDGResult]:
     """Build the TDG and gas-weighted metrics for one account block."""
     with obs.trace_span("pipeline.block", height=height, model="account"):
-        tdg = account_tdg(executed)
-        gas_weights = {
-            item.tx_hash: float(max(item.gas_used, 1))
-            for item in executed
-            if not item.is_coinbase
-        }
+        regular = [item for item in executed if not item.tx.is_coinbase]
+        tdg = account_tdg(regular)
+        gas_weights: dict[str, float] = {}
+        gas_used = 0
+        num_internal = 0
+        for item in regular:
+            receipt = item.receipt
+            gas = receipt.gas_used
+            gas_used += gas
+            num_internal += len(receipt.internal_transactions)
+            gas_weights[receipt.tx_hash] = float(max(gas, 1))
         with obs.trace_span("pipeline.metrics", height=height):
             metrics = compute_block_metrics(tdg, weights=gas_weights)
-        regular = [item for item in executed if not item.is_coinbase]
         record = BlockRecord(
             height=height,
             timestamp=timestamp,
             num_transactions=len(regular),
             metrics=metrics,
-            num_internal=sum(item.receipt.trace_count for item in regular),
-            gas_used=float(sum(item.gas_used for item in regular)),
+            num_internal=num_internal,
+            gas_used=float(gas_used),
         )
     obs.counter("pipeline.blocks", model="account").inc()
     obs.counter("pipeline.transactions", model="account").inc(len(regular))

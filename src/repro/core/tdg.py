@@ -155,9 +155,9 @@ def account_tdg(executed: Sequence[ExecutedTransaction]) -> TDGResult:
     edges (``ExecutedTransaction.edges``); coinbases contribute nothing.
     """
     tx_edges = {
-        item.tx_hash: item.edges()
+        item.tx.tx_hash: item.edges()
         for item in executed
-        if not item.is_coinbase
+        if not item.tx.is_coinbase
     }
     return account_tdg_from_edges(tx_edges)
 
@@ -170,74 +170,87 @@ def account_tdg_from_edges(
     Args:
         tx_edges: maps each transaction hash to its (sender, receiver)
             pairs — the first pair being the regular transaction, the
-            rest internal transactions.  A transaction with no pairs is
-            treated as touching a unique synthetic address (it conflicts
-            with nothing).
+            rest internal transactions.  A transaction with no pairs
+            touches no address: it is a group of its own.
 
-    The address graph's connected components are computed first; each
-    transaction is then assigned to the component containing its
-    endpoints.  All of one transaction's endpoints are necessarily in
-    one component because its call tree is connected; a defensive merge
-    handles degenerate inputs where they are not.
+    Order contract: ``groups`` come in the order of their first
+    transaction in *tx_edges*, members in mapping order;
+    ``address_components`` in the order their first address was seen,
+    members in first-seen order.
+
+    Addresses are interned to their first-seen position and the forest
+    is a parent array over those positions in which the smaller root
+    wins.  Every endpoint of a transaction is united with the
+    transaction's running root, so a transaction lands in exactly one
+    component even when its pairs are not connected to each other (a
+    call tree always is; degenerate inputs need not be).
     """
     with obs.trace_span("tdg.build", model="account") as span:
-        forest = UnionFind()
-        addresses: list[str] = []
-        seen: set[str] = set()
+        index: dict[str, int] = {}
+        parent: list[int] = []
+        # Per transaction, some node of its component; -1 without pairs.
+        anchors: list[int] = []
+        for pairs in tx_edges.values():
+            root = -1
+            for pair in pairs:
+                for address in pair:
+                    node = index.get(address)
+                    if node is None:
+                        node = index[address] = len(parent)
+                        parent.append(node)
+                    else:
+                        while parent[node] != node:  # find, path halving
+                            parent[node] = node = parent[parent[node]]
+                    if root < 0:
+                        root = node
+                    elif node < root:
+                        parent[root] = node
+                        root = node
+                    else:
+                        parent[node] = root
+            anchors.append(root)
+        # A parent is always the smaller position: one ascending pass
+        # points every node at its root.
+        for node, above in enumerate(parent):
+            parent[node] = parent[above]
 
-        def note(address: str) -> None:
-            if address not in seen:
-                seen.add(address)
-                addresses.append(address)
-                forest.add(address)
-
-        for tx_hash, pairs in tx_edges.items():
-            if not pairs:
-                note(f"__isolated__{tx_hash}")
+        groups: list[list[str]] = []
+        group_at: list[list[str] | None] = [None] * len(parent)
+        for tx_hash, anchor in zip(tx_edges, anchors):
+            if anchor < 0:
+                groups.append([tx_hash])
                 continue
-            first = pairs[0][0]
-            for sender, receiver in pairs:
-                note(sender)
-                note(receiver)
-                forest.union(sender, receiver)
-                # Defensive: tie every pair back to the first endpoint so a
-                # transaction always lands in exactly one component.
-                forest.union(first, sender)
+            group = group_at[parent[anchor]]
+            if group is None:
+                group = group_at[parent[anchor]] = []
+                groups.append(group)
+            group.append(tx_hash)
 
-        groups_by_root: dict[object, list[str]] = {}
-        for tx_hash, pairs in tx_edges.items():
-            anchor = pairs[0][0] if pairs else f"__isolated__{tx_hash}"
-            root = forest.find(anchor)
-            groups_by_root.setdefault(root, []).append(tx_hash)
-
-        address_components: dict[object, list[str]] = {}
-        for address in addresses:
-            if address.startswith("__isolated__"):
-                continue
-            address_components.setdefault(
-                forest.find(address), []
-            ).append(address)
+        # ``index`` iterates in first-seen order, the order of ``parent``,
+        # and a root is the first-seen address of its component.
+        components: dict[int, list[str]] = {}
+        for address, root in zip(index, parent):
+            if root in components:
+                components[root].append(address)
+            else:
+                components[root] = [address]
 
         if obs.enabled():
-            num_isolated = sum(
-                1 for a in addresses if a.startswith("__isolated__")
-            )
-            non_isolated = len(addresses) - num_isolated
             span.set(transactions=len(tx_edges),
-                     addresses=non_isolated,
-                     groups=len(groups_by_root))
+                     addresses=len(index),
+                     groups=len(groups))
             obs.counter("tdg.builds", model="account").inc()
             obs.counter("tdg.edges_scanned", model="account").inc(
                 sum(len(pairs) for pairs in tx_edges.values())
             )
             obs.counter("tdg.components_merged", model="account").inc(
-                non_isolated - len(address_components)
+                len(index) - len(components)
             )
         return TDGResult(
-            groups=tuple(tuple(group) for group in groups_by_root.values()),
+            groups=tuple(tuple(group) for group in groups),
             num_transactions=len(tx_edges),
             address_components=tuple(
-                tuple(component) for component in address_components.values()
+                tuple(component) for component in components.values()
             ),
         )
 
