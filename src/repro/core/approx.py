@@ -36,7 +36,7 @@ def approximate_account_tdg(
     the internal transactions that execution will generate.
     """
     tx_edges = {
-        item.tx_hash: (item.edges()[:1] if item.edges() else [])
+        item.tx_hash: item.edges()[:1]
         for item in executed
         if not item.is_coinbase
     }

@@ -96,18 +96,17 @@ class WindowConcurrency:
         return self.pipeline_makespan(cores) / interleaved
 
 
-def utxo_window_concurrency(
-    blocks: Sequence[Sequence[UTXOTransaction]],
+def _group_sizes(tdg: TDGResult) -> tuple[int, ...]:
+    return tuple(len(group) for group in tdg.groups)
+
+
+def _window_concurrency(
+    blocks: Sequence[Sequence],
+    per_block_sizes: Sequence[tuple[int, ...]],
+    make_tdg,
 ) -> WindowConcurrency:
-    """Analyze a window of UTXO blocks (ordered transaction lists)."""
-    merged: list[UTXOTransaction] = []
-    per_block_sizes = []
-    for block in blocks:
-        merged.extend(block)
-        per_block_sizes.append(
-            tuple(len(group) for group in utxo_tdg(block).groups)
-        )
-    window_tdg = utxo_tdg(merged)
+    """The window over *blocks*, given each block's own group sizes."""
+    window_tdg = make_tdg([tx for block in blocks for tx in block])
     return WindowConcurrency(
         window=len(blocks),
         num_transactions=window_tdg.num_transactions,
@@ -116,23 +115,23 @@ def utxo_window_concurrency(
     )
 
 
+def utxo_window_concurrency(
+    blocks: Sequence[Sequence[UTXOTransaction]],
+) -> WindowConcurrency:
+    """Analyze a window of UTXO blocks (ordered transaction lists)."""
+    return _window_concurrency(
+        blocks, [_group_sizes(utxo_tdg(block)) for block in blocks], utxo_tdg
+    )
+
+
 def account_window_concurrency(
     blocks: Sequence[Sequence[ExecutedTransaction]],
 ) -> WindowConcurrency:
     """Analyze a window of executed account blocks."""
-    merged: list[ExecutedTransaction] = []
-    per_block_sizes = []
-    for block in blocks:
-        merged.extend(block)
-        per_block_sizes.append(
-            tuple(len(group) for group in account_tdg(block).groups)
-        )
-    window_tdg = account_tdg(merged)
-    return WindowConcurrency(
-        window=len(blocks),
-        num_transactions=window_tdg.num_transactions,
-        window_tdg=window_tdg,
-        per_block_group_sizes=tuple(per_block_sizes),
+    return _window_concurrency(
+        blocks,
+        [_group_sizes(account_tdg(block)) for block in blocks],
+        account_tdg,
     )
 
 
@@ -154,13 +153,18 @@ def sliding_window_speedups(
     if window < 1:
         raise ValueError("window must be positive")
     if model == "utxo":
-        analyze = utxo_window_concurrency
+        make_tdg = utxo_tdg
     elif model == "account":
-        analyze = account_window_concurrency
+        make_tdg = account_tdg
     else:
         raise ValueError(f"unknown model {model!r}")
+    # A block sits in up to *window* windows; its own TDG is built once.
+    sizes = [_group_sizes(make_tdg(block)) for block in blocks]
     speedups = []
     for start in range(0, len(blocks) - window + 1):
-        segment = blocks[start:start + window]
-        speedups.append(analyze(segment).interblock_speedup(cores))
+        stop = start + window
+        concurrency = _window_concurrency(
+            blocks[start:stop], sizes[start:stop], make_tdg
+        )
+        speedups.append(concurrency.interblock_speedup(cores))
     return speedups

@@ -6,6 +6,7 @@ import pytest
 
 from repro.account.receipts import ExecutedTransaction, Receipt
 from repro.account.transaction import make_account_transaction
+from repro.core import interblock
 from repro.core.interblock import (
     account_window_concurrency,
     sliding_window_speedups,
@@ -153,3 +154,38 @@ class TestSlidingWindows:
         assert len(speedups) == 9
         assert all(s >= 0.85 for s in speedups)
         assert max(speedups) > 1.0
+
+    @pytest.mark.parametrize("model", ["utxo", "account"])
+    def test_each_block_is_analysed_once(
+        self, model, monkeypatch, small_bitcoin_ledger, small_ethereum_builder
+    ):
+        """12 blocks, window 4: 12 per-block TDGs plus 9 merged ones —
+        not 4 per-block TDGs again for each of the 9 windows."""
+        if model == "utxo":
+            blocks = [list(b.transactions) for b in small_bitcoin_ledger]
+            name, per_window = "utxo_tdg", utxo_window_concurrency
+        else:
+            blocks = [
+                list(executed)
+                for _block, executed in small_ethereum_builder.executed_blocks
+            ]
+            name, per_window = "account_tdg", account_window_concurrency
+        blocks = blocks[-12:]
+        window_at_a_time = [
+            per_window(blocks[start:start + 4]).interblock_speedup(8)
+            for start in range(9)
+        ]
+
+        builds = []
+        make_tdg = getattr(interblock, name)
+
+        def counted(transactions):
+            builds.append(len(transactions))
+            return make_tdg(transactions)
+
+        monkeypatch.setattr(interblock, name, counted)
+        speedups = sliding_window_speedups(
+            blocks, window=4, cores=8, model=model
+        )
+        assert speedups == window_at_a_time
+        assert len(builds) == 12 + 9

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.account.receipts import ExecutedTransaction, Receipt
 from repro.account.transaction import (
@@ -10,6 +12,7 @@ from repro.account.transaction import (
     make_account_transaction,
     make_coinbase_transaction,
 )
+from repro.core.components import UnionFind
 from repro.core.tdg import (
     TDGResult,
     account_tdg,
@@ -180,6 +183,78 @@ class TestAccountTDG:
         tdg = account_tdg_from_edges({"t1": [], "t2": []})
         assert tdg.num_transactions == 2
         assert tdg.num_conflicted == 0
+
+
+# An alphabet small enough that random pair lists repeat pairs, pair an
+# address with itself and hold pairs that share no address, and large
+# enough that late transactions still bring new addresses to old
+# components (a forest that only ever grows downward hides a wrong root).
+_addresses = st.sampled_from([f"0x{i:x}" for i in range(16)])
+_pair_lists = st.lists(st.tuples(_addresses, _addresses), max_size=3)
+_tx_edge_maps = st.lists(_pair_lists, max_size=16).map(
+    lambda lists: {f"t{i}": pairs for i, pairs in enumerate(lists)}
+)
+
+
+def _reference_account_tdg(tx_edges):
+    """Groups and address components over the dict-keyed ``UnionFind``:
+    every pair united, every pair tied back to the transaction's first
+    address, both outputs bucketed by root in first-seen order."""
+    forest = UnionFind()
+    for pairs in tx_edges.values():
+        for sender, receiver in pairs:
+            forest.union(sender, receiver)
+            forest.union(pairs[0][0], sender)
+    groups: dict[object, list[str]] = {}
+    for tx_hash, pairs in tx_edges.items():
+        key = forest.find(pairs[0][0]) if pairs else ("no pairs", tx_hash)
+        groups.setdefault(key, []).append(tx_hash)
+    components: dict[object, list[str]] = {}
+    for pairs in tx_edges.values():
+        for pair in pairs:
+            for address in pair:
+                members = components.setdefault(forest.find(address), [])
+                if address not in members:
+                    members.append(address)
+    return (
+        tuple(tuple(group) for group in groups.values()),
+        tuple(tuple(members) for members in components.values()),
+    )
+
+
+@settings(max_examples=300)
+@given(tx_edges=_tx_edge_maps)
+@example(tx_edges={
+    "t0": [("0xa", "0xb"), ("0xc", "0xd")],   # pairs share no address
+    "t1": [],
+    "t2": [("0xd", "0xd"), ("0xd", "0xd")],   # self-pair, repeated
+    "t3": [("0xe", "0xf")],
+    "t4": [("0xf", "0xb")],                   # joins t3 to t0's group
+})
+def test_account_tdg_order_contract(tx_edges):
+    tdg = account_tdg_from_edges(tx_edges)
+    groups, components = _reference_account_tdg(tx_edges)
+    # Equal tuples: the same partitions, groups in the order of their
+    # first transaction and components of their first-seen address,
+    # members in mapping / first-seen order.
+    assert tdg.groups == groups
+    assert tdg.address_components == components
+    assert tdg.num_transactions == len(tx_edges)
+
+    component_of = {
+        address: members
+        for members in tdg.address_components for address in members
+    }
+    for tx_hash, pairs in tx_edges.items():
+        assert sum(tx_hash in group for group in tdg.groups) == 1
+        if not pairs:
+            assert (tx_hash,) in tdg.groups
+        touched = {address for pair in pairs for address in pair}
+        assert len({component_of[address] for address in touched}) <= 1
+    assert set(component_of) == {
+        address
+        for pairs in tx_edges.values() for pair in pairs for address in pair
+    }
 
 
 class TestStorageConflictAblation:
