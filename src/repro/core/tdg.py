@@ -16,6 +16,16 @@ transactions into dependency classes; everything downstream (conflict
 rates, LCC sizes, speed-up predictions, the grouped executor) works from
 this one structure.
 
+The two models compute their components differently.  The UTXO half is
+the port of the paper's BigQuery UDF (Fig. 3): an adjacency map and a
+breadth-first search, groups in the order of their first block-order
+transaction.  The account half runs on every block of an account chain
+with several address pairs per transaction, so it interns addresses to
+integers and unites them in a parent array
+(:func:`account_tdg_from_edges`, which also states the order of
+``groups`` and ``address_components``; callers and the golden TDG
+digest rely on it).
+
 A third constructor, :func:`storage_conflict_groups`, implements the
 *storage-location-level* conflict definition of Saraph & Herlihy
 (ref. [17]) for the ablation discussed in §III-A5.
@@ -230,10 +240,7 @@ def account_tdg_from_edges(
         # and a root is the first-seen address of its component.
         components: dict[int, list[str]] = {}
         for address, root in zip(index, parent):
-            if root in components:
-                components[root].append(address)
-            else:
-                components[root] = [address]
+            components.setdefault(root, []).append(address)
 
         if obs.enabled():
             span.set(transactions=len(tx_edges),
