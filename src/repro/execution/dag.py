@@ -67,12 +67,15 @@ class DependencyDAG:
     costs: dict[str, float] = field(default_factory=dict)
     successors: dict[str, set[str]] = field(default_factory=dict)
     predecessors: dict[str, set[str]] = field(default_factory=dict)
+    # tx_hash -> index in ``order``; what orients an edge.
+    position: dict[str, int] = field(default_factory=dict)
 
     def add_task(self, tx_hash: str, cost: float = 1.0) -> None:
         if tx_hash in self.costs:
             raise ValueError(f"duplicate task {tx_hash!r}")
         if cost < 0:
             raise ValueError("cost must be non-negative")
+        self.position[tx_hash] = len(self.order)
         self.order.append(tx_hash)
         self.costs[tx_hash] = cost
         self.successors[tx_hash] = set()
@@ -83,8 +86,7 @@ class DependencyDAG:
             raise KeyError("both endpoints must be tasks")
         if earlier == later:
             return
-        position = {h: i for i, h in enumerate(self.order)}
-        if position[earlier] > position[later]:
+        if self.position[earlier] > self.position[later]:
             earlier, later = later, earlier
         self.successors[earlier].add(later)
         self.predecessors[later].add(earlier)
@@ -140,7 +142,7 @@ class DependencyDAG:
         indegree = {
             h: len(self.predecessors[h]) for h in self.order
         }
-        position = {h: i for i, h in enumerate(self.order)}
+        position = self.position
         downstream = self.downstream_path()
 
         # Two heaps: tasks waiting on predecessors keyed by ready time,
@@ -279,7 +281,7 @@ def run_dag(dag: DependencyDAG, cores: int) -> ExecutionReport:
             return rows
 
         recorder.defer(expand)
-    if obs.enabled():
+    if obs.measuring():
         obs.counter("exec.dag.edges").inc(
             sum(len(s) for s in dag.successors.values())
         )
@@ -293,6 +295,10 @@ def run_dag(dag: DependencyDAG, cores: int) -> ExecutionReport:
         total_work=dag.total_work,
         num_tasks=len(dag.order),
         rounds=1,
+        commits=tuple(
+            (finish, tx_hash)
+            for tx_hash, finish in plan.finish_times.items()
+        ),
     ))
 
 

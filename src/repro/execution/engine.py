@@ -12,7 +12,9 @@ wall-clock can be compared against Eqs. 1-2.
 What every engine shares lives here: the constructor check
 (:func:`require`), the two sources of conflict information, as groups
 of tasks (:func:`conflict_groups`, :func:`predicted_groups`), and the
-one way a run ends (:func:`finish_run`).
+one way a run ends (:func:`finish_run`).  What a run hands back is an
+:class:`ExecutionReport`, commit stream included: the replay builds its
+records from that value and never reads the flight recorder.
 """
 
 from __future__ import annotations
@@ -68,9 +70,20 @@ class TxTask:
         return False
 
 
+# One commit: the engine's logical clock when the task finished for
+# good, and the task.  In the order the engine found them, not sorted.
+Commit = tuple[float, str]
+
+
 @dataclass(frozen=True)
 class ExecutionReport:
-    """Outcome of running a block through an executor."""
+    """Outcome of running a block through an executor.
+
+    ``commits`` is the run's commit stream, one :data:`Commit` per task
+    that finished for good — the same clocks the flight recorder's
+    ``commit`` rows carry, as a value: sorted by clock, block position
+    breaking ties, it is the order the block's writes took effect.
+    """
 
     executor: str
     cores: int
@@ -80,6 +93,7 @@ class ExecutionReport:
     reexecuted: int = 0
     aborts: int = 0
     rounds: int = 1
+    commits: tuple[Commit, ...] = field(default=(), repr=False)
 
     @property
     def speedup(self) -> float:
@@ -124,7 +138,7 @@ def finish_run(
             total_work=0.0,
             num_tasks=0,
         )
-    if not obs.enabled():
+    if not obs.measuring():
         return report
     labels = {"executor": name, "cores": cores}
     obs.counter("exec.runs", **labels).inc()
@@ -141,13 +155,39 @@ def finish_run(
     return report
 
 
+def sequential_commits(
+    tasks: Sequence[TxTask], offset: float = 0.0
+) -> list[Commit]:
+    """Commits of *tasks* run back to back on one lane from *offset*."""
+    commits: list[Commit] = []
+    cursor = offset
+    for task in tasks:
+        cursor += task.cost
+        commits.append((cursor, task.tx_hash))
+    return commits
+
+
+def wave_commits(
+    run, aborted: Sequence[TxTask], offset: float = 0.0
+) -> list[Commit]:
+    """Commits of one simulated wave (a
+    :class:`~repro.execution.simulator.SimulatedRun`) that started at
+    *offset*: every task of it but the *aborted*, at its finish."""
+    aborted_hashes = {task.tx_hash for task in aborted}
+    return [
+        (offset + finish, tx_hash)
+        for tx_hash, finish in run.finish_times.items()
+        if tx_hash not in aborted_hashes
+    ]
+
+
 def conflict_groups(tasks: Sequence[TxTask]) -> list[list[TxTask]]:
     """Partition *tasks* into storage-conflict groups.
 
     Groups in first-seen order, members in block order; the work is
     :func:`repro.execution.conflict_partition.conflict_partition`'s.
     """
-    if obs.enabled():
+    if obs.measuring():
         obs.counter("exec.conflict_checks").inc(
             sum(len(task.reads) + len(task.writes) for task in tasks)
         )
@@ -199,6 +239,7 @@ class SequentialExecutor:
             wall_time=total,
             total_work=total,
             num_tasks=len(tasks),
+            commits=tuple(sequential_commits(tasks)),
         ))
 
 

@@ -50,6 +50,8 @@ from repro.execution.engine import (
     finish_run,
     predicted_groups,
     require,
+    sequential_commits,
+    wave_commits,
 )
 from repro.execution.simulator import CoreSimulator
 from repro.obs.timeline import sequential_rows, wave_rows
@@ -98,6 +100,8 @@ def chain_schedule(
         recorder, name, aborted, offset=cost + run.makespan,
         round_index=1, retry=True,
     )
+    commits = wave_commits(run, aborted, cost)
+    commits += sequential_commits(aborted, cost + run.makespan)
     report = ExecutionReport(
         executor=name,
         cores=cores,
@@ -107,6 +111,7 @@ def chain_schedule(
         reexecuted=len(aborted),
         aborts=len(aborted),
         rounds=2 if aborted else 1,
+        commits=tuple(commits),
     )
     return report, ordered
 
@@ -156,7 +161,7 @@ class GroupedExecutor:
                 self.name, self.cores, tasks, groups,
                 self.scheduling_cost, policy=self.policy, exact=True,
             )
-            if obs.enabled():
+            if obs.measuring():
                 span.set(tasks=len(tasks), groups=len(ordered))
                 obs.counter("exec.grouped.groups").inc(len(ordered))
                 size_hist = obs.histogram("exec.grouped.group_size")
@@ -185,19 +190,29 @@ class StaticGroupedExecutor:
     def __post_init__(self) -> None:
         require(self.cores, scheduling_cost=self.scheduling_cost)
 
-    def run(self, tasks: Sequence[TxTask]) -> ExecutionReport:
-        """Schedule predicted groups in parallel lanes; retry misses."""
+    def run(
+        self,
+        tasks: Sequence[TxTask],
+        *,
+        groups: Sequence[Sequence[TxTask]] | None = None,
+    ) -> ExecutionReport:
+        """Schedule predicted groups in parallel lanes; retry misses.
+
+        *groups* are the predicted groups of *tasks* when the caller
+        already has them; ``predictions`` yield them otherwise.
+        """
         if not tasks:
             return finish_run(self.name, self.cores)
         with obs.trace_span(
             "exec.static_grouped.run", cores=self.cores
         ) as span:
+            if groups is None:
+                groups = predicted_groups(self.predictions, tasks)
             report, ordered = chain_schedule(
-                self.name, self.cores, tasks,
-                predicted_groups(self.predictions, tasks),
+                self.name, self.cores, tasks, groups,
                 self.scheduling_cost, policy="lpt", exact=False,
             )
-            if obs.enabled():
+            if obs.measuring():
                 span.set(
                     tasks=len(tasks),
                     groups=len(ordered),

@@ -23,10 +23,12 @@ from typing import Sequence
 
 from repro import obs
 from repro.execution.engine import (
+    Commit,
     ExecutionReport,
     TxTask,
     finish_run,
     require,
+    wave_commits,
 )
 from repro.execution.simulator import CoreSimulator
 from repro.obs.timeline import wave_log_rows
@@ -49,7 +51,7 @@ class OCCExecutor:
         if not tasks:
             return finish_run(self.name, self.cores)
         with obs.trace_span("exec.occ.run", cores=self.cores) as span:
-            recording = obs.enabled()
+            recording = obs.measuring()
             recorder = obs.get_recorder()
             simulator = CoreSimulator(self.cores)
             pending = list(tasks)
@@ -57,6 +59,7 @@ class OCCExecutor:
             aborts = 0
             waves = 0
             wave_log: list[tuple] = []
+            commits: list[Commit] = []
             while pending:
                 waves += 1
                 if waves > MAX_WAVES:
@@ -96,6 +99,7 @@ class OCCExecutor:
                     # whole run (schedule on wave 0, retries at each
                     # wave boundary) in a single deferred batch.
                     wave_log.append((pending, run, wave_offset, next_round))
+                commits += wave_commits(run, next_round, wave_offset)
                 pending = next_round
             wave_log_rows(recorder, self.name, wave_log)
             if recording:
@@ -112,5 +116,6 @@ class OCCExecutor:
                 reexecuted=aborts,
                 aborts=aborts,
                 rounds=waves,
+                commits=tuple(commits),
             )
         return finish_run(self.name, self.cores, report)

@@ -10,12 +10,13 @@ of :data:`ENGINES`) inside a worker, and the per-(block, engine)
 with two determinism digests per record:
 
 * ``state_root`` — per-location write chains folded in commit order
-  (the order the engine's flight-recorder ``commit`` events fire,
-  block position breaking clock ties) and hashed over the sorted
-  (location, chain) pairs.  Every engine preserves block order among
-  the writers of any single location — that is the serializable-
-  equivalence contract the differential suite enforces — so all
-  engines must produce byte-identical roots.
+  (the engine's commit stream sorted by clock, block position
+  breaking ties) and hashed over the sorted (location, chain) pairs.
+  Every engine preserves block order among the writers of any single
+  location — that is the serializable-equivalence contract the
+  differential suite enforces — so all engines must produce
+  byte-identical roots, and the fold is made per location, once per
+  block (:class:`_BlockFold`), not once per engine.
 * ``receipt_root`` — a digest of the block's raw payload (receipts /
   transactions) in block order.  It is engine-independent by
   construction and exists to prove the *transport* (fork globals,
@@ -24,22 +25,27 @@ with two determinism digests per record:
 Backends, validation, chunking, transports and fallbacks are the
 fan-out's (``serial`` / ``thread`` / ``process``; see
 :mod:`repro.core.parallel`).  What is particular to replay is its chunk
-function, :func:`replay_chunk`: every block replays under a PRIVATE
-per-thread observability scope (:func:`repro.obs.scoped`) with an
-always-on :class:`~repro.obs.timeline.FlightRecorder` — the digests
-need the event stream even when the parent records nothing.  When the
-parent *is* instrumented, the chunk's registry dump and recorder rows
-ride back with its result and merge in submission (= height) order,
-so ``repro.cli timeline`` / ``regress`` read a fanned-out replay
-identically to a serial one.  The parent-side family is
-``exec.replay.*`` with chunk lanes on ``replay.<backend>``.
+function, :func:`replay_chunk`.  Records are built from the values an
+engine's run hands back — its :class:`ExecutionReport`, commit stream
+included — on one path, whether or not anything records; the flight
+recorder is a by-product nobody here reads.  Every block replays under
+a PRIVATE per-thread observability scope (:func:`repro.obs.scoped`):
+with an uninstrumented parent its recorder is the no-op one, so no row
+is ever built; when the parent *is* instrumented, a real recorder
+collects the engines' deferred rows, the chunk expands them once on the
+way out, and they ride back with the chunk's registry dump and merge in
+submission (= height) order, so ``repro.cli timeline`` / ``regress``
+read a fanned-out replay identically to a serial one.  The node's
+:func:`replay_single_block` hands its caller the block's recorder
+unexpanded.  The parent-side family is ``exec.replay.*`` with chunk
+lanes on ``replay.<backend>``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro import obs
 from repro.account.receipts import ExecutedTransaction
@@ -57,11 +63,16 @@ from repro.execution.engine import (
     tasks_from_account_block,
     tasks_from_utxo_block,
 )
-from repro.execution.registry import ENGINES, run_engine, validate_engines
+from repro.execution.registry import (
+    ENGINES,
+    BlockConflicts,
+    run_engine,
+    validate_engines,
+)
 from repro.obs import ObservabilityState
 from repro.obs.lifecycle import NOOP_LIFECYCLE
 from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
-from repro.obs.timeline import EventRow, FlightRecorder
+from repro.obs.timeline import NOOP_RECORDER, EventRow, FlightRecorder
 from repro.obs.tracer import NOOP_TRACER
 from repro.utxo.transaction import UTXOTransaction
 
@@ -210,7 +221,7 @@ def receipts_root(payload: Sequence) -> str:
 
 def state_root(
     commit_order: Sequence[str],
-    writes_by_hash: Mapping[str, Sequence[str]],
+    writes_by_hash: Mapping[str, Iterable[str]],
 ) -> str:
     """Fold per-location write chains in commit order; hash sorted pairs.
 
@@ -218,32 +229,96 @@ def state_root(
     location it writes; the root hashes the sorted (location, chain)
     pairs, so it depends on the *relative commit order of each
     location's writers* and on nothing else — exactly the serializable
-    state a real engine would have produced.
-    """
-    return _fold_root(commit_order, writes_by_hash, {})
-
-
-def _fold_root(
-    commit_order: Sequence[str],
-    writes_by_hash: Mapping[str, Sequence[str]],
-    links: dict[tuple[str, str, str], str],
-) -> str:
-    """:func:`state_root`, hashing each link absent from *links* once.
-
-    *links* maps ``(previous chain digest, location, tx_hash)`` to its
-    digest.  Engines that commit a location's writers in one order
-    share its links; one that does not meets another ``previous`` at
-    the first writer out of order and still ends on a different root.
+    state a real engine would have produced.  This is the definition,
+    for any order at all (partial, with repeats, with strangers);
+    :class:`_BlockFold` is how a block's engines reach it.
     """
     chains: dict[str, str] = {}
     for tx_hash in commit_order:
         for location in writes_by_hash.get(tx_hash, ()):
-            link = (chains.get(location, ""), location, tx_hash)
-            digest = links.get(link)
-            if digest is None:
-                digest = links[link] = hash_fields("write", *link)
-            chains[location] = digest
+            chains[location] = hash_fields(
+                "write", chains.get(location, ""), location, tx_hash
+            )
     return hash_fields("state-root", tuple(sorted(chains.items())))
+
+
+class _BlockFold:
+    """:func:`state_root` of one block, folded per location.
+
+    One pass files the block's writers under their locations and
+    hashes each write-chain link once, in block order.  A commit order
+    that keeps the writers of every location with several in that order
+    has the block's root, found without touching a hash or the
+    single-writer locations; one that does not re-folds the locations
+    it reordered and nothing else.  Both memos are exact — keyed by
+    the writer order itself — and go with the block.
+    """
+
+    def __init__(self, tasks: Sequence[TxTask]) -> None:
+        self._tasks = tasks
+        self._hashes = [task.tx_hash for task in tasks]
+        self._block_order = list(range(len(tasks)))
+        # A block that repeats a hash has no position per task to
+        # speak of: every order of it takes the general fold.
+        self._distinct = len(set(self._hashes)) == len(tasks)
+        writers: dict[str, list[int]] = {}
+        for index, task in enumerate(tasks):
+            for location in task.writes:
+                writers.setdefault(location, []).append(index)
+        self._chains = {
+            location: self._chain(location, filed)
+            for location, filed in writers.items()
+        }
+        self._contended = [
+            (location, filed)
+            for location, filed in writers.items() if len(filed) > 1
+        ]
+        self._reordered: dict[tuple[str, tuple[int, ...]], str] = {}
+        self._roots: dict[tuple[tuple[str, str], ...], str] = {}
+
+    def _chain(self, location: str, writers: Sequence[int]) -> str:
+        digest = ""
+        for index in writers:
+            digest = hash_fields(
+                "write", digest, location, self._hashes[index]
+            )
+        return digest
+
+    def root(self, order: Sequence[str], positions: list[int]) -> str:
+        """Root of commit *order*; ``positions[i]`` is the block
+        position of ``order[i]``, or ``len(tasks)`` for a stranger."""
+        if not self._distinct or sorted(positions) != self._block_order:
+            # Not a permutation of the block: the definition itself.
+            return state_root(
+                order, {task.tx_hash: task.writes for task in self._tasks}
+            )
+        rank = [0] * len(positions)
+        for at, index in enumerate(positions):
+            rank[index] = at
+        moved: list[tuple[str, str]] = []
+        for location, filed in self._contended:
+            previous = -1
+            for index in filed:
+                if rank[index] < previous:
+                    key = (location, tuple(
+                        sorted(filed, key=rank.__getitem__)
+                    ))
+                    digest = self._reordered.get(key)
+                    if digest is None:
+                        digest = self._reordered[key] = self._chain(*key)
+                    moved.append((location, digest))
+                    break
+                previous = rank[index]
+        # One hash per distinct set of re-folded chains (none moved:
+        # the block's own root).
+        held = tuple(moved)
+        root = self._roots.get(held)
+        if root is None:
+            chains = {**self._chains, **dict(held)}
+            root = self._roots[held] = hash_fields(
+                "state-root", tuple(sorted(chains.items()))
+            )
+        return root
 
 
 # -- per-(block, engine) records ----------------------------------------------
@@ -342,53 +417,32 @@ class ReplayResult:
 # -- worker-side replay -------------------------------------------------------
 
 
-class _EngineStats:
-    __slots__ = ("scheduled", "aborted", "retried", "commits")
-
-    def __init__(self) -> None:
-        self.scheduled = 0
-        self.aborted = 0
-        self.retried = 0
-        self.commits: list[tuple[float, int, str]] = []
-
-
 def _block_records(
     block: ReplayBlock,
     engines: Sequence[str],
-    reports: Mapping[str, ExecutionReport],
-    rows: Sequence[EventRow],
+    reports: Sequence[ExecutionReport],
 ) -> list[BlockReplay]:
-    """Reduce one block's event rows to per-engine replay records."""
+    """One record per engine, from the value its run handed back.
+
+    ``scheduled`` is the report's task count, ``aborted`` / ``retried``
+    its aborts and re-executions, and the commit order its commit
+    stream sorted by clock with block position breaking ties — what
+    the ``schedule`` / ``abort`` / ``retry`` / ``commit`` rows of the
+    same run reduce to (``tests/execution/test_replay_values.py`` holds
+    the two together).  The engines share one :class:`_BlockFold`,
+    dropped on return.
+    """
     position = {task.tx_hash: i for i, task in enumerate(block.tasks)}
-    writes = {
-        task.tx_hash: tuple(sorted(task.writes)) for task in block.tasks
-    }
+    unknown = len(block.tasks)
     receipt_root = receipts_root(block.payload)
-    # Write-chain links hashed so far, shared by this block's engines
-    # and dropped with this call: all correct engines agree on them.
-    links: dict[tuple[str, str, str], str] = {}
-    stats = {engine: _EngineStats() for engine in engines}
-    unknown = len(position)
-    for executor, _block, _round, kind, task, _lane, clock, _cost in rows:
-        bucket = stats.get(executor)
-        if bucket is None:
-            continue
-        if kind == "schedule":
-            bucket.scheduled += 1
-        elif kind == "abort":
-            bucket.aborted += 1
-        elif kind == "retry":
-            bucket.retried += 1
-        elif kind == "commit":
-            bucket.commits.append(
-                (clock, position.get(task, unknown), task)
-            )
+    fold = _BlockFold(block.tasks)
     records: list[BlockReplay] = []
-    for engine in engines:
-        bucket = stats[engine]
-        bucket.commits.sort()
-        order = tuple(task for _clock, _pos, task in bucket.commits)
-        report = reports[engine]
+    for engine, report in zip(engines, reports):
+        commits = sorted(
+            (clock, position.get(tx_hash, unknown), tx_hash)
+            for clock, tx_hash in report.commits
+        )
+        order = tuple(tx_hash for _clock, _index, tx_hash in commits)
         records.append(BlockReplay(
             height=block.height,
             engine=engine,
@@ -398,43 +452,47 @@ def _block_records(
             aborts=report.aborts,
             reexecuted=report.reexecuted,
             rounds=report.rounds,
-            scheduled=bucket.scheduled,
-            aborted=bucket.aborted,
-            retried=bucket.retried,
+            scheduled=report.num_tasks,
+            aborted=report.aborts,
+            retried=report.reexecuted,
             committed=len(order),
             commit_order=order,
-            state_root=_fold_root(order, writes, links),
+            state_root=fold.root(
+                order, [index for _clock, index, _hash in commits]
+            ),
             receipt_root=receipt_root,
         ))
     return records
 
 
-def _replay_scoped(
+def _replay_block(
     data_model: str,
     block: ReplayBlock,
     engines: Sequence[str],
     cores: int,
     registry: MetricsRegistry,
-) -> tuple[dict[str, ExecutionReport], FlightRecorder]:
-    """Replay one block through *engines* under a private recorder.
+    recorder: FlightRecorder,
+) -> list[BlockReplay]:
+    """Replay one block through *engines*; one record per engine.
 
-    The recorder is fresh per block (and per thread, via
+    The engines run under a private scope (per thread, via
     :func:`repro.obs.scoped`), so concurrent chunks on the thread
-    backend cannot interleave events, the row stream for a block is
-    identical no matter which worker replayed it, and a node's
-    validators never touch the global traces (NOOP tracer/lifecycle).
+    backend cannot interleave events and a node's validators never
+    touch the global traces (NOOP tracer/lifecycle); *recorder* keeps
+    whatever rows they defer, for the caller to expand or not.  They
+    share one :class:`BlockConflicts`, dropped on return.
     """
-    recorder = FlightRecorder()
     scope = ObservabilityState(
         registry=registry, tracer=NOOP_TRACER, recorder=recorder,
         lifecycle=NOOP_LIFECYCLE,
     )
+    conflicts = BlockConflicts(block)
     with obs.scoped(scope), recorder.block(block.height):
-        reports = {
-            engine: run_engine(engine, data_model, block, cores)
+        reports = [
+            run_engine(engine, data_model, block, cores, conflicts)
             for engine in engines
-        }
-    return reports, recorder
+        ]
+    return _block_records(block, engines, reports)
 
 
 def replay_single_block(
@@ -444,14 +502,17 @@ def replay_single_block(
     cores: int,
     *,
     registry: MetricsRegistry | None = None,
-) -> tuple[BlockReplay, tuple]:
-    """Replay one block through one engine; return record + events.
+) -> tuple[BlockReplay, FlightRecorder]:
+    """Replay one block through one engine; return record + recorder.
 
     The node runtime's validation path calls this once per received
     block: same private-scope contract as a fanned-out chunk, but it
     returns the single :class:`BlockReplay` together with the block's
-    :class:`~repro.obs.timeline.TimelineEvent` stream so the caller
-    can stitch lifecycle traces or profile lane utilization itself.
+    own :class:`~repro.obs.timeline.FlightRecorder`.  The recorder
+    holds the run's rows deferred; a caller that stitches lifecycle
+    traces or profiles lane utilization reads ``recorder.events()``
+    and pays for the expansion then, a caller that does not pays
+    nothing.
 
     Raises:
         ValueError: unknown data model / engine, or cores < 1.
@@ -463,15 +524,12 @@ def replay_single_block(
         )
     validate_engines((engine,))
     require(cores)
-    reports, recorder = _replay_scoped(
+    recorder = FlightRecorder()
+    (record,) = _replay_block(
         data_model, block, (engine,), cores,
-        registry if registry is not None else NOOP_REGISTRY,
+        registry if registry is not None else NOOP_REGISTRY, recorder,
     )
-    events = tuple(recorder.events(block=block.height))
-    record = _block_records(
-        block, (engine,), reports, recorder.dump_rows()
-    )[0]
-    return record, events
+    return record, recorder
 
 
 def replay_chunk(
@@ -485,30 +543,27 @@ def replay_chunk(
     *params* is ``(data_model, engines, cores)``.  Returns ``(records,
     elapsed seconds, registry dump, recorder rows)`` — the last two
     ``None`` unless *record_obs* (falsy, or the parent registry's
-    policy string) asked for them; digests are carried by the records
-    themselves either way.  Pure in *chunk*.
+    policy string) asked for them, and only then is a row built;
+    digests are carried by the records themselves either way.  Pure in
+    *chunk*.
     """
     data_model, engines, cores = params
     if record_obs:
         policy = record_obs if isinstance(record_obs, str) else "exact"
         registry = MetricsRegistry(policy=policy)
+        recorder = FlightRecorder()
     else:
         registry = NOOP_REGISTRY
-    all_rows: list[EventRow] = []
+        recorder = NOOP_RECORDER
     records: list[BlockReplay] = []
     started = time.perf_counter()
     for block in chunk:
-        reports, recorder = _replay_scoped(
-            data_model, block, engines, cores, registry
-        )
-        rows = recorder.dump_rows()
-        records.extend(_block_records(block, engines, reports, rows))
-        if record_obs:
-            all_rows.extend(rows)
+        records.extend(_replay_block(
+            data_model, block, engines, cores, registry, recorder
+        ))
+    rows = recorder.dump_rows() if record_obs else None
     elapsed = time.perf_counter() - started
-    if record_obs:
-        return records, elapsed, registry.dump(), all_rows
-    return records, elapsed, None, None
+    return records, elapsed, registry.dump() if record_obs else None, rows
 
 
 # -- the fan-out --------------------------------------------------------------

@@ -7,8 +7,9 @@ the block's static predictions next to its task list
 (:data:`PREDICTION_ENGINES`), the engines Eq. 2 binds
 (:data:`EQ2_STRICT_EXECUTORS`) — is derived from it, so a new engine is
 one new row.  They do not all eat the same input: ``dag`` builds a
-dependency DAG from the block's raw payload, the prediction engines
-take predictions, and the rest take the task list alone.  That
+dependency DAG from the block's raw payload, the two schedules take
+the task list with the groups their information source yields
+(:class:`BlockConflicts`), and the rest take the task list alone.  That
 three-way split is decided here, in :func:`run_engine`, and nowhere
 else — the replay fan-out, the node's validation path, the regress
 snapshot, the lifecycle pipeline and the CLI all hand it a block and
@@ -17,10 +18,17 @@ an engine name.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from repro.execution.dag import account_dag, run_dag, utxo_dag
-from repro.execution.engine import ExecutionReport, SequentialExecutor
+from repro.execution.engine import (
+    ExecutionReport,
+    SequentialExecutor,
+    TxTask,
+    conflict_groups,
+    predicted_groups,
+)
 from repro.execution.grouped import GroupedExecutor, StaticGroupedExecutor
 from repro.execution.occ import OCCExecutor
 from repro.execution.speculative import (
@@ -122,14 +130,51 @@ def make_executor(name: str, cores: int, predictions: Mapping | None = None):
     return spec.build(cores)
 
 
+class BlockConflicts:
+    """One block's conflict information, each partition built at most
+    once: the two sources of :data:`ENGINE_SPECS`' ``information``
+    column, as groups of tasks.
+
+    An instance serves the engines of ONE replay of one block and goes
+    with it.  Engines that share it share the partitions; the groups
+    are read, never mutated, by the schedules.
+    """
+
+    def __init__(self, block: "ReplayBlock") -> None:
+        self._block = block
+
+    @cached_property
+    def oracle(self) -> list[list[TxTask]]:
+        """The runtime partition (:func:`conflict_groups`)."""
+        return conflict_groups(self._block.tasks)
+
+    @cached_property
+    def predicted(self) -> list[list[TxTask]]:
+        """The partition of the block's static predictions."""
+        predictions = {
+            prediction.tx_hash: prediction
+            for prediction in self._block.predictions
+        }
+        return predicted_groups(predictions, self._block.tasks)
+
+
 def run_engine(
-    engine: str, data_model: str, block: "ReplayBlock", cores: int
+    engine: str,
+    data_model: str,
+    block: "ReplayBlock",
+    cores: int,
+    conflicts: BlockConflicts | None = None,
 ) -> ExecutionReport:
     """Run *block* through *engine* on *cores* simulated cores.
 
     Flight-recorder events and ``exec.*`` metrics land wherever the
     caller's observability scope points; the caller also owns the
-    ``recorder.block(height)`` bracket.
+    ``recorder.block(height)`` bracket.  A caller running several
+    engines over the block passes them one :class:`BlockConflicts`, so
+    the oracle partition is built once for ``speculative`` (whose wave,
+    the whole block, is validated against it), ``speculative-informed``
+    and ``grouped``, and the predicted one once for the two static
+    engines.
     """
     if engine == "dag":
         dag = (
@@ -137,16 +182,20 @@ def run_engine(
             else account_dag(block.payload)
         )
         return run_dag(dag, cores)
-    predictions = None
-    if engine in PREDICTION_ENGINES:
-        predictions = {
-            prediction.tx_hash: prediction
-            for prediction in block.predictions
-        }
-    return make_executor(engine, cores, predictions).run(block.tasks)
+    executor = make_executor(engine, cores)
+    if ENGINE_SPECS[engine].schedule not in ("two-phase", "chain"):
+        return executor.run(block.tasks)
+    if conflicts is None:
+        conflicts = BlockConflicts(block)
+    groups = (
+        conflicts.predicted if engine in PREDICTION_ENGINES
+        else conflicts.oracle
+    )
+    return executor.run(block.tasks, groups=groups)
 
 
 __all__ = [
+    "BlockConflicts",
     "ENGINES",
     "ENGINE_SPECS",
     "EQ2_STRICT_EXECUTORS",

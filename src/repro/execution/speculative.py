@@ -42,6 +42,8 @@ from repro.execution.engine import (
     finish_run,
     predicted_groups,
     require,
+    sequential_commits,
+    wave_commits,
 )
 from repro.execution.simulator import CoreSimulator
 from repro.obs.timeline import sequential_rows, wave_rows
@@ -70,21 +72,23 @@ def split_conflicted(
 def two_phase(
     name: str, cores: int, tasks: Sequence[TxTask],
     groups: Sequence[Sequence[TxTask]], cost: float, *, exact: bool,
+    wave_groups: Sequence[Sequence[TxTask]] | None = None,
 ) -> tuple[ExecutionReport, int]:
     """Run *tasks* through the two phases; return (report, bin size).
 
     Members of a group larger than one are binned up front.  After the
     charge K (*cost*) the rest run as one parallel wave.  Unless the
     groups are the runtime partition itself (*exact*), the wave is
-    validated against the runtime conflict relation: sound groups make
-    that a no-op, it only charges work for a true conflict that slipped
-    through the bin.  The bin, and behind it the wave's aborts, then
-    run once each on lane 0 in block order.  Wall time is
+    validated against the runtime conflict relation — *wave_groups*
+    when the caller already has the wave's runtime groups: sound groups
+    make that a no-op, it only charges work for a true conflict that
+    slipped through the bin.  The bin, and behind it the wave's aborts,
+    then run once each on lane 0 in block order.  Wall time is
     ``K + wave + (bin + retries)``.
     """
     wave, binned = split_conflicted(tasks, groups)
     run = CoreSimulator(cores).run_wave(wave)
-    aborted = [] if exact else split_conflicted(wave)[1]
+    aborted = [] if exact else split_conflicted(wave, wave_groups)[1]
     bin_time = sum(task.cost for task in binned)
     retry_time = sum(task.cost for task in aborted)
     # The wave after K, its aborts stamped at their finish; then lane 0:
@@ -99,6 +103,9 @@ def two_phase(
         recorder, name, aborted, offset=bin_offset + bin_time,
         round_index=1, retry=True,
     )
+    commits = wave_commits(run, aborted, cost)
+    commits += sequential_commits(binned, bin_offset)
+    commits += sequential_commits(aborted, bin_offset + bin_time)
     report = ExecutionReport(
         executor=name,
         cores=cores,
@@ -108,6 +115,7 @@ def two_phase(
         reexecuted=len(aborted),
         aborts=len(aborted),
         rounds=2,
+        commits=tuple(commits),
     )
     return report, len(binned)
 
@@ -122,17 +130,29 @@ class SpeculativeExecutor:
     def __post_init__(self) -> None:
         require(self.cores)
 
-    def run(self, tasks: Sequence[TxTask]) -> ExecutionReport:
-        """Run both phases; wall time = parallel phase + sequential bin."""
+    def run(
+        self,
+        tasks: Sequence[TxTask],
+        *,
+        groups: Sequence[Sequence[TxTask]] | None = None,
+    ) -> ExecutionReport:
+        """Run both phases; wall time = parallel phase + sequential bin.
+
+        The engine schedules knowing nothing; *groups*, the runtime
+        conflict groups of *tasks* when the caller already has them,
+        only spare the validation of its wave (the whole block) a
+        partition of its own.
+        """
         if not tasks:
             return finish_run(self.name, self.cores)
         with obs.trace_span(
             "exec.speculative.run", cores=self.cores
         ) as span:
             report, _binned = two_phase(
-                self.name, self.cores, tasks, (), 0.0, exact=False
+                self.name, self.cores, tasks, (), 0.0, exact=False,
+                wave_groups=groups,
             )
-            if obs.enabled():
+            if obs.measuring():
                 span.set(tasks=len(tasks), reexecuted=report.reexecuted)
                 obs.counter("exec.speculative.reexecuted").inc(
                     report.reexecuted
@@ -161,18 +181,29 @@ class InformedSpeculativeExecutor:
     def __post_init__(self) -> None:
         require(self.cores, preprocessing_cost=self.preprocessing_cost)
 
-    def run(self, tasks: Sequence[TxTask]) -> ExecutionReport:
-        """Parallel phase over unconflicted txs only; bin runs once."""
+    def run(
+        self,
+        tasks: Sequence[TxTask],
+        *,
+        groups: Sequence[Sequence[TxTask]] | None = None,
+    ) -> ExecutionReport:
+        """Parallel phase over unconflicted txs only; bin runs once.
+
+        *groups* are the runtime conflict groups of *tasks* when the
+        caller already has them; the oracle derives them otherwise.
+        """
         if not tasks:
             return finish_run(self.name, self.cores)
         with obs.trace_span(
             "exec.speculative-informed.run", cores=self.cores
         ) as span:
+            if groups is None:
+                groups = conflict_groups(tasks)
             report, binned = two_phase(
-                self.name, self.cores, tasks, conflict_groups(tasks),
+                self.name, self.cores, tasks, groups,
                 self.preprocessing_cost, exact=True,
             )
-            if obs.enabled():
+            if obs.measuring():
                 span.set(tasks=len(tasks), binned=binned)
                 obs.counter("exec.speculative-informed.binned").inc(binned)
         return finish_run(self.name, self.cores, report)
@@ -198,19 +229,29 @@ class StaticInformedExecutor:
     def __post_init__(self) -> None:
         require(self.cores, preprocessing_cost=self.preprocessing_cost)
 
-    def run(self, tasks: Sequence[TxTask]) -> ExecutionReport:
-        """Parallel phase over predicted-clean txs; bin runs in order."""
+    def run(
+        self,
+        tasks: Sequence[TxTask],
+        *,
+        groups: Sequence[Sequence[TxTask]] | None = None,
+    ) -> ExecutionReport:
+        """Parallel phase over predicted-clean txs; bin runs in order.
+
+        *groups* are the predicted groups of *tasks* when the caller
+        already has them; ``predictions`` yield them otherwise.
+        """
         if not tasks:
             return finish_run(self.name, self.cores)
         with obs.trace_span(
             "exec.static-informed.run", cores=self.cores
         ) as span:
+            if groups is None:
+                groups = predicted_groups(self.predictions, tasks)
             report, binned = two_phase(
-                self.name, self.cores, tasks,
-                predicted_groups(self.predictions, tasks),
+                self.name, self.cores, tasks, groups,
                 self.preprocessing_cost, exact=False,
             )
-            if obs.enabled():
+            if obs.measuring():
                 span.set(
                     tasks=len(tasks), binned=binned, aborts=report.aborts
                 )

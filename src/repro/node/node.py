@@ -62,6 +62,7 @@ from repro.node.transport import Frame, MalformedFrame
 from repro.obs.critical_path import profile_events
 from repro.obs.lifecycle import stitch_execution_events
 from repro.obs.monitor import BlockSample
+from repro.obs.timeline import FlightRecorder
 
 SHUTDOWN = object()
 
@@ -497,7 +498,7 @@ class Node:
 
     def _execute(
         self, height: int, ntxs: tuple[NodeTx, ...]
-    ) -> tuple[BlockReplay, tuple]:
+    ) -> tuple[BlockReplay, FlightRecorder]:
         replay_input = ReplayBlock(
             height=height,
             tasks=tuple(ntx.task for ntx in ntxs),
@@ -508,7 +509,7 @@ class Node:
             ),
         )
         started = time.perf_counter()
-        record, events = replay_single_block(
+        record, recorder = replay_single_block(
             self.config.data_model, replay_input,
             self.config.engine, self.config.cores,
         )
@@ -517,7 +518,7 @@ class Node:
         if obs.enabled():
             obs.histogram("node.execute.wall").observe(wall)
             obs.counter("node.execute.blocks").inc()
-        return record, events
+        return record, recorder
 
     async def _ingest_block(
         self,
@@ -543,7 +544,7 @@ class Node:
                 )
             return
         ntxs = self._executable(block.transactions)
-        replay, events = self._execute(block.height, ntxs)
+        replay, recorder = self._execute(block.height, ntxs)
         claimed = block.header.extra
         if claimed and replay.state_root != claimed:
             self.diverged = True
@@ -560,7 +561,7 @@ class Node:
         if block_hash in self.forkchoice.tree or not self.running:
             return
         self._admit(
-            block, replay, events,
+            block, replay, recorder,
             relay=relay, exclude=src, stitched=False,
         )
         await self._drain_orphans(block_hash)
@@ -578,7 +579,7 @@ class Node:
         self,
         block: Block[NodeTx],
         replay: BlockReplay,
-        events: tuple,
+        recorder: FlightRecorder,
         *,
         relay: Frame | None,
         exclude: str | None,
@@ -609,7 +610,7 @@ class Node:
             and reorg is not None
             and reorg.new_head == block_hash
         ):
-            self._emit_sample(block, replay, events)
+            self._emit_sample(block, replay, recorder)
         if relay is not None:
             self._relay(relay, exclude=exclude)
 
@@ -637,7 +638,10 @@ class Node:
             obs.gauge("node.height").set(self.height)
 
     def _emit_sample(
-        self, block: Block[NodeTx], replay: BlockReplay, events: tuple
+        self,
+        block: Block[NodeTx],
+        replay: BlockReplay,
+        recorder: FlightRecorder,
     ) -> None:
         now = self.runtime.now()
         life = obs.lifecycle()
@@ -649,6 +653,9 @@ class Node:
                     continue
                 for stage, wait in trace.stage_latencies():
                     stage_latencies.setdefault(stage, []).append(wait)
+        # The one read of a validated block's rows: they are expanded
+        # here, for a block that became the head with a listener on it.
+        events = recorder.events()
         utilization = (
             profile_events(events).mean_utilization if events else 0.0
         )
@@ -754,10 +761,10 @@ class Node:
                     block=height, mechanism=self.config.consensus,
                     node=self.node_id,
                 )
-        replay, events = self._execute(height, self._executable(ntxs))
+        replay, recorder = self._execute(height, self._executable(ntxs))
         if life.enabled:
             stitch_execution_events(
-                life, events,
+                life, recorder.events(),
                 at=life.clock,
                 cost_unit_seconds=self.config.cost_unit_seconds,
             )
@@ -776,7 +783,7 @@ class Node:
         if obs.enabled():
             obs.counter("node.blocks.proposed").inc()
         self._admit(
-            block, replay, events,
+            block, replay, recorder,
             relay=self._block_frame(block), exclude=None, stitched=True,
         )
         return block

@@ -107,6 +107,7 @@ __all__ = [
     "install",
     "instrumented",
     "lifecycle",
+    "measuring",
     "scoped",
     "trace_span",
     "uninstall",
@@ -172,12 +173,27 @@ def _current() -> ObservabilityState:
 
 
 def enabled() -> bool:
-    """True when a recording registry or tracer is installed.
+    """True when anything records: registry, tracer, flight recorder or
+    lifecycle tracer.
 
     Hot paths use this to guard instrumentation that would otherwise
-    compute something (an extra pass, a division) even when disabled.
+    compute something (an extra pass, a division) even when disabled;
+    see :func:`measuring` for work only a metric or a span reads.
     """
     return _current().enabled
+
+
+def measuring() -> bool:
+    """True when a recording registry or tracer is installed.
+
+    The guard for work that only feeds a metric or a span attribute.
+    :func:`enabled` is also true for a flight recorder or a lifecycle
+    tracer alone — the state a node's per-block replay runs under —
+    where such work would be computed for the no-op registry; recorder
+    work is guarded on ``get_recorder().enabled`` instead.
+    """
+    state = _current()
+    return state.registry.enabled or state.tracer.enabled
 
 
 def get_registry() -> MetricsRegistry:

@@ -26,19 +26,26 @@ schedule itself as a stream of structured events::
   where it adds nothing).
 
 Like the metrics registry and the span tracer, the recorder hangs off
-the process-global observability state behind the ``obs.enabled()``
-no-op guard: the default :data:`NOOP_RECORDER` drops everything, so the
-instrumented executors cost one attribute check when recording is off.
-When recording is *on*, the hot path stays cheap by deferring: the
-per-phase helpers (:func:`wave_rows` and friends) don't build per-task
-tuples at run time — they enqueue one closure per phase capturing the
-immutable task list and simulated run, and the closure expands into
-event rows lazily on first read (:meth:`FlightRecorder.events`).  An
-executor therefore pays O(phases), not O(tasks), while executing —
-that is what keeps the enabled-recorder overhead on a full executor
-replay under the 10% budget enforced by
-``benchmarks/bench_exec_timeline.py``; the expansion cost lands on the
-reader (exporter, profiler), off the measured path.
+the process-global observability state: the default
+:data:`NOOP_RECORDER` drops everything, so the instrumented executors
+cost one attribute check when recording is off.  When recording is
+*on*, the hot path stays cheap by deferring: the per-phase helpers
+(:func:`wave_rows` and friends) don't build per-task tuples at run
+time — they enqueue one closure per phase capturing the immutable task
+list and simulated run, and the closure expands into event rows lazily
+on first read (:meth:`FlightRecorder.events`,
+:meth:`FlightRecorder.dump_rows`).  An executor therefore pays
+O(phases), not O(tasks), while executing; the expansion cost lands on
+whoever reads — an exporter, the profiler, ``repro.cli timeline`` /
+``regress``, an instrumented replay chunk shipping its rows to the
+parent, a node sampling the block that became its head.  Nothing else
+reads: the replay builds its records from the values the engines
+return (:attr:`repro.execution.engine.ExecutionReport.commits`), so a
+recorder nobody asks is a list of closures that is dropped unexpanded.
+What an enabled recorder costs a whole run is measured, not budgeted
+here: ``obs.enabled_overhead_ratio`` in the end-to-end ledger
+(``benchmarks/e2e``) and the enabled-vs-no-op figure of
+``benchmarks/bench_exec_timeline.py``.
 
 Downstream consumers: :mod:`repro.obs.critical_path` recomputes
 makespans, lane utilization and the empirical critical path from the
@@ -169,7 +176,7 @@ class FlightRecorder:
         helpers capture their (immutable) task lists and simulated runs
         in a closure here instead of building per-task tuples while the
         clock is running.  A single ``list.append`` — no lock, no cache
-        invalidation — which is what the overhead bench measures.
+        invalidation.
         """
         self._entries.append(thunk)
 

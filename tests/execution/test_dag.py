@@ -41,6 +41,34 @@ class TestDependencyDAG:
         dag.add_edge("second", "first")  # reversed input is corrected
         assert "second" in dag.successors["first"]
 
+    def test_orientation_follows_positions_as_tasks_and_edges_interleave(
+        self,
+    ):
+        """Positions are kept as tasks arrive, not rebuilt per edge: an
+        edge named backwards is turned round whether its endpoints were
+        added before or after earlier edges."""
+        dag = DependencyDAG()
+        dag.add_task("a")
+        dag.add_task("b")
+        dag.add_edge("b", "a")
+        dag.add_task("c")
+        dag.add_edge("c", "a")
+        dag.add_task("d")
+        dag.add_edge("d", "b")
+        dag.add_edge("c", "d")
+        assert dag.successors == {
+            "a": {"b", "c"}, "b": {"d"}, "c": {"d"}, "d": set(),
+        }
+        assert dag.predecessors == {
+            "a": set(), "b": {"a"}, "c": {"a"}, "d": {"b", "c"},
+        }
+        assert dag.position == {"a": 0, "b": 1, "c": 2, "d": 3}
+        # Block order stays a topological order: the schedule is sound.
+        assert dag.critical_path() == 3.0
+        assert dag.schedule(2).finish_times == {
+            "a": 1.0, "b": 2.0, "c": 2.0, "d": 3.0,
+        }
+
     def test_critical_path_chain(self):
         dag = DependencyDAG()
         for name in "abc":

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
@@ -44,8 +45,13 @@ def sha256_json(value) -> str:
     ).hexdigest()
 
 
-def replay_golden(**replay_kwargs) -> dict[str, tuple[ReplayResult, list]]:
-    """Replay the golden chains; ``chain -> (result, recorder rows)``."""
+def replay_golden(
+    instrumented: bool = True, **replay_kwargs
+) -> dict[str, tuple[ReplayResult, list]]:
+    """Replay the golden chains; ``chain -> (result, recorder rows)``.
+
+    Uninstrumented, nothing records and the rows come back empty.
+    """
     out = {}
     for name, args in GOLDEN_CHAINS:
         profile = PROFILES_BY_NAME[name]
@@ -53,12 +59,12 @@ def replay_golden(**replay_kwargs) -> dict[str, tuple[ReplayResult, list]]:
             profile, blocks=args["num_blocks"], seed=args["seed"],
             scale=args["scale"],
         )
-        with obs.instrumented() as state:
+        with obs.instrumented() if instrumented else nullcontext() as state:
             result = replay_chain(
                 inputs, data_model=profile.data_model, engines=ENGINES,
                 **replay_kwargs,
             )
-            rows = state.recorder.dump_rows()
+            rows = state.recorder.dump_rows() if instrumented else []
         out[name] = (result, rows)
     return out
 
@@ -103,6 +109,23 @@ class TestGoldenReplay:
         """Under the CI spawn shard this crosses the shm transport."""
         replays = replay_golden(backend="process", jobs=2, chunk_size=3)
         assert render_digest(replays) == GOLDEN_PATH.read_text()
+
+    def test_uninstrumented_replay_builds_the_same_records(self):
+        """Records do not depend on anything recording: with nobody to
+        read a row, every ``records`` hash and state root is still the
+        fixture's (the ``rows`` hashes are then those of no rows)."""
+        assert not obs.enabled()
+        replays = replay_golden(instrumented=False, backend="serial")
+        assert all(rows == [] for _result, rows in replays.values())
+        rendered = json.loads(render_digest(replays))
+        fixture = json.loads(GOLDEN_PATH.read_text())
+        for name in CHAIN_NAMES:
+            for engine in ENGINES:
+                for key in ("records", "state_root"):
+                    assert (
+                        rendered[name][engine][key]
+                        == fixture[name][engine][key]
+                    ), (name, engine, key)
 
     def test_fixture_is_nontrivial(self, serial_replays):
         payload = json.loads(GOLDEN_PATH.read_text())

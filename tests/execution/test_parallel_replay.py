@@ -201,25 +201,25 @@ def records_for_orders(tasks, orders):
     """``_block_records`` for engines that committed in *orders*."""
     block = ReplayBlock(height=7, tasks=tuple(tasks), payload=())
     engines = ENGINES[:len(orders)]
-    rows = [
-        (engine, 7, 0, "commit", tx_hash, 0, float(clock), 1.0)
-        for engine, order in zip(engines, orders)
-        for clock, tx_hash in enumerate(order)
-    ]
-    reports = {
-        engine: ExecutionReport(
+    reports = [
+        ExecutionReport(
             executor=engine, cores=4, wall_time=1.0,
             total_work=float(len(tasks)), num_tasks=len(tasks),
+            commits=tuple(
+                (float(clock), tx_hash)
+                for clock, tx_hash in enumerate(order)
+            ),
         )
-        for engine in engines
-    }
-    return parallel_replay._block_records(block, engines, reports, rows)
+        for engine, order in zip(engines, orders)
+    ]
+    return parallel_replay._block_records(block, engines, reports)
 
 
 @st.composite
 def tasks_and_orders(draw):
-    """A block of writers over few locations, and one commit order
-    (any permutation, serializable or not) per engine."""
+    """A block of writers over few locations, and one commit order per
+    engine: any permutation, serializable or not, and now and then one
+    that leaves tasks out, commits some twice or commits a stranger."""
     count = draw(st.integers(min_value=0, max_value=8))
     tasks = [
         TxTask(
@@ -229,17 +229,23 @@ def tasks_and_orders(draw):
         for index in range(count)
     ]
     hashes = [task.tx_hash for task in tasks]
-    orders = [
-        tuple(draw(st.permutations(hashes))) for _ in range(len(ENGINES))
-    ]
+    orders = []
+    for _ in range(len(ENGINES)):
+        if draw(st.integers(min_value=0, max_value=3)):
+            orders.append(tuple(draw(st.permutations(hashes))))
+        else:
+            orders.append(tuple(draw(st.lists(
+                st.sampled_from(hashes + ["stranger"]), max_size=count + 2,
+            ))))
     return tasks, orders
 
 
 class TestSharedFold:
-    """One block's engines share each write-chain link they agree on;
-    the shared links must never make two different orders look alike."""
+    """One block's engines share one per-location fold; it must give
+    every order, whole or partial or repeating, the root the public
+    ``state_root`` gives it alone."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(drawn=tasks_and_orders())
     def test_each_root_equals_the_root_computed_alone(self, drawn):
         tasks, orders = drawn
@@ -249,6 +255,48 @@ class TestSharedFold:
         assert [record.state_root for record in records] == [
             state_root(order, writes) for order in orders
         ]
+
+    def test_a_block_repeating_a_hash_takes_the_general_fold(self):
+        tasks = [
+            TxTask("a", writes=frozenset({"x"})),
+            TxTask("b", writes=frozenset({"x", "y"})),
+            TxTask("a", writes=frozenset({"y"})),
+        ]
+        writes = {"a": ("y",), "b": ("x", "y")}
+        orders = [("a", "b"), ("b", "a"), ("a", "b", "a")]
+        records = records_for_orders(tasks, orders)
+        assert [record.state_root for record in records] == [
+            state_root(order, writes) for order in orders
+        ]
+
+    def test_reordered_chains_and_roots_are_memoised_per_block(
+        self, monkeypatch
+    ):
+        """Two engines that reorder the same location the same way
+        cost one re-fold of that location and one root between them."""
+        tasks = [
+            TxTask("a", writes=frozenset({"x", "y"})),
+            TxTask("b", writes=frozenset({"x"})),
+            TxTask("c", writes=frozenset({"y", "z"})),
+        ]
+        calls = []
+        real = parallel_replay.hash_fields
+
+        def counted(*fields):
+            calls.append(fields[0])
+            return real(*fields)
+
+        monkeypatch.setattr(parallel_replay, "hash_fields", counted)
+        records = records_for_orders(tasks, [
+            ("a", "b", "c"), ("b", "a", "c"), ("b", "c", "a"),
+            ("a", "c", "b"), ("b", "a", "c"),
+        ])
+        roots = [record.state_root for record in records]
+        assert roots[0] == roots[3] != roots[1] == roots[4] != roots[2]
+        # 5 links in block order; x re-folded as (b, a) once, y as
+        # (c, a) once; three classes of order, three roots.
+        assert calls.count("write") == 5 + 2 + 2
+        assert calls.count("state-root") == 3
 
     def test_a_disagreeing_engine_keeps_its_own_root(self):
         tasks = [
@@ -284,8 +332,8 @@ class TestSharedFold:
         assert len(calls) <= links + len(ENGINES) + len(block.payload) + 1
 
     def test_thread_backend_matches_serial(self, tiny_inputs):
-        """The link dictionary lives in one ``_block_records`` call, so
-        concurrent chunks have nothing to share or to race on."""
+        """The fold lives in one ``_block_records`` call, so concurrent
+        chunks have nothing to share or to race on."""
         serial = replay_chain(tiny_inputs, data_model="utxo", backend="serial")
         threaded = replay_chain(
             tiny_inputs, data_model="utxo", backend="thread", jobs=4,
