@@ -128,9 +128,6 @@ class AccountWorkloadBuilder:
         self.registry = CodeRegistry()
         self.vm = VM(self.registry)
         self.ledger = Ledger()
-        self._user_sampler = ZipfSampler.create(
-            max_users, self.profile.user_zipf_exponent
-        )
         self._exchange_sampler = ZipfSampler.create(
             max(1, self.profile.num_exchanges),
             self.profile.exchange_zipf_exponent,
@@ -291,7 +288,8 @@ class AccountWorkloadBuilder:
 
     def _zipf_user(self, era) -> str:
         """A busy-head-biased user, restricted to the era's active base."""
-        rank = self._user_sampler.sample(self.rng) % self._active_users(era)
+        sampler = self.population.user_sampler
+        rank = sampler.sample(self.rng) % self._active_users(era)
         return self.population.users[rank].address
 
     def _uniform_user(self, era) -> str:

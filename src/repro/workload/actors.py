@@ -11,8 +11,10 @@ by the profiles.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum, unique
+from typing import overload
 
 from repro.chain.hashing import address_from_seed
 from repro.workload.zipf import ZipfSampler
@@ -43,6 +45,53 @@ class Actor:
         )
 
 
+class UserSequence(Sequence[Actor]):
+    """A chain's user base, addressed by rank and never materialised.
+
+    Behaves as the list ``[Actor.create(USER, f"user{i}", chain=chain)
+    for i in range(count)]`` does, but derives each actor when it is
+    indexed: a profile names up to half a million users and a generated
+    chain touches a few per transaction, so what a build pays for its
+    users follows the transactions it makes, not the profile's size.
+    """
+
+    def __init__(self, chain: str, count: int) -> None:
+        self.chain = chain
+        self._ranks = range(count)
+
+    def __len__(self) -> int:
+        return len(self._ranks)
+
+    @overload
+    def __getitem__(self, index: int) -> Actor: ...
+    @overload
+    def __getitem__(self, index: slice) -> list[Actor]: ...
+
+    def __getitem__(self, index):
+        # The ``range`` normalises negative indexes, resolves slices and
+        # raises IndexError as a list would.
+        if isinstance(index, slice):
+            return [self._derive(rank) for rank in self._ranks[index]]
+        return self._derive(self._ranks[index])
+
+    def __iter__(self) -> Iterator[Actor]:
+        return map(self._derive, self._ranks)
+
+    def _derive(self, rank: int) -> Actor:
+        return Actor.create(ActorKind.USER, f"user{rank}", chain=self.chain)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UserSequence):
+            return NotImplemented
+        return (self.chain, self._ranks) == (other.chain, other._ranks)
+
+    def __repr__(self) -> str:
+        return (
+            f"UserSequence(kind={ActorKind.USER.value!r}, "
+            f"chain={self.chain!r}, count={len(self)})"
+        )
+
+
 @dataclass
 class ActorPopulation:
     """The actor mix of one chain at one point in its history.
@@ -55,18 +104,19 @@ class ActorPopulation:
     """
 
     chain: str
-    users: list[Actor]
+    users: Sequence[Actor]
     exchanges: list[Actor]
     pools: list[Actor]
     contracts: list[Actor] = field(default_factory=list)
     user_zipf_exponent: float = 0.8
-    _user_sampler: ZipfSampler | None = field(default=None, repr=False)
+    #: Zipf ranks over ``users``; the builders draw from this one table.
+    user_sampler: ZipfSampler = field(init=False, repr=False)
     _contract_sampler: ZipfSampler | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not self.users:
             raise ValueError("population needs at least one user")
-        self._user_sampler = ZipfSampler.create(
+        self.user_sampler = ZipfSampler.create(
             len(self.users), self.user_zipf_exponent
         )
         if self.contracts:
@@ -85,10 +135,7 @@ class ActorPopulation:
         user_zipf_exponent: float = 0.8,
     ) -> "ActorPopulation":
         """Create a deterministic population of the given shape."""
-        users = [
-            Actor.create(ActorKind.USER, f"user{index}", chain=chain)
-            for index in range(num_users)
-        ]
+        users = UserSequence(chain, num_users)
         exchanges = [
             Actor.create(ActorKind.EXCHANGE, f"exchange{index}", chain=chain)
             for index in range(num_exchanges)
@@ -114,8 +161,7 @@ class ActorPopulation:
 
     def sample_user(self, rng: random.Random) -> Actor:
         """A user, Zipf-weighted toward the busy head."""
-        assert self._user_sampler is not None
-        return self.users[self._user_sampler.sample(rng)]
+        return self.users[self.user_sampler.sample(rng)]
 
     def sample_uniform_user(self, rng: random.Random) -> Actor:
         """A user chosen uniformly (e.g. a fresh withdrawal target)."""

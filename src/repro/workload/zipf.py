@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 @dataclass(frozen=True)
@@ -42,11 +43,9 @@ class ZipfSampler:
             raise ValueError("exponent must be non-negative")
         weights = [1.0 / (rank + 1) ** exponent for rank in range(population)]
         total = sum(weights)
-        cumulative = 0.0
-        cdf = []
-        for weight in weights:
-            cumulative += weight / total
-            cdf.append(cumulative)
+        # Left-to-right running sum: the floats a ``cumulative += w / total``
+        # loop produces (its first step, ``0.0 + x``, is ``x``).
+        cdf = list(accumulate(weight / total for weight in weights))
         cdf[-1] = 1.0  # guard against float drift
         return ZipfSampler(
             population=population, exponent=exponent, _cdf=tuple(cdf)

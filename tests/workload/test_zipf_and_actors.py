@@ -10,7 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.workload.actors import Actor, ActorKind, ActorPopulation
+from repro.workload.profiles import ALL_PROFILES
 from repro.workload.zipf import ZipfSampler, truncated_geometric
+
+
+def _reference_cdf(population: int, exponent: float) -> tuple[float, ...]:
+    """The CDF loop ``ZipfSampler.create`` had before it was tightened."""
+    weights = [1.0 / (rank + 1) ** exponent for rank in range(population)]
+    total = sum(weights)
+    cumulative = 0.0
+    cdf = []
+    for weight in weights:
+        cumulative += weight / total
+        cdf.append(cumulative)
+    cdf[-1] = 1.0
+    return tuple(cdf)
 
 
 class TestZipfSampler:
@@ -48,6 +62,38 @@ class TestZipfSampler:
         sampler = ZipfSampler.create(5, 1.0)
         with pytest.raises(ValueError):
             sampler.probability_of(5)
+
+    @pytest.mark.parametrize(
+        "population, exponent",
+        sorted(
+            {
+                (max(era.num_users for era in profile.eras),
+                 profile.user_zipf_exponent)
+                for profile in ALL_PROFILES
+            }
+        ),
+    )
+    def test_cdf_is_the_reference_loop_bit_for_bit(self, population, exponent):
+        """Every profile's user table equals the two-pass loop it replaced.
+
+        Generated chains are pinned byte for byte, and one differing
+        float moves a sampled rank.
+        """
+        assert ZipfSampler.create(population, exponent)._cdf == _reference_cdf(
+            population, exponent
+        )
+
+    @given(
+        population=st.integers(min_value=1, max_value=200),
+        exponent=st.floats(min_value=0.0, max_value=3.0),
+    )
+    @settings(max_examples=100)
+    def test_cdf_is_the_reference_loop_on_small_tables(
+        self, population, exponent
+    ):
+        assert ZipfSampler.create(population, exponent)._cdf == _reference_cdf(
+            population, exponent
+        )
 
     @given(
         population=st.integers(min_value=1, max_value=200),
