@@ -102,25 +102,31 @@ def compute_block_metrics(
     the single rate is 0 while the group rate is 1/x (a lone transaction
     is its own LCC).  Property tests pin this down.
     """
+    num_conflicted = 0
+    lcc_size = 0
     total_weight = 0.0
     conflicted_weight = 0.0
     lcc_weight = 0.0
     for group in tdg.groups:
+        size = len(group)
         if weights is None:
-            group_weight = float(len(group))
+            group_weight = float(size)
         else:
             group_weight = sum(
                 [float(weights.get(tx_hash, 1.0)) for tx_hash in group]
             )
         total_weight += group_weight
-        if len(group) > 1:
+        if size > 1:
+            num_conflicted += size
             conflicted_weight += group_weight
+        if size > lcc_size:
+            lcc_size = size
         if group_weight > lcc_weight:
             lcc_weight = group_weight
     return BlockMetrics(
         num_transactions=tdg.num_transactions,
-        num_conflicted=tdg.num_conflicted,
-        lcc_size=tdg.lcc_size,
+        num_conflicted=num_conflicted,
+        lcc_size=lcc_size,
         total_weight=total_weight,
         conflicted_weight=conflicted_weight,
         lcc_weight=lcc_weight,

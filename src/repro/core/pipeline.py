@@ -121,7 +121,14 @@ def analyze_utxo_block(
 ) -> tuple[BlockRecord, TDGResult]:
     """Build the TDG and metrics for one UTXO block."""
     with obs.trace_span("pipeline.block", height=height, model="utxo"):
-        regular = [tx for tx in transactions if not tx.is_coinbase]
+        regular: list[UTXOTransaction] = []
+        num_input_txos = 0
+        size_bytes = 0
+        for tx in transactions:
+            size_bytes += tx.size_bytes
+            if not tx.is_coinbase:
+                regular.append(tx)
+                num_input_txos += len(tx.inputs)
         tdg = utxo_tdg(regular)
         with obs.trace_span("pipeline.metrics", height=height):
             metrics = compute_block_metrics(tdg)
@@ -130,8 +137,8 @@ def analyze_utxo_block(
             timestamp=timestamp,
             num_transactions=len(regular),
             metrics=metrics,
-            num_input_txos=sum(len(tx.inputs) for tx in regular),
-            size_bytes=float(sum(tx.size_bytes for tx in transactions)),
+            num_input_txos=num_input_txos,
+            size_bytes=float(size_bytes),
         )
     obs.counter("pipeline.blocks", model="utxo").inc()
     obs.counter("pipeline.transactions", model="utxo").inc(len(regular))

@@ -38,11 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro import obs
 from repro.account.receipts import ExecutedTransaction
-from repro.core.components import (
-    UnionFind,
-    build_adjacency,
-    connected_components_bfs,
-)
+from repro.core.components import UnionFind
 from repro.utxo.transaction import UTXOTransaction
 
 
@@ -65,7 +61,7 @@ class TDGResult:
     address_components: tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        grouped = sum(len(group) for group in self.groups)
+        grouped = sum(map(len, self.groups))
         if grouped != self.num_transactions:
             raise ValueError(
                 f"groups cover {grouped} transactions, expected "
@@ -101,20 +97,20 @@ def utxo_tdg(transactions: Sequence[UTXOTransaction]) -> TDGResult:
     """Build the TDG of a UTXO block from its transaction objects.
 
     An edge links the creator of a TXO to its spender when both sit in
-    this block; coinbases are dropped entirely.
+    this block; coinbases are dropped entirely.  The order contract is
+    :func:`utxo_tdg_from_arrays`'s, with the block's regular
+    transactions as ``block_txs``.
     """
     regular = [tx for tx in transactions if not tx.is_coinbase]
-    in_block = {tx.tx_hash for tx in regular}
-    edges: list[tuple[str, str]] = []
-    for tx in regular:
-        for outpoint in tx.inputs:
-            if outpoint.tx_hash in in_block:
-                edges.append((outpoint.tx_hash, tx.tx_hash))
-    return utxo_tdg_from_arrays(
-        block_txs=[tx.tx_hash for tx in regular],
-        spending=[edge[1] for edge in edges],
-        spent=[edge[0] for edge in edges],
-    )
+    nodes = list(dict.fromkeys([tx.tx_hash for tx in regular]))
+    index = dict(zip(nodes, range(len(nodes))))
+    edges = [
+        (index[outpoint.tx_hash], index[tx.tx_hash])
+        for tx in regular
+        for outpoint in tx.inputs
+        if outpoint.tx_hash in index
+    ]
+    return _utxo_forest(nodes, edges, scanned=len(edges))
 
 
 def utxo_tdg_from_arrays(
@@ -127,32 +123,76 @@ def utxo_tdg_from_arrays(
     Mirrors the interface of the paper's ``process_graph`` UDF (Fig. 2):
     the ``i``-th element of *spending* is the hash of the transaction
     spending some input TXO, and the ``i``-th element of *spent* is the
-    hash of the transaction that created it.  Pairs whose *spent* hash
-    lies outside the block contribute no edge (spends of older blocks).
+    hash of the transaction that created it.  Pairs with either hash
+    outside *block_txs* contribute no edge (spends of older blocks).
+
+    Order contract: ``groups`` come in the order of their first
+    transaction in *block_txs*, members in that order; a hash repeated
+    in *block_txs* is one transaction, at its first position.
     """
     if len(spending) != len(spent):
         raise ValueError("spending and spent arrays must be parallel")
+    nodes = list(dict.fromkeys(block_txs))
+    index = dict(zip(nodes, range(len(nodes))))
+    edges = [
+        (creator, spender)
+        for spender, creator in zip(map(index.get, spending),
+                                    map(index.get, spent))
+        if spender is not None and creator is not None
+    ]
+    return _utxo_forest(nodes, edges, scanned=len(spending))
+
+
+def _utxo_forest(
+    nodes: list[str], edges: list[tuple[int, int]], *, scanned: int
+) -> TDGResult:
+    """Group *nodes* (hashes by position) under *edges* between positions.
+
+    The forest is a parent array over the positions in which the
+    smaller root wins, so a root is always its group's first member and
+    a parent is always the smaller position.  Only the nodes an edge
+    touches can leave their own group; one ascending pass over them
+    points each at its root and moves it into its root's group.
+    """
     with obs.trace_span("tdg.build", model="utxo") as span:
-        nodes = list(dict.fromkeys(block_txs))
-        node_set = set(nodes)
-        edges = [
-            (creator, spender)
-            for spender, creator in zip(spending, spent)
-            if creator in node_set and spender in node_set
-        ]
-        adjacency = build_adjacency(nodes, edges)
-        components = connected_components_bfs(adjacency)
-        groups = tuple(tuple(component) for component in components)
+        parent = list(range(len(nodes)))
+        for a, b in edges:
+            while parent[a] != a:  # find, path halving
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+
+        # Every node starts as its own group; a merged group is built
+        # in block order under its root's position and the other
+        # members' places are emptied.
+        groups: list[tuple[str, ...] | None] = list(zip(nodes))
+        members: dict[int, list[str]] = {}
+        for node in sorted({node for edge in edges for node in edge}):
+            root = parent[node] = parent[parent[node]]
+            if root != node:
+                if root not in members:
+                    members[root] = [nodes[root]]
+                members[root].append(nodes[node])
+                groups[node] = None
+        for root, group in members.items():
+            groups[root] = tuple(group)
+        result = TDGResult(
+            groups=tuple(filter(None, groups)), num_transactions=len(nodes)
+        )
         if obs.enabled():
             span.set(transactions=len(nodes), edges=len(edges),
-                     groups=len(groups))
+                     groups=len(result.groups))
             obs.counter("tdg.builds", model="utxo").inc()
-            obs.counter("tdg.edges_scanned", model="utxo").inc(len(spending))
+            obs.counter("tdg.edges_scanned", model="utxo").inc(scanned)
             obs.counter("tdg.edges_in_block", model="utxo").inc(len(edges))
             obs.counter("tdg.components_merged", model="utxo").inc(
-                len(nodes) - len(groups)
+                len(nodes) - len(result.groups)
             )
-        return TDGResult(groups=groups, num_transactions=len(nodes))
+        return result
 
 
 # -- Account model ------------------------------------------------------------
