@@ -11,10 +11,9 @@ paper's numbers.
 ``golden/tdg_digest.json`` pins what the metrics cannot see — the
 *order* of each block's dependency groups and address components: per
 chain and block, a sha256 over the :class:`TDGResult` of the per-block
-analysis.  The account TDG is hashed exactly as returned.  The UTXO
-TDG's BFS seeds a group at its first block-order transaction but walks
-a frontier ``set``, so the order of a group's other members follows
-``PYTHONHASHSEED``; they are hashed sorted.
+analysis, hashed exactly as returned.  Both data models order groups by
+their first transaction and members in block order, so the digest is
+the same under every ``PYTHONHASHSEED``.
 
 To regenerate both fixtures after an *intentional* change::
 
@@ -94,9 +93,9 @@ def render_golden(**analyze_kwargs) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def golden_tdgs(name: str, args: dict) -> list[tuple[int, str, TDGResult]]:
-    """``(height, data model, TDG)`` of every block of one golden chain,
-    through the same per-block entry points the pipeline calls."""
+def golden_tdgs(name: str, args: dict) -> list[tuple[int, TDGResult]]:
+    """``(height, TDG)`` of every block of one golden chain, through the
+    same per-block entry points the pipeline calls."""
     profile = get_profile(name)
     if profile.data_model == "utxo":
         inputs = utxo_block_inputs(build_utxo_chain(profile, **args))
@@ -109,7 +108,6 @@ def golden_tdgs(name: str, args: dict) -> list[tuple[int, str, TDGResult]]:
     return [
         (
             item.height,
-            profile.data_model,
             analyze_block(
                 item.payload, height=item.height, timestamp=item.timestamp
             )[1],
@@ -118,21 +116,17 @@ def golden_tdgs(name: str, args: dict) -> list[tuple[int, str, TDGResult]]:
     ]
 
 
-def tdg_digest(data_model: str, tdg: TDGResult) -> str:
-    if data_model == "utxo":
-        groups = [[group[0], *sorted(group[1:])] for group in tdg.groups]
-    else:
-        groups = tdg.groups
+def tdg_digest(tdg: TDGResult) -> str:
     return hashlib.sha256(
-        json.dumps([groups, tdg.address_components]).encode()
+        json.dumps([tdg.groups, tdg.address_components]).encode()
     ).hexdigest()
 
 
 def render_tdg_digest() -> str:
     payload = {
         name: [
-            {"height": height, "tdg": tdg_digest(data_model, tdg)}
-            for height, data_model, tdg in golden_tdgs(name, args)
+            {"height": height, "tdg": tdg_digest(tdg)}
+            for height, tdg in golden_tdgs(name, args)
         ]
         for name, args in GOLDEN_CHAINS
     }
@@ -189,7 +183,7 @@ class TestGoldenTDGDigest:
         two groups, or two address components, swapped hashes apart."""
         name, args = GOLDEN_CHAINS[1]
         tdg = next(
-            tdg for _height, _model, tdg in golden_tdgs(name, args)
+            tdg for _height, tdg in golden_tdgs(name, args)
             if len(tdg.groups) > 1 and len(tdg.address_components) > 1
             and any(len(group) > 1 for group in tdg.groups)
         )
@@ -206,8 +200,7 @@ class TestGoldenTDGDigest:
             address_components=(second, first, *rest),
         )
         digests = {
-            tdg_digest("account", each)
-            for each in (tdg, regrouped, recomponented)
+            tdg_digest(each) for each in (tdg, regrouped, recomponented)
         }
         assert len(digests) == 3
 
