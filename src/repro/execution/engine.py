@@ -249,28 +249,36 @@ class SequentialExecutor:
 def tasks_from_utxo_block(
     transactions: Sequence[UTXOTransaction], *, unit_cost: bool = True
 ) -> list[TxTask]:
-    """Tasks for a UTXO block: reads are inputs, writes are outputs.
+    """Tasks for a UTXO block: every access is a write (:func:`utxo_writes`).
 
-    Coinbases are excluded, matching the TDG convention.  An input
-    outpoint is a read-modify-write of the UTXO set entry, so inputs are
-    placed in the write set; created outputs are writes by definition.
+    Coinbases are excluded, matching the TDG convention.
     """
     tasks: list[TxTask] = []
     for tx in transactions:
         if tx.is_coinbase:
             continue
-        writes = {str(op) for op in tx.inputs}
-        writes.update(str(op) for op in tx.outpoints_created())
         cost = 1.0 if unit_cost else max(1.0, len(tx.inputs) + len(tx.outputs))
         tasks.append(
             TxTask(
                 tx_hash=tx.tx_hash,
                 cost=cost,
                 reads=frozenset(),
-                writes=frozenset(writes),
+                writes=utxo_writes(tx),
             )
         )
     return tasks
+
+
+def utxo_writes(tx: UTXOTransaction) -> frozenset[str]:
+    """The locations a UTXO transaction writes, as ``<tx_hash>:<index>``.
+
+    An input outpoint is a read-modify-write of the UTXO set entry, so
+    inputs are placed in the write set; created outputs are writes by
+    definition.  The static prediction of a UTXO block is this same set.
+    """
+    writes = {str(op) for op in tx.inputs}
+    writes.update(str(op) for op in tx.outpoints_created())
+    return frozenset(writes)
 
 
 def tasks_from_account_block(

@@ -32,7 +32,7 @@ from typing import Mapping, Protocol, Sequence
 from repro.account.transaction import AccountTransaction
 from repro.core.tdg import TDGResult
 from repro.execution.conflict_partition import conflict_partition
-from repro.execution.engine import TxTask
+from repro.execution.engine import TxTask, utxo_writes
 from repro.staticcheck.interproc import ClosedAccess
 from repro.utxo.transaction import UTXOTransaction
 
@@ -191,21 +191,15 @@ def predict_utxo_block(
     """Predictions for a UTXO block's regular transactions.
 
     UTXO access sets are syntactic — a transaction names every outpoint
-    it consumes or creates — so the "prediction" is exact: writes are
-    the spent inputs plus the created outputs, mirroring
-    :func:`repro.execution.engine.tasks_from_utxo_block`, and nothing
-    ever widens.
+    it consumes or creates — so the "prediction" is exact: the writes
+    are :func:`repro.execution.engine.utxo_writes`, the same set the
+    task adapter uses, and nothing ever widens.
     """
-    predictions: list[PredictedAccess] = []
-    for tx in transactions:
-        if tx.is_coinbase:
-            continue
-        writes = {str(outpoint) for outpoint in tx.inputs}
-        writes.update(str(outpoint) for outpoint in tx.outpoints_created())
-        predictions.append(
-            PredictedAccess(tx_hash=tx.tx_hash, writes=frozenset(writes))
-        )
-    return predictions
+    return [
+        PredictedAccess(tx_hash=tx.tx_hash, writes=utxo_writes(tx))
+        for tx in transactions
+        if not tx.is_coinbase
+    ]
 
 
 def predicted_conflicts(a: PredictedAccess, b: PredictedAccess) -> bool:

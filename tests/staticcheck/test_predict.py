@@ -6,13 +6,14 @@ from repro.account.transaction import (
     make_account_transaction,
     make_coinbase_transaction,
 )
-from repro.execution.engine import TxTask
+from repro.execution.engine import TxTask, tasks_from_utxo_block
 from repro.staticcheck.interproc import ContractAnalyzer
 from repro.staticcheck.predict import (
     PredictedAccess,
     expanded_tasks,
     predict_block,
     predict_transaction,
+    predict_utxo_block,
     predicted_conflicts,
     predicted_tdg,
     unknown_access,
@@ -86,6 +87,25 @@ def test_predict_block_skips_coinbase():
     predictions = predict_block(transactions, analyzer)
     assert len(predictions) == 1
     assert predictions[0].tx_hash == transactions[1].tx_hash
+
+
+def test_utxo_predictions_are_the_tasks_write_sets(small_bitcoin_ledger):
+    """A UTXO prediction is exact: per regular transaction, in block
+    order, the task adapter's write set and nothing read or widened."""
+    for block in small_bitcoin_ledger:
+        predictions = predict_utxo_block(block.transactions)
+        tasks = tasks_from_utxo_block(block.transactions)
+        assert [(p.tx_hash, p.writes) for p in predictions] == [
+            (t.tx_hash, t.writes) for t in tasks
+        ]
+        assert not any(p.reads or p.is_widened for p in predictions)
+        regular = [tx for tx in block.transactions if not tx.is_coinbase]
+        assert len(regular) == len(predictions)
+        for prediction, tx in zip(predictions, regular):
+            assert prediction.writes == {
+                str(outpoint)
+                for outpoint in (*tx.inputs, *tx.outpoints_created())
+            }
 
 
 def test_concrete_conflict_rules():
