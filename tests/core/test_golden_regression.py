@@ -156,6 +156,29 @@ class TestGoldenRegression:
             == GOLDEN_PATH.read_text()
         )
 
+    def test_bitcoin_records_need_no_bfs_and_no_tdg_counts(
+        self, monkeypatch
+    ):
+        """Counted, not timed: the UTXO pipeline never builds an
+        adjacency map, never runs the BFS and never asks a TDG for its
+        conflicted count or LCC size — the metrics loop folds both."""
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("BFS or TDG count on the UTXO pipeline")
+
+        for module in ("repro.core.components", "repro.core.tdg"):
+            for name in ("build_adjacency", "connected_components_bfs"):
+                monkeypatch.setattr(f"{module}.{name}", refuse, raising=False)
+        monkeypatch.setattr(TDGResult, "num_conflicted", property(refuse))
+        monkeypatch.setattr(TDGResult, "lcc_size", property(refuse))
+        with pytest.raises(AssertionError):
+            TDGResult(groups=(), num_transactions=0).lcc_size
+
+        name, args = GOLDEN_CHAINS[0]
+        history = generate_chain(name, **args, backend="serial").history
+        expected = json.loads(GOLDEN_PATH.read_text())[name]
+        assert history_as_dict(history) == expected
+
     def test_fixture_is_nontrivial(self):
         payload = json.loads(GOLDEN_PATH.read_text())
         assert set(payload) == {"bitcoin", "ethereum"}

@@ -148,3 +148,47 @@ def test_weighted_rates_are_valid_probabilities(sizes, weights):
     metrics = compute_block_metrics(tdg, weights=weight_map)
     assert 0.0 <= metrics.weighted_single_conflict_rate <= 1.0 + 1e-12
     assert 0.0 <= metrics.weighted_group_conflict_rate <= 1.0 + 1e-12
+
+
+@settings(max_examples=200)
+@given(
+    sizes=st.lists(st.integers(min_value=1, max_value=12), max_size=15),
+    weights=st.lists(
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=1e6)),
+        min_size=1, max_size=40,
+    ),
+    weighted=st.booleans(),
+)
+def test_counts_are_the_tdg_properties(sizes, weights, weighted):
+    """The counts folded into the metrics loop are the TDG's own
+    properties, and every weight is the group-by-group sum, left to right
+    (a transaction without a weight counts 1.0)."""
+    tdg = _tdg_from_sizes(sizes)
+    weight_map = None
+    if weighted:
+        members = [h for group in tdg.groups for h in group]
+        weight_map = {
+            h: weights[i % len(weights)]
+            for i, h in enumerate(members)
+            if weights[i % len(weights)] is not None
+        }
+    metrics = compute_block_metrics(tdg, weights=weight_map)
+    assert metrics.num_transactions == tdg.num_transactions
+    assert metrics.num_conflicted == tdg.num_conflicted
+    assert metrics.lcc_size == tdg.lcc_size
+
+    group_weights = [
+        sum([
+            1.0 if weight_map is None else float(weight_map.get(h, 1.0))
+            for h in group
+        ])
+        for group in tdg.groups
+    ]
+    total = conflicted = 0.0
+    for group, weight in zip(tdg.groups, group_weights):
+        total += weight
+        if len(group) > 1:
+            conflicted += weight
+    assert metrics.total_weight == total
+    assert metrics.conflicted_weight == conflicted
+    assert metrics.lcc_weight == max(group_weights, default=0.0)

@@ -12,7 +12,13 @@ from repro.account.transaction import (
     make_account_transaction,
     make_coinbase_transaction,
 )
-from repro.core.components import UnionFind
+from repro import obs
+from repro.core.components import (
+    UnionFind,
+    build_adjacency,
+    components_as_partition,
+    connected_components_bfs,
+)
 from repro.core.tdg import (
     TDGResult,
     account_tdg,
@@ -22,7 +28,7 @@ from repro.core.tdg import (
     utxo_tdg_from_arrays,
 )
 from repro.utxo.transaction import TxOutputSpec, make_coinbase, make_transaction
-from repro.utxo.txo import COIN
+from repro.utxo.txo import COIN, OutPoint
 
 
 class TestTDGResult:
@@ -113,6 +119,146 @@ class TestUTXOTDG:
     def test_from_arrays_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             utxo_tdg_from_arrays(["a"], ["a"], [])
+
+
+# Hashes from an alphabet small enough that blocks repeat a hash, pairs
+# repeat and pair a hash with itself, plus two that are never in a block
+# (spends of older blocks).
+_tx_hashes = st.sampled_from([f"t{i}" for i in range(10)])
+_any_hashes = st.one_of(_tx_hashes, st.sampled_from(["old0", "old1"]))
+
+
+def _reference_utxo_tdg(block_txs, pairs):
+    """Groups over the dict-keyed ``UnionFind``, bucketed by root in
+    first-seen order with members in block order, and the in-block
+    ``(creator, spender)`` edges."""
+    nodes = list(dict.fromkeys(block_txs))
+    in_block = set(nodes)
+    edges = [
+        (creator, spender)
+        for spender, creator in pairs
+        if creator in in_block and spender in in_block
+    ]
+    forest = UnionFind()
+    for node in nodes:
+        forest.add(node)
+    for creator, spender in edges:
+        forest.union(creator, spender)
+    groups: dict[object, list[str]] = {}
+    for node in nodes:
+        groups.setdefault(forest.find(node), []).append(node)
+    return nodes, edges, tuple(tuple(group) for group in groups.values())
+
+
+def _utxo_counters(build):
+    """Run *build* recording ``repro.obs``; its TDG and ``tdg.*`` counters."""
+    with obs.instrumented() as state:
+        tdg = build()
+    counters = state.registry.snapshot()["counters"]
+    return tdg, {
+        name: counters.get(f"tdg.{name}{{model=utxo}}", 0.0)
+        for name in ("builds", "edges_scanned", "edges_in_block",
+                     "components_merged")
+    }
+
+
+def _check_utxo_contract(tdg, nodes, edges, groups):
+    # Equal tuples: the same partition, groups in the order of their
+    # first transaction, members in block order.
+    assert tdg.groups == groups
+    assert tdg.num_transactions == len(nodes)
+    # The paper's BFS seeds each component at its first block-order
+    # transaction: the same partition, the same first members.
+    bfs = connected_components_bfs(build_adjacency(nodes, edges))
+    assert components_as_partition(bfs) == components_as_partition(groups)
+    assert [component[0] for component in bfs] == [
+        group[0] for group in tdg.groups
+    ]
+
+
+@settings(max_examples=300)
+@given(
+    block_txs=st.lists(_tx_hashes, max_size=12),
+    pairs=st.lists(st.tuples(_any_hashes, _any_hashes), max_size=16),
+)
+@example(
+    block_txs=["t3", "t1", "t2", "t1", "t4", "t5"],   # t1 repeated
+    pairs=[
+        ("t2", "t4"),    # spender listed before its creator
+        ("t5", "old0"),  # spend of an older block: no edge
+        ("old1", "t3"),  # spender outside the block: no edge
+        ("t1", "t1"),    # self pair: no merge
+        ("t1", "t5"),    # joins t1 to t5, after t5 joined nothing
+        ("t4", "t1"),    # ... and t2/t4 to t1/t5
+    ],
+)
+def test_utxo_tdg_from_arrays_order_contract(block_txs, pairs):
+    tdg, counters = _utxo_counters(lambda: utxo_tdg_from_arrays(
+        block_txs,
+        spending=[spender for spender, _creator in pairs],
+        spent=[creator for _spender, creator in pairs],
+    ))
+    nodes, edges, groups = _reference_utxo_tdg(block_txs, pairs)
+    _check_utxo_contract(tdg, nodes, edges, groups)
+    assert counters == {
+        "builds": 1.0,
+        "edges_scanned": float(len(pairs)),
+        "edges_in_block": float(len(edges)),
+        "components_merged": float(len(nodes) - len(groups)),
+    }
+
+
+@st.composite
+def _utxo_blocks(draw):
+    """A block of transaction objects: each spends outputs of earlier
+    created ones (the coinbase's included) or of an older block; the
+    block order is any permutation of creation order, so a spender may
+    come before its creator, and some transactions appear twice."""
+    created = [make_coinbase(reward=50 * COIN, miner="m", height=1)]
+    for nonce in range(draw(st.integers(min_value=0, max_value=9))):
+        spends = draw(st.lists(
+            st.integers(min_value=-1, max_value=len(created) - 1),
+            min_size=1, max_size=3,
+        ))
+        inputs = [
+            OutPoint(tx_hash="old", index=index) if spent < 0
+            else created[spent].outputs[0].outpoint
+            for index, spent in enumerate(spends)
+        ]
+        created.append(make_transaction(
+            inputs, [TxOutputSpec(value=1, owner="o")], nonce=nonce
+        ))
+    block = list(draw(st.permutations(created)))
+    for tx in draw(st.lists(st.sampled_from(created), max_size=3)):
+        block.insert(draw(st.integers(min_value=0, max_value=len(block))), tx)
+    return block
+
+
+@settings(max_examples=300)
+@given(block=_utxo_blocks())
+def test_utxo_tdg_order_contract(block):
+    regular = [tx for tx in block if not tx.is_coinbase]
+    block_txs = [tx.tx_hash for tx in regular]
+    pairs = [
+        (tx.tx_hash, outpoint.tx_hash)
+        for tx in regular for outpoint in tx.inputs
+    ]
+    tdg, counters = _utxo_counters(lambda: utxo_tdg(block))
+    nodes, edges, groups = _reference_utxo_tdg(block_txs, pairs)
+    _check_utxo_contract(tdg, nodes, edges, groups)
+    assert tdg == utxo_tdg_from_arrays(
+        block_txs,
+        spending=[spender for spender, _creator in pairs],
+        spent=[creator for _spender, creator in pairs],
+    )
+    # The edges scanned on this path are the in-block ones, counted
+    # once per listed transaction.
+    assert counters == {
+        "builds": 1.0,
+        "edges_scanned": float(len(edges)),
+        "edges_in_block": float(len(edges)),
+        "components_merged": float(len(nodes) - len(groups)),
+    }
 
 
 def _executed(sender, receiver, internals=(), nonce=0, reads=(), writes=(),
