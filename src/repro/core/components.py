@@ -10,7 +10,10 @@ Two interchangeable implementations are provided:
 
 Both take the graph as an adjacency mapping and return components as
 lists of node lists.  Property-based tests assert they induce the same
-partition; the ablation bench compares their cost profiles.
+partition; the ablation bench compares their cost profiles.  Neither
+is on the pipeline's path: :mod:`repro.core.tdg` builds both models'
+TDGs over an int-indexed parent array, and the tests hold those TDGs
+against this module's BFS and :class:`UnionFind` as references.
 """
 
 from __future__ import annotations

@@ -16,15 +16,19 @@ transactions into dependency classes; everything downstream (conflict
 rates, LCC sizes, speed-up predictions, the grouped executor) works from
 this one structure.
 
-The two models compute their components differently.  The UTXO half is
-the port of the paper's BigQuery UDF (Fig. 3): an adjacency map and a
-breadth-first search, groups in the order of their first block-order
-transaction.  The account half runs on every block of an account chain
-with several address pairs per transaction, so it interns addresses to
-integers and unites them in a parent array
-(:func:`account_tdg_from_edges`, which also states the order of
-``groups`` and ``address_components``; callers and the golden TDG
-digest rely on it).
+Both models compute their components the same way: nodes are interned
+to integers and united in a ``list[int]`` parent array in which the
+smaller root wins, so a root is always its component's first node and
+one ascending pass points every node at its root.  The UTXO half
+interns transactions to their block position and unites each in-block
+spender with its creator (:func:`utxo_tdg_from_arrays`); the account
+half interns addresses in first-seen order
+(:func:`account_tdg_from_edges`).  Each states the order of what it
+returns — groups by first transaction, members in block order — and
+callers and the golden TDG digest rely on it.  The paper's UDF itself
+(Fig. 3, an adjacency map and a breadth-first search) is ported in
+:func:`repro.datasets.queries.process_graph`; the BFS in
+:mod:`repro.core.components` is the tests' reference.
 
 A third constructor, :func:`storage_conflict_groups`, implements the
 *storage-location-level* conflict definition of Saraph & Herlihy
