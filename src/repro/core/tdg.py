@@ -105,12 +105,14 @@ def utxo_tdg(transactions: Sequence[UTXOTransaction]) -> TDGResult:
     :func:`utxo_tdg_from_arrays`'s, with the block's regular
     transactions as ``block_txs``.
     """
-    regular = [tx for tx in transactions if not tx.is_coinbase]
-    nodes = list(dict.fromkeys([tx.tx_hash for tx in regular]))
+    nodes = list(dict.fromkeys(
+        [tx.tx_hash for tx in transactions if not tx.is_coinbase]
+    ))
     index = dict(zip(nodes, range(len(nodes))))
+    # A coinbase spends nothing, so every spender found here is a node.
     edges = [
         (index[outpoint.tx_hash], index[tx.tx_hash])
-        for tx in regular
+        for tx in transactions
         for outpoint in tx.inputs
         if outpoint.tx_hash in index
     ]
