@@ -14,9 +14,9 @@ structure against the runtime-traced one:
   A block is charged its share of the one interprocedural closure, its
   own ``predict_block`` time and the time of the conflict partition an
   executor runs over those predictions — and nothing of this bench's
-  own bookkeeping (second lattice, coverage gates, confusion counts,
-  TDG deltas).  ``analysis_cost.k_units_total`` is the sum of what the
-  executors were charged;
+  own bookkeeping (coverage gates, confusion counts, TDG deltas).
+  ``analysis_cost.k_units_total`` is the sum of what the executors were
+  charged;
 * executor wall-clock: the speculative baseline and OCC (which abort
   and re-execute) against the informed executor fed *runtime* sets (the
   paper's oracle) and the same executor fed *static predictions* at
@@ -38,8 +38,8 @@ from pathlib import Path
 from _common import write_output
 
 from repro import obs
-from repro.core.components import UnionFind
 from repro.core.tdg import TDGResult
+from repro.execution.conflict_partition import conflict_partition
 from repro.execution.engine import tasks_from_account_block
 from repro.execution.grouped import StaticGroupedExecutor
 from repro.execution.occ import OCCExecutor
@@ -72,18 +72,11 @@ NUM_DYNAMIC = 200
 
 def _runtime_tdg(tasks) -> TDGResult:
     """Task-level TDG from runtime access sets (same rule as predicted)."""
-    forest = UnionFind()
-    for task in tasks:
-        forest.add(task.tx_hash)
-    for i, a in enumerate(tasks):
-        for b in tasks[i + 1:]:
-            if a.conflicts_with(b):
-                forest.union(a.tx_hash, b.tx_hash)
-    groups: dict[object, list[str]] = {}
-    for task in tasks:
-        groups.setdefault(forest.find(task.tx_hash), []).append(task.tx_hash)
     return TDGResult(
-        groups=tuple(tuple(group) for group in groups.values()),
+        groups=tuple(
+            tuple(tasks[index].tx_hash for index in group)
+            for group in conflict_partition(tasks)
+        ),
         num_transactions=len(tasks),
     )
 
@@ -111,23 +104,13 @@ def test_static_conflict_prediction():
     seconds_per_task = exec_state["seconds"] / max(1, exec_state["count"])
 
     # One interprocedural closure serves the whole chain; its cost is
-    # amortized across blocks when charging K to the executors.  A
-    # second analyzer runs the PR 3 two-point Const/⊤ lattice over the
-    # same registry for the before/after precision comparison.
+    # amortized across blocks when charging K to the executors.
     analyzer = ContractAnalyzer(builder.registry, code_bindings(builder.state))
     closure_started = time.perf_counter()
     analyzer.analyze_all()
     closure_seconds = time.perf_counter() - closure_started
-    analyzer_const = ContractAnalyzer(
-        builder.registry, code_bindings(builder.state), lattice="const"
-    )
-    analyzer_const.analyze_all()
 
-    LATTICES = ("const", "valueset")
-    tp = {lat: 0 for lat in LATTICES}
-    fp = {lat: 0 for lat in LATTICES}
-    fn = {lat: 0 for lat in LATTICES}
-    widened = {lat: 0 for lat in LATTICES}
+    tp = fp = fn = widened = 0
     uncovered = 0
     total_tasks = 0
     c_deltas: list[float] = []
@@ -153,46 +136,30 @@ def test_static_conflict_prediction():
             predictions = predict_block(block.transactions, analyzer)
             block_predict_seconds = time.perf_counter() - started
             predict_seconds += block_predict_seconds
-            by_lattice = {
-                "valueset": predictions,
-                "const": predict_block(
-                    block.transactions, analyzer_const
-                ),
-            }
             by_hash = {task.tx_hash: task for task in tasks}
             assert sorted(by_hash) == sorted(
                 p.tx_hash for p in predictions
             ), "predictions and runtime tasks must cover the same txs"
 
-            # Soundness gate 1: every runtime access set is covered —
-            # under both lattices (coverage failures count once).
+            # Soundness gate 1: every runtime access set is covered.
             for prediction in predictions:
                 total_tasks += 1
+                widened += prediction.is_widened
                 if not prediction.covers_task(by_hash[prediction.tx_hash]):
                     uncovered += 1
-            for lat in LATTICES:
-                for prediction in by_lattice[lat]:
-                    widened[lat] += prediction.is_widened
-                    if not prediction.covers_task(
-                        by_hash[prediction.tx_hash]
-                    ):
-                        uncovered += lat == "const"
 
-            # Pairwise conflict confusion counts, per lattice.
+            # Pairwise conflict confusion counts.
             block_fn = 0
-            for lat in LATTICES:
-                lat_predictions = by_lattice[lat]
-                for i, a in enumerate(lat_predictions):
-                    for b in lat_predictions[i + 1:]:
-                        pred = predicted_conflicts(a, b)
-                        real = by_hash[a.tx_hash].conflicts_with(
-                            by_hash[b.tx_hash]
-                        )
-                        tp[lat] += pred and real
-                        fp[lat] += pred and not real
-                        fn[lat] += real and not pred
-                        if lat == "valueset":
-                            block_fn += real and not pred
+            for i, a in enumerate(predictions):
+                for b in predictions[i + 1:]:
+                    pred = predicted_conflicts(a, b)
+                    real = by_hash[a.tx_hash].conflicts_with(
+                        by_hash[b.tx_hash]
+                    )
+                    tp += pred and real
+                    fp += pred and not real
+                    block_fn += real and not pred
+            fn += block_fn
 
             # Predicted vs runtime task-level TDG: c and l deltas.
             # predicted_tdg is the location-indexed partition the static
@@ -258,28 +225,13 @@ def test_static_conflict_prediction():
             })
         snapshot = state.registry.snapshot()
 
-    # Hard gates: soundness (recall exactly 1.0, full coverage) under
-    # BOTH lattices, and the value-set lattice must not lose precision
-    # against the two-point baseline it replaces.
+    # Hard gates: soundness (recall exactly 1.0, full coverage) and a
+    # non-degenerate precision.
     assert uncovered == 0, f"{uncovered} runtime task sets not covered"
-    precision = {}
-    recall = {}
-    for lat in LATTICES:
-        assert fn[lat] == 0, (
-            f"{fn[lat]} runtime conflicts unpredicted under {lat}"
-        )
-        precision[lat] = (
-            tp[lat] / (tp[lat] + fp[lat]) if tp[lat] + fp[lat] else 1.0
-        )
-        recall[lat] = (
-            tp[lat] / (tp[lat] + fn[lat]) if tp[lat] + fn[lat] else 1.0
-        )
-    assert precision["valueset"] >= precision["const"], (
-        "value-set lattice lost precision vs the const baseline"
-    )
-    assert precision["valueset"] >= 0.5, (
-        f"pairwise precision degenerate: {precision['valueset']}"
-    )
+    assert fn == 0, f"{fn} runtime conflicts unpredicted"
+    precision = tp / (tp + fp) if tp + fp else 1.0
+    recall = tp / (tp + fn) if tp + fn else 1.0
+    assert precision >= 0.5, f"pairwise precision degenerate: {precision}"
 
     # The predicted sets over-approximate, so the static-informed
     # parallel phase and the static-grouped safety net are abort-free.
@@ -315,22 +267,13 @@ def test_static_conflict_prediction():
         "cores": CORES,
         "num_dynamic_contracts": NUM_DYNAMIC,
         "platform": platform.platform(),
-        "widened_predictions": widened["valueset"],
+        "widened_predictions": widened,
         "pairwise": {
-            "true_positives": tp["valueset"],
-            "false_positives": fp["valueset"],
-            "false_negatives": fn["valueset"],
-            "precision": round(precision["valueset"], 4),
-            "recall": round(recall["valueset"], 4),
-        },
-        "lattice_comparison": {
-            lat: {
-                "precision": round(precision[lat], 4),
-                "recall": round(recall[lat], 4),
-                "false_positives": fp[lat],
-                "widened_predictions": widened[lat],
-            }
-            for lat in LATTICES
+            "true_positives": tp,
+            "false_positives": fp,
+            "false_negatives": fn,
+            "precision": round(precision, 4),
+            "recall": round(recall, 4),
         },
         "predicted_groups": {
             "count": len(group_sizes),
@@ -392,12 +335,9 @@ def test_static_conflict_prediction():
         "static conflict prediction vs runtime traces "
         f"({len(per_block)} blocks, {total_tasks} txs, "
         f"{NUM_DYNAMIC} dynamic contracts)",
-        f"  precision (valueset) : {precision['valueset']:8.4f}",
-        f"  precision (const)    : {precision['const']:8.4f}",
-        f"  pairwise recall      : {recall['valueset']:8.4f}  "
-        "(soundness gate: 1.0, both lattices)",
-        f"  widened predictions  : {widened['valueset']} / {total_tasks}"
-        f"  (const: {widened['const']})",
+        f"  pairwise precision   : {precision:8.4f}",
+        f"  pairwise recall      : {recall:8.4f}  (soundness gate: 1.0)",
+        f"  widened predictions  : {widened} / {total_tasks}",
         "  predicted group size : "
         f"mean {result['predicted_groups']['mean_size']} "
         f"max {result['predicted_groups']['max_size']}",

@@ -1300,35 +1300,8 @@ def cmd_staticcheck(args: argparse.Namespace) -> int:
         builder.registry.register(
             "defect_jump_range", (Instruction(op=Op.JUMP, operand=99),)
         )
-    try:
-        report = lint_registry(builder.registry, lattice=args.lattice)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    report = lint_registry(builder.registry)
     print(render_lint_report(report))
-    if args.incremental:
-        from repro.staticcheck import IncrementalAnalyzer, code_bindings
-
-        analyzer = IncrementalAnalyzer(
-            builder.registry,
-            code_bindings(builder.state),
-            lattice=args.lattice,
-        )
-        analyzer.analyze_all()
-        # Grow the registry by one unconnected probe contract and
-        # re-analyze: every pre-existing closure digest still matches,
-        # so the second pass should be nearly all cache hits.
-        builder.registry.register_assembly(
-            "incremental_probe", "push 1\nsstore probe\nstop"
-        )
-        analyzer.bind("contract_incremental_probe", "incremental_probe")
-        analyzer.analyze_all()
-        stats = analyzer.stats
-        print(
-            "incremental: "
-            + " ".join(
-                f"{key}={value}" for key, value in stats.as_dict().items()
-            )
-        )
     return report.exit_code(strict=args.strict)
 
 
@@ -1730,17 +1703,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--with-defects", action="store_true",
         help="seed known-defective programs (for CI smoke tests)",
-    )
-    sub.add_argument(
-        "--lattice", default="valueset", choices=("const", "valueset"),
-        help="abstract value domain: two-point const/⊤ or the bounded "
-             "value-set lattice (default: valueset)",
-    )
-    sub.add_argument(
-        "--incremental", action="store_true",
-        help="after linting, run the incremental analyzer twice (growing "
-             "the registry by a probe contract in between) and print the "
-             "cache hit/miss statistics",
     )
     sub.set_defaults(func=cmd_staticcheck)
 

@@ -7,9 +7,10 @@ executing it.  The pipeline is:
 
 1. :mod:`repro.staticcheck.cfg` — basic blocks and control-flow edges
    from the statically-known ``JUMP``/``JUMPI`` targets;
-2. :mod:`repro.staticcheck.absint` — constant propagation through the
-   stack ops, widening any non-constant dynamic operand to ⊤ ("may
-   touch anything in scope"), plus diagnostics (unreachable code,
+2. :mod:`repro.staticcheck.absint` — value-set propagation
+   (:mod:`repro.staticcheck.valueset`) through the stack ops, widening
+   any dynamic operand that does not enumerate to finitely many keys to
+   ⊤ ("may touch anything in scope"), plus diagnostics (unreachable code,
    guaranteed stack underflow, out-of-range jumps, ⊤-widened sets);
 3. :mod:`repro.staticcheck.interproc` — closes the per-program access
    sets over the :class:`~repro.vm.contract.CodeRegistry` call graph
@@ -29,11 +30,6 @@ for the design and the paper's ``K``-cost interpretation.
 
 from repro.staticcheck.absint import CallSite, ProgramSummary, analyze_program
 from repro.staticcheck.cfg import CFG, BasicBlock, build_cfg
-from repro.staticcheck.incremental import (
-    CacheStats,
-    IncrementalAnalyzer,
-    program_digest,
-)
 from repro.staticcheck.diagnostics import (
     JUMP_RANGE,
     SEVERITY_ERROR,
@@ -58,7 +54,6 @@ from repro.staticcheck.lint import (
     render_lint_report,
 )
 from repro.staticcheck.predict import (
-    AccessAnalyzer,
     PredictedAccess,
     expanded_tasks,
     predict_block,
@@ -68,34 +63,22 @@ from repro.staticcheck.predict import (
     predicted_tdg,
 )
 from repro.staticcheck.valueset import (
-    CONST_LATTICE,
-    DEFAULT_LATTICE,
-    LATTICES,
-    VALUESET_LATTICE,
     StridedInterval,
-    ValueLattice,
     ValueSet,
     elements_of,
     from_values,
-    get_lattice,
 )
 
 __all__ = [
-    "AccessAnalyzer",
     "CFG",
-    "CONST_LATTICE",
     "BasicBlock",
-    "CacheStats",
     "CallSite",
     "ClosedAccess",
     "Const",
     "ContractAnalyzer",
     "ContractReport",
-    "DEFAULT_LATTICE",
     "Diagnostic",
-    "IncrementalAnalyzer",
     "JUMP_RANGE",
-    "LATTICES",
     "LintReport",
     "MaySet",
     "PredictedAccess",
@@ -108,8 +91,6 @@ __all__ = [
     "TOP_WIDENED",
     "Top",
     "UNREACHABLE",
-    "VALUESET_LATTICE",
-    "ValueLattice",
     "ValueSet",
     "analyze_program",
     "build_cfg",
@@ -117,7 +98,6 @@ __all__ = [
     "elements_of",
     "expanded_tasks",
     "from_values",
-    "get_lattice",
     "known_call_targets",
     "lint_registry",
     "local_access",

@@ -7,16 +7,13 @@ summary and diagnostics.
 
 Stack slots live in the bounded value-set lattice of
 :mod:`repro.staticcheck.valueset` — ``Const ⊑ ValueSet ⊑
-StridedInterval ⊑ ⊤`` — selected by the ``lattice`` argument
-(``"valueset"`` by default; ``"const"`` reproduces the original
-two-point Const/⊤ domain for A/B comparisons).
+StridedInterval ⊑ ⊤``.
 
 Widening rules (each has a dedicated unit test):
 
 * joining distinct constants builds a :class:`ValueSet` of up to 8
   members, widens to a stride/interval superset while the member count
-  stays ≤ 64, then goes to ⊤ (under ``--lattice const`` any join of
-  distinct values goes straight to ⊤);
+  stays ≤ 64, then goes to ⊤;
 * joining stacks of different heights → unknown stack (every later pop
   yields ⊤ and underflow can no longer be proven);
 * a dynamic (``$``) storage key / balance address that does not
@@ -40,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro.staticcheck import valueset
 from repro.staticcheck.cfg import BasicBlock, build_cfg
 from repro.staticcheck.diagnostics import (
     SEVERITY_ERROR,
@@ -50,13 +48,7 @@ from repro.staticcheck.diagnostics import (
     Diagnostic,
 )
 from repro.staticcheck.lattice import TOP, Const, MaySet
-from repro.staticcheck.valueset import (
-    DEFAULT_LATTICE,
-    Value,
-    ValueLattice,
-    ValueStack,
-    get_lattice,
-)
+from repro.staticcheck.valueset import Value, ValueStack
 from repro.vm.contract import Program
 from repro.vm.opcodes import STACK_OPERAND, Instruction, Op
 
@@ -70,25 +62,16 @@ _MAX_FIXPOINT_PASSES = 200_000
 
 @dataclass(frozen=True)
 class CallSite:
-    """One ``CALL``/``TRANSFER`` site; ``targets=None`` means ⊤.
+    """One ``CALL``/``TRANSFER`` site.
 
-    ``target`` keeps the single-target view (None unless the site
-    resolves to exactly one address); ``targets`` carries the full
-    value-set resolution — a tuple of candidate addresses, or None when
-    the target widened to ⊤.  Constructing a site with only ``target``
-    derives ``targets`` automatically, so PR 3-era call sites behave
-    unchanged.
+    ``targets`` is the value-set resolution of the target operand: a
+    tuple of candidate addresses, or None when it widened to ⊤.
     """
 
     pc: int
     kind: str  # "call" | "transfer"
-    target: str | None
+    targets: tuple[str, ...] | None
     value: int
-    targets: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.targets is None and self.target is not None:
-            object.__setattr__(self, "targets", (self.target,))
 
     @property
     def is_call(self) -> bool:
@@ -236,21 +219,19 @@ def _resolve_keys(
     frame: _AbstractFrame,
     pc: int,
     what: str,
-    lattice: ValueLattice,
 ) -> tuple[str, ...] | None:
     """A static or ``$`` operand as concrete key(s), or None for ⊤.
 
     Static operands resolve to their single key.  ``$`` operands pop
-    the abstract stack and enumerate the popped value's members —
-    one key under the const lattice, up to
-    :data:`~repro.staticcheck.valueset.MAX_ENUMERATED_KEYS` under the
-    value-set lattice.  Each ``$`` site is tallied as resolved or
-    ⊤-widened exactly once (the lint surfaces the counts).
+    the abstract stack and enumerate the popped value's members, up to
+    :data:`~repro.staticcheck.valueset.MAX_ENUMERATED_KEYS` keys.  Each
+    ``$`` site is tallied as resolved or ⊤-widened exactly once (the
+    lint surfaces the counts).
     """
     if operand != STACK_OPERAND:
         return (str(operand),)
     (value,) = frame.pop(pc)
-    keys = lattice.enumerate_keys(value)
+    keys = valueset.enumerate_keys(value)
     if keys is not None:
         if frame.effects is not None:
             frame.effects.resolved_sites.add(pc)
@@ -271,7 +252,6 @@ def _step_block(
     block: BasicBlock,
     entry: ValueStack,
     effects: _Effects | None,
-    lattice: ValueLattice,
 ) -> list[tuple[int, ValueStack]]:
     """Abstractly execute *block* from *entry*; return successor states."""
     frame = _AbstractFrame(entry, effects)
@@ -309,10 +289,10 @@ def _step_block(
                 def fold_pair(a: int, b: int, _op: Op = op) -> int:
                     return _fold(_op, a, b)
 
-                frame.push(lattice.fold(fold_pair, lhs, rhs))
+                frame.push(valueset.fold(fold_pair, lhs, rhs))
             elif op is Op.ISZERO:
                 (value,) = frame.pop(pc)
-                frame.push(lattice.iszero(value))
+                frame.push(valueset.iszero(value))
             elif op is Op.JUMP:
                 if block.successors:
                     return [(block.successors[0], frame.snapshot())]
@@ -322,7 +302,7 @@ def _step_block(
                 state = frame.snapshot()
                 target = _jumpi_target(instruction, program)
                 fall = pc + 1 if pc + 1 < len(program) else None
-                decision = lattice.branch(condition)
+                decision = valueset.branch(condition)
                 if decision is not None:
                     chosen = target if decision else fall
                     return [] if chosen is None else [(chosen, state)]
@@ -334,7 +314,7 @@ def _step_block(
                 return successors
             elif op is Op.SLOAD:
                 keys = _resolve_keys(
-                    instruction.operand, frame, pc, "storage key", lattice
+                    instruction.operand, frame, pc, "storage key"
                 )
                 if effects is not None:
                     effects.storage_reads = _widen_or_add(
@@ -343,7 +323,7 @@ def _step_block(
                 frame.push(TOP)  # storage contents are unknown statically
             elif op is Op.SSTORE:
                 keys = _resolve_keys(
-                    instruction.operand, frame, pc, "storage key", lattice
+                    instruction.operand, frame, pc, "storage key"
                 )
                 frame.pop(pc)  # the stored value
                 if effects is not None:
@@ -352,8 +332,7 @@ def _step_block(
                     )
             elif op is Op.BALANCE:
                 addresses = _resolve_keys(
-                    instruction.operand, frame, pc, "balance address",
-                    lattice,
+                    instruction.operand, frame, pc, "balance address"
                 )
                 if effects is not None:
                     effects.balance_reads = _widen_or_add(
@@ -367,9 +346,7 @@ def _step_block(
                 else:  # malformed hand-built operand: stay total, widen
                     raw_target, value = None, 0
                 targets = (
-                    _resolve_keys(
-                        raw_target, frame, pc, "call target", lattice
-                    )
+                    _resolve_keys(raw_target, frame, pc, "call target")
                     if raw_target is not None
                     else None
                 )
@@ -377,13 +354,8 @@ def _step_block(
                     effects.calls[pc] = CallSite(
                         pc=pc,
                         kind="call" if op is Op.CALL else "transfer",
-                        target=(
-                            targets[0]
-                            if targets is not None and len(targets) == 1
-                            else None
-                        ),
-                        value=int(value),
                         targets=targets,
+                        value=int(value),
                     )
             elif op is Op.LOG:
                 frame.pop(pc)
@@ -413,13 +385,8 @@ def _jumpi_target(instruction: Instruction, program: Program) -> int | None:
     return None
 
 
-def analyze_program(
-    program: Program,
-    *,
-    lattice: "str | ValueLattice" = DEFAULT_LATTICE,
-) -> ProgramSummary:
+def analyze_program(program: Program) -> ProgramSummary:
     """Compute the sound access summary and diagnostics of *program*."""
-    domain = get_lattice(lattice)
     cfg = build_cfg(program)
     entry_states: dict[int, ValueStack] = {}
     blocks_by_start = {block.start: block for block in cfg.blocks}
@@ -435,13 +402,13 @@ def analyze_program(
             start = worklist.pop()
             block = blocks_by_start[start]
             for successor, state in _step_block(
-                program, block, entry_states[start], None, domain
+                program, block, entry_states[start], None
             ):
                 if successor not in entry_states:
                     entry_states[successor] = state
                     worklist.append(successor)
                 else:
-                    joined = domain.join_stacks(
+                    joined = valueset.join_stacks(
                         entry_states[successor], state
                     )
                     if joined != entry_states[successor]:
@@ -453,8 +420,7 @@ def analyze_program(
     effects = _Effects()
     for start in sorted(entry_states):
         _step_block(
-            program, blocks_by_start[start], entry_states[start], effects,
-            domain,
+            program, blocks_by_start[start], entry_states[start], effects
         )
 
     for diagnostic in cfg.diagnostics:

@@ -30,11 +30,6 @@ from typing import Iterable, Mapping
 from repro import obs
 from repro.account.state import WorldState
 from repro.staticcheck.absint import ProgramSummary, analyze_program
-from repro.staticcheck.valueset import (
-    DEFAULT_LATTICE,
-    ValueLattice,
-    get_lattice,
-)
 from repro.vm.contract import CodeRegistry
 
 _MAX_CLOSURE_PASSES = 10_000
@@ -217,21 +212,13 @@ class ContractAnalyzer:
             :func:`code_bindings` or built by hand in tests).  Only
             addresses present here execute code; a call to any other
             address is a plain value transfer.
-        lattice: the abstract slot domain threaded to
-            :func:`~repro.staticcheck.absint.analyze_program` —
-            ``"valueset"`` (default) or ``"const"``.
     """
 
     def __init__(
-        self,
-        registry: CodeRegistry,
-        code_of: Mapping[str, str],
-        *,
-        lattice: "str | ValueLattice" = DEFAULT_LATTICE,
+        self, registry: CodeRegistry, code_of: Mapping[str, str]
     ) -> None:
         self.registry = registry
         self.code_of = dict(code_of)
-        self.lattice = get_lattice(lattice)
         self._summaries: dict[str, ProgramSummary] = {}
         self._closed: dict[str, ClosedAccess] | None = None
 
@@ -242,10 +229,7 @@ class ContractAnalyzer:
         cached = self._summaries.get(code_id)
         if cached is None:
             program = self.registry.get(code_id)
-            cached = analyze_program(
-                program if program is not None else (),
-                lattice=self.lattice,
-            )
+            cached = analyze_program(program if program is not None else ())
             self._summaries[code_id] = cached
         return cached
 

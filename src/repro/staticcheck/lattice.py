@@ -1,16 +1,16 @@
 """Abstract domains shared by the analyzer passes.
 
-Two tiny lattices:
-
-* **Values** — an operand on the abstract stack is either a known
-  constant (:class:`Const`, the result of constant propagation) or the
-  top element :data:`TOP` ("any value").  There is no bottom element:
+* **Values** — the building blocks of a stack slot: a known constant
+  (:class:`Const`, the result of constant propagation) or the top
+  element :data:`TOP` ("any value").  The slot lattice built on them
+  (sets and strided intervals of constants) is
+  :mod:`repro.staticcheck.valueset`.  There is no bottom element:
   unreachable states are simply never created.
 
 * **Key sets** — a :class:`MaySet` over-approximates a set of storage
   keys / addresses.  It is a finite set of strings until a dynamic
-  operand fails to resolve to a constant, at which point it widens to ⊤
-  ("may touch any key in scope").
+  operand fails to resolve to finitely many keys, at which point it
+  widens to ⊤ ("may touch any key in scope").
 """
 
 from __future__ import annotations
@@ -46,29 +46,6 @@ class Const:
         return f"Const({self.value!r})"
 
 
-AbstractValue = Union[Const, Top]
-
-# An abstract stack: a tuple of slots when the height is the same on
-# every path reaching the program point, or None ("unknown stack") when
-# joining paths of different heights.  Pops from an unknown stack yield
-# TOP and underflow can no longer be proven.
-StackState = Union[tuple[AbstractValue, ...], None]
-
-
-def join_value(a: AbstractValue, b: AbstractValue) -> AbstractValue:
-    """Least upper bound of two abstract values."""
-    if isinstance(a, Const) and isinstance(b, Const) and a == b:
-        return a
-    return TOP
-
-
-def join_stack(a: StackState, b: StackState) -> StackState:
-    """Least upper bound of two abstract stacks (height mismatch → None)."""
-    if a is None or b is None or len(a) != len(b):
-        return None
-    return tuple(join_value(x, y) for x, y in zip(a, b))
-
-
 @dataclass(frozen=True)
 class MaySet:
     """A sound over-approximation of a set of keys/addresses.
@@ -102,6 +79,3 @@ class MaySet:
     def __bool__(self) -> bool:
         return self.top or bool(self.items)
 
-
-EMPTY_MAYSET = MaySet()
-TOP_MAYSET = MaySet(top=True)

@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 from repro.staticcheck.absint import analyze_program
 from repro.staticcheck.diagnostics import Diagnostic
-from repro.staticcheck.valueset import DEFAULT_LATTICE, ValueLattice
 from repro.vm.contract import CodeRegistry
 
 
@@ -70,10 +69,7 @@ class LintReport:
 
 
 def lint_registry(
-    registry: CodeRegistry,
-    code_ids: Iterable[str] | None = None,
-    *,
-    lattice: str | ValueLattice = DEFAULT_LATTICE,
+    registry: CodeRegistry, code_ids: Iterable[str] | None = None
 ) -> LintReport:
     """Analyze every program in *registry* (or the given subset)."""
     selected = (
@@ -85,7 +81,7 @@ def lint_registry(
         if program is None:
             continue
         started = time.perf_counter()
-        summary = analyze_program(program, lattice=lattice)
+        summary = analyze_program(program)
         elapsed = time.perf_counter() - started
         contracts.append(
             ContractReport(

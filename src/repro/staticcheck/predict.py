@@ -27,28 +27,14 @@ an imprecise (but never wrong) oracle, bought at analysis cost ``K``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 from repro.account.transaction import AccountTransaction
 from repro.core.tdg import TDGResult
 from repro.execution.conflict_partition import conflict_partition
 from repro.execution.engine import TxTask, utxo_writes
-from repro.staticcheck.interproc import ClosedAccess
+from repro.staticcheck.interproc import ContractAnalyzer
 from repro.utxo.transaction import UTXOTransaction
-
-
-class AccessAnalyzer(Protocol):
-    """What prediction needs from an analyzer.
-
-    Satisfied by both :class:`~repro.staticcheck.interproc.ContractAnalyzer`
-    (from-scratch) and
-    :class:`~repro.staticcheck.incremental.IncrementalAnalyzer`
-    (digest-cached).
-    """
-
-    def has_code(self, address: str) -> bool: ...
-
-    def closed_access(self, address: str) -> ClosedAccess: ...
 
 
 @dataclass(frozen=True)
@@ -105,7 +91,7 @@ def unknown_access(tx_hash: str) -> PredictedAccess:
 
 
 def predict_transaction(
-    tx: AccountTransaction, analyzer: AccessAnalyzer
+    tx: AccountTransaction, analyzer: ContractAnalyzer
 ) -> PredictedAccess:
     """Predict the access set of *tx* without executing it.
 
@@ -175,7 +161,7 @@ def predict_transaction(
 
 def predict_block(
     transactions: Sequence[AccountTransaction],
-    analyzer: AccessAnalyzer,
+    analyzer: ContractAnalyzer,
 ) -> list[PredictedAccess]:
     """Predictions for a block's regular (non-coinbase) transactions."""
     return [

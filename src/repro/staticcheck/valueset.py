@@ -32,12 +32,6 @@ Because interval membership is capped, *every* non-⊤ value has an
 explicit finite element set (:func:`elements_of`), which keeps joins,
 constant folding (cartesian products) and storage-key enumeration
 simple and obviously sound.
-
-Two lattice policies share this code: :data:`VALUESET_LATTICE` (the
-default) and :data:`CONST_LATTICE`, which reproduces the PR 3 two-point
-behaviour exactly (any join of distinct values → ⊤) for A/B precision
-comparisons — ``repro.cli staticcheck --lattice const`` and the
-``bench_static_conflict`` before/after numbers.
 """
 
 from __future__ import annotations
@@ -88,8 +82,10 @@ class StridedInterval:
 #: One abstract stack slot under the value-set domain.
 Value = Union[Const, ValueSet, StridedInterval, Top]
 
-#: An abstract stack: known slots bottom-to-top, or None for
-#: unknown height (same convention as ``lattice.StackState``).
+#: An abstract stack: a tuple of slots bottom-to-top when the height is
+#: the same on every path reaching the program point, or None
+#: ("unknown stack") when joining paths of different heights.  Pops from
+#: an unknown stack yield ⊤ and underflow can no longer be proven.
 ValueStack = Union[tuple[Value, ...], None]
 
 
@@ -139,139 +135,95 @@ def _int_elements(value: Value) -> frozenset[int] | None:
     return ints
 
 
-@dataclass(frozen=True)
-class ValueLattice:
-    """One slot-domain policy threaded through the interpreter.
+# -- lattice operations -----------------------------------------------------
 
-    ``exact_only=True`` reproduces the PR 3 Const/⊤ lattice: a join of
-    two distinct values goes straight to ⊤ and only single constants
-    resolve keys.  ``exact_only=False`` is the bounded value-set domain
-    documented in the module docstring.
-    """
 
-    name: str
-    exact_only: bool
+def join(a: Value, b: Value) -> Value:
+    """Least upper bound of two slot values."""
+    if a == b:
+        return a
+    left = elements_of(a)
+    right = elements_of(b)
+    if left is None or right is None:
+        return TOP
+    return from_values(left | right)
 
-    # -- lattice operations -------------------------------------------------
 
-    def join(self, a: Value, b: Value) -> Value:
-        if a == b:
-            return a
-        if isinstance(a, Top) or isinstance(b, Top):
-            return TOP
-        if self.exact_only:
-            return TOP
-        left = elements_of(a)
-        right = elements_of(b)
-        if left is None or right is None:  # pragma: no cover - Top handled
-            return TOP
-        return from_values(left | right)
-
-    def join_stacks(self, a: ValueStack, b: ValueStack) -> ValueStack:
-        """Slot-wise join; mismatched heights widen to unknown."""
-        if a is None or b is None or len(a) != len(b):
-            return None
-        return tuple(self.join(x, y) for x, y in zip(a, b))
-
-    # -- transfer functions -------------------------------------------------
-
-    def fold(
-        self,
-        fold_fn: Callable[[int, int], int],
-        lhs: Value,
-        rhs: Value,
-    ) -> Value:
-        """Binary arithmetic over the cartesian product of int members."""
-        left = _int_elements(lhs)
-        right = _int_elements(rhs)
-        if left is None or right is None:
-            return TOP
-        if len(left) * len(right) > MAX_FOLD_ELEMENTS:
-            return TOP
-        return from_values(
-            fold_fn(a, b) for a in left for b in right
-        )
-
-    def iszero(self, value: Value) -> Value:
-        elements = _int_elements(value)
-        if elements is None:
-            return TOP
-        return from_values(1 if v == 0 else 0 for v in elements)
-
-    def branch(self, condition: Value) -> bool | None:
-        """JUMPI decision: True = jump, False = fall through, None = both."""
-        elements = _int_elements(condition)
-        if elements is None:
-            return None
-        truth = {v != 0 for v in elements}
-        if len(truth) != 1:
-            return None
-        return truth.pop()
-
-    def enumerate_keys(self, value: Value) -> tuple[str, ...] | None:
-        """The concrete storage keys / addresses *value* can denote.
-
-        None means the access site widens to ⊤.  Under ``exact_only``
-        nothing but a single constant resolves (PR 3 behaviour); the
-        value-set lattice enumerates small sets and short intervals.
-        """
-        if isinstance(value, Const):
-            return (str(value.value),)
-        if self.exact_only:
-            return None
-        if isinstance(value, ValueSet):
-            return tuple(sorted(str(v) for v in value.values))
-        if (
-            isinstance(value, StridedInterval)
-            and value.count <= MAX_ENUMERATED_KEYS
-        ):
-            return tuple(
-                str(v) for v in range(value.lo, value.hi + 1, value.stride)
-            )
+def join_stacks(a: ValueStack, b: ValueStack) -> ValueStack:
+    """Slot-wise join; mismatched heights widen to unknown."""
+    if a is None or b is None or len(a) != len(b):
         return None
+    return tuple(join(x, y) for x, y in zip(a, b))
 
 
-CONST_LATTICE = ValueLattice(name="const", exact_only=True)
-VALUESET_LATTICE = ValueLattice(name="valueset", exact_only=False)
-
-LATTICES: dict[str, ValueLattice] = {
-    CONST_LATTICE.name: CONST_LATTICE,
-    VALUESET_LATTICE.name: VALUESET_LATTICE,
-}
-
-#: The lattice every analysis entry point defaults to.
-DEFAULT_LATTICE = VALUESET_LATTICE.name
+# -- transfer functions -----------------------------------------------------
 
 
-def get_lattice(lattice: "str | ValueLattice") -> ValueLattice:
-    """Resolve a lattice policy by name (or pass one through)."""
-    if isinstance(lattice, ValueLattice):
-        return lattice
-    try:
-        return LATTICES[lattice]
-    except KeyError:
-        known = ", ".join(sorted(LATTICES))
-        raise ValueError(
-            f"unknown lattice {lattice!r}; known lattices: {known}"
-        ) from None
+def fold(fold_fn: Callable[[int, int], int], lhs: Value, rhs: Value) -> Value:
+    """Binary arithmetic over the cartesian product of int members."""
+    left = _int_elements(lhs)
+    right = _int_elements(rhs)
+    if left is None or right is None:
+        return TOP
+    if len(left) * len(right) > MAX_FOLD_ELEMENTS:
+        return TOP
+    return from_values(fold_fn(a, b) for a in left for b in right)
+
+
+def iszero(value: Value) -> Value:
+    elements = _int_elements(value)
+    if elements is None:
+        return TOP
+    return from_values(1 if v == 0 else 0 for v in elements)
+
+
+def branch(condition: Value) -> bool | None:
+    """JUMPI decision: True = jump, False = fall through, None = both."""
+    elements = _int_elements(condition)
+    if elements is None:
+        return None
+    truth = {v != 0 for v in elements}
+    if len(truth) != 1:
+        return None
+    return truth.pop()
+
+
+def enumerate_keys(value: Value) -> tuple[str, ...] | None:
+    """The concrete storage keys / addresses *value* can denote.
+
+    None means the access site widens to ⊤: the value is ⊤ or an
+    interval longer than :data:`MAX_ENUMERATED_KEYS`.
+    """
+    if isinstance(value, Const):
+        return (str(value.value),)
+    if isinstance(value, ValueSet):
+        return tuple(sorted(str(v) for v in value.values))
+    if (
+        isinstance(value, StridedInterval)
+        and value.count <= MAX_ENUMERATED_KEYS
+    ):
+        return tuple(
+            str(v) for v in range(value.lo, value.hi + 1, value.stride)
+        )
+    return None
 
 
 __all__ = [
-    "CONST_LATTICE",
-    "DEFAULT_LATTICE",
-    "LATTICES",
     "MAX_ENUMERATED_KEYS",
     "MAX_FOLD_ELEMENTS",
     "MAX_INTERVAL_COUNT",
     "MAX_SET_SIZE",
-    "VALUESET_LATTICE",
     "Concrete",
     "StridedInterval",
     "Value",
-    "ValueLattice",
     "ValueSet",
     "ValueStack",
+    "branch",
     "elements_of",
+    "enumerate_keys",
+    "fold",
     "from_values",
-    "get_lattice",
+    "iszero",
+    "join",
+    "join_stacks",
 ]

@@ -240,11 +240,10 @@ CONST_INDEXED_ASM = """
 # -- routed bodies: branch-joined constant targets ------------------------
 #
 # Each branch arm pushes a different constant target, and the dynamic
-# ``transfer $``/``call $`` consumes the *join* of the two arms.  Under
-# the two-point Const/⊤ lattice that join is ⊤ (the whole access set
-# widens); under the value-set lattice it is the exact two-element set
-# {a, b}, so the predicted sets stay finite — the archetype that
-# separates the two lattices' precision.  At runtime the toggle flag
+# ``transfer $``/``call $`` consumes the *join* of the two arms.  The
+# value-set lattice keeps that join as the exact two-element set {a, b},
+# so the predicted sets stay finite where a single-constant domain would
+# widen the whole access set to ⊤.  At runtime the toggle flag
 # alternates the route taken, exercising both arms.
 
 def routed_payout_asm(payee_a: str, payee_b: str) -> str:
@@ -270,10 +269,10 @@ def routed_payout_asm(payee_a: str, payee_b: str) -> str:
 def routed_call_asm(route_a: str, route_b: str) -> str:
     """Assembly calling one of two fixed sink contracts, by a toggle.
 
-    Same shape as :func:`routed_payout_asm` with a dynamic ``CALL``:
-    under Const/⊤ an unknown call target is ``global_top`` ("may run
-    anything"), the most destructive widening; the value-set join keeps
-    the closure to the two sinks' access sets.
+    Same shape as :func:`routed_payout_asm` with a dynamic ``CALL``: an
+    unknown call target would be ``global_top`` ("may run anything"),
+    the most destructive widening; the value-set join keeps the closure
+    to the two sinks' access sets.
     """
     return f"""
         sload toggle

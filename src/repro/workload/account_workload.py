@@ -236,10 +236,9 @@ class AccountWorkloadBuilder:
         storage-read transfer targets (balance/endpoint ⊤),
         constant-indexed access (dynamic forms that still resolve
         precisely), and two *routed* bodies whose branch arms push
-        different constant targets — ⊤-widened under the Const/⊤
-        lattice, exactly resolved under the value-set lattice (the
-        archetypes the static-conflict bench's before/after precision
-        comparison turns on).
+        different constant targets — exactly resolved by the value-set
+        lattice, where a single-constant domain would widen them to ⊤
+        (the archetypes the analyser's precision turns on).
         """
         archetype = index % 6
         if archetype == 0:

@@ -1,11 +1,9 @@
 """CLI contract for ``repro.cli staticcheck``: exit-code matrix, the
-lattice switch, and the incremental-cache statistics line."""
+lint table, and the precision pin on the dynamic archetypes."""
 
 from __future__ import annotations
 
 import re
-
-import pytest
 
 from repro.cli import main
 
@@ -41,28 +39,28 @@ class TestExitCodes:
         assert "account chain" in capsys.readouterr().err
 
 
-class TestLatticeSwitch:
-    def test_valueset_is_more_precise_than_const(self, capsys):
-        """The routed archetypes widen under const, resolve under the
-        (default) value-set lattice — strictly fewer ⊤ warnings."""
-        _, const_out = _run(
-            capsys, "--chain", "ethereum", "--dynamic", "8",
-            "--lattice", "const",
+class TestPrecision:
+    def test_dynamic_8_widens_three_sites_and_resolves_routed(self, capsys):
+        """``--dynamic 8`` deploys every dynamic archetype.  Only the
+        counter's key and the two storage-read payout targets widen to
+        ⊤; both routed bodies resolve their branch-joined target."""
+        code, out = _run(capsys, "--chain", "ethereum", "--dynamic", "8")
+        assert code == 0
+        assert out.splitlines()[-1].startswith(
+            "647 contract(s) checked: 0 error(s), 3 warning(s)"
         )
-        _, vs_out = _run(
-            capsys, "--chain", "ethereum", "--dynamic", "8",
-            "--lattice", "valueset",
-        )
-        const_tops = const_out.count("widened to ⊤")
-        vs_tops = vs_out.count("widened to ⊤")
-        assert 0 < vs_tops < const_tops
-
-    def test_unknown_lattice_rejected_by_parser(self, capsys):
-        with pytest.raises(SystemExit):
-            main([
-                "staticcheck", "--chain", "ethereum",
-                "--lattice", "octagon",
-            ])
+        assert out.count("widened to ⊤") == 3
+        routed = [
+            line for line in out.splitlines() if line.startswith("routed")
+        ]
+        assert [line.split(" ", 1)[0] for line in routed] == [
+            "routedcall395", "routedpay394",
+        ]
+        for line in routed:
+            assert re.search(
+                r": clean \[\d+\.\d+ ms, 1 resolved / 0 widened site\(s\)\]$",
+                line,
+            )
 
 
 class TestLintTable:
@@ -76,22 +74,3 @@ class TestLintTable:
         assert status.search(out)
         assert re.search(r"contract\(s\) checked: .* in \d+\.\d+ ms", out)
 
-
-class TestIncremental:
-    def test_incremental_reports_cache_hits(self, capsys):
-        code, out = _run(
-            capsys, "--chain", "ethereum", "--incremental"
-        )
-        assert code == 0
-        match = re.search(
-            r"^incremental: summary_hits=(\d+) summary_misses=(\d+) "
-            r"closure_hits=(\d+) closure_misses=(\d+) invalidated=(\d+)$",
-            out, re.MULTILINE,
-        )
-        assert match, out.splitlines()[-1]
-        closure_hits = int(match.group(3))
-        invalidated = int(match.group(5))
-        # Growth-only change: the second pass reuses every pre-existing
-        # closure and invalidates none.
-        assert closure_hits > 0
-        assert invalidated == 0

@@ -9,13 +9,8 @@ from repro.staticcheck.diagnostics import (
     TOP_WIDENED,
     UNREACHABLE,
 )
-from repro.staticcheck.lattice import (
-    TOP,
-    Const,
-    MaySet,
-    join_stack,
-    join_value,
-)
+from repro.staticcheck.lattice import TOP, Const, MaySet
+from repro.staticcheck.valueset import MAX_SET_SIZE, join, join_stacks
 from repro.vm.contract import (
     CONST_INDEXED_ASM,
     DYNAMIC_COUNTER_ASM,
@@ -34,15 +29,20 @@ def codes(summary):
 
 
 def test_joining_different_constants_widens_to_top():
-    assert join_value(Const(1), Const(1)) == Const(1)
-    assert join_value(Const(1), Const(2)) is TOP
-    assert join_value(Const("a"), TOP) is TOP
+    # Distinct constants join exactly while the set is small; symbols
+    # past MAX_SET_SIZE have no interval to widen to, so they go to ⊤.
+    assert join(Const(1), Const(1)) == Const(1)
+    joined = Const("k0")
+    for index in range(1, MAX_SET_SIZE + 1):
+        joined = join(joined, Const(f"k{index}"))
+    assert joined is TOP
+    assert join(Const("a"), TOP) is TOP
 
 
 def test_joining_stacks_of_different_heights_is_unknown():
-    assert join_stack((Const(1),), (Const(1),)) == (Const(1),)
-    assert join_stack((Const(1),), (Const(1), Const(2))) is None
-    assert join_stack(None, (Const(1),)) is None
+    assert join_stacks((Const(1),), (Const(1),)) == (Const(1),)
+    assert join_stacks((Const(1),), (Const(1), Const(2))) is None
+    assert join_stacks(None, (Const(1),)) is None
 
 
 def test_mayset_widening_absorbs_items():
@@ -100,7 +100,7 @@ def test_constant_call_target_resolves():
         assemble("push 777\ncall $ 0\nstop")
     )
     (site,) = summary.calls
-    assert site.target == "777"
+    assert site.targets == ("777",)
     assert not summary.top_widened
 
 
@@ -223,7 +223,7 @@ def test_analyzer_is_total_over_malformed_operands():
     )
     summary = analyze_program(program)
     (site,) = summary.calls
-    assert site.target is None  # widened, not crashed
+    assert site.targets is None  # widened, not crashed
 
 
 def test_loop_fixpoint_terminates_and_covers_effects():
@@ -250,7 +250,7 @@ def test_loop_fixpoint_terminates_and_covers_effects():
 
 def test_branch_joined_keys_resolve_under_valueset():
     # Each arm pushes a different key; the dynamic sstore consumes the
-    # join.  The value-set lattice keeps the exact two-element set.
+    # join, which stays the exact two-element set.
     program = assemble(
         "push 1\n"      # the value to store
         "sload flag\n"
@@ -261,7 +261,7 @@ def test_branch_joined_keys_resolve_under_valueset():
         "sstore $\n"
         "stop"
     )
-    summary = analyze_program(program, lattice="valueset")
+    summary = analyze_program(program)
     assert summary.storage_writes.items == {"key_a", "key_b"}
     assert not summary.storage_writes.top
     assert summary.resolved_sites == frozenset({6})
@@ -269,52 +269,23 @@ def test_branch_joined_keys_resolve_under_valueset():
     assert TOP_WIDENED not in codes(summary)
 
 
-def test_branch_joined_keys_widen_under_const():
-    program = assemble(
-        "push 1\n"      # the value to store
-        "sload flag\n"
-        "jumpi 5\n"
-        "push key_a\n"
-        "jump 6\n"
-        "push key_b\n"
-        "sstore $\n"
-        "stop"
-    )
-    summary = analyze_program(program, lattice="const")
-    assert summary.storage_writes.top
-    assert summary.widened_sites == frozenset({6})
-    assert TOP_WIDENED in codes(summary)
-
-
 def test_multi_target_call_site_resolves_under_valueset():
     from repro.vm.contract import routed_call_asm
 
-    summary = analyze_program(
-        assemble(routed_call_asm("sink_a", "sink_b")), lattice="valueset"
-    )
+    summary = analyze_program(assemble(routed_call_asm("sink_a", "sink_b")))
     (site,) = summary.calls
-    assert site.target is None          # no single-target view
     assert site.targets == ("sink_a", "sink_b")
+    assert summary.resolved_sites == frozenset({6})
+    assert summary.widened_sites == frozenset()
     assert not summary.has_unknown_call_target
     assert not summary.top_widened
 
 
-def test_multi_target_call_site_widens_under_const():
+def test_single_target_site_keeps_single_target_view():
+    # Both arms push the same target: the join is that one constant.
     from repro.vm.contract import routed_call_asm
 
-    summary = analyze_program(
-        assemble(routed_call_asm("sink_a", "sink_b")), lattice="const"
-    )
+    summary = analyze_program(assemble(routed_call_asm("sink_a", "sink_a")))
     (site,) = summary.calls
-    assert site.targets is None
-    assert summary.has_unknown_call_target
-    assert summary.top_widened
-
-
-def test_single_target_site_keeps_single_target_view():
-    summary = analyze_program(
-        assemble("push 777\ncall $ 0\nstop"), lattice="valueset"
-    )
-    (site,) = summary.calls
-    assert site.target == "777"
-    assert site.targets == ("777",)
+    assert site.targets == ("sink_a",)
+    assert not summary.top_widened

@@ -132,54 +132,37 @@ def test_call_to_codeless_address_is_plain_endpoint():
 
 
 def test_routed_call_closure_stays_finite_under_valueset():
-    """A branch-joined call target closes over exactly the two sinks
-    under the value-set lattice, but goes global-⊤ under const."""
+    """A branch-joined call target closes over exactly the two sinks,
+    not over "any contract may run"."""
     from repro.vm.contract import ROUTE_SINK_ASM, routed_call_asm
 
-    bodies = {
-        "routed": routed_call_asm("sink_a", "sink_b"),
-        "sink": ROUTE_SINK_ASM,
-    }
-    bindings = {"rt": "routed", "sink_a": "sink", "sink_b": "sink"}
-
-    registry = CodeRegistry()
-    for code_id, text in bodies.items():
-        registry.register_assembly(code_id, text)
-
-    precise = ContractAnalyzer(
-        registry, bindings, lattice="valueset"
-    ).closed_access("rt")
-    assert not precise.global_top
-    assert ("sink_a", "hits") in precise.storage_writes
-    assert ("sink_b", "hits") in precise.storage_writes
-    assert precise.internal_endpoints == frozenset(
-        {"rt", "sink_a", "sink_b"}
+    analyzer = make_analyzer(
+        {
+            "routed": routed_call_asm("sink_a", "sink_b"),
+            "sink": ROUTE_SINK_ASM,
+        },
+        {"rt": "routed", "sink_a": "sink", "sink_b": "sink"},
     )
-
-    widened = ContractAnalyzer(
-        registry, bindings, lattice="const"
-    ).closed_access("rt")
-    assert widened.global_top
+    assert analyzer.closed_access("rt") == ClosedAccess(
+        storage_reads=frozenset({("rt", "toggle")}),
+        storage_writes=frozenset(
+            {("rt", "toggle"), ("sink_a", "hits"), ("sink_b", "hits")}
+        ),
+        internal_endpoints=frozenset({"rt", "sink_a", "sink_b"}),
+    )
 
 
 def test_routed_transfer_closure_stays_finite_under_valueset():
+    """A branch-joined transfer target moves exactly the two payees'
+    balances, not "any balance"."""
     from repro.vm.contract import routed_payout_asm
 
-    registry = CodeRegistry()
-    registry.register_assembly(
-        "pay", routed_payout_asm("payee_a", "payee_b")
+    analyzer = make_analyzer(
+        {"pay": routed_payout_asm("payee_a", "payee_b")}, {"pp": "pay"}
     )
-    bindings = {"pp": "pay"}
-
-    precise = ContractAnalyzer(
-        registry, bindings, lattice="valueset"
-    ).closed_access("pp")
-    assert not precise.balance_write_top
-    assert precise.balance_writes == frozenset(
-        {"pp", "payee_a", "payee_b"}
+    assert analyzer.closed_access("pp") == ClosedAccess(
+        storage_reads=frozenset({("pp", "toggle")}),
+        storage_writes=frozenset({("pp", "toggle")}),
+        balance_writes=frozenset({"pp", "payee_a", "payee_b"}),
+        internal_endpoints=frozenset({"pp", "payee_a", "payee_b"}),
     )
-
-    widened = ContractAnalyzer(
-        registry, bindings, lattice="const"
-    ).closed_access("pp")
-    assert widened.balance_write_top

@@ -14,14 +14,12 @@ in ``benchmarks/bench_static_conflict.py``.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.account.state import WorldState
 from repro.account.transaction import make_account_transaction
 from repro.chain.errors import ChainError
-from repro.staticcheck.incremental import IncrementalAnalyzer
 from repro.staticcheck.interproc import ContractAnalyzer
 from repro.vm.contract import CodeRegistry
 from repro.vm.opcodes import STACK_OPERAND, Instruction, Op
@@ -74,10 +72,9 @@ def _instruction_strategy():
 programs = st.lists(_instruction_strategy(), min_size=1, max_size=25)
 
 
-@pytest.mark.parametrize("lattice", ["const", "valueset"])
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(program=programs)
-def test_static_set_covers_dynamic_trace(lattice, program):
+def test_static_set_covers_dynamic_trace(program):
     registry = CodeRegistry()
     registry.register("fuzz", tuple(program))
     registry.register_assembly("callee", CALLEE_ASM)
@@ -89,9 +86,7 @@ def test_static_set_covers_dynamic_trace(lattice, program):
     state.credit(MAIN, 1000)
     state.credit(CALLEE, 1000)
 
-    analyzer = ContractAnalyzer(
-        registry, {MAIN: "fuzz", CALLEE: "callee"}, lattice=lattice
-    )
+    analyzer = ContractAnalyzer(registry, {MAIN: "fuzz", CALLEE: "callee"})
     closed = analyzer.closed_access(MAIN)
 
     vm = VM(registry)
@@ -137,25 +132,3 @@ def test_analyzer_is_total(program):
     closed.covers_read(MAIN, "k0")
     closed.covers_endpoint(MAIN)
 
-
-@settings(max_examples=200, deadline=None)
-@given(program=programs)
-def test_incremental_analysis_matches_from_scratch(program):
-    """Growing the registry one contract at a time, the cached
-    incremental closures equal a from-scratch analysis — for any
-    fuzzed program, including ones that call the shared callee."""
-    registry = CodeRegistry()
-    incremental = IncrementalAnalyzer(registry)
-
-    registry.register_assembly("callee", CALLEE_ASM)
-    incremental.bind(CALLEE, "callee")
-    incremental.closed_access(CALLEE)  # prime the cache pre-growth
-
-    registry.register("fuzz", tuple(program))
-    incremental.bind(MAIN, "fuzz")
-
-    fresh = ContractAnalyzer(registry, {MAIN: "fuzz", CALLEE: "callee"})
-    for address in (MAIN, CALLEE):
-        assert incremental.closed_access(address) == (
-            fresh.closed_access(address)
-        )

@@ -1,29 +1,29 @@
 """Unit tests for the bounded value-set slot domain.
 
-Covers canonical normalization (:func:`from_values`), join behaviour of
-both lattice policies, the termination argument (finite per-slot join
-chains), constant folding, branch decisions and storage-key
-enumeration.  Soundness of the whole interpreter over this domain is
+Covers canonical normalization (:func:`from_values`), joins, the
+termination argument (finite per-slot join chains), constant folding,
+branch decisions and storage-key enumeration.  Soundness of the whole interpreter over this domain is
 property-tested in ``test_soundness_property.py``.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.staticcheck.lattice import TOP, Const
 from repro.staticcheck.valueset import (
-    CONST_LATTICE,
     MAX_ENUMERATED_KEYS,
     MAX_FOLD_ELEMENTS,
     MAX_INTERVAL_COUNT,
     MAX_SET_SIZE,
-    VALUESET_LATTICE,
     StridedInterval,
     ValueSet,
+    branch,
     elements_of,
+    enumerate_keys,
+    fold,
     from_values,
-    get_lattice,
+    iszero,
+    join,
+    join_stacks,
 )
 
 
@@ -64,30 +64,26 @@ class TestFromValues:
 
 class TestJoin:
     def test_join_is_exact_while_small(self):
-        joined = VALUESET_LATTICE.join(Const("payee_a"), Const("payee_b"))
+        joined = join(Const("payee_a"), Const("payee_b"))
         assert joined == ValueSet(frozenset({"payee_a", "payee_b"}))
 
-    def test_const_lattice_widens_distinct_values(self):
-        assert CONST_LATTICE.join(Const(1), Const(2)) is TOP
-        assert CONST_LATTICE.join(Const(1), Const(1)) == Const(1)
-
     def test_top_absorbs(self):
-        assert VALUESET_LATTICE.join(TOP, Const(1)) is TOP
-        assert VALUESET_LATTICE.join(Const(1), TOP) is TOP
+        assert join(TOP, Const(1)) is TOP
+        assert join(Const(1), TOP) is TOP
 
     def test_join_is_commutative_and_idempotent(self):
         a = from_values([1, 2, 3])
         b = from_values([3, 4])
-        assert VALUESET_LATTICE.join(a, b) == VALUESET_LATTICE.join(b, a)
-        assert VALUESET_LATTICE.join(a, a) == a
+        assert join(a, b) == join(b, a)
+        assert join(a, a) == a
 
     def test_join_chain_terminates(self):
         """Per-slot join chains reach a fixpoint in bounded steps."""
-        value = VALUESET_LATTICE.join(Const(0), Const(1))
+        value = join(Const(0), Const(1))
         steps = 0
         current = value
         for nxt in range(2, 10_000):
-            joined = VALUESET_LATTICE.join(current, Const(nxt))
+            joined = join(current, Const(nxt))
             if joined == current:
                 continue
             current = joined
@@ -100,22 +96,22 @@ class TestJoin:
     def test_join_stacks_slotwise(self):
         a = (Const(1), Const("k"))
         b = (Const(2), Const("k"))
-        joined = VALUESET_LATTICE.join_stacks(a, b)
+        joined = join_stacks(a, b)
         assert joined == (ValueSet(frozenset({1, 2})), Const("k"))
-        assert VALUESET_LATTICE.join_stacks(a, (Const(1),)) is None
-        assert VALUESET_LATTICE.join_stacks(None, a) is None
+        assert join_stacks(a, (Const(1),)) is None
+        assert join_stacks(None, a) is None
 
 
 class TestTransfer:
     def test_fold_cartesian_product(self):
         lhs = from_values([10, 20])
         rhs = from_values([1, 2])
-        folded = VALUESET_LATTICE.fold(lambda a, b: a + b, lhs, rhs)
+        folded = fold(lambda a, b: a + b, lhs, rhs)
         assert elements_of(folded) == frozenset({11, 12, 21, 22})
 
     def test_fold_symbol_operand_widens(self):
         assert (
-            VALUESET_LATTICE.fold(lambda a, b: a + b, Const("k"), Const(1))
+            fold(lambda a, b: a + b, Const("k"), Const(1))
             is TOP
         )
 
@@ -123,39 +119,36 @@ class TestTransfer:
         lhs = from_values(range(0, MAX_FOLD_ELEMENTS, 2))
         rhs = from_values([0, 1, 2])
         assert len(elements_of(lhs) or ()) * 3 > MAX_FOLD_ELEMENTS
-        assert VALUESET_LATTICE.fold(lambda a, b: a + b, lhs, rhs) is TOP
+        assert fold(lambda a, b: a + b, lhs, rhs) is TOP
 
     def test_iszero(self):
-        assert VALUESET_LATTICE.iszero(Const(0)) == Const(1)
-        assert VALUESET_LATTICE.iszero(Const(5)) == Const(0)
-        mixed = VALUESET_LATTICE.iszero(from_values([0, 3]))
+        assert iszero(Const(0)) == Const(1)
+        assert iszero(Const(5)) == Const(0)
+        mixed = iszero(from_values([0, 3]))
         assert elements_of(mixed) == frozenset({0, 1})
-        assert VALUESET_LATTICE.iszero(TOP) is TOP
+        assert iszero(TOP) is TOP
 
     def test_branch_decision(self):
-        assert VALUESET_LATTICE.branch(Const(0)) is False
-        assert VALUESET_LATTICE.branch(Const(7)) is True
-        assert VALUESET_LATTICE.branch(from_values([1, 2])) is True
-        assert VALUESET_LATTICE.branch(from_values([0, 1])) is None
-        assert VALUESET_LATTICE.branch(TOP) is None
+        assert branch(Const(0)) is False
+        assert branch(Const(7)) is True
+        assert branch(from_values([1, 2])) is True
+        assert branch(from_values([0, 1])) is None
+        assert branch(TOP) is None
 
 
 class TestEnumerateKeys:
-    def test_const_resolves_under_both_lattices(self):
-        for lattice in (CONST_LATTICE, VALUESET_LATTICE):
-            assert lattice.enumerate_keys(Const("slot7")) == ("slot7",)
+    def test_const_resolves_to_its_key(self):
+        assert enumerate_keys(Const("slot7")) == ("slot7",)
+        assert enumerate_keys(Const(7)) == ("7",)
 
-    def test_sets_resolve_only_under_valueset(self):
-        routed = from_values(["payee_a", "payee_b"])
-        assert VALUESET_LATTICE.enumerate_keys(routed) == (
-            "payee_a", "payee_b",
-        )
-        assert CONST_LATTICE.enumerate_keys(routed) is None
+    def test_sets_resolve_to_sorted_keys(self):
+        routed = from_values(["payee_b", "payee_a"])
+        assert enumerate_keys(routed) == ("payee_a", "payee_b")
 
     def test_short_intervals_enumerate(self):
         interval = from_values(range(0, MAX_ENUMERATED_KEYS * 4, 4))
         assert isinstance(interval, StridedInterval)
-        keys = VALUESET_LATTICE.enumerate_keys(interval)
+        keys = enumerate_keys(interval)
         assert keys == tuple(
             str(v) for v in range(0, MAX_ENUMERATED_KEYS * 4, 4)
         )
@@ -163,18 +156,7 @@ class TestEnumerateKeys:
     def test_long_intervals_widen(self):
         interval = from_values(range(MAX_ENUMERATED_KEYS + 1))
         assert isinstance(interval, StridedInterval)
-        assert VALUESET_LATTICE.enumerate_keys(interval) is None
+        assert enumerate_keys(interval) is None
 
     def test_top_widens(self):
-        assert VALUESET_LATTICE.enumerate_keys(TOP) is None
-
-
-class TestRegistry:
-    def test_get_lattice_by_name_and_passthrough(self):
-        assert get_lattice("const") is CONST_LATTICE
-        assert get_lattice("valueset") is VALUESET_LATTICE
-        assert get_lattice(VALUESET_LATTICE) is VALUESET_LATTICE
-
-    def test_get_lattice_unknown(self):
-        with pytest.raises(ValueError, match="unknown lattice"):
-            get_lattice("octagon")
+        assert enumerate_keys(TOP) is None
