@@ -14,6 +14,7 @@ in ``benchmarks/bench_static_conflict.py``.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,7 +41,11 @@ _operandless = [
 ]
 
 
-def _instruction_strategy():
+def _instruction_strategy(dynamic_operands):
+    """Instructions whose storage keys and call targets are constant
+    symbols, plus — when ``dynamic_operands`` — the `$` form, which takes
+    the operand off the stack."""
+    dynamic = [STACK_OPERAND] if dynamic_operands else []
     operandless = st.sampled_from(_operandless).map(
         lambda op: Instruction(op=op)
     )
@@ -51,15 +56,16 @@ def _instruction_strategy():
         st.sampled_from([Op.JUMP, Op.JUMPI]),
         st.integers(min_value=0, max_value=24),
     ).map(lambda pair: Instruction(op=pair[0], operand=pair[1]))
-    # Storage keys: static symbols plus the dynamic `$` form, which the
-    # analyzer must widen to the executing contract's storage ⊤.
+    # Storage keys: static symbols plus, optionally, the dynamic `$`
+    # form, which the analyzer resolves through the value-set domain or
+    # widens to the executing contract's storage ⊤.
     storage = st.tuples(
         st.sampled_from([Op.SLOAD, Op.SSTORE, Op.BALANCE]),
-        st.sampled_from(["k0", "k1", STACK_OPERAND]),
+        st.sampled_from(["k0", "k1", *dynamic]),
     ).map(lambda pair: Instruction(op=pair[0], operand=pair[1]))
     call = st.tuples(
         st.sampled_from([Op.CALL, Op.TRANSFER]),
-        st.sampled_from([CALLEE, PLAIN, STACK_OPERAND]),
+        st.sampled_from([CALLEE, PLAIN, *dynamic]),
         st.integers(min_value=0, max_value=3),
     ).map(
         lambda triple: Instruction(
@@ -69,12 +75,28 @@ def _instruction_strategy():
     return st.one_of(operandless, push, jump, storage, call)
 
 
-programs = st.lists(_instruction_strategy(), min_size=1, max_size=25)
+def _program_strategy(dynamic_operands):
+    return st.lists(
+        _instruction_strategy(dynamic_operands), min_size=1, max_size=25
+    )
 
 
+programs = _program_strategy(dynamic_operands=True)
+
+# "const": every key and target is a constant symbol.  "valueset": keys
+# and targets may also come off the stack, so coverage rests on the
+# value-set domain's resolution and widening.
+PROGRAMS_BY_OPERANDS = {
+    "const": _program_strategy(dynamic_operands=False),
+    "valueset": programs,
+}
+
+
+@pytest.mark.parametrize("operands", sorted(PROGRAMS_BY_OPERANDS))
 @settings(max_examples=500, deadline=None)
-@given(program=programs)
-def test_static_set_covers_dynamic_trace(program):
+@given(data=st.data())
+def test_static_set_covers_dynamic_trace(operands, data):
+    program = data.draw(PROGRAMS_BY_OPERANDS[operands], label="program")
     registry = CodeRegistry()
     registry.register("fuzz", tuple(program))
     registry.register_assembly("callee", CALLEE_ASM)
