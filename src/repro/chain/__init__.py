@@ -23,6 +23,7 @@ from repro.chain.hashing import (
     address_from_seed,
     hash_concat,
     hash_fields,
+    hash_parts,
     sha256_hex,
     short_hash,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "address_from_seed",
     "hash_concat",
     "hash_fields",
+    "hash_parts",
     "sha256_hex",
     "short_hash",
     "Ledger",

@@ -31,7 +31,28 @@ def hash_fields(*fields: object) -> str:
     avoids pulling in a serialisation library for what is a simulation
     substrate rather than a wire protocol.
     """
-    payload = "\x1f".join(repr(field) for field in fields)
+    payload = "\x1f".join(map(repr, fields))
+    return sha256_hex(payload.encode("utf-8"))
+
+
+def hash_parts(*parts: str) -> str:
+    """Hash one or more strings, none of which holds ``\\x1f``.
+
+    The parts are joined by that separator without ``repr``, so a long
+    flat digest (a block's state or receipts) costs one join and one
+    SHA-256.  The join is injective because the separator is checked
+    absent from every part: the text must hold exactly one fewer than
+    there are parts.
+
+    Raises:
+        ValueError: no parts, or a part contains the separator.
+    """
+    payload = "\x1f".join(parts)
+    if payload.count("\x1f") != len(parts) - 1:
+        raise ValueError(
+            "hash_parts needs one or more parts and no \\x1f separator "
+            "in any of them"
+        )
     return sha256_hex(payload.encode("utf-8"))
 
 

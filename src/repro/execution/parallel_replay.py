@@ -7,20 +7,25 @@ same :func:`~repro.core.parallel.ordered_chunk_map`, for the
 contiguous chunks, each chunk replays every requested engine (the eight
 of :data:`ENGINES`) inside a worker, and the per-(block, engine)
 :class:`BlockReplay` records are reassembled in height order — together
-with two determinism digests per record:
+with two determinism digests per record, one SHA-256 each:
 
-* ``state_root`` — per-location write chains folded in commit order
-  (the engine's commit stream sorted by clock, block position
-  breaking ties) and hashed over the sorted (location, chain) pairs.
+* ``state_root`` — one hash over every location's writers in commit
+  order (the engine's commit stream sorted by clock, block position
+  breaking ties), as (location, writer) pairs sorted by location.
   Every engine preserves block order among the writers of any single
   location — that is the serializable-equivalence contract the
   differential suite enforces — so all engines must produce
-  byte-identical roots, and the fold is made per location, once per
-  block (:class:`_BlockFold`), not once per engine.
-* ``receipt_root`` — a digest of the block's raw payload (receipts /
-  transactions) in block order.  It is engine-independent by
-  construction and exists to prove the *transport* (fork globals,
-  shared memory, explicit pickles) delivered the payload byte-exactly.
+  byte-identical roots, and a block hashes one root per class of
+  commit order (:class:`_BlockFold`), not one per engine.
+* ``receipt_root`` — one hash over the canonical fields of the block's
+  raw payload (receipts / transactions) in block order.  It is
+  engine-independent by construction and exists to prove the
+  *transport* (fork globals, shared memory, explicit pickles)
+  delivered the payload byte-exactly.
+
+Both digests join plain strings with a separator checked absent from
+every part (:func:`repro.chain.hashing.hash_parts`) and sort every set
+first, so they are injective and independent of ``PYTHONHASHSEED``.
 
 Backends, validation, chunking, transports and fallbacks are the
 fan-out's (``serial`` / ``thread`` / ``process``; see
@@ -43,13 +48,15 @@ lanes on ``replay.<backend>``.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from repro import obs
 from repro.account.receipts import ExecutedTransaction
-from repro.chain.hashing import hash_concat, hash_fields
+from repro.chain.hashing import hash_fields, hash_parts
 from repro.core.parallel import (
     ordered_chunk_map,
     validate_backend,
@@ -90,7 +97,7 @@ class ReplayBlock:
     """Pure, picklable description of one block's replay input.
 
     ``tasks`` are the executor-ready :class:`TxTask` objects, ``payload``
-    the raw transaction sequence the DAG engine and the receipt digest
+    the raw transaction sequence the DAG engine and the receipts root
     consume, and ``predictions`` the block's statically predicted
     access sets (frozen
     :class:`~repro.staticcheck.predict.PredictedAccess` records) that
@@ -179,145 +186,127 @@ def coerce_replay_inputs(source) -> list[ReplayBlock]:
 # -- determinism digests ------------------------------------------------------
 
 
-def receipt_digest(item) -> str:
-    """Canonical digest of one payload item (hash-seed independent).
-
-    Receipts hold frozensets whose iteration order varies with
-    ``PYTHONHASHSEED`` — every set is sorted before hashing so parent
-    and spawned workers agree byte for byte.
-    """
-    if isinstance(item, ExecutedTransaction):
-        receipt = item.receipt
-        return hash_fields(
-            "account-receipt",
-            item.tx_hash,
-            receipt.success,
-            receipt.gas_used,
-            tuple(
-                (internal.sender, internal.receiver)
-                for internal in receipt.internal_transactions
-            ),
-            receipt.created_contract,
-            tuple(sorted(receipt.storage_reads)),
-            tuple(sorted(receipt.storage_writes)),
-        )
-    if isinstance(item, UTXOTransaction):
-        return hash_fields(
-            "utxo-receipt",
-            item.tx_hash,
-            tuple((op.tx_hash, op.index) for op in item.inputs),
-            tuple(
-                (txo.value, txo.owner, txo.script) for txo in item.outputs
-            ),
-            item.fee,
-        )
-    raise TypeError(f"cannot digest payload item of type {type(item)!r}")
-
-
 def receipts_root(payload: Sequence) -> str:
-    """Digest of a block's payload in block order."""
-    return hash_concat(receipt_digest(item) for item in payload)
+    """One hash over every payload item's canonical fields, in block order.
+
+    An account item gives its hash, success, gas used, internal calls,
+    created contract and storage reads and writes; a UTXO item its hash,
+    inputs, outputs and fee.  Every list is preceded by its length, so
+    the parts parse back into the items, and the receipts' frozensets
+    are sorted, so parent and spawned workers agree byte for byte under
+    any ``PYTHONHASHSEED``.
+
+    Raises:
+        TypeError: an item is neither an executed account transaction
+            nor a UTXO transaction.
+    """
+    parts = ["receipts-root"]
+    for item in payload:
+        if isinstance(item, ExecutedTransaction):
+            receipt = item.receipt
+            calls = receipt.internal_transactions
+            reads = sorted(receipt.storage_reads)
+            writes = sorted(receipt.storage_writes)
+            parts += (
+                "account-receipt", item.tx_hash, str(receipt.success),
+                str(receipt.gas_used), receipt.created_contract,
+                str(len(calls)),
+            )
+            for call in calls:
+                parts += (call.sender, call.receiver)
+            parts.append(str(len(reads)))
+            parts += itertools.chain.from_iterable(reads)
+            parts.append(str(len(writes)))
+            parts += itertools.chain.from_iterable(writes)
+        elif isinstance(item, UTXOTransaction):
+            parts += ("utxo-receipt", item.tx_hash, str(len(item.inputs)))
+            for outpoint in item.inputs:
+                parts += (outpoint.tx_hash, str(outpoint.index))
+            parts.append(str(len(item.outputs)))
+            for txo in item.outputs:
+                parts += (str(txo.value), txo.owner, txo.script)
+            parts.append(str(item.fee))
+        else:
+            raise TypeError(
+                f"cannot digest payload item of type {type(item)!r}"
+            )
+    return hash_parts(*parts)
 
 
 def state_root(
     commit_order: Sequence[str],
     writes_by_hash: Mapping[str, Iterable[str]],
 ) -> str:
-    """Fold per-location write chains in commit order; hash sorted pairs.
+    """One hash over each location's writers in commit order.
 
-    Each committed transaction appends itself to the chain of every
-    location it writes; the root hashes the sorted (location, chain)
-    pairs, so it depends on the *relative commit order of each
+    Each committed transaction is filed under every location it writes;
+    the root hashes the (location, writer) pairs sorted by location —
+    a stable sort, so every location keeps its writers in commit
+    order.  It therefore depends on the *relative commit order of each
     location's writers* and on nothing else — exactly the serializable
     state a real engine would have produced.  This is the definition,
     for any order at all (partial, with repeats, with strangers);
     :class:`_BlockFold` is how a block's engines reach it.
     """
-    chains: dict[str, str] = {}
-    for tx_hash in commit_order:
-        for location in writes_by_hash.get(tx_hash, ()):
-            chains[location] = hash_fields(
-                "write", chains.get(location, ""), location, tx_hash
-            )
-    return hash_fields("state-root", tuple(sorted(chains.items())))
+    links = [
+        (location, tx_hash)
+        for tx_hash in commit_order
+        for location in writes_by_hash.get(tx_hash, ())
+    ]
+    links.sort(key=itemgetter(0))
+    return hash_parts("state-root", *itertools.chain.from_iterable(links))
 
 
 class _BlockFold:
-    """:func:`state_root` of one block, folded per location.
+    """:func:`state_root` of one block, hashed once per class of order.
 
-    One pass files the block's writers under their locations and
-    hashes each write-chain link once, in block order.  A commit order
-    that keeps the writers of every location with several in that order
-    has the block's root, found without touching a hash or the
-    single-writer locations; one that does not re-folds the locations
-    it reordered and nothing else.  Both memos are exact — keyed by
-    the writer order itself — and go with the block.
+    One pass files the block's writers under their locations.  Two
+    commit orders that keep the writers of every location in the same
+    order have the same root, so an order is classed by the contended
+    locations (those with several writers) it took out of block order
+    and the order it gave them, and each class is hashed once.  The
+    memo is exact and goes with the block.
     """
 
     def __init__(self, tasks: Sequence[TxTask]) -> None:
-        self._tasks = tasks
-        self._hashes = [task.tx_hash for task in tasks]
+        self._writes = {task.tx_hash: task.writes for task in tasks}
         self._block_order = list(range(len(tasks)))
         # A block that repeats a hash has no position per task to
-        # speak of: every order of it takes the general fold.
-        self._distinct = len(set(self._hashes)) == len(tasks)
+        # speak of: every order of it takes the definition.
+        self._distinct = len(self._writes) == len(tasks)
         writers: dict[str, list[int]] = {}
         for index, task in enumerate(tasks):
             for location in task.writes:
                 writers.setdefault(location, []).append(index)
-        self._chains = {
-            location: self._chain(location, filed)
-            for location, filed in writers.items()
-        }
         self._contended = [
             (location, filed)
             for location, filed in writers.items() if len(filed) > 1
         ]
-        self._reordered: dict[tuple[str, tuple[int, ...]], str] = {}
-        self._roots: dict[tuple[tuple[str, str], ...], str] = {}
-
-    def _chain(self, location: str, writers: Sequence[int]) -> str:
-        digest = ""
-        for index in writers:
-            digest = hash_fields(
-                "write", digest, location, self._hashes[index]
-            )
-        return digest
+        self._roots: dict[tuple[tuple[str, tuple[int, ...]], ...], str] = {}
 
     def root(self, order: Sequence[str], positions: list[int]) -> str:
         """Root of commit *order*; ``positions[i]`` is the block
         position of ``order[i]``, or ``len(tasks)`` for a stranger."""
         if not self._distinct or sorted(positions) != self._block_order:
             # Not a permutation of the block: the definition itself.
-            return state_root(
-                order, {task.tx_hash: task.writes for task in self._tasks}
-            )
+            return state_root(order, self._writes)
         rank = [0] * len(positions)
         for at, index in enumerate(positions):
             rank[index] = at
-        moved: list[tuple[str, str]] = []
+        moved: list[tuple[str, tuple[int, ...]]] = []
         for location, filed in self._contended:
             previous = -1
             for index in filed:
                 if rank[index] < previous:
-                    key = (location, tuple(
+                    moved.append((location, tuple(
                         sorted(filed, key=rank.__getitem__)
-                    ))
-                    digest = self._reordered.get(key)
-                    if digest is None:
-                        digest = self._reordered[key] = self._chain(*key)
-                    moved.append((location, digest))
+                    )))
                     break
                 previous = rank[index]
-        # One hash per distinct set of re-folded chains (none moved:
-        # the block's own root).
         held = tuple(moved)
         root = self._roots.get(held)
         if root is None:
-            chains = {**self._chains, **dict(held)}
-            root = self._roots[held] = hash_fields(
-                "state-root", tuple(sorted(chains.items()))
-            )
+            root = self._roots[held] = state_root(order, self._writes)
         return root
 
 
@@ -672,7 +661,6 @@ __all__ = [
     "ReplayBlock",
     "ReplayResult",
     "coerce_replay_inputs",
-    "receipt_digest",
     "receipts_root",
     "replay_block_inputs",
     "replay_chain",

@@ -55,6 +55,7 @@ from repro.execution.parallel_replay import (
     BlockReplay,
     ReplayBlock,
     replay_single_block,
+    state_root,
 )
 from repro.mempool.pool import AdmissionError, Mempool, PoolEntry
 from repro.network.gossip import BoundedSeenCache
@@ -104,6 +105,11 @@ def make_genesis(chain: str) -> Block[NodeTx]:
         [marker], height=0, parent_hash=GENESIS_PARENT,
         timestamp=0.0, miner=GENESIS_PREFIX,
     )
+
+
+def _mean_utilization(recorder: FlightRecorder) -> float:
+    """Mean busy fraction of the lanes a block's replay recorded."""
+    return profile_events(recorder.events()).mean_utilization
 
 
 def chain_state_root(
@@ -213,7 +219,8 @@ class Node:
         self.forkchoice: ForkChoice[NodeTx] = ForkChoice()
         self.forkchoice.receive(genesis)
         self.block_roots: dict[str, str] = {
-            genesis.block_hash: hash_fields("state-root", ())
+            # Genesis executes nothing: the root of the empty state.
+            genesis.block_hash: state_root((), {})
         }
         self.chain_txs: set[str] = {
             tx.tx_hash for tx in genesis.transactions
@@ -653,12 +660,6 @@ class Node:
                     continue
                 for stage, wait in trace.stage_latencies():
                     stage_latencies.setdefault(stage, []).append(wait)
-        # The one read of a validated block's rows: they are expanded
-        # here, for a block that became the head with a listener on it.
-        events = recorder.events()
-        utilization = (
-            profile_events(events).mean_utilization if events else 0.0
-        )
         sample = BlockSample(
             height=block.height,
             txs=replay.num_tasks,
@@ -668,7 +669,10 @@ class Node:
             wall_clock_s=replay.wall_time * self.config.cost_unit_seconds,
             sim_seconds=max(0.0, now - self._last_head_at),
             mempool_depth=len(self.pool),
-            lane_utilization=utilization,
+            # The one read of a validated block's rows, priced on the
+            # listener's first read of it: a listener that never reads
+            # it leaves them unexpanded.
+            lane_utilization=lambda: _mean_utilization(recorder),
             stage_latencies={
                 stage: tuple(values)
                 for stage, values in stage_latencies.items()

@@ -37,9 +37,39 @@ DEFAULT_WINDOW = 8
 MONITOR_PERCENTILES = (0.50, 0.95, 0.99)
 
 
+class _PricedOnRead:
+    """A dataclass field that may be given a zero-argument callable.
+
+    The callable runs the first time the field is read, and its value
+    replaces it (the callable, and whatever it holds, is dropped), so a
+    sample that nobody reads never pays for the value.  A plain value
+    is stored and read as is.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._key = f"_{name}"
+
+    def __get__(self, sample: object, owner: type | None = None):
+        if sample is None:
+            # Read on the class: tells the dataclass there is no default.
+            raise AttributeError(self._key[1:])
+        value = sample.__dict__[self._key]
+        if callable(value):
+            value = sample.__dict__[self._key] = value()
+        return value
+
+    def __set__(self, sample: object, value: object) -> None:
+        sample.__dict__[self._key] = value
+
+
 @dataclass(frozen=True)
 class BlockSample:
-    """One committed block's contribution to the sliding window."""
+    """One committed block's contribution to the sliding window.
+
+    ``lane_utilization`` may be given as a float or as a zero-argument
+    callable returning it, priced on first read (a node hands the
+    profile of the block's flight recorder this way).
+    """
 
     height: int
     txs: int                 # transactions packed into the block
@@ -49,7 +79,8 @@ class BlockSample:
     wall_clock_s: float      # real seconds spent processing the block
     sim_seconds: float       # simulated seconds the block spanned
     mempool_depth: int       # pool size after packing
-    lane_utilization: float  # mean busy fraction of execution lanes
+    # Mean busy fraction of execution lanes.
+    lane_utilization: float = _PricedOnRead()  # type: ignore[assignment]
     # Per-stage latencies of traces *closed during this block* (sampled
     # detail — sliced from the tracer, so unsampled txs never appear).
     stage_latencies: Mapping[str, tuple[float, ...]] = \

@@ -10,6 +10,7 @@ from repro.chain.hashing import (
     address_from_seed,
     hash_concat,
     hash_fields,
+    hash_parts,
     sha256_hex,
     short_hash,
 )
@@ -45,6 +46,49 @@ class TestHashFields:
     def test_always_64_hex_chars(self, fields):
         digest = hash_fields(*fields)
         assert len(digest) == 64
+
+    def test_bytes_are_the_repr_join(self):
+        """Every block, transaction and root hash goes through here:
+        the bytes are ``repr`` of each field joined by ``\\x1f``, for
+        quotes, backslashes, nesting, floats, ``None``, bools and
+        non-ASCII text alike."""
+        fields = (
+            "block", 7, 0.1, -2.5e-300, float("inf"), None, True, False,
+            'it\'s "q" \\ back\\slash', "héllo ☃ \U0001F600",
+            ("nested", (1, ("deep", None)), ()), "", "tab\tnl\n\x1f",
+        )
+        generator_form = "\x1f".join(repr(field) for field in fields)
+        assert hash_fields(*fields) == sha256_hex(
+            generator_form.encode("utf-8")
+        )
+        assert hash_fields(*fields) == (
+            "4873b91a86716d6792ccf4f08f9dba93e2c4b5df96678b6c3455f70ddc32059c"
+        )
+
+
+class TestHashParts:
+    def test_bytes_are_the_plain_join(self):
+        assert hash_parts("a", "b", "") == sha256_hex(b"a\x1fb\x1f")
+
+    @given(st.data())
+    def test_equal_digests_iff_equal_parts(self, data):
+        parts = st.lists(
+            st.text(alphabet=st.characters(blacklist_characters="\x1f")),
+            min_size=1, max_size=4,
+        )
+        left, right = data.draw(parts), data.draw(parts)
+        assert (hash_parts(*left) == hash_parts(*right)) == (left == right)
+
+    def test_no_concatenation_ambiguity(self):
+        assert hash_parts("ab", "c") != hash_parts("a", "bc")
+        assert hash_parts("a", "") != hash_parts("a")
+
+    @pytest.mark.parametrize(
+        "parts", [("a\x1fb",), ("a", "\x1f"), ("\x1f",), ()]
+    )
+    def test_rejects_a_part_holding_the_separator(self, parts):
+        with pytest.raises(ValueError, match="separator"):
+            hash_parts(*parts)
 
 
 class TestShortHash:

@@ -15,13 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
+from repro.chain import hashing
 from repro.execution import parallel_replay
 from repro.execution.engine import ExecutionReport, TxTask
 from repro.execution.parallel_replay import (
     ENGINES,
     ReplayBlock,
     coerce_replay_inputs,
-    receipt_digest,
+    receipts_root,
     replay_block_inputs,
     replay_chain,
     replay_profile,
@@ -183,13 +184,18 @@ class TestDigests:
 
     def test_receipt_digest_rejects_foreign_payloads(self):
         with pytest.raises(TypeError):
-            receipt_digest({"gas": 21000})
+            receipts_root([{"gas": 21000}])
 
     def test_utxo_receipt_digest_is_stable(self, tiny_inputs):
-        payload = tiny_inputs[0].payload
-        assert [receipt_digest(item) for item in payload] == [
-            receipt_digest(item) for item in payload
-        ]
+        """The root is a function of the payload's contents and order:
+        a pickled copy has it, a reordered or shortened payload not."""
+        payload = max(tiny_inputs, key=lambda b: len(b.payload)).payload
+        assert len(payload) > 2
+        root = receipts_root(payload)
+        assert receipts_root(pickle.loads(pickle.dumps(payload))) == root
+        swapped = (payload[1], payload[0], *payload[2:])
+        assert receipts_root(swapped) != root
+        assert receipts_root(payload[:-1]) != root
 
     def test_inputs_are_picklable(self, tiny_inputs):
         clone = pickle.loads(pickle.dumps(tiny_inputs))
@@ -240,6 +246,28 @@ def tasks_and_orders(draw):
     return tasks, orders
 
 
+def count_hashes(monkeypatch) -> list[str]:
+    """Every SHA-256 taken from now on, as the text it hashed."""
+    hashed: list[str] = []
+    real = hashing.sha256_hex
+
+    def counted(data: bytes) -> str:
+        hashed.append(data.decode("utf-8"))
+        return real(data)
+
+    monkeypatch.setattr(hashing, "sha256_hex", counted)
+    return hashed
+
+
+def writers_by_location(order, writes):
+    """Each location's writers, in the order *order* commits them."""
+    writers: dict[str, list[str]] = {}
+    for tx_hash in order:
+        for location in writes.get(tx_hash, ()):
+            writers.setdefault(location, []).append(tx_hash)
+    return writers
+
+
 class TestSharedFold:
     """One block's engines share one per-location fold; it must give
     every order, whole or partial or repeating, the root the public
@@ -255,6 +283,35 @@ class TestSharedFold:
         assert [record.state_root for record in records] == [
             state_root(order, writes) for order in orders
         ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=tasks_and_orders())
+    def test_equal_roots_iff_every_location_keeps_its_writer_order(
+        self, drawn
+    ):
+        tasks, orders = drawn
+        writes = {t.tx_hash: tuple(sorted(t.writes)) for t in tasks}
+        pairs = list(zip(orders, orders[1:]))
+        for order in orders:
+            # Swapping two neighbours that write nothing in common keeps
+            # every location's writer order: the classes must meet.
+            for at in range(len(order) - 1):
+                left, right = order[at], order[at + 1]
+                if set(writes.get(left, ())).isdisjoint(writes.get(right, ())):
+                    swapped = (
+                        *order[:at], right, left, *order[at + 2:]
+                    )
+                    pairs.append((order, swapped))
+                    break
+        for first, second in pairs:
+            same_writers = (
+                writers_by_location(first, writes)
+                == writers_by_location(second, writes)
+            )
+            same_root = (
+                state_root(first, writes) == state_root(second, writes)
+            )
+            assert same_root == same_writers, (first, second)
 
     def test_a_block_repeating_a_hash_takes_the_general_fold(self):
         tasks = [
@@ -272,31 +329,24 @@ class TestSharedFold:
     def test_reordered_chains_and_roots_are_memoised_per_block(
         self, monkeypatch
     ):
-        """Two engines that reorder the same location the same way
-        cost one re-fold of that location and one root between them."""
+        """Five engines in three classes of order cost three state-root
+        hashes between them, and no hash per write-chain link."""
         tasks = [
             TxTask("a", writes=frozenset({"x", "y"})),
             TxTask("b", writes=frozenset({"x"})),
             TxTask("c", writes=frozenset({"y", "z"})),
         ]
-        calls = []
-        real = parallel_replay.hash_fields
-
-        def counted(*fields):
-            calls.append(fields[0])
-            return real(*fields)
-
-        monkeypatch.setattr(parallel_replay, "hash_fields", counted)
+        hashed = count_hashes(monkeypatch)
         records = records_for_orders(tasks, [
             ("a", "b", "c"), ("b", "a", "c"), ("b", "c", "a"),
             ("a", "c", "b"), ("b", "a", "c"),
         ])
         roots = [record.state_root for record in records]
         assert roots[0] == roots[3] != roots[1] == roots[4] != roots[2]
-        # 5 links in block order; x re-folded as (b, a) once, y as
-        # (c, a) once; three classes of order, three roots.
-        assert calls.count("write") == 5 + 2 + 2
-        assert calls.count("state-root") == 3
+        # Three classes of order, three roots; one receipts root.
+        assert [text.split("\x1f", 1)[0] for text in hashed] == [
+            "receipts-root", "state-root", "state-root", "state-root",
+        ]
 
     def test_a_disagreeing_engine_keeps_its_own_root(self):
         tasks = [
@@ -311,25 +361,19 @@ class TestSharedFold:
         assert moved.state_root == agreed.state_root
 
     def test_links_are_hashed_once_per_block(self, tiny_inputs, monkeypatch):
-        """A count, not a time: eight agreeing engines cost one hash
-        per write-chain link, not eight."""
+        """A count, not a time: eight agreeing engines cost the block
+        one state-root hash and one receipts hash — none per write-chain
+        link, per receipt or per engine."""
         block = max(tiny_inputs, key=lambda b: len(b.tasks))
-        links = sum(len(task.writes) for task in block.tasks)
-        assert links > 20
-        calls = []
-        real = parallel_replay.hash_fields
-
-        def counted(*fields):
-            calls.append(fields[0])
-            return real(*fields)
-
-        monkeypatch.setattr(parallel_replay, "hash_fields", counted)
+        assert sum(len(task.writes) for task in block.tasks) > 20
+        hashed = count_hashes(monkeypatch)
         result = replay_chain(
             [block], data_model="utxo", engines=ENGINES, backend="serial"
         )
         assert len({record.state_root for record in result.records}) == 1
-        assert calls.count("write") == links
-        assert len(calls) <= links + len(ENGINES) + len(block.payload) + 1
+        assert sorted(text.split("\x1f", 1)[0] for text in hashed) == [
+            "receipts-root", "state-root",
+        ]
 
     def test_thread_backend_matches_serial(self, tiny_inputs):
         """The fold lives in one ``_block_records`` call, so concurrent

@@ -241,13 +241,13 @@ def test_uninstrumented_replay_pays_for_nothing_it_does_not_read(
         DependencyDAG, "critical_path",
         counting("critical_paths", DependencyDAG.critical_path),
     )
-    real_hash = parallel_replay.hash_fields
+    real_hash = parallel_replay.hash_parts
 
-    def hashed(*fields):
-        counts["state_roots"] += fields[0] == "state-root"
-        return real_hash(*fields)
+    def hashed(*parts):
+        counts["state_roots"] += parts[0] == "state-root"
+        return real_hash(*parts)
 
-    monkeypatch.setattr(parallel_replay, "hash_fields", hashed)
+    monkeypatch.setattr(parallel_replay, "hash_parts", hashed)
 
     inputs = golden_inputs[chain]
     result = replay_chain(

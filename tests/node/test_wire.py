@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain.block import build_block
+from repro.execution.parallel_replay import ReplayBlock, replay_single_block
 from repro.node import (
     AsyncioRuntime,
     Frame,
@@ -434,6 +435,50 @@ class TestNodeDedupBeforeDecode:
         assert node.stats.rejected == 1
         assert lie not in node.seen_blocks
         assert honest_hash not in node.forkchoice.tree
+
+
+class TestClaimedRoot:
+    def test_a_wrong_claimed_root_is_neither_applied_nor_relayed(
+        self, node_txs
+    ):
+        """``header.extra`` is the proposer's state root; a block whose
+        replay gives another root marks the node diverged and goes no
+        further, and the same transactions under the true root apply."""
+        genesis = make_genesis("ethereum")
+        coinbase = make_genesis("other").transactions[0]
+        ntxs = node_txs[:4]
+        config = NodeConfig(consensus="pbft", heartbeat=1e6)
+        replay, _recorder = replay_single_block(
+            config.data_model,
+            ReplayBlock(
+                height=1,
+                tasks=tuple(ntx.task for ntx in ntxs),
+                payload=tuple(ntx.payload for ntx in ntxs),
+            ),
+            config.engine, config.cores,
+        )
+
+        def block(extra: str):
+            return build_block(
+                [coinbase, *ntxs], height=1,
+                parent_hash=genesis.block_hash, timestamp=1.0, miner="b",
+                extra=extra,
+            )
+
+        lying, honest = block("f" * 64), block(replay.state_root)
+        assert replay.state_root != "f" * 64
+        node, _stats, out = _drive([
+            Frame("block", "c", lying, hops=1, key=lying.block_hash),
+            Frame("block", "c", honest, hops=1, key=honest.block_hash),
+        ])
+        assert node.diverged
+        assert node.stats.root_mismatches == 1
+        assert lying.block_hash not in node.forkchoice.tree
+        assert node.head_hash == honest.block_hash
+        assert node.block_roots[honest.block_hash] == replay.state_root
+        assert [frame.key for frame in out if frame.kind == "block"] == [
+            honest.block_hash,
+        ]
 
 
 class TestReceiveLoopSurvives:

@@ -48,6 +48,23 @@ class TestRingBuffer:
         assert aggregate.txs == 30  # block 1 evicted
         assert monitor.window_size == 2
 
+    def test_lane_utilization_may_be_priced_on_read(self):
+        """A callable is run on the first read only, and the sample then
+        equals one given the float."""
+        calls = []
+
+        def price():
+            calls.append(1)
+            return 0.25
+
+        priced = _sample(1, util=price)
+        assert calls == []
+        aggregate = StreamingMonitor(window=2).observe_block(priced)
+        assert aggregate.mean_lane_utilization == 0.25
+        assert priced.lane_utilization == 0.25
+        assert priced == _sample(1, util=0.25)
+        assert calls == [1]
+
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError, match="at least 1"):
             StreamingMonitor(window=0)
