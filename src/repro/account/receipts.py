@@ -9,10 +9,11 @@ BigQuery ``traces`` table, and the TDG builder consumes the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.account.transaction import AccountTransaction, InternalTransaction
+from repro.sets import EMPTY
 
 
 @dataclass(frozen=True)
@@ -24,8 +25,8 @@ class Receipt:
     gas_used: int
     internal_transactions: tuple[InternalTransaction, ...] = ()
     created_contract: str = ""
-    storage_reads: frozenset[tuple[str, str]] = field(default_factory=frozenset)
-    storage_writes: frozenset[tuple[str, str]] = field(default_factory=frozenset)
+    storage_reads: frozenset[tuple[str, str]] = EMPTY
+    storage_writes: frozenset[tuple[str, str]] = EMPTY
 
     def __post_init__(self) -> None:
         if self.gas_used < 0:

@@ -25,6 +25,7 @@ from repro.chain.errors import (
     ValidationError,
 )
 from repro.chain.hashing import address_from_seed
+from repro.sets import EMPTY
 
 # Signature of a contract executor: (state, tx, gas_budget) -> receipt
 # fragments.  The VM package provides the real one; tests can stub it.
@@ -139,8 +140,8 @@ class WorldState:
         gas_used = intrinsic
         success = True
         internals: tuple[InternalTransaction, ...] = ()
-        reads: frozenset[tuple[str, str]] = frozenset()
-        writes: frozenset[tuple[str, str]] = frozenset()
+        reads: frozenset[tuple[str, str]] = EMPTY
+        writes: frozenset[tuple[str, str]] = EMPTY
         created = ""
 
         if tx.is_contract_creation:

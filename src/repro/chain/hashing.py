@@ -45,7 +45,9 @@ def hash_parts(*parts: str) -> str:
     there are parts.
 
     Raises:
-        ValueError: no parts, or a part contains the separator.
+        ValueError: no parts, or a part contains the separator; or, as
+            ``UnicodeEncodeError``, a part holds a lone surrogate, which
+            has no UTF-8 encoding.
     """
     payload = "\x1f".join(parts)
     if payload.count("\x1f") != len(parts) - 1:

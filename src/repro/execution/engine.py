@@ -27,6 +27,7 @@ from repro.obs.timeline import sequential_rows
 from repro.account.receipts import ExecutedTransaction
 from repro.core.tdg import TDGResult
 from repro.execution.conflict_partition import conflict_partition
+from repro.sets import EMPTY
 from repro.utxo.transaction import UTXOTransaction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -52,8 +53,8 @@ class TxTask:
 
     tx_hash: str
     cost: float = 1.0
-    reads: frozenset[str] = field(default_factory=frozenset)
-    writes: frozenset[str] = field(default_factory=frozenset)
+    reads: frozenset[str] = EMPTY
+    writes: frozenset[str] = EMPTY
 
     def __post_init__(self) -> None:
         if self.cost < 0:
@@ -262,7 +263,7 @@ def tasks_from_utxo_block(
             TxTask(
                 tx_hash=tx.tx_hash,
                 cost=cost,
-                reads=frozenset(),
+                reads=EMPTY,
                 writes=utxo_writes(tx),
             )
         )
@@ -306,7 +307,7 @@ def tasks_from_account_block(
             TxTask(
                 tx_hash=item.tx_hash,
                 cost=cost,
-                reads=frozenset(reads),
+                reads=frozenset(reads) if reads else EMPTY,
                 writes=frozenset(writes),
             )
         )

@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import obs
+from repro.sets import EMPTY
 from repro.staticcheck import valueset
 from repro.staticcheck.cfg import BasicBlock, build_cfg
 from repro.staticcheck.diagnostics import (
@@ -90,8 +91,8 @@ class ProgramSummary:
     diagnostics: tuple[Diagnostic, ...]
     #: pcs of dynamic (``$``) operands that widened to ⊤ / resolved to
     #: finitely many keys.  Disjoint; static operands count as neither.
-    widened_sites: frozenset[int] = frozenset()
-    resolved_sites: frozenset[int] = frozenset()
+    widened_sites: frozenset[int] = EMPTY
+    resolved_sites: frozenset[int] = EMPTY
 
     @property
     def has_unknown_call_target(self) -> bool:

@@ -24,11 +24,12 @@ the call graph (mutual proxies) converge because the lattice is finite
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from repro import obs
 from repro.account.state import WorldState
+from repro.sets import EMPTY
 from repro.staticcheck.absint import ProgramSummary, analyze_program
 from repro.vm.contract import CodeRegistry
 
@@ -44,6 +45,14 @@ def code_bindings(state: WorldState) -> dict[str, str]:
     }
 
 
+def _join(a: frozenset, b: frozenset) -> frozenset:
+    """``a | b``, reusing a side when the other is empty: two empty
+    sides give :data:`~repro.sets.EMPTY` back, not a fresh empty set."""
+    if not b:
+        return a
+    return a | b if a else b
+
+
 @dataclass(frozen=True)
 class ClosedAccess:
     """Everything executing a contract address may touch.
@@ -53,38 +62,36 @@ class ClosedAccess:
     ``*_top`` members carry the widened ("may touch any …") part.
     """
 
-    storage_reads: frozenset[tuple[str, str]] = field(
-        default_factory=frozenset
-    )
-    storage_writes: frozenset[tuple[str, str]] = field(
-        default_factory=frozenset
-    )
-    storage_read_top: frozenset[str] = field(default_factory=frozenset)
-    storage_write_top: frozenset[str] = field(default_factory=frozenset)
-    balance_reads: frozenset[str] = field(default_factory=frozenset)
+    storage_reads: frozenset[tuple[str, str]] = EMPTY
+    storage_writes: frozenset[tuple[str, str]] = EMPTY
+    storage_read_top: frozenset[str] = EMPTY
+    storage_write_top: frozenset[str] = EMPTY
+    balance_reads: frozenset[str] = EMPTY
     balance_read_top: bool = False
-    balance_writes: frozenset[str] = field(default_factory=frozenset)
+    balance_writes: frozenset[str] = EMPTY
     balance_write_top: bool = False
-    internal_endpoints: frozenset[str] = field(default_factory=frozenset)
+    internal_endpoints: frozenset[str] = EMPTY
     endpoint_top: bool = False
     global_top: bool = False
 
     def union(self, other: "ClosedAccess") -> "ClosedAccess":
         return ClosedAccess(
-            storage_reads=self.storage_reads | other.storage_reads,
-            storage_writes=self.storage_writes | other.storage_writes,
-            storage_read_top=self.storage_read_top | other.storage_read_top,
-            storage_write_top=(
-                self.storage_write_top | other.storage_write_top
+            storage_reads=_join(self.storage_reads, other.storage_reads),
+            storage_writes=_join(self.storage_writes, other.storage_writes),
+            storage_read_top=_join(
+                self.storage_read_top, other.storage_read_top
             ),
-            balance_reads=self.balance_reads | other.balance_reads,
+            storage_write_top=_join(
+                self.storage_write_top, other.storage_write_top
+            ),
+            balance_reads=_join(self.balance_reads, other.balance_reads),
             balance_read_top=self.balance_read_top or other.balance_read_top,
-            balance_writes=self.balance_writes | other.balance_writes,
+            balance_writes=_join(self.balance_writes, other.balance_writes),
             balance_write_top=(
                 self.balance_write_top or other.balance_write_top
             ),
-            internal_endpoints=(
-                self.internal_endpoints | other.internal_endpoints
+            internal_endpoints=_join(
+                self.internal_endpoints, other.internal_endpoints
             ),
             endpoint_top=self.endpoint_top or other.endpoint_top,
             global_top=self.global_top or other.global_top,
@@ -148,22 +155,20 @@ def known_call_targets(summary: ProgramSummary) -> tuple[str, ...]:
 
 def local_access(address: str, summary: ProgramSummary) -> ClosedAccess:
     """One address's own contribution, before closing call edges."""
-    reads = frozenset(
-        (address, key) for key in summary.storage_reads.items
-    )
-    writes = frozenset(
-        (address, key) for key in summary.storage_writes.items
-    )
+    reads = summary.storage_reads.items
+    writes = summary.storage_writes.items
     access = ClosedAccess(
-        storage_reads=reads,
-        storage_writes=writes,
+        storage_reads=(
+            frozenset((address, key) for key in reads) if reads else EMPTY
+        ),
+        storage_writes=(
+            frozenset((address, key) for key in writes) if writes else EMPTY
+        ),
         storage_read_top=(
-            frozenset({address}) if summary.storage_reads.top
-            else frozenset()
+            frozenset({address}) if summary.storage_reads.top else EMPTY
         ),
         storage_write_top=(
-            frozenset({address}) if summary.storage_writes.top
-            else frozenset()
+            frozenset({address}) if summary.storage_writes.top else EMPTY
         ),
         balance_reads=frozenset(summary.balance_reads.items),
         balance_read_top=summary.balance_reads.top,
@@ -195,9 +200,9 @@ def local_access(address: str, summary: ProgramSummary) -> ClosedAccess:
                 balance_writes.add(target)
     return replace(
         access,
-        balance_writes=frozenset(balance_writes),
+        balance_writes=frozenset(balance_writes) if balance_writes else EMPTY,
         balance_write_top=balance_write_top,
-        internal_endpoints=frozenset(endpoints),
+        internal_endpoints=frozenset(endpoints) if endpoints else EMPTY,
         endpoint_top=endpoint_top,
         global_top=global_top,
     )

@@ -15,8 +15,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
+
+from repro.sets import EMPTY
 
 
 class Top:
@@ -55,7 +57,7 @@ class MaySet:
     the *definitely-mentioned* subset when rendering diagnostics).
     """
 
-    items: frozenset[str] = field(default_factory=frozenset)
+    items: frozenset[str] = EMPTY
     top: bool = False
 
     def add(self, item: str) -> "MaySet":

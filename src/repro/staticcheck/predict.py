@@ -26,13 +26,14 @@ an imprecise (but never wrong) oracle, bought at analysis cost ``K``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.account.transaction import AccountTransaction
 from repro.core.tdg import TDGResult
 from repro.execution.conflict_partition import conflict_partition
 from repro.execution.engine import TxTask, utxo_writes
+from repro.sets import EMPTY
 from repro.staticcheck.interproc import ContractAnalyzer
 from repro.utxo.transaction import UTXOTransaction
 
@@ -48,13 +49,13 @@ class PredictedAccess:
     """
 
     tx_hash: str
-    reads: frozenset[str] = field(default_factory=frozenset)
-    writes: frozenset[str] = field(default_factory=frozenset)
-    read_wild: frozenset[str] = field(default_factory=frozenset)
-    write_wild: frozenset[str] = field(default_factory=frozenset)
+    reads: frozenset[str] = EMPTY
+    writes: frozenset[str] = EMPTY
+    read_wild: frozenset[str] = EMPTY
+    write_wild: frozenset[str] = EMPTY
     global_top: bool = False
-    read_addrs: frozenset[str] = field(default_factory=frozenset)
-    write_addrs: frozenset[str] = field(default_factory=frozenset)
+    read_addrs: frozenset[str] = EMPTY
+    write_addrs: frozenset[str] = EMPTY
 
     @property
     def is_widened(self) -> bool:
@@ -105,8 +106,8 @@ def predict_transaction(
         f"balance:{tx.sender}",
         f"balance:{tx.receiver}",
     }
-    read_wild: frozenset[str] = frozenset()
-    write_wild: frozenset[str] = frozenset()
+    read_wild: frozenset[str] = EMPTY
+    write_wild: frozenset[str] = EMPTY
     global_top = False
 
     if analyzer.has_code(tx.receiver):
@@ -145,11 +146,11 @@ def predict_transaction(
         for location in locations:
             if location.startswith("storage:"):
                 found.add(location.split(":", 2)[1])
-        return frozenset(found)
+        return frozenset(found) if found else EMPTY
 
     return PredictedAccess(
         tx_hash=tx.tx_hash,
-        reads=frozenset(reads),
+        reads=frozenset(reads) if reads else EMPTY,
         writes=frozenset(writes),
         read_wild=read_wild,
         write_wild=write_wild,

@@ -20,6 +20,7 @@ from repro.account.gas import GasSchedule
 from repro.account.state import WorldState
 from repro.account.transaction import AccountTransaction, InternalTransaction
 from repro.chain.errors import OutOfGasError, VMError
+from repro.sets import EMPTY
 from repro.vm.contract import CodeRegistry, Program
 from repro.vm.opcodes import STACK_OPERAND, Instruction, Op, gas_cost
 
@@ -81,8 +82,8 @@ class VM:
             success,
             gas_used,
             tuple(context.internals),
-            frozenset(context.reads),
-            frozenset(context.writes),
+            frozenset(context.reads) if context.reads else EMPTY,
+            frozenset(context.writes) if context.writes else EMPTY,
         )
 
     # -- interpreter core ---------------------------------------------------

@@ -72,8 +72,12 @@ class TestHashParts:
 
     @given(st.data())
     def test_equal_digests_iff_equal_parts(self, data):
+        # Lone surrogates (category Cs) have no UTF-8 encoding; what
+        # they do is test_rejects_a_lone_surrogate's.
         parts = st.lists(
-            st.text(alphabet=st.characters(blacklist_characters="\x1f")),
+            st.text(alphabet=st.characters(
+                blacklist_categories=("Cs",), blacklist_characters="\x1f",
+            )),
             min_size=1, max_size=4,
         )
         left, right = data.draw(parts), data.draw(parts)
@@ -89,6 +93,16 @@ class TestHashParts:
     def test_rejects_a_part_holding_the_separator(self, parts):
         with pytest.raises(ValueError, match="separator"):
             hash_parts(*parts)
+
+    @pytest.mark.parametrize(
+        "parts", [("\ud800",), ("a", "b\udfffc"), ("\udc80", "")]
+    )
+    def test_rejects_a_lone_surrogate(self, parts):
+        """Text UTF-8 cannot encode is a ``ValueError``, as the
+        docstring's ``Raises`` says: a ``UnicodeEncodeError``."""
+        with pytest.raises(ValueError, match="surrogate") as caught:
+            hash_parts(*parts)
+        assert caught.type is UnicodeEncodeError
 
 
 class TestShortHash:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import bisect
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -25,6 +27,16 @@ def _reference_cdf(population: int, exponent: float) -> tuple[float, ...]:
         cdf.append(cumulative)
     cdf[-1] = 1.0
     return tuple(cdf)
+
+
+# Every profile's user table: (its largest era's user count, exponent).
+PROFILE_TABLES = sorted(
+    {
+        (max(era.num_users for era in profile.eras),
+         profile.user_zipf_exponent)
+        for profile in ALL_PROFILES
+    }
+)
 
 
 class TestZipfSampler:
@@ -63,25 +75,45 @@ class TestZipfSampler:
         with pytest.raises(ValueError):
             sampler.probability_of(5)
 
-    @pytest.mark.parametrize(
-        "population, exponent",
-        sorted(
-            {
-                (max(era.num_users for era in profile.eras),
-                 profile.user_zipf_exponent)
-                for profile in ALL_PROFILES
-            }
-        ),
-    )
+    @pytest.mark.parametrize("population, exponent", PROFILE_TABLES)
     def test_cdf_is_the_reference_loop_bit_for_bit(self, population, exponent):
         """Every profile's user table equals the two-pass loop it replaced.
 
         Generated chains are pinned byte for byte, and one differing
         float moves a sampled rank.
         """
-        assert ZipfSampler.create(population, exponent)._cdf == _reference_cdf(
-            population, exponent
+        sampler = ZipfSampler.create(population, exponent)
+        assert tuple(sampler._cdf) == _reference_cdf(population, exponent)
+
+    @pytest.mark.parametrize("population, exponent", PROFILE_TABLES)
+    def test_draws_are_bisect_over_the_reference(self, population, exponent):
+        """10 k seeded draws land where ``bisect`` over the reference
+        tuple puts the same random numbers."""
+        reference = _reference_cdf(population, exponent)
+        draws = ZipfSampler.create(population, exponent).sample_many(
+            random.Random(population), 10_000
         )
+        rng = random.Random(population)
+        assert draws == [
+            bisect.bisect_left(reference, rng.random()) for _ in range(10_000)
+        ]
+
+    def test_table_is_packed_doubles(self):
+        cdf = ZipfSampler.create(1000, 0.8)._cdf
+        assert isinstance(cdf, array)
+        assert cdf.typecode == "d"
+        assert len(cdf) == 1000
+
+    def test_equality_and_hash_read_only_population_and_exponent(self):
+        """The table is a pure function of ``(population, exponent)``:
+        it takes no part in ``==`` or ``hash`` (an array is unhashable)."""
+        sampler = ZipfSampler.create(100, 0.8)
+        assert sampler == ZipfSampler.create(100, 0.8)
+        assert hash(sampler) == hash(ZipfSampler.create(100, 0.8))
+        assert hash(sampler) == hash(ZipfSampler(100, 0.8, array("d")))
+        assert sampler == ZipfSampler(100, 0.8, array("d"))
+        assert sampler != ZipfSampler.create(101, 0.8)
+        assert sampler != ZipfSampler.create(100, 0.9)
 
     @given(
         population=st.integers(min_value=1, max_value=200),
@@ -91,9 +123,8 @@ class TestZipfSampler:
     def test_cdf_is_the_reference_loop_on_small_tables(
         self, population, exponent
     ):
-        assert ZipfSampler.create(population, exponent)._cdf == _reference_cdf(
-            population, exponent
-        )
+        sampler = ZipfSampler.create(population, exponent)
+        assert tuple(sampler._cdf) == _reference_cdf(population, exponent)
 
     @given(
         population=st.integers(min_value=1, max_value=200),
