@@ -9,8 +9,9 @@ only simulated stage by stage:
 * **gossip** — a receive loop dedups tx/block frames on the hash in
   their header through bounded
   :class:`~repro.network.gossip.BoundedSeenCache` LRUs, decodes only
-  what it has not seen, checks the body against that hash, and floods
-  the frame on as received (``relayed`` events carry the hop depth);
+  what it has not seen (a block's transactions resolve to the pool's
+  copies by hash), checks the body against that hash, and floods the
+  frame on as received (``relayed`` events carry the hop depth);
 * **proposer** — PoW interval draws
   (:class:`~repro.consensus.pow.PoWSimulator`) or round-robin PBFT
   rounds (:class:`~repro.consensus.pbft.PBFTCommittee`) gate packing a
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro import obs
@@ -268,9 +269,15 @@ class Node:
         spawn(self._heartbeat_loop(), name=f"{self.node_id}.heartbeat")
 
     def stop(self) -> None:
-        """Stop loops; the receive loop drains on the SHUTDOWN frame."""
+        """Stop loops; the receive loop drains on the SHUTDOWN frame.
+
+        A stopped node applies no block, so it lets go of ``on_block``:
+        a driver that passed its own bound method and holds the node no
+        longer forms a cycle with it, and is freed by reference count.
+        """
         self.running = False
         self.mining = False
+        self.on_block = None
         self.inbox.put_nowait(SHUTDOWN)
 
     # -- convenience views -----------------------------------------------------
@@ -409,6 +416,10 @@ class Node:
             )
         self._relay(frame.forward(self.node_id), exclude=frame.src)
 
+    def _pooled(self, tx_hash: str) -> NodeTx | None:
+        entry = self.pool.get(tx_hash)
+        return None if entry is None else entry.payload
+
     async def _on_block(self, frame: Frame) -> None:
         block_hash = frame.key
         if block_hash in self.seen_blocks:
@@ -419,10 +430,14 @@ class Node:
                     "node.relay.duplicate_drops", kind="block"
                 ).inc()
             return
-        block: Block[NodeTx] = frame.payload
-        if getattr(block, "block_hash", None) != block_hash:
+        header = getattr(frame.payload, "header", None)
+        if getattr(header, "block_hash", None) != block_hash:
             self._reject_frame()
             return
+        # Only now, for a header that hashes to the key: transactions
+        # this node pools are its own copies, the rest are decoded (a
+        # MalformedFrame here leaves the key unseen, like a bad header).
+        block: Block[NodeTx] = frame.block(self._pooled)
         self.seen_blocks.add(block_hash)
         await self._ingest_block(
             block, src=frame.src, relay=frame.forward(self.node_id)

@@ -15,7 +15,10 @@ they are on:
 * :class:`TcpTransport` — header-first frames over real asyncio
   loopback sockets, one ordered connection per destination.  Nothing
   about it is deterministic; it exists so the throughput bench
-  measures a real network stack.
+  measures a real network stack.  It pays per burst, not per frame:
+  a reader protocol cuts every complete frame out of each chunk that
+  arrives, and a sender writes everything queued for a destination
+  with one ``write`` and one ``drain``.
 
 On the wire a frame is ``length | header | body``.  The header is a
 small ``struct`` record the receiver can read without touching the
@@ -23,9 +26,13 @@ body — format version, kind code, hops, ``src`` and the item's ``key``
 (tx or block hash) — so the node dedups on the key *before* paying for
 a decode.  The body is the pickled originating frame: it is encoded
 once, where the item enters the network, and relays forward the bytes
-they received.  The body is still pickle, so the TCP transport is for
-trusted peers only; what the header buys is that a frame which breaks
-the format is dropped and counted instead of raising out of the reader.
+they received.  A block body is a :class:`WireBlock`: the header and,
+per transaction, its hash and its own pickled bytes, so a receiver
+resolves the transactions it already pools by hash and unpickles only
+the rest (:meth:`Frame.block`).  The body is still pickle, so the TCP
+transport is for trusted peers only; what the header buys is that a
+frame which breaks the format is dropped and counted instead of
+raising out of the reader.
 
 Fault injection happens **per send** on the sender's side (loss before
 duplication before delay draws), mirroring how an unreliable link
@@ -38,12 +45,14 @@ import asyncio
 import pickle
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from repro import obs
+from repro.chain.block import Block, BlockHeader
 
 KINDS = ("tx", "block", "announce", "pull_chain", "chain", "pull_txs")
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 MAX_FRAME = 1 << 26   # header + body; a longer length prefix ends the connection
 MAX_HOPS = 0xFFFF
 
@@ -59,6 +68,14 @@ class MalformedFrame(ValueError):
     """Bytes from a peer that break the wire format."""
 
 
+class WireBlock(NamedTuple):
+    """A block as a TCP ``block`` frame carries it: the header, and for
+    each transaction ``(tx_hash, its own pickled bytes)``."""
+
+    header: BlockHeader
+    transactions: tuple[tuple[str, bytes], ...]
+
+
 class Frame:
     """One gossip/protocol message.
 
@@ -71,9 +88,10 @@ class Frame:
 
     A frame read from a socket holds its body as bytes and decodes
     ``payload`` on first access (raising :class:`MalformedFrame` when
-    the bytes are not a pickled frame of the same kind).  The encoded
-    body is kept on the frame so every destination of one relay, and
-    every node the item is forwarded through, shares one encode.
+    the bytes are not a pickled frame of the same kind; a ``block``
+    frame's payload is then a :class:`WireBlock`).  The encoded body is
+    kept on the frame so every destination of one relay, and every
+    node the item is forwarded through, shares one encode.
     """
 
     __slots__ = (
@@ -95,15 +113,46 @@ class Frame:
     def payload(self) -> object:
         payload = self._payload
         if payload is _UNDECODED:
-            self._stats.decoded += 1
-            try:
-                origin = pickle.loads(self._body)
-            except Exception as exc:
-                raise MalformedFrame(f"undecodable body: {exc!r}") from exc
+            origin = self._loads(self._body)
             if type(origin) is not Frame or origin.kind != self.kind:
                 raise MalformedFrame("body is not a frame of the header's kind")
-            payload = self._payload = origin._payload
+            payload = origin._payload
+            if self.kind == "block" and type(payload) is not WireBlock:
+                raise MalformedFrame("block body is not a wire block")
+            self._payload = payload
         return payload
+
+    def block(self, held: Callable[[str], object | None]) -> Block:
+        """The block a ``block`` frame carries.
+
+        A block built in this process (any frame a
+        :class:`MemoryTransport` delivers) is returned as it is.  A
+        :class:`WireBlock` from the socket resolves each transaction to
+        ``held(tx_hash)`` — the receiver's own copy — and unpickles
+        only those it does not hold, each of which must carry its
+        listed hash (else :class:`MalformedFrame`).
+        """
+        payload = self.payload
+        if type(payload) is not WireBlock:
+            return payload
+        txs = []
+        for tx_hash, body in payload.transactions:
+            tx = held(tx_hash)
+            if tx is None:
+                tx = self._loads(body)
+                if getattr(tx, "tx_hash", None) != tx_hash:
+                    raise MalformedFrame(
+                        "inline transaction is not its listed hash"
+                    )
+            txs.append(tx)
+        return Block(payload.header, tuple(txs))
+
+    def _loads(self, body: bytes) -> object:
+        self._stats.decoded += 1
+        try:
+            return pickle.loads(body)
+        except Exception as exc:
+            raise MalformedFrame(f"undecodable body: {exc!r}") from exc
 
     def forward(self, src: str) -> Frame:
         """This item as relayed by *src*: one hop further, same key,
@@ -132,13 +181,26 @@ def encode_frame(frame: Frame, stats: TransportStats) -> bytes:
 
     The body is pickled only when the frame does not already carry the
     bytes it was received as, and both it and the result stay on the
-    frame for the next destination.
+    frame for the next destination.  A block is pickled as a
+    :class:`WireBlock`: one ``pickle.dumps`` per transaction, then one
+    for the frame.
     """
     wire = frame._wire
     if wire is None:
         body = frame._body
         if body is None:
-            body = frame._body = pickle.dumps(frame)
+            origin = frame
+            if frame.kind == "block":
+                block = frame._payload
+                origin = Frame("block", frame.src, WireBlock(
+                    block.header,
+                    tuple(
+                        (tx.tx_hash, pickle.dumps(tx))
+                        for tx in block.transactions
+                    ),
+                ), frame.hops)
+                stats.encoded += len(block.transactions)
+            body = frame._body = pickle.dumps(origin)
             stats.encoded += 1
         else:
             stats.forwarded += 1
@@ -213,9 +275,10 @@ class TransportStats:
     """Frame accounting (kept even with obs disabled).
 
     ``sent`` / ``lost`` / ``duplicated`` count sends on the sender's
-    side.  The TCP wire path adds: ``encoded`` bodies pickled,
-    ``forwarded`` frames relayed with the body bytes they were received
-    as, ``decoded`` bodies unpickled, and ``malformed`` frames dropped for
+    side.  The TCP wire path adds: ``encoded`` bodies pickled (a frame's,
+    and each transaction's inside a block frame), ``forwarded`` frames
+    relayed with the body bytes they were received as, ``decoded``
+    bodies unpickled (likewise), and ``malformed`` frames dropped for
     breaking the wire format.
     """
 
@@ -290,6 +353,55 @@ class MemoryTransport:
             )
 
 
+class _FrameReader(asyncio.Protocol):
+    """One inbound connection: every complete frame in what arrives is
+    cut out of one buffer, header-parsed and queued in the order it
+    came.  A frame still incomplete stays in the buffer; it is only
+    copied out once whole, so one arriving in many chunks costs no
+    more than one arriving in one."""
+
+    def __init__(self, owner: TcpTransport, inbox: asyncio.Queue) -> None:
+        self._owner = owner
+        self._inbox = inbox
+        self._buffer = bytearray()
+        self._conn: asyncio.BaseTransport | None = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._conn = transport
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer
+        buffer += data
+        stats = self._owner.stats
+        at, end = 0, len(buffer)
+        while end - at >= _LEN.size:
+            (length,) = _LEN.unpack_from(buffer, at)
+            if length > MAX_FRAME:
+                # Nothing after a bogus length can be trusted as a
+                # frame boundary, so the connection ends here.
+                self._owner._malformed()
+                buffer.clear()
+                self._conn.close()
+                return
+            start = at + _LEN.size
+            if end - start < length:
+                break
+            at = start + length
+            try:
+                self._inbox.put_nowait(
+                    decode_frame(bytes(buffer[start:at]), stats)
+                )
+            except MalformedFrame:
+                self._owner._malformed()
+        del buffer[:at]
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if self._buffer:
+            # The connection ended inside a frame.
+            self._owner._malformed()
+            self._buffer.clear()
+
+
 class TcpTransport:
     """Header-first frames over asyncio loopback sockets.
 
@@ -301,8 +413,10 @@ class TcpTransport:
     ``send`` puts finished wire bytes on the queue: a frame's body is
     pickled at most once (not at all when it was received as bytes) and
     the assembled bytes serve every destination of the same frame
-    (:func:`encode_frame`).  The reader parses only the header
-    (:func:`decode_frame`).
+    (:func:`encode_frame`).  The sender writes whatever is queued when
+    it runs as one joined ``write`` and awaits one ``drain``; the
+    reader (:class:`_FrameReader`) parses only headers
+    (:func:`decode_frame`), every frame of a chunk in one call.
     """
 
     def __init__(self, runtime, *, host: str = "127.0.0.1") -> None:
@@ -323,10 +437,10 @@ class TcpTransport:
         return inbox
 
     async def start(self) -> None:
+        loop = asyncio.get_running_loop()
         for node_id, inbox in self._inboxes.items():
-            server = await asyncio.start_server(
-                lambda r, w, q=inbox: self._serve(q, r, w),
-                self._host, 0,
+            server = await loop.create_server(
+                lambda q=inbox: _FrameReader(self, q), self._host, 0,
             )
             self._servers[node_id] = server
             self._ports[node_id] = server.sockets[0].getsockname()[1]
@@ -336,44 +450,24 @@ class TcpTransport:
         if obs.enabled():
             obs.counter("node.net.malformed").inc()
 
-    async def _serve(self, inbox: asyncio.Queue, reader, writer) -> None:
-        mid_frame = False
-        try:
-            while True:
-                mid_frame = False
-                prefix = await reader.readexactly(_LEN.size)
-                mid_frame = True
-                (length,) = _LEN.unpack(prefix)
-                if length > MAX_FRAME:
-                    # Nothing after a bogus length can be trusted as a
-                    # frame boundary, so the connection ends here.
-                    self._malformed()
-                    break
-                data = await reader.readexactly(length)
-                try:
-                    inbox.put_nowait(decode_frame(data, self.stats))
-                except MalformedFrame:
-                    self._malformed()
-        except asyncio.IncompleteReadError as exc:
-            if mid_frame or exc.partial:
-                self._malformed()
-        except ConnectionResetError:
-            pass
-        finally:
-            writer.close()
-
     async def _sender(self, dst: str) -> None:
         queue = self._out[dst]
-        reader, writer = await asyncio.open_connection(
+        _reader, writer = await asyncio.open_connection(
             self._host, self._ports[dst]
         )
         try:
             while True:
-                data = await queue.get()
-                if data is _CLOSE:
+                burst = [await queue.get()]
+                while not queue.empty():
+                    burst.append(queue.get_nowait())
+                closing = _CLOSE in burst
+                if closing:
+                    del burst[burst.index(_CLOSE):]
+                if burst:
+                    writer.write(b"".join(burst))
+                    await writer.drain()
+                if closing:
                     break
-                writer.write(data)
-                await writer.drain()
         finally:
             writer.close()
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.obs.lifecycle import (
@@ -117,17 +117,27 @@ __all__ = [
 @dataclass(frozen=True)
 class ObservabilityState:
     """One (registry, tracer, recorder, lifecycle) set — ``instrumented``
-    yields it."""
+    yields it.
+
+    ``enabled`` (anything records) and ``measuring`` (a registry or a
+    tracer records) are plain fields, computed once here: every
+    component's ``enabled`` is fixed by its class, and the guards are
+    read on every hop of the hot paths.
+    """
 
     registry: MetricsRegistry
     tracer: Tracer
     recorder: FlightRecorder = NOOP_RECORDER
     lifecycle: LifecycleTracer = NOOP_LIFECYCLE
+    enabled: bool = field(init=False, compare=False, repr=False)
+    measuring: bool = field(init=False, compare=False, repr=False)
 
-    @property
-    def enabled(self) -> bool:
-        return (self.registry.enabled or self.tracer.enabled
-                or self.recorder.enabled or self.lifecycle.enabled)
+    def __post_init__(self) -> None:
+        measuring = self.registry.enabled or self.tracer.enabled
+        object.__setattr__(self, "measuring", measuring)
+        object.__setattr__(self, "enabled", measuring or (
+            self.recorder.enabled or self.lifecycle.enabled
+        ))
 
 
 _NOOP_STATE = ObservabilityState(
@@ -192,8 +202,7 @@ def measuring() -> bool:
     where such work would be computed for the no-op registry; recorder
     work is guarded on ``get_recorder().enabled`` instead.
     """
-    state = _current()
-    return state.registry.enabled or state.tracer.enabled
+    return _current().measuring
 
 
 def get_registry() -> MetricsRegistry:

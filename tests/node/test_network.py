@@ -3,12 +3,15 @@ bounded relay memory, and lifecycle traces across a live network."""
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import obs
 from repro.node import (
     FaultProfile,
     NetworkConfig,
+    Node,
     NodeNetwork,
     build_node_txs,
     network_fingerprint,
@@ -92,6 +95,28 @@ class TestBoundedRelayMemory:
             assert len(node.seen_blocks) <= 16
             total_evictions += node.seen_txs.evictions
         assert total_evictions > 0
+
+
+class TestTeardown:
+    def test_a_finished_network_is_freed_by_refcount(self):
+        """``NodeNetwork`` holds its nodes and hands each its own bound
+        method as ``on_block``, as the benchmark's driver does; once the
+        nodes are stopped, dropping it leaves no ``Node`` for the cycle
+        collector to find."""
+        gc.collect()
+        gc.disable()
+        try:
+            network = NodeNetwork(_small())
+            assert network.run().converged
+            del network
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = sum(isinstance(obj, Node) for obj in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == 0
 
 
 class TestLifecycleAcrossNetwork:

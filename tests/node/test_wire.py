@@ -1,5 +1,6 @@
-"""The TCP wire path: header codec, malformed input, dedup before
-decode, and the encode/decode budget of a gossiped item."""
+"""The TCP wire path: header codec, the reader and the sender,
+malformed input, dedup before decode, block transactions resolved
+from the pool, and the encode/decode budget of a gossiped item."""
 
 from __future__ import annotations
 
@@ -7,12 +8,13 @@ import asyncio
 import pickle
 import struct
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chain.block import build_block
+from repro.chain.block import Block, build_block
 from repro.execution.parallel_replay import ReplayBlock, replay_single_block
 from repro.node import (
     AsyncioRuntime,
@@ -20,6 +22,7 @@ from repro.node import (
     MemoryTransport,
     Node,
     NodeConfig,
+    NodeTx,
     TcpTransport,
     VirtualRuntime,
     build_node_txs,
@@ -32,6 +35,7 @@ from repro.node.transport import (
     WIRE_VERSION,
     MalformedFrame,
     TransportStats,
+    WireBlock,
     decode_frame,
     encode_frame,
 )
@@ -53,6 +57,16 @@ def _received(frame: Frame, stats: TransportStats | None = None) -> Frame:
     return decode_frame(encode_frame(frame, stats)[LEN.size:], stats)
 
 
+def _block(txs=()) -> Block:
+    """A block on the ethereum genesis: a coinbase marker, then *txs*."""
+    coinbase = make_genesis("other").transactions[0]
+    return build_block(
+        [coinbase, *txs], height=1,
+        parent_hash=make_genesis("ethereum").block_hash,
+        timestamp=1.0, miner="b",
+    )
+
+
 def _raw(version=WIRE_VERSION, code=0, hops=0, src=b"a", key=b"",
          body=b"", src_len=None, key_len=None) -> bytes:
     """A frame (without the length prefix) with any field forged."""
@@ -67,15 +81,22 @@ class TestHeaderCodec:
     @pytest.mark.parametrize("kind", KINDS)
     def test_round_trip_every_kind(self, kind):
         stats = TransportStats()
-        sent = Frame(kind, "node-7", {"n": 1}, hops=3, key="ab" * 32)
+        # A block frame carries a block; it is pickled as a WireBlock,
+        # one body per transaction (here the coinbase) plus the frame's.
+        payload = _block() if kind == "block" else {"n": 1}
+        bodies = 2 if kind == "block" else 1
+        sent = Frame(kind, "node-7", payload, hops=3, key="ab" * 32)
         got = _received(sent, stats)
         assert (got.kind, got.src, got.hops, got.key) == (
             kind, "node-7", 3, "ab" * 32,
         )
         assert stats.decoded == 0          # the header alone gave all that
-        assert got.payload == {"n": 1}
-        assert got.payload == {"n": 1}
-        assert (stats.encoded, stats.decoded) == (1, 1)
+        if kind == "block":
+            assert got.block(lambda _tx_hash: None) == payload
+        else:
+            assert got.payload == payload
+        assert got.payload is got.payload
+        assert (stats.encoded, stats.decoded) == (bodies, bodies)
 
     def test_body_is_the_pickled_originating_frame(self):
         wire_bytes = encode_frame(Frame("tx", "a", [1, 2], hops=1, key="k"),
@@ -132,6 +153,32 @@ class TestHeaderCodec:
         with pytest.raises(MalformedFrame):
             frame.payload
 
+    def test_a_block_body_must_be_a_wire_block(self):
+        body = pickle.dumps(Frame("block", "a", _block(), hops=1))
+        frame = decode_frame(
+            _raw(code=KINDS.index("block"), body=body), TransportStats()
+        )
+        with pytest.raises(MalformedFrame):
+            frame.block(lambda _tx_hash: None)
+
+    def test_a_block_resolves_held_transactions_and_decodes_the_rest(
+        self, node_txs
+    ):
+        held, missing = node_txs[0], node_txs[1]
+        stats = TransportStats()
+        block = _block([held, missing])
+        got = _received(Frame("block", "b", block, key=block.block_hash),
+                        stats)
+        assert type(got.payload) is WireBlock
+        assert [tx_hash for tx_hash, _body in got.payload.transactions] == [
+            tx.tx_hash for tx in block.transactions
+        ]
+        resolved = got.block({held.tx_hash: held}.get)
+        assert resolved == block
+        assert resolved.transactions[1] is held
+        # The frame, then the coinbase and the one transaction not held.
+        assert stats.decoded == 3
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.binary(max_size=96))
     def test_fuzz_decoder_never_raises_anything_else(self, data):
@@ -162,8 +209,80 @@ class TestHeaderCodec:
             pass
 
 
+class _Conn:
+    """The socket side a reader protocol sees: only ``close`` is used."""
+
+    closed = False
+
+    def close(self) -> None:
+        self.closed = True
+
+
+def _stream(count: int) -> bytes:
+    """*count* honest tx frames, back to back, keyed ``k0``, ``k1``..."""
+    return b"".join(
+        encode_frame(Frame("tx", "a", i, key=f"k{i}"), TransportStats())
+        for i in range(count)
+    )
+
+
 class TestReader:
-    """Raw bytes against a live ``TcpTransport._serve``."""
+    """Raw bytes against the reader protocol, alone and behind a live
+    ``TcpTransport`` server."""
+
+    @staticmethod
+    def _protocol():
+        """A reader on a connection of its own: the reader, what it
+        queued, the transport's stats, the connection."""
+        queued: list[Frame] = []
+        owner = TcpTransport(AsyncioRuntime())
+        reader = wire._FrameReader(
+            owner, SimpleNamespace(put_nowait=queued.append)
+        )
+        conn = _Conn()
+        reader.connection_made(conn)
+        return reader, queued, owner.stats, conn
+
+    def test_a_frame_split_at_every_byte_boundary(self):
+        stream = _stream(3)
+        reader, queued, stats, _conn = self._protocol()
+        for at in range(len(stream)):
+            reader.data_received(stream[at:at + 1])
+        reader.connection_lost(None)
+        assert [frame.payload for frame in queued] == [0, 1, 2]
+        assert stats.malformed == 0
+        for cut in range(len(stream) + 1):
+            reader, queued, stats, _conn = self._protocol()
+            reader.data_received(stream[:cut])
+            reader.data_received(stream[cut:])
+            reader.connection_lost(None)
+            assert [frame.key for frame in queued] == ["k0", "k1", "k2"]
+            assert stats.malformed == 0
+
+    def test_many_frames_in_one_chunk(self):
+        reader, queued, stats, _conn = self._protocol()
+        reader.data_received(_stream(200))
+        assert [frame.payload for frame in queued] == list(range(200))
+        assert stats.malformed == 0
+
+    def test_an_oversized_length_drops_the_rest_of_the_connection(self):
+        honest = _stream(1)
+        reader, queued, stats, conn = self._protocol()
+        reader.data_received(honest + LEN.pack(MAX_FRAME + 1) + honest)
+        reader.connection_lost(None)
+        assert [frame.key for frame in queued] == ["k0"]
+        assert conn.closed
+        assert stats.malformed == 1
+
+    @pytest.mark.parametrize("cut", [1, LEN.size, LEN.size + 3, -1])
+    def test_eof_mid_frame_is_counted_once(self, cut):
+        honest = _stream(1)
+        reader, queued, stats, _conn = self._protocol()
+        reader.data_received(honest + honest[:cut])
+        reader.connection_lost(None)
+        reader.connection_lost(None)
+        assert len(queued) == 1
+        assert stats.malformed == 1
 
     @staticmethod
     def _run(chunks: list[bytes]):
@@ -288,8 +407,9 @@ class TestReader:
         assert stats.malformed == 1
 
 
-def _drive(frames, *, tcp_like: bool = True):
-    """Feed *frames* to node ``a`` (peer ``b``) under the virtual clock.
+def _drive(frames, *, tcp_like: bool = True, pooled=()):
+    """Feed *frames* to node ``a`` (peer ``b``) under the virtual clock,
+    after submitting the transactions *pooled* to it.
 
     Returns the node, the wire stats, and what it relayed to ``b``.
     """
@@ -306,6 +426,8 @@ def _drive(frames, *, tcp_like: bool = True):
 
     async def main():
         node.start()
+        for ntx in pooled:
+            assert node.submit_tx(ntx)
         for frame in frames:
             node.inbox.put_nowait(
                 _received(frame, stats)
@@ -325,6 +447,39 @@ def _tx_frame(ntx, *, key=None, src="b", hops=1) -> Frame:
         "tx", src, ntx, hops=hops,
         key=ntx.tx_hash if key is None else key,
     )
+
+
+class TestSender:
+    def test_frames_queued_before_the_sender_runs_go_out_in_one_write(
+        self, monkeypatch
+    ):
+        writes: list[int] = []
+        write = asyncio.StreamWriter.write
+
+        def counted(self, data):
+            writes.append(len(data))
+            write(self, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", counted)
+        runtime = AsyncioRuntime()
+
+        async def main():
+            transport = TcpTransport(runtime)
+            transport.register("a")
+            inbox = transport.register("b")
+            await transport.start()
+            for i in range(50):
+                transport.send("b", Frame("tx", "a", i, key=f"k{i}"))
+            got = [
+                await asyncio.wait_for(inbox.get(), timeout=10.0)
+                for _ in range(50)
+            ]
+            await transport.close()
+            return got
+
+        got = runtime.run_until_complete(main())
+        assert [frame.payload for frame in got] == list(range(50))
+        assert writes == [len(_stream(50))]
 
 
 class TestNodeDedupBeforeDecode:
@@ -416,7 +571,9 @@ class TestNodeDedupBeforeDecode:
         assert node.stats.rejected == 1
         assert node.stats.duplicate_blocks == 1
         assert node.head_hash == block.block_hash
-        assert stats.decoded == 2
+        # Two block bodies, and the honest block's coinbase marker,
+        # which no pool holds; the forged header stopped before its own.
+        assert stats.decoded == 3
         assert forged.block_hash not in node.forkchoice.tree
 
     def test_sender_memo_of_the_block_hash_is_not_trusted(self, node_txs):
@@ -435,6 +592,51 @@ class TestNodeDedupBeforeDecode:
         assert node.stats.rejected == 1
         assert lie not in node.seen_blocks
         assert honest_hash not in node.forkchoice.tree
+
+
+class TestBlockFromPool:
+    def test_a_transaction_never_pooled_is_decoded_inline(self, node_txs):
+        pooled, stranger = node_txs[0], node_txs[1]
+        block = _block([pooled, stranger])
+        node, stats, _out = _drive(
+            [Frame("block", "c", block, hops=1, key=block.block_hash)],
+            pooled=[pooled],
+        )
+        head = node.forkchoice.head_block()
+        assert head.block_hash == block.block_hash
+        assert head.transactions[1] is pooled
+        assert head.transactions[2] == stranger
+        assert {pooled.tx_hash, stranger.tx_hash} <= node.chain_txs
+        # The block body, then the coinbase and the stranger inline.
+        assert stats.decoded == 3
+
+    def test_an_inline_body_under_another_hash_does_not_censor(
+        self, node_txs
+    ):
+        victim, other = node_txs[0], node_txs[1]
+        block = _block([victim])
+        coinbase = block.transactions[0]
+        lying = WireBlock(block.header, (
+            (coinbase.tx_hash, pickle.dumps(coinbase)),
+            (victim.tx_hash, pickle.dumps(other)),
+        ))
+        forged = decode_frame(_raw(
+            code=KINDS.index("block"), src=b"c",
+            key=block.block_hash.encode(),
+            body=pickle.dumps(Frame("block", "c", lying, hops=1)),
+        ), TransportStats())
+        node, _stats, out = _drive([
+            forged,
+            Frame("block", "c", block, hops=1, key=block.block_hash),
+        ])
+        assert node.stats.rejected == 1
+        assert node.stats.duplicate_blocks == 0      # never marked seen
+        assert node.head_hash == block.block_hash
+        assert victim.tx_hash in node.chain_txs
+        assert other.tx_hash not in node.chain_txs
+        assert [frame.key for frame in out if frame.kind == "block"] == [
+            block.block_hash,
+        ]
 
 
 class TestClaimedRoot:
@@ -506,25 +708,39 @@ class _CountingPickle:
     attribute of ``repro.node.transport``."""
 
     def __init__(self) -> None:
-        self.dumped: Counter = Counter()
-        self.loaded: Counter = Counter()
+        self.dumped: Counter = Counter()   # by frame kind; "tx body" else
+        self.block_txs = 0     # transactions listed by block frames dumped
+        self.frames: Counter = Counter()   # frames loaded, by kind
+        self.loaded = 0
+        self.bodies: Counter = Counter()   # tx hash -> NodeTx unpickled
 
-    def dumps(self, frame):
-        self.dumped[frame.kind] += 1
-        return pickle.dumps(frame)
+    def dumps(self, item):
+        kind = getattr(item, "kind", "tx body")
+        self.dumped[kind] += 1
+        if kind == "block":
+            self.block_txs += len(item.payload.transactions)
+        return pickle.dumps(item)
 
     def loads(self, data):
-        frame = pickle.loads(data)
-        self.loaded[frame.kind] += 1
-        return frame
-
+        item = pickle.loads(data)
+        self.loaded += 1
+        payload = item
+        if isinstance(item, Frame):
+            self.frames[item.kind] += 1
+            payload = item.payload
+        for ntx in (payload, *getattr(payload, "transactions", ())):
+            if isinstance(ntx, NodeTx):
+                self.bodies[ntx.tx_hash] += 1
+        return item
 
 class TestEncodeDecodeBudget:
     def test_four_node_mesh_pays_for_each_item_once(
         self, node_txs, monkeypatch
     ):
         """PBFT over loopback TCP: one body encode per distinct item in
-        the whole network, at most one body decode per item per node."""
+        the whole network, and each transaction body decoded at most
+        once per node, although every transaction travels twice: in its
+        own frame and in the block that carries it."""
         counting = _CountingPickle()
         monkeypatch.setattr(wire, "pickle", counting)
         txs = node_txs[:40]
@@ -568,18 +784,25 @@ class TestEncodeDecodeBudget:
             return nodes, transport.stats
 
         nodes, stats = runtime.run_until_complete(main())
-        assert all(
-            {ntx.tx_hash for ntx in txs} <= node.chain_txs for node in nodes
-        )
+        hashes = {ntx.tx_hash for ntx in txs}
+        assert all(hashes <= node.chain_txs for node in nodes)
         blocks = sum(node.stats.proposed for node in nodes)
         assert blocks >= 1
-        assert set(counting.dumped) <= {"tx", "block"}
+        # One dumps per frame, plus one per transaction inside a block
+        # frame (each block's coinbase marker among them).
+        assert set(counting.dumped) <= {"tx", "block", "tx body"}
         assert counting.dumped["tx"] == len(txs)
         assert counting.dumped["block"] == blocks
-        assert counting.loaded["tx"] <= 3 * len(txs)
-        assert counting.loaded["block"] <= 3 * blocks
+        assert counting.dumped["tx body"] == counting.block_txs
+        assert counting.frames["tx"] <= 3 * len(txs)
+        assert counting.frames["block"] <= 3 * blocks
+        # Each transaction body is unpickled at most once per node that
+        # did not originate it, whichever frame brought it: its own tx
+        # frame, or a block whose receiver did not pool it.
+        assert hashes <= set(counting.bodies)
+        assert max(counting.bodies.values()) <= 3
         assert stats.encoded == sum(counting.dumped.values())
-        assert stats.decoded == sum(counting.loaded.values())
+        assert stats.decoded == counting.loaded
         # 3 sends by the origin, then each of 3 peers relays to 2 more:
         # every one of those relays went out as the bytes it came in as.
         assert stats.forwarded == 3 * (len(txs) + blocks)
