@@ -1,8 +1,8 @@
 """Serial vs. parallel analysis-pipeline throughput on a 2k-block chain.
 
 Times :func:`repro.core.parallel.analyze_chain` over a 2048-block
-synthetic Bitcoin history under every backend at ``jobs=4``, checks that
-all of them produce identical records, and writes the speed-up
+synthetic Bitcoin history on the serial and process backends at
+``jobs=4``, checks that both produce identical records, and writes the speed-up
 trajectory to ``BENCH_parallel_pipeline.json`` at the repo root (plus a
 human-readable summary under ``benchmarks/output/``).
 
@@ -95,16 +95,11 @@ def test_parallel_pipeline_speedup():
         process_history, process_seconds = _timed_run(
             inputs, backend="process", jobs=JOBS, chunk_size=chunk_size
         )
-    thread_history, thread_seconds = _timed_run(
-        inputs, backend="thread", jobs=JOBS, chunk_size=chunk_size
-    )
 
     # The hard equivalence gate: every backend, byte-identical records.
     assert process_history.records == serial_records
-    assert thread_history.records == serial_records
 
     measured_process = serial_seconds / process_seconds
-    measured_thread = serial_seconds / thread_seconds
     makespan = lpt_schedule(chunk_seconds, JOBS).makespan
     projected = serial_seconds / max(makespan, 1e-9)
 
@@ -125,9 +120,7 @@ def test_parallel_pipeline_speedup():
         "records_identical_across_backends": True,
         "serial_seconds": round(serial_seconds, 4),
         "process_seconds": round(process_seconds, 4),
-        "thread_seconds": round(thread_seconds, 4),
         "measured_speedup_process": round(measured_process, 3),
-        "measured_speedup_thread": round(measured_thread, 3),
         "projected_speedup_at_jobs": round(projected, 3),
         "projection_model": (
             "serial time / LPT makespan of measured serial chunk times "
@@ -153,8 +146,6 @@ def test_parallel_pipeline_speedup():
         f"  serial              : {serial_seconds:8.3f} s",
         f"  process (jobs={JOBS})   : {process_seconds:8.3f} s  "
         f"({measured_process:.2f}x)",
-        f"  thread  (jobs={JOBS})   : {thread_seconds:8.3f} s  "
-        f"({measured_thread:.2f}x)",
         f"  projected at {JOBS} cores: {projected:8.2f} x  (LPT over "
         "measured chunk times)",
         "  records identical across backends: yes",

@@ -1,8 +1,8 @@
 """Serial vs. fanned-out executor replay over a seeded Bitcoin chain.
 
 Times :func:`repro.execution.parallel_replay.replay_chain` — all seven
-engines per block — on every backend at ``jobs=4``, asserts every
-configuration commits to byte-identical state roots, and writes the
+engines per block — on the serial and process backends at ``jobs=4``,
+asserts every configuration commits to byte-identical state roots, and writes the
 speed-up figures to ``BENCH_parallel_replay.json`` at the repo root
 (plus a human-readable summary under ``benchmarks/output/``).
 
@@ -86,14 +86,10 @@ def test_parallel_replay_speedup():
     process_result, process_seconds = _timed_replay(
         inputs, backend="process", jobs=JOBS, chunk_size=chunk_size
     )
-    thread_result, thread_seconds = _timed_replay(
-        inputs, backend="thread", jobs=JOBS, chunk_size=chunk_size
-    )
 
     # Hard determinism gates: identical records on every backend, and
     # one committed state root across all seven engines.
     assert process_result.records == serial_result.records
-    assert thread_result.records == serial_result.records
     engine_roots = {
         s.engine: s.state_root for s in serial_result.summaries()
     }
@@ -111,7 +107,6 @@ def test_parallel_replay_speedup():
     recorder_delta = recorded_seconds - process_seconds
 
     measured_process = serial_seconds / process_seconds
-    measured_thread = serial_seconds / thread_seconds
     makespan = lpt_schedule(chunk_seconds, JOBS).makespan
     projected = serial_seconds / max(makespan, 1e-9)
 
@@ -136,14 +131,12 @@ def test_parallel_replay_speedup():
         "records_identical_across_backends": True,
         "serial_seconds": round(serial_seconds, 4),
         "process_seconds": round(process_seconds, 4),
-        "thread_seconds": round(thread_seconds, 4),
         "measured_speedup_process": round(measured_process, 3),
-        "measured_speedup_thread": round(measured_thread, 3),
         "projected_speedup_at_jobs": round(projected, 3),
         "projection_model": (
             "serial time / LPT makespan of measured serial chunk times "
-            f"over {JOBS} workers (ignores IPC; shared-memory/fork "
-            "context keeps dispatch to an index pair)"
+            f"over {JOBS} workers (ignores IPC; fork-shared inputs "
+            "keep dispatch to an index pair)"
         ),
         "recorder_overhead_seconds": round(recorder_delta, 4),
         "recorder_overhead_ratio": round(
@@ -169,8 +162,6 @@ def test_parallel_replay_speedup():
         f"  serial              : {serial_seconds:8.3f} s",
         f"  process (jobs={JOBS})   : {process_seconds:8.3f} s  "
         f"({measured_process:.2f}x)",
-        f"  thread  (jobs={JOBS})   : {thread_seconds:8.3f} s  "
-        f"({measured_thread:.2f}x)",
         f"  projected at {JOBS} cores: {projected:8.2f} x  (LPT over "
         "measured chunk times)",
         f"  recorder overhead   : {recorder_delta:+8.3f} s  "

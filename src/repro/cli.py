@@ -93,8 +93,8 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker count for the thread/process backends "
-             "(default: CPU count)",
+        help="worker count for the process backend "
+             "(default: usable CPU count)",
     )
     parser.add_argument(
         "--chunk-size", type=int, default=None, metavar="BLOCKS",
@@ -664,7 +664,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     """Fan a chain's executor replay over workers; print per-engine digests.
 
     Every block replays through every requested engine on the chosen
-    backend (``--backend serial|thread|process``).  The printed table
+    backend (``--backend serial|process``).  The printed table
     carries each engine's measured speed-up and determinism digests;
     the command exits 1 when any two engines disagree on the committed
     state root — the same cross-executor differential check

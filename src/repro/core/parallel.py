@@ -10,9 +10,9 @@ module exploits that purity twice over:
   chunk function over each chunk on the chosen backend, and returns the
   per-chunk records concatenated in submission (= height) order.  It
   owns start-method selection, the publication of the run to workers,
-  the worker initialiser, both pools, the process→thread fallback, the
-  ordered collection that merges worker observability back into the
-  parent, and the clean-up of whatever it published.
+  the worker initialiser, the pool, the process→serial fallback, and
+  the ordered collection that merges worker observability back into
+  the parent.
 * :func:`analyze_chain` is its first caller: chunks of
   :class:`BlockInput` analyzed by
   :func:`repro.core.pipeline.analyze_utxo_block` /
@@ -21,21 +21,16 @@ module exploits that purity twice over:
   serial walk.  :func:`repro.execution.parallel_replay.replay_chain` is
   the second.
 
-Backends:
+Backends (what each buys is measured in ``docs/parallel_pipeline.md``):
 
 * ``"process"`` (the parallel default) — a
   :class:`concurrent.futures.ProcessPoolExecutor` under the configured
-  multiprocessing start method, fork where none is configured.  The run
-  (chunk function, parameters, items) reaches the workers by the
-  cheapest transport available: a module global inherited through fork
-  (only ``(start, stop)`` pairs travel per chunk), else ONE pickle in a
-  :mod:`multiprocessing.shared_memory` segment that workers attach by
-  name (gauge ``<family>.shm_bytes``), else an explicit per-chunk slice
-  (counter ``<family>.shm_fallbacks``).
-* ``"thread"`` — a :class:`concurrent.futures.ThreadPoolExecutor` over
-  the same chunk function; also the automatic fallback when a process
-  pool cannot start (sandboxes without ``sem_open``; counter
-  ``<family>.fallbacks``).
+  multiprocessing start method, fork where none is configured.  Under
+  fork the run (chunk function, parameters, items) is a module global
+  the workers inherit, and only ``(start, stop)`` pairs travel per
+  chunk; under any other start method each chunk ships its own slice.
+  A pool that cannot start (sandboxes without ``sem_open``) falls back
+  to the serial collection, counted in ``<family>.fallbacks``.
 * ``"serial"`` — in-process.  :func:`analyze_chain` keeps its own plain
   per-block loop here: it is the reference the golden and equivalence
   suites compare the fan-out against.
@@ -64,10 +59,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -84,7 +76,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import QUEUE_LANE
 from repro.obs.tracer import NOOP_TRACER
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 DEFAULT_BACKEND = "process"
 # Chunks per worker: >1 so stragglers rebalance, small enough that the
 # per-chunk dispatch overhead stays negligible.
@@ -123,10 +115,16 @@ def validate_backend(backend: str) -> str:
 
 
 def validate_jobs(jobs: int | None, *, backend: str = DEFAULT_BACKEND) -> int:
-    """Resolve *jobs* (None -> cpu count; serial -> 1) or raise ValueError."""
+    """Resolve *jobs* (None -> usable CPUs; serial -> 1) or raise ValueError.
+
+    The default counts the CPUs this process may run on (its affinity
+    set), not the machine's: a run pinned to one core gets one worker.
+    """
     if jobs is None:
         if backend == "serial":
             return 1
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if not isinstance(jobs, int) or isinstance(jobs, bool):
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
@@ -224,9 +222,8 @@ class ChunkResult(NamedTuple):
 
     ``obs_dump`` (see :meth:`repro.obs.metrics.MetricsRegistry.dump`)
     and ``rows`` are the chunk function's private recordings, ``None``
-    when it made none; ``worker_id`` identifies the worker (pid for
-    processes, thread id for pool threads) so the parent can map chunks
-    onto stable flight-recorder lanes.
+    when it made none; ``worker_id`` is the worker's pid, so the parent
+    can map chunks onto stable flight-recorder lanes.
     """
 
     records: list
@@ -241,12 +238,6 @@ class ChunkResult(NamedTuple):
 # fork, cleared after.  Item payloads never enter a request pickle;
 # only (start, stop) pairs go down and only records come back.
 _FORK_RUN: tuple | None = None
-
-# Shared-memory transport: one pickled run per fan-out lives in a
-# segment; workers attach by name and unpickle once (cached here per
-# segment name), so the items cross the process boundary zero times
-# per chunk instead of once per chunk.
-_SHM_RUNS: dict[str, tuple] = {}
 
 
 def _worker_init() -> None:
@@ -275,13 +266,9 @@ def _run_chunk(
     chunk_fn: ChunkFn, params: object, chunk: Sequence,
     record_obs: bool | str,
 ) -> ChunkResult:
-    """Run one chunk where it stands; the explicit-transport entry."""
-    worker_id = (
-        os.getpid() if threading.current_thread() is threading.main_thread()
-        else threading.get_ident()
-    )
+    """Run one chunk where it stands; the per-chunk-slice entry."""
     records, elapsed, obs_dump, rows = chunk_fn(params, chunk, record_obs)
-    return ChunkResult(records, elapsed, worker_id, obs_dump, rows)
+    return ChunkResult(records, elapsed, os.getpid(), obs_dump, rows)
 
 
 def _chunk_from_fork(
@@ -290,65 +277,6 @@ def _chunk_from_fork(
     """Fork-transport entry: slice the inherited run by index."""
     chunk_fn, params, items = _FORK_RUN
     return _run_chunk(chunk_fn, params, items[start:stop], record_obs)
-
-
-def _chunk_from_shm(
-    name: str, start: int, stop: int, record_obs: bool | str
-) -> ChunkResult:
-    """Shared-memory-transport entry: slice the attached run by index."""
-    run = _SHM_RUNS.get(name)
-    if run is None:
-        segment = _attach_shm(name)
-        try:
-            # The segment may be page-rounded past the pickle; loads
-            # stops at the STOP opcode and ignores the tail.
-            run = pickle.loads(segment.buf)
-        finally:
-            segment.close()
-        _SHM_RUNS[name] = run
-    chunk_fn, params, items = run
-    return _run_chunk(chunk_fn, params, items[start:stop], record_obs)
-
-
-def _attach_shm(name: str):
-    """Attach to a named segment without resource-tracker side effects.
-
-    On 3.13+ ``track=False`` exists; earlier interpreters register every
-    attachment with the resource tracker, whose exit-time cleanup would
-    unlink the segment out from under the other workers (bpo-38119) —
-    unregister explicitly there.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        segment = shared_memory.SharedMemory(name=name)
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:
-            pass
-        return segment
-
-
-def _publish_shm(run: tuple, family: str):
-    """Pickle *run* once into a fresh segment; ``None`` where there is
-    no shared memory (the caller then ships per-chunk slices)."""
-    payload = pickle.dumps(run, protocol=pickle.HIGHEST_PROTOCOL)
-    try:
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(
-            create=True, size=max(1, len(payload))
-        )
-    except (ImportError, OSError, PermissionError):
-        obs.counter(f"{family}.shm_fallbacks").inc()
-        return None
-    segment.buf[:len(payload)] = payload
-    obs.gauge(f"{family}.shm_bytes").set(len(payload))
-    return segment
 
 
 # -- the ordered chunk fan-out: parent side -----------------------------------
@@ -417,12 +345,11 @@ def _run_process_pool(
     bounds: Sequence[tuple[int, int]],
     jobs: int,
     record_obs: bool | str,
-    family: str,
     collect: Callable[..., list],
 ) -> list:
-    """Fan chunks over a process pool by the cheapest transport."""
+    """Fan chunks over a process pool: fork-inherited run, else slices."""
     global _FORK_RUN
-    # Lazy import: keeps serial/thread paths usable even where the
+    # Lazy import: keeps the serial path usable even where the
     # multiprocessing primitives are unavailable (the caller catches the
     # failure and falls back).
     from concurrent.futures import ProcessPoolExecutor
@@ -430,31 +357,20 @@ def _run_process_pool(
     # Honour an explicitly configured start method (the spawn CI shard
     # sets one); otherwise prefer fork where the platform offers it.
     method = multiprocessing.get_start_method(allow_none=True)
-    fork_sharing = method in (None, "fork")
-    if fork_sharing:
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            context = multiprocessing.get_context()
-            fork_sharing = False
-    else:
-        context = multiprocessing.get_context(method)
+    if method is None and "fork" in multiprocessing.get_all_start_methods():
+        method = "fork"
+    context = multiprocessing.get_context(method)
+    forked = context.get_start_method() == "fork"
 
-    segment = None
+    def job(start: int, stop: int) -> tuple:
+        if forked:
+            return _chunk_from_fork, start, stop, record_obs
+        chunk_fn, params, items = run
+        return _run_chunk, chunk_fn, params, items[start:stop], record_obs
+
     try:
-        if fork_sharing:
+        if forked:
             _FORK_RUN = run
-        else:
-            segment = _publish_shm(run, family)
-
-        def job(start: int, stop: int) -> tuple:
-            if fork_sharing:
-                return _chunk_from_fork, start, stop, record_obs
-            if segment is not None:
-                return _chunk_from_shm, segment.name, start, stop, record_obs
-            chunk_fn, params, items = run
-            return _run_chunk, chunk_fn, params, items[start:stop], record_obs
-
         with ProcessPoolExecutor(
             max_workers=jobs, mp_context=context, initializer=_worker_init
         ) as pool:
@@ -466,32 +382,6 @@ def _run_process_pool(
             )
     finally:
         _FORK_RUN = None
-        if segment is not None:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:
-                pass
-
-
-def _run_thread_pool(
-    run: tuple,
-    bounds: Sequence[tuple[int, int]],
-    jobs: int,
-    record_obs: bool | str,
-    collect: Callable[..., list],
-) -> list:
-    chunk_fn, params, items = run
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(
-                _run_chunk, chunk_fn, params, items[start:stop], record_obs
-            )
-            for start, stop in bounds
-        ]
-        return collect(
-            [future.result for future in futures], backend="thread"
-        )
 
 
 def ordered_chunk_map(
@@ -525,9 +415,10 @@ def ordered_chunk_map(
         run_attrs: extra attributes for the ``<family>.run`` span.
 
     The concatenated records are identical for every (backend, jobs,
-    chunk_size); a process pool that cannot start degrades to the thread
-    backend (counted in ``<family>.fallbacks``).  An exception raised by
-    *chunk_fn* propagates, after the published run is withdrawn.
+    chunk_size); a process pool that cannot start degrades to the
+    serial collection (counted in ``<family>.fallbacks``).  An
+    exception raised by *chunk_fn* propagates, after the published run
+    is withdrawn.
     """
     bounds = chunk_bounds(len(items), chunk_size)
     # Workers start with obs uninstalled (_worker_init); when the parent
@@ -538,7 +429,6 @@ def ordered_chunk_map(
     record_obs: bool | str = (
         parent_registry.policy if parent_registry.enabled else False
     )
-    run = (chunk_fn, params, items)
     collect = partial(
         _collect_ordered, bounds=bounds, family=family, lanes=lanes
     )
@@ -551,26 +441,24 @@ def ordered_chunk_map(
         obs.counter(f"{family}.chunks", backend=backend).inc(len(bounds))
         obs.counter(f"{family}.blocks", backend=backend).inc(len(items))
         obs.gauge(f"{family}.jobs", backend=backend).set(jobs)
-        if backend == "serial":
-            return collect(
-                (
-                    partial(_run_chunk, chunk_fn, params, items[start:stop],
-                            record_obs)
-                    for start, stop in bounds
-                ),
-                backend="serial",
-            )
         if backend == "process":
             try:
                 return _run_process_pool(
-                    run, bounds, jobs, record_obs, family, collect
+                    (chunk_fn, params, items), bounds, jobs, record_obs,
+                    collect,
                 )
-            except (ImportError, NotImplementedError, OSError,
-                    PermissionError):
+            except (ImportError, NotImplementedError, OSError):
                 # Sandboxes without sem_open / fork; chunk purity makes
                 # the in-process retry safe.
                 obs.counter(f"{family}.fallbacks", backend="process").inc()
-        return _run_thread_pool(run, bounds, jobs, record_obs, collect)
+        return collect(
+            (
+                partial(_run_chunk, chunk_fn, params, items[start:stop],
+                        record_obs)
+                for start, stop in bounds
+            ),
+            backend="serial",
+        )
 
 
 # -- block analysis over the fan-out ------------------------------------------
@@ -607,13 +495,13 @@ def _analyze_chunk_recording(
 ) -> tuple[list[BlockRecord], float, list[dict] | None, None]:
     """The fan-out's chunk function over :func:`analyze_chunk`.
 
-    Where a recording registry is reachable (thread workers under an
-    instrumented parent) the per-block ``pipeline.blocks`` / ``tdg.*``
-    instrumentation records straight into it.  Where none is (process
-    workers) and the parent asked for recordings, the chunk runs under a
-    private registry of the parent's policy — so a sketch-policy parent
-    merges sketch dumps instead of re-inflating raw observations — and
-    its lossless dump rides back.
+    Where a recording registry is reachable (the in-process fallback
+    under an instrumented parent) the per-block ``pipeline.blocks`` /
+    ``tdg.*`` instrumentation records straight into it.  Where none is
+    (process workers) and the parent asked for recordings, the chunk
+    runs under a private registry of the parent's policy — so a
+    sketch-policy parent merges sketch dumps instead of re-inflating raw
+    observations — and its lossless dump rides back.
     """
     if record_obs and not obs.get_registry().enabled:
         policy = record_obs if isinstance(record_obs, str) else "exact"
@@ -646,8 +534,9 @@ def analyze_chain(
         data_model: ``"utxo"`` or ``"account"``.
         name: chain name for the history.
         start_year: calendar anchor, as in :class:`ChainHistory`.
-        backend: ``"process"`` (default), ``"thread"`` or ``"serial"``.
-        jobs: worker count; defaults to the CPU count (1 for serial).
+        backend: ``"process"`` (default) or ``"serial"``.
+        jobs: worker count; defaults to the usable CPU count (1 for
+            serial).
         chunk_size: blocks per work unit; defaults to a balanced value
             (:data:`CHUNKS_PER_JOB` chunks per worker).
 
@@ -657,7 +546,7 @@ def analyze_chain(
 
     The returned history is identical for every (backend, jobs,
     chunk_size) combination; a process pool that cannot start degrades
-    to the thread backend (counted in ``pipeline.parallel.fallbacks``).
+    to the serial collection (counted in ``pipeline.parallel.fallbacks``).
     """
     if data_model not in DATA_MODELS:
         raise ValueError(f"unknown data model {data_model!r}")

@@ -20,23 +20,22 @@ with two determinism digests per record, one SHA-256 each:
 * ``receipt_root`` — one hash over the canonical fields of the block's
   raw payload (receipts / transactions) in block order.  It is
   engine-independent by construction and exists to prove the
-  *transport* (fork globals, shared memory, explicit pickles)
-  delivered the payload byte-exactly.
+  *transport* (fork globals or per-chunk pickles) delivered the
+  payload byte-exactly.
 
 Both digests join plain strings with a separator checked absent from
 every part (:func:`repro.chain.hashing.hash_parts`) and sort every set
 first, so they are injective and independent of ``PYTHONHASHSEED``.
 
 Backends, validation, chunking, transports and fallbacks are the
-fan-out's (``serial`` / ``thread`` / ``process``; see
-:mod:`repro.core.parallel`).  What is particular to replay is its chunk
-function, :func:`replay_chunk`.  Records are built from the values an
-engine's run hands back — its :class:`ExecutionReport`, commit stream
-included — on one path, whether or not anything records; the flight
-recorder is a by-product nobody here reads.  Every block replays under
-a PRIVATE per-thread observability scope (:func:`repro.obs.scoped`):
-with an uninstrumented parent its recorder is the no-op one, so no row
-is ever built; when the parent *is* instrumented, a real recorder
+fan-out's (``serial`` / ``process``; see :mod:`repro.core.parallel`).
+What is particular to replay is its chunk function,
+:func:`replay_chunk`.  Records are built from the values an engine's
+run hands back — its :class:`ExecutionReport`, commit stream included —
+on one path, whether or not anything records; the flight recorder is a
+by-product nobody here reads.  Every block replays under a PRIVATE
+observability scope (:func:`repro.obs.scoped`): with an uninstrumented
+parent its recorder is the no-op one, so no row is ever built; when the parent *is* instrumented, a real recorder
 collects the engines' deferred rows, the chunk expands them once on the
 way out, and they ride back with the chunk's registry dump and merge in
 submission (= height) order, so ``repro.cli timeline`` / ``regress``
@@ -464,10 +463,9 @@ def _replay_block(
 ) -> list[BlockReplay]:
     """Replay one block through *engines*; one record per engine.
 
-    The engines run under a private scope (per thread, via
-    :func:`repro.obs.scoped`), so concurrent chunks on the thread
-    backend cannot interleave events and a node's validators never
-    touch the global traces (NOOP tracer/lifecycle); *recorder* keeps
+    The engines run under a private scope (:func:`repro.obs.scoped`),
+    so a node's validators never touch the global traces (NOOP
+    tracer/lifecycle); *recorder* keeps
     whatever rows they defer, for the caller to expand or not.  They
     share one :class:`BlockConflicts`, dropped on return.
     """
@@ -577,8 +575,9 @@ def replay_chain(
         data_model: ``"utxo"`` or ``"account"``.
         engines: engine names from :data:`ENGINES`, order preserved.
         cores: simulated core count handed to each engine.
-        backend: ``"process"`` (default), ``"thread"`` or ``"serial"``.
-        jobs: worker count; defaults to the CPU count (1 for serial).
+        backend: ``"process"`` (default) or ``"serial"``.
+        jobs: worker count; defaults to the usable CPU count (1 for
+            serial).
         chunk_size: blocks per work unit; defaults to a balanced value.
 
     Raises:
@@ -588,7 +587,7 @@ def replay_chain(
     The returned records — commit orders, state roots, receipt roots,
     event counts — are identical for every (backend, jobs, chunk_size)
     combination; the differential suite enforces it.  A process pool
-    that cannot start degrades to the thread backend (counted in
+    that cannot start degrades to the serial collection (counted in
     ``exec.replay.fallbacks``).
     """
     if data_model not in DATA_MODELS:

@@ -40,7 +40,6 @@ Naming scheme (full catalogue in ``docs/observability.md``):
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -146,41 +145,6 @@ _NOOP_STATE = ObservabilityState(
 )
 _state: ObservabilityState = _NOOP_STATE
 
-# Thread-local override: lets concurrent chunks (thread-backend parallel
-# replay) each record into a private state without touching the process
-# global.  ``_current()`` is the single resolution point every dispatch
-# helper goes through; the common case (no override) is one attribute
-# probe on a thread-local, so the no-op fast path stays flat.
-class _LocalOverride(threading.local):
-    # Class-level default: threads that never set an override resolve
-    # ``state`` through the class attribute instead of raising (and
-    # catching) AttributeError inside getattr — that hidden exception
-    # costs several hundred nanoseconds per dispatch, which is the
-    # difference between a free and a measurable disabled guard.
-    state: "ObservabilityState | None" = None
-
-
-_local = _LocalOverride()
-
-# Number of scoped() overrides currently active across all threads.
-# While zero (the overwhelmingly common case — overrides only exist
-# inside thread-backend replay chunks) dispatch skips the thread-local
-# probe entirely: reading one module global is ~3x cheaper, and the
-# disabled-pipeline guard budget (benchmarks/bench_obs_sampling.py) is
-# priced in tens of nanoseconds.  Reads are deliberately lock-free: a
-# thread inside scoped() always observes its own increment, so it can
-# never miss its override; other threads at worst probe needlessly.
-_override_count = 0
-_override_lock = threading.Lock()
-
-
-def _current() -> ObservabilityState:
-    if _override_count:
-        override = _local.state
-        if override is not None:
-            return override
-    return _state
-
 
 def enabled() -> bool:
     """True when anything records: registry, tracer, flight recorder or
@@ -190,7 +154,7 @@ def enabled() -> bool:
     compute something (an extra pass, a division) even when disabled;
     see :func:`measuring` for work only a metric or a span reads.
     """
-    return _current().enabled
+    return _state.enabled
 
 
 def measuring() -> bool:
@@ -202,54 +166,41 @@ def measuring() -> bool:
     where such work would be computed for the no-op registry; recorder
     work is guarded on ``get_recorder().enabled`` instead.
     """
-    return _current().measuring
+    return _state.measuring
 
 
 def get_registry() -> MetricsRegistry:
-    return _current().registry
+    return _state.registry
 
 
 def get_tracer() -> Tracer:
-    return _current().tracer
+    return _state.tracer
 
 
 def get_recorder() -> FlightRecorder:
-    return _current().recorder
+    return _state.recorder
 
 
 def lifecycle() -> LifecycleTracer:
     """The current lifecycle tracer (:data:`NOOP_LIFECYCLE` when off)."""
-    # Inlined _current(): this is the guard every lifecycle call site
-    # runs per transaction hop, so one avoided function call matters at
-    # the disabled-overhead budget's scale.
-    if _override_count:
-        override = _local.state
-        if override is not None:
-            return override.lifecycle
     return _state.lifecycle
 
 
 @contextmanager
 def scoped(state: ObservabilityState) -> Iterator[ObservabilityState]:
-    """Route this thread's obs dispatch into *state* for the scope.
+    """Route obs dispatch into *state* for the scope.
 
-    Unlike :func:`instrumented`, which swaps the process-global state,
-    ``scoped`` binds the override to the calling thread only — two
-    threads can each replay a chunk under their own private recorder
-    without interleaving events.  Scopes nest; the previous override
-    (or none) is restored on exit.
+    Swaps the process state and restores the previous one on exit, so
+    scopes nest.  A block replay runs under a private state this way:
+    its own registry and recorder, no-op tracer and lifecycle.
     """
-    global _override_count
-    previous = _local.state
-    with _override_lock:
-        _override_count += 1
-    _local.state = state
+    global _state
+    previous = _state
+    _state = state
     try:
         yield state
     finally:
-        _local.state = previous
-        with _override_lock:
-            _override_count -= 1
+        _state = previous
 
 
 def install(
@@ -306,16 +257,16 @@ def instrumented(
 
 def trace_span(name: str, **attrs: object):
     """Open a span on the current tracer (no-op context when disabled)."""
-    return _current().tracer.span(name, **attrs)
+    return _state.tracer.span(name, **attrs)
 
 
 def counter(name: str, **labels: object) -> Counter:
-    return _current().registry.counter(name, **labels)
+    return _state.registry.counter(name, **labels)
 
 
 def gauge(name: str, **labels: object) -> Gauge:
-    return _current().registry.gauge(name, **labels)
+    return _state.registry.gauge(name, **labels)
 
 
 def histogram(name: str, **labels: object) -> Histogram:
-    return _current().registry.histogram(name, **labels)
+    return _state.registry.histogram(name, **labels)

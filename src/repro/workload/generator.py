@@ -57,7 +57,7 @@ def generate_chain(
             so longer chains cover the same years at finer resolution).
         seed: determinism seed.
         scale: per-block transaction volume multiplier.
-        backend: analysis backend (``serial`` / ``thread`` / ``process``,
+        backend: analysis backend (``serial`` / ``process``,
             see :mod:`repro.core.parallel`); chain *generation* stays
             serial either way, and every backend yields the same history.
         jobs: worker count for the parallel backends.

@@ -54,7 +54,7 @@ class TestParallelFlags:
     def test_chunk_size_zero_exits_2(self, capsys):
         code = main([
             "analyze", "--chain", "dogecoin", "--blocks", "4",
-            "--backend", "thread", "--chunk-size", "0",
+            "--backend", "process", "--chunk-size", "0",
         ])
         assert code == 2
         assert "chunk size must be >= 1" in capsys.readouterr().err

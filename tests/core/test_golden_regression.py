@@ -150,12 +150,6 @@ class TestGoldenRegression:
             == GOLDEN_PATH.read_text()
         )
 
-    def test_thread_backend_reproduces_fixture_bytes(self):
-        assert (
-            render_golden(backend="thread", jobs=3)
-            == GOLDEN_PATH.read_text()
-        )
-
     def test_bitcoin_records_need_no_bfs_and_no_tdg_counts(
         self, monkeypatch
     ):

@@ -2,8 +2,8 @@
 
 The purity contract of :mod:`repro.core.parallel` — per-block analysis
 reads only that block's transactions — implies a strong invariant: the
-serial, thread and process backends must produce *equal*
-``BlockRecord`` sequences for every chain, worker count and chunk size.
+serial and process backends must produce *equal* ``BlockRecord``
+sequences for every chain, worker count and chunk size.
 These tests enforce the invariant on seeded-random UTXO and account
 chains, exercise the chunking helpers, and pin down the clear-error
 contract (``ValueError`` on bad ``jobs`` / ``backend`` instead of a raw
@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import multiprocessing
-import sys
 import time
-from multiprocessing import shared_memory
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +145,14 @@ class TestValidation:
         assert validate_jobs(None, backend="process") >= 1
         assert validate_jobs(3, backend="process") == 3
 
+    def test_default_jobs_follow_the_affinity_set(self, monkeypatch):
+        """A run pinned to one CPU gets one worker, whatever the
+        machine's CPU count."""
+        monkeypatch.setattr(parallel.os, "sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+        assert validate_jobs(None, backend="process") == 1
+
     @pytest.mark.parametrize("chunk_size", [0, -2])
     def test_chunk_size_below_one_rejected(self, chunk_size):
         with pytest.raises(ValueError, match="chunk_size must be >= 1"):
@@ -184,7 +190,7 @@ class TestValidation:
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     @pytest.mark.parametrize("jobs,chunk_size", [
         (1, None), (2, 1), (3, 7), (2, 1000),
     ])
@@ -199,7 +205,7 @@ class TestBackendEquivalence:
         )
         assert history.records == reference
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     @pytest.mark.parametrize("jobs,chunk_size", [(2, None), (3, 4)])
     def test_account_records_identical(
         self, small_ethereum_builder, backend, jobs, chunk_size
@@ -248,7 +254,7 @@ class TestSeededRandomEquivalence:
         inputs = utxo_block_inputs(ledger)
         reference = _serial_records(inputs, "utxo")
         for backend, jobs, chunk_size in [
-            ("process", 2, None), ("process", 4, 3), ("thread", 3, 5),
+            ("process", 2, None), ("process", 4, 3), ("process", 3, 5),
         ]:
             history = analyze_chain(
                 inputs, data_model="utxo", name=f"btc-{seed}",
@@ -264,7 +270,7 @@ class TestSeededRandomEquivalence:
         inputs = account_block_inputs(builder.executed_blocks)
         reference = _serial_records(inputs, "account")
         for backend, jobs, chunk_size in [
-            ("process", 3, 2), ("thread", 2, None),
+            ("process", 3, 2), ("process", 2, None),
         ]:
             history = analyze_chain(
                 inputs, data_model="account", name=f"eth-{seed}",
@@ -356,9 +362,7 @@ class TestProcessBackendObservability:
             )
             return state.registry.snapshot(), state.recorder.events()
 
-    @pytest.mark.parametrize("backend,jobs", [
-        ("thread", 3), ("process", 3),
-    ])
+    @pytest.mark.parametrize("backend,jobs", [("process", 3)])
     def test_per_block_metrics_match_serial(self, inputs, backend, jobs):
         serial, _ = self._snapshot(inputs, "serial", 1)
         parallel, _ = self._snapshot(inputs, backend, jobs)
@@ -376,46 +380,35 @@ class TestProcessBackendObservability:
             assert merged["sum"] == pytest.approx(summary["sum"])
 
     def test_process_run_records_chunk_timeline(self, family_inputs):
-        # Both callers x both pools in one test (the id stays the one
-        # the floor list knows): {pipeline, replay} x {thread, process}.
+        # Both callers in one test: {pipeline, replay} on the pool.
         jobs, chunk_size = 3, 2
         forks = multiprocessing.get_start_method(allow_none=True) in (
             None, "fork"
         )
-        # A short switch interval lets every pool thread take a chunk
-        # before the first one has drained the queue.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-4)
-        try:
-            for family, inputs in family_inputs.items():
-                chunks = len(chunk_bounds(len(inputs), chunk_size))
-                assert chunks >= 2 * jobs
-                for backend in ("thread", "process"):
-                    with obs.instrumented() as state:
-                        _fan_out(
-                            family, inputs, backend, jobs=jobs,
-                            chunk_size=chunk_size,
-                        )
-                    where = f"{family}.{backend}"
-                    chunk_events = state.recorder.events(executor=where)
-                    # One schedule/start/commit triple per chunk, lanes
-                    # keyed by worker first-appearance.
-                    assert {e.kind for e in chunk_events} == {
-                        "schedule", "start", "commit"
-                    }, where
-                    lanes = [
-                        e.lane for e in chunk_events if e.kind == "commit"
-                    ]
-                    assert len(lanes) == chunks, where
-                    assert set(lanes) == set(range(len(set(lanes)))), where
-                    # Spawned workers come up one import at a time, so
-                    # the first may drain a queue this short alone.
-                    if backend == "thread" or forks:
-                        assert len(set(lanes)) > 1, (
-                            f"{where}: every chunk landed on one lane"
-                        )
-        finally:
-            sys.setswitchinterval(interval)
+        for family, inputs in family_inputs.items():
+            chunks = len(chunk_bounds(len(inputs), chunk_size))
+            assert chunks >= 2 * jobs
+            with obs.instrumented() as state:
+                _fan_out(
+                    family, inputs, "process", jobs=jobs,
+                    chunk_size=chunk_size,
+                )
+            where = f"{family}.process"
+            chunk_events = state.recorder.events(executor=where)
+            # One schedule/start/commit triple per chunk, lanes keyed by
+            # worker first-appearance.
+            assert {e.kind for e in chunk_events} == {
+                "schedule", "start", "commit"
+            }, where
+            lanes = [e.lane for e in chunk_events if e.kind == "commit"]
+            assert len(lanes) == chunks, where
+            assert set(lanes) == set(range(len(set(lanes)))), where
+            # Spawned workers come up one import at a time, so the
+            # first may drain a queue this short alone.
+            if forks:
+                assert len(set(lanes)) > 1, (
+                    f"{where}: every chunk landed on one lane"
+                )
 
     def test_worker_dump_merge_is_exact_for_counts(self, inputs):
         # analyze_chunk keeps its public 2-tuple contract while the
@@ -469,9 +462,9 @@ def _toy_map(params, backend, **kwargs):
 
 @pytest.mark.parametrize("family", ["pipeline", "replay"])
 class TestFallbacks:
-    """Both callers survive a host with no process pool / no /dev/shm."""
+    """Both callers survive a host with no process pool or no fork."""
 
-    def test_pool_that_cannot_start_degrades_to_threads(
+    def test_pool_that_cannot_start_degrades_to_serial(
         self, family_inputs, family, monkeypatch
     ):
         inputs = family_inputs[family][:8]
@@ -487,15 +480,15 @@ class TestFallbacks:
         counters = state.registry.snapshot()["counters"]
         metrics = FAMILY_METRICS[family]
         assert counters[f"{metrics}.fallbacks{{backend=process}}"] == 1
-        assert state.recorder.events(executor=f"{family}.thread")
+        assert state.recorder.events(executor=f"{family}.serial")
         assert parallel._FORK_RUN is None
 
     def test_no_shared_memory_ships_explicit_slices(
-        self, family_inputs, family, monkeypatch, spawn_start_method
+        self, family_inputs, family, spawn_start_method
     ):
+        """Spawned workers get their chunk's slice, nothing shared."""
         inputs = family_inputs[family][:8]
         expected = _fan_out(family, inputs, "serial")
-        monkeypatch.setattr(shared_memory, "SharedMemory", _refuse)
         with obs.instrumented() as state:
             records = _fan_out(
                 family, inputs, "process", jobs=2, chunk_size=2
@@ -503,37 +496,29 @@ class TestFallbacks:
         assert records == expected
         snapshot = state.registry.snapshot()
         metrics = FAMILY_METRICS[family]
-        assert snapshot["counters"][f"{metrics}.shm_fallbacks"] == 1
-        assert f"{metrics}.shm_bytes" not in snapshot["gauges"]
+        assert not [
+            key for kind in ("counters", "gauges")
+            for key in snapshot[kind] if key.startswith(f"{metrics}.shm")
+        ]
         assert f"{metrics}.fallbacks{{backend=process}}" not in (
             snapshot["counters"]
         )
-
-    def test_spawn_publishes_one_shared_segment(
-        self, family_inputs, family, spawn_start_method
-    ):
-        """The analysis pipeline has the shm transport replay always had."""
-        inputs = family_inputs[family][:8]
-        expected = _fan_out(family, inputs, "serial")
-        with obs.instrumented() as state:
-            records = _fan_out(
-                family, inputs, "process", jobs=2, chunk_size=2
-            )
-        assert records == expected
-        snapshot = state.registry.snapshot()
-        metrics = FAMILY_METRICS[family]
-        assert snapshot["gauges"][f"{metrics}.shm_bytes"] > 0
-        assert f"{metrics}.shm_fallbacks" not in snapshot["counters"]
+        assert state.recorder.events(executor=f"{family}.process")
 
 
 class TestOrderedChunkMap:
     def test_out_of_order_completion_is_returned_in_order(self):
-        records = _toy_map("slow-head", "thread")
+        records = _toy_map("slow-head", "process")
         assert [square for square, _ in records] == [
             x * x for x in range(8)
         ]
-        # Chunk 0 really did finish after the chunk behind it.
-        assert records[0][1] > records[2][1]
+        # Chunk 0 really did finish after the chunk behind it.  Spawned
+        # workers come up one import at a time, so only forked ones are
+        # sure to overlap.
+        if multiprocessing.get_start_method(allow_none=True) in (
+            None, "fork"
+        ):
+            assert records[0][1] > records[2][1]
 
     def test_raising_chunk_withdraws_the_fork_global(self):
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -547,22 +532,7 @@ class TestOrderedChunkMap:
             multiprocessing.set_start_method(previous, force=True)
         assert parallel._FORK_RUN is None
 
-    def test_raising_chunk_unlinks_the_segment(
-        self, monkeypatch, spawn_start_method
-    ):
-        created = []
-
-        def spy(*args, **kwargs):
-            segment = real(*args, **kwargs)
-            if kwargs.get("create"):
-                created.append(segment.name)
-            return segment
-
-        real = shared_memory.SharedMemory
-        monkeypatch.setattr(shared_memory, "SharedMemory", spy)
+    def test_raising_chunk_propagates_under_spawn(self, spawn_start_method):
         with pytest.raises(RuntimeError, match="published: False"):
             _toy_map("boom", "process")
-        assert len(created) == 1
-        with pytest.raises(FileNotFoundError):
-            real(name=created[0])
         assert parallel._FORK_RUN is None

@@ -8,8 +8,8 @@ fanned-out configurations must reproduce its records exactly, and the
 seven engines must agree with each other on the committed state.
 
 Run the whole module under ``REPRO_MP_START_METHOD=spawn`` (the CI
-shard does) to push the process configurations through the
-shared-memory transport instead of fork globals.
+shard does) to push the process configurations through per-chunk
+slices instead of fork globals.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from repro.workload.profiles import BITCOIN, ETHEREUM
 # boundaries in different places.
 CONFIGS = [
     pytest.param("serial", None, 1, id="serial-chunk1"),
-    pytest.param("thread", 2, None, id="thread-j2"),
-    pytest.param("thread", 3, 1, id="thread-j3-chunk1"),
     pytest.param("process", 2, None, id="process-j2"),
     pytest.param("process", 2, 2, id="process-j2-chunk2"),
 ]
@@ -146,7 +144,7 @@ def test_engine_subset_matches_full_replay(baseline, inputs, model):
     subset = ("occ", "dag")
     result = replay_chain(
         inputs[model], data_model=model, engines=subset,
-        backend="thread", jobs=2,
+        backend="process", jobs=2,
     )
     for engine in subset:
         assert result.for_engine(engine) == baseline[model].for_engine(

@@ -106,7 +106,7 @@ class TestGoldenReplay:
         assert render_digest(serial_replays) == GOLDEN_PATH.read_text()
 
     def test_process_backend_reproduces_fixture_bytes(self):
-        """Under the CI spawn shard this crosses the shm transport."""
+        """Under the CI spawn shard this ships per-chunk slices."""
         replays = replay_golden(backend="process", jobs=2, chunk_size=3)
         assert render_digest(replays) == GOLDEN_PATH.read_text()
 

@@ -2,18 +2,22 @@
 
 The differential suite (test_differential.py) proves whole-run
 equivalence; this module pins the pieces — digest semantics, input
-validation, the per-thread observability scope, recorder row dumps and
+validation, the scoped observability state, recorder row dumps and
 the worker-to-parent metrics merge.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
-import threading
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro import obs
 from repro.chain import hashing
 from repro.execution import parallel_replay
@@ -130,7 +134,7 @@ class TestValidation:
     def test_bad_jobs(self, tiny_inputs):
         with pytest.raises(ValueError, match="jobs"):
             replay_chain(
-                tiny_inputs, data_model="utxo", backend="thread", jobs=0
+                tiny_inputs, data_model="utxo", backend="process", jobs=0
             )
 
     def test_bad_chunk_size(self, tiny_inputs):
@@ -375,16 +379,6 @@ class TestSharedFold:
             "receipts-root", "state-root",
         ]
 
-    def test_thread_backend_matches_serial(self, tiny_inputs):
-        """The fold lives in one ``_block_records`` call, so concurrent
-        chunks have nothing to share or to race on."""
-        serial = replay_chain(tiny_inputs, data_model="utxo", backend="serial")
-        threaded = replay_chain(
-            tiny_inputs, data_model="utxo", backend="thread", jobs=4,
-            chunk_size=1,
-        )
-        assert threaded.records == serial.records
-
 
 class TestScopedObservability:
     def test_scoped_binds_and_restores(self):
@@ -415,38 +409,6 @@ class TestScopedObservability:
             obs.counter("depth").inc(10)
         assert inner.registry.counter("depth").value == 1
         assert outer.registry.counter("depth").value == 10
-
-    def test_scoped_is_thread_local(self):
-        """Two threads' scopes never see each other's registry."""
-        results: dict[str, float] = {}
-
-        def worker(name: str, barrier: threading.Barrier) -> None:
-            registry = MetricsRegistry()
-            state = ObservabilityState(
-                registry=registry, tracer=NOOP_TRACER,
-                recorder=NoopFlightRecorder(), lifecycle=NOOP_LIFECYCLE,
-            )
-            with obs.scoped(state):
-                barrier.wait()  # both threads inside their scopes
-                obs.counter("thread.local", tid=name).inc()
-                barrier.wait()
-            results[name] = registry.counter(
-                "thread.local", tid=name
-            ).value
-            results[f"{name}.metrics"] = len(registry)
-
-        barrier = threading.Barrier(2)
-        threads = [
-            threading.Thread(target=worker, args=(name, barrier))
-            for name in ("a", "b")
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert results["a"] == 1 and results["b"] == 1
-        # One metric each: no cross-thread bleed-through.
-        assert results["a.metrics"] == 1 and results["b.metrics"] == 1
 
 
 class TestRecorderDump:
@@ -485,7 +447,7 @@ class TestParentObservability:
         with obs.instrumented() as fanned_state:
             replay_chain(
                 tiny_inputs, data_model="utxo", engines=("occ",),
-                backend="thread", jobs=2, chunk_size=1,
+                backend="process", jobs=2, chunk_size=1,
             )
         serial_rows = [
             row for row in serial_state.recorder.dump_rows()
@@ -509,7 +471,7 @@ class TestParentObservability:
                 == serial_metrics["counters"][key]
             )
         assert fanned_metrics["counters"][
-            "exec.replay.blocks{backend=thread}"
+            "exec.replay.blocks{backend=process}"
         ] == len(tiny_inputs)
 
     def test_uninstrumented_run_records_nothing(self, tiny_inputs):
@@ -519,3 +481,31 @@ class TestParentObservability:
         )
         assert not obs.enabled()
         assert result.summary("sequential").committed > 0
+
+
+# A fresh interpreter: the spawn start method, the resource tracker and
+# everything they print at exit belong to the whole process.
+_SPAWN_REPLAY = """
+import multiprocessing, sys
+from repro.execution.parallel_replay import replay_block_inputs, replay_chain
+from repro.workload.profiles import BITCOIN
+
+multiprocessing.set_start_method("spawn", force=True)
+inputs = replay_block_inputs(BITCOIN, blocks=4, seed=5, scale=0.1)
+serial = replay_chain(inputs, data_model="utxo", backend="serial")
+fanned = replay_chain(inputs, data_model="utxo", backend="process", jobs=2)
+sys.exit(0 if fanned.records == serial.records else 3)
+"""
+
+
+def test_spawn_fan_out_matches_serial_and_keeps_stderr_clean():
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    )}
+    done = subprocess.run(
+        [sys.executable, "-c", _SPAWN_REPLAY], env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr, done.stderr

@@ -1,7 +1,7 @@
 """Property tests: replay fan-out is invariant in jobs and chunk size.
 
-For ANY (backend, jobs, chunk_size) drawn by Hypothesis, the parallel
-replay must preserve, per (block, engine):
+For ANY (jobs, chunk_size) drawn by Hypothesis, the chunked replay
+must preserve, per (block, engine):
 
 * the exact commit order (hence the state root), and
 * the total flight-recorder event counts — scheduled, aborted,
@@ -57,19 +57,18 @@ def property_baseline(property_inputs):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(
-    backend=st.sampled_from(["serial", "thread"]),
     jobs=st.integers(min_value=1, max_value=5),
     chunk_size=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
     model=st.sampled_from(["utxo", "account"]),
 )
 def test_commit_order_and_event_counts_invariant(
-    property_inputs, property_baseline, backend, jobs, chunk_size, model
+    property_inputs, property_baseline, jobs, chunk_size, model
 ):
     result = replay_chain(
         property_inputs[model],
         data_model=model,
         engines=PROPERTY_ENGINES,
-        backend=backend,
+        backend="serial",
         jobs=jobs,
         chunk_size=chunk_size,
     )
@@ -92,10 +91,11 @@ def test_commit_order_and_event_counts_invariant(
     chunk_size=st.integers(min_value=1, max_value=6),
 )
 def test_process_backend_invariant(jobs, chunk_size):
-    """The process pool (fork or spawn+shm) is invariant too.
+    """The process pool (fork, or spawn with per-chunk slices) is
+    invariant too.
 
     Kept to a small example budget — each example pays pool start-up —
-    with the wider shapes covered by the thread/serial property above
+    with the wider chunk shapes covered by the serial property above
     and the full matrix in test_differential.py.
     """
     inputs = replay_block_inputs(BITCOIN, blocks=4, seed=5, scale=0.1)

@@ -16,7 +16,7 @@ class TestReplayCommand:
     def test_prints_per_engine_table_and_agrees(self, capsys):
         code = main([
             "replay", "--chain", "bitcoin", "--blocks", "3",
-            "--scale", "0.1", "--backend", "thread", "--jobs", "2",
+            "--scale", "0.1", "--backend", "process", "--jobs", "2",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -51,7 +51,7 @@ class TestReplayCommand:
     def test_bad_jobs_exits_2(self, capsys):
         code = main([
             "replay", "--chain", "bitcoin", "--blocks", "2",
-            "--backend", "thread", "--jobs", "0",
+            "--backend", "process", "--jobs", "0",
         ])
         assert code == 2
 
@@ -78,7 +78,7 @@ class TestSpeedupMeasured:
         code = main([
             "speedup", "--chain", "bitcoin", "--blocks", "4",
             "--scale", "0.1", "--cores", "2,4", "--measured",
-            "--backend", "thread", "--jobs", "2",
+            "--backend", "process", "--jobs", "2",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -112,11 +112,11 @@ class TestLifecycleVerification:
         code = main([
             "lifecycle", "--chain", "bitcoin", "--blocks", "2",
             "--scale", "0.2", "--executor", "occ",
-            "--backend", "thread", "--jobs", "2",
+            "--backend", "process", "--jobs", "2",
         ])
         out = capsys.readouterr().out
         assert code == 0
-        assert "parallel replay verification (thread backend" in out
+        assert "parallel replay verification (process backend" in out
         assert "matches the serial replay" in out
 
     def test_serial_backend_skips_verification(self, capsys):

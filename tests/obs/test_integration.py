@@ -87,7 +87,7 @@ class TestParallelInstrumentation:
     def test_parallel_spans_nest_under_the_run(self):
         with obs.instrumented() as state:
             generate_chain(
-                "ethereum", **CHAIN_ARGS, backend="thread", jobs=2,
+                "ethereum", **CHAIN_ARGS, backend="process", jobs=2,
                 chunk_size=3,
             )
         spans = state.tracer.spans()
@@ -101,17 +101,6 @@ class TestParallelInstrumentation:
         assert all(
             span.attrs.get("worker_seconds") is not None for span in chunks
         )
-
-    def test_thread_backend_still_counts_per_block_families(self):
-        # In-process backends keep the serial per-block counters; only
-        # the process backend loses them to worker-local registries.
-        with obs.instrumented() as state:
-            generate_chain(
-                "bitcoin", **CHAIN_ARGS, backend="thread", jobs=2
-            )
-        counters = state.registry.snapshot()["counters"]
-        assert counters["pipeline.blocks{model=utxo}"] == 6.0
-        assert counters["pipeline.parallel.runs{backend=thread}"] == 1.0
 
     def test_uninstrumented_parallel_run_records_nothing(self):
         generate_chain(
