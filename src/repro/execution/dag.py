@@ -116,14 +116,15 @@ class DependencyDAG:
         dependency chains should dispatch first, or a late-starting
         chain dominates the makespan.
         """
-        downstream: dict[str, float] = {}
-        for tx_hash in reversed(self.order):  # reverse topological
-            tail = max(
-                (downstream[s] for s in self.successors[tx_hash]),
-                default=0.0,
-            )
-            downstream[tx_hash] = self.costs[tx_hash] + tail
-        return downstream
+        costs, successors = self._by_position()
+        return dict(zip(self.order, _downstream(costs, successors)))
+
+    def _by_position(self) -> tuple[list[float], list[list[int]]]:
+        """Costs and successor lists indexed by block position."""
+        position, successors = self.position, self.successors
+        return [self.costs[h] for h in self.order], [
+            [position[s] for s in successors[h]] for h in self.order
+        ]
 
     def schedule(self, cores: int) -> DAGSchedule:
         """Precedence-constrained list scheduling on *cores* cores.
@@ -132,93 +133,85 @@ class DependencyDAG:
         downstream chain first, block order as tiebreak) to the
         earliest-free core — the classic HLF heuristic.  Returns the
         full per-task placement (start, finish, lane, ready time).
+
+        The schedule works on block positions; the placement dicts are
+        built once at the end, in dispatch order.
         """
         require(cores)
-        if not self.order:
+        order = self.order
+        count = len(order)
+        if not count:
             return DAGSchedule(
                 cores=cores, makespan=0.0, start_times={},
                 finish_times={}, core_of={}, ready_times={},
             )
-        indegree = {
-            h: len(self.predecessors[h]) for h in self.order
-        }
-        position = self.position
-        downstream = self.downstream_path()
+        costs, successors = self._by_position()
+        downstream = _downstream(costs, successors)
+        indegree = [len(self.predecessors[h]) for h in order]
+        # One int per task orders the ready heap as (-downstream,
+        # position) would: the rank of its downstream path, longest
+        # first, times the block size, plus its position.
+        paths = sorted(set(downstream), reverse=True)
+        rank = {path: place * count for place, path in enumerate(paths)}
+        priority = [
+            rank[path] + index for index, path in enumerate(downstream)
+        ]
 
         # Two heaps: tasks waiting on predecessors keyed by ready time,
         # and tasks ready to run keyed by priority.  A core that frees
         # at time t runs the highest-priority task ready by t.
-        waiting: list[tuple[float, int, str]] = []
-        ready: list[tuple[float, int, str]] = []
-        for h in self.order:
-            if indegree[h] == 0:
-                heapq.heappush(ready, (-downstream[h], position[h], h))
-        ready_time: dict[str, float] = {}
-        core_free: list[tuple[float, int]] = [
-            (0.0, core) for core in range(cores)
+        push, pop = heapq.heappush, heapq.heappop
+        waiting: list[tuple[float, int]] = []
+        ready = [
+            priority[index] for index in range(count) if not indegree[index]
         ]
-        heapq.heapify(core_free)
-        start_times: dict[str, float] = {}
-        finish: dict[str, float] = {}
-        core_of: dict[str, int] = {}
-        scheduled = 0
+        heapq.heapify(ready)
+        core_free = [(0.0, core) for core in range(cores)]
+        ready_time = [0.0] * count
+        # The placement, one entry per dispatch.
+        hashes: list[str] = []
+        starts: list[float] = []
+        ends: list[float] = []
+        lanes: list[int] = []
         now = 0.0
-        while scheduled < len(self.order):
+        for _ in range(count):
             if not ready:
                 # Idle until the next task becomes ready.
-                assert waiting, "deadlock: nothing ready, nothing waiting"
-                now = max(now, waiting[0][0])
+                if not waiting:
+                    raise RuntimeError("cycle detected in dependency DAG")
+                if waiting[0][0] > now:
+                    now = waiting[0][0]
             while waiting and waiting[0][0] <= now:
-                _t, pos, h = heapq.heappop(waiting)
-                heapq.heappush(ready, (-downstream[h], pos, h))
-            if not ready:
-                continue
-            core_time, core = heapq.heappop(core_free)
-            start_floor = max(core_time, now)
-            _prio, _pos, tx_hash = heapq.heappop(ready)
-            start = max(start_floor, ready_time.get(tx_hash, 0.0))
-            end = start + self.costs[tx_hash]
-            heapq.heappush(core_free, (end, core))
-            start_times[tx_hash] = start
-            finish[tx_hash] = end
-            core_of[tx_hash] = core
-            scheduled += 1
-            now = max(now, core_free[0][0])
-            for successor in self.successors[tx_hash]:
+                index = pop(waiting)[1]
+                push(ready, priority[index])
+            core_time, core = core_free[0]
+            index = pop(ready) % count
+            # A task is ready only once its ready time is not past now.
+            begin = core_time if core_time > now else now
+            end = begin + costs[index]
+            heapq.heapreplace(core_free, (end, core))
+            hashes.append(order[index])
+            starts.append(begin)
+            ends.append(end)
+            lanes.append(core)
+            if core_free[0][0] > now:
+                now = core_free[0][0]
+            for successor in successors[index]:
                 indegree[successor] -= 1
-                ready_time[successor] = max(
-                    ready_time.get(successor, 0.0), end
-                )
-                if indegree[successor] == 0:
+                if end > ready_time[successor]:
+                    ready_time[successor] = end
+                if not indegree[successor]:
                     if ready_time[successor] <= now:
-                        heapq.heappush(
-                            ready,
-                            (
-                                -downstream[successor],
-                                position[successor],
-                                successor,
-                            ),
-                        )
+                        push(ready, priority[successor])
                     else:
-                        heapq.heappush(
-                            waiting,
-                            (
-                                ready_time[successor],
-                                position[successor],
-                                successor,
-                            ),
-                        )
-        if len(finish) != len(self.order):
-            raise RuntimeError("cycle detected in dependency DAG")
+                        push(waiting, (ready_time[successor], successor))
         return DAGSchedule(
             cores=cores,
-            makespan=max(finish.values()),
-            start_times=start_times,
-            finish_times=finish,
-            core_of=core_of,
-            ready_times={
-                h: ready_time.get(h, 0.0) for h in self.order
-            },
+            makespan=max(ends),
+            start_times=dict(zip(hashes, starts)),
+            finish_times=dict(zip(hashes, ends)),
+            core_of=dict(zip(hashes, lanes)),
+            ready_times=dict(zip(order, ready_time)),
         )
 
     def schedule_makespan(self, cores: int) -> float:
@@ -231,6 +224,20 @@ class DependencyDAG:
         if makespan == 0:
             return 1.0
         return self.total_work / makespan
+
+
+def _downstream(
+    costs: Sequence[float], successors: Sequence[Sequence[int]]
+) -> list[float]:
+    """Longest path headed by each position; successors come later."""
+    downstream = [0.0] * len(costs)
+    for index in range(len(costs) - 1, -1, -1):  # reverse topological
+        tail = 0.0
+        for successor in successors[index]:
+            if downstream[successor] > tail:
+                tail = downstream[successor]
+        downstream[index] = costs[index] + tail
+    return downstream
 
 
 def run_dag(dag: DependencyDAG, cores: int) -> ExecutionReport:
@@ -302,16 +309,32 @@ def run_dag(dag: DependencyDAG, cores: int) -> ExecutionReport:
     ))
 
 
+def _block_dag(hashes: list[str], costs: list[float]) -> DependencyDAG:
+    """A DAG of one block's *hashes*, in block order, with no edges yet:
+    what one ``add_task`` per transaction builds, in one pass."""
+    position = {tx_hash: index for index, tx_hash in enumerate(hashes)}
+    if len(position) != len(hashes):
+        seen: set[str] = set()
+        for tx_hash in hashes:
+            if tx_hash in seen:
+                raise ValueError(f"duplicate task {tx_hash!r}")
+            seen.add(tx_hash)
+    return DependencyDAG(
+        order=hashes,
+        costs=dict(zip(hashes, costs)),
+        successors={tx_hash: set() for tx_hash in hashes},
+        predecessors={tx_hash: set() for tx_hash in hashes},
+        position=position,
+    )
+
+
 def utxo_dag(transactions: Sequence[UTXOTransaction]) -> DependencyDAG:
     """The true UTXO partial order: creator -> spender edges only."""
-    dag = DependencyDAG()
     regular = [tx for tx in transactions if not tx.is_coinbase]
-    for tx in regular:
-        dag.add_task(tx.tx_hash)
-    in_block = {tx.tx_hash for tx in regular}
+    dag = _block_dag([tx.tx_hash for tx in regular], [1.0] * len(regular))
     for tx in regular:
         for outpoint in tx.inputs:
-            if outpoint.tx_hash in in_block:
+            if outpoint.tx_hash in dag.position:
                 dag.add_edge(outpoint.tx_hash, tx.tx_hash)
     return dag
 
@@ -331,13 +354,17 @@ def account_dag(
     two creations in a block conflict in every other engine's sets and
     in the state-root fold, and must be ordered here as well.
     """
-    dag = DependencyDAG()
+    regular = [item for item in executed if not item.is_coinbase]
+    hashes = [item.tx_hash for item in regular]
+    dag = _block_dag(hashes, [
+        1.0 if unit_cost else max(1.0, item.gas_used / 21_000.0)
+        for item in regular
+    ])
+    # The last toucher is always an earlier task: each edge is already
+    # oriented, and goes straight into the sets.
+    successors, predecessors = dag.successors, dag.predecessors
     last_toucher: dict[str, str] = {}
-    for item in executed:
-        if item.is_coinbase:
-            continue
-        cost = 1.0 if unit_cost else max(1.0, item.gas_used / 21_000.0)
-        dag.add_task(item.tx_hash, cost=cost)
+    for item, tx_hash in zip(regular, hashes):
         touched = {item.tx.sender, item.tx.receiver}
         for sender, receiver in item.edges():
             touched.add(sender)
@@ -345,6 +372,7 @@ def account_dag(
         for address in touched:
             previous = last_toucher.get(address)
             if previous is not None:
-                dag.add_edge(previous, item.tx_hash)
-            last_toucher[address] = item.tx_hash
+                successors[previous].add(tx_hash)
+                predecessors[tx_hash].add(previous)
+            last_toucher[address] = tx_hash
     return dag

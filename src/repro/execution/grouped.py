@@ -32,7 +32,10 @@ handling).  On the golden chain the net never fires — the differential
 harness pins zero re-executions and state/receipt roots identical to
 the oracle scheduler's.  Tasks with no prediction collapse the block
 into one group, which degrades to sequential block-order execution,
-never to a wrong result.
+never to a wrong result.  A caller that found every prediction equal
+to its task's runtime sets (:class:`~repro.execution.registry.BlockConflicts`)
+hands over the oracle's groups with ``exact=True``, and the net, which
+could find nothing, is skipped.
 """
 
 from __future__ import annotations
@@ -195,11 +198,15 @@ class StaticGroupedExecutor:
         tasks: Sequence[TxTask],
         *,
         groups: Sequence[Sequence[TxTask]] | None = None,
+        exact: bool = False,
     ) -> ExecutionReport:
         """Schedule predicted groups in parallel lanes; retry misses.
 
         *groups* are the predicted groups of *tasks* when the caller
         already has them; ``predictions`` yield them otherwise.
+        *exact* says the caller found every prediction equal to its
+        task's sets, so the groups are the runtime partition and the
+        cross-group safety net, which could find nothing, is skipped.
         """
         if not tasks:
             return finish_run(self.name, self.cores)
@@ -210,7 +217,7 @@ class StaticGroupedExecutor:
                 groups = predicted_groups(self.predictions, tasks)
             report, ordered = chain_schedule(
                 self.name, self.cores, tasks, groups,
-                self.scheduling_cost, policy="lpt", exact=False,
+                self.scheduling_cost, policy="lpt", exact=exact,
             )
             if obs.measuring():
                 span.set(

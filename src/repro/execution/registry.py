@@ -39,6 +39,7 @@ from repro.execution.speculative import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.execution.parallel_replay import ReplayBlock
+    from repro.staticcheck.predict import PredictedAccess
 
 
 class EngineSpec(NamedTuple):
@@ -150,12 +151,35 @@ class BlockConflicts:
 
     @cached_property
     def predicted(self) -> list[list[TxTask]]:
-        """The partition of the block's static predictions."""
-        predictions = {
-            prediction.tx_hash: prediction
-            for prediction in self._block.predictions
-        }
+        """The partition of the block's static predictions.
+
+        When every task's prediction is exact — present, not widened,
+        and naming the task's own read and write sets — that partition
+        is the oracle's, and :attr:`oracle` itself is returned: checked
+        per task, on every block.
+        """
+        predictions = _prediction_map(self._block)
+        if all(
+            _exact(predictions.get(task.tx_hash), task)
+            for task in self._block.tasks
+        ):
+            return self.oracle
         return predicted_groups(predictions, self._block.tasks)
+
+
+def _prediction_map(block: "ReplayBlock") -> dict[str, "PredictedAccess"]:
+    """``tx_hash`` → prediction, what the static executors look up."""
+    return {prediction.tx_hash: prediction for prediction in block.predictions}
+
+
+def _exact(prediction: "PredictedAccess | None", task: TxTask) -> bool:
+    """Does *prediction* name exactly *task*'s runtime access sets?"""
+    return (
+        prediction is not None
+        and not prediction.is_widened
+        and prediction.reads == task.reads
+        and prediction.writes == task.writes
+    )
 
 
 def run_engine(
@@ -174,7 +198,11 @@ def run_engine(
     the oracle partition is built once for ``speculative`` (whose wave,
     the whole block, is validated against it), ``speculative-informed``
     and ``grouped``, and the predicted one once for the two static
-    engines.
+    engines — or not at all, when the predictions are exact and the
+    static engines' groups are the oracle's; they then run ``exact``,
+    without the safety net that equal sets leave nothing to find.
+    Without *conflicts* the engine runs as its standalone executor
+    does, building what it needs itself.
     """
     if engine == "dag":
         dag = (
@@ -182,16 +210,21 @@ def run_engine(
             else account_dag(block.payload)
         )
         return run_dag(dag, cores)
+    predicted = engine in PREDICTION_ENGINES
+    if (
+        conflicts is None or not block.tasks
+        or ENGINE_SPECS[engine].schedule not in ("two-phase", "chain")
+    ):
+        # Nothing to share: the engine's standalone run.
+        predictions = _prediction_map(block) if predicted else None
+        return make_executor(engine, cores, predictions).run(block.tasks)
     executor = make_executor(engine, cores)
-    if ENGINE_SPECS[engine].schedule not in ("two-phase", "chain"):
-        return executor.run(block.tasks)
-    if conflicts is None:
-        conflicts = BlockConflicts(block)
-    groups = (
-        conflicts.predicted if engine in PREDICTION_ENGINES
-        else conflicts.oracle
+    if not predicted:
+        return executor.run(block.tasks, groups=conflicts.oracle)
+    groups = conflicts.predicted
+    return executor.run(
+        block.tasks, groups=groups, exact=groups is conflicts.oracle
     )
-    return executor.run(block.tasks, groups=groups)
 
 
 __all__ = [

@@ -25,7 +25,9 @@ and the three engines here differ only in where the groups come from:
   precision/recall trade the static-conflict bench measures.  As a
   safety net against unsound predictions the parallel wave is still
   validated against the runtime conflict relation, and any abort it
-  finds is charged a re-execution.
+  finds is charged a re-execution — unless the caller found every
+  prediction equal to its task's runtime sets and passes ``exact=True``
+  with the oracle's groups, when there is nothing to find.
 """
 
 from __future__ import annotations
@@ -234,11 +236,15 @@ class StaticInformedExecutor:
         tasks: Sequence[TxTask],
         *,
         groups: Sequence[Sequence[TxTask]] | None = None,
+        exact: bool = False,
     ) -> ExecutionReport:
         """Parallel phase over predicted-clean txs; bin runs in order.
 
         *groups* are the predicted groups of *tasks* when the caller
         already has them; ``predictions`` yield them otherwise.
+        *exact* says the caller found every prediction equal to its
+        task's sets, so the groups are the runtime partition and the
+        wave's validation, which could find nothing, is skipped.
         """
         if not tasks:
             return finish_run(self.name, self.cores)
@@ -249,7 +255,7 @@ class StaticInformedExecutor:
                 groups = predicted_groups(self.predictions, tasks)
             report, binned = two_phase(
                 self.name, self.cores, tasks, groups,
-                self.preprocessing_cost, exact=False,
+                self.preprocessing_cost, exact=exact,
             )
             if obs.measuring():
                 span.set(

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro import obs
+from repro.account.receipts import ExecutedTransaction
 from repro.chain.block import GENESIS_PARENT, Block, build_block
 from repro.chain.errors import ValidationError
 from repro.chain.forkchoice import ForkChoice, Reorg
@@ -65,8 +66,13 @@ from repro.obs.critical_path import profile_events
 from repro.obs.lifecycle import stitch_execution_events
 from repro.obs.monitor import BlockSample
 from repro.obs.timeline import FlightRecorder
+from repro.utxo.transaction import UTXOTransaction
 
 SHUTDOWN = object()
+
+# The payload a client transaction must carry, per data model: what the
+# receipts root of a block that packs it can digest.
+PAYLOAD_KINDS = {"account": ExecutedTransaction, "utxo": UTXOTransaction}
 
 GENESIS_PREFIX = "genesis"
 
@@ -317,6 +323,9 @@ class Node:
         return True
 
     def _admit_to_pool(self, ntx: NodeTx) -> bool:
+        if not isinstance(ntx.payload, PAYLOAD_KINDS[self.config.data_model]):
+            self.stats.rejected += 1
+            return False
         self._sync_clock()
         try:
             self.pool.submit(PoolEntry(

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import heapq
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.account.receipts import ExecutedTransaction, Receipt
 from repro.account.transaction import make_account_transaction
 from repro.core.tdg import utxo_tdg
-from repro.execution.dag import DependencyDAG, account_dag, utxo_dag
+from repro.execution.dag import (
+    DAGSchedule,
+    DependencyDAG,
+    account_dag,
+    utxo_dag,
+)
 from repro.utxo.transaction import TxOutputSpec, make_coinbase, make_transaction
 from repro.utxo.txo import COIN
 
@@ -226,3 +235,126 @@ def test_two_creations_commit_in_block_order():
     ).records
     assert dag.commit_order == sequential.commit_order
     assert dag.state_root == sequential.state_root
+
+
+def _reference_downstream(dag: DependencyDAG) -> dict[str, float]:
+    """The longest path each task heads, keyed by hash."""
+    downstream: dict[str, float] = {}
+    for tx_hash in reversed(dag.order):
+        tail = max(
+            (downstream[s] for s in dag.successors[tx_hash]), default=0.0
+        )
+        downstream[tx_hash] = dag.costs[tx_hash] + tail
+    return downstream
+
+
+def _reference_schedule(dag: DependencyDAG, cores: int) -> DAGSchedule:
+    """The HLF list schedule keyed by transaction hash, as
+    :meth:`DependencyDAG.schedule` ran it before it moved to block
+    positions: dicts of indegree, ready time and placement, heaps keyed
+    ``(-downstream, position, hash)`` and ``(ready_time, position,
+    hash)``, placement dicts filled in dispatch order."""
+    if not dag.order:
+        return DAGSchedule(
+            cores=cores, makespan=0.0, start_times={},
+            finish_times={}, core_of={}, ready_times={},
+        )
+    indegree = {h: len(dag.predecessors[h]) for h in dag.order}
+    position = dag.position
+    downstream = _reference_downstream(dag)
+    waiting: list[tuple[float, int, str]] = []
+    ready: list[tuple[float, int, str]] = []
+    for h in dag.order:
+        if indegree[h] == 0:
+            heapq.heappush(ready, (-downstream[h], position[h], h))
+    ready_time: dict[str, float] = {}
+    core_free = [(0.0, core) for core in range(cores)]
+    heapq.heapify(core_free)
+    start_times: dict[str, float] = {}
+    finish: dict[str, float] = {}
+    core_of: dict[str, int] = {}
+    scheduled = 0
+    now = 0.0
+    while scheduled < len(dag.order):
+        if not ready:
+            assert waiting, "deadlock: nothing ready, nothing waiting"
+            now = max(now, waiting[0][0])
+        while waiting and waiting[0][0] <= now:
+            _t, pos, h = heapq.heappop(waiting)
+            heapq.heappush(ready, (-downstream[h], pos, h))
+        if not ready:
+            continue
+        core_time, core = heapq.heappop(core_free)
+        start_floor = max(core_time, now)
+        _prio, _pos, tx_hash = heapq.heappop(ready)
+        start = max(start_floor, ready_time.get(tx_hash, 0.0))
+        end = start + dag.costs[tx_hash]
+        heapq.heappush(core_free, (end, core))
+        start_times[tx_hash] = start
+        finish[tx_hash] = end
+        core_of[tx_hash] = core
+        scheduled += 1
+        now = max(now, core_free[0][0])
+        for successor in dag.successors[tx_hash]:
+            indegree[successor] -= 1
+            ready_time[successor] = max(
+                ready_time.get(successor, 0.0), end
+            )
+            if indegree[successor] == 0:
+                if ready_time[successor] <= now:
+                    heapq.heappush(ready, (
+                        -downstream[successor], position[successor],
+                        successor,
+                    ))
+                else:
+                    heapq.heappush(waiting, (
+                        ready_time[successor], position[successor],
+                        successor,
+                    ))
+    return DAGSchedule(
+        cores=cores,
+        makespan=max(finish.values()),
+        start_times=start_times,
+        finish_times=finish,
+        core_of=core_of,
+        ready_times={h: ready_time.get(h, 0.0) for h in dag.order},
+    )
+
+
+@st.composite
+def dags(draw):
+    """Up to 12 tasks with zero and tied costs, edges drawn as position
+    pairs (either way round; ``add_edge`` orients them), and sometimes a
+    hub every other task hangs off, so chains, fan-in and fan-out all
+    occur.  Hashes are hex strings whose order is not block order."""
+    count = draw(st.integers(min_value=0, max_value=12))
+    hashes = [f"{(index * 7919) % 65_537:064x}" for index in range(count)]
+    dag = DependencyDAG()
+    for tx_hash in hashes:
+        dag.add_task(tx_hash, cost=draw(st.sampled_from([0.0, 1.0, 2.5])))
+    if count > 1:
+        positions = st.integers(min_value=0, max_value=count - 1)
+        pairs = draw(st.lists(
+            st.tuples(positions, positions), max_size=3 * count,
+        ))
+        if draw(st.booleans()):
+            hub = draw(positions)
+            pairs += [(hub, other) for other in range(count)]
+        for earlier, later in pairs:
+            dag.add_edge(hashes[earlier], hashes[later])
+    return dag
+
+
+@settings(max_examples=300, deadline=None)
+@given(dag=dags(), cores=st.integers(min_value=1, max_value=4))
+def test_schedule_over_positions_equals_the_hash_keyed_schedule(dag, cores):
+    plan = dag.schedule(cores)
+    reference = _reference_schedule(dag, cores)
+    assert plan == reference
+    # The dicts' order too: ``run_dag``'s commit stream walks
+    # ``finish_times`` in dispatch order.
+    for name in ("start_times", "finish_times", "core_of", "ready_times"):
+        assert list(getattr(plan, name).items()) == list(
+            getattr(reference, name).items()
+        ), name
+    assert dag.downstream_path() == _reference_downstream(dag)

@@ -10,8 +10,14 @@ reads no flight-recorder row.  Two things keep that honest:
   here as the oracle);
 * counts, not times, over an uninstrumented replay of the golden
   chains: no row is expanded, no ``TimelineEvent`` built, no metric-only
-  pass runs, a block costs at most three conflict partitions and one
+  pass runs, a block costs one conflict partition (its predictions are
+  exact, so the static engines share the oracle's) and one
   ``state-root`` hash per distinct class of commit order.
+
+A second property holds the shared path of the two static engines —
+the oracle partition and no safety net when every prediction is exact,
+their own partition and both nets otherwise — to the standalone
+executors.
 """
 
 from __future__ import annotations
@@ -71,6 +77,141 @@ class Touching:
 
 
 LOCATIONS = st.frozensets(st.sampled_from("abcd"), max_size=2)
+
+
+def is_exact(prediction, task):
+    return (
+        prediction is not None and not prediction.is_widened
+        and (prediction.reads, prediction.writes)
+        == (task.reads, task.writes)
+    )
+
+
+STORAGE = st.frozensets(
+    st.sampled_from(
+        ["storage:x:0", "storage:x:1", "storage:y:0", "balance:z"]
+    ),
+    max_size=2,
+)
+MODES = ("exact", "mixed", "wider", "unsound", "missing", "widened")
+
+
+def addresses(locations):
+    return frozenset(
+        location.split(":", 2)[1] for location in locations
+        if location.startswith("storage:")
+    )
+
+
+@st.composite
+def predicted_blocks(draw):
+    """A block whose predictions follow one block-wide mode: all exact,
+    mixed per task, all wider, all unsound (missing a location), some
+    absent, or some widened (``global_top`` or a ``write_wild`` on the
+    address of a location the task touches)."""
+    mode = draw(st.sampled_from(MODES))
+    count = draw(st.integers(min_value=1, max_value=8))
+    tasks = tuple(
+        TxTask(
+            tx_hash=f"tx{index}",
+            cost=draw(st.sampled_from([0.0, 1.0, 1.0, 2.0])),
+            reads=draw(STORAGE),
+            writes=draw(STORAGE),
+        )
+        for index in range(count)
+    )
+    predictions = []
+    for task in tasks:
+        kind = mode
+        if mode == "mixed":
+            kind = draw(st.sampled_from(
+                ["exact", "wider", "unsound", "missing", "widened"]
+            ))
+        elif mode in ("missing", "widened"):
+            kind = draw(st.sampled_from(["exact", mode]))
+        if kind == "missing":
+            continue
+        reads, writes = task.reads, task.writes
+        write_wild: frozenset[str] = frozenset()
+        global_top = False
+        if kind == "wider":
+            writes = writes | draw(STORAGE)
+        elif kind == "unsound":
+            reads, writes = frozenset(), frozenset(sorted(writes)[1:])
+        elif kind == "widened":
+            global_top = draw(st.booleans())
+            write_wild = addresses(reads | writes) or frozenset({"x"})
+        predictions.append(PredictedAccess(
+            tx_hash=task.tx_hash, reads=reads, writes=writes,
+            write_wild=write_wild, global_top=global_top,
+            read_addrs=addresses(reads),
+            write_addrs=addresses(writes) | write_wild,
+        ))
+    return ReplayBlock(
+        height=HEIGHT, tasks=tasks, payload=(),
+        predictions=tuple(predictions),
+    )
+
+
+STATIC_EXECUTORS = {
+    "static-informed": StaticInformedExecutor,
+    "static-grouped": StaticGroupedExecutor,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=predicted_blocks(), cores=st.integers(min_value=1, max_value=4))
+def test_static_engines_on_the_shared_path_equal_the_standalone_executors(
+    block, cores
+):
+    """Exact predictions hand the static engines the oracle partition
+    itself and skip the nets; any other block keeps its own partition
+    and both nets.  Either way ``run_engine`` with a shared
+    :class:`BlockConflicts` reports, commits and records what the
+    standalone executor does."""
+    predictions = {p.tx_hash: p for p in block.predictions}
+    conflicts = BlockConflicts(block)
+    for engine, executor in STATIC_EXECUTORS.items():
+        shared = recorded(block.height, [
+            lambda engine=engine: run_engine(
+                engine, "account", block, cores, conflicts
+            ),
+        ])
+        alone = recorded(block.height, [
+            lambda executor=executor: executor(cores, predictions).run(
+                block.tasks
+            ),
+        ])
+        assert shared == alone, engine
+    exact = all(
+        is_exact(predictions.get(task.tx_hash), task) for task in block.tasks
+    )
+    assert (conflicts.predicted is conflicts.oracle) == exact
+
+
+@pytest.mark.parametrize("engine", sorted(STATIC_EXECUTORS))
+def test_an_unsound_block_still_fires_the_net_through_run_engine(engine):
+    """The prediction of tx1 misses the location it shares with tx0:
+    the predicted groups split a true conflict, which the net catches
+    on the shared path as it does standalone."""
+    tasks = (
+        TxTask("tx0", writes=frozenset({"balance:a"})),
+        TxTask("tx1", writes=frozenset({"balance:a", "balance:b"})),
+    )
+    block = ReplayBlock(
+        height=HEIGHT, tasks=tasks, payload=(),
+        predictions=(
+            PredictedAccess("tx0", writes=frozenset({"balance:a"})),
+            PredictedAccess("tx1", writes=frozenset({"balance:b"})),
+        ),
+    )
+    conflicts = BlockConflicts(block)
+    report = run_engine(engine, "account", block, 2, conflicts)
+    assert conflicts.predicted is not conflicts.oracle
+    assert report.aborts == report.reexecuted == 2
+    assert report == STATIC_EXECUTORS[engine](
+        2, {p.tx_hash: p for p in block.predictions}
+    ).run(tasks)
 
 
 @st.composite
@@ -258,7 +399,7 @@ def test_uninstrumented_replay_pays_for_nothing_it_does_not_read(
     assert result.summary("occ").aborted > 0
     assert counts["expansions"] == counts["events"] == 0
     assert counts["critical_paths"] == 0
-    assert 0 < counts["partitions"] <= 3 * len(inputs)
+    assert counts["partitions"] == sum(1 for block in inputs if block.tasks)
     roots_by_height: dict[int, set[str]] = {}
     for record in result.records:
         roots_by_height.setdefault(record.height, set()).add(

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain.block import Block, build_block
+from repro.execution.engine import TxTask
 from repro.execution.parallel_replay import ReplayBlock, replay_single_block
 from repro.node import (
     AsyncioRuntime,
@@ -680,6 +681,62 @@ class TestClaimedRoot:
         assert node.block_roots[honest.block_hash] == replay.state_root
         assert [frame.key for frame in out if frame.kind == "block"] == [
             honest.block_hash,
+        ]
+
+
+class TestInvalidTransaction:
+    """A client transaction must carry the payload its node's data model
+    digests into a receipts root; packing any other payload used to
+    raise ``TypeError`` out of the proposer."""
+
+    @pytest.mark.parametrize("payload", ["junk", None, 7])
+    def test_a_proposer_rejects_it_and_keeps_mining(self, payload):
+        runtime = VirtualRuntime()
+        transport = MemoryTransport(runtime)
+        transport.register("b")
+        node = Node(
+            "a", runtime=runtime, transport=transport, peers=("b",),
+            config=NodeConfig(consensus="pow", heartbeat=1e6),
+            genesis=make_genesis("ethereum"),
+        )
+        bad = NodeTx(task=TxTask("bad"), payload=payload, fee=100)
+
+        async def main():
+            node.start()
+            assert not node.submit_tx(bad)
+            await runtime.sleep(30.0)
+            node.stop()
+
+        runtime.run_until_complete(main())
+        assert node.stats.rejected == 1
+        assert "bad" not in node.pool and "bad" not in node.chain_txs
+        assert node.forkchoice.head_block().height > 0
+
+    def test_a_utxo_node_rejects_an_account_payload(self, node_txs):
+        runtime = VirtualRuntime()
+        transport = MemoryTransport(runtime)
+        transport.register("b")
+        node = Node(
+            "a", runtime=runtime, transport=transport, peers=("b",),
+            config=NodeConfig(
+                chain="bitcoin", data_model="utxo", consensus="pbft",
+                heartbeat=1e6,
+            ),
+            genesis=make_genesis("bitcoin"),
+        )
+        assert not node.submit_tx(node_txs[0])
+        assert node.stats.rejected == 1
+
+    def test_a_relayed_one_is_neither_pooled_nor_relayed(self, node_txs):
+        bad = NodeTx(task=TxTask("bad"), payload="junk", fee=100)
+        node, _stats, out = _drive([
+            _tx_frame(bad, src="c"), _tx_frame(node_txs[0], src="c"),
+        ])
+        assert node.stats.rejected == 1
+        assert "bad" not in node.pool
+        assert node_txs[0].tx_hash in node.pool
+        assert [frame.key for frame in out if frame.kind == "tx"] == [
+            node_txs[0].tx_hash,
         ]
 
 
