@@ -25,7 +25,8 @@ from _common import get_chain, write_output
 from repro.analysis.report import render_table
 from repro.core.scheduling import scheduled_speedup
 from repro.core.tdg import account_tdg, utxo_tdg
-from repro.execution.dag import account_dag, utxo_dag
+from repro.execution.dag import task_dag
+from repro.execution.engine import tasks_from_account_block, tasks_from_utxo_block
 from repro.utxo.transaction import TxOutputSpec, make_coinbase, make_transaction
 from repro.utxo.txo import COIN
 
@@ -85,7 +86,9 @@ def test_dag_vs_chain_model(benchmark):
             chain = scheduled_speedup(
                 [float(s) for s in tdg.group_sizes()], CORES, policy="lpt"
             )
-            utxo_pairs.append((utxo_dag(block).speedup(CORES), chain))
+            utxo_pairs.append(
+                (task_dag(tasks_from_utxo_block(block)).speedup(CORES), chain)
+            )
         account_pairs = []
         for executed in account_blocks:
             tdg = account_tdg(executed)
@@ -93,7 +96,10 @@ def test_dag_vs_chain_model(benchmark):
                 [float(s) for s in tdg.group_sizes()], CORES, policy="lpt"
             )
             account_pairs.append(
-                (account_dag(executed).speedup(CORES), chain)
+                (
+                    task_dag(tasks_from_account_block(executed)).speedup(CORES),
+                    chain,
+                )
             )
         return utxo_pairs, account_pairs
 
@@ -104,7 +110,7 @@ def test_dag_vs_chain_model(benchmark):
     fanout_chain = scheduled_speedup(
         [float(s) for s in fanout_tdg.group_sizes()], CORES, policy="lpt"
     )
-    fanout_dag = utxo_dag(fanout).speedup(CORES)
+    fanout_dag = task_dag(tasks_from_utxo_block(fanout)).speedup(CORES)
 
     def mean_gain(pairs):
         return statistics.mean(dag / chain for dag, chain in pairs)

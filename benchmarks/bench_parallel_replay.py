@@ -77,7 +77,7 @@ def test_parallel_replay_speedup():
     serial_started = time.perf_counter()
     for start, stop in bounds:
         _records, elapsed, _dump, _rows = replay_chunk(
-            ("utxo", ENGINES, CORES), inputs[start:stop], False
+            (ENGINES, CORES), inputs[start:stop], False
         )
         chunk_seconds.append(elapsed)
     serial_seconds = time.perf_counter() - serial_started

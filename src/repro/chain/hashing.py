@@ -13,6 +13,9 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable
 
+# Joins the parts of a hashed payload; no part may hold it.
+SEPARATOR = "\x1f"
+
 # Number of hex characters kept for a short display hash (as used in the
 # paper's Figure 6, which labels transactions by the first four hex digits).
 SHORT_HASH_LEN = 4
@@ -31,7 +34,7 @@ def hash_fields(*fields: object) -> str:
     avoids pulling in a serialisation library for what is a simulation
     substrate rather than a wire protocol.
     """
-    payload = "\x1f".join(map(repr, fields))
+    payload = SEPARATOR.join(map(repr, fields))
     return sha256_hex(payload.encode("utf-8"))
 
 
@@ -49,13 +52,22 @@ def hash_parts(*parts: str) -> str:
             ``UnicodeEncodeError``, a part holds a lone surrogate, which
             has no UTF-8 encoding.
     """
-    payload = "\x1f".join(parts)
-    if payload.count("\x1f") != len(parts) - 1:
+    payload = SEPARATOR.join(parts)
+    if payload.count(SEPARATOR) != len(parts) - 1:
         raise ValueError(
             "hash_parts needs one or more parts and no \\x1f separator "
             "in any of them"
         )
     return sha256_hex(payload.encode("utf-8"))
+
+
+def joinable(*parts: str) -> bool:
+    """Whether every part is a string free of the separator, as
+    :func:`hash_parts` needs."""
+    try:
+        return SEPARATOR not in "".join(parts)
+    except TypeError:  # a part that is not a string
+        return False
 
 
 def hash_concat(parts: Iterable[str]) -> str:

@@ -607,9 +607,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
             height = block.height
             conflict = task_conflict_profile(block.tasks)
             with recorder.block(height):
-                report = run_engine(
-                    args.executor, profile.data_model, block, args.jobs
-                )
+                report = run_engine(args.executor, block, args.jobs)
             block_profile = profile_events(
                 recorder.events(executor=report.executor, block=height)
             )

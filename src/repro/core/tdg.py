@@ -32,7 +32,9 @@ callers and the golden TDG digest rely on it.  The paper's UDF itself
 
 A third constructor, :func:`storage_conflict_groups`, implements the
 *storage-location-level* conflict definition of Saraph & Herlihy
-(ref. [17]) for the ablation discussed in §III-A5.
+(ref. [17]) for the ablation discussed in §III-A5; it groups those
+locations with the execution engines' own
+:func:`~repro.execution.conflict_partition.conflict_partition`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from typing import Iterable, Mapping, Sequence
 
 from repro import obs
 from repro.account.receipts import ExecutedTransaction
-from repro.core.components import UnionFind
 from repro.utxo.transaction import UTXOTransaction
 
 
@@ -332,18 +333,15 @@ def storage_conflict_groups(
 def _storage_conflict_groups(
     executed: Sequence[ExecutedTransaction], span
 ) -> TDGResult:
-    forest = UnionFind()
-    writers: dict[tuple[str, str], str] = {}
-    readers: dict[tuple[str, str], list[str]] = {}
-    hashes: list[str] = []
+    # Imported here: repro.execution.engine imports this module.
+    from repro.execution.conflict_partition import conflict_partition
+    from repro.execution.engine import TxTask
+
+    accesses: list[TxTask] = []
     for item in executed:
         if item.is_coinbase:
             continue
-        tx_hash = item.tx_hash
-        hashes.append(tx_hash)
-        forest.add(tx_hash)
         writes = set(item.receipt.storage_writes)
-        reads = set(item.receipt.storage_reads)
         # The sender's account is always written (nonce, fee); the
         # receiver's balance only moves when value is attached — a
         # zero-value contract call touches storage keys, not balances.
@@ -354,28 +352,21 @@ def _storage_conflict_groups(
             if internal.value > 0:
                 writes.add((internal.sender, "__balance__"))
                 writes.add((internal.receiver, "__balance__"))
-        for location in writes:
-            if location in writers:
-                forest.union(writers[location], tx_hash)
-            else:
-                writers[location] = tx_hash
-            for reader in readers.get(location, ()):
-                forest.union(reader, tx_hash)
-        for location in reads:
-            readers.setdefault(location, []).append(tx_hash)
-            if location in writers:
-                forest.union(writers[location], tx_hash)
+        accesses.append(TxTask(
+            item.tx_hash,
+            reads=frozenset(item.receipt.storage_reads),
+            writes=frozenset(writes),
+        ))
 
-    groups_by_root: dict[object, list[str]] = {}
-    for tx_hash in hashes:
-        groups_by_root.setdefault(forest.find(tx_hash), []).append(tx_hash)
+    groups = [
+        tuple(accesses[index].tx_hash for index in group)
+        for group in conflict_partition(accesses)
+    ]
     if obs.enabled():
-        span.set(transactions=len(hashes), groups=len(groups_by_root))
+        span.set(transactions=len(accesses), groups=len(groups))
         obs.counter("tdg.builds", model="storage").inc()
         obs.counter("tdg.locations_tracked", model="storage").inc(
-            len(writers) + len(readers)
+            len(frozenset().union(*(access.writes for access in accesses)))
+            + len(frozenset().union(*(access.reads for access in accesses)))
         )
-    return TDGResult(
-        groups=tuple(tuple(group) for group in groups_by_root.values()),
-        num_transactions=len(hashes),
-    )
+    return TDGResult(groups=tuple(groups), num_transactions=len(accesses))

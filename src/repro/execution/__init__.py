@@ -10,11 +10,11 @@ from repro.execution.engine import (
     tasks_from_utxo_block,
 )
 from repro.execution.dag import (
+    DAGExecutor,
     DAGSchedule,
     DependencyDAG,
-    account_dag,
     run_dag,
-    utxo_dag,
+    task_dag,
 )
 from repro.execution.grouped import GroupedExecutor, StaticGroupedExecutor
 from repro.execution.occ import OCCExecutor
@@ -49,11 +49,11 @@ __all__ = [
     "tasks_from_account_block",
     "tasks_from_tdg",
     "tasks_from_utxo_block",
+    "DAGExecutor",
     "DAGSchedule",
     "DependencyDAG",
-    "account_dag",
     "run_dag",
-    "utxo_dag",
+    "task_dag",
     "GroupedExecutor",
     "OCCExecutor",
     "ENGINES",

@@ -4,21 +4,22 @@ The paper's group model treats each connected component as strictly
 sequential: "the size of largest connected component is the largest
 number of transactions that need to be executed sequentially" (§V-B).
 That is an over-approximation.  The true constraint inside a component
-is a *partial order*:
+is a *partial order*, over the block's task sets in block order:
 
 * UTXO model — transaction ``b`` must follow ``a`` only when ``b``
   spends an output ``a`` creates.  A fan-out's children are mutually
   independent: a 25-transaction component whose shape is one parent
   plus 24 children has critical path 2, not 25.
 * account model — two transactions must be ordered only when they
-  directly share an address (balance cell); block order orients the
-  edge.  A pure exchange fan-in really is sequential (every deposit
-  writes the same balance), so for account chains the paper's
-  assumption is tight; for UTXO chains it is loose.
+  share a location of the task sets (a balance cell, or a storage slot
+  one of them writes).  A pure exchange fan-in really is sequential
+  (every deposit writes the same balance), so for account chains the
+  paper's assumption is tight; for UTXO chains it is loose.
 
-:class:`DependencyDAG` builds the partial order, computes the critical
-path, and schedules it on ``n`` cores with precedence-constrained list
-scheduling.  The bench compares the resulting speed-ups against the
+:func:`task_dag` builds the partial order, :class:`DependencyDAG`
+computes the critical path and schedules it on ``n`` cores with
+precedence-constrained list scheduling, and :class:`DAGExecutor` is the
+``dag`` engine.  The bench compares the resulting speed-ups against the
 chain-per-component model (Eq. 2's basis).
 """
 
@@ -29,10 +30,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro import obs
-from repro.account.receipts import ExecutedTransaction
-from repro.execution.engine import ExecutionReport, finish_run, require
+from repro.execution.engine import ExecutionReport, TxTask, finish_run, require
 from repro.obs.timeline import QUEUE_LANE
-from repro.utxo.transaction import UTXOTransaction
 
 
 @dataclass(frozen=True)
@@ -328,51 +327,59 @@ def _block_dag(hashes: list[str], costs: list[float]) -> DependencyDAG:
     )
 
 
-def utxo_dag(transactions: Sequence[UTXOTransaction]) -> DependencyDAG:
-    """The true UTXO partial order: creator -> spender edges only."""
-    regular = [tx for tx in transactions if not tx.is_coinbase]
-    dag = _block_dag([tx.tx_hash for tx in regular], [1.0] * len(regular))
-    for tx in regular:
-        for outpoint in tx.inputs:
-            if outpoint.tx_hash in dag.position:
-                dag.add_edge(outpoint.tx_hash, tx.tx_hash)
-    return dag
+def task_dag(tasks: Sequence[TxTask]) -> DependencyDAG:
+    """The partial order of *tasks*' read/write sets, in block order.
 
+    Each task follows the last earlier writer of every location it
+    reads or writes, and a writer also follows the readers since that
+    write: every edge joins a pair :meth:`TxTask.conflicts_with` names,
+    and every such pair is joined by a path.  Each task keeps its cost.
 
-def account_dag(
-    executed: Sequence[ExecutedTransaction], *, unit_cost: bool = True
-) -> DependencyDAG:
-    """Account-model partial order: direct address sharing, block order.
-
-    Each transaction touches its regular and internal endpoints; a
-    later transaction depends on the most recent earlier transaction
-    touching each shared address (chaining per address, like per-cell
-    write locks).  The endpoints are those of ``edges()``, where a
-    creation's receiver is the created contract, plus ``tx.sender`` and
-    ``tx.receiver``, the balance cells the task adapter gives every
-    transaction: there a creation's receiver is the null address, so
-    two creations in a block conflict in every other engine's sets and
-    in the state-root fold, and must be ordered here as well.
+    Raises:
+        ValueError: two tasks share a hash.
     """
-    regular = [item for item in executed if not item.is_coinbase]
-    hashes = [item.tx_hash for item in regular]
-    dag = _block_dag(hashes, [
-        1.0 if unit_cost else max(1.0, item.gas_used / 21_000.0)
-        for item in regular
-    ])
-    # The last toucher is always an earlier task: each edge is already
+    hashes = [task.tx_hash for task in tasks]
+    dag = _block_dag(hashes, [task.cost for task in tasks])
+    # The tasks followed are always earlier ones: each edge is already
     # oriented, and goes straight into the sets.
     successors, predecessors = dag.successors, dag.predecessors
-    last_toucher: dict[str, str] = {}
-    for item, tx_hash in zip(regular, hashes):
-        touched = {item.tx.sender, item.tx.receiver}
-        for sender, receiver in item.edges():
-            touched.add(sender)
-            touched.add(receiver)
-        for address in touched:
-            previous = last_toucher.get(address)
-            if previous is not None:
-                successors[previous].add(tx_hash)
-                predecessors[tx_hash].add(previous)
-            last_toucher[address] = tx_hash
+    last_writer: dict[str, str] = {}
+    readers: dict[str, list[str]] = {}
+    for task, tx_hash in zip(tasks, hashes):
+        after = predecessors[tx_hash]
+        reads = task.reads  # empty for every UTXO task: skip its walks
+        if reads:
+            for location in reads:
+                writer = last_writer.get(location)
+                if writer is not None:
+                    after.add(writer)
+        for location in task.writes:
+            writer = last_writer.get(location)
+            if writer is not None:
+                after.add(writer)
+            if readers:
+                since = readers.pop(location, None)
+                if since is not None:
+                    after.update(since)
+            last_writer[location] = tx_hash
+        if reads:
+            for location in reads:
+                readers.setdefault(location, []).append(tx_hash)
+        for earlier in after:
+            successors[earlier].add(tx_hash)
     return dag
+
+
+@dataclass
+class DAGExecutor:
+    """The ``dag`` engine as an executor: :func:`run_dag` over
+    :func:`task_dag`."""
+
+    cores: int
+    name = "dag"
+
+    def __post_init__(self) -> None:
+        require(self.cores)
+
+    def run(self, tasks: Sequence[TxTask]) -> ExecutionReport:
+        return run_dag(task_dag(tasks), self.cores)

@@ -96,8 +96,8 @@ class ReplayBlock:
     """Pure, picklable description of one block's replay input.
 
     ``tasks`` are the executor-ready :class:`TxTask` objects, ``payload``
-    the raw transaction sequence the DAG engine and the receipts root
-    consume, and ``predictions`` the block's statically predicted
+    the raw transaction sequence the receipts root consumes, and
+    ``predictions`` the block's statically predicted
     access sets (frozen
     :class:`~repro.staticcheck.predict.PredictedAccess` records) that
     feed the two prediction engines (``static-informed``,
@@ -454,7 +454,6 @@ def _block_records(
 
 
 def _replay_block(
-    data_model: str,
     block: ReplayBlock,
     engines: Sequence[str],
     cores: int,
@@ -476,7 +475,7 @@ def _replay_block(
     conflicts = BlockConflicts(block)
     with obs.scoped(scope), recorder.block(block.height):
         reports = [
-            run_engine(engine, data_model, block, cores, conflicts)
+            run_engine(engine, block, cores, conflicts)
             for engine in engines
         ]
     return _block_records(block, engines, reports)
@@ -513,28 +512,28 @@ def replay_single_block(
     require(cores)
     recorder = FlightRecorder()
     (record,) = _replay_block(
-        data_model, block, (engine,), cores,
+        block, (engine,), cores,
         registry if registry is not None else NOOP_REGISTRY, recorder,
     )
     return record, recorder
 
 
 def replay_chunk(
-    params: tuple[str, Sequence[str], int],
+    params: tuple[Sequence[str], int],
     chunk: Sequence[ReplayBlock],
     record_obs: bool | str,
 ) -> tuple[list[BlockReplay], float, list[dict] | None,
            list[EventRow] | None]:
     """Replay one chunk of blocks; the fan-out's chunk function.
 
-    *params* is ``(data_model, engines, cores)``.  Returns ``(records,
+    *params* is ``(engines, cores)``.  Returns ``(records,
     elapsed seconds, registry dump, recorder rows)`` — the last two
     ``None`` unless *record_obs* (falsy, or the parent registry's
     policy string) asked for them, and only then is a row built;
     digests are carried by the records themselves either way.  Pure in
     *chunk*.
     """
-    data_model, engines, cores = params
+    engines, cores = params
     if record_obs:
         policy = record_obs if isinstance(record_obs, str) else "exact"
         registry = MetricsRegistry(policy=policy)
@@ -546,7 +545,7 @@ def replay_chunk(
     started = time.perf_counter()
     for block in chunk:
         records.extend(_replay_block(
-            data_model, block, engines, cores, registry, recorder
+            block, engines, cores, registry, recorder
         ))
     rows = recorder.dump_rows() if record_obs else None
     elapsed = time.perf_counter() - started
@@ -572,7 +571,8 @@ def replay_chain(
         source: a :class:`ReplayBlock` list or an iterable of
             ``(height, tasks, payload)`` triples (what
             :func:`repro.obs.regress.chain_task_blocks` yields).
-        data_model: ``"utxo"`` or ``"account"``.
+        data_model: ``"utxo"`` or ``"account"``; checked, not read —
+            every engine runs the blocks' tasks.
         engines: engine names from :data:`ENGINES`, order preserved.
         cores: simulated core count handed to each engine.
         backend: ``"process"`` (default) or ``"serial"``.
@@ -601,7 +601,7 @@ def replay_chain(
         chunk_size, num_blocks=len(inputs), jobs=jobs
     )
     records = ordered_chunk_map(
-        replay_chunk, (data_model, engines, cores), inputs,
+        replay_chunk, (engines, cores), inputs,
         family="exec.replay", lanes="replay",
         backend=backend, jobs=jobs, chunk_size=chunk_size,
         engines=len(engines),

@@ -6,14 +6,13 @@ which: every per-engine list — :data:`ENGINES`, the engines that want
 the block's static predictions next to its task list
 (:data:`PREDICTION_ENGINES`), the engines Eq. 2 binds
 (:data:`EQ2_STRICT_EXECUTORS`) — is derived from it, so a new engine is
-one new row.  They do not all eat the same input: ``dag`` builds a
-dependency DAG from the block's raw payload, the two schedules take
-the task list with the groups their information source yields
-(:class:`BlockConflicts`), and the rest take the task list alone.  That
-three-way split is decided here, in :func:`run_engine`, and nowhere
-else — the replay fan-out, the node's validation path, the regress
-snapshot, the lifecycle pipeline and the CLI all hand it a block and
-an engine name.
+one new row.  Every engine runs the block's task list, and every
+conflict it knows of is a location those tasks share; the two
+schedules that take groups take them from the source their row names
+(:class:`BlockConflicts`).  :func:`run_engine` is the one way to run an
+engine over a block — the replay fan-out, the node's validation path,
+the regress snapshot, the lifecycle pipeline and the CLI all hand it a
+block and an engine name.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
-from repro.execution.dag import account_dag, run_dag, utxo_dag
+from repro.execution.dag import DAGExecutor
 from repro.execution.engine import (
     ExecutionReport,
     SequentialExecutor,
@@ -49,13 +48,12 @@ class EngineSpec(NamedTuple):
     structure, which only exists after execution) or ``"predicted"``
     (static access sets); ``schedule`` is ``"sequential"``,
     ``"two-phase"`` (§V-A), ``"chain"`` (§V-B), ``"occ"`` or ``"dag"``.
-    ``build`` takes a core count (and ``predictions=`` when predicted);
-    ``dag`` has none — it consumes the payload, see :func:`run_engine`.
+    ``build`` takes a core count (and ``predictions=`` when predicted).
     """
 
     information: str
     schedule: str
-    build: Callable[..., object] | None
+    build: Callable[..., object]
 
 
 ENGINE_SPECS: dict[str, EngineSpec] = {
@@ -74,7 +72,7 @@ ENGINE_SPECS: dict[str, EngineSpec] = {
     "static-grouped": EngineSpec(
         "predicted", "chain", StaticGroupedExecutor
     ),
-    "dag": EngineSpec("oracle", "dag", None),
+    "dag": EngineSpec("oracle", "dag", DAGExecutor),
 }
 
 ENGINES = tuple(ENGINE_SPECS)
@@ -113,15 +111,14 @@ def validate_engines(engines: Sequence[str]) -> tuple[str, ...]:
 def make_executor(name: str, cores: int, predictions: Mapping | None = None):
     """Instantiate one of the task executors by registry name.
 
-    ``dag`` is not constructible here — it consumes the raw payload via
-    :func:`run_engine`, not a task list.  Unknown names raise
-    :class:`ValueError` listing the choices.  *predictions* (``tx_hash``
-    → :class:`~repro.staticcheck.predict.PredictedAccess`) feeds the
-    two :data:`PREDICTION_ENGINES`; other executors ignore it, and with
-    no predictions those two degrade soundly to sequential block order.
+    Unknown names raise :class:`ValueError` listing the choices.
+    *predictions* (``tx_hash`` →
+    :class:`~repro.staticcheck.predict.PredictedAccess`) feeds the two
+    :data:`PREDICTION_ENGINES`; other executors ignore it, and with no
+    predictions those two degrade soundly to sequential block order.
     """
     spec = ENGINE_SPECS.get(name)
-    if spec is None or spec.build is None:
+    if spec is None:
         known = ", ".join(ENGINES)
         raise ValueError(
             f"unknown executor {name!r}; expected one of: {known}"
@@ -184,7 +181,6 @@ def _exact(prediction: "PredictedAccess | None", task: TxTask) -> bool:
 
 def run_engine(
     engine: str,
-    data_model: str,
     block: "ReplayBlock",
     cores: int,
     conflicts: BlockConflicts | None = None,
@@ -204,12 +200,6 @@ def run_engine(
     Without *conflicts* the engine runs as its standalone executor
     does, building what it needs itself.
     """
-    if engine == "dag":
-        dag = (
-            utxo_dag(block.payload) if data_model == "utxo"
-            else account_dag(block.payload)
-        )
-        return run_dag(dag, cores)
     predicted = engine in PREDICTION_ENGINES
     if (
         conflicts is None or not block.tasks

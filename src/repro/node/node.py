@@ -48,7 +48,7 @@ from repro.account.receipts import ExecutedTransaction
 from repro.chain.block import GENESIS_PARENT, Block, build_block
 from repro.chain.errors import ValidationError
 from repro.chain.forkchoice import ForkChoice, Reorg
-from repro.chain.hashing import hash_fields
+from repro.chain.hashing import hash_fields, joinable
 from repro.consensus.pow import Miner, PoWSimulator
 from repro.execution.engine import TxTask
 from repro.execution.parallel_replay import (
@@ -323,7 +323,13 @@ class Node:
         return True
 
     def _admit_to_pool(self, ntx: NodeTx) -> bool:
-        if not isinstance(ntx.payload, PAYLOAD_KINDS[self.config.data_model]):
+        # A payload the receipts root digests, and a hash and locations
+        # the roots' ``hash_parts`` accepts.
+        task = ntx.task
+        if (
+            not isinstance(ntx.payload, PAYLOAD_KINDS[self.config.data_model])
+            or not joinable(task.tx_hash, *task.reads, *task.writes)
+        ):
             self.stats.rejected += 1
             return False
         self._sync_clock()

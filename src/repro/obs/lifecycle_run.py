@@ -169,7 +169,7 @@ def run_lifecycle(
         for block in replay_block_inputs(
             profile, blocks=blocks, seed=seed, scale=scale, predict=False
         ):
-            height, tasks, payload = block.height, block.tasks, block.payload
+            height, tasks = block.height, block.tasks
             if not tasks:
                 continue
             block_started = time.perf_counter()
@@ -265,20 +265,15 @@ def run_lifecycle(
                     )
 
             # 5. Execution replay + stitch.
-            packed_hashes = {entry.tx_hash for entry in packed}
-            executed_hashes |= packed_hashes
+            executed_hashes.update(entry.tx_hash for entry in packed)
             execute_at = life.clock
             packed_block = ReplayBlock(
                 height=height,
                 tasks=tuple(entry.payload for entry in packed),
-                payload=tuple(
-                    tx for tx in payload if tx.tx_hash in packed_hashes
-                ),
+                payload=(),
             )
             with recorder.block(height):
-                report = run_engine(
-                    executor, profile.data_model, packed_block, cores
-                )
+                report = run_engine(executor, packed_block, cores)
             stitch_execution_events(
                 life,
                 recorder.events(block=height),

@@ -186,7 +186,7 @@ def build_snapshot(
             conflict = task_conflict_profile(block.tasks)
             with recorder.block(block.height):
                 reports = [
-                    (name, run_engine(name, profile.data_model, block, cores))
+                    (name, run_engine(name, block, cores))
                     for name in executors
                 ]
             for name, report in reports:

@@ -11,6 +11,7 @@ from repro.chain.hashing import (
     hash_concat,
     hash_fields,
     hash_parts,
+    joinable,
     sha256_hex,
     short_hash,
 )
@@ -93,6 +94,20 @@ class TestHashParts:
     def test_rejects_a_part_holding_the_separator(self, parts):
         with pytest.raises(ValueError, match="separator"):
             hash_parts(*parts)
+
+    @pytest.mark.parametrize("parts, ok", [
+        (("a", "b", ""), True),
+        (("a\x1fb",), False),
+        (("a", 7), False),
+        ((b"a",), False),
+    ])
+    def test_joinable_says_whether_hash_parts_takes_them(self, parts, ok):
+        assert joinable(*parts) is ok
+        if ok:
+            hash_parts(*parts)
+        else:
+            with pytest.raises((ValueError, TypeError)):
+                hash_parts(*parts)
 
     @pytest.mark.parametrize(
         "parts", [("\ud800",), ("a", "b\udfffc"), ("\udc80", "")]

@@ -450,3 +450,70 @@ class TestStorageConflictAblation:
             assert (
                 storage_level.num_conflicted <= address_level.num_conflicted
             )
+
+
+def _reference_storage_conflict_groups(executed):
+    """Storage-level groups over the dict-keyed ``UnionFind``, walking
+    each transaction's writes then reads against the first writer and
+    the readers of every location; groups bucketed by root in
+    first-seen order.  Returns the result and the locations tracked
+    (distinct written plus distinct read)."""
+    forest = UnionFind()
+    writers: dict[tuple[str, str], str] = {}
+    readers: dict[tuple[str, str], list[str]] = {}
+    hashes: list[str] = []
+    for item in executed:
+        if item.is_coinbase:
+            continue
+        tx_hash = item.tx_hash
+        hashes.append(tx_hash)
+        forest.add(tx_hash)
+        writes = set(item.receipt.storage_writes)
+        writes.add((item.tx.sender, "__balance__"))
+        if item.tx.value > 0:
+            writes.add((item.tx.receiver, "__balance__"))
+        for internal in item.receipt.internal_transactions:
+            if internal.value > 0:
+                writes.add((internal.sender, "__balance__"))
+                writes.add((internal.receiver, "__balance__"))
+        for location in writes:
+            if location in writers:
+                forest.union(writers[location], tx_hash)
+            else:
+                writers[location] = tx_hash
+            for reader in readers.get(location, ()):
+                forest.union(reader, tx_hash)
+        for location in item.receipt.storage_reads:
+            readers.setdefault(location, []).append(tx_hash)
+            if location in writers:
+                forest.union(writers[location], tx_hash)
+    groups: dict[object, list[str]] = {}
+    for tx_hash in hashes:
+        groups.setdefault(forest.find(tx_hash), []).append(tx_hash)
+    result = TDGResult(
+        groups=tuple(tuple(group) for group in groups.values()),
+        num_transactions=len(hashes),
+    )
+    return result, len(writers) + len(readers)
+
+
+@pytest.mark.parametrize("chain", ["ethereum", "zilliqa"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_storage_groups_equal_the_union_find_walk(chain, seed):
+    """Same groups in the same order, and the same locations counted."""
+    from repro.workload.account_workload import build_account_chain
+    from repro.workload.profiles import PROFILES_BY_NAME
+
+    builder = build_account_chain(
+        PROFILES_BY_NAME[chain], num_blocks=8, seed=seed, scale=0.5
+    )
+    conflicted = 0
+    for _block, executed in builder.executed_blocks:
+        reference, tracked = _reference_storage_conflict_groups(executed)
+        with obs.instrumented() as state:
+            result = storage_conflict_groups(executed)
+        counters = state.registry.snapshot()["counters"]
+        assert result == reference
+        assert counters["tdg.locations_tracked{model=storage}"] == tracked
+        conflicted += result.num_conflicted
+    assert conflicted > 0

@@ -12,10 +12,17 @@ from repro.account.receipts import ExecutedTransaction, Receipt
 from repro.account.transaction import make_account_transaction
 from repro.core.tdg import utxo_tdg
 from repro.execution.dag import (
+    DAGExecutor,
     DAGSchedule,
     DependencyDAG,
-    account_dag,
-    utxo_dag,
+    _block_dag,
+    run_dag,
+    task_dag,
+)
+from repro.execution.engine import (
+    TxTask,
+    tasks_from_account_block,
+    tasks_from_utxo_block,
 )
 from repro.utxo.transaction import TxOutputSpec, make_coinbase, make_transaction
 from repro.utxo.txo import COIN
@@ -131,7 +138,7 @@ class TestUTXODag:
         """The Eq. 2 pessimism: LCC 9, but critical path only 2."""
         block = self._fanout_block()
         tdg = utxo_tdg(block)
-        dag = utxo_dag(block)
+        dag = task_dag(tasks_from_utxo_block(block))
         assert tdg.lcc_size == 9
         assert dag.critical_path() == 2.0
         # Chain model bounds speed-up by x/LCC = 1; DAG achieves ~4.5x.
@@ -142,7 +149,7 @@ class TestUTXODag:
         from repro.analysis.examples import figure_6_chain
 
         transactions, tdg = figure_6_chain()
-        dag = utxo_dag(transactions)
+        dag = task_dag(tasks_from_utxo_block(transactions))
         assert dag.critical_path() == float(tdg.lcc_size)
         assert dag.speedup(64) == pytest.approx(1.0)
 
@@ -153,7 +160,7 @@ class TestUTXODag:
             outputs=[TxOutputSpec(value=COIN, owner="x")],
             nonce="lone",
         )
-        dag = utxo_dag([lone])
+        dag = task_dag(tasks_from_utxo_block([lone]))
         assert dag.critical_path() == 1.0
 
 
@@ -161,7 +168,7 @@ class TestAccountDag:
     def test_exchange_fan_in_is_truly_sequential(self):
         """Deposits to one address chain per-cell: Eq. 2 is tight here."""
         block = [_executed(f"0xu{i}", "0xhot") for i in range(6)]
-        dag = account_dag(block)
+        dag = task_dag(tasks_from_account_block(block))
         assert dag.critical_path() == 6.0
         assert dag.speedup(8) == pytest.approx(1.0)
 
@@ -169,7 +176,7 @@ class TestAccountDag:
         block = [
             _executed(f"0xa{i}", f"0xb{i}") for i in range(8)
         ]
-        dag = account_dag(block)
+        dag = task_dag(tasks_from_account_block(block))
         assert dag.critical_path() == 1.0
         assert dag.speedup(8) == pytest.approx(8.0)
 
@@ -180,13 +187,13 @@ class TestAccountDag:
             _executed("0xb", "0xc"),
             _executed("0xd", "0xe"),
         ]
-        dag = account_dag(block)
+        dag = task_dag(tasks_from_account_block(block))
         assert dag.critical_path() == 2.0
         assert dag.schedule_makespan(2) == 2.0
 
     def test_gas_costs_mode(self):
         block = [_executed("0xa", "0xb")]
-        dag = account_dag(block, unit_cost=False)
+        dag = task_dag(tasks_from_account_block(block, unit_cost=False))
         assert dag.total_work == pytest.approx(1.0)
 
     def test_dag_never_slower_than_chain_model(self, small_ethereum_builder):
@@ -198,7 +205,7 @@ class TestAccountDag:
             if len(regular) < 10:
                 continue
             tdg = account_tdg(executed)
-            dag = account_dag(executed)
+            dag = task_dag(tasks_from_account_block(executed))
             chain_bound = tdg.num_transactions / tdg.lcc_size
             assert dag.speedup(64) >= chain_bound - 1e-9
 
@@ -208,7 +215,6 @@ def test_two_creations_commit_in_block_order():
     task sets and the state-root fold, so the DAG must order creations
     too: the first one here waits on a transfer, the second is free."""
     from repro.account.transaction import NULL_ADDRESS
-    from repro.execution.engine import tasks_from_account_block
     from repro.execution.parallel_replay import ReplayBlock, replay_chain
 
     def creation(sender, created):
@@ -358,3 +364,164 @@ def test_schedule_over_positions_equals_the_hash_keyed_schedule(dag, cores):
             getattr(reference, name).items()
         ), name
     assert dag.downstream_path() == _reference_downstream(dag)
+
+
+# -- task_dag against the payload walks it replaced ---------------------------
+
+
+def _reference_utxo_dag(transactions) -> DependencyDAG:
+    """The UTXO partial order as the ``dag`` engine built it from the
+    raw payload: creator -> spender edges only."""
+    regular = [tx for tx in transactions if not tx.is_coinbase]
+    dag = _block_dag([tx.tx_hash for tx in regular], [1.0] * len(regular))
+    for tx in regular:
+        for outpoint in tx.inputs:
+            if outpoint.tx_hash in dag.position:
+                dag.add_edge(outpoint.tx_hash, tx.tx_hash)
+    return dag
+
+
+def _reference_account_dag(executed) -> DependencyDAG:
+    """The account partial order as the ``dag`` engine built it from
+    the raw payload: each transaction follows the last earlier one
+    touching any of its endpoints — those of ``edges()`` plus
+    ``tx.sender`` and ``tx.receiver``."""
+    regular = [item for item in executed if not item.is_coinbase]
+    hashes = [item.tx_hash for item in regular]
+    dag = _block_dag(hashes, [1.0] * len(regular))
+    last_toucher: dict[str, str] = {}
+    for item, tx_hash in zip(regular, hashes):
+        touched = {item.tx.sender, item.tx.receiver}
+        for sender, receiver in item.edges():
+            touched.add(sender)
+            touched.add(receiver)
+        for address in touched:
+            previous = last_toucher.get(address)
+            if previous is not None:
+                dag.successors[previous].add(tx_hash)
+                dag.predecessors[tx_hash].add(previous)
+            last_toucher[address] = tx_hash
+    return dag
+
+
+@pytest.fixture(scope="module")
+def seeded_blocks():
+    """The golden chains and one seeded chain per profile, as replay
+    inputs: (profile, blocks)."""
+    from repro.execution.parallel_replay import replay_block_inputs
+    from repro.workload.profiles import ALL_PROFILES, PROFILES_BY_NAME
+    from tests.core.test_golden_regression import GOLDEN_CHAINS
+
+    chains = [
+        (PROFILES_BY_NAME[name], args["num_blocks"], args["seed"],
+         args["scale"])
+        for name, args in GOLDEN_CHAINS
+    ] + [(profile, 6, 1, 0.5) for profile in ALL_PROFILES]
+    return [
+        (profile, replay_block_inputs(
+            profile, blocks=blocks, seed=seed, scale=scale, predict=False,
+        ))
+        for profile, blocks, seed, scale in chains
+    ]
+
+
+def test_task_dag_is_the_payload_dag_on_seeded_chains(seeded_blocks):
+    """Same order, costs and edges as the payload walks, and the same
+    schedule, on every block with a task."""
+    checked = 0
+    for profile, blocks in seeded_blocks:
+        reference_dag = (
+            _reference_utxo_dag if profile.data_model == "utxo"
+            else _reference_account_dag
+        )
+        for block in blocks:
+            if not block.tasks:
+                continue
+            dag = task_dag(block.tasks)
+            reference = reference_dag(block.payload)
+            assert dag.order == reference.order
+            assert dag.costs == reference.costs
+            assert dag.successors == reference.successors, profile.name
+            assert dag.predecessors == reference.predecessors
+            for cores in (1, 2, 4):
+                assert dag.schedule(cores) == reference.schedule(cores)
+            checked += 1
+    assert checked > 20
+
+
+LOCATIONS = st.frozensets(st.sampled_from("abcd"), max_size=3)
+
+
+@st.composite
+def task_lists(draw):
+    """Up to 10 tasks over four shared locations — read-only sharers,
+    read-write and write-write pairs all occur — plus, sometimes, a
+    location of their own; costs 0, 1 or 2.5."""
+    count = draw(st.integers(min_value=0, max_value=10))
+    tasks = []
+    for index in range(count):
+        own = frozenset({f"own{index}"}) if draw(st.booleans()) else frozenset()
+        tasks.append(TxTask(
+            tx_hash=f"{(index * 7919) % 65_537:064x}",
+            cost=draw(st.sampled_from([0.0, 0.0, 1.0, 2.5])),
+            reads=draw(LOCATIONS),
+            writes=draw(LOCATIONS) | own,
+        ))
+    return tasks
+
+
+@settings(max_examples=300, deadline=None)
+@given(tasks=task_lists())
+def test_task_dag_orders_exactly_the_conflicting_pairs(tasks):
+    dag = task_dag(tasks)
+    position = {task.tx_hash: index for index, task in enumerate(tasks)}
+    assert dag.order == [task.tx_hash for task in tasks]
+    assert [dag.costs[h] for h in dag.order] == [t.cost for t in tasks]
+    # Every edge joins a conflicting pair, earlier to later.
+    for earlier, laters in dag.successors.items():
+        for later in laters:
+            assert position[earlier] < position[later]
+            assert tasks[position[earlier]].conflicts_with(
+                tasks[position[later]]
+            )
+            assert earlier in dag.predecessors[later]
+    assert sum(map(len, dag.successors.values())) == sum(
+        map(len, dag.predecessors.values())
+    )
+    # Every conflicting pair is joined by a path in block order.
+    reach: list[set[int]] = [set() for _ in tasks]
+    for index in range(len(tasks) - 1, -1, -1):
+        for successor in dag.successors[tasks[index].tx_hash]:
+            later = position[successor]
+            reach[index].add(later)
+            reach[index] |= reach[later]
+    for i, first in enumerate(tasks):
+        for j in range(i + 1, len(tasks)):
+            if first.conflicts_with(tasks[j]):
+                assert j in reach[i], (i, j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tasks=task_lists(), data=st.data())
+def test_task_dag_rejects_duplicate_hashes(tasks, data):
+    if not tasks:
+        return
+    twin = data.draw(st.sampled_from(tasks))
+    at = data.draw(st.integers(min_value=0, max_value=len(tasks)))
+    with pytest.raises(ValueError, match="duplicate task"):
+        task_dag(tasks[:at] + [twin] + tasks[at:])
+
+
+def test_dag_executor_runs_task_dag():
+    tasks = [
+        TxTask("a", writes=frozenset({"x"})),
+        TxTask("b", reads=frozenset({"x"})),
+        TxTask("c", reads=frozenset({"x"})),
+        TxTask("d", writes=frozenset({"x"})),
+    ]
+    report = DAGExecutor(cores=2).run(tasks)
+    assert report == run_dag(task_dag(tasks), 2)
+    assert report.executor == "dag"
+    assert report.wall_time == 3.0  # a, then b and c together, then d
+    with pytest.raises(ValueError):
+        DAGExecutor(cores=0)

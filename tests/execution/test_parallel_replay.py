@@ -67,7 +67,7 @@ class TestEngineRegistry:
         block = max(tiny_inputs, key=lambda b: len(b.tasks))
         by_hash = {p.tx_hash: p for p in block.predictions}
         for name in sorted(PREDICTION_ENGINES):
-            by_name = run_engine(name, "utxo", block, 4)
+            by_name = run_engine(name, block, 4)
             direct = make_executor(name, 4, by_hash).run(block.tasks)
             assert by_name == direct
             assert by_name.speedup > 1.0
@@ -85,11 +85,7 @@ class TestEngineRegistry:
 
         assert ENGINES == tuple(ENGINE_SPECS)
         for name in ENGINES:
-            if name == "dag":
-                with pytest.raises(ValueError, match="unknown executor"):
-                    make_executor(name, 2)
-            else:
-                assert make_executor(name, 2).name == name
+            assert make_executor(name, 2).name == name
         assert PREDICTION_ENGINES == {
             name for name, spec in ENGINE_SPECS.items()
             if spec.information == "predicted"

@@ -22,9 +22,6 @@ executors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from types import SimpleNamespace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,24 +53,6 @@ from tests.core.test_golden_regression import GOLDEN_CHAINS
 
 ENGINES = tuple(ENGINE_SPECS)
 HEIGHT = 3
-
-
-@dataclass(frozen=True)
-class Touching:
-    """What ``account_dag`` reads of an executed transaction."""
-
-    tx_hash: str
-    touched: tuple[str, ...]
-    is_coinbase = False
-
-    @property
-    def tx(self):
-        return SimpleNamespace(
-            sender=self.touched[0], receiver=self.touched[-1]
-        )
-
-    def edges(self):
-        return list(zip(self.touched, self.touched[1:]))
 
 
 LOCATIONS = st.frozensets(st.sampled_from("abcd"), max_size=2)
@@ -174,7 +153,7 @@ def test_static_engines_on_the_shared_path_equal_the_standalone_executors(
     for engine, executor in STATIC_EXECUTORS.items():
         shared = recorded(block.height, [
             lambda engine=engine: run_engine(
-                engine, "account", block, cores, conflicts
+                engine, block, cores, conflicts
             ),
         ])
         alone = recorded(block.height, [
@@ -206,7 +185,7 @@ def test_an_unsound_block_still_fires_the_net_through_run_engine(engine):
         ),
     )
     conflicts = BlockConflicts(block)
-    report = run_engine(engine, "account", block, 2, conflicts)
+    report = run_engine(engine, block, 2, conflicts)
     assert conflicts.predicted is not conflicts.oracle
     assert report.aborts == report.reexecuted == 2
     assert report == STATIC_EXECUTORS[engine](
@@ -242,15 +221,8 @@ def blocks(draw):
         predictions.append(PredictedAccess(
             tx_hash=task.tx_hash, reads=reads, writes=writes,
         ))
-    payload = tuple(
-        Touching(
-            task.tx_hash,
-            tuple(sorted(task.reads | task.writes)) or (task.tx_hash,),
-        )
-        for task in tasks
-    )
     return ReplayBlock(
-        height=HEIGHT, tasks=tasks, payload=payload,
+        height=HEIGHT, tasks=tasks, payload=(),
         predictions=tuple(predictions),
     )
 
@@ -290,7 +262,7 @@ def recorded(height, runs):
 def run_recorded(block, cores, conflicts):
     return recorded(block.height, [
         lambda engine=engine: run_engine(
-            engine, "account", block, cores, conflicts
+            engine, block, cores, conflicts
         )
         for engine in ENGINES
     ])
@@ -300,11 +272,7 @@ def run_recorded(block, cores, conflicts):
 @given(block=blocks(), cores=st.integers(min_value=1, max_value=4))
 def test_values_equal_the_reduction_of_the_rows(block, cores):
     reports, rows = run_recorded(block, cores, BlockConflicts(block))
-    # The payload only feeds the receipt digest, which wants real
-    # transactions; the fields under test do not read it.
-    records = parallel_replay._block_records(
-        replace(block, payload=()), ENGINES, reports
-    )
+    records = parallel_replay._block_records(block, ENGINES, reports)
     for engine, record in zip(ENGINES, records):
         assert (
             record.commit_order, record.scheduled, record.aborted,

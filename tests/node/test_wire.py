@@ -8,6 +8,7 @@ import asyncio
 import pickle
 import struct
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -737,6 +738,69 @@ class TestInvalidTransaction:
         assert node_txs[0].tx_hash in node.pool
         assert [frame.key for frame in out if frame.kind == "tx"] == [
             node_txs[0].tx_hash,
+        ]
+
+
+def _with_separator(ntx: NodeTx, where: str) -> NodeTx:
+    """*ntx* with the roots' ``\x1f`` separator in its hash or in one
+    location it writes or reads, or with a location that is no string."""
+    task = ntx.task
+    if where == "hash":
+        task = replace(task, tx_hash=task.tx_hash + "\x1f")
+    elif where == "write":
+        task = replace(task, writes=task.writes | {"balance:\x1f"})
+    elif where == "not-a-str":
+        task = replace(task, writes=task.writes | {7})
+    else:
+        task = replace(task, reads=task.reads | {"storage:0x\x1f:0"})
+    return replace(ntx, task=task, fee=100)
+
+
+class TestSeparatorInTransaction:
+    """The state and receipts roots join their parts with ``\x1f`` and
+    refuse a part that holds it (``hash_parts``); a pooled transaction
+    with one in its hash or a location used to raise ``ValueError`` out
+    of the proposer that packed it."""
+
+    @pytest.mark.parametrize("where", ["hash", "write", "read", "not-a-str"])
+    def test_a_proposer_rejects_it_and_keeps_mining(self, node_txs, where):
+        runtime = VirtualRuntime()
+        transport = MemoryTransport(runtime)
+        transport.register("b")
+        node = Node(
+            "a", runtime=runtime, transport=transport, peers=("b",),
+            config=NodeConfig(consensus="pow", heartbeat=1e6),
+            genesis=make_genesis("ethereum"),
+        )
+        bad = _with_separator(node_txs[0], where)
+
+        async def main():
+            node.start()
+            assert not node.submit_tx(bad)
+            assert node.submit_tx(node_txs[1])
+            await runtime.sleep(30.0)
+            node.stop()
+
+        runtime.run_until_complete(main())
+        assert node.stats.rejected == 1
+        assert bad.tx_hash not in node.pool
+        assert bad.tx_hash not in node.chain_txs
+        assert node_txs[1].tx_hash in node.chain_txs
+        assert node.forkchoice.head_block().height > 0
+
+    @pytest.mark.parametrize("where", ["hash", "write", "not-a-str"])
+    def test_a_relayed_one_is_neither_pooled_nor_relayed(
+        self, node_txs, where
+    ):
+        bad = _with_separator(node_txs[0], where)
+        node, _stats, out = _drive([
+            _tx_frame(bad, src="c"), _tx_frame(node_txs[1], src="c"),
+        ])
+        assert node.stats.rejected == 1
+        assert bad.tx_hash not in node.pool
+        assert node_txs[1].tx_hash in node.pool
+        assert [frame.key for frame in out if frame.kind == "tx"] == [
+            node_txs[1].tx_hash,
         ]
 
 

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro import obs
-from repro.execution.dag import account_dag, run_dag
+from repro.execution.dag import DAGExecutor
 from repro.execution.engine import SequentialExecutor, TxTask
 from repro.execution.grouped import GroupedExecutor, StaticGroupedExecutor
 from repro.execution.occ import OCCExecutor
@@ -272,9 +272,8 @@ class TestBounds:
                 assert not comparison.violates
 
     def test_dag_may_exceed_but_never_violates(self, eth_blocks):
-        for _height, tasks, executed in eth_blocks:
-            dag = account_dag(executed)
-            report = run_dag(dag, cores=8)
+        for _height, tasks, _executed in eth_blocks:
+            report = DAGExecutor(cores=8).run(tasks)
             comparison = compare_to_bounds(
                 report, task_conflict_profile(tasks)
             )

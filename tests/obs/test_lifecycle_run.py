@@ -57,6 +57,38 @@ class TestEveryTransactionTraced:
         assert snapshot["counters"]["gossip.propagations"] > 0
 
 
+def test_dag_commits_every_conflicting_pair_in_packed_order(monkeypatch):
+    """The packed block's tasks are in fee order, not chain order; the
+    ``dag`` engine must order every conflicting pair as they are packed,
+    as every other engine does.  The regress gate's run."""
+    from repro.obs import lifecycle_run
+
+    runs = []
+
+    def spy(engine, block, cores, conflicts=None):
+        report = run_engine(engine, block, cores, conflicts)
+        runs.append((block.tasks, report))
+        return report
+
+    run_engine = lifecycle_run.run_engine
+    monkeypatch.setattr(lifecycle_run, "run_engine", spy)
+    _run("ethereum", blocks=10, seed=2020, executor="dag")
+    assert len(runs) == 10
+    pairs = 0
+    for tasks, report in runs:
+        position = {task.tx_hash: index for index, task in enumerate(tasks)}
+        commit = {
+            tx_hash: (clock, position[tx_hash])
+            for clock, tx_hash in report.commits
+        }
+        for index, task in enumerate(tasks):
+            for later in tasks[index + 1:]:
+                if task.conflicts_with(later):
+                    pairs += 1
+                    assert commit[task.tx_hash] < commit[later.tx_hash]
+    assert pairs > 100
+
+
 class TestShardedChain:
     def test_zilliqa_assigns_committees_via_pbft(self):
         result, state = _run("zilliqa", blocks=2)
