@@ -2,8 +2,8 @@
 causal trace layer on, off, and absent.
 
 Drives the full transaction pipeline (mempool → gossip → consensus →
-execution, :func:`repro.obs.lifecycle_run.run_lifecycle`) on a seeded
-Ethereum-profile chain and gates the two overhead budgets from the
+execution) on a seeded Ethereum-profile chain — a virtual node network,
+:func:`repro.node.lifecycle_config` — and gates the two overhead budgets from the
 lifecycle-tracing issue, writing ``BENCH_lifecycle_trace.json`` at the
 repo root (plus a summary under ``benchmarks/output/``):
 
@@ -21,7 +21,7 @@ repo root (plus a summary under ``benchmarks/output/``):
    twice the enabled run's event count — a deliberate overestimate;
    even so it must stay under 1% of the disabled run.
 
-The stitched-trace invariants (one closed monotonic trace per admitted
+The stitched-trace invariants (one closed monotonic trace per injected
 transaction) are asserted on the instrumented run before timing is
 trusted, so the bench cannot pass by silently tracing nothing.
 """
@@ -36,10 +36,9 @@ from pathlib import Path
 from _common import write_output
 
 from repro import obs
+from repro.node import NodeNetwork, lifecycle_config
 from repro.obs.lifecycle import NOOP_LIFECYCLE, LifecycleTracer
-from repro.obs.lifecycle_run import run_lifecycle
 from repro.obs.metrics import MetricsRegistry
-from repro.workload.profiles import ETHEREUM
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / (
     "BENCH_lifecycle_trace.json"
@@ -55,21 +54,23 @@ GUARD_CALL_FACTOR = 2  # charge twice the observed event count
 
 
 def _pipeline():
-    return run_lifecycle(ETHEREUM, blocks=NUM_BLOCKS, seed=SEED,
-                         cores=CORES)
+    result = NodeNetwork(lifecycle_config(
+        "ethereum", blocks=NUM_BLOCKS, seed=SEED, cores=CORES, engine="dag",
+    )).run()
+    assert result.converged, result.reason
+    return result
 
 
 def _run_instrumented():
     """Full instrumentation with the real lifecycle tracer."""
     registry = MetricsRegistry()
-    with obs.instrumented(
-        registry=registry, lifecycle=LifecycleTracer(registry=registry)
-    ):
+    life = LifecycleTracer(registry=registry)
+    with obs.instrumented(registry=registry, lifecycle=life):
         started = time.perf_counter()
         result = _pipeline()
         elapsed = time.perf_counter() - started
         events = registry.counter("lifecycle.events").value
-    return elapsed, result, events
+    return elapsed, result, life.traces(), events
 
 
 def _run_noop_lifecycle():
@@ -84,9 +85,9 @@ def _run_disabled():
     """Observability fully uninstalled — the shipped default."""
     obs.uninstall()
     started = time.perf_counter()
-    result = _pipeline()
+    _pipeline()
     elapsed = time.perf_counter() - started
-    assert result.traces == ()  # nothing recorded when disabled
+    assert obs.lifecycle().traces() == []  # nothing recorded when disabled
     return elapsed
 
 
@@ -108,12 +109,13 @@ def _guard_cost_per_call():
 
 def test_lifecycle_trace_overhead_budgets():
     # -- correctness first: the instrumented run must actually trace --
-    elapsed, result, events = _run_instrumented()
-    assert result.admitted > 0
-    assert len(result.traces) == result.admitted
-    assert result.open == 0
-    assert all(t.is_monotonic() for t in result.traces)
-    assert events > result.admitted  # several stages per transaction
+    elapsed, result, traces, events = _run_instrumented()
+    outcomes = [trace.outcome for trace in traces]
+    assert result.injected > 0
+    assert len(traces) == result.injected
+    assert None not in outcomes  # every trace closed
+    assert all(t.is_monotonic() for t in traces)
+    assert events > result.injected  # several stages per transaction
 
     # -- enabled overhead: real vs no-op lifecycle tracer -------------
     enabled = min(
@@ -154,9 +156,9 @@ def test_lifecycle_trace_overhead_budgets():
             "machine": platform.machine(),
         },
         "traces": {
-            "admitted": result.admitted,
-            "committed": result.committed,
-            "dropped": result.dropped,
+            "admitted": result.injected,
+            "committed": outcomes.count("committed"),
+            "dropped": outcomes.count("dropped"),
             "stage_events": events,
         },
         "enabled_overhead": {
@@ -180,8 +182,9 @@ def test_lifecycle_trace_overhead_budgets():
         f"lifecycle trace bench: ethereum, {NUM_BLOCKS} blocks, "
         f"{CORES} cores",
         "",
-        f"traces: {result.admitted} admitted, {result.committed} "
-        f"committed, {result.dropped} dropped, "
+        f"traces: {result.injected} admitted, "
+        f"{outcomes.count('committed')} committed, "
+        f"{outcomes.count('dropped')} dropped, "
         f"{events:.0f} stage events",
         f"enabled overhead:  {enabled_overhead:.2%} "
         f"(enabled {enabled:.4f}s, no-op lifecycle {noop:.4f}s, "

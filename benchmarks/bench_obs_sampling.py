@@ -1,8 +1,9 @@
 """Sampled-tracing overhead and sketch-accuracy bench for large sweeps.
 
 Drives the full transaction pipeline (mempool → gossip → consensus →
-execution, :func:`repro.obs.lifecycle_run.run_lifecycle`) on a seeded
-Ethereum-profile chain scaled past 100k admitted transactions, under
+execution) on a seeded Ethereum-profile chain scaled past 100k
+admitted transactions — a virtual node network,
+:func:`repro.node.lifecycle_config` — under
 head-based sampling (rate 1/100) with the bounded-memory sketch
 metrics policy, and gates the observability-at-scale budgets from the
 sampling issue, writing ``BENCH_obs_sampling.json`` at the repo root
@@ -48,17 +49,16 @@ from repro import obs
 from repro.execution import SpeculativeExecutor
 from repro.execution.engine import TxTask
 from repro.mempool.pool import Mempool, PoolEntry
+from repro.node import NodeNetwork, lifecycle_config
 from repro.obs.lifecycle import (
     CONSENSUS,
     NOOP_LIFECYCLE,
     SCHEDULED,
     LifecycleTracer,
 )
-from repro.obs.lifecycle_run import run_lifecycle
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampling import SampledLifecycleTracer, SampleRate
 from repro.obs.sketch import DEFAULT_ALPHA, SketchHistogram
-from repro.workload.profiles import ETHEREUM
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / (
     "BENCH_obs_sampling.json"
@@ -108,9 +108,17 @@ GOLDEN_SEED = 2020
 GOLDEN_CORES = 4
 
 
+def _network(blocks: int, seed: int, cores: int, scale: float = 1.0):
+    result = NodeNetwork(lifecycle_config(
+        "ethereum", blocks=blocks, seed=seed, cores=cores, scale=scale,
+        engine="dag",
+    )).run()
+    assert result.converged, result.reason
+    return result
+
+
 def _pipeline():
-    return run_lifecycle(ETHEREUM, blocks=PIPELINE_BLOCKS, seed=SEED,
-                         cores=CORES, scale=PIPELINE_SCALE)
+    return _network(PIPELINE_BLOCKS, SEED, CORES, PIPELINE_SCALE)
 
 
 def _run_sampled():
@@ -138,9 +146,9 @@ def _run_disabled() -> float:
     """Observability fully uninstalled — the shipped default."""
     obs.uninstall()
     started = time.perf_counter()
-    result = _pipeline()
+    _pipeline()
     elapsed = time.perf_counter() - started
-    assert result.traces == ()  # nothing recorded when disabled
+    assert obs.lifecycle().traces() == []  # nothing recorded when disabled
     return elapsed
 
 
@@ -251,22 +259,23 @@ def test_sampling_overhead_and_memory_budgets():
     admitted = registry.counter("lifecycle.stage_count.admitted").value
     kept = registry.counter("lifecycle.sampled.kept").value
     dropped = registry.counter("lifecycle.sampled.dropped").value
-    assert result.admitted >= MIN_SWEEP_TX
-    assert admitted == result.admitted
+    outcomes = [trace.outcome for trace in life.traces()]
+    assert result.injected >= MIN_SWEEP_TX
+    assert admitted == result.injected
     assert kept + dropped == admitted
     assert life.closed_count == kept  # every sampled trace sealed
-    assert len(result.traces) == kept
-    assert result.open == 0
+    assert len(outcomes) == kept
+    assert None not in outcomes
     # The deterministic hash keeps ~1/100; allow generous slack.
     assert 0.5 * admitted / 100 <= kept <= 2.0 * admitted / 100
     # Stage counters are exact over ALL transactions even though only
     # ~1% carry traces: every admitted tx commits in this workload, and
-    # the trace-derived result.committed sees only the sampled subset.
+    # the traces see only the sampled subset.
     committed = registry.counter(
         "lifecycle.stage_count.committed"
     ).value
     assert committed == admitted
-    assert result.committed == kept
+    assert outcomes.count("committed") == kept
 
     # -- enabled overhead: sampled tracer vs no-op lifecycle ----------
     # Interleaved so gradual host drift cannot systematically favour
@@ -391,8 +400,7 @@ def test_sketch_accuracy_on_golden_pipeline():
     registry = MetricsRegistry()
     life = LifecycleTracer(registry=registry)
     with obs.instrumented(registry=registry, lifecycle=life):
-        run_lifecycle(ETHEREUM, blocks=GOLDEN_BLOCKS, seed=GOLDEN_SEED,
-                      cores=GOLDEN_CORES)
+        _network(GOLDEN_BLOCKS, GOLDEN_SEED, GOLDEN_CORES)
     checked = 0
     accuracy: dict[str, dict[str, float]] = {}
     for metric in registry.iter_metrics():

@@ -20,11 +20,6 @@ from repro.analysis.figures import (
     figure9,
     load_series,
 )
-from repro.analysis.dot import (
-    account_tdg_to_dot,
-    tdg_groups_to_dot,
-    utxo_chain_to_dot,
-)
 from repro.analysis.report import render_sparkline
 from repro.analysis.stats import (
     ConfidenceInterval,
@@ -60,9 +55,6 @@ __all__ = [
     "figure8",
     "figure9",
     "load_series",
-    "account_tdg_to_dot",
-    "tdg_groups_to_dot",
-    "utxo_chain_to_dot",
     "render_sparkline",
     "ConfidenceInterval",
     "bootstrap_ci",

@@ -746,56 +746,87 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return status
 
 
+def _lifecycle_network(args: argparse.Namespace, **fields):
+    """The node network ``lifecycle`` and ``monitor`` run, from their
+    shared options (a bad value raises :class:`CLIError`, exit 2)."""
+    from repro.node import lifecycle_config
+
+    if args.mempool_weight is not None:
+        fields["mempool_weight"] = args.mempool_weight
+    try:
+        return lifecycle_config(
+            args.chain,
+            blocks=args.blocks,
+            seed=args.seed,
+            scale=args.scale,
+            cores=args.cores,
+            nodes=args.nodes,
+            engine=args.executor,
+            **fields,
+        )
+    except ValueError as exc:
+        raise CLIError(str(exc)) from None
+
+
+def _not_converged(result) -> int:
+    print(
+        f"error: network did not converge ({result.reason})",
+        file=sys.stderr,
+    )
+    return 1
+
+
 def cmd_lifecycle(args: argparse.Namespace) -> int:
     """Run the full pipeline; print the per-stage latency breakdown.
 
-    Every transaction flows mempool → gossip → (sharding) → packing →
-    consensus → execution under lifecycle tracing; the report shows
-    where end-to-end latency goes per stage (count/p50/p95/p99 and the
-    share of total traced time), the slowest traces stage by stage, and
-    the executor's per-lane Gantt chart.  ``--out`` additionally writes
-    the stitched traces and execution timeline as one Chrome trace file.
+    The seeded workload runs on a virtual node network
+    (:func:`repro.node.lifecycle_config`): every transaction flows
+    mempool → gossip → (sharding) → packing → consensus → execution
+    under lifecycle tracing; the report shows where end-to-end latency
+    goes per stage (count/p50/p95/p99 and the share of total traced
+    time), the slowest traces stage by stage, and the proposers'
+    per-lane Gantt chart.  ``--out`` additionally writes the stitched
+    traces and execution timeline as one Chrome trace file.  Exits 1
+    when the network does not converge.
     """
     from repro import obs
     from repro.analysis.report import render_gantt, render_stage_shares
+    from repro.node import NodeNetwork
     from repro.obs.exporters import write_chrome_trace
     from repro.obs.lifecycle import (
+        join_shard_traces,
         slowest_traces,
+        stage_breakdown,
         stage_shares,
     )
-    from repro.obs.lifecycle_run import run_lifecycle
 
     profile = _resolve_profile(args.chain)
     if args.top < 1:
         raise CLIError("--top must be at least 1")
     rate, registry, life = _sampling_components(args)
+    config = _lifecycle_network(args)
     try:
         with obs.instrumented(registry=registry, lifecycle=life) as state:
-            result = run_lifecycle(
-                profile,
-                blocks=args.blocks,
-                seed=args.seed,
-                cores=args.cores,
-                executor=args.executor,
-                scale=args.scale,
-                nodes=args.nodes,
-                mempool_weight=args.mempool_weight,
-            )
+            result = NodeNetwork(config).run()
     except ValueError as exc:
         raise CLIError(str(exc)) from None
+    traces = join_shard_traces(life.traces())
+    outcomes = [trace.outcome for trace in traces]
 
     print(
-        f"{args.chain} / {args.executor}: {result.admitted} admitted, "
-        f"{result.committed} committed, {result.dropped} dropped "
-        f"over {result.blocks} block(s)"
+        f"{args.chain} / {args.executor}: {result.injected} admitted, "
+        f"{outcomes.count('committed')} committed, "
+        f"{outcomes.count('dropped')} dropped, "
+        f"{outcomes.count(None)} open over {args.blocks} block(s) on "
+        f"{config.nodes} nodes ({result.reason})"
     )
     if not rate.is_full:
         print(
             f"(head-based sampling at {rate}: latency detail covers "
-            f"{len(result.traces)} sampled trace(s); stage counters "
+            f"{len(traces)} sampled trace(s); stage counters "
             "remain exact)"
         )
-    breakdown = result.breakdown()
+    breakdown = stage_breakdown(traces)
     if not breakdown:
         if not rate.is_full:
             print(
@@ -804,7 +835,7 @@ def cmd_lifecycle(args: argparse.Namespace) -> int:
             )
         else:
             print("(no traces recorded)")
-        return 0
+        return 0 if result.converged else _not_converged(result)
     shares = stage_shares(breakdown)
     print()
     print(render_table(
@@ -829,7 +860,7 @@ def cmd_lifecycle(args: argparse.Namespace) -> int:
         title="share of total traced latency",
     ))
     print()
-    slowest = slowest_traces(result.traces, limit=args.top)
+    slowest = slowest_traces(traces, limit=args.top)
     if slowest:
         print(f"slowest {args.top} trace(s):")
         for trace in slowest:
@@ -853,7 +884,7 @@ def cmd_lifecycle(args: argparse.Namespace) -> int:
     if args.out:
         try:
             count = write_chrome_trace(
-                args.out, events, lifecycle_traces=result.traces
+                args.out, events, lifecycle_traces=traces
             )
         except OSError as exc:
             raise CLIError(f"cannot write trace file: {exc}") from None
@@ -889,31 +920,28 @@ def cmd_lifecycle(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-    return 0
+    return 0 if result.converged else _not_converged(result)
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
     """Stream the pipeline through the sliding-window SLO monitor.
 
-    Runs the same seeded pipeline as ``lifecycle`` but watches it live:
-    after each block the monitor folds a :class:`BlockSample` into its
-    ring buffer and (unless ``--once``) re-renders the windowed
+    Runs the same seeded node network as ``lifecycle`` but watches it
+    live: after each block the followed node (``--follow-node``) makes
+    its head, the monitor folds that node's :class:`BlockSample` into
+    its ring buffer and (unless ``--once``) re-renders the windowed
     dashboard — abort rate, sampled stage percentiles, lane
     utilization, mempool depth, and block wall-clock percentiles.
     ``--once`` prints only the final window (the CI snapshot mode);
     ``--snapshot-out`` writes the aggregate + rule verdicts as JSON.
 
-    Exit status: 0 when no *hard* rule breached, 1 on a hard breach
-    (only ``--max-abort-rate`` installs one; the wall-clock gate from
-    ``--wall-p95`` is always advisory), 2 on bad arguments.
-
-    With ``--follow`` the monitor attaches to a *live node network*
-    (:mod:`repro.node`) instead of the one-shot pipeline: an N-node
-    network runs to the target height and the followed node's per-block
-    samples stream through the same sliding window.  A network that
-    diverges also exits 1.
+    Exit status: 0 when no *hard* rule breached and the network
+    converged, 1 on a hard breach (only ``--max-abort-rate`` installs
+    one; the wall-clock gate from ``--wall-p95`` is always advisory) or
+    a network that does not converge, 2 on bad arguments.
     """
     from repro import obs
+    from repro.node import NodeNetwork
     from repro.obs.monitor import (
         StreamingMonitor,
         default_rules,
@@ -921,7 +949,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         render_monitor,
     )
 
-    profile = _resolve_profile(args.chain)
+    _resolve_profile(args.chain)
     rate, registry, life = _sampling_components(args)
     if args.window < 1:
         raise CLIError("--window must be at least 1")
@@ -929,6 +957,15 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         raise CLIError("--max-abort-rate must be non-negative")
     if args.wall_p95 is not None and args.wall_p95 <= 0:
         raise CLIError("--wall-p95 must be positive")
+    config = _lifecycle_network(
+        args, transport=args.transport, max_sim_time=args.max_sim_time,
+    )
+    follow_id = args.follow_node
+    if follow_id not in (f"n{i}" for i in range(config.nodes)):
+        raise CLIError(
+            f"--follow-node {follow_id!r} is not in the network "
+            f"(nodes are n0..n{config.nodes - 1})"
+        )
     rules = default_rules(
         max_abort_rate=args.max_abort_rate,
         wall_p95_budget=args.wall_p95,
@@ -938,7 +975,9 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     )
     live = not args.once
 
-    def on_block(sample) -> None:
+    def on_block(node_id: str, sample) -> None:
+        if node_id != follow_id:
+            return
         aggregate = monitor.observe_block(sample)
         if live:
             print(render_monitor(
@@ -948,68 +987,16 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             ))
             print()
 
-    network_failed = ""
-    if args.follow:
-        from repro.node import NetworkConfig, NodeNetwork
-
-        follow_id = args.follow_node
-
-        def on_net_block(node_id: str, sample) -> None:
-            if node_id == follow_id:
-                on_block(sample)
-
-        try:
-            config = NetworkConfig(
-                nodes=args.net_nodes,
-                chain=args.chain,
-                engine=args.executor,
-                cores=args.cores,
-                transport=args.transport,
-                height=args.height,
-                seed=args.seed,
-                scale=args.scale,
-                max_sim_time=args.max_sim_time,
-            )
-        except ValueError as exc:
-            raise CLIError(str(exc)) from None
-        if not any(
-            f"n{i}" == follow_id for i in range(config.nodes)
-        ):
-            raise CLIError(
-                f"--follow-node {follow_id!r} is not in the network "
-                f"(nodes are n0..n{config.nodes - 1})"
-            )
-        network = NodeNetwork(config, on_block=on_net_block)
-        try:
-            with obs.instrumented(registry=registry, lifecycle=life):
-                result = network.run()
-        except ValueError as exc:
-            raise CLIError(str(exc)) from None
-        print(
-            f"network {result.reason} at height {result.height} "
-            f"(sim {result.sim_seconds:.2f}s, "
-            f"{result.committed} committed)"
-        )
-        if not result.converged:
-            network_failed = result.reason
-    else:
-        from repro.obs.lifecycle_run import run_lifecycle
-
-        try:
-            with obs.instrumented(registry=registry, lifecycle=life):
-                run_lifecycle(
-                    profile,
-                    blocks=args.blocks,
-                    seed=args.seed,
-                    cores=args.cores,
-                    executor=args.executor,
-                    scale=args.scale,
-                    nodes=args.nodes,
-                    mempool_weight=args.mempool_weight,
-                    on_block=on_block,
-                )
-        except ValueError as exc:
-            raise CLIError(str(exc)) from None
+    try:
+        with obs.instrumented(registry=registry, lifecycle=life):
+            result = NodeNetwork(config, on_block=on_block).run()
+    except ValueError as exc:
+        raise CLIError(str(exc)) from None
+    print(
+        f"network {result.reason} at height {result.height} "
+        f"(sim {result.sim_seconds:.2f}s, "
+        f"{result.committed} committed)"
+    )
 
     aggregate = monitor.aggregate()
     results = monitor.evaluate(aggregate)
@@ -1018,14 +1005,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             "(no blocks produced transactions — nothing to monitor; "
             "try more --blocks or a larger --scale)"
         )
-        if network_failed:
-            print(
-                f"error: followed network did not converge "
-                f"({network_failed})",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
+        return 0 if result.converged else _not_converged(result)
     if not live:
         print(render_monitor(
             aggregate, results,
@@ -1056,14 +1036,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return 1
-    if network_failed:
-        print(
-            f"error: followed network did not converge "
-            f"({network_failed})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return 0 if result.converged else _not_converged(result)
 
 
 def cmd_node(args: argparse.Namespace) -> int:
@@ -1073,8 +1046,8 @@ def cmd_node(args: argparse.Namespace) -> int:
     gossip, PoW/PBFT proposal, executor-replay validation with fork
     choice) over the chosen transport, injects the seeded chain
     workload through random ingress nodes, and runs until every node
-    converges — same head, height at least ``--height``, identical
-    mempools — or the simulation budget runs out.
+    converges — same head, height at least ``--height``, every mempool
+    drained — or the simulation budget runs out.
 
     Exit status: 0 when the network converged with byte-identical
     per-node chain state roots; 1 on divergence, timeout, or a root
@@ -1169,11 +1142,7 @@ def cmd_node(args: argparse.Namespace) -> int:
         print(f"wrote network snapshot to {args.snapshot_out}")
 
     if not result.converged:
-        print(
-            f"error: network did not converge ({result.reason})",
-            file=sys.stderr,
-        )
-        return 1
+        return _not_converged(result)
     if not result.roots_agree:
         print(
             "error: per-node chain state roots disagree",
@@ -1459,15 +1428,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution engine for the commit stage (default: dag)",
     )
     sub.add_argument("--blocks", type=int, default=5,
-                     help="number of blocks to run")
+                     help="workload blocks, and the chain height the "
+                          "network runs to")
     sub.add_argument("--seed", type=int, default=0,
                      help="determinism seed")
     sub.add_argument("--scale", type=float, default=1.0,
                      help="transaction-volume multiplier")
     sub.add_argument("--cores", type=int, default=4,
                      help="simulated cores for the executor")
-    sub.add_argument("--nodes", type=int, default=24,
-                     help="gossip topology size")
+    sub.add_argument("--nodes", type=int, default=4,
+                     help="node network size (default: 4)")
     sub.add_argument(
         "--mempool-weight", type=int, default=None, metavar="W",
         help="mempool capacity; small values force evictions "
@@ -1498,15 +1468,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution engine for the commit stage (default: dag)",
     )
     sub.add_argument("--blocks", type=int, default=8,
-                     help="number of blocks to run")
+                     help="workload blocks, and the chain height the "
+                          "network runs to")
     sub.add_argument("--seed", type=int, default=0,
                      help="determinism seed")
     sub.add_argument("--scale", type=float, default=1.0,
                      help="transaction-volume multiplier")
     sub.add_argument("--cores", type=int, default=4,
                      help="simulated cores for the executor")
-    sub.add_argument("--nodes", type=int, default=24,
-                     help="gossip topology size")
+    sub.add_argument("--nodes", type=int, default=4,
+                     help="node network size (default: 4)")
     sub.add_argument(
         "--mempool-weight", type=int, default=None, metavar="W",
         help="mempool capacity; small values force evictions "
@@ -1537,30 +1508,16 @@ def build_parser() -> argparse.ArgumentParser:
              "JSON (CI artifact)",
     )
     sub.add_argument(
-        "--follow", action="store_true",
-        help="attach to a live node network (repro.node) instead of "
-             "the one-shot pipeline; per-block samples from the "
-             "followed node stream through the window",
-    )
-    sub.add_argument(
         "--follow-node", default="n0", metavar="ID",
         help="which node's block stream to follow (default: n0)",
     )
     sub.add_argument(
         "--transport", default="virtual", choices=("virtual", "tcp"),
-        help="network transport with --follow (default: virtual)",
-    )
-    sub.add_argument(
-        "--net-nodes", type=int, default=4, metavar="N",
-        help="network size with --follow (default: 4)",
-    )
-    sub.add_argument(
-        "--height", type=int, default=6,
-        help="target chain height with --follow (default: 6)",
+        help="network transport (default: virtual)",
     )
     sub.add_argument(
         "--max-sim-time", type=float, default=600.0, metavar="SECONDS",
-        help="simulated-time budget with --follow before giving up "
+        help="simulated-time budget before giving up with exit 1 "
              "(default: 600)",
     )
     _add_sampling_args(sub)

@@ -23,7 +23,6 @@ import math
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro import obs
 
@@ -193,7 +192,6 @@ class GossipNetwork:
         origin: str,
         *,
         validation_delay: float = 0.0,
-        tx_hashes: Sequence[str] = (),
         block_id: str | None = None,
     ) -> PropagationResult | None:
         """Flood a block from *origin*; returns first-arrival times.
@@ -209,13 +207,6 @@ class GossipNetwork:
         total delay along a path is sum(link latencies) plus one
         validation per intermediate hop — which is how execution cost
         multiplies across the network.
-
-        When lifecycle tracing is on, *tx_hashes* names the transactions
-        riding in the flooded block: each gets one ``relayed`` event per
-        hop depth (at that depth's first-arrival time, offset from the
-        lifecycle clock) and a closing ``propagated`` event at full
-        coverage, so traces expose where propagation time goes hop by
-        hop.  With tracing off the argument costs nothing.
         """
         if origin not in self._peers:
             raise KeyError(f"unknown node {origin!r}")
@@ -253,48 +244,9 @@ class GossipNetwork:
                 hop_hist = obs.histogram("gossip.hops")
                 for hops in hops_of.values():
                     hop_hist.observe(hops)
-                if tx_hashes:
-                    self._trace_relays(tx_hashes, arrival, hops_of)
         return PropagationResult(
             arrival_times=arrival, validation_delay=validation_delay
         )
-
-    @staticmethod
-    def _trace_relays(
-        tx_hashes: Sequence[str],
-        arrival: dict[str, float],
-        hops_of: dict[str, int],
-    ) -> None:
-        """Record per-hop ``relayed`` + closing ``propagated`` events.
-
-        One event per hop depth (not per node): the depth's first
-        arrival is when the block front crossed that ring of the
-        overlay, which is the latency structure worth tracing; per-node
-        events would add volume without information.
-        """
-        life = obs.lifecycle()
-        if not life.enabled:
-            return
-        base = life.clock
-        first_at_depth: dict[int, float] = {}
-        for node, hops in hops_of.items():
-            if hops == 0:
-                continue
-            time = arrival[node]
-            best = first_at_depth.get(hops)
-            if best is None or time < best:
-                first_at_depth[hops] = time
-        full_coverage = max(arrival.values()) if arrival else 0.0
-        for tx_hash in tx_hashes:
-            for hops in sorted(first_at_depth):
-                life.record(
-                    tx_hash, "relayed",
-                    at=base + first_at_depth[hops], hop=hops,
-                )
-            life.record(
-                tx_hash, "propagated",
-                at=base + full_coverage, reached=len(arrival),
-            )
 
 
 def propagation_experiment(

@@ -14,6 +14,7 @@ from repro.node.network import (
     NodeNetwork,
     NodeSnapshot,
     build_node_txs,
+    lifecycle_config,
     network_fingerprint,
 )
 from repro.node.node import (
@@ -49,6 +50,7 @@ __all__ = [
     "VirtualRuntime",
     "build_node_txs",
     "chain_state_root",
+    "lifecycle_config",
     "make_genesis",
     "network_fingerprint",
 ]

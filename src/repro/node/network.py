@@ -4,7 +4,8 @@
 into a full mesh over one transport, injects a seeded chain workload
 through random ingress nodes, and runs the service loops until every
 honest node converges — same head, height at least the target, and
-byte-identical mempool contents — or the simulation budget runs out.
+every mempool drained (each injected transaction committed or
+evicted) — or the simulation budget runs out.
 
 Transports (`NetworkConfig.transport`):
 
@@ -186,9 +187,8 @@ def build_node_txs(
 ) -> list[NodeTx]:
     """Seeded chain workload flattened into client transactions.
 
-    Fees follow the lifecycle driver's fee model (weight-proportional
-    with a seeded multiplier) so the mempool's fee market has spread
-    to act on.  Coinbase-style payload items with no executor task
+    Fees are weight-proportional with a seeded multiplier, so the
+    mempool's fee market has spread to act on.  Coinbase-style payload items with no executor task
     are dropped — they never travel a real mempool.
     """
     inputs = replay_block_inputs(
@@ -210,6 +210,24 @@ def build_node_txs(
                 prediction=predictions.get(task.tx_hash),
             ))
     return txs
+
+
+def lifecycle_config(chain: str, *, blocks: int, **fields) -> NetworkConfig:
+    """The network a batch lifecycle run drives.
+
+    *blocks* source blocks of *chain*'s seeded workload are injected
+    and mined to height *blocks*; each block packs the whole pool, and
+    sharded chains agree by PBFT.  *fields* set the rest of the config.
+    ``repro lifecycle``, ``repro monitor`` and the regress gate run it.
+    """
+    return NetworkConfig(
+        chain=chain,
+        height=blocks,
+        workload_blocks=blocks,
+        block_weight=2 ** 62,
+        consensus="pbft" if get_profile(chain).num_shards > 0 else "pow",
+        **fields,
+    )
 
 
 class NodeNetwork:
@@ -356,8 +374,8 @@ class NodeNetwork:
             return False
         if min(node.height for node in nodes) < self.config.height:
             return False
-        pools = {tuple(node.pool_hashes()) for node in nodes}
-        return len(pools) == 1
+        # Injection is done: every transaction is committed or evicted.
+        return not any(len(node.pool) for node in nodes)
 
     def _snapshot(self, node: Node) -> NodeSnapshot:
         return NodeSnapshot(
@@ -400,5 +418,6 @@ __all__ = [
     "NodeNetwork",
     "NodeSnapshot",
     "build_node_txs",
+    "lifecycle_config",
     "network_fingerprint",
 ]

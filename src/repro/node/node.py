@@ -63,7 +63,7 @@ from repro.mempool.pool import AdmissionError, Mempool, PoolEntry
 from repro.network.gossip import BoundedSeenCache
 from repro.node.transport import Frame, MalformedFrame
 from repro.obs.critical_path import profile_events
-from repro.obs.lifecycle import stitch_execution_events
+from repro.obs.lifecycle import shard_subtrace_id, stitch_execution_events
 from repro.obs.monitor import BlockSample
 from repro.obs.timeline import FlightRecorder
 from repro.utxo.transaction import UTXOTransaction
@@ -145,6 +145,8 @@ class NodeConfig:
     heartbeat: float = 0.5
     cost_unit_seconds: float = 0.001
     seen_capacity: int = 4096
+    # The height the network driver waits for; the proposer loops run
+    # past it until the driver stops them.
     stop_height: int = 5
     mempool_weight: int = 2 ** 62
     min_fee_rate: float = 1.0
@@ -242,7 +244,6 @@ class Node:
         self._wanted: set[str] = set()
         self.stats = NodeStats()
         self.running = True
-        self.mining = True
         self.diverged = False
         self._last_head_at = 0.0
         self._all_ids = tuple(sorted((node_id, *peers)))
@@ -282,7 +283,6 @@ class Node:
         longer forms a cycle with it, and is freed by reference count.
         """
         self.running = False
-        self.mining = False
         self.on_block = None
         self.inbox.put_nowait(SHUTDOWN)
 
@@ -317,10 +317,56 @@ class Node:
             return False
         if not self._admit_to_pool(ntx):
             return False
+        if self.config.num_shards > 0:
+            self._assign_shards(ntx.task)
         self._relay(
             Frame("tx", self.node_id, ntx, hops=1, key=ntx.tx_hash)
         )
         return True
+
+    def _shards(self, task: TxTask) -> tuple[int, tuple[int, ...]]:
+        """*task*'s home committee, and the other committees its writes
+        home on (a Zilliqa-style cross-shard state sync)."""
+        from repro.sharding.committee import shard_for_address
+
+        shards = self.config.num_shards
+        home = shard_for_address(task.tx_hash, shards)
+        remote = {
+            shard_for_address(location, shards) for location in task.writes
+        }
+        return home, tuple(sorted(remote - {home}))
+
+    def _assign_shards(self, task: TxTask) -> None:
+        """Record the committee assignment once, at ingress, and open a
+        ``tx#shard=k`` sub-trace on every remote committee."""
+        life = obs.lifecycle()
+        if not life.enabled:
+            return
+        home, remote = self._shards(task)
+        life.record(task.tx_hash, "assigned", shard=home, node=self.node_id)
+        for shard in remote:
+            sub = shard_subtrace_id(task.tx_hash, shard)
+            if life.trace(sub) is None:  # not on a resubmission
+                life.begin(sub, parent_trace=task.tx_hash, shard=shard)
+                life.record(sub, "assigned", shard=shard, home_shard=home)
+
+    def _sync_shards(self, tasks) -> None:
+        """Close the packed transactions' sub-traces when the home
+        commit's state delta reaches the remote committees: at the
+        parent's commit time."""
+        life = obs.lifecycle()
+        for task in tasks:
+            # An unsampled parent has no trace: the block's clock.
+            parent = life.trace(task.tx_hash)
+            synced_at = (
+                parent.ended_at
+                if parent is not None and parent.closed else life.clock
+            )
+            for shard in self._shards(task)[1]:
+                life.close(
+                    shard_subtrace_id(task.tx_hash, shard), "committed",
+                    at=synced_at, sync="state_delta",
+                )
 
     def _admit_to_pool(self, ntx: NodeTx) -> bool:
         # A payload the receipts root digests, and a hash and locations
@@ -341,17 +387,6 @@ class Node:
         except AdmissionError:
             self.stats.rejected += 1
             return False
-        life = obs.lifecycle()
-        if life.enabled and self.config.num_shards > 0:
-            from repro.sharding.committee import shard_for_address
-
-            life.record(
-                ntx.tx_hash, "assigned",
-                shard=shard_for_address(
-                    ntx.tx_hash, self.config.num_shards
-                ),
-                node=self.node_id,
-            )
         return True
 
     # -- gossip ----------------------------------------------------------------
@@ -721,10 +756,10 @@ class Node:
 
     async def _pow_loop(self) -> None:
         assert self._pow is not None
-        while self.running and self.mining:
+        while self.running:
             slot = self._pow.next_slot(self.runtime.now())
             await self.runtime.sleep(max(slot.interval, 1e-6))
-            if not (self.running and self.mining):
+            if not self.running:
                 break
             head = self.forkchoice.head_block()
             assert head is not None
@@ -741,22 +776,22 @@ class Node:
     async def _pbft_loop(self) -> None:
         assert self._pbft is not None
         poll = max(self.config.block_interval / 4.0, 1e-3)
-        while self.running and self.mining:
+        while self.running:
             await self.runtime.sleep(poll)
-            if not (self.running and self.mining):
+            if not self.running:
                 break
             head = self.forkchoice.head_block()
             assert head is not None
-            if head.height >= self.config.stop_height:
-                self.mining = False
-                break
+            # Like PoW, PBFT goes on past stop_height: a round commits
+            # whatever is still pooled, and the network driver stops
+            # the node once every pool has drained.
             next_height = head.height + 1
             proposer = self._all_ids[next_height % len(self._all_ids)]
             if proposer != self.node_id or len(self.pool) == 0:
                 continue
             result = self._pbft.run_round()
             await self.runtime.sleep(result.latency)
-            if not (self.running and self.mining):
+            if not self.running:
                 break
             head = self.forkchoice.head_block()
             assert head is not None
@@ -775,8 +810,8 @@ class Node:
             obs.counter("node.proposer.empty").inc()
         height = head.height + 1
         # A coinbase marker keeps every block non-empty (the Merkle
-        # rule) and keeps the chain live to stop_height even when the
-        # pool drains; it carries no payload, so it is never executed.
+        # rule) and keeps a PoW chain live even when the pool drains;
+        # it carries no payload, so it is never executed.
         coinbase = NodeTx(
             task=TxTask(
                 tx_hash=(
@@ -802,6 +837,11 @@ class Node:
                 at=life.clock,
                 cost_unit_seconds=self.config.cost_unit_seconds,
             )
+            if self.config.num_shards > 0:
+                self._sync_shards(entry.payload.task for entry in entries)
+        # The block's execution lanes, for a driver that reads the
+        # global flight recorder (a Gantt chart, a Chrome trace).
+        obs.get_recorder().defer(recorder.dump_rows)
         block = build_block(
             ntxs,
             height=height,

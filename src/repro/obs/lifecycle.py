@@ -9,17 +9,18 @@ visible: a :class:`TraceContext` (trace_id / span_id / parent link) is
 minted at mempool admission and propagated with the transaction through
 every stage, so one transaction yields one *stitched trace*::
 
-    admitted → relayed* → propagated → assigned? → included
-             → consensus → scheduled → (aborted/retried)* → committed
+    admitted → assigned? → relayed* → included → consensus
+             → scheduled → (aborted/retried)* → committed
 
 (or a terminal ``dropped`` when the mempool evicts or replaces it).
 
 Design points, mirroring the rest of :mod:`repro.obs`:
 
 * **Simulated clock.** Stage timestamps are *simulated seconds* on a
-  clock the pipeline driver advances (:meth:`LifecycleTracer.set_clock`
-  / :meth:`advance`); instrumented modules (mempool, gossip) record at
-  the current clock without knowing the driver.  Timestamps within a
+  clock the driver advances (:meth:`LifecycleTracer.set_clock` /
+  :meth:`advance`; a node sets it to its runtime's clock); instrumented
+  modules (mempool, node) record at the current clock without knowing
+  the driver.  Timestamps within a
   trace are clamped monotonic, so a stitched trace is always a valid
   timeline — the property the tests assert.
 * **Causal chain.** Every event's ``parent_id`` is the previous event's
@@ -56,7 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
 # Stage vocabulary (docs/observability.md has the full stitching rules).
 ADMITTED = "admitted"        # minted at Mempool.submit
 RELAYED = "relayed"          # per-hop gossip relay (one per hop depth)
-PROPAGATED = "propagated"    # gossip coverage reached
 ASSIGNED = "assigned"        # sharding committee assignment
 INCLUDED = "included"        # selected by block packing
 CONSENSUS = "consensus"      # consensus round committed the block
@@ -67,7 +67,7 @@ COMMITTED = "committed"      # terminal: executed for good
 DROPPED = "dropped"          # terminal: evicted / replaced / expired
 
 STAGES = (
-    ADMITTED, RELAYED, PROPAGATED, ASSIGNED, INCLUDED, CONSENSUS,
+    ADMITTED, RELAYED, ASSIGNED, INCLUDED, CONSENSUS,
     SCHEDULED, ABORTED, RETRIED, COMMITTED, DROPPED,
 )
 TERMINAL_STAGES = (COMMITTED, DROPPED)
@@ -614,7 +614,6 @@ __all__ = [
     "DROPPED",
     "INCLUDED",
     "NOOP_LIFECYCLE",
-    "PROPAGATED",
     "RELAYED",
     "RETRIED",
     "SCHEDULED",

@@ -2,10 +2,10 @@
 
 A million-transaction sweep cannot be profiled post-hoc — the trace
 would not fit — so this module watches the pipeline *as it runs*: the
-driver (:func:`repro.obs.lifecycle_run.run_lifecycle` via its
-``on_block`` hook) hands the monitor one :class:`BlockSample` per
-committed block, and the monitor keeps a fixed-size ring buffer of the
-last ``window`` blocks.  Everything it reports — abort rate, stage
+node network (:class:`repro.node.NodeNetwork` via its ``on_block``
+hook) hands the monitor one :class:`BlockSample` per block the
+followed node makes its head, and the monitor keeps a fixed-size ring
+buffer of the last ``window`` blocks.  Everything it reports — abort rate, stage
 p50/p95/p99, lane utilization, mempool depth, block wall-clock — is
 computed over that window, so monitor memory is O(window x block), not
 O(tx).

@@ -50,7 +50,8 @@ from repro.obs.critical_path import (
     profile_events,
     task_conflict_profile,
 )
-from repro.obs.lifecycle_run import run_lifecycle
+from repro.node.network import NodeNetwork, lifecycle_config
+from repro.obs.lifecycle import join_shard_traces, stage_breakdown
 
 SNAPSHOT_SCHEMA_VERSION = 1
 
@@ -225,30 +226,33 @@ def build_snapshot(
                     / len(profiles) if profiles else 0.0
                 ),
             }
-        # Lifecycle pipeline pass: the same seeded workload end to end
-        # (mempool → gossip → consensus → execution) under a NESTED
-        # instrumented scope, so its second executor replay cannot
-        # bleed into the timeline/bounds sections above.  Only the
-        # pipeline-stage metric families merge back.
+        # Lifecycle pass: the same seeded workload end to end on the
+        # virtual node network (mempool → gossip → consensus →
+        # execution) under a NESTED instrumented scope, so its
+        # executor replays cannot bleed into the timeline/bounds
+        # sections above.  Only the pipeline-stage metric families
+        # merge back.
         with obs.instrumented() as life_state:
-            life_result = run_lifecycle(
-                profile, blocks=blocks, seed=seed, cores=cores,
-            )
+            network = NodeNetwork(lifecycle_config(
+                chain, blocks=blocks, seed=seed, cores=cores, engine="dag",
+            )).run()
+            traces = join_shard_traces(life_state.lifecycle.traces())
         state.registry.merge_dump(
             record for record in life_state.registry.dump()
             if str(record["name"]).startswith(_LIFECYCLE_METRIC_PREFIXES)
         )
+        outcomes = [trace.outcome for trace in traces]
         lifecycle_section: dict[str, object] = {
-            "admitted": life_result.admitted,
-            "committed": life_result.committed,
-            "dropped": life_result.dropped,
-            "open": life_result.open,
+            "admitted": network.injected,
+            "committed": outcomes.count("committed"),
+            "dropped": outcomes.count("dropped"),
+            "open": outcomes.count(None),
             "stages": {
                 stage: {
                     "count": stats.count,
                     "sum": round(stats.total, 9),
                 }
-                for stage, stats in life_result.breakdown().items()
+                for stage, stats in stage_breakdown(traces).items()
             },
         }
 

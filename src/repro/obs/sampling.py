@@ -67,8 +67,18 @@ _STAGE_SET = frozenset(STAGES)
 # covers a block's worth of in-flight ids, which is the reuse window
 # (admission → packing → consensus → execution happen blocks apart at
 # most).  Evicted ids simply re-hash — the decision is pure, so the
-# cache can never change an outcome.
+# cache can never change an outcome.  The memo is also what tells a
+# re-admission from an admission: on a node network every pool admits
+# each transaction, and only the first may count (see ``begin``).  So
+# it keeps two generations of half the cap each, and a full one retires
+# whole instead of forgetting the ids in flight.
 _DECISION_MEMO_CAP = 65_536
+
+# The memo value of a head-dropped trace that reached a terminal stage.
+# A later event for it (a relay that arrives after the commit, a block
+# re-executed after a fork) is late, as on a closed kept trace: it
+# counts nowhere.
+_SEALED = "sealed"
 
 # Tail sampling buffers provisional events for head-dropped traces
 # until they close; the buffer is bounded so a flood of never-closing
@@ -181,10 +191,11 @@ class SampledLifecycleTracer(LifecycleTracer):
     ``Counter.inc`` would cost more than the rest of the unsampled
     path combined.
 
-    Note: duplicate-``begin`` detection only applies to sampled
-    transactions — unsampled ids keep no state at all (that is the
-    point), so a duplicate unsampled admission is indistinguishable
-    from the first.
+    Counts follow what the full tracer records: a head-dropped id's
+    repeated ``begin`` (another pool admitting it) and its events
+    after a terminal stage are not counted, as they are not on a kept
+    trace.  The bounded decision memo is the only state this takes —
+    an id that has left both of its generations counts afresh.
 
     **Tail-based sampling** (``tail_seconds``): traces whose simulated
     duration (first event → terminal event) reaches the threshold are
@@ -210,7 +221,9 @@ class SampledLifecycleTracer(LifecycleTracer):
         self._rate = rate
         self._counting = registry is not None and registry.enabled
         self._stage_counters: dict[str, "Counter"] = {}
-        self._decisions: dict[str, bool] = {}
+        # trace id -> True (kept), False (head-dropped) or _SEALED.
+        self._decisions: dict[str, bool | str] = {}
+        self._retired: dict[str, bool | str] = {}
         self._pending_counts: dict[str, int] = {}
         self._pending_kept = 0
         self._pending_dropped = 0
@@ -238,22 +251,30 @@ class SampledLifecycleTracer(LifecycleTracer):
         return len(self._provisional)
 
     def sampled(self, trace_id: str) -> bool:
-        return self._decide(trace_id)
+        return self._decide(trace_id) is True
 
-    def _decide(self, trace_id: str) -> bool:
+    def _known(self, trace_id: str) -> bool | str | None:
+        """The memo value for *trace_id*, or None if unseen."""
+        decision = self._decisions.get(trace_id)
+        if decision is None:
+            decision = self._retired.get(trace_id)
+        return decision
+
+    def _decide(self, trace_id: str) -> bool | str:
         decisions = self._decisions
         decision = decisions.get(trace_id)
         if decision is None:
-            decision = sample_decision(trace_id, self._rate)
-            if len(decisions) >= _DECISION_MEMO_CAP:
-                # Flush wholesale.  One-at-a-time FIFO eviction
-                # (``del d[next(iter(d))]``) is quadratic on CPython —
-                # iteration rescans the tombstones earlier deletes left
-                # behind — and a halving rebuild still costs ~0.6 µs
-                # amortised per miss.  ``clear()`` is C-speed and
-                # in-flight ids simply re-hash once; the decision is
-                # pure, so no outcome can change.
-                decisions.clear()
+            decision = self._retired.get(trace_id)
+            if decision is None:
+                decision = sample_decision(trace_id, self._rate)
+            if len(decisions) >= _DECISION_MEMO_CAP // 2:
+                # Retire the generation whole.  One-at-a-time FIFO
+                # eviction (``del d[next(iter(d))]``) is quadratic on
+                # CPython — iteration rescans the tombstones earlier
+                # deletes left behind — and a halving rebuild still
+                # costs ~0.6 µs amortised per miss.
+                self._retired = decisions
+                decisions = self._decisions = {}
             decisions[trace_id] = decision
         return decision
 
@@ -321,6 +342,7 @@ class SampledLifecycleTracer(LifecycleTracer):
     def clear(self) -> None:
         super().clear()
         self._decisions.clear()
+        self._retired.clear()
         self._pending_counts.clear()
         self._pending_kept = 0
         self._pending_dropped = 0
@@ -332,9 +354,14 @@ class SampledLifecycleTracer(LifecycleTracer):
 
     def begin(self, tx_hash: str, *, at: float | None = None,
               **attrs: object) -> TraceContext:
+        if self._known(tx_hash) not in (None, True):
+            # A head-dropped transaction a pool already admitted (on a
+            # node network each pool admits it): one root per
+            # transaction, as ``trace() is None`` gives a kept one.
+            return UNSAMPLED_CONTEXT
         pending = self._pending_counts
         pending[ADMITTED] = pending.get(ADMITTED, 0) + 1
-        if self._decide(tx_hash):
+        if self._decide(tx_hash) is True:
             self._pending_kept += 1
             return super().begin(tx_hash, at=at, **attrs)
         self._pending_dropped += 1
@@ -352,18 +379,24 @@ class SampledLifecycleTracer(LifecycleTracer):
                 f"{', '.join(STAGES)}"
             )
         pending = self._pending_counts
-        pending[stage] = pending.get(stage, 0) + 1
         decision = self._decisions.get(tx_hash)
         if decision is None:
             decision = self._decide(tx_hash)
-        if not decision:
-            if self._tail_seconds is not None:
-                when = self._clock if at is None else float(at)
-                self._tail_record(tx_hash, stage, when, duration, attrs)
+        if decision is True:
+            if tx_hash in self._open:  # a late event counts nowhere
+                pending[stage] = pending.get(stage, 0) + 1
+            return super().record(
+                tx_hash, stage, at=at, duration=duration, **attrs
+            )
+        if decision is _SEALED:
             return None
-        return super().record(
-            tx_hash, stage, at=at, duration=duration, **attrs
-        )
+        pending[stage] = pending.get(stage, 0) + 1
+        if stage in TERMINAL_STAGES:
+            self._decisions[tx_hash] = _SEALED
+        if self._tail_seconds is not None:
+            when = self._clock if at is None else float(at)
+            self._tail_record(tx_hash, stage, when, duration, attrs)
+        return None
 
     # -- tail-based promotion --------------------------------------------------
 

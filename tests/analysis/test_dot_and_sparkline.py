@@ -1,18 +1,11 @@
-"""Tests for DOT export and sparkline rendering."""
+"""Tests for sparkline rendering."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.dot import (
-    account_tdg_to_dot,
-    tdg_groups_to_dot,
-    utxo_chain_to_dot,
-)
-from repro.analysis.examples import figure_1b_edges, figure_6_chain
 from repro.analysis.report import render_sparkline
 from repro.core.aggregation import BucketedSeries
-from repro.core.tdg import TDGResult
 
 
 def _series(values):
@@ -23,54 +16,6 @@ def _series(values):
         weights=tuple(1.0 for _ in range(n)),
         counts=tuple(1 for _ in range(n)),
     )
-
-
-class TestAccountDot:
-    def test_renders_fig1b(self):
-        dot = account_tdg_to_dot(figure_1b_edges(), title="block-1000124")
-        assert dot.startswith('digraph "block-1000124" {')
-        assert dot.rstrip().endswith("}")
-        assert '"0x32b"' in dot           # Poloniex node
-        assert "style=dashed" in dot      # internal transactions
-        assert "style=solid" in dot       # regular transactions
-
-    def test_edge_counts(self):
-        edges = {"t1": [("a", "b")], "t2": [("c", "d"), ("d", "e")]}
-        dot = account_tdg_to_dot(edges)
-        assert dot.count("->") == 3
-        assert dot.count("style=dashed") == 1
-
-    def test_quoting(self):
-        dot = account_tdg_to_dot({"t": [('we"ird', "x")]})
-        assert r"\"" in dot
-
-
-class TestUTXODot:
-    def test_renders_fig6(self):
-        transactions, _tdg = figure_6_chain()
-        dot = utxo_chain_to_dot(transactions, title="block-500000")
-        # One box per transaction, one circle per output.
-        assert dot.count("shape=box") == len(transactions)
-        outputs = sum(len(tx.outputs) for tx in transactions)
-        assert dot.count("shape=circle") == outputs
-        # 17 intra-block spends drawn solid.
-        assert dot.count("style=solid") == len(transactions) - 1
-
-    def test_valid_structure(self):
-        transactions, _ = figure_6_chain()
-        dot = utxo_chain_to_dot(transactions)
-        assert dot.count("{") == dot.count("}")
-
-
-class TestGroupsDot:
-    def test_clusters(self):
-        tdg = TDGResult(
-            groups=(("tx_a", "tx_b"), ("tx_c",)), num_transactions=3
-        )
-        dot = tdg_groups_to_dot(tdg)
-        assert "subgraph cluster_0" in dot
-        assert "subgraph cluster_1" in dot
-        assert "group 0 (2)" in dot
 
 
 class TestSparkline:

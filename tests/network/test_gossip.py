@@ -120,53 +120,3 @@ class TestExperimentAndOrphans:
         assert orphan_rate_estimate(
             fast.coverage_time(0.9), interval
         ) < orphan_rate_estimate(slow.coverage_time(0.9), interval)
-
-
-class TestLifecycleRelays:
-    def test_relays_and_propagated_land_on_traces(self):
-        from repro import obs
-
-        with obs.instrumented() as state:
-            life = state.lifecycle
-            life.begin("tx1")
-            network = _line_network()
-            result = network.propagate(
-                "a", tx_hashes=["tx1", "unknown-tx"]
-            )
-            trace = life.trace("tx1")
-            # One relay per hop depth (b at hop 1, c at hop 2) plus the
-            # full-coverage propagated mark.
-            assert trace.stages == (
-                "admitted", "relayed", "relayed", "propagated",
-            )
-            hops = [e.attrs["hop"] for e in trace.events
-                    if e.stage == "relayed"]
-            assert hops == [1, 2]
-            relayed = [e for e in trace.events if e.stage == "relayed"]
-            assert [e.at for e in relayed] == [1.0, 3.0]
-            propagated = trace.events[-1]
-            assert propagated.at == max(result.arrival_times.values())
-            assert propagated.attrs["reached"] == 3
-            # The unknown hash is counted, never raised.
-            counters = state.registry.snapshot()["counters"]
-            assert counters["lifecycle.unknown"] >= 1.0
-
-    def test_relays_offset_by_tracer_clock(self):
-        from repro import obs
-
-        with obs.instrumented() as state:
-            life = state.lifecycle
-            life.advance(100.0)
-            life.begin("tx1")
-            _line_network().propagate("a", tx_hashes=["tx1"])
-            trace = life.trace("tx1")
-            assert trace.events[-1].stage == "propagated"
-            assert trace.events[-1].at == 103.0
-
-    def test_no_tx_hashes_means_no_lifecycle_records(self):
-        from repro import obs
-
-        with obs.instrumented() as state:
-            state.lifecycle.begin("tx1")
-            _line_network().propagate("a")
-            assert state.lifecycle.trace("tx1").stages == ("admitted",)

@@ -14,8 +14,12 @@ from repro.node import (
     Node,
     NodeNetwork,
     build_node_txs,
+    lifecycle_config,
     network_fingerprint,
 )
+from repro.obs.lifecycle import join_shard_traces
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.sampling import SampledLifecycleTracer, SampleRate
 from repro.workload.profiles import PROFILES_BY_NAME
 
 
@@ -49,6 +53,18 @@ class TestConvergence:
         result = NodeNetwork(_small(consensus="pbft", nodes=4)).run()
         assert result.converged, result.reason
         assert result.roots_agree
+
+    def test_pbft_converges_only_with_every_pool_drained(self):
+        """PBFT goes on proposing past the target height while its pool
+        holds transactions: every injected one commits."""
+        result = NodeNetwork(NetworkConfig(
+            chain="ethereum", consensus="pbft", height=5, seed=2020,
+            workload_blocks=3, scale=0.3,
+        )).run()
+        assert result.converged, result.reason
+        assert all(not snap.pool_hashes for snap in result.snapshots)
+        # chain_txs counts one coinbase marker per block.
+        assert result.committed - result.height == result.injected
 
     def test_faulty_links_still_converge(self):
         result = NodeNetwork(_small(
@@ -119,6 +135,15 @@ class TestTeardown:
         assert leaked == 0
 
 
+def _lifecycle(chain, **fields):
+    """A lifecycle network run, recorded; its joined traces and state."""
+    fields = {"blocks": 3, "seed": 7, "cores": 4, "engine": "dag", **fields}
+    with obs.instrumented() as state:
+        result = NodeNetwork(lifecycle_config(chain, **fields)).run()
+    assert result.converged, result.reason
+    return result, join_shard_traces(state.lifecycle.traces()), state
+
+
 class TestLifecycleAcrossNetwork:
     def test_one_monotonic_trace_per_injected_tx(self):
         config = _small(seed=11)
@@ -142,10 +167,156 @@ class TestLifecycleAcrossNetwork:
         for trace in traces:
             assert trace.is_monotonic()
             assert trace.events[0].stage == "admitted"
-        closed = [t for t in traces if t.closed]
-        assert closed, "no transaction reached a terminal stage"
-        for trace in closed:
             assert trace.outcome == "committed"
+
+    @pytest.mark.parametrize("chain", ["ethereum", "bitcoin"])
+    @pytest.mark.parametrize("engine", ["dag", "occ"])
+    def test_every_trace_closes(self, chain, engine):
+        result, traces, _state = _lifecycle(chain, engine=engine)
+        assert result.injected > 0
+        assert len({t.trace_id for t in traces}) == result.injected
+        for trace in traces:
+            assert trace.is_monotonic()
+            assert trace.events[0].stage == "admitted"
+            assert trace.outcome == "committed"
+            assert {"included", "consensus", "scheduled"} <= set(
+                trace.stages
+            )
+            assert "assigned" not in trace.stages
+
+    def test_unsharded_chain_skips_assignment(self):
+        _, traces, _state = _lifecycle("ethereum", blocks=2)
+        assert traces
+        for trace in traces:
+            assert "assigned" not in trace.stages
+
+    def test_lifecycle_traces_deterministic_per_seed(self):
+        _, first, _ = _lifecycle("ethereum", blocks=2)
+        _, second, _ = _lifecycle("ethereum", blocks=2)
+        assert [t.as_dict() for t in first] == [t.as_dict() for t in second]
+
+    def test_stage_metrics_land_in_registry(self):
+        _, traces, state = _lifecycle("ethereum", blocks=2)
+        snapshot = state.registry.snapshot()
+        assert snapshot["counters"]["lifecycle.opened"] == len(traces) > 0
+        assert "lifecycle.stage.committed" in snapshot["histograms"]
+        assert snapshot["counters"]["mempool.admitted"] > 0
+        assert snapshot["counters"]["node.net.sent"] > 0
+
+    def test_proposers_fill_the_global_flight_recorder(self):
+        _, traces, state = _lifecycle("ethereum", blocks=2)
+        commits = state.recorder.events(kind="commit")
+        assert {event.executor for event in commits} == {"dag"}
+        assert {event.task for event in commits} >= {
+            trace.trace_id for trace in traces
+        }
+
+    def test_dag_commits_every_conflicting_pair_in_packed_order(
+        self, monkeypatch
+    ):
+        """A packed block's tasks are in fee order, not chain order; the
+        ``dag`` engine must order every conflicting pair as they are
+        packed, as every other engine does.  The regress gate's run."""
+        from repro.node import node as node_module
+
+        runs = []
+        replay = node_module.replay_single_block
+
+        def spy(data_model, block, engine, cores):
+            record, recorder = replay(data_model, block, engine, cores)
+            runs.append((block.tasks, record.commit_order))
+            return record, recorder
+
+        monkeypatch.setattr(node_module, "replay_single_block", spy)
+        _lifecycle("ethereum", blocks=10, seed=2020)
+        pairs = 0
+        for tasks, order in runs:
+            committed_at = {tx_hash: i for i, tx_hash in enumerate(order)}
+            for index, task in enumerate(tasks):
+                for later in tasks[index + 1:]:
+                    if task.conflicts_with(later):
+                        pairs += 1
+                        assert committed_at[task.tx_hash] < \
+                            committed_at[later.tx_hash]
+        assert pairs > 100
+
+    def test_tiny_pool_closes_evicted_traces_as_dropped(self):
+        result, traces, state = _lifecycle(
+            "ethereum", blocks=2, mempool_weight=50
+        )
+        outcomes = [trace.outcome for trace in traces]
+        dropped = outcomes.count("dropped")
+        assert dropped > 0
+        assert outcomes.count("committed") + dropped == result.injected
+        assert all(
+            trace.events[-1].attrs["reason"] == "evicted"
+            for trace in traces if trace.outcome == "dropped"
+        )
+        counters = state.registry.snapshot()["counters"]
+        assert counters["lifecycle.closed{outcome=dropped}"] == dropped
+
+    def test_zilliqa_joins_cross_shard_subtraces(self):
+        result, traces, state = _lifecycle("zilliqa", blocks=2, seed=2020)
+        shards = PROFILES_BY_NAME["zilliqa"].num_shards
+        assert len(traces) == result.injected
+        cross_shard = 0
+        for trace in traces:
+            # Sub-traces are joined back into the base trace.
+            assert "#" not in trace.trace_id
+            assert trace.outcome == "committed"
+            assigned = [e for e in trace.events if e.stage == "assigned"]
+            home = [e for e in assigned if "home_shard" not in e.attrs]
+            assert len(home) == 1
+            assert 0 <= home[0].attrs["shard"] < shards
+            # One extra assignment per remote committee the writes
+            # home on, each tagged with the home shard.
+            remote = [e for e in assigned if "home_shard" in e.attrs]
+            for event in remote:
+                assert event.attrs["home_shard"] == home[0].attrs["shard"]
+                assert event.attrs["shard"] != home[0].attrs["shard"]
+            cross_shard += bool(remote)
+            consensus = [e for e in trace.events if e.stage == "consensus"]
+            assert consensus[0].attrs["mechanism"] == "pbft"
+        assert cross_shard > 0
+        assert state.lifecycle.open_count == 0
+
+    def test_assigned_once_per_injected_tx(self):
+        with obs.instrumented() as state:
+            result = NodeNetwork(_small(
+                chain="zilliqa", consensus="pbft", nodes=4, seed=2020,
+                height=5, workload_blocks=5, scale=1.0,
+            )).run()
+        assert result.converged, result.reason
+        histogram = state.registry.snapshot()["histograms"]
+        home = sum(
+            event.stage == "assigned" and "home_shard" not in event.attrs
+            for trace in state.lifecycle.traces()
+            for event in trace.events
+        )
+        assert home == result.injected > 0
+        assert histogram["lifecycle.stage.assigned"]["count"] >= home
+
+    def test_sampled_counters_count_each_tx_once(self):
+        """Every pool admits each transaction; a head-dropped one still
+        counts one admission, so stage counters stay exact."""
+        registry = MetricsRegistry()
+        life = SampledLifecycleTracer(SampleRate(1, 100), registry=registry)
+        with obs.instrumented(registry=registry, lifecycle=life):
+            result = NodeNetwork(
+                lifecycle_config("ethereum", blocks=2, seed=7)
+            ).run()
+        life.flush_counts()
+        counters = registry.snapshot()["counters"]
+        assert counters["lifecycle.stage_count.admitted"] == result.injected
+        assert counters["lifecycle.stage_count.committed"] == result.injected
+
+    def test_unrecorded_run_records_nothing(self):
+        obs.uninstall()
+        result = NodeNetwork(lifecycle_config("ethereum", blocks=2)).run()
+        assert result.converged, result.reason
+        assert result.injected > 0
+        assert obs.lifecycle().traces() == []
+        assert obs.get_recorder().events() == []
 
     def test_node_metrics_land_in_registry(self):
         with obs.instrumented() as state:

@@ -1,6 +1,7 @@
-"""CLI contract for ``repro node run`` and ``repro monitor --follow``:
-exit-code matrix (0 converged, 1 divergence/timeout, 2 usage), the
-deterministic ``--snapshot-out`` artifact, and live monitor attach."""
+"""CLI contract for ``repro node run`` and ``repro monitor`` on the
+node network: exit-code matrix (0 converged, 1 divergence/timeout, 2
+usage), the deterministic ``--snapshot-out`` artifact, and live monitor
+attach."""
 
 from __future__ import annotations
 
@@ -27,7 +28,10 @@ class TestNodeRun:
     def test_converged_run_exits_0(self, capsys):
         code, out, err = _run(capsys)
         assert code == 0
-        assert "converged at height 2" in out
+        # At least the target height: the network mines on until every
+        # pool has drained.
+        height = int(out.split("converged at height ")[1].split()[0])
+        assert height >= 2
         assert "fingerprint" in out
         assert err == ""
 
@@ -79,8 +83,8 @@ class TestNodeRun:
 class TestMonitorFollow:
     def test_follow_renders_at_least_three_windows(self, capsys):
         code = main([
-            "monitor", "--chain", "ethereum", "--follow",
-            "--net-nodes", "3", "--height", "3", "--seed", "11",
+            "monitor", "--chain", "ethereum",
+            "--nodes", "3", "--blocks", "3", "--seed", "11",
             "--scale", "0.3", "--window", "4",
         ])
         captured = capsys.readouterr()
@@ -90,8 +94,8 @@ class TestMonitorFollow:
 
     def test_follow_timeout_exits_1(self, capsys):
         code = main([
-            "monitor", "--chain", "ethereum", "--follow",
-            "--net-nodes", "3", "--height", "5", "--seed", "11",
+            "monitor", "--chain", "ethereum",
+            "--nodes", "3", "--blocks", "5", "--seed", "11",
             "--scale", "0.2", "--max-sim-time", "1", "--once",
         ])
         captured = capsys.readouterr()
@@ -100,8 +104,8 @@ class TestMonitorFollow:
 
     def test_follow_unknown_node_exits_2(self, capsys):
         code = main([
-            "monitor", "--chain", "ethereum", "--follow",
-            "--net-nodes", "3", "--follow-node", "n9",
+            "monitor", "--chain", "ethereum",
+            "--nodes", "3", "--follow-node", "n9",
         ])
         capsys.readouterr()
         assert code == 2

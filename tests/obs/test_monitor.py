@@ -7,8 +7,8 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
+from repro.node import NodeNetwork, lifecycle_config
 from repro.obs.lifecycle import LifecycleTracer
-from repro.obs.lifecycle_run import run_lifecycle
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import (
     BlockSample,
@@ -18,7 +18,6 @@ from repro.obs.monitor import (
     monitor_snapshot,
     render_monitor,
 )
-from repro.workload.profiles import ETHEREUM, ZILLIQA
 
 
 def _sample(height, *, txs=10, committed=10, aborted=0, retried=0,
@@ -201,17 +200,29 @@ class TestRendering:
 
 
 class TestPipelineIntegration:
-    def test_run_lifecycle_streams_block_samples(self):
+    @staticmethod
+    def _follow(chain, *, blocks):
+        """Stream node ``n0``'s blocks of a lifecycle network run."""
         registry = MetricsRegistry()
         monitor = StreamingMonitor(window=4, registry=registry)
+
+        def on_block(node_id, sample):
+            if node_id == "n0":
+                monitor.observe_block(sample)
+
         with obs.instrumented(
             registry=registry,
             lifecycle=LifecycleTracer(registry=registry),
         ):
-            result = run_lifecycle(
-                ETHEREUM, blocks=4, seed=2020, cores=2,
-                on_block=monitor.observe_block,
-            )
+            result = NodeNetwork(
+                lifecycle_config(chain, blocks=blocks, seed=2020, cores=2),
+                on_block=on_block,
+            ).run()
+        assert result.converged, result.reason
+        return monitor, registry, result
+
+    def test_network_streams_block_samples(self):
+        monitor, registry, result = self._follow("ethereum", blocks=4)
         assert monitor.blocks_seen > 0
         aggregate = monitor.aggregate()
         assert aggregate.txs > 0
@@ -220,18 +231,9 @@ class TestPipelineIntegration:
         assert aggregate.stage_percentiles["committed"]["count"] > 0
         assert registry.counter("monitor.blocks").value == \
             monitor.blocks_seen
-        assert result.admitted > 0
+        assert result.injected > 0
 
     def test_sharded_profile_streams_joined_traces(self):
-        monitor = StreamingMonitor(window=4)
-        registry = MetricsRegistry()
-        with obs.instrumented(
-            registry=registry,
-            lifecycle=LifecycleTracer(registry=registry),
-        ):
-            run_lifecycle(
-                ZILLIQA, blocks=3, seed=2020, cores=2,
-                on_block=monitor.observe_block,
-            )
+        monitor, _registry, _result = self._follow("zilliqa", blocks=3)
         assert monitor.blocks_seen > 0
         assert monitor.aggregate().txs > 0
