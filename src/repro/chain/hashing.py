@@ -62,12 +62,21 @@ def hash_parts(*parts: str) -> str:
 
 
 def joinable(*parts: str) -> bool:
-    """Whether every part is a string free of the separator, as
-    :func:`hash_parts` needs."""
+    """Whether :func:`hash_parts` accepts *parts*: one or more strings,
+    none holding the separator, all with a UTF-8 encoding."""
     try:
-        return SEPARATOR not in "".join(parts)
+        text = "".join(parts)
     except TypeError:  # a part that is not a string
         return False
+    if not parts or SEPARATOR in text:
+        return False
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        return False
+    return True
 
 
 def hash_concat(parts: Iterable[str]) -> str:

@@ -125,50 +125,6 @@ def _parallel_kwargs(args: argparse.Namespace) -> dict:
     return {"backend": backend, "jobs": jobs, "chunk_size": chunk_size}
 
 
-def _add_sampling_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--rate", default="1/1", metavar="K/N",
-        help="head-based trace sampling rate, e.g. 1/100 (default: "
-             "1/1, trace everything; counters stay exact either way)",
-    )
-    parser.add_argument(
-        "--policy", default="exact", choices=("exact", "sketch"),
-        help="histogram policy: exact sample retention or "
-             "bounded-memory sketches (default: exact)",
-    )
-    parser.add_argument(
-        "--tail", type=float, default=None, metavar="SECONDS",
-        help="tail-based sampling: keep any trace whose simulated "
-             "duration reaches SECONDS even if head-dropped "
-             "(default: off)",
-    )
-
-
-def _sampling_components(args: argparse.Namespace):
-    """(rate, registry, lifecycle tracer) from --rate/--policy/--tail.
-
-    Bad values raise :class:`CLIError` (exit 2), matching the rest of
-    the argument validation.
-    """
-    from repro.obs.lifecycle import LifecycleTracer
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.sampling import SampledLifecycleTracer, parse_rate
-
-    tail = getattr(args, "tail", None)
-    try:
-        rate = parse_rate(args.rate)
-        registry = MetricsRegistry(policy=args.policy)
-        if rate.is_full and tail is None:
-            life: LifecycleTracer = LifecycleTracer(registry=registry)
-        else:
-            life = SampledLifecycleTracer(
-                rate=rate, registry=registry, tail_seconds=tail
-            )
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
-    return rate, registry, life
-
-
 def _generate(args: argparse.Namespace):
     profile = _resolve_profile(args.chain)
     return generate_chain(
@@ -800,17 +756,16 @@ def cmd_lifecycle(args: argparse.Namespace) -> int:
         stage_shares,
     )
 
-    profile = _resolve_profile(args.chain)
+    _resolve_profile(args.chain)
     if args.top < 1:
         raise CLIError("--top must be at least 1")
-    rate, registry, life = _sampling_components(args)
     config = _lifecycle_network(args)
     try:
-        with obs.instrumented(registry=registry, lifecycle=life) as state:
+        with obs.instrumented() as state:
             result = NodeNetwork(config).run()
     except ValueError as exc:
         raise CLIError(str(exc)) from None
-    traces = join_shard_traces(life.traces())
+    traces = join_shard_traces(state.lifecycle.traces())
     outcomes = [trace.outcome for trace in traces]
 
     print(
@@ -820,21 +775,9 @@ def cmd_lifecycle(args: argparse.Namespace) -> int:
         f"{outcomes.count(None)} open over {args.blocks} block(s) on "
         f"{config.nodes} nodes ({result.reason})"
     )
-    if not rate.is_full:
-        print(
-            f"(head-based sampling at {rate}: latency detail covers "
-            f"{len(traces)} sampled trace(s); stage counters "
-            "remain exact)"
-        )
     breakdown = stage_breakdown(traces)
     if not breakdown:
-        if not rate.is_full:
-            print(
-                f"(no traces sampled at rate {rate} — try a coarser "
-                "rate or more blocks; counters are still exact)"
-            )
-        else:
-            print("(no traces recorded)")
+        print("(no traces recorded)")
         return 0 if result.converged else _not_converged(result)
     shares = stage_shares(breakdown)
     print()
@@ -890,36 +833,6 @@ def cmd_lifecycle(args: argparse.Namespace) -> int:
             raise CLIError(f"cannot write trace file: {exc}") from None
         print()
         print(f"wrote {count} trace events to {args.out}")
-    parallel = _parallel_kwargs(args)
-    if parallel["backend"] != "serial":
-        # A fanned-out verification replay of the same seeded blocks:
-        # the chosen executor must reach the exact per-block commit
-        # state the serial replay does, whichever backend carried it.
-        from repro.execution.parallel_replay import replay_profile
-
-        serial = replay_profile(
-            profile, blocks=args.blocks, seed=args.seed, scale=args.scale,
-            engines=(args.executor,), cores=args.cores, backend="serial",
-        )
-        fanned = replay_profile(
-            profile, blocks=args.blocks, seed=args.seed, scale=args.scale,
-            engines=(args.executor,), cores=args.cores, **parallel,
-        )
-        print()
-        if serial.records == fanned.records:
-            root = serial.summary(args.executor).state_root
-            print(
-                f"parallel replay verification ({parallel['backend']} "
-                f"backend, jobs={parallel['jobs']}): state root "
-                f"{root[:16]} matches the serial replay"
-            )
-        else:
-            print(
-                f"parallel replay verification ({parallel['backend']} "
-                "backend): DIVERGENCE from the serial replay",
-                file=sys.stderr,
-            )
-            return 1
     return 0 if result.converged else _not_converged(result)
 
 
@@ -930,7 +843,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     live: after each block the followed node (``--follow-node``) makes
     its head, the monitor folds that node's :class:`BlockSample` into
     its ring buffer and (unless ``--once``) re-renders the windowed
-    dashboard — abort rate, sampled stage percentiles, lane
+    dashboard — abort rate, stage percentiles, lane
     utilization, mempool depth, and block wall-clock percentiles.
     ``--once`` prints only the final window (the CI snapshot mode);
     ``--snapshot-out`` writes the aggregate + rule verdicts as JSON.
@@ -942,6 +855,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     """
     from repro import obs
     from repro.node import NodeNetwork
+    from repro.obs.metrics import MetricsRegistry
     from repro.obs.monitor import (
         StreamingMonitor,
         default_rules,
@@ -950,7 +864,6 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     )
 
     _resolve_profile(args.chain)
-    rate, registry, life = _sampling_components(args)
     if args.window < 1:
         raise CLIError("--window must be at least 1")
     if args.max_abort_rate is not None and args.max_abort_rate < 0:
@@ -970,6 +883,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         max_abort_rate=args.max_abort_rate,
         wall_p95_budget=args.wall_p95,
     )
+    registry = MetricsRegistry()
     monitor = StreamingMonitor(
         window=args.window, rules=rules, registry=registry
     )
@@ -988,7 +902,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             print()
 
     try:
-        with obs.instrumented(registry=registry, lifecycle=life):
+        with obs.instrumented(registry=registry):
             result = NodeNetwork(config, on_block=on_block).run()
     except ValueError as exc:
         raise CLIError(str(exc)) from None
@@ -1009,8 +923,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     if not live:
         print(render_monitor(
             aggregate, results,
-            title=f"{args.chain} / {args.executor} (rate {rate}, "
-                  f"{args.policy} policy)",
+            title=f"{args.chain} / {args.executor}",
         ))
     if args.snapshot_out:
         import json
@@ -1062,7 +975,6 @@ def cmd_node(args: argparse.Namespace) -> int:
     )
 
     _resolve_profile(args.chain)
-    rate, registry, life = _sampling_components(args)
     try:
         faults = FaultProfile(
             latency=args.latency,
@@ -1102,7 +1014,7 @@ def cmd_node(args: argparse.Namespace) -> int:
 
     network = NodeNetwork(config, on_block=on_block)
     try:
-        with obs.instrumented(registry=registry, lifecycle=life):
+        with obs.instrumented():
             result = network.run()
     except ValueError as exc:
         raise CLIError(str(exc)) from None
@@ -1111,7 +1023,7 @@ def cmd_node(args: argparse.Namespace) -> int:
     print(
         f"{config.nodes}-node {config.chain} network over "
         f"{config.transport} transport ({config.consensus}, "
-        f"{args.executor} executor, rate {rate}): {result.reason} "
+        f"{args.executor} executor): {result.reason} "
         f"at height {result.height}"
     )
     print(
@@ -1449,8 +1361,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="",
         help="write a Chrome trace (execution + lifecycle flows) here",
     )
-    _add_sampling_args(sub)
-    _add_parallel_args(sub)
     sub.set_defaults(func=cmd_lifecycle)
 
     sub = subparsers.add_parser(
@@ -1520,7 +1430,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated-time budget before giving up with exit 1 "
              "(default: 600)",
     )
-    _add_sampling_args(sub)
     sub.set_defaults(func=cmd_monitor)
 
     sub = subparsers.add_parser(
@@ -1604,7 +1513,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the deterministic network snapshot as JSON "
              "(CI artifact)",
     )
-    _add_sampling_args(sub)
     sub.set_defaults(func=cmd_node)
 
     sub = subparsers.add_parser(

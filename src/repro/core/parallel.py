@@ -208,11 +208,10 @@ def coerce_block_inputs(source, data_model: str) -> list[BlockInput]:
 
 # What a chunk function returns: (records, elapsed seconds, registry
 # dump or None, flight-recorder rows or None).  It is called as
-# ``chunk_fn(params, chunk, record_obs)`` where ``record_obs`` is falsy
-# or the parent registry's policy string ("exact" / "sketch") — a
-# request to record privately and hand the recordings back.
+# ``chunk_fn(params, chunk, record_obs)`` where ``record_obs`` asks the
+# chunk to record privately and hand the recordings back.
 ChunkFn = Callable[
-    [object, Sequence, "bool | str"],
+    [object, Sequence, bool],
     "tuple[list, float, list[dict] | None, list | None]",
 ]
 
@@ -264,7 +263,7 @@ def _worker_init() -> None:
 
 def _run_chunk(
     chunk_fn: ChunkFn, params: object, chunk: Sequence,
-    record_obs: bool | str,
+    record_obs: bool,
 ) -> ChunkResult:
     """Run one chunk where it stands; the per-chunk-slice entry."""
     records, elapsed, obs_dump, rows = chunk_fn(params, chunk, record_obs)
@@ -272,7 +271,7 @@ def _run_chunk(
 
 
 def _chunk_from_fork(
-    start: int, stop: int, record_obs: bool | str
+    start: int, stop: int, record_obs: bool
 ) -> ChunkResult:
     """Fork-transport entry: slice the inherited run by index."""
     chunk_fn, params, items = _FORK_RUN
@@ -344,7 +343,7 @@ def _run_process_pool(
     run: tuple,
     bounds: Sequence[tuple[int, int]],
     jobs: int,
-    record_obs: bool | str,
+    record_obs: bool,
     collect: Callable[..., list],
 ) -> list:
     """Fan chunks over a process pool: fork-inherited run, else slices."""
@@ -422,13 +421,8 @@ def ordered_chunk_map(
     """
     bounds = chunk_bounds(len(items), chunk_size)
     # Workers start with obs uninstalled (_worker_init); when the parent
-    # is instrumented, ask each chunk to record privately.  The parent's
-    # policy string rides along so sketch-policy sweeps stay
-    # bounded-memory on both sides of the pool.
-    parent_registry = obs.get_registry()
-    record_obs: bool | str = (
-        parent_registry.policy if parent_registry.enabled else False
-    )
+    # is instrumented, ask each chunk to record privately.
+    record_obs = obs.get_registry().enabled
     collect = partial(
         _collect_ordered, bounds=bounds, family=family, lanes=lanes
     )
@@ -491,7 +485,7 @@ def analyze_chunk(
 
 
 def _analyze_chunk_recording(
-    data_model: str, chunk: Sequence[BlockInput], record_obs: bool | str
+    data_model: str, chunk: Sequence[BlockInput], record_obs: bool
 ) -> tuple[list[BlockRecord], float, list[dict] | None, None]:
     """The fan-out's chunk function over :func:`analyze_chunk`.
 
@@ -499,13 +493,10 @@ def _analyze_chunk_recording(
     under an instrumented parent) the per-block ``pipeline.blocks`` /
     ``tdg.*`` instrumentation records straight into it.  Where none is
     (process workers) and the parent asked for recordings, the chunk
-    runs under a private registry of the parent's policy — so a
-    sketch-policy parent merges sketch dumps instead of re-inflating raw
-    observations — and its lossless dump rides back.
+    runs under a private registry and its lossless dump rides back.
     """
     if record_obs and not obs.get_registry().enabled:
-        policy = record_obs if isinstance(record_obs, str) else "exact"
-        registry = MetricsRegistry(policy=policy)
+        registry = MetricsRegistry()
         with obs.scoped(obs.ObservabilityState(
             registry=registry, tracer=NOOP_TRACER
         )):

@@ -521,22 +521,20 @@ def replay_single_block(
 def replay_chunk(
     params: tuple[Sequence[str], int],
     chunk: Sequence[ReplayBlock],
-    record_obs: bool | str,
+    record_obs: bool,
 ) -> tuple[list[BlockReplay], float, list[dict] | None,
            list[EventRow] | None]:
     """Replay one chunk of blocks; the fan-out's chunk function.
 
     *params* is ``(engines, cores)``.  Returns ``(records,
     elapsed seconds, registry dump, recorder rows)`` — the last two
-    ``None`` unless *record_obs* (falsy, or the parent registry's
-    policy string) asked for them, and only then is a row built;
-    digests are carried by the records themselves either way.  Pure in
-    *chunk*.
+    ``None`` unless *record_obs* asked for them, and only then is a row
+    built; digests are carried by the records themselves either way.
+    Pure in *chunk*.
     """
     engines, cores = params
     if record_obs:
-        policy = record_obs if isinstance(record_obs, str) else "exact"
-        registry = MetricsRegistry(policy=policy)
+        registry = MetricsRegistry()
         recorder = FlightRecorder()
     else:
         registry = NOOP_REGISTRY

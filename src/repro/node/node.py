@@ -356,26 +356,27 @@ class Node:
         parent's commit time."""
         life = obs.lifecycle()
         for task in tasks:
-            # An unsampled parent has no trace: the block's clock.
+            # Every packed entry was admitted under this tracer, so its
+            # trace exists; one still open syncs at the block's clock.
             parent = life.trace(task.tx_hash)
-            synced_at = (
-                parent.ended_at
-                if parent is not None and parent.closed else life.clock
-            )
+            synced_at = parent.ended_at if parent.closed else life.clock
             for shard in self._shards(task)[1]:
                 life.close(
                     shard_subtrace_id(task.tx_hash, shard), "committed",
                     at=synced_at, sync="state_delta",
                 )
 
-    def _admit_to_pool(self, ntx: NodeTx) -> bool:
-        # A payload the receipts root digests, and a hash and locations
-        # the roots' ``hash_parts`` accepts.
+    def _digestible(self, ntx: NodeTx) -> bool:
+        """Whether the block roots can digest *ntx*: a payload the
+        receipts root digests, and a hash and locations the roots'
+        ``hash_parts`` accepts."""
         task = ntx.task
-        if (
-            not isinstance(ntx.payload, PAYLOAD_KINDS[self.config.data_model])
-            or not joinable(task.tx_hash, *task.reads, *task.writes)
-        ):
+        return isinstance(
+            ntx.payload, PAYLOAD_KINDS[self.config.data_model]
+        ) and joinable(task.tx_hash, *task.reads, *task.writes)
+
+    def _admit_to_pool(self, ntx: NodeTx) -> bool:
+        if not self._digestible(ntx):
             self.stats.rejected += 1
             return False
         self._sync_clock()
@@ -616,6 +617,14 @@ class Node:
                 )
             return
         ntxs = self._executable(block.transactions)
+        if not all(map(self._digestible, ntxs)):
+            # Its replay would raise out of the receive loop.  The
+            # block stays seen (every caller marks it), so it is
+            # dropped once.
+            self.stats.rejected += 1
+            if obs.enabled():
+                obs.counter("node.blocks.rejected").inc()
+            return
         replay, recorder = self._execute(block.height, ntxs)
         claimed = block.header.extra
         if claimed and replay.state_root != claimed:

@@ -59,13 +59,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NoopMetricsRegistry,
 )
-from repro.obs.sampling import (
-    SampledLifecycleTracer,
-    SampleRate,
-    parse_rate,
-    sample_decision,
-)
-from repro.obs.sketch import SketchHistogram
 from repro.obs.timeline import (
     NOOP_RECORDER,
     FlightRecorder,
@@ -86,17 +79,12 @@ __all__ = [
     "NoopMetricsRegistry",
     "NoopTracer",
     "ObservabilityState",
-    "SampleRate",
-    "SampledLifecycleTracer",
-    "SketchHistogram",
     "Span",
     "StitchedTrace",
     "TimelineEvent",
     "TraceContext",
     "Tracer",
     "counter",
-    "parse_rate",
-    "sample_decision",
     "enabled",
     "gauge",
     "get_recorder",

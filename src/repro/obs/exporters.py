@@ -181,8 +181,7 @@ def render_prometheus(
     counter under its old unsuffixed name (a migration alias for
     scrape configs written against earlier releases).
 
-    Histograms (exact or sketch — both share the ``summary()`` API)
-    are exported as summaries: ``<name>{quantile="0.5"}`` lines plus
+    Histograms are exported as summaries: ``<name>{quantile="0.5"}`` lines plus
     ``_sum`` and ``_count``.  A histogram with no observations renders
     only ``_sum``/``_count`` — quantiles of an empty distribution are
     undefined, and fabricating zeros would read as measurements.

@@ -238,8 +238,7 @@ class LifecycleTracer:
 
     # -- metrics --------------------------------------------------------------
 
-    def _observe(self, stage: str, latency: float,
-                 key: str | None = None) -> None:
+    def _observe(self, stage: str, latency: float) -> None:
         counter = self._events_counter
         if counter is None:
             return
@@ -250,9 +249,7 @@ class LifecycleTracer:
                 f"lifecycle.stage.{stage}"
             )
             self._stage_histograms[stage] = histogram
-        # The trace hash keys the sketch reservoir (ignored by exact
-        # histograms), keeping reservoir contents chunking-independent.
-        histogram.observe(latency, key)
+        histogram.observe(latency)
 
     def _count(self, name: str, **labels: object) -> None:
         registry = self._registry
@@ -284,7 +281,7 @@ class LifecycleTracer:
             )
             self._open[tx_hash] = [event]
         self._count("lifecycle.opened")
-        self._observe(ADMITTED, 0.0, tx_hash)
+        self._observe(ADMITTED, 0.0)
         return TraceContext(trace_id=tx_hash, span_id=span_id)
 
     def record(self, tx_hash: str, stage: str, *,
@@ -330,7 +327,7 @@ class LifecycleTracer:
         if events is None:
             self._count(counter)
             return None
-        self._observe(stage, latency, tx_hash)
+        self._observe(stage, latency)
         if stage in TERMINAL_STAGES:
             self._count("lifecycle.closed", outcome=stage)
         return TraceContext(

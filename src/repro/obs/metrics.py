@@ -98,10 +98,7 @@ class Histogram:
         self._values: list[float] = []
         self._lock = threading.Lock()
 
-    def observe(self, value: float, key: str | None = None) -> None:
-        # ``key`` is the reservoir key used by the sketch subclass
-        # (repro.obs.sketch); the exact histogram ignores it so call
-        # sites can pass it regardless of the registry policy.
+    def observe(self, value: float) -> None:
         with self._lock:
             self._values.append(float(value))
 
@@ -158,37 +155,17 @@ class Histogram:
 Metric = Counter | Gauge | Histogram
 
 
-METRIC_POLICIES = ("exact", "sketch")
-
-
 class MetricsRegistry:
     """Create-or-get store of metrics keyed by (name, labels).
 
     Thread-safe: registration takes a lock; the metric objects guard
     their own mutation.  ``enabled`` is True so instrumentation helpers
     can branch cheaply on it.
-
-    ``policy`` selects the histogram implementation: ``"exact"`` (the
-    default — full sample retention, byte-identical to every golden and
-    regress baseline) or ``"sketch"`` (bounded-memory log-linear
-    sketches from :mod:`repro.obs.sketch`, for 100k+-transaction
-    sweeps).  Counters and gauges are unaffected by the policy.
     """
 
     enabled = True
 
-    def __init__(self, policy: str = "exact") -> None:
-        if policy not in METRIC_POLICIES:
-            raise ValueError(
-                f"unknown metrics policy {policy!r}; expected one of "
-                f"{', '.join(METRIC_POLICIES)}"
-            )
-        self.policy = policy
-        if policy == "sketch":
-            from repro.obs.sketch import SketchHistogram
-            self._histogram_kind: type[Histogram] = SketchHistogram
-        else:
-            self._histogram_kind = Histogram
+    def __init__(self) -> None:
         self._metrics: dict[tuple[type, str, LabelItems], Metric] = {}
         self._lock = threading.Lock()
 
@@ -208,7 +185,7 @@ class MetricsRegistry:
         return self._get(Gauge, name, labels)  # type: ignore[return-value]
 
     def histogram(self, name: str, **labels: object) -> Histogram:
-        return self._get(self._histogram_kind, name, labels)  # type: ignore[return-value]
+        return self._get(Histogram, name, labels)  # type: ignore[return-value]
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -243,11 +220,8 @@ class MetricsRegistry:
         retains raw histogram observations so a parent registry can
         merge a worker's recordings without losing percentile fidelity.
         One record per metric: ``{"kind", "name", "labels", ...}`` with
-        ``value`` for counters/gauges, ``values`` for exact histograms,
-        and ``state`` for bounded-memory sketches (kind ``"sketch"``).
+        ``value`` for counters/gauges and ``values`` for histograms.
         """
-        from repro.obs.sketch import SketchHistogram
-
         records: list[dict[str, object]] = []
         for metric in self.iter_metrics():
             record: dict[str, object] = {
@@ -260,9 +234,6 @@ class MetricsRegistry:
             elif isinstance(metric, Gauge):
                 record["kind"] = "gauge"
                 record["value"] = metric.value
-            elif isinstance(metric, SketchHistogram):
-                record["kind"] = "sketch"
-                record["state"] = metric.state()
             else:
                 record["kind"] = "histogram"
                 with metric._lock:
@@ -278,17 +249,7 @@ class MetricsRegistry:
         point-in-time readings, not accumulators).  Used to fold
         process-pool workers' recordings into the parent registry at
         join, closing the ``--backend process`` observability gap.
-
-        Sketch records (kind ``"sketch"``) merge bucket-exactly into a
-        sketch-policy parent; folding one into an ``exact``-policy
-        registry raises — the raw observations are gone, and silently
-        accepting the sketch would corrupt a baseline that promises
-        full-fidelity percentiles.  Exact ``"histogram"`` records merge
-        under either policy (observations re-observe into whatever the
-        policy builds).
         """
-        from repro.obs.sketch import SketchHistogram
-
         for record in records:
             labels = dict(record["labels"])  # type: ignore[arg-type]
             name = str(record["name"])
@@ -305,16 +266,6 @@ class MetricsRegistry:
                 histogram = self.histogram(name, **labels)
                 for value in record["values"]:  # type: ignore[union-attr]
                     histogram.observe(float(value))  # type: ignore[arg-type]
-            elif kind == "sketch":
-                target = self.histogram(name, **labels)
-                if not isinstance(target, SketchHistogram):
-                    raise ValueError(
-                        f"cannot merge sketch dump for {name!r} into a "
-                        f"{self.policy!r}-policy registry; construct "
-                        "MetricsRegistry(policy='sketch') on the "
-                        "receiving side"
-                    )
-                target.merge_state(record["state"])  # type: ignore[arg-type]
             else:
                 raise ValueError(f"unknown metric kind {kind!r}")
 
@@ -339,7 +290,7 @@ class _NoopGauge(Gauge):
 class _NoopHistogram(Histogram):
     __slots__ = ()
 
-    def observe(self, value: float, key: str | None = None) -> None:
+    def observe(self, value: float) -> None:
         pass
 
 

@@ -81,8 +81,8 @@ class BlockSample:
     mempool_depth: int       # pool size after packing
     # Mean busy fraction of execution lanes.
     lane_utilization: float = _PricedOnRead()  # type: ignore[assignment]
-    # Per-stage latencies of traces *closed during this block* (sampled
-    # detail — sliced from the tracer, so unsampled txs never appear).
+    # Per-stage latencies of traces *closed during this block* (sliced
+    # from the tracer's closed traces).
     stage_latencies: Mapping[str, tuple[float, ...]] = \
         field(default_factory=dict)
 
@@ -412,12 +412,12 @@ def render_monitor(
         lines.append(render_table(
             ("stage", "closed", "p50 (s)", "p95 (s)", "p99 (s)"),
             rows,
-            title="sampled stage latency (window)",
+            title="stage latency (window)",
         ))
     else:
         lines.append(
-            "  (no sampled traces closed in this window — stage "
-            "detail needs a coarser --rate or more blocks)"
+            "  (no traces closed in this window — stage detail "
+            "needs more blocks)"
         )
     if results:
         rows = [

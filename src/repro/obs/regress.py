@@ -141,22 +141,12 @@ def build_snapshot(
     cores: int = DEFAULT_CORES,
     seed: int = DEFAULT_SEED,
     executors: Sequence[str] = DEFAULT_EXECUTORS,
-    policy: str = "exact",
 ) -> dict[str, object]:
     """Run the canonical instrumented workload; return its snapshot.
 
     Raises :class:`ValueError` on an unknown chain or executor name and
     on ``cores``/``blocks`` < 1 (the CLI maps these to exit 2).
-
-    *policy* selects the registry's histogram backend (``"exact"`` or
-    ``"sketch"``).  The default MUST stay ``"exact"``: the checked-in
-    baseline gates on byte-identical histogram counts/sums, and those
-    reductions are backend-independent only for the fields a snapshot
-    keeps — switching the default would still be a silent semantic
-    change to the gate.  The sketch path exists so the accuracy bench
-    can reuse the canonical workload under both backends.
     """
-    from repro.obs.metrics import MetricsRegistry
     from repro.workload.profiles import PROFILES_BY_NAME
 
     try:
@@ -173,7 +163,7 @@ def build_snapshot(
     executors = validate_engines(executors)
 
     bound_checks: dict[str, dict[str, float]] = {}
-    with obs.instrumented(registry=MetricsRegistry(policy=policy)) as state:
+    with obs.instrumented() as state:
         recorder = state.recorder
         # One chain build inside the instrumented scope: its consensus.*
         # counters gate, and so do the staticcheck.* counters of the

@@ -100,6 +100,9 @@ class TestHashParts:
         (("a\x1fb",), False),
         (("a", 7), False),
         ((b"a",), False),
+        (("\u00e9", "b"), True),
+        (("a", "b\ud800"), False),
+        ((), False),
     ])
     def test_joinable_says_whether_hash_parts_takes_them(self, parts, ok):
         assert joinable(*parts) is ok

@@ -18,8 +18,6 @@ from repro.node import (
     network_fingerprint,
 )
 from repro.obs.lifecycle import join_shard_traces
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.sampling import SampledLifecycleTracer, SampleRate
 from repro.workload.profiles import PROFILES_BY_NAME
 
 
@@ -295,20 +293,6 @@ class TestLifecycleAcrossNetwork:
         )
         assert home == result.injected > 0
         assert histogram["lifecycle.stage.assigned"]["count"] >= home
-
-    def test_sampled_counters_count_each_tx_once(self):
-        """Every pool admits each transaction; a head-dropped one still
-        counts one admission, so stage counters stay exact."""
-        registry = MetricsRegistry()
-        life = SampledLifecycleTracer(SampleRate(1, 100), registry=registry)
-        with obs.instrumented(registry=registry, lifecycle=life):
-            result = NodeNetwork(
-                lifecycle_config("ethereum", blocks=2, seed=7)
-            ).run()
-        life.flush_counts()
-        counters = registry.snapshot()["counters"]
-        assert counters["lifecycle.stage_count.admitted"] == result.injected
-        assert counters["lifecycle.stage_count.committed"] == result.injected
 
     def test_unrecorded_run_records_nothing(self):
         obs.uninstall()

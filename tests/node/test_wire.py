@@ -743,7 +743,8 @@ class TestInvalidTransaction:
 
 def _with_separator(ntx: NodeTx, where: str) -> NodeTx:
     """*ntx* with the roots' ``\x1f`` separator in its hash or in one
-    location it writes or reads, or with a location that is no string."""
+    location it writes or reads, or with a location that is no string
+    or has no UTF-8 encoding (a lone surrogate)."""
     task = ntx.task
     if where == "hash":
         task = replace(task, tx_hash=task.tx_hash + "\x1f")
@@ -751,6 +752,8 @@ def _with_separator(ntx: NodeTx, where: str) -> NodeTx:
         task = replace(task, writes=task.writes | {"balance:\x1f"})
     elif where == "not-a-str":
         task = replace(task, writes=task.writes | {7})
+    elif where == "surrogate":
+        task = replace(task, writes=task.writes | {"balance:\ud800"})
     else:
         task = replace(task, reads=task.reads | {"storage:0x\x1f:0"})
     return replace(ntx, task=task, fee=100)
@@ -762,7 +765,9 @@ class TestSeparatorInTransaction:
     with one in its hash or a location used to raise ``ValueError`` out
     of the proposer that packed it."""
 
-    @pytest.mark.parametrize("where", ["hash", "write", "read", "not-a-str"])
+    @pytest.mark.parametrize(
+        "where", ["hash", "write", "read", "not-a-str", "surrogate"]
+    )
     def test_a_proposer_rejects_it_and_keeps_mining(self, node_txs, where):
         runtime = VirtualRuntime()
         transport = MemoryTransport(runtime)
@@ -788,7 +793,9 @@ class TestSeparatorInTransaction:
         assert node_txs[1].tx_hash in node.chain_txs
         assert node.forkchoice.head_block().height > 0
 
-    @pytest.mark.parametrize("where", ["hash", "write", "not-a-str"])
+    @pytest.mark.parametrize(
+        "where", ["hash", "write", "not-a-str", "surrogate"]
+    )
     def test_a_relayed_one_is_neither_pooled_nor_relayed(
         self, node_txs, where
     ):
@@ -802,6 +809,25 @@ class TestSeparatorInTransaction:
         assert [frame.key for frame in out if frame.kind == "tx"] == [
             node_txs[1].tx_hash,
         ]
+
+    @pytest.mark.parametrize(
+        "where", ["hash", "write", "not-a-str", "surrogate"]
+    )
+    def test_a_peer_block_carrying_one_is_dropped(self, node_txs, where):
+        """Replaying such a block used to raise out of the receive loop
+        and stop the node."""
+        block = _block([_with_separator(node_txs[0], where)])
+        node, _stats, out = _drive([
+            Frame("block", "c", block, hops=1, key=block.block_hash),
+            Frame("block", "c", block, hops=1, key=block.block_hash),
+            _tx_frame(node_txs[1], src="c"),
+        ])
+        assert node.stats.rejected == 1
+        assert node.stats.duplicate_blocks == 1      # marked seen
+        assert node.head_hash == make_genesis("ethereum").block_hash
+        assert block.block_hash not in node.forkchoice.tree
+        assert node_txs[1].tx_hash in node.pool
+        assert not [frame for frame in out if frame.kind == "block"]
 
 
 class TestReceiveLoopSurvives:

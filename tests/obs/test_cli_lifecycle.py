@@ -103,38 +103,3 @@ class TestUsageErrors:
             main(["lifecycle", "--chain", "ethereum",
                   "--executor", "warp"])
         assert excinfo.value.code == 2
-
-
-class TestSamplingFlags:
-    def test_sampled_run_notes_rate_and_stays_exact(self, capsys):
-        code, out = _run(
-            capsys, "--chain", "ethereum", "--rate", "1/2",
-        )
-        assert code == 0
-        assert "head-based sampling at 1/2" in out
-        assert "stage counters remain exact" in out
-
-    def test_zero_sampled_traces_degrades_gracefully(self, capsys):
-        # A tiny run at 1/1000000 keeps no traces: the drill-down must
-        # explain itself and exit 0 instead of crashing on empty data.
-        code, out = _run(
-            capsys, "--chain", "ethereum", "--rate", "1/1000000",
-        )
-        assert code == 0
-        assert "no traces sampled at rate 1/1000000" in out
-
-    def test_sketch_policy_renders_breakdown(self, capsys):
-        code, out = _run(
-            capsys, "--chain", "ethereum", "--policy", "sketch",
-        )
-        assert code == 0
-        assert "per-stage latency" in out
-
-    @pytest.mark.parametrize("argv", [
-        ["lifecycle", "--chain", "ethereum", "--rate", "0/100"],
-        ["lifecycle", "--chain", "ethereum", "--rate", "banana"],
-        ["lifecycle", "--chain", "ethereum", "--rate", "5/2"],
-    ])
-    def test_bad_rate_exits_2(self, argv, capsys):
-        assert main(argv) == 2
-        assert "error:" in capsys.readouterr().err

@@ -38,7 +38,7 @@ class TestMonitorCommand:
     def test_full_rate_shows_stage_latency_table(self, capsys):
         code, out, _err = _run(capsys, "--once")
         assert code == 0
-        assert "sampled stage latency" in out
+        assert "stage latency (window)" in out
 
     def test_hard_abort_rate_breach_exits_1(self, capsys):
         code, out, err = _run(
@@ -92,17 +92,8 @@ class TestMonitorCommand:
         document = json.loads(snapshot.read_text())
         assert document["hard_breaches"] == ["abort-rate"]
 
-    def test_sampled_run_keeps_exit_zero(self, capsys):
-        code, out, _err = _run(
-            capsys, "--once", "--rate", "1/100", "--policy", "sketch",
-        )
-        assert code == 0
-        assert "window" in out
-
     @pytest.mark.parametrize("argv", [
         ["monitor", "--chain", "nope", "--once"],
-        ["monitor", "--chain", "ethereum", "--rate", "0/100"],
-        ["monitor", "--chain", "ethereum", "--rate", "banana"],
         ["monitor", "--chain", "ethereum", "--window", "0"],
         ["monitor", "--chain", "ethereum", "--blocks", "0"],
         ["monitor", "--chain", "ethereum", "--max-abort-rate", "-1"],
@@ -110,9 +101,3 @@ class TestMonitorCommand:
     ])
     def test_bad_arguments_exit_2(self, capsys, argv):
         assert main(argv) == 2
-
-    def test_bad_policy_choice_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["monitor", "--chain", "ethereum",
-                  "--policy", "approximate"])
-        assert excinfo.value.code == 2

@@ -58,9 +58,6 @@ class TestNodeRun:
         code = main([*_BASE, "--loss", "2.0"])
         capsys.readouterr()
         assert code == 2
-        code = main([*_BASE, "--rate", "bogus"])
-        capsys.readouterr()
-        assert code == 2
 
     def test_snapshot_out_is_deterministic(self, tmp_path, capsys):
         first = tmp_path / "a.json"
@@ -73,11 +70,6 @@ class TestNodeRun:
         assert doc_a["converged"] is True
         roots = {node["chain_root"] for node in doc_a["nodes"]}
         assert len(roots) == 1
-
-    def test_sampling_rate_accepted(self, capsys):
-        code, out, _err = _run(capsys, "--quiet", "--rate", "1/4")
-        assert code == 0
-        assert "rate 1/4" in out
 
 
 class TestMonitorFollow:

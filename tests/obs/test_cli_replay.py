@@ -1,8 +1,7 @@
 """CLI contract for the replay fan-out wiring.
 
 Covers ``repro.cli replay`` (table, divergence exit code, Chrome
-trace), ``speedup --measured``, ``compare --measured`` and the
-``lifecycle`` parallel-replay verification pass.
+trace), ``speedup --measured`` and ``compare --measured``.
 """
 
 from __future__ import annotations
@@ -105,25 +104,3 @@ class TestCompareMeasured:
         out = capsys.readouterr().out
         assert code == 0
         assert "spec R" not in out
-
-
-class TestLifecycleVerification:
-    def test_parallel_backend_verifies_against_serial(self, capsys):
-        code = main([
-            "lifecycle", "--chain", "bitcoin", "--blocks", "2",
-            "--scale", "0.2", "--executor", "occ",
-            "--backend", "process", "--jobs", "2",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "parallel replay verification (process backend" in out
-        assert "matches the serial replay" in out
-
-    def test_serial_backend_skips_verification(self, capsys):
-        code = main([
-            "lifecycle", "--chain", "bitcoin", "--blocks", "2",
-            "--scale", "0.2", "--executor", "occ",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "parallel replay verification" not in out

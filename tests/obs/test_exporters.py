@@ -205,52 +205,6 @@ class TestPrometheusSanitization:
         assert "exec.wall_time" in text  # present, not crashed
 
 
-class TestPrometheusSketchFamilies:
-    """Sketch-policy registries render through the same summary path."""
-
-    def _sketch_registry(self):
-        registry = MetricsRegistry(policy="sketch")
-        hist = registry.histogram(
-            "lifecycle.stage latency!", executor="occ"
-        )
-        for value in (1.0, 2.0, 3.0, 4.0):
-            hist.observe(value)
-        registry.counter("lifecycle.sampled.kept").inc(4)
-        return registry
-
-    def test_sketch_histogram_renders_as_summary(self):
-        text = render_prometheus(self._sketch_registry())
-        assert "# TYPE lifecycle_stage_latency_ summary" in text
-        assert (
-            '''lifecycle_stage_latency_{executor="occ",quantile="0.5"}'''
-            in text
-        )
-        assert (
-            '''lifecycle_stage_latency__count{executor="occ"} 4''' in text
-        )
-        assert "lifecycle_sampled_kept_total 4" in text
-
-    def test_sketch_label_values_escaped(self):
-        registry = MetricsRegistry(policy="sketch")
-        hist = registry.histogram("m", tricky='a"b\\c\nd')
-        hist.observe(1.0)
-        text = render_prometheus(registry)
-        assert 'tricky="a\\"b\\\\c\\nd"' in text
-        payload_lines = [
-            line for line in text.splitlines() if "tricky" in line
-        ]
-        # quantile lines (p50/p90/p99 collapse when few samples) + sum
-        # + count — every sample stays one physical line.
-        assert len(payload_lines) >= 3
-
-    def test_empty_sketch_histogram_renders_no_quantiles(self):
-        registry = MetricsRegistry(policy="sketch")
-        registry.histogram("exec.wall_time")
-        text = render_prometheus(registry)
-        assert "exec_wall_time_count 0" in text
-        assert "quantile" not in text
-
-
 class TestChromeTrace:
     def _recorder(self):
         recorder = FlightRecorder()

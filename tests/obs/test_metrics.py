@@ -275,48 +275,3 @@ class TestConcurrentMergeDump:
             recorder.join()
         assert parent.counter("lifecycle.events").value == 2000.0
         assert parent.counter("lifecycle.opened").value > 0
-
-
-class TestHistogramPolicy:
-    def test_exact_is_the_default_policy(self):
-        registry = MetricsRegistry()
-        assert registry.policy == "exact"
-        assert type(registry.histogram("lifecycle.stage.committed")) \
-            is Histogram
-
-    def test_sketch_policy_builds_sketch_histograms(self):
-        from repro.obs.sketch import SketchHistogram
-
-        registry = MetricsRegistry(policy="sketch")
-        assert registry.policy == "sketch"
-        hist = registry.histogram("lifecycle.stage.committed")
-        assert isinstance(hist, SketchHistogram)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown metrics policy"):
-            MetricsRegistry(policy="approximate")
-
-    def test_sketch_dump_refuses_exact_policy_target(self):
-        source = MetricsRegistry(policy="sketch")
-        for value in range(300):
-            source.histogram("lifecycle.stage.committed").observe(
-                float(value), key=f"tx{value}"
-            )
-        target = MetricsRegistry()  # exact: raw samples are gone
-        with pytest.raises(ValueError, match="policy='sketch'"):
-            target.merge_dump(source.dump())
-
-    def test_exact_dump_merges_under_either_policy(self):
-        source = MetricsRegistry()
-        for value in range(100):
-            source.histogram("lifecycle.stage.committed").observe(
-                float(value)
-            )
-        source.counter("lifecycle.opened").inc(100)
-        dump = source.dump()
-        for policy in ("exact", "sketch"):
-            target = MetricsRegistry(policy=policy)
-            target.merge_dump(dump)
-            hist = target.histogram("lifecycle.stage.committed")
-            assert hist.count == 100
-            assert target.counter("lifecycle.opened").value == 100.0

@@ -177,13 +177,13 @@ class TestRendering:
         text = render_monitor(aggregate, monitor.evaluate(aggregate))
         assert "abort-rate" in text
         assert "BREACH" in text
-        assert "sampled stage latency" in text
+        assert "stage latency (window)" in text
 
     def test_render_without_closed_traces_explains_itself(self):
         monitor = StreamingMonitor(window=2)
         aggregate = monitor.observe_block(_sample(1))
         text = render_monitor(aggregate)
-        assert "no sampled traces closed" in text
+        assert "no traces closed in this window" in text
 
     def test_snapshot_document(self):
         monitor = StreamingMonitor(window=2, rules=default_rules(
