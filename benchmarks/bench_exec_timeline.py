@@ -16,7 +16,7 @@ human-readable summary under ``benchmarks/output/``):
    chain recovered from the events, next to the block's LCC size.
 3. **Recorder overhead** — wall-clock of the identical replay with the
    real :class:`~repro.obs.timeline.FlightRecorder` vs the no-op
-   recorder (same recording registry and tracer both sides, min of
+   recorder (same recording registry both sides, min of
    several repeats).  The batch tuple-emission design must keep the
    overhead under 10%.
 """
@@ -31,6 +31,7 @@ from pathlib import Path
 from _common import write_output
 
 from repro import obs
+from repro.execution import make_executor, replay_block_inputs
 from repro.obs.critical_path import (
     EQ2_STRICT_EXECUTORS,
     compare_to_bounds,
@@ -38,7 +39,6 @@ from repro.obs.critical_path import (
     task_conflict_profile,
 )
 from repro.obs.timeline import NOOP_RECORDER, FlightRecorder
-from repro.obs.regress import chain_task_blocks, make_executor
 from repro.workload.profiles import ETHEREUM
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / (
@@ -55,11 +55,11 @@ OVERHEAD_REPEATS = 5
 
 def _blocks():
     return [
-        (height, tasks)
-        for height, tasks, _payload in chain_task_blocks(
-            ETHEREUM, blocks=NUM_BLOCKS, seed=SEED
+        (block.height, list(block.tasks))
+        for block in replay_block_inputs(
+            ETHEREUM, blocks=NUM_BLOCKS, seed=SEED, predict=False
         )
-        if tasks
+        if block.tasks
     ]
 
 

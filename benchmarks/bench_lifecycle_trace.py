@@ -9,7 +9,7 @@ repo root (plus a summary under ``benchmarks/output/``):
 
 1. **Enabled overhead ≤ 10%** — the same fully-instrumented replay
    with the real :class:`~repro.obs.lifecycle.LifecycleTracer` vs the
-   no-op lifecycle tracer (registry, spans and flight recorder live on
+   no-op lifecycle tracer (registry and flight recorder live on
    both sides, min of several repeats).  This isolates the cost of the
    lifecycle layer itself: causal event construction, monotonic
    clamping, and the per-stage histogram observations (metric handles

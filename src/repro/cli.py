@@ -8,12 +8,11 @@ Usage (also installed as the ``repro`` console script)::
     python -m repro.cli compare --left ethereum --right ethereum_classic
     python -m repro.cli examples
     python -m repro.cli export --chain bitcoin --out ./data
-    python -m repro.cli profile --chain ethereum --blocks 50 \
-        --trace-out spans.jsonl
     python -m repro.cli analyze --chain bitcoin --blocks 500 \
         --backend process --jobs 8
     python -m repro.cli replay --chain ethereum --blocks 40 \
-        --backend process --jobs 4 --out replay_trace.json
+        --backend process --jobs 4 --out replay_trace.json \
+        --prometheus-out replay.prom
 
 Every command is deterministic under ``--seed`` — including the
 parallel analysis backends (``--backend`` / ``--jobs``), which produce
@@ -24,6 +23,7 @@ output identical to the serial walk.  Unknown ``--chain`` names, bad
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -423,108 +423,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Run the instrumented pipeline + executors; dump spans and metrics.
-
-    Generates the chain, analyzes every block (TDG + metrics under
-    ``pipeline.*`` / ``tdg.*`` spans), then replays each block through
-    the speculative, OCC and grouped executors so the trace carries the
-    ``exec.*`` spans and abort/retry counters.  Output is a JSON-lines
-    file of spans ending in a metrics snapshot, plus a human-readable
-    summary on stdout.
-    """
-    from repro import obs
-    from repro.core.pipeline import (
-        analyze_account_blocks,
-        analyze_utxo_ledger,
-    )
-    from repro.execution.engine import (
-        tasks_from_account_block,
-        tasks_from_utxo_block,
-    )
-    from repro.execution.grouped import GroupedExecutor
-    from repro.execution.occ import OCCExecutor
-    from repro.execution.speculative import SpeculativeExecutor
-    from repro.obs.exporters import (
-        render_prometheus,
-        render_summary,
-        write_trace_jsonl,
-    )
-    from repro.workload.account_workload import build_account_chain
-    from repro.workload.utxo_workload import build_utxo_chain
-
-    profile = _resolve_profile(args.chain)
-    if args.cores < 1:
-        raise CLIError("--cores must be at least 1")
-    parallel = _parallel_kwargs(args)
-
-    def run_executors(tasks, height: int) -> None:
-        with obs.trace_span("exec.block", height=height):
-            SpeculativeExecutor(args.cores).run(tasks)
-            OCCExecutor(args.cores).run(tasks)
-            GroupedExecutor(args.cores).run(tasks)
-
-    with obs.instrumented() as state:
-        with obs.trace_span("profile.run", chain=args.chain,
-                            blocks=args.blocks):
-            # Analysis pass first (backend-aware, possibly fanned out
-            # over workers), then the executor replay, which models
-            # simulated cores in-process and therefore stays serial.
-            if profile.data_model == "utxo":
-                ledger = build_utxo_chain(
-                    profile, num_blocks=args.blocks, seed=args.seed,
-                    scale=args.scale,
-                )
-                analyze_utxo_ledger(
-                    ledger, name=profile.name,
-                    start_year=profile.start_year, **parallel,
-                )
-                block_tasks = [
-                    (block.height,
-                     tasks_from_utxo_block(block.transactions))
-                    for block in ledger
-                ]
-            else:
-                builder = build_account_chain(
-                    profile, num_blocks=args.blocks, seed=args.seed,
-                    scale=args.scale,
-                )
-                analyze_account_blocks(
-                    builder.executed_blocks, name=profile.name,
-                    start_year=profile.start_year, **parallel,
-                )
-                block_tasks = [
-                    (block.height, tasks_from_account_block(executed))
-                    for block, executed in builder.executed_blocks
-                ]
-            for height, tasks in block_tasks:
-                run_executors(tasks, height)
-
-    try:
-        num_spans = write_trace_jsonl(
-            args.trace_out, state.tracer, state.registry
-        )
-    except OSError as exc:
-        raise CLIError(f"cannot write trace file: {exc}") from None
-    print(f"wrote {num_spans} spans + metrics snapshot to "
-          f"{args.trace_out}")
-    if args.prometheus_out:
-        from pathlib import Path
-
-        try:
-            Path(args.prometheus_out).write_text(
-                render_prometheus(state.registry) + "\n"
-            )
-        except OSError as exc:
-            raise CLIError(
-                f"cannot write Prometheus file: {exc}"
-            ) from None
-        print(f"wrote Prometheus metrics to {args.prometheus_out}")
-    print()
-    print(render_summary(state.tracer, state.registry))
-    return 0
-
-
 def cmd_timeline(args: argparse.Namespace) -> int:
     """Replay a chain through one executor; emit a Chrome trace.
 
@@ -537,7 +435,6 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     from repro.obs.critical_path import (
         compare_to_bounds,
         profile_events,
-        record_timeline_metrics,
         task_conflict_profile,
     )
     from repro.execution.parallel_replay import replay_block_inputs
@@ -568,7 +465,6 @@ def cmd_timeline(args: argparse.Namespace) -> int:
                 recorder.events(executor=report.executor, block=height)
             )
             comparison = compare_to_bounds(report, conflict)
-            record_timeline_metrics(block_profile, comparison)
             flag = "" if comparison.within_eq2 else (
                 " !" if not comparison.strict else " VIOLATION"
             )
@@ -622,7 +518,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
     carries each engine's measured speed-up and determinism digests;
     the command exits 1 when any two engines disagree on the committed
     state root — the same cross-executor differential check
-    ``tests/execution/test_differential.py`` runs in CI.
+    ``tests/execution/test_differential.py`` runs in CI.  ``--out``
+    writes the replay's flight-recorder events as a Chrome trace and
+    ``--prometheus-out`` its metrics registry in the Prometheus text
+    format.
     """
     from repro import obs
     from repro.execution.parallel_replay import (
@@ -630,7 +529,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         replay_profile,
         validate_engines,
     )
-    from repro.obs.exporters import write_chrome_trace
+    from repro.obs.exporters import render_prometheus, write_chrome_trace
 
     profile = _resolve_profile(args.chain)
     if args.cores < 1:
@@ -699,6 +598,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise CLIError(f"cannot write trace file: {exc}") from None
         print(f"wrote {count} trace events to {args.out}")
+    if args.prometheus_out:
+        try:
+            with open(args.prometheus_out, "w") as out:
+                out.write(render_prometheus(state.registry) + "\n")
+        except OSError as exc:
+            raise CLIError(
+                f"cannot write Prometheus file: {exc}"
+            ) from None
+        print(f"wrote Prometheus metrics to {args.prometheus_out}")
     return status
 
 
@@ -1249,20 +1157,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_export)
 
     sub = subparsers.add_parser(
-        "profile",
-        help="instrumented run: dump tracing spans and metrics",
-    )
-    _add_generation_args(sub, default_blocks=50)
-    _add_parallel_args(sub)
-    sub.add_argument("--cores", type=int, default=8,
-                     help="simulated core count for the executors")
-    sub.add_argument("--trace-out", required=True,
-                     help="output path for the span/metric JSON lines")
-    sub.add_argument("--prometheus-out", default="",
-                     help="also write a Prometheus text-format snapshot")
-    sub.set_defaults(func=cmd_profile)
-
-    sub = subparsers.add_parser(
         "timeline",
         help="replay one executor with the flight recorder; emit a "
              "Chrome trace and measured-vs-analytical bounds",
@@ -1322,6 +1216,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--out", default="",
         help="write the merged replay events as a Chrome trace here",
+    )
+    sub.add_argument(
+        "--prometheus-out", default="",
+        help="write the replay's metrics in the Prometheus text format",
     )
     sub.set_defaults(func=cmd_replay)
 
@@ -1588,10 +1486,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout left (``repro ... | head``).  Point stdout
+        # at devnull so the exit flush cannot raise again; see the
+        # SIGPIPE note in the Python docs' ``signal`` module.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

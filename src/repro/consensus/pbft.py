@@ -85,28 +85,20 @@ class PBFTCommittee:
         voting phases; otherwise a view change is counted and the round
         retries under the next primary (up to f+1 attempts).
         """
-        with obs.trace_span(
-            "consensus.pbft.round", size=self.size, faulty=self.faulty
-        ) as span:
-            result = self._run_round()
-            if obs.enabled():
-                span.set(
-                    committed=result.committed,
-                    messages=result.messages_sent,
-                    view_changes=result.view_changes,
+        result = self._run_round()
+        if obs.enabled():
+            outcome = "committed" if result.committed else "failed"
+            obs.counter("consensus.pbft.rounds", outcome=outcome).inc()
+            obs.counter("consensus.pbft.messages").inc(
+                result.messages_sent
+            )
+            if result.view_changes:
+                obs.counter("consensus.pbft.view_changes").inc(
+                    result.view_changes
                 )
-                outcome = "committed" if result.committed else "failed"
-                obs.counter("consensus.pbft.rounds", outcome=outcome).inc()
-                obs.counter("consensus.pbft.messages").inc(
-                    result.messages_sent
-                )
-                if result.view_changes:
-                    obs.counter("consensus.pbft.view_changes").inc(
-                        result.view_changes
-                    )
-                obs.histogram("consensus.pbft.latency").observe(
-                    result.latency
-                )
+            obs.histogram("consensus.pbft.latency").observe(
+                result.latency
+            )
         return result
 
     def _run_round(self) -> PBFTRoundResult:

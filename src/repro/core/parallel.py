@@ -43,13 +43,12 @@ output is identical regardless of backend, worker count, or chunk size.
 
 Observability, recorded in the parent under the caller's metric family
 (``pipeline.parallel`` / ``exec.replay``; see
-``docs/parallel_pipeline.md``): span ``<family>.run`` with one
-``<family>.chunk`` child per chunk (``worker_seconds`` carries the
-in-worker wall time); counters ``.runs`` / ``.chunks`` / ``.blocks`` /
-``.fallbacks`` and gauge ``.jobs``, labelled by backend; histogram
-``.chunk_seconds``; and one ``schedule``/``start``/``commit``
-flight-recorder triple per chunk on executor ``<lanes>.<backend>``
-(clocks in real seconds since collection began, one lane per worker).
+``docs/parallel_pipeline.md``): counters ``.runs`` / ``.chunks`` /
+``.blocks`` / ``.fallbacks`` and gauge ``.jobs``, labelled by backend;
+histogram ``.chunk_seconds`` (the in-worker wall time per chunk); and
+one ``schedule``/``start``/``commit`` flight-recorder triple per chunk
+on executor ``<lanes>.<backend>`` (clocks in real seconds since
+collection began, one lane per worker).
 Whatever a chunk function records privately — a registry dump, recorder
 rows — rides back with its result and is merged at join, so metric
 totals and event streams match a serial walk for every backend.
@@ -74,7 +73,6 @@ from repro.core.pipeline import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import QUEUE_LANE
-from repro.obs.tracer import NOOP_TRACER
 
 BACKENDS = ("serial", "process")
 DEFAULT_BACKEND = "process"
@@ -249,8 +247,8 @@ def _worker_init() -> None:
     whole inherited heap and also breaks copy-on-write sharing —
     measured at ~5x wall-time overhead on a 2k-block chain.
 
-    ``obs.uninstall()`` drops any recording registry/tracer inherited
-    from an instrumented parent: recording into it would be invisible to
+    ``obs.uninstall()`` drops any recording state inherited from an
+    instrumented parent: recording into it would be invisible to
     the parent anyway (the fork copy dies with the worker).  When the
     parent *is* instrumented it instead asks each chunk to record
     privately (``record_obs``) and merges what rides back at join.
@@ -292,7 +290,7 @@ def _collect_ordered(
     """Gather chunk results in submission (= height) order, merging obs.
 
     Joins the observability streams in the parent: the per-chunk
-    span/histogram family, worker registry dumps (merged into the
+    histogram, worker registry dumps (merged into the
     installed registry, closing the process-backend blind spot), worker
     recorder rows (replayed chunk by chunk, so the parent's event stream
     is byte-identical to a serial run's regardless of which worker
@@ -309,14 +307,8 @@ def _collect_ordered(
     lane_of: dict[int, int] = {}
     collect_start = time.perf_counter()
     records: list = []
-    for index, resolve in enumerate(resolvers):
-        start, stop = bounds[index]
-        with obs.trace_span(
-            f"{family}.chunk",
-            index=index, start=start, blocks=stop - start, backend=backend,
-        ) as span:
-            result = resolve()
-            span.set(worker_seconds=round(result.elapsed, 6))
+    for (start, stop), resolve in zip(bounds, resolvers):
+        result = resolve()
         seconds.observe(result.elapsed)
         if result.obs_dump is not None:
             registry.merge_dump(result.obs_dump)
@@ -393,7 +385,6 @@ def ordered_chunk_map(
     backend: str,
     jobs: int,
     chunk_size: int,
-    **run_attrs: object,
 ) -> list:
     """Run *chunk_fn* over contiguous chunks of *items*; records in order.
 
@@ -404,14 +395,13 @@ def ordered_chunk_map(
         params: the small picklable per-run parameters every chunk
             shares.
         items: the sliceable sequence of pure, picklable work items.
-        family: metric/span family (``"pipeline.parallel"``,
+        family: metric family (``"pipeline.parallel"``,
             ``"exec.replay"``).
         lanes: flight-recorder executor prefix (``"pipeline"``,
             ``"replay"``) — chunk lanes land on ``<lanes>.<backend>``.
         backend / jobs / chunk_size: already validated
             (:func:`validate_backend` / :func:`validate_jobs` /
             :func:`validate_chunk_size`).
-        run_attrs: extra attributes for the ``<family>.run`` span.
 
     The concatenated records are identical for every (backend, jobs,
     chunk_size); a process pool that cannot start degrades to the
@@ -426,33 +416,28 @@ def ordered_chunk_map(
     collect = partial(
         _collect_ordered, bounds=bounds, family=family, lanes=lanes
     )
-    with obs.trace_span(
-        f"{family}.run",
-        backend=backend, jobs=jobs, chunks=len(bounds), blocks=len(items),
-        **run_attrs,
-    ):
-        obs.counter(f"{family}.runs", backend=backend).inc()
-        obs.counter(f"{family}.chunks", backend=backend).inc(len(bounds))
-        obs.counter(f"{family}.blocks", backend=backend).inc(len(items))
-        obs.gauge(f"{family}.jobs", backend=backend).set(jobs)
-        if backend == "process":
-            try:
-                return _run_process_pool(
-                    (chunk_fn, params, items), bounds, jobs, record_obs,
-                    collect,
-                )
-            except (ImportError, NotImplementedError, OSError):
-                # Sandboxes without sem_open / fork; chunk purity makes
-                # the in-process retry safe.
-                obs.counter(f"{family}.fallbacks", backend="process").inc()
-        return collect(
-            (
-                partial(_run_chunk, chunk_fn, params, items[start:stop],
-                        record_obs)
-                for start, stop in bounds
-            ),
-            backend="serial",
-        )
+    obs.counter(f"{family}.runs", backend=backend).inc()
+    obs.counter(f"{family}.chunks", backend=backend).inc(len(bounds))
+    obs.counter(f"{family}.blocks", backend=backend).inc(len(items))
+    obs.gauge(f"{family}.jobs", backend=backend).set(jobs)
+    if backend == "process":
+        try:
+            return _run_process_pool(
+                (chunk_fn, params, items), bounds, jobs, record_obs,
+                collect,
+            )
+        except (ImportError, NotImplementedError, OSError):
+            # Sandboxes without sem_open / fork; chunk purity makes
+            # the in-process retry safe.
+            obs.counter(f"{family}.fallbacks", backend="process").inc()
+    return collect(
+        (
+            partial(_run_chunk, chunk_fn, params, items[start:stop],
+                    record_obs)
+            for start, stop in bounds
+        ),
+        backend="serial",
+    )
 
 
 # -- block analysis over the fan-out ------------------------------------------
@@ -497,9 +482,7 @@ def _analyze_chunk_recording(
     """
     if record_obs and not obs.get_registry().enabled:
         registry = MetricsRegistry()
-        with obs.scoped(obs.ObservabilityState(
-            registry=registry, tracer=NOOP_TRACER
-        )):
+        with obs.scoped(obs.ObservabilityState(registry=registry)):
             records, elapsed = analyze_chunk(data_model, chunk)
         return records, elapsed, registry.dump(), None
     records, elapsed = analyze_chunk(data_model, chunk)
@@ -551,16 +534,15 @@ def analyze_chain(
     history = ChainHistory(
         name=name, data_model=data_model, start_year=start_year
     )
-    with obs.trace_span("pipeline.chain", chain=name, model=data_model):
-        if backend == "serial":
-            # The reference walk: no chunks, no parallel.* family.
-            for item in inputs:
-                history.append(_analyze_block(data_model, item))
-            return history
-        for record in ordered_chunk_map(
-            _analyze_chunk_recording, data_model, inputs,
-            family="pipeline.parallel", lanes="pipeline",
-            backend=backend, jobs=jobs, chunk_size=chunk_size,
-        ):
-            history.append(record)
+    if backend == "serial":
+        # The reference walk: no chunks, no parallel.* family.
+        for item in inputs:
+            history.append(_analyze_block(data_model, item))
+        return history
+    for record in ordered_chunk_map(
+        _analyze_chunk_recording, data_model, inputs,
+        family="pipeline.parallel", lanes="pipeline",
+        backend=backend, jobs=jobs, chunk_size=chunk_size,
+    ):
+        history.append(record)
     return history

@@ -120,26 +120,24 @@ def analyze_utxo_block(
     timestamp: float,
 ) -> tuple[BlockRecord, TDGResult]:
     """Build the TDG and metrics for one UTXO block."""
-    with obs.trace_span("pipeline.block", height=height, model="utxo"):
-        regular: list[UTXOTransaction] = []
-        num_input_txos = 0
-        size_bytes = 0
-        for tx in transactions:
-            size_bytes += tx.size_bytes
-            if not tx.is_coinbase:
-                regular.append(tx)
-                num_input_txos += len(tx.inputs)
-        tdg = utxo_tdg(regular)
-        with obs.trace_span("pipeline.metrics", height=height):
-            metrics = compute_block_metrics(tdg)
-        record = BlockRecord(
-            height=height,
-            timestamp=timestamp,
-            num_transactions=len(regular),
-            metrics=metrics,
-            num_input_txos=num_input_txos,
-            size_bytes=float(size_bytes),
-        )
+    regular: list[UTXOTransaction] = []
+    num_input_txos = 0
+    size_bytes = 0
+    for tx in transactions:
+        size_bytes += tx.size_bytes
+        if not tx.is_coinbase:
+            regular.append(tx)
+            num_input_txos += len(tx.inputs)
+    tdg = utxo_tdg(regular)
+    metrics = compute_block_metrics(tdg)
+    record = BlockRecord(
+        height=height,
+        timestamp=timestamp,
+        num_transactions=len(regular),
+        metrics=metrics,
+        num_input_txos=num_input_txos,
+        size_bytes=float(size_bytes),
+    )
     obs.counter("pipeline.blocks", model="utxo").inc()
     obs.counter("pipeline.transactions", model="utxo").inc(len(regular))
     return record, tdg
@@ -152,28 +150,26 @@ def analyze_account_block(
     timestamp: float,
 ) -> tuple[BlockRecord, TDGResult]:
     """Build the TDG and gas-weighted metrics for one account block."""
-    with obs.trace_span("pipeline.block", height=height, model="account"):
-        regular = [item for item in executed if not item.tx.is_coinbase]
-        tdg = account_tdg(regular)
-        gas_weights: dict[str, float] = {}
-        gas_used = 0
-        num_internal = 0
-        for item in regular:
-            receipt = item.receipt
-            gas = receipt.gas_used
-            gas_used += gas
-            num_internal += len(receipt.internal_transactions)
-            gas_weights[receipt.tx_hash] = float(max(gas, 1))
-        with obs.trace_span("pipeline.metrics", height=height):
-            metrics = compute_block_metrics(tdg, weights=gas_weights)
-        record = BlockRecord(
-            height=height,
-            timestamp=timestamp,
-            num_transactions=len(regular),
-            metrics=metrics,
-            num_internal=num_internal,
-            gas_used=float(gas_used),
-        )
+    regular = [item for item in executed if not item.tx.is_coinbase]
+    tdg = account_tdg(regular)
+    gas_weights: dict[str, float] = {}
+    gas_used = 0
+    num_internal = 0
+    for item in regular:
+        receipt = item.receipt
+        gas = receipt.gas_used
+        gas_used += gas
+        num_internal += len(receipt.internal_transactions)
+        gas_weights[receipt.tx_hash] = float(max(gas, 1))
+    metrics = compute_block_metrics(tdg, weights=gas_weights)
+    record = BlockRecord(
+        height=height,
+        timestamp=timestamp,
+        num_transactions=len(regular),
+        metrics=metrics,
+        num_internal=num_internal,
+        gas_used=float(gas_used),
+    )
     obs.counter("pipeline.blocks", model="account").inc()
     obs.counter("pipeline.transactions", model="account").inc(len(regular))
     return record, tdg

@@ -161,45 +161,42 @@ def _utxo_forest(
     touches can leave their own group; one ascending pass over them
     points each at its root and moves it into its root's group.
     """
-    with obs.trace_span("tdg.build", model="utxo") as span:
-        parent = list(range(len(nodes)))
-        for a, b in edges:
-            while parent[a] != a:  # find, path halving
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a < b:
-                parent[b] = a
-            elif b < a:
-                parent[a] = b
+    parent = list(range(len(nodes)))
+    for a, b in edges:
+        while parent[a] != a:  # find, path halving
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
 
-        # Every node starts as its own group; a merged group is built
-        # in block order under its root's position and the other
-        # members' places are emptied.
-        groups: list[tuple[str, ...] | None] = list(zip(nodes))
-        members: dict[int, list[str]] = {}
-        for node in sorted({node for edge in edges for node in edge}):
-            root = parent[node] = parent[parent[node]]
-            if root != node:
-                if root not in members:
-                    members[root] = [nodes[root]]
-                members[root].append(nodes[node])
-                groups[node] = None
-        for root, group in members.items():
-            groups[root] = tuple(group)
-        result = TDGResult(
-            groups=tuple(filter(None, groups)), num_transactions=len(nodes)
+    # Every node starts as its own group; a merged group is built
+    # in block order under its root's position and the other
+    # members' places are emptied.
+    groups: list[tuple[str, ...] | None] = list(zip(nodes))
+    members: dict[int, list[str]] = {}
+    for node in sorted({node for edge in edges for node in edge}):
+        root = parent[node] = parent[parent[node]]
+        if root != node:
+            if root not in members:
+                members[root] = [nodes[root]]
+            members[root].append(nodes[node])
+            groups[node] = None
+    for root, group in members.items():
+        groups[root] = tuple(group)
+    result = TDGResult(
+        groups=tuple(filter(None, groups)), num_transactions=len(nodes)
+    )
+    if obs.enabled():
+        obs.counter("tdg.builds", model="utxo").inc()
+        obs.counter("tdg.edges_scanned", model="utxo").inc(scanned)
+        obs.counter("tdg.edges_in_block", model="utxo").inc(len(edges))
+        obs.counter("tdg.components_merged", model="utxo").inc(
+            len(nodes) - len(result.groups)
         )
-        if obs.enabled():
-            span.set(transactions=len(nodes), edges=len(edges),
-                     groups=len(result.groups))
-            obs.counter("tdg.builds", model="utxo").inc()
-            obs.counter("tdg.edges_scanned", model="utxo").inc(scanned)
-            obs.counter("tdg.edges_in_block", model="utxo").inc(len(edges))
-            obs.counter("tdg.components_merged", model="utxo").inc(
-                len(nodes) - len(result.groups)
-            )
-        return result
+    return result
 
 
 # -- Account model ------------------------------------------------------------
@@ -242,71 +239,67 @@ def account_tdg_from_edges(
     component even when its pairs are not connected to each other (a
     call tree always is; degenerate inputs need not be).
     """
-    with obs.trace_span("tdg.build", model="account") as span:
-        index: dict[str, int] = {}
-        parent: list[int] = []
-        # Per transaction, some node of its component; -1 without pairs.
-        anchors: list[int] = []
-        for pairs in tx_edges.values():
-            root = -1
-            for pair in pairs:
-                for address in pair:
-                    node = index.get(address)
-                    if node is None:
-                        node = index[address] = len(parent)
-                        parent.append(node)
-                    else:
-                        while parent[node] != node:  # find, path halving
-                            parent[node] = node = parent[parent[node]]
-                    if root < 0:
-                        root = node
-                    elif node < root:
-                        parent[root] = node
-                        root = node
-                    else:
-                        parent[node] = root
-            anchors.append(root)
-        # A parent is always the smaller position: one ascending pass
-        # points every node at its root.
-        for node, above in enumerate(parent):
-            parent[node] = parent[above]
+    index: dict[str, int] = {}
+    parent: list[int] = []
+    # Per transaction, some node of its component; -1 without pairs.
+    anchors: list[int] = []
+    for pairs in tx_edges.values():
+        root = -1
+        for pair in pairs:
+            for address in pair:
+                node = index.get(address)
+                if node is None:
+                    node = index[address] = len(parent)
+                    parent.append(node)
+                else:
+                    while parent[node] != node:  # find, path halving
+                        parent[node] = node = parent[parent[node]]
+                if root < 0:
+                    root = node
+                elif node < root:
+                    parent[root] = node
+                    root = node
+                else:
+                    parent[node] = root
+        anchors.append(root)
+    # A parent is always the smaller position: one ascending pass
+    # points every node at its root.
+    for node, above in enumerate(parent):
+        parent[node] = parent[above]
 
-        groups: list[list[str]] = []
-        group_at: list[list[str] | None] = [None] * len(parent)
-        for tx_hash, anchor in zip(tx_edges, anchors):
-            if anchor < 0:
-                groups.append([tx_hash])
-                continue
-            group = group_at[parent[anchor]]
-            if group is None:
-                group = group_at[parent[anchor]] = []
-                groups.append(group)
-            group.append(tx_hash)
+    groups: list[list[str]] = []
+    group_at: list[list[str] | None] = [None] * len(parent)
+    for tx_hash, anchor in zip(tx_edges, anchors):
+        if anchor < 0:
+            groups.append([tx_hash])
+            continue
+        group = group_at[parent[anchor]]
+        if group is None:
+            group = group_at[parent[anchor]] = []
+            groups.append(group)
+        group.append(tx_hash)
 
-        # ``index`` iterates in first-seen order, the order of ``parent``,
-        # and a root is the first-seen address of its component.
-        components: dict[int, list[str]] = {}
-        for address, root in zip(index, parent):
-            components.setdefault(root, []).append(address)
+    # ``index`` iterates in first-seen order, the order of ``parent``,
+    # and a root is the first-seen address of its component.
+    components: dict[int, list[str]] = {}
+    for address, root in zip(index, parent):
+        components.setdefault(root, []).append(address)
 
-        if obs.enabled():
-            span.set(transactions=len(tx_edges),
-                     addresses=len(index),
-                     groups=len(groups))
-            obs.counter("tdg.builds", model="account").inc()
-            obs.counter("tdg.edges_scanned", model="account").inc(
-                sum(len(pairs) for pairs in tx_edges.values())
-            )
-            obs.counter("tdg.components_merged", model="account").inc(
-                len(index) - len(components)
-            )
-        return TDGResult(
-            groups=tuple(tuple(group) for group in groups),
-            num_transactions=len(tx_edges),
-            address_components=tuple(
-                tuple(component) for component in components.values()
-            ),
+    if obs.enabled():
+        obs.counter("tdg.builds", model="account").inc()
+        obs.counter("tdg.edges_scanned", model="account").inc(
+            sum(len(pairs) for pairs in tx_edges.values())
         )
+        obs.counter("tdg.components_merged", model="account").inc(
+            len(index) - len(components)
+        )
+    return TDGResult(
+        groups=tuple(tuple(group) for group in groups),
+        num_transactions=len(tx_edges),
+        address_components=tuple(
+            tuple(component) for component in components.values()
+        ),
+    )
 
 
 # -- Storage-level conflicts (ref. [17] ablation) ----------------------------
@@ -326,13 +319,6 @@ def storage_conflict_groups(
     (transactions touching the same address but different storage keys
     are independent here).
     """
-    with obs.trace_span("tdg.storage_groups") as span:
-        return _storage_conflict_groups(executed, span)
-
-
-def _storage_conflict_groups(
-    executed: Sequence[ExecutedTransaction], span
-) -> TDGResult:
     # Imported here: repro.execution.engine imports this module.
     from repro.execution.conflict_partition import conflict_partition
     from repro.execution.engine import TxTask
@@ -363,7 +349,6 @@ def _storage_conflict_groups(
         for group in conflict_partition(accesses)
     ]
     if obs.enabled():
-        span.set(transactions=len(accesses), groups=len(groups))
         obs.counter("tdg.builds", model="storage").inc()
         obs.counter("tdg.locations_tracked", model="storage").inc(
             len(frozenset().union(*(access.writes for access in accesses)))

@@ -155,21 +155,17 @@ class GroupedExecutor:
         """
         if not tasks:
             return finish_run(self.name, self.cores)
-        with obs.trace_span(
-            "exec.grouped.run", cores=self.cores, policy=self.policy
-        ) as span:
-            if groups is None:
-                groups = conflict_groups(tasks)
-            report, ordered = chain_schedule(
-                self.name, self.cores, tasks, groups,
-                self.scheduling_cost, policy=self.policy, exact=True,
-            )
-            if obs.measuring():
-                span.set(tasks=len(tasks), groups=len(ordered))
-                obs.counter("exec.grouped.groups").inc(len(ordered))
-                size_hist = obs.histogram("exec.grouped.group_size")
-                for group in ordered:
-                    size_hist.observe(len(group))
+        if groups is None:
+            groups = conflict_groups(tasks)
+        report, ordered = chain_schedule(
+            self.name, self.cores, tasks, groups,
+            self.scheduling_cost, policy=self.policy, exact=True,
+        )
+        if obs.measuring():
+            obs.counter("exec.grouped.groups").inc(len(ordered))
+            size_hist = obs.histogram("exec.grouped.group_size")
+            for group in ordered:
+                size_hist.observe(len(group))
         return finish_run(self.name, self.cores, report)
 
 
@@ -210,24 +206,16 @@ class StaticGroupedExecutor:
         """
         if not tasks:
             return finish_run(self.name, self.cores)
-        with obs.trace_span(
-            "exec.static_grouped.run", cores=self.cores
-        ) as span:
-            if groups is None:
-                groups = predicted_groups(self.predictions, tasks)
-            report, ordered = chain_schedule(
-                self.name, self.cores, tasks, groups,
-                self.scheduling_cost, policy="lpt", exact=exact,
-            )
-            if obs.measuring():
-                span.set(
-                    tasks=len(tasks),
-                    groups=len(ordered),
-                    aborts=report.aborts,
-                )
-                obs.counter("exec.static_grouped.groups").inc(len(ordered))
-                size_hist = obs.histogram("exec.static_grouped.group_size")
-                for group in ordered:
-                    size_hist.observe(len(group))
-                obs.counter("exec.static_grouped.aborts").inc(report.aborts)
+        if groups is None:
+            groups = predicted_groups(self.predictions, tasks)
+        report, ordered = chain_schedule(
+            self.name, self.cores, tasks, groups,
+            self.scheduling_cost, policy="lpt", exact=exact,
+        )
+        if obs.measuring():
+            obs.counter("exec.static_grouped.groups").inc(len(ordered))
+            size_hist = obs.histogram("exec.static_grouped.group_size")
+            for group in ordered:
+                size_hist.observe(len(group))
+            obs.counter("exec.static_grouped.aborts").inc(report.aborts)
         return finish_run(self.name, self.cores, report)

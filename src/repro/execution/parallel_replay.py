@@ -76,10 +76,8 @@ from repro.execution.registry import (
     validate_engines,
 )
 from repro.obs import ObservabilityState
-from repro.obs.lifecycle import NOOP_LIFECYCLE
 from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
 from repro.obs.timeline import NOOP_RECORDER, EventRow, FlightRecorder
-from repro.obs.tracer import NOOP_TRACER
 from repro.utxo.transaction import UTXOTransaction
 
 DEFAULT_CORES = 4
@@ -463,15 +461,12 @@ def _replay_block(
     """Replay one block through *engines*; one record per engine.
 
     The engines run under a private scope (:func:`repro.obs.scoped`),
-    so a node's validators never touch the global traces (NOOP
-    tracer/lifecycle); *recorder* keeps
-    whatever rows they defer, for the caller to expand or not.  They
+    so a node's validators never touch the global lifecycle traces
+    (the scope's lifecycle is the no-op one); *recorder* keeps whatever
+    rows they defer, for the caller to expand or not.  They
     share one :class:`BlockConflicts`, dropped on return.
     """
-    scope = ObservabilityState(
-        registry=registry, tracer=NOOP_TRACER, recorder=recorder,
-        lifecycle=NOOP_LIFECYCLE,
-    )
+    scope = ObservabilityState(registry=registry, recorder=recorder)
     conflicts = BlockConflicts(block)
     with obs.scoped(scope), recorder.block(block.height):
         reports = [
@@ -567,8 +562,7 @@ def replay_chain(
 
     Args:
         source: a :class:`ReplayBlock` list or an iterable of
-            ``(height, tasks, payload)`` triples (what
-            :func:`repro.obs.regress.chain_task_blocks` yields).
+            ``(height, tasks, payload)`` triples.
         data_model: ``"utxo"`` or ``"account"``; checked, not read —
             every engine runs the blocks' tasks.
         engines: engine names from :data:`ENGINES`, order preserved.
@@ -602,7 +596,6 @@ def replay_chain(
         replay_chunk, (engines, cores), inputs,
         family="exec.replay", lanes="replay",
         backend=backend, jobs=jobs, chunk_size=chunk_size,
-        engines=len(engines),
     )
     ordered = sorted(records, key=lambda r: (r.height, engines.index(r.engine)))
     return ReplayResult(engines=engines, records=tuple(ordered))

@@ -147,22 +147,18 @@ class SpeculativeExecutor:
         """
         if not tasks:
             return finish_run(self.name, self.cores)
-        with obs.trace_span(
-            "exec.speculative.run", cores=self.cores
-        ) as span:
-            report, _binned = two_phase(
-                self.name, self.cores, tasks, (), 0.0, exact=False,
-                wave_groups=groups,
+        report, _binned = two_phase(
+            self.name, self.cores, tasks, (), 0.0, exact=False,
+            wave_groups=groups,
+        )
+        if obs.measuring():
+            obs.counter("exec.speculative.reexecuted").inc(
+                report.reexecuted
             )
-            if obs.measuring():
-                span.set(tasks=len(tasks), reexecuted=report.reexecuted)
-                obs.counter("exec.speculative.reexecuted").inc(
-                    report.reexecuted
-                )
-                obs.counter("exec.speculative.aborts").inc(report.aborts)
-                obs.histogram("exec.speculative.bin_fraction").observe(
-                    report.reexecuted / len(tasks)
-                )
+            obs.counter("exec.speculative.aborts").inc(report.aborts)
+            obs.histogram("exec.speculative.bin_fraction").observe(
+                report.reexecuted / len(tasks)
+            )
         return finish_run(self.name, self.cores, report)
 
 
@@ -196,18 +192,14 @@ class InformedSpeculativeExecutor:
         """
         if not tasks:
             return finish_run(self.name, self.cores)
-        with obs.trace_span(
-            "exec.speculative-informed.run", cores=self.cores
-        ) as span:
-            if groups is None:
-                groups = conflict_groups(tasks)
-            report, binned = two_phase(
-                self.name, self.cores, tasks, groups,
-                self.preprocessing_cost, exact=True,
-            )
-            if obs.measuring():
-                span.set(tasks=len(tasks), binned=binned)
-                obs.counter("exec.speculative-informed.binned").inc(binned)
+        if groups is None:
+            groups = conflict_groups(tasks)
+        report, binned = two_phase(
+            self.name, self.cores, tasks, groups,
+            self.preprocessing_cost, exact=True,
+        )
+        if obs.measuring():
+            obs.counter("exec.speculative-informed.binned").inc(binned)
         return finish_run(self.name, self.cores, report)
 
 
@@ -248,21 +240,15 @@ class StaticInformedExecutor:
         """
         if not tasks:
             return finish_run(self.name, self.cores)
-        with obs.trace_span(
-            "exec.static-informed.run", cores=self.cores
-        ) as span:
-            if groups is None:
-                groups = predicted_groups(self.predictions, tasks)
-            report, binned = two_phase(
-                self.name, self.cores, tasks, groups,
-                self.preprocessing_cost, exact=exact,
+        if groups is None:
+            groups = predicted_groups(self.predictions, tasks)
+        report, binned = two_phase(
+            self.name, self.cores, tasks, groups,
+            self.preprocessing_cost, exact=exact,
+        )
+        if obs.measuring():
+            obs.counter("exec.static-informed.binned").inc(binned)
+            obs.counter("exec.static-informed.aborts").inc(
+                report.aborts
             )
-            if obs.measuring():
-                span.set(
-                    tasks=len(tasks), binned=binned, aborts=report.aborts
-                )
-                obs.counter("exec.static-informed.binned").inc(binned)
-                obs.counter("exec.static-informed.aborts").inc(
-                    report.aborts
-                )
         return finish_run(self.name, self.cores, report)

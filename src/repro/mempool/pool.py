@@ -181,25 +181,19 @@ class Mempool(Generic[PayloadT]):
         evicted: list[PoolEntry[PayloadT]] = []
         if self.total_weight <= self.max_weight:
             return evicted
-        with obs.trace_span("mempool.evict") as span:
-            ordered = sorted(
-                self._entries.values(), key=lambda entry: entry.fee_rate
-            )
-            for entry in ordered:
-                if self.total_weight <= self.max_weight:
-                    break
-                self._remove(entry.tx_hash)
-                evicted.append(entry)
-            if evicted:
-                obs.counter("mempool.evicted").inc(len(evicted))
-                life = obs.lifecycle()
-                for entry in evicted:
-                    life.close(entry.tx_hash, "dropped", reason="evicted")
-                if obs.enabled():
-                    span.set(
-                        evicted=len(evicted),
-                        weight=sum(e.weight for e in evicted),
-                    )
+        ordered = sorted(
+            self._entries.values(), key=lambda entry: entry.fee_rate
+        )
+        for entry in ordered:
+            if self.total_weight <= self.max_weight:
+                break
+            self._remove(entry.tx_hash)
+            evicted.append(entry)
+        if evicted:
+            obs.counter("mempool.evicted").inc(len(evicted))
+            life = obs.lifecycle()
+            for entry in evicted:
+                life.close(entry.tx_hash, "dropped", reason="evicted")
         return evicted
 
     # -- packing --------------------------------------------------------------

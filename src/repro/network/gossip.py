@@ -216,34 +216,32 @@ class GossipNetwork:
             if obs.enabled():
                 obs.counter("gossip.duplicate_drops").inc()
             return None
-        with obs.trace_span("gossip.propagate", origin=origin) as span:
-            arrival: dict[str, float] = {}
-            hops_of: dict[str, int] = {}
-            messages = 0
-            queue: list[tuple[float, str, int]] = [(0.0, origin, 0)]
-            while queue:
-                time, node, hops = heapq.heappop(queue)
-                if node in arrival:
-                    continue
-                arrival[node] = time
-                hops_of[node] = hops
-                relay_at = (
-                    time if node == origin else time + validation_delay
-                )
-                for peer, latency in self._peers[node].items():
-                    if peer not in arrival:
-                        messages += 1
-                        heapq.heappush(
-                            queue, (relay_at + latency, peer, hops + 1)
-                        )
-            if obs.enabled():
-                span.set(reached=len(arrival), messages=messages)
-                obs.counter("gossip.propagations").inc()
-                obs.counter("gossip.messages").inc(messages)
-                obs.counter("gossip.nodes_reached").inc(len(arrival))
-                hop_hist = obs.histogram("gossip.hops")
-                for hops in hops_of.values():
-                    hop_hist.observe(hops)
+        arrival: dict[str, float] = {}
+        hops_of: dict[str, int] = {}
+        messages = 0
+        queue: list[tuple[float, str, int]] = [(0.0, origin, 0)]
+        while queue:
+            time, node, hops = heapq.heappop(queue)
+            if node in arrival:
+                continue
+            arrival[node] = time
+            hops_of[node] = hops
+            relay_at = (
+                time if node == origin else time + validation_delay
+            )
+            for peer, latency in self._peers[node].items():
+                if peer not in arrival:
+                    messages += 1
+                    heapq.heappush(
+                        queue, (relay_at + latency, peer, hops + 1)
+                    )
+        if obs.enabled():
+            obs.counter("gossip.propagations").inc()
+            obs.counter("gossip.messages").inc(messages)
+            obs.counter("gossip.nodes_reached").inc(len(arrival))
+            hop_hist = obs.histogram("gossip.hops")
+            for hops in hops_of.values():
+                hop_hist.observe(hops)
         return PropagationResult(
             arrival_times=arrival, validation_delay=validation_delay
         )

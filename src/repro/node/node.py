@@ -366,10 +366,12 @@ class Node:
                     at=synced_at, sync="state_delta",
                 )
 
-    def _digestible(self, ntx: NodeTx) -> bool:
-        """Whether the block roots can digest *ntx*: a payload the
-        receipts root digests, and a hash and locations the roots'
-        ``hash_parts`` accepts."""
+    def _digestible(self, ntx: object) -> bool:
+        """Whether the block roots can digest *ntx*: a :class:`NodeTx`
+        with a payload the receipts root digests, and a hash and
+        locations the roots' ``hash_parts`` accepts."""
+        if not isinstance(ntx, NodeTx):
+            return False
         task = ntx.task
         return isinstance(
             ntx.payload, PAYLOAD_KINDS[self.config.data_model]
@@ -616,11 +618,15 @@ class Node:
                     src, Frame("pull_chain", self.node_id, 0)
                 )
             return
-        ntxs = self._executable(block.transactions)
-        if not all(map(self._digestible, ntxs)):
-            # Its replay would raise out of the receive loop.  The
-            # block stays seen (every caller marks it), so it is
-            # dropped once.
+        txs = block.transactions
+        ntxs = (
+            self._executable(txs)
+            if all(isinstance(tx, NodeTx) for tx in txs) else None
+        )
+        if ntxs is None or not all(map(self._digestible, ntxs)):
+            # Reading or replaying it would raise out of the receive
+            # loop.  The block stays seen (every caller marks it), so
+            # it is dropped once.
             self.stats.rejected += 1
             if obs.enabled():
                 obs.counter("node.blocks.rejected").inc()

@@ -1,35 +1,31 @@
-"""Instrumentation layer: metrics, span tracer, flight recorder, exporters.
+"""Instrumentation layer: metrics, flight recorder, lifecycle tracer,
+exporters.
 
-The rest of the codebase talks to this package through four module
+The rest of the codebase talks to this package through module
 functions that dispatch to a process-global observability state::
 
     from repro import obs
 
-    with obs.trace_span("tdg.build", model="utxo") as span:
-        ...
-        span.set(edges=n)
     obs.counter("mempool.admitted").inc()
-    if obs.enabled():                     # guard anything non-trivial
+    if obs.measuring():                   # guard anything non-trivial
         obs.histogram("exec.occ.queue_depth").observe(len(pending))
 
-By default the state holds :data:`NOOP_REGISTRY` and
-:data:`NOOP_TRACER`, so every call above is a near-free no-op and the
-tier-1 timings are unaffected.  Recording is switched on either for a
-scope::
+By default the state holds :data:`NOOP_REGISTRY`, so every call above
+is a near-free no-op and the tier-1 timings are unaffected.  Recording
+is switched on either for a scope::
 
     with obs.instrumented() as state:
         run_pipeline()
-    state.registry.snapshot(); state.tracer.spans()
+    state.registry.snapshot(); state.recorder.events()
 
-or process-wide with :func:`install` / :func:`uninstall` (the CLI
-``profile`` subcommand and the bench harness use the scoped form).
-Tests swap in private registries the same way, so they never observe
-each other's counts.
+or process-wide with :func:`install` / :func:`uninstall`.  Tests swap
+in private registries the same way, so they never observe each other's
+counts.
 
 Naming scheme (full catalogue in ``docs/observability.md``):
 
 * ``tdg.*`` — dependency-graph construction,
-* ``pipeline.*`` — per-chain / per-block analysis spans,
+* ``pipeline.*`` — per-chain / per-block analysis counts,
 * ``exec.<engine>.*`` — executor runs, aborts, retries, utilization,
 * ``mempool.*`` — admission, eviction, packing,
 * ``gossip.*`` — propagation message counts and hop depths,
@@ -65,7 +61,6 @@ from repro.obs.timeline import (
     NoopFlightRecorder,
     TimelineEvent,
 )
-from repro.obs.tracer import NOOP_TRACER, NoopTracer, Span, Tracer
 
 __all__ = [
     "Counter",
@@ -77,78 +72,69 @@ __all__ = [
     "NoopFlightRecorder",
     "NoopLifecycleTracer",
     "NoopMetricsRegistry",
-    "NoopTracer",
     "ObservabilityState",
-    "Span",
     "StitchedTrace",
     "TimelineEvent",
     "TraceContext",
-    "Tracer",
     "counter",
     "enabled",
     "gauge",
     "get_recorder",
     "get_registry",
-    "get_tracer",
     "histogram",
     "install",
     "instrumented",
     "lifecycle",
     "measuring",
     "scoped",
-    "trace_span",
     "uninstall",
 ]
 
 
 @dataclass(frozen=True)
 class ObservabilityState:
-    """One (registry, tracer, recorder, lifecycle) set — ``instrumented``
-    yields it.
+    """One (registry, recorder, lifecycle) set — ``instrumented`` yields
+    it.
 
-    ``enabled`` (anything records) and ``measuring`` (a registry or a
-    tracer records) are plain fields, computed once here: every
-    component's ``enabled`` is fixed by its class, and the guards are
-    read on every hop of the hot paths.
+    ``enabled`` (anything records) and ``measuring`` (the registry
+    records) are plain fields, computed once here: every component's
+    ``enabled`` is fixed by its class, and the guards are read on every
+    hop of the hot paths.
     """
 
     registry: MetricsRegistry
-    tracer: Tracer
     recorder: FlightRecorder = NOOP_RECORDER
     lifecycle: LifecycleTracer = NOOP_LIFECYCLE
     enabled: bool = field(init=False, compare=False, repr=False)
     measuring: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        measuring = self.registry.enabled or self.tracer.enabled
+        measuring = self.registry.enabled
         object.__setattr__(self, "measuring", measuring)
         object.__setattr__(self, "enabled", measuring or (
             self.recorder.enabled or self.lifecycle.enabled
         ))
 
 
-_NOOP_STATE = ObservabilityState(
-    registry=NOOP_REGISTRY, tracer=NOOP_TRACER, recorder=NOOP_RECORDER,
-    lifecycle=NOOP_LIFECYCLE,
-)
+_NOOP_STATE = ObservabilityState(registry=NOOP_REGISTRY)
 _state: ObservabilityState = _NOOP_STATE
 
 
 def enabled() -> bool:
-    """True when anything records: registry, tracer, flight recorder or
+    """True when anything records: registry, flight recorder or
     lifecycle tracer.
 
     Hot paths use this to guard instrumentation that would otherwise
     compute something (an extra pass, a division) even when disabled;
-    see :func:`measuring` for work only a metric or a span reads.
+    see :func:`measuring` for work only a metric reads.
     """
     return _state.enabled
 
 
 def measuring() -> bool:
-    """True when a recording registry or tracer is installed.
+    """True when a recording registry is installed.
 
-    The guard for work that only feeds a metric or a span attribute.
+    The guard for work that only feeds a metric.
     :func:`enabled` is also true for a flight recorder or a lifecycle
     tracer alone — the state a node's per-block replay runs under —
     where such work would be computed for the no-op registry; recorder
@@ -159,10 +145,6 @@ def measuring() -> bool:
 
 def get_registry() -> MetricsRegistry:
     return _state.registry
-
-
-def get_tracer() -> Tracer:
-    return _state.tracer
 
 
 def get_recorder() -> FlightRecorder:
@@ -180,7 +162,7 @@ def scoped(state: ObservabilityState) -> Iterator[ObservabilityState]:
 
     Swaps the process state and restores the previous one on exit, so
     scopes nest.  A block replay runs under a private state this way:
-    its own registry and recorder, no-op tracer and lifecycle.
+    its own registry and recorder, no-op lifecycle.
     """
     global _state
     previous = _state
@@ -193,7 +175,6 @@ def scoped(state: ObservabilityState) -> Iterator[ObservabilityState]:
 
 def install(
     registry: MetricsRegistry | None = None,
-    tracer: Tracer | None = None,
     recorder: FlightRecorder | None = None,
     lifecycle: LifecycleTracer | None = None,
 ) -> ObservabilityState:
@@ -208,7 +189,6 @@ def install(
     resolved_registry = registry if registry is not None else MetricsRegistry()
     _state = ObservabilityState(
         registry=resolved_registry,
-        tracer=tracer if tracer is not None else Tracer(),
         recorder=recorder if recorder is not None else FlightRecorder(),
         lifecycle=lifecycle if lifecycle is not None
         else LifecycleTracer(registry=resolved_registry),
@@ -225,14 +205,13 @@ def uninstall() -> None:
 @contextmanager
 def instrumented(
     registry: MetricsRegistry | None = None,
-    tracer: Tracer | None = None,
     recorder: FlightRecorder | None = None,
     lifecycle: LifecycleTracer | None = None,
 ) -> Iterator[ObservabilityState]:
     """Scoped recording: install on entry, restore the prior state after."""
     global _state
     previous = _state
-    state = install(registry=registry, tracer=tracer, recorder=recorder,
+    state = install(registry=registry, recorder=recorder,
                     lifecycle=lifecycle)
     try:
         yield state
@@ -241,11 +220,6 @@ def instrumented(
 
 
 # -- dispatching helpers (the only API instrumented modules call) ------------
-
-
-def trace_span(name: str, **attrs: object):
-    """Open a span on the current tracer (no-op context when disabled)."""
-    return _state.tracer.span(name, **attrs)
 
 
 def counter(name: str, **labels: object) -> Counter:

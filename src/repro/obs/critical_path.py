@@ -39,7 +39,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro import obs
 from repro.core.speedup import group_speedup_bound, speculative_speedup
 from repro.execution.engine import ExecutionReport, TxTask, conflict_groups
 from repro.execution.registry import EQ2_STRICT_EXECUTORS
@@ -347,40 +346,6 @@ def compare_to_bounds(
     )
 
 
-def record_timeline_metrics(
-    profile: TimelineProfile,
-    comparison: BoundComparison | None = None,
-) -> None:
-    """Feed a profile into the registry as ``exec.<engine>.timeline.*``.
-
-    Emits histograms ``...timeline.makespan`` / ``.critical_path`` /
-    ``.lane_utilization`` (one observation per profiled slice) and
-    counters ``...timeline.executions`` / ``.aborts`` / ``.retries``;
-    with a *comparison*, also ``...timeline.bound_gap`` (Eq. 2 bound
-    minus measured — negative means the bound was exceeded) and counter
-    ``...timeline.bound_violations`` for strict executors.
-    """
-    if not obs.enabled():
-        return
-    prefix = f"exec.{profile.executor}.timeline"
-    obs.histogram(f"{prefix}.makespan").observe(profile.makespan)
-    obs.histogram(f"{prefix}.critical_path").observe(
-        profile.critical_chain_cost
-    )
-    obs.histogram(f"{prefix}.lane_utilization").observe(
-        profile.mean_utilization
-    )
-    obs.counter(f"{prefix}.executions").inc(profile.executions)
-    obs.counter(f"{prefix}.aborts").inc(profile.aborted)
-    obs.counter(f"{prefix}.retries").inc(profile.retries)
-    if comparison is not None:
-        obs.histogram(f"{prefix}.bound_gap").observe(
-            comparison.eq2 - comparison.measured
-        )
-        if comparison.violates:
-            obs.counter(f"{prefix}.bound_violations").inc()
-
-
 def profile_recorder(
     recorder, *, per_block: bool = False
 ) -> Mapping[str, list[TimelineProfile]]:
@@ -416,6 +381,5 @@ __all__ = [
     "longest_handoff_chain",
     "profile_events",
     "profile_recorder",
-    "record_timeline_metrics",
     "task_conflict_profile",
 ]

@@ -1,15 +1,10 @@
-"""Exporters: JSON-lines traces, Prometheus text, summary tables.
+"""Exporters: Prometheus text and Chrome trace events.
 
-Three consumers, three formats:
+Two consumers, two formats:
 
-* :func:`write_trace_jsonl` — machine-readable dump for the perf
-  trajectory: one JSON object per completed span, then a final
-  ``{"type": "metrics", ...}`` snapshot line.  :func:`read_trace_jsonl`
-  round-trips it for tests and downstream tooling.
 * :func:`render_prometheus` — the standard text exposition format, so
-  snapshots can be scraped or diffed with existing tooling.
-* :func:`render_summary` — human-readable tables (reusing the bench
-  report renderer) aggregating spans by name and listing counters.
+  snapshots can be scraped or diffed with existing tooling
+  (``repro replay --prometheus-out``).
 * :func:`chrome_trace_events` / :func:`write_chrome_trace` — the
   flight recorder's timeline as Chrome trace-event JSON, loadable in
   ``chrome://tracing`` or Perfetto (executors as processes, lanes as
@@ -23,94 +18,11 @@ import re
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.report import render_table
 from repro.obs.lifecycle import StitchedTrace
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.timeline import EDGE_SEPARATOR, QUEUE_LANE, TimelineEvent
-from repro.obs.tracer import Span, Tracer
 
 TRACE_SCHEMA_VERSION = 1
-
-
-# -- JSON lines ---------------------------------------------------------------
-
-
-def span_record(span: Span) -> dict[str, object]:
-    """The JSONL dict form of one span."""
-    return {
-        "type": "span",
-        "name": span.name,
-        "span_id": span.span_id,
-        "parent_id": span.parent_id,
-        "start_ns": span.start_ns,
-        "duration_ns": span.duration_ns,
-        "attrs": span.attrs,
-    }
-
-
-def span_from_record(record: dict[str, object]) -> Span:
-    """Inverse of :func:`span_record`."""
-    return Span(
-        name=str(record["name"]),
-        span_id=int(record["span_id"]),  # type: ignore[arg-type]
-        parent_id=(
-            None if record.get("parent_id") is None
-            else int(record["parent_id"])  # type: ignore[arg-type]
-        ),
-        start_ns=int(record["start_ns"]),  # type: ignore[arg-type]
-        duration_ns=int(record["duration_ns"]),  # type: ignore[arg-type]
-        attrs=dict(record.get("attrs") or {}),  # type: ignore[arg-type]
-    )
-
-
-def write_trace_jsonl(
-    path: str | Path, tracer: Tracer, registry: MetricsRegistry
-) -> int:
-    """Write spans then a final metrics-snapshot line; returns span count.
-
-    The first line is a header carrying the schema version, so readers
-    can reject traces written by a future incompatible format.
-    """
-    spans = tracer.spans()
-    lines = [json.dumps({"type": "header",
-                         "schema_version": TRACE_SCHEMA_VERSION})]
-    lines.extend(json.dumps(span_record(span)) for span in spans)
-    lines.append(json.dumps({"type": "metrics",
-                             "snapshot": registry.snapshot()}))
-    Path(path).write_text("\n".join(lines) + "\n")
-    return len(spans)
-
-
-def read_trace_jsonl(
-    path: str | Path,
-) -> tuple[list[Span], dict[str, dict[str, object]]]:
-    """Parse a trace file back into (spans, metrics snapshot)."""
-    spans: list[Span] = []
-    snapshot: dict[str, dict[str, object]] = {
-        "counters": {}, "gauges": {}, "histograms": {},
-    }
-    for line_number, line in enumerate(
-        Path(path).read_text().splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        kind = record.get("type")
-        if kind == "header":
-            version = record.get("schema_version")
-            if version != TRACE_SCHEMA_VERSION:
-                raise ValueError(
-                    f"unsupported trace schema version {version!r}"
-                )
-        elif kind == "span":
-            spans.append(span_from_record(record))
-        elif kind == "metrics":
-            snapshot = record["snapshot"]
-        else:
-            raise ValueError(
-                f"line {line_number}: unknown record type {kind!r}"
-            )
-    return spans, snapshot
 
 
 # -- Prometheus text format ---------------------------------------------------
@@ -170,16 +82,11 @@ def _prom_labels(labels: tuple[tuple[str, str], ...],
     return f"{{{rendered}}}"
 
 
-def render_prometheus(
-    registry: MetricsRegistry, *, legacy_counter_names: bool = False
-) -> str:
+def render_prometheus(registry: MetricsRegistry) -> str:
     """Render a registry in the Prometheus text exposition format.
 
     Counters follow the Prometheus naming convention: a ``_total``
     suffix is appended unless the metric name already carries one.
-    Pass ``legacy_counter_names=True`` to additionally emit each
-    counter under its old unsuffixed name (a migration alias for
-    scrape configs written against earlier releases).
 
     Histograms are exported as summaries: ``<name>{quantile="0.5"}`` lines plus
     ``_sum`` and ``_count``.  A histogram with no observations renders
@@ -196,9 +103,6 @@ def render_prometheus(
             labels = _prom_labels(metric.labels)
             lines.append(f"# TYPE {total_name} counter")
             lines.append(f"{total_name}{labels} {metric.value:g}")
-            if legacy_counter_names and total_name != name:
-                lines.append(f"# TYPE {name} counter")
-                lines.append(f"{name}{labels} {metric.value:g}")
         elif isinstance(metric, Gauge):
             lines.append(f"# TYPE {name} gauge")
             lines.append(
@@ -218,79 +122,6 @@ def render_prometheus(
             lines.append(f"{name}_sum{base} {summary['sum']:g}")
             lines.append(f"{name}_count{base} {summary['count']:g}")
     return "\n".join(lines)
-
-
-# -- human-readable summary ---------------------------------------------------
-
-
-def render_summary(tracer: Tracer, registry: MetricsRegistry) -> str:
-    """Aggregate spans by name and list counters/histograms as tables."""
-    parts: list[str] = []
-    spans = tracer.spans()
-    if spans:
-        by_name: dict[str, list[Span]] = {}
-        for span in spans:
-            by_name.setdefault(span.name, []).append(span)
-        rows = []
-        for name in sorted(by_name):
-            durations = sorted(s.duration_ms for s in by_name[name])
-            total = sum(durations)
-            rows.append((
-                name,
-                len(durations),
-                f"{total:.2f}",
-                f"{total / len(durations):.3f}",
-                f"{durations[-1]:.3f}",
-            ))
-        parts.append(render_table(
-            ["span", "count", "total ms", "mean ms", "max ms"],
-            rows,
-            title="spans by name",
-        ))
-    snapshot = registry.snapshot()
-    counters = snapshot["counters"]
-    if counters:
-        parts.append(render_table(
-            ["counter", "value"],
-            [(key, f"{value:g}")
-             for key, value in sorted(counters.items())],
-            title="counters",
-        ))
-    gauges = snapshot["gauges"]
-    if gauges:
-        parts.append(render_table(
-            ["gauge", "value"],
-            [(key, f"{value:g}") for key, value in sorted(gauges.items())],
-            title="gauges",
-        ))
-    histograms = snapshot["histograms"]
-    if histograms:
-        # Zero-count histograms carry no percentile keys; show a dash
-        # rather than inventing numbers.
-        rows = [
-            (
-                key,
-                summary["count"],
-                f"{summary['mean']:.4g}" if summary["count"] else "-",
-                f"{summary['p50']:.4g}" if summary["count"] else "-",
-                f"{summary['p90']:.4g}" if summary["count"] else "-",
-                f"{summary['max']:.4g}" if summary["count"] else "-",
-            )
-            for key, summary in sorted(histograms.items())
-        ]
-        parts.append(render_table(
-            ["histogram", "count", "mean", "p50", "p90", "max"],
-            rows,
-            title="histograms",
-        ))
-    if not parts:
-        return "(no spans or metrics recorded)"
-    return "\n\n".join(parts)
-
-
-def registry_snapshot_json(registry: MetricsRegistry) -> str:
-    """Stable JSON form of a registry snapshot (for bench artifacts)."""
-    return json.dumps(registry.snapshot(), indent=2, sort_keys=True)
 
 
 # -- Chrome trace-event format ------------------------------------------------
@@ -484,8 +315,9 @@ def lifecycle_trace_events(
     trace renders as one ``"X"`` slice per stage event (extending to the
     next event) plus a flow chain (``"s"``/``"t"``/``"f"`` sharing the
     trace's id) arrowing the transaction's hop from stage to stage —
-    this is what joins the executor timeline in ``repro.cli timeline``
-    output so a transaction can be followed from admission to commit.
+    ``repro lifecycle --out`` joins these to the proposers' executor
+    timelines, so a transaction can be followed from admission to
+    commit.
     """
     from repro.obs.lifecycle import STAGES
 
@@ -581,12 +413,6 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "chrome_trace_events",
     "lifecycle_trace_events",
-    "read_trace_jsonl",
-    "registry_snapshot_json",
     "render_prometheus",
-    "render_summary",
-    "span_from_record",
-    "span_record",
     "write_chrome_trace",
-    "write_trace_jsonl",
 ]

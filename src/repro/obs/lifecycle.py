@@ -30,7 +30,7 @@ Design points, mirroring the rest of :mod:`repro.obs`:
   come from a per-tracer counter — traces are diffable between runs.
 * **Zero-cost when disabled.** :data:`NOOP_LIFECYCLE` drops everything;
   the instrumented call sites guard on ``tracer.enabled`` exactly like
-  the metrics/span layers, keeping the disabled overhead within the 1%
+  the metrics layer, keeping the disabled overhead within the 1%
   budget enforced by ``benchmarks/bench_lifecycle_trace.py``.
 * **Stage metrics.** Each recorded transition observes the latency
   since the previous stage into ``lifecycle.stage.<stage>`` histograms

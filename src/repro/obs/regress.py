@@ -34,20 +34,19 @@ import json
 from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro import obs
 from repro.execution.parallel_replay import replay_block_inputs
 from repro.execution.registry import (
     ENGINES as EXECUTOR_CHOICES,
     PREDICTION_ENGINES,
-    make_executor,
     run_engine,
     validate_engines,
 )
 from repro.obs.critical_path import (
     compare_to_bounds,
-    profile_events,
+    profile_recorder,
     task_conflict_profile,
 )
 from repro.node.network import NodeNetwork, lifecycle_config
@@ -83,26 +82,6 @@ _REALTIME_MARKERS = ("seconds", "_ns", "duration")
 _LIFECYCLE_METRIC_PREFIXES = (
     "lifecycle.", "mempool.", "gossip.", "consensus.", "sharding.",
 )
-
-
-# -- canonical workload -------------------------------------------------------
-
-
-def chain_task_blocks(
-    profile, *, blocks: int, seed: int, scale: float = 1.0
-) -> Iterator[tuple[int, list, tuple]]:
-    """Yield ``(height, tasks, payload)`` for a seeded chain's blocks.
-
-    A view of :func:`repro.execution.parallel_replay.replay_block_inputs`
-    without predictions: ``payload`` is the raw per-block transaction
-    sequence (UTXO transactions or executed account transactions) from
-    which the dependency DAG can be built; ``tasks`` the executor-ready
-    :class:`~repro.execution.engine.TxTask` list.
-    """
-    for block in replay_block_inputs(
-        profile, blocks=blocks, seed=seed, scale=scale, predict=False
-    ):
-        yield block.height, list(block.tasks), block.payload
 
 
 # -- snapshot construction ----------------------------------------------------
@@ -194,16 +173,11 @@ def build_snapshot(
                     stats["eq2_exceeded"] += 1
 
         timeline: dict[str, dict[str, object]] = {}
-        for name in recorder.executors():
-            events = recorder.events(executor=name)
-            per_block: dict[int | None, list] = {}
-            for event in events:
-                per_block.setdefault(event.block, []).append(event)
-            profiles = [
-                profile_events(chunk) for chunk in per_block.values()
-            ]
+        for name, profiles in profile_recorder(
+            recorder, per_block=True
+        ).items():
             timeline[name] = {
-                "events": len(events),
+                "events": len(recorder.events(executor=name)),
                 "executions": sum(p.executions for p in profiles),
                 "aborted": sum(p.aborted for p in profiles),
                 "retries": sum(p.retries for p in profiles),
@@ -474,12 +448,10 @@ __all__ = [
     "RegressionReport",
     "Tolerance",
     "build_snapshot",
-    "chain_task_blocks",
     "compare_snapshots",
     "deterministic_metrics",
     "flatten_snapshot",
     "load_snapshot",
-    "make_executor",
     "tolerances_from_spec",
     "write_snapshot",
 ]

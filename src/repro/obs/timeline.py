@@ -25,7 +25,7 @@ schedule itself as a stream of structured events::
 * ``cost`` is the task's cost in the same units (0.0 on point events
   where it adds nothing).
 
-Like the metrics registry and the span tracer, the recorder hangs off
+Like the metrics registry, the recorder hangs off
 the process-global observability state: the default
 :data:`NOOP_RECORDER` drops everything, so the instrumented executors
 cost one attribute check when recording is off.  When recording is

@@ -98,14 +98,6 @@ class CommitteeAssignment:
             raise ShardingError(
                 f"{self.nodes_required} nodes required, got {len(nodes)}"
             )
-        with obs.trace_span(
-            "sharding.assign", shards=self.num_shards, nodes=len(nodes)
-        ):
-            return self._assign(nodes)
-
-    def _assign(
-        self, nodes: list[NodeIdentity]
-    ) -> tuple[list[NodeIdentity], list[list[NodeIdentity]]]:
         finish_times = {
             node.node_id: self.rng.expovariate(node.hashpower)
             for node in nodes

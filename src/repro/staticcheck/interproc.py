@@ -266,36 +266,32 @@ class ContractAnalyzer:
         """Run the joint closure fixpoint over every bound address."""
         if self._closed is not None:
             return dict(self._closed)
-        with obs.trace_span(
-            "staticcheck.closure", contracts=len(self.code_of)
-        ) as span:
-            local = {
-                address: self._local_access(address)
-                for address in self.code_of
-            }
-            closed = dict(local)
-            passes = 0
-            changed = True
-            while changed:
-                passes += 1
-                if passes > _MAX_CLOSURE_PASSES:  # pragma: no cover
-                    raise RuntimeError("interprocedural closure diverged")
-                changed = False
-                for address in closed:
-                    merged = local[address]
-                    for target in self._call_targets(address):
-                        if target in closed:
-                            merged = merged.union(closed[target])
-                    if merged != closed[address]:
-                        closed[address] = merged
-                        changed = True
-            self._closed = closed
-            if obs.enabled():
-                span.set(passes=passes)
-                obs.counter("staticcheck.closures").inc(len(closed))
-                obs.counter("staticcheck.closure_top_widened").inc(
-                    sum(1 for item in closed.values() if item.is_top_widened)
-                )
+        local = {
+            address: self._local_access(address)
+            for address in self.code_of
+        }
+        closed = dict(local)
+        passes = 0
+        changed = True
+        while changed:
+            passes += 1
+            if passes > _MAX_CLOSURE_PASSES:  # pragma: no cover
+                raise RuntimeError("interprocedural closure diverged")
+            changed = False
+            for address in closed:
+                merged = local[address]
+                for target in self._call_targets(address):
+                    if target in closed:
+                        merged = merged.union(closed[target])
+                if merged != closed[address]:
+                    closed[address] = merged
+                    changed = True
+        self._closed = closed
+        if obs.enabled():
+            obs.counter("staticcheck.closures").inc(len(closed))
+            obs.counter("staticcheck.closure_top_widened").inc(
+                sum(1 for item in closed.values() if item.is_top_widened)
+            )
         return dict(closed)
 
     def _call_targets(self, address: str) -> Iterable[str]:

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -17,6 +23,30 @@ class TestParser:
         err = capsys.readouterr().err
         assert "unknown chain 'solana'" in err
         assert "ethereum" in err  # the known names are listed
+
+    def test_profile_is_an_unknown_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["profile", "--chain", "ethereum"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "profile" in err
+
+
+class TestBrokenPipe:
+    def test_a_closed_stdout_exits_1_without_a_traceback(self):
+        """``repro ... | head`` closes stdout early; the command ends
+        quietly instead of printing a ``BrokenPipeError`` traceback."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "table1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        proc.stdout.close()   # before the command has written a byte
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == ""
 
 
 class TestParallelFlags:

@@ -37,7 +37,6 @@ from repro.obs import ObservabilityState
 from repro.obs.lifecycle import NOOP_LIFECYCLE
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import FlightRecorder, NoopFlightRecorder
-from repro.obs.tracer import NOOP_TRACER
 from repro.workload.profiles import BITCOIN
 
 
@@ -380,7 +379,7 @@ class TestScopedObservability:
     def test_scoped_binds_and_restores(self):
         recorder = FlightRecorder()
         state = ObservabilityState(
-            registry=MetricsRegistry(), tracer=NOOP_TRACER,
+            registry=MetricsRegistry(),
             recorder=recorder, lifecycle=NOOP_LIFECYCLE,
         )
         assert not obs.enabled()
@@ -392,11 +391,11 @@ class TestScopedObservability:
 
     def test_scoped_nests(self):
         outer = ObservabilityState(
-            registry=MetricsRegistry(), tracer=NOOP_TRACER,
+            registry=MetricsRegistry(),
             recorder=NoopFlightRecorder(), lifecycle=NOOP_LIFECYCLE,
         )
         inner = ObservabilityState(
-            registry=MetricsRegistry(), tracer=NOOP_TRACER,
+            registry=MetricsRegistry(),
             recorder=NoopFlightRecorder(), lifecycle=NOOP_LIFECYCLE,
         )
         with obs.scoped(outer):

@@ -46,7 +46,6 @@ from repro.obs import ObservabilityState, timeline
 from repro.obs.lifecycle import NOOP_LIFECYCLE
 from repro.obs.metrics import NOOP_REGISTRY
 from repro.obs.timeline import FlightRecorder
-from repro.obs.tracer import NOOP_TRACER
 from repro.staticcheck.predict import PredictedAccess
 from repro.workload.profiles import PROFILES_BY_NAME
 from tests.core.test_golden_regression import GOLDEN_CHAINS
@@ -251,7 +250,7 @@ def recorded(height, runs):
     """Call each of *runs* under one private recorder; reports + rows."""
     recorder = FlightRecorder()
     scope = ObservabilityState(
-        registry=NOOP_REGISTRY, tracer=NOOP_TRACER, recorder=recorder,
+        registry=NOOP_REGISTRY, recorder=recorder,
         lifecycle=NOOP_LIFECYCLE,
     )
     with obs.scoped(scope), recorder.block(height):

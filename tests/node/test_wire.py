@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.chain.block import Block, build_block
 from repro.execution.engine import TxTask
 from repro.execution.parallel_replay import ReplayBlock, replay_single_block
@@ -848,6 +849,39 @@ class TestReceiveLoopSurvives:
         ], tcp_like=False)
         assert node.stats.rejected == 3
         assert ntx.tx_hash in node.pool     # the loop was still running
+
+    def test_a_tx_that_is_no_node_tx_is_rejected(self, node_txs):
+        """A payload carrying the frame's hash but no task used to raise
+        ``AttributeError`` out of admission and stop the node."""
+        foreign = SimpleNamespace(tx_hash="h1", payload=None, fee=1, weight=1)
+        node, _stats, out = _drive([
+            Frame("tx", "c", foreign, key="h1"),
+            _tx_frame(node_txs[0], src="c"),
+        ], tcp_like=False)
+        assert node.stats.rejected == 1
+        assert "h1" not in node.pool
+        assert node_txs[0].tx_hash in node.pool
+        assert [frame.key for frame in out if frame.kind == "tx"] == [
+            node_txs[0].tx_hash,
+        ]
+
+    def test_a_block_holding_no_node_tx_is_dropped(self, node_txs):
+        """A transaction without a payload used to raise
+        ``AttributeError`` out of block validation and stop the node."""
+        block = _block([SimpleNamespace(tx_hash="h1")])
+        with obs.instrumented() as state:
+            node, _stats, out = _drive([
+                Frame("block", "c", block, hops=1, key=block.block_hash),
+                _tx_frame(node_txs[0], src="c"),
+            ], tcp_like=False)
+        assert node.stats.rejected == 1
+        assert state.registry.snapshot()["counters"][
+            "node.blocks.rejected"
+        ] == 1
+        assert node.head_hash == make_genesis("ethereum").block_hash
+        assert block.block_hash not in node.forkchoice.tree
+        assert node_txs[0].tx_hash in node.pool
+        assert not [frame for frame in out if frame.kind == "block"]
 
 
 class _CountingPickle:

@@ -1,13 +1,15 @@
 """CLI contract for the replay fan-out wiring.
 
 Covers ``repro.cli replay`` (table, divergence exit code, Chrome
-trace), ``speedup --measured`` and ``compare --measured``.
+trace, Prometheus file), ``speedup --measured`` and ``compare
+--measured``.
 """
 
 from __future__ import annotations
 
 import json
 
+from repro import obs
 from repro.cli import main
 
 
@@ -70,6 +72,57 @@ class TestReplayCommand:
         names = {e["name"] for e in events if e["ph"] == "M"}
         assert "process_name" in names
         assert "wrote" in capsys.readouterr().out
+
+    def test_prometheus_out(self, tmp_path, capsys):
+        prom_path = tmp_path / "metrics.prom"
+        code = main([
+            "replay", "--chain", "ethereum", "--blocks", "3",
+            "--scale", "0.5", "--prometheus-out", str(prom_path),
+        ])
+        assert code == 0
+        text = prom_path.read_text()
+        assert "# TYPE exec_runs_total counter" in text
+        assert 'exec_replay_blocks_total{backend="serial"} 3' in text
+        assert "wrote Prometheus metrics" in capsys.readouterr().out
+
+    def test_process_backend_prometheus_out(self, tmp_path):
+        """The CI smoke invocation: the workers' counters merge into the
+        registry the file is written from."""
+        prom_path = tmp_path / "m.prom"
+        code = main([
+            "replay", "--chain", "ethereum", "--blocks", "4",
+            "--scale", "0.5", "--backend", "process", "--jobs", "2",
+            "--prometheus-out", str(prom_path),
+        ])
+        assert code == 0
+        text = prom_path.read_text()
+        assert 'exec_replay_blocks_total{backend="process"} 4' in text
+        assert 'exec_runs_total{cores="4",executor="occ"}' in text
+
+    def test_unwritable_prometheus_path_exits_2(self, tmp_path, capsys):
+        code = main([
+            "replay", "--chain", "bitcoin", "--blocks", "2",
+            "--scale", "0.1", "--engines", "occ",
+            "--prometheus-out", str(tmp_path / "missing" / "m.prom"),
+        ])
+        assert code == 2
+        assert "cannot write Prometheus file" in capsys.readouterr().err
+
+    def test_bad_cores_exits_2(self, capsys):
+        code = main([
+            "replay", "--chain", "bitcoin", "--blocks", "2",
+            "--cores", "0",
+        ])
+        assert code == 2
+        assert "--cores" in capsys.readouterr().err
+
+    def test_leaves_global_state_disabled(self, capsys):
+        code = main([
+            "replay", "--chain", "bitcoin", "--blocks", "2",
+            "--scale", "0.1", "--engines", "occ",
+        ])
+        assert code == 0
+        assert not obs.enabled()
 
 
 class TestSpeedupMeasured:

@@ -25,7 +25,6 @@ from repro.obs.critical_path import (
     longest_handoff_chain,
     profile_events,
     profile_recorder,
-    record_timeline_metrics,
     task_conflict_profile,
 )
 from repro.obs.timeline import FlightRecorder
@@ -280,35 +279,3 @@ class TestBounds:
             # DAG is non-strict: exceeding Eq. 2 is flagged, not failed.
             assert not comparison.strict
             assert not comparison.violates
-
-    def test_record_timeline_metrics_emits_catalogue(self):
-        with obs.instrumented() as state:
-            tasks = _conflicting_tasks()
-            report = SpeculativeExecutor(cores=2).run(tasks)
-            profile = profile_events(
-                state.recorder.events(executor="speculative")
-            )
-            comparison = compare_to_bounds(
-                report, task_conflict_profile(tasks)
-            )
-            record_timeline_metrics(profile, comparison)
-            snapshot = state.registry.snapshot()
-        prefix = "exec.speculative.timeline"
-        assert snapshot["histograms"][f"{prefix}.makespan"]["count"] == 1
-        assert f"{prefix}.critical_path" in snapshot["histograms"]
-        assert f"{prefix}.lane_utilization" in snapshot["histograms"]
-        assert f"{prefix}.bound_gap" in snapshot["histograms"]
-        assert snapshot["counters"][f"{prefix}.executions"] == float(
-            profile.executions
-        )
-        assert snapshot["counters"][f"{prefix}.aborts"] == float(
-            profile.aborted
-        )
-        # No violation occurred, so the violation counter was never
-        # created.
-        assert f"{prefix}.bound_violations" not in snapshot["counters"]
-
-    def test_record_timeline_metrics_noop_when_disabled(self):
-        profile = profile_events([])
-        record_timeline_metrics(profile)  # must not raise or record
-        assert not obs.enabled()

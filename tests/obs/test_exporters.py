@@ -1,5 +1,4 @@
-"""Exporter round-trips: JSONL spans/metrics, Prometheus text, and the
-human summary tables."""
+"""Exporters: Prometheus text and Chrome trace events."""
 
 from __future__ import annotations
 
@@ -11,86 +10,25 @@ from repro.obs.exporters import (
     COST_UNIT_US,
     TRACE_SCHEMA_VERSION,
     chrome_trace_events,
-    read_trace_jsonl,
-    registry_snapshot_json,
     render_prometheus,
-    render_summary,
     write_chrome_trace,
-    write_trace_jsonl,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import FlightRecorder
-from repro.obs.tracer import Tracer
 
 
-def _populated_backends() -> tuple[Tracer, MetricsRegistry]:
-    tracer = Tracer()
+def _populated_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
-    with tracer.span("pipeline.block", height=1):
-        with tracer.span("tdg.build", model="utxo") as span:
-            span.set(edges=4)
     registry.counter("exec.occ.aborts").inc(7)
     registry.gauge("mempool.size", chain="btc").set(42)
     for value in (1.0, 2.0, 3.0):
         registry.histogram("exec.wall_time", executor="occ").observe(value)
-    return tracer, registry
-
-
-class TestJsonlRoundTrip:
-    def test_spans_and_snapshot_survive(self, tmp_path):
-        tracer, registry = _populated_backends()
-        path = tmp_path / "trace.jsonl"
-        count = write_trace_jsonl(path, tracer, registry)
-        assert count == 2
-
-        spans, snapshot = read_trace_jsonl(path)
-        assert [span.name for span in spans] == [
-            "tdg.build", "pipeline.block",
-        ]
-        inner, outer = spans
-        assert outer.parent_id is None
-        assert inner.parent_id == outer.span_id
-        assert inner.attrs == {"model": "utxo", "edges": 4}
-        assert inner.duration_ns >= 0
-
-        assert snapshot == registry.snapshot()
-        assert snapshot["counters"]["exec.occ.aborts"] == 7.0
-        assert snapshot["gauges"]["mempool.size{chain=btc}"] == 42.0
-        assert snapshot["histograms"][
-            "exec.wall_time{executor=occ}"
-        ]["count"] == 3
-
-    def test_every_line_is_valid_json_with_known_type(self, tmp_path):
-        tracer, registry = _populated_backends()
-        path = tmp_path / "trace.jsonl"
-        write_trace_jsonl(path, tracer, registry)
-        lines = path.read_text().splitlines()
-        records = [json.loads(line) for line in lines]
-        assert records[0] == {
-            "type": "header", "schema_version": TRACE_SCHEMA_VERSION,
-        }
-        assert all(r["type"] in ("header", "span", "metrics")
-                   for r in records)
-        assert records[-1]["type"] == "metrics"
-
-    def test_unknown_record_type_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps({"type": "mystery"}) + "\n")
-        with pytest.raises(ValueError, match="unknown record type"):
-            read_trace_jsonl(path)
-
-    def test_future_schema_version_rejected(self, tmp_path):
-        path = tmp_path / "future.jsonl"
-        path.write_text(
-            json.dumps({"type": "header", "schema_version": 999}) + "\n"
-        )
-        with pytest.raises(ValueError, match="schema version"):
-            read_trace_jsonl(path)
+    return registry
 
 
 class TestPrometheus:
     def test_counter_gauge_histogram_lines(self):
-        _tracer, registry = _populated_backends()
+        registry = _populated_registry()
         text = render_prometheus(registry)
         assert "# TYPE exec_occ_aborts_total counter" in text
         assert "exec_occ_aborts_total 7" in text
@@ -100,7 +38,7 @@ class TestPrometheus:
         assert '''exec_wall_time_count{executor="occ"} 3''' in text
 
     def test_counters_drop_unsuffixed_names_by_default(self):
-        _tracer, registry = _populated_backends()
+        registry = _populated_registry()
         lines = render_prometheus(registry).splitlines()
         assert not any(
             line.startswith("exec_occ_aborts ") for line in lines
@@ -112,45 +50,6 @@ class TestPrometheus:
         text = render_prometheus(registry)
         assert "gossip_messages_total 5" in text
         assert "gossip_messages_total_total" not in text
-
-    def test_legacy_counter_names_alias(self):
-        registry = MetricsRegistry()
-        registry.counter("exec.occ.aborts").inc(7)
-        text = render_prometheus(registry, legacy_counter_names=True)
-        # Both the canonical _total series and the pre-migration name.
-        assert "exec_occ_aborts_total 7" in text
-        assert "# TYPE exec_occ_aborts counter" in text
-        assert "\nexec_occ_aborts 7" in text
-
-    def test_legacy_flag_skips_alias_when_already_suffixed(self):
-        registry = MetricsRegistry()
-        registry.counter("gossip.messages_total").inc(5)
-        text = render_prometheus(registry, legacy_counter_names=True)
-        assert text.count("gossip_messages_total 5") == 1
-
-
-class TestSummary:
-    def test_summary_tables_render(self):
-        tracer, registry = _populated_backends()
-        text = render_summary(tracer, registry)
-        assert "spans by name" in text
-        assert "pipeline.block" in text
-        assert "counters" in text
-        assert "exec.occ.aborts" in text
-        assert "histograms" in text
-
-    def test_empty_state(self):
-        assert "no spans or metrics" in render_summary(
-            Tracer(), MetricsRegistry()
-        )
-
-
-class TestSnapshotJson:
-    def test_stable_and_parseable(self):
-        _tracer, registry = _populated_backends()
-        text = registry_snapshot_json(registry)
-        assert json.loads(text) == registry.snapshot()
-        assert text == registry_snapshot_json(registry)  # deterministic
 
 
 class TestPrometheusSanitization:
@@ -197,12 +96,6 @@ class TestPrometheusSanitization:
         assert "exec_wall_time_count 0" in text
         assert "exec_wall_time_sum 0" in text
         assert "quantile" not in text
-
-    def test_empty_histogram_summary_table_renders_dashes(self):
-        registry = MetricsRegistry()
-        registry.histogram("exec.wall_time")
-        text = render_summary(Tracer(), registry)
-        assert "exec.wall_time" in text  # present, not crashed
 
 
 class TestChromeTrace:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.execution import make_executor
 from repro.obs.regress import (
     EXACT,
     SNAPSHOT_SCHEMA_VERSION,
@@ -17,7 +18,6 @@ from repro.obs.regress import (
     deterministic_metrics,
     flatten_snapshot,
     load_snapshot,
-    make_executor,
     tolerances_from_spec,
     write_snapshot,
 )

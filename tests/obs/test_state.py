@@ -1,7 +1,10 @@
 """The two dispatch guards: ``obs.enabled()`` and ``obs.measuring()``
-read fields an ``ObservabilityState`` computes once."""
+read fields an ``ObservabilityState`` computes once; ``instrumented``
+swaps the process state in and restores it."""
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -11,19 +14,16 @@ from repro.obs import (
     LifecycleTracer,
     MetricsRegistry,
     ObservabilityState,
-    Tracer,
 )
 from repro.obs.lifecycle import NOOP_LIFECYCLE
 from repro.obs.metrics import NOOP_REGISTRY
 from repro.obs.timeline import NOOP_RECORDER
-from repro.obs.tracer import NOOP_TRACER
 
 NOOP = dict(
-    registry=NOOP_REGISTRY, tracer=NOOP_TRACER, recorder=NOOP_RECORDER,
-    lifecycle=NOOP_LIFECYCLE,
+    registry=NOOP_REGISTRY, recorder=NOOP_RECORDER, lifecycle=NOOP_LIFECYCLE,
 )
 RECORDING = dict(
-    registry=MetricsRegistry, tracer=Tracer, recorder=FlightRecorder,
+    registry=MetricsRegistry, recorder=FlightRecorder,
     lifecycle=LifecycleTracer,
 )
 
@@ -44,7 +44,7 @@ def test_the_no_op_state_is_neither():
 def test_each_component_alone(component):
     state = _alone(component)
     assert state.enabled is True
-    assert state.measuring is (component in ("registry", "tracer"))
+    assert state.measuring is (component == "registry")
     with obs.instrumented(**{**NOOP, component: getattr(state, component)}):
         assert obs.enabled() is True
         assert obs.measuring() is state.measuring
@@ -52,12 +52,12 @@ def test_each_component_alone(component):
 
 
 def test_the_guards_are_fields_not_recomputed():
-    state = _alone("tracer")
+    state = _alone("registry")
     assert vars(state)["enabled"] is True
     assert vars(state)["measuring"] is True
     # Derived, so they take no part in equality.
     assert state == ObservabilityState(
-        **{**NOOP, "tracer": state.tracer}
+        **{**NOOP, "registry": state.registry}
     )
 
 
@@ -71,3 +71,54 @@ def test_scoped_overrides_follow_the_innermost_state():
         with obs.scoped(_alone("registry")):
             assert (obs.enabled(), obs.measuring()) == (True, True)
     assert (obs.enabled(), obs.measuring()) == (False, False)
+
+
+class TestGlobalState:
+    def test_default_is_disabled(self):
+        assert not obs.enabled()
+        obs.counter("ignored").inc()
+        assert obs.get_registry().snapshot()["counters"] == {}
+
+    def test_instrumented_swaps_and_restores(self):
+        assert not obs.enabled()
+        with obs.instrumented() as state:
+            assert obs.enabled()
+            obs.counter("hits").inc()
+        assert not obs.enabled()
+        assert state.registry.counter("hits").value == 1.0
+        # After restore, recording is off again.
+        obs.counter("hits").inc()
+        assert state.registry.counter("hits").value == 1.0
+
+    def test_instrumented_accepts_custom_backends(self):
+        registry, recorder = MetricsRegistry(), FlightRecorder()
+        with obs.instrumented(registry=registry, recorder=recorder) as state:
+            obs.counter("c").inc()
+        assert registry.counter("c").value == 1.0
+        assert state.registry is registry
+        assert state.recorder is recorder
+
+    def test_instrumented_restores_on_exception(self):
+        with pytest.raises(RuntimeError):
+            with obs.instrumented():
+                raise RuntimeError("boom")
+        assert not obs.enabled()
+
+    def test_nested_instrumented_restores_outer(self):
+        with obs.instrumented() as outer:
+            with obs.instrumented() as inner:
+                obs.counter("x").inc()
+            assert obs.get_registry() is outer.registry
+            assert inner.registry.counter("x").value == 1.0
+            assert outer.registry.counter("x").value == 0.0
+
+    def test_disabled_instrumentation_is_cheap(self):
+        """200k disabled counter touches must stay well under a generous
+        bound — the zero-cost-when-disabled guarantee (the bound is loose
+        to keep CI timing noise from flaking this)."""
+        assert not obs.enabled()
+        start = time.perf_counter()
+        for _ in range(200_000):
+            obs.counter("hot.path").inc()
+        assert time.perf_counter() - start < 2.0
+        assert obs.get_registry().snapshot()["counters"] == {}
