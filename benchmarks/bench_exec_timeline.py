@@ -1,9 +1,10 @@
 """Flight-recorder timeline bench: measured vs analytical speed-ups.
 
-Replays a seeded Ethereum-profile chain through the execution engines
-with the flight recorder on, then answers three questions and writes
-the results to ``BENCH_exec_timeline.json`` at the repo root (plus a
-human-readable summary under ``benchmarks/output/``):
+Replays a seeded Ethereum-profile chain through the execution engines,
+reads each block's events off the engine's report
+(:func:`repro.execution.schedule.timeline_rows`), then answers two
+questions and writes the results to ``BENCH_exec_timeline.json`` at the
+repo root (plus a human-readable summary under ``benchmarks/output/``):
 
 1. **Measured vs analytical** — per executor, the per-block speed-up
    recomputed from the recorded timeline against the paper's Eq. 1
@@ -14,31 +15,28 @@ human-readable summary under ``benchmarks/output/``):
    assumption is pessimistic for them) and are recorded, not gated.
 2. **Empirical critical path** — the longest finish->start hand-off
    chain recovered from the events, next to the block's LCC size.
-3. **Recorder overhead** — wall-clock of the identical replay with the
-   real :class:`~repro.obs.timeline.FlightRecorder` vs the no-op
-   recorder (same recording registry both sides, min of
-   several repeats).  The batch tuple-emission design must keep the
-   overhead under 10%.
+
+Engines record nothing while they run — a run's schedule is a value on
+its report — so there is no recorder overhead left to measure here.
 """
 
 from __future__ import annotations
 
 import json
 import platform
-import time
 from pathlib import Path
 
 from _common import write_output
 
-from repro import obs
 from repro.execution import make_executor, replay_block_inputs
+from repro.execution.schedule import timeline_rows
 from repro.obs.critical_path import (
     EQ2_STRICT_EXECUTORS,
     compare_to_bounds,
     profile_events,
     task_conflict_profile,
 )
-from repro.obs.timeline import NOOP_RECORDER, FlightRecorder
+from repro.obs.timeline import as_events
 from repro.workload.profiles import ETHEREUM
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / (
@@ -49,8 +47,6 @@ NUM_BLOCKS = 24
 SEED = 2020
 CORES = 8
 EXECUTORS = ("speculative", "speculative-informed", "occ", "grouped")
-OVERHEAD_BUDGET = 0.10
-OVERHEAD_REPEATS = 5
 
 
 def _blocks():
@@ -63,91 +59,53 @@ def _blocks():
     ]
 
 
-def _replay(blocks, recorder_cls):
-    """One full multi-executor replay; returns elapsed wall seconds."""
-    executors = [
-        (name, make_executor(name, CORES)) for name in EXECUTORS
-    ]
-    recorder = (
-        FlightRecorder() if recorder_cls is FlightRecorder
-        else NOOP_RECORDER
-    )
-    with obs.instrumented(recorder=recorder):
-        active = obs.get_recorder()
-        started = time.perf_counter()
-        for height, tasks in blocks:
-            with active.block(height):
-                for _name, executor in executors:
-                    executor.run(tasks)
-        return time.perf_counter() - started
-
-
-def test_exec_timeline_bounds_and_overhead():
+def test_exec_timeline_bounds():
     blocks = _blocks()
     assert len(blocks) >= 3
 
     # -- measured vs analytical, executor by executor ------------------
     per_executor: dict[str, dict[str, object]] = {}
-    with obs.instrumented() as state:
-        recorder = state.recorder
-        conflicts = {h: task_conflict_profile(t) for h, t in blocks}
-        for name in EXECUTORS:
-            executor = make_executor(name, CORES)
-            rows = []
-            for height, tasks in blocks:
-                with recorder.block(height):
-                    report = executor.run(tasks)
-                comparison = compare_to_bounds(report, conflicts[height])
-                profile = profile_events(
-                    recorder.events(executor=name, block=height)
+    conflicts = {h: task_conflict_profile(t) for h, t in blocks}
+    for name in EXECUTORS:
+        executor = make_executor(name, CORES)
+        rows = []
+        for height, tasks in blocks:
+            report = executor.run(tasks)
+            comparison = compare_to_bounds(report, conflicts[height])
+            profile = profile_events(
+                as_events(timeline_rows(report, height))
+            )
+            # The events are the schedule: the makespan recomputed
+            # from them must equal the reported wall time exactly.
+            assert abs(profile.makespan - report.wall_time) < 1e-9
+            if name in EQ2_STRICT_EXECUTORS:
+                assert comparison.within_eq2, (
+                    f"{name} block {height}: measured "
+                    f"{comparison.measured:.3f} exceeds Eq. 2 "
+                    f"bound {comparison.eq2:.3f}"
                 )
-                # The events are the schedule: the makespan recomputed
-                # from them must equal the reported wall time exactly.
-                assert abs(profile.makespan - report.wall_time) < 1e-9
-                if name in EQ2_STRICT_EXECUTORS:
-                    assert comparison.within_eq2, (
-                        f"{name} block {height}: measured "
-                        f"{comparison.measured:.3f} exceeds Eq. 2 "
-                        f"bound {comparison.eq2:.3f}"
-                    )
-                rows.append({
-                    "block": height,
-                    "txs": conflicts[height].x,
-                    "lcc": conflicts[height].lcc,
-                    "measured": comparison.measured,
-                    "eq1": comparison.eq1,
-                    "eq2": comparison.eq2,
-                    "within_eq2": comparison.within_eq2,
-                    "critical_path": profile.critical_chain_cost,
-                    "mean_utilization": profile.mean_utilization,
-                })
-            n = len(rows)
-            per_executor[name] = {
-                "strict_eq2": name in EQ2_STRICT_EXECUTORS,
-                "blocks": rows,
-                "measured_mean": sum(r["measured"] for r in rows) / n,
-                "eq1_mean": sum(r["eq1"] for r in rows) / n,
-                "eq2_mean": sum(r["eq2"] for r in rows) / n,
-                "eq2_exceeded_blocks": sum(
-                    1 for r in rows if not r["within_eq2"]
-                ),
-            }
-
-    # -- recorder overhead: enabled vs no-op recorder ------------------
-    recorded = min(
-        _replay(blocks, FlightRecorder)
-        for _ in range(OVERHEAD_REPEATS)
-    )
-    noop = min(
-        _replay(blocks, type(NOOP_RECORDER))
-        for _ in range(OVERHEAD_REPEATS)
-    )
-    overhead = (recorded - noop) / noop if noop > 0 else 0.0
-    assert overhead <= OVERHEAD_BUDGET, (
-        f"flight-recorder overhead {overhead:.1%} exceeds "
-        f"{OVERHEAD_BUDGET:.0%} budget "
-        f"(recorded {recorded:.4f}s vs no-op {noop:.4f}s)"
-    )
+            rows.append({
+                "block": height,
+                "txs": conflicts[height].x,
+                "lcc": conflicts[height].lcc,
+                "measured": comparison.measured,
+                "eq1": comparison.eq1,
+                "eq2": comparison.eq2,
+                "within_eq2": comparison.within_eq2,
+                "critical_path": profile.critical_chain_cost,
+                "mean_utilization": profile.mean_utilization,
+            })
+        n = len(rows)
+        per_executor[name] = {
+            "strict_eq2": name in EQ2_STRICT_EXECUTORS,
+            "blocks": rows,
+            "measured_mean": sum(r["measured"] for r in rows) / n,
+            "eq1_mean": sum(r["eq1"] for r in rows) / n,
+            "eq2_mean": sum(r["eq2"] for r in rows) / n,
+            "eq2_exceeded_blocks": sum(
+                1 for r in rows if not r["within_eq2"]
+            ),
+        }
 
     result = {
         "bench": "exec_timeline",
@@ -163,13 +121,6 @@ def test_exec_timeline_bounds_and_overhead():
             "machine": platform.machine(),
         },
         "executors": per_executor,
-        "recorder_overhead": {
-            "recorded_seconds": recorded,
-            "noop_seconds": noop,
-            "overhead_fraction": overhead,
-            "budget": OVERHEAD_BUDGET,
-            "repeats": OVERHEAD_REPEATS,
-        },
     }
     BENCH_JSON.write_text(json.dumps(result, indent=2) + "\n")
 
@@ -187,10 +138,4 @@ def test_exec_timeline_bounds_and_overhead():
             f"{stats['eq2_exceeded_blocks']:6d}  "
             f"{'yes' if stats['strict_eq2'] else 'no'}"
         )
-    lines += [
-        "",
-        f"recorder overhead: {overhead:.2%} "
-        f"(recorded {recorded:.4f}s, no-op {noop:.4f}s, "
-        f"budget {OVERHEAD_BUDGET:.0%})",
-    ]
     write_output("exec_timeline", "\n".join(lines))

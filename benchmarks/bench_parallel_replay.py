@@ -16,7 +16,8 @@ Reported figures, mirroring ``bench_parallel_pipeline``:
   implied by the chunk-time distribution, ignoring IPC.
 * ``recorder_overhead`` — the cost of observability forwarding: the
   same fan-out run under an instrumented parent (worker registry dumps
-  and flight-recorder rows ride back and merge) minus the dark run.
+  and the chunks' flight-recorder rows ride back and merge into the
+  state's event rows) minus the dark run.
 
 Gates: cross-backend state-root identity always; the >= 3x speed-up
 gate applies to the measured number when the host has the cores, and
@@ -97,13 +98,13 @@ def test_parallel_replay_speedup():
     chain_state_root = next(iter(set(engine_roots.values())))
 
     # Recorder overhead: the same process fan-out with worker obs dumps
-    # and recorder rows merging into an instrumented parent.
+    # and event rows merging into an instrumented parent.
     with obs.instrumented() as state:
         recorded_result, recorded_seconds = _timed_replay(
             inputs, backend="process", jobs=JOBS, chunk_size=chunk_size
         )
     assert recorded_result.records == serial_result.records
-    merged_events = len(state.recorder.dump_rows())
+    merged_events = len(state.rows)
     recorder_delta = recorded_seconds - process_seconds
 
     measured_process = serial_seconds / process_seconds

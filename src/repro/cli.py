@@ -426,71 +426,70 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_timeline(args: argparse.Namespace) -> int:
     """Replay a chain through one executor; emit a Chrome trace.
 
-    Every block runs under the flight recorder; the captured events are
+    Every block's run comes back with its schedule; its events are
     exported as Chrome trace-event JSON (``--out`` or stdout) and a
     per-block measured-vs-analytical table (Eq. 1 / Eq. 2) is printed —
     to stderr when the JSON goes to stdout, so the trace stays parseable.
     """
-    from repro import obs
+    from repro.execution.parallel_replay import replay_block_inputs
+    from repro.execution.registry import PREDICTION_ENGINES, run_engine
+    from repro.execution.schedule import timeline_rows
     from repro.obs.critical_path import (
         compare_to_bounds,
         profile_events,
         task_conflict_profile,
     )
-    from repro.execution.parallel_replay import replay_block_inputs
-    from repro.execution.registry import PREDICTION_ENGINES, run_engine
     from repro.obs.exporters import write_chrome_trace
+    from repro.obs.timeline import as_events
 
     profile = _resolve_profile(args.chain)
-    if args.jobs < 1:
-        raise CLIError("--jobs must be at least 1")
+    if args.cores < 1:
+        raise CLIError("--cores must be at least 1")
     if args.blocks < 1:
         raise CLIError("--blocks must be at least 1")
 
     info = sys.stderr if not args.out else sys.stdout
     rows = []
-    with obs.instrumented() as state:
-        recorder = state.recorder
-        for block in replay_block_inputs(
-            profile, blocks=args.blocks, seed=args.seed, scale=args.scale,
-            predict=args.executor in PREDICTION_ENGINES,
-        ):
-            if not block.tasks:
-                continue
-            height = block.height
-            conflict = task_conflict_profile(block.tasks)
-            with recorder.block(height):
-                report = run_engine(args.executor, block, args.jobs)
-            block_profile = profile_events(
-                recorder.events(executor=report.executor, block=height)
-            )
-            comparison = compare_to_bounds(report, conflict)
-            flag = "" if comparison.within_eq2 else (
-                " !" if not comparison.strict else " VIOLATION"
-            )
-            rows.append((
-                str(height), str(conflict.x),
-                f"{comparison.measured:.3f}", f"{comparison.eq1:.3f}",
-                f"{comparison.eq2:.3f}{flag}",
-                f"{block_profile.critical_chain_cost:.1f}",
-                f"{block_profile.mean_utilization:.2f}",
-            ))
-        events = recorder.events()
-        if args.out:
-            try:
-                count = write_chrome_trace(args.out, events)
-            except OSError as exc:
-                raise CLIError(f"cannot write trace file: {exc}") from None
-            print(f"wrote {count} trace events to {args.out}", file=info)
-        else:
-            import json
+    event_rows = []
+    for block in replay_block_inputs(
+        profile, blocks=args.blocks, seed=args.seed, scale=args.scale,
+        predict=args.executor in PREDICTION_ENGINES,
+    ):
+        if not block.tasks:
+            continue
+        height = block.height
+        conflict = task_conflict_profile(block.tasks)
+        report = run_engine(args.executor, block, args.cores)
+        block_rows = timeline_rows(report, height)
+        event_rows += block_rows
+        block_profile = profile_events(as_events(block_rows))
+        comparison = compare_to_bounds(report, conflict)
+        flag = "" if comparison.within_eq2 else (
+            " !" if not comparison.strict else " VIOLATION"
+        )
+        rows.append((
+            str(height), str(conflict.x),
+            f"{comparison.measured:.3f}", f"{comparison.eq1:.3f}",
+            f"{comparison.eq2:.3f}{flag}",
+            f"{block_profile.critical_chain_cost:.1f}",
+            f"{block_profile.mean_utilization:.2f}",
+        ))
+    events = as_events(event_rows)
+    if args.out:
+        try:
+            count = write_chrome_trace(args.out, events)
+        except OSError as exc:
+            raise CLIError(f"cannot write trace file: {exc}") from None
+        print(f"wrote {count} trace events to {args.out}", file=info)
+    else:
+        import json
 
-            from repro.obs.exporters import chrome_trace_events
+        from repro.obs.exporters import chrome_trace_events
 
-            print(json.dumps(
-                {"traceEvents": chrome_trace_events(events),
-                 "displayTimeUnit": "ms"},
-            ))
+        print(json.dumps(
+            {"traceEvents": chrome_trace_events(events),
+             "displayTimeUnit": "ms"},
+        ))
     if not rows:
         print(
             "(no executable transactions in the replayed blocks — "
@@ -503,7 +502,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
          "crit path", "util"],
         rows,
         title=(
-            f"{args.chain} / {args.executor} on {args.jobs} lanes "
+            f"{args.chain} / {args.executor} on {args.cores} lanes "
             "(! = bound legitimately exceeded; see docs/observability.md)"
         ),
     ), file=info)
@@ -519,7 +518,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     the command exits 1 when any two engines disagree on the committed
     state root — the same cross-executor differential check
     ``tests/execution/test_differential.py`` runs in CI.  ``--out``
-    writes the replay's flight-recorder events as a Chrome trace and
+    writes the replay's engines' events as a Chrome trace and
     ``--prometheus-out`` its metrics registry in the Prometheus text
     format.
     """
@@ -530,6 +529,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         validate_engines,
     )
     from repro.obs.exporters import render_prometheus, write_chrome_trace
+    from repro.obs.timeline import as_events
 
     profile = _resolve_profile(args.chain)
     if args.cores < 1:
@@ -594,7 +594,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         status = 1
     if args.out:
         try:
-            count = write_chrome_trace(args.out, state.recorder.events())
+            count = write_chrome_trace(args.out, as_events(state.rows))
         except OSError as exc:
             raise CLIError(f"cannot write trace file: {exc}") from None
         print(f"wrote {count} trace events to {args.out}")
@@ -663,6 +663,7 @@ def cmd_lifecycle(args: argparse.Namespace) -> int:
         stage_breakdown,
         stage_shares,
     )
+    from repro.obs.timeline import as_events
 
     _resolve_profile(args.chain)
     if args.top < 1:
@@ -726,7 +727,7 @@ def cmd_lifecycle(args: argparse.Namespace) -> int:
             "(no closed traces to drill into — every traced "
             "transaction is still in flight)"
         )
-    events = state.recorder.events()
+    events = as_events(state.rows)
     gantt = render_gantt(
         events, title=f"executor lanes ({args.executor})"
     )
@@ -1158,7 +1159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser(
         "timeline",
-        help="replay one executor with the flight recorder; emit a "
+        help="replay one executor and trace its schedule; emit a "
              "Chrome trace and measured-vs-analytical bounds",
     )
     known = ", ".join(sorted(PROFILES_BY_NAME))
@@ -1173,7 +1174,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution engine to record (default: speculative)",
     )
     sub.add_argument(
-        "--jobs", type=int, default=4, metavar="N",
+        "--cores", type=int, default=4, metavar="N",
         help="simulated worker lanes / cores (default: 4)",
     )
     sub.add_argument("--blocks", type=int, default=20,

@@ -44,14 +44,12 @@ output is identical regardless of backend, worker count, or chunk size.
 Observability, recorded in the parent under the caller's metric family
 (``pipeline.parallel`` / ``exec.replay``; see
 ``docs/parallel_pipeline.md``): counters ``.runs`` / ``.chunks`` /
-``.blocks`` / ``.fallbacks`` and gauge ``.jobs``, labelled by backend;
-histogram ``.chunk_seconds`` (the in-worker wall time per chunk); and
-one ``schedule``/``start``/``commit`` flight-recorder triple per chunk
-on executor ``<lanes>.<backend>`` (clocks in real seconds since
-collection began, one lane per worker).
-Whatever a chunk function records privately — a registry dump, recorder
-rows — rides back with its result and is merged at join, so metric
-totals and event streams match a serial walk for every backend.
+``.blocks`` / ``.fallbacks`` and gauge ``.jobs``, labelled by backend,
+and histogram ``.chunk_seconds`` (the in-worker wall time per chunk).
+Whatever a chunk function records privately — a registry dump,
+flight-recorder rows — rides back with its result and is merged at
+join, so metric totals and event streams match a serial walk for every
+backend.
 """
 
 from __future__ import annotations
@@ -72,7 +70,6 @@ from repro.core.pipeline import (
     analyze_utxo_block,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeline import QUEUE_LANE
 
 BACKENDS = ("serial", "process")
 DEFAULT_BACKEND = "process"
@@ -219,13 +216,11 @@ class ChunkResult(NamedTuple):
 
     ``obs_dump`` (see :meth:`repro.obs.metrics.MetricsRegistry.dump`)
     and ``rows`` are the chunk function's private recordings, ``None``
-    when it made none; ``worker_id`` is the worker's pid, so the parent
-    can map chunks onto stable flight-recorder lanes.
+    when it made none.
     """
 
     records: list
     elapsed: float
-    worker_id: int
     obs_dump: list[dict] | None
     rows: list | None
 
@@ -264,8 +259,7 @@ def _run_chunk(
     record_obs: bool,
 ) -> ChunkResult:
     """Run one chunk where it stands; the per-chunk-slice entry."""
-    records, elapsed, obs_dump, rows = chunk_fn(params, chunk, record_obs)
-    return ChunkResult(records, elapsed, os.getpid(), obs_dump, rows)
+    return ChunkResult(*chunk_fn(params, chunk, record_obs))
 
 
 def _chunk_from_fork(
@@ -282,51 +276,28 @@ def _chunk_from_fork(
 def _collect_ordered(
     resolvers: Iterable[Callable[[], ChunkResult]],
     *,
-    bounds: Sequence[tuple[int, int]],
     family: str,
-    lanes: str,
     backend: str,
 ) -> list:
     """Gather chunk results in submission (= height) order, merging obs.
 
     Joins the observability streams in the parent: the per-chunk
-    histogram, worker registry dumps (merged into the
-    installed registry, closing the process-backend blind spot), worker
-    recorder rows (replayed chunk by chunk, so the parent's event stream
-    is byte-identical to a serial run's regardless of which worker
-    finished first) and chunk-granularity flight-recorder events.
-    Timeline clocks here are *real seconds* since collection began; a
-    chunk's ``start`` is inferred as arrival time minus its in-worker
-    elapsed, and lanes index distinct worker ids in order of first
-    appearance.
+    histogram, worker registry dumps (merged into the installed
+    registry, closing the process-backend blind spot) and worker rows
+    (appended chunk by chunk to the state's event rows, so they read
+    as a serial run's regardless of which worker finished first).
     """
     seconds = obs.histogram(f"{family}.chunk_seconds", backend=backend)
     registry = obs.get_registry()
-    recorder = obs.get_recorder()
-    executor_name = f"{lanes}.{backend}"
-    lane_of: dict[int, int] = {}
-    collect_start = time.perf_counter()
+    rows = obs.event_rows()
     records: list = []
-    for (start, stop), resolve in zip(bounds, resolvers):
+    for resolve in resolvers:
         result = resolve()
         seconds.observe(result.elapsed)
         if result.obs_dump is not None:
             registry.merge_dump(result.obs_dump)
-        if recorder.enabled:
-            if result.rows is not None:
-                recorder.extend(result.rows)
-            lane = lane_of.setdefault(result.worker_id, len(lane_of))
-            arrival = time.perf_counter() - collect_start
-            begun = max(0.0, arrival - result.elapsed)
-            task = f"chunk[{start}:{stop})"
-            recorder.extend([
-                (executor_name, None, 0, "schedule", task, QUEUE_LANE,
-                 0.0, 0.0),
-                (executor_name, None, 0, "start", task, lane,
-                 begun, result.elapsed),
-                (executor_name, None, 0, "commit", task, lane,
-                 arrival, result.elapsed),
-            ])
+        if result.rows is not None:
+            rows += result.rows
         records.extend(result.records)
     return records
 
@@ -381,7 +352,6 @@ def ordered_chunk_map(
     items: Sequence,
     *,
     family: str,
-    lanes: str,
     backend: str,
     jobs: int,
     chunk_size: int,
@@ -397,8 +367,6 @@ def ordered_chunk_map(
         items: the sliceable sequence of pure, picklable work items.
         family: metric family (``"pipeline.parallel"``,
             ``"exec.replay"``).
-        lanes: flight-recorder executor prefix (``"pipeline"``,
-            ``"replay"``) — chunk lanes land on ``<lanes>.<backend>``.
         backend / jobs / chunk_size: already validated
             (:func:`validate_backend` / :func:`validate_jobs` /
             :func:`validate_chunk_size`).
@@ -413,9 +381,7 @@ def ordered_chunk_map(
     # Workers start with obs uninstalled (_worker_init); when the parent
     # is instrumented, ask each chunk to record privately.
     record_obs = obs.get_registry().enabled
-    collect = partial(
-        _collect_ordered, bounds=bounds, family=family, lanes=lanes
-    )
+    collect = partial(_collect_ordered, family=family)
     obs.counter(f"{family}.runs", backend=backend).inc()
     obs.counter(f"{family}.chunks", backend=backend).inc(len(bounds))
     obs.counter(f"{family}.blocks", backend=backend).inc(len(items))
@@ -541,7 +507,7 @@ def analyze_chain(
         return history
     for record in ordered_chunk_map(
         _analyze_chunk_recording, data_model, inputs,
-        family="pipeline.parallel", lanes="pipeline",
+        family="pipeline.parallel",
         backend=backend, jobs=jobs, chunk_size=chunk_size,
     ):
         history.append(record)

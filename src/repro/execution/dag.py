@@ -31,7 +31,7 @@ from typing import Sequence
 
 from repro import obs
 from repro.execution.engine import ExecutionReport, TxTask, finish_run, require
-from repro.obs.timeline import QUEUE_LANE
+from repro.execution.schedule import Plan
 
 
 @dataclass(frozen=True)
@@ -243,50 +243,15 @@ def run_dag(dag: DependencyDAG, cores: int) -> ExecutionReport:
     """Execute *dag* on a simulated multicore as the ``dag`` engine.
 
     Wraps :meth:`DependencyDAG.schedule` in the uniform executor
-    contract — an :class:`~repro.execution.engine.ExecutionReport`, the
-    ``exec.*`` metric family, and flight-recorder events (``schedule``
-    when a task's last predecessor finishes, then ``start``/``commit``
-    on its lane, plus one ``edge`` event per dependency so the Chrome
-    exporter can draw handoff chains as flow arrows).  Its measured speed-up may legitimately *exceed* the
-    Eq. 2 bound ``min(n, 1/l)``: the bound treats each dependency group
-    as sequential, while the DAG exploits the partial order inside it.
+    contract — an :class:`~repro.execution.engine.ExecutionReport` whose
+    schedule is the :class:`~repro.execution.schedule.Plan` (its rows
+    carry one ``edge`` per dependency, which the Chrome exporter draws
+    as a flow arrow), and the ``exec.*`` metric family.  Its measured
+    speed-up may legitimately *exceed* the Eq. 2 bound ``min(n, 1/l)``:
+    the bound treats each dependency group as sequential, while the DAG
+    exploits the partial order inside it.
     """
     plan = dag.schedule(cores)
-    recorder = obs.get_recorder()
-    if recorder.enabled and dag.order:
-        block = recorder.current_block
-
-        def expand():
-            # plan and dag are immutable after scheduling, so the row
-            # build can run lazily when the recorder is read.
-            rows = []
-            rows.extend(
-                ("dag", block, 0, "schedule", tx_hash, QUEUE_LANE,
-                 plan.ready_times[tx_hash], 0.0)
-                for tx_hash in dag.order
-            )
-            rows.extend(
-                ("dag", block, 0, "start", tx_hash, plan.core_of[tx_hash],
-                 plan.start_times[tx_hash], dag.costs[tx_hash])
-                for tx_hash in dag.order
-            )
-            rows.extend(
-                ("dag", block, 0, "commit", tx_hash, plan.core_of[tx_hash],
-                 plan.finish_times[tx_hash], dag.costs[tx_hash])
-                for tx_hash in dag.order
-            )
-            # One edge event per dependency, stamped at the handoff
-            # moment (the predecessor's finish); task carries both
-            # endpoints as "pred->succ" for the flow exporter.
-            rows.extend(
-                ("dag", block, 0, "edge", f"{pred}->{succ}", QUEUE_LANE,
-                 plan.finish_times[pred], 0.0)
-                for pred in dag.order
-                for succ in sorted(dag.successors[pred])
-            )
-            return rows
-
-        recorder.defer(expand)
     if obs.measuring():
         obs.counter("exec.dag.edges").inc(
             sum(len(s) for s in dag.successors.values())
@@ -301,10 +266,7 @@ def run_dag(dag: DependencyDAG, cores: int) -> ExecutionReport:
         total_work=dag.total_work,
         num_tasks=len(dag.order),
         rounds=1,
-        commits=tuple(
-            (finish, tx_hash)
-            for tx_hash, finish in plan.finish_times.items()
-        ),
+        schedule=(Plan(dag, plan),),
     ))
 
 

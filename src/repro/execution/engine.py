@@ -13,8 +13,10 @@ What every engine shares lives here: the constructor check
 (:func:`require`), the two sources of conflict information, as groups
 of tasks (:func:`conflict_groups`, :func:`predicted_groups`), and the
 one way a run ends (:func:`finish_run`).  What a run hands back is an
-:class:`ExecutionReport`, commit stream included: the replay builds its
-records from that value and never reads the flight recorder.
+:class:`ExecutionReport` carrying the run's schedule
+(:mod:`repro.execution.schedule`): the replay builds its records from
+the commit stream derived from it, and whoever wants the run's
+flight-recorder rows derives those from the same value.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro import obs
-from repro.obs.timeline import sequential_rows
 from repro.account.receipts import ExecutedTransaction
 from repro.core.tdg import TDGResult
 from repro.execution.conflict_partition import conflict_partition
+from repro.execution.schedule import Commit, Phase, Segment, schedule_commits
 from repro.sets import EMPTY
 from repro.utxo.transaction import UTXOTransaction
 
@@ -71,19 +73,12 @@ class TxTask:
         return False
 
 
-# One commit: the engine's logical clock when the task finished for
-# good, and the task.  In the order the engine found them, not sorted.
-Commit = tuple[float, str]
-
-
 @dataclass(frozen=True)
 class ExecutionReport:
     """Outcome of running a block through an executor.
 
-    ``commits`` is the run's commit stream, one :data:`Commit` per task
-    that finished for good — the same clocks the flight recorder's
-    ``commit`` rows carry, as a value: sorted by clock, block position
-    breaking ties, it is the order the block's writes took effect.
+    ``schedule`` is the run itself, phase by phase
+    (:mod:`repro.execution.schedule`); it takes no part in equality.
     """
 
     executor: str
@@ -94,7 +89,16 @@ class ExecutionReport:
     reexecuted: int = 0
     aborts: int = 0
     rounds: int = 1
-    commits: tuple[Commit, ...] = field(default=(), repr=False)
+    schedule: tuple[Phase, ...] = field(
+        default=(), repr=False, compare=False
+    )
+
+    @property
+    def commits(self) -> list[Commit]:
+        """The run's commit stream, one :data:`Commit` per task that
+        finished for good: sorted by clock, block position breaking
+        ties, it is the order the block's writes took effect."""
+        return schedule_commits(self.schedule)
 
     @property
     def speedup(self) -> float:
@@ -156,32 +160,6 @@ def finish_run(
     return report
 
 
-def sequential_commits(
-    tasks: Sequence[TxTask], offset: float = 0.0
-) -> list[Commit]:
-    """Commits of *tasks* run back to back on one lane from *offset*."""
-    commits: list[Commit] = []
-    cursor = offset
-    for task in tasks:
-        cursor += task.cost
-        commits.append((cursor, task.tx_hash))
-    return commits
-
-
-def wave_commits(
-    run, aborted: Sequence[TxTask], offset: float = 0.0
-) -> list[Commit]:
-    """Commits of one simulated wave (a
-    :class:`~repro.execution.simulator.SimulatedRun`) that started at
-    *offset*: every task of it but the *aborted*, at its finish."""
-    aborted_hashes = {task.tx_hash for task in aborted}
-    return [
-        (offset + finish, tx_hash)
-        for tx_hash, finish in run.finish_times.items()
-        if tx_hash not in aborted_hashes
-    ]
-
-
 def conflict_groups(tasks: Sequence[TxTask]) -> list[list[TxTask]]:
     """Partition *tasks* into storage-conflict groups.
 
@@ -233,14 +211,13 @@ class SequentialExecutor:
     def run(self, tasks: Sequence[TxTask], cores: int = 1) -> ExecutionReport:
         """Execute in block order on one core; wall time is total work."""
         total = sum(task.cost for task in tasks)
-        sequential_rows(obs.get_recorder(), self.name, tasks)
         return finish_run(self.name, 1, ExecutionReport(
             executor=self.name,
             cores=1,
             wall_time=total,
             total_work=total,
             num_tasks=len(tasks),
-            commits=tuple(sequential_commits(tasks)),
+            schedule=(Segment(tasks),),
         ))
 
 

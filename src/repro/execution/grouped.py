@@ -53,11 +53,9 @@ from repro.execution.engine import (
     finish_run,
     predicted_groups,
     require,
-    sequential_commits,
-    wave_commits,
 )
+from repro.execution.schedule import Segment, Wave
 from repro.execution.simulator import CoreSimulator
-from repro.obs.timeline import sequential_rows, wave_rows
 
 
 def cross_group_aborts(
@@ -94,17 +92,6 @@ def chain_schedule(
     retry_time = sum(task.cost for task in aborted)
     # One wave: every task has its chain-scheduled start, finish and
     # core; the aborts are stamped at their finish and retry on lane 0.
-    recorder = obs.get_recorder()
-    wave_rows(
-        recorder, name, [task for group in ordered for task in group],
-        run, offset=cost, aborted=aborted,
-    )
-    sequential_rows(
-        recorder, name, aborted, offset=cost + run.makespan,
-        round_index=1, retry=True,
-    )
-    commits = wave_commits(run, aborted, cost)
-    commits += sequential_commits(aborted, cost + run.makespan)
     report = ExecutionReport(
         executor=name,
         cores=cores,
@@ -114,7 +101,13 @@ def chain_schedule(
         reexecuted=len(aborted),
         aborts=len(aborted),
         rounds=2 if aborted else 1,
-        commits=tuple(commits),
+        schedule=(
+            Wave(
+                [task for group in ordered for task in group], run, cost,
+                aborted=aborted,
+            ),
+            Segment(aborted, cost + run.makespan, 1, retry=True),
+        ),
     )
     return report, ordered
 

@@ -23,15 +23,13 @@ from typing import Sequence
 
 from repro import obs
 from repro.execution.engine import (
-    Commit,
     ExecutionReport,
     TxTask,
     finish_run,
     require,
-    wave_commits,
 )
+from repro.execution.schedule import Wave
 from repro.execution.simulator import CoreSimulator
-from repro.obs.timeline import wave_log_rows
 
 MAX_WAVES = 10_000
 
@@ -51,14 +49,12 @@ class OCCExecutor:
         if not tasks:
             return finish_run(self.name, self.cores)
         recording = obs.measuring()
-        recorder = obs.get_recorder()
         simulator = CoreSimulator(self.cores)
         pending = list(tasks)
         wall = 0.0
         aborts = 0
         waves = 0
-        wave_log: list[tuple] = []
-        commits: list[Commit] = []
+        schedule: list[Wave] = []
         while pending:
             waves += 1
             if waves > MAX_WAVES:
@@ -93,14 +89,11 @@ class OCCExecutor:
                     next_round.append(task)
                 else:
                     committed_writes |= task.writes
-            if recorder.enabled:
-                # One log entry per wave; wave_log_rows expands the
-                # whole run (schedule on wave 0, retries at each
-                # wave boundary) in a single deferred batch.
-                wave_log.append((pending, run, wave_offset, next_round))
-            commits += wave_commits(run, next_round, wave_offset)
+            # The aborts re-queue at the next wave's start.
+            schedule.append(
+                Wave(pending, run, wave_offset, waves - 1, next_round)
+            )
             pending = next_round
-        wave_log_rows(recorder, self.name, wave_log)
         if recording:
             obs.counter("exec.occ.aborts").inc(aborts)
             obs.counter("exec.occ.waves").inc(waves)
@@ -114,6 +107,6 @@ class OCCExecutor:
             reexecuted=aborts,
             aborts=aborts,
             rounds=waves,
-            commits=tuple(commits),
+            schedule=tuple(schedule),
         )
         return finish_run(self.name, self.cores, report)

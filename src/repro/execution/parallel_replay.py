@@ -31,18 +31,18 @@ Backends, validation, chunking, transports and fallbacks are the
 fan-out's (``serial`` / ``process``; see :mod:`repro.core.parallel`).
 What is particular to replay is its chunk function,
 :func:`replay_chunk`.  Records are built from the values an engine's
-run hands back — its :class:`ExecutionReport`, commit stream included —
-on one path, whether or not anything records; the flight recorder is a
-by-product nobody here reads.  Every block replays under a PRIVATE
-observability scope (:func:`repro.obs.scoped`): with an uninstrumented
-parent its recorder is the no-op one, so no row is ever built; when the parent *is* instrumented, a real recorder
-collects the engines' deferred rows, the chunk expands them once on the
-way out, and they ride back with the chunk's registry dump and merge in
-submission (= height) order, so ``repro.cli timeline`` / ``regress``
-read a fanned-out replay identically to a serial one.  The node's
-:func:`replay_single_block` hands its caller the block's recorder
-unexpanded.  The parent-side family is ``exec.replay.*`` with chunk
-lanes on ``replay.<backend>``.
+run hands back — its :class:`ExecutionReport`, whose schedule yields
+the commit stream — on one path, whether or not anything records.
+Every block replays under a PRIVATE observability scope
+(:func:`repro.obs.scoped`), so a node's validators never touch the
+global lifecycle traces.  Only when the parent is instrumented does a
+chunk derive its reports' flight-recorder rows
+(:func:`repro.execution.schedule.timeline_rows`); they ride back with
+the chunk's registry dump and merge in submission (= height) order, so
+``repro replay --out`` reads a fanned-out replay identically to a
+serial one.  The node's :func:`replay_single_block` hands its caller
+the block's report, whose rows cost nothing until read.  The
+parent-side family is ``exec.replay.*``.
 """
 
 from __future__ import annotations
@@ -75,9 +75,10 @@ from repro.execution.registry import (
     run_engine,
     validate_engines,
 )
+from repro.execution.schedule import timeline_rows
 from repro.obs import ObservabilityState
 from repro.obs.metrics import NOOP_REGISTRY, MetricsRegistry
-from repro.obs.timeline import NOOP_RECORDER, EventRow, FlightRecorder
+from repro.obs.timeline import EventRow
 from repro.utxo.transaction import UTXOTransaction
 
 DEFAULT_CORES = 4
@@ -414,8 +415,8 @@ def _block_records(
     its aborts and re-executions, and the commit order its commit
     stream sorted by clock with block position breaking ties — what
     the ``schedule`` / ``abort`` / ``retry`` / ``commit`` rows of the
-    same run reduce to (``tests/execution/test_replay_values.py`` holds
-    the two together).  The engines share one :class:`_BlockFold`,
+    same schedule reduce to (``tests/execution/test_replay_values.py``
+    holds the two together).  The engines share one :class:`_BlockFold`,
     dropped on return.
     """
     position = {task.tx_hash: i for i, task in enumerate(block.tasks)}
@@ -451,29 +452,16 @@ def _block_records(
     return records
 
 
-def _replay_block(
-    block: ReplayBlock,
-    engines: Sequence[str],
-    cores: int,
-    registry: MetricsRegistry,
-    recorder: FlightRecorder,
-) -> list[BlockReplay]:
-    """Replay one block through *engines*; one record per engine.
-
-    The engines run under a private scope (:func:`repro.obs.scoped`),
-    so a node's validators never touch the global lifecycle traces
-    (the scope's lifecycle is the no-op one); *recorder* keeps whatever
-    rows they defer, for the caller to expand or not.  They
-    share one :class:`BlockConflicts`, dropped on return.
-    """
-    scope = ObservabilityState(registry=registry, recorder=recorder)
+def _run_block(
+    block: ReplayBlock, engines: Sequence[str], cores: int
+) -> list[ExecutionReport]:
+    """Run one block through *engines*, sharing one
+    :class:`BlockConflicts`, dropped on return.  The caller owns the
+    observability scope."""
     conflicts = BlockConflicts(block)
-    with obs.scoped(scope), recorder.block(block.height):
-        reports = [
-            run_engine(engine, block, cores, conflicts)
-            for engine in engines
-        ]
-    return _block_records(block, engines, reports)
+    return [
+        run_engine(engine, block, cores, conflicts) for engine in engines
+    ]
 
 
 def replay_single_block(
@@ -483,17 +471,16 @@ def replay_single_block(
     cores: int,
     *,
     registry: MetricsRegistry | None = None,
-) -> tuple[BlockReplay, FlightRecorder]:
-    """Replay one block through one engine; return record + recorder.
+) -> tuple[BlockReplay, ExecutionReport]:
+    """Replay one block through one engine; return record + report.
 
     The node runtime's validation path calls this once per received
     block: same private-scope contract as a fanned-out chunk, but it
-    returns the single :class:`BlockReplay` together with the block's
-    own :class:`~repro.obs.timeline.FlightRecorder`.  The recorder
-    holds the run's rows deferred; a caller that stitches lifecycle
-    traces or profiles lane utilization reads ``recorder.events()``
-    and pays for the expansion then, a caller that does not pays
-    nothing.
+    returns the single :class:`BlockReplay` together with the engine's
+    :class:`ExecutionReport`.  A caller that stitches lifecycle traces
+    or profiles lane utilization derives the rows from the report
+    (:func:`~repro.execution.schedule.timeline_rows`) and pays for them
+    then; a caller that does not pays nothing.
 
     Raises:
         ValueError: unknown data model / engine, or cores < 1.
@@ -505,12 +492,13 @@ def replay_single_block(
         )
     validate_engines((engine,))
     require(cores)
-    recorder = FlightRecorder()
-    (record,) = _replay_block(
-        block, (engine,), cores,
-        registry if registry is not None else NOOP_REGISTRY, recorder,
+    scope = ObservabilityState(
+        registry=registry if registry is not None else NOOP_REGISTRY
     )
-    return record, recorder
+    with obs.scoped(scope):
+        reports = _run_block(block, (engine,), cores)
+    (record,) = _block_records(block, (engine,), reports)
+    return record, reports[0]
 
 
 def replay_chunk(
@@ -522,25 +510,23 @@ def replay_chunk(
     """Replay one chunk of blocks; the fan-out's chunk function.
 
     *params* is ``(engines, cores)``.  Returns ``(records,
-    elapsed seconds, registry dump, recorder rows)`` — the last two
+    elapsed seconds, registry dump, event rows)`` — the last two
     ``None`` unless *record_obs* asked for them, and only then is a row
     built; digests are carried by the records themselves either way.
     Pure in *chunk*.
     """
     engines, cores = params
-    if record_obs:
-        registry = MetricsRegistry()
-        recorder = FlightRecorder()
-    else:
-        registry = NOOP_REGISTRY
-        recorder = NOOP_RECORDER
+    registry = MetricsRegistry() if record_obs else NOOP_REGISTRY
+    rows: list[EventRow] | None = [] if record_obs else None
     records: list[BlockReplay] = []
     started = time.perf_counter()
-    for block in chunk:
-        records.extend(_replay_block(
-            block, engines, cores, registry, recorder
-        ))
-    rows = recorder.dump_rows() if record_obs else None
+    with obs.scoped(ObservabilityState(registry=registry)):
+        for block in chunk:
+            reports = _run_block(block, engines, cores)
+            records += _block_records(block, engines, reports)
+            if rows is not None:
+                for report in reports:
+                    rows += timeline_rows(report, block.height)
     elapsed = time.perf_counter() - started
     return records, elapsed, registry.dump() if record_obs else None, rows
 
@@ -593,8 +579,7 @@ def replay_chain(
         chunk_size, num_blocks=len(inputs), jobs=jobs
     )
     records = ordered_chunk_map(
-        replay_chunk, (engines, cores), inputs,
-        family="exec.replay", lanes="replay",
+        replay_chunk, (engines, cores), inputs, family="exec.replay",
         backend=backend, jobs=jobs, chunk_size=chunk_size,
     )
     ordered = sorted(records, key=lambda r: (r.height, engines.index(r.engine)))

@@ -187,16 +187,16 @@ def run_engine(
 ) -> ExecutionReport:
     """Run *block* through *engine* on *cores* simulated cores.
 
-    Flight-recorder events and ``exec.*`` metrics land wherever the
-    caller's observability scope points; the caller also owns the
-    ``recorder.block(height)`` bracket.  A caller running several
-    engines over the block passes them one :class:`BlockConflicts`, so
-    the oracle partition is built once for ``speculative`` (whose wave,
-    the whole block, is validated against it), ``speculative-informed``
-    and ``grouped``, and the predicted one once for the two static
-    engines — or not at all, when the predictions are exact and the
-    static engines' groups are the oracle's; they then run ``exact``,
-    without the safety net that equal sets leave nothing to find.
+    ``exec.*`` metrics land wherever the caller's observability scope
+    points; the run's schedule comes back on the report.  A caller
+    running several engines over the block passes them one
+    :class:`BlockConflicts`, so the oracle partition is built once for
+    ``speculative`` (whose wave, the whole block, is validated against
+    it), ``speculative-informed`` and ``grouped``, and the predicted one
+    once for the two static engines — or not at all, when the
+    predictions are exact and the static engines' groups are the
+    oracle's; they then run ``exact``, without the safety net that
+    equal sets leave nothing to find.
     Without *conflicts* the engine runs as its standalone executor
     does, building what it needs itself.
     """

@@ -44,11 +44,9 @@ from repro.execution.engine import (
     finish_run,
     predicted_groups,
     require,
-    sequential_commits,
-    wave_commits,
 )
+from repro.execution.schedule import Segment, Wave
 from repro.execution.simulator import CoreSimulator
-from repro.obs.timeline import sequential_rows, wave_rows
 
 
 def split_conflicted(
@@ -95,19 +93,7 @@ def two_phase(
     retry_time = sum(task.cost for task in aborted)
     # The wave after K, its aborts stamped at their finish; then lane 0:
     # the bin's tasks schedule fresh, the aborts re-execute as retries.
-    recorder = obs.get_recorder()
     bin_offset = cost + run.makespan
-    wave_rows(recorder, name, wave, run, offset=cost, aborted=aborted)
-    sequential_rows(
-        recorder, name, binned, offset=bin_offset, round_index=1,
-    )
-    sequential_rows(
-        recorder, name, aborted, offset=bin_offset + bin_time,
-        round_index=1, retry=True,
-    )
-    commits = wave_commits(run, aborted, cost)
-    commits += sequential_commits(binned, bin_offset)
-    commits += sequential_commits(aborted, bin_offset + bin_time)
     report = ExecutionReport(
         executor=name,
         cores=cores,
@@ -117,7 +103,11 @@ def two_phase(
         reexecuted=len(aborted),
         aborts=len(aborted),
         rounds=2,
-        commits=tuple(commits),
+        schedule=(
+            Wave(wave, run, cost, aborted=aborted),
+            Segment(binned, bin_offset, 1),
+            Segment(aborted, bin_offset + bin_time, 1, retry=True),
+        ),
     )
     return report, len(binned)
 

@@ -50,7 +50,7 @@ from repro.chain.errors import ValidationError
 from repro.chain.forkchoice import ForkChoice, Reorg
 from repro.chain.hashing import hash_fields, joinable
 from repro.consensus.pow import Miner, PoWSimulator
-from repro.execution.engine import TxTask
+from repro.execution.engine import ExecutionReport, TxTask
 from repro.execution.parallel_replay import (
     DATA_MODELS,
     ENGINES,
@@ -59,13 +59,14 @@ from repro.execution.parallel_replay import (
     replay_single_block,
     state_root,
 )
+from repro.execution.schedule import timeline_rows
 from repro.mempool.pool import AdmissionError, Mempool, PoolEntry
 from repro.network.gossip import BoundedSeenCache
 from repro.node.transport import Frame, MalformedFrame
 from repro.obs.critical_path import profile_events
 from repro.obs.lifecycle import shard_subtrace_id, stitch_execution_events
 from repro.obs.monitor import BlockSample
-from repro.obs.timeline import FlightRecorder
+from repro.obs.timeline import as_events
 from repro.utxo.transaction import UTXOTransaction
 
 SHUTDOWN = object()
@@ -114,9 +115,11 @@ def make_genesis(chain: str) -> Block[NodeTx]:
     )
 
 
-def _mean_utilization(recorder: FlightRecorder) -> float:
-    """Mean busy fraction of the lanes a block's replay recorded."""
-    return profile_events(recorder.events()).mean_utilization
+def _mean_utilization(report: ExecutionReport, height: int) -> float:
+    """Mean busy fraction of the lanes of a block's replay."""
+    return profile_events(
+        as_events(timeline_rows(report, height))
+    ).mean_utilization
 
 
 def chain_state_root(
@@ -573,7 +576,7 @@ class Node:
 
     def _execute(
         self, height: int, ntxs: tuple[NodeTx, ...]
-    ) -> tuple[BlockReplay, FlightRecorder]:
+    ) -> tuple[BlockReplay, ExecutionReport]:
         replay_input = ReplayBlock(
             height=height,
             tasks=tuple(ntx.task for ntx in ntxs),
@@ -584,7 +587,7 @@ class Node:
             ),
         )
         started = time.perf_counter()
-        record, recorder = replay_single_block(
+        record, report = replay_single_block(
             self.config.data_model, replay_input,
             self.config.engine, self.config.cores,
         )
@@ -593,7 +596,7 @@ class Node:
         if obs.enabled():
             obs.histogram("node.execute.wall").observe(wall)
             obs.counter("node.execute.blocks").inc()
-        return record, recorder
+        return record, report
 
     async def _ingest_block(
         self,
@@ -631,7 +634,7 @@ class Node:
             if obs.enabled():
                 obs.counter("node.blocks.rejected").inc()
             return
-        replay, recorder = self._execute(block.height, ntxs)
+        replay, report = self._execute(block.height, ntxs)
         claimed = block.header.extra
         if claimed and replay.state_root != claimed:
             self.diverged = True
@@ -648,7 +651,7 @@ class Node:
         if block_hash in self.forkchoice.tree or not self.running:
             return
         self._admit(
-            block, replay, recorder,
+            block, replay, report,
             relay=relay, exclude=src, stitched=False,
         )
         await self._drain_orphans(block_hash)
@@ -666,7 +669,7 @@ class Node:
         self,
         block: Block[NodeTx],
         replay: BlockReplay,
-        recorder: FlightRecorder,
+        report: ExecutionReport,
         *,
         relay: Frame | None,
         exclude: str | None,
@@ -697,7 +700,7 @@ class Node:
             and reorg is not None
             and reorg.new_head == block_hash
         ):
-            self._emit_sample(block, replay, recorder)
+            self._emit_sample(block, replay, report)
         if relay is not None:
             self._relay(relay, exclude=exclude)
 
@@ -728,7 +731,7 @@ class Node:
         self,
         block: Block[NodeTx],
         replay: BlockReplay,
-        recorder: FlightRecorder,
+        report: ExecutionReport,
     ) -> None:
         now = self.runtime.now()
         life = obs.lifecycle()
@@ -749,10 +752,12 @@ class Node:
             wall_clock_s=replay.wall_time * self.config.cost_unit_seconds,
             sim_seconds=max(0.0, now - self._last_head_at),
             mempool_depth=len(self.pool),
-            # The one read of a validated block's rows, priced on the
-            # listener's first read of it: a listener that never reads
-            # it leaves them unexpanded.
-            lane_utilization=lambda: _mean_utilization(recorder),
+            # The one read of a validated block's schedule, priced on
+            # the listener's first read of it: a listener that never
+            # reads it builds no row.
+            lane_utilization=lambda: _mean_utilization(
+                report, replay.height
+            ),
             stage_latencies={
                 stage: tuple(values)
                 for stage, values in stage_latencies.items()
@@ -845,18 +850,22 @@ class Node:
                     block=height, mechanism=self.config.consensus,
                     node=self.node_id,
                 )
-        replay, recorder = self._execute(height, self._executable(ntxs))
-        if life.enabled:
-            stitch_execution_events(
-                life, recorder.events(),
-                at=life.clock,
-                cost_unit_seconds=self.config.cost_unit_seconds,
-            )
-            if self.config.num_shards > 0:
-                self._sync_shards(entry.payload.task for entry in entries)
-        # The block's execution lanes, for a driver that reads the
-        # global flight recorder (a Gantt chart, a Chrome trace).
-        obs.get_recorder().defer(recorder.dump_rows)
+        replay, report = self._execute(height, self._executable(ntxs))
+        if obs.enabled():
+            # The block's execution lanes, for a caller that reads the
+            # state's event rows (a Gantt chart, a Chrome trace).
+            rows = timeline_rows(report, height)
+            obs.event_rows().extend(rows)
+            if life.enabled:
+                stitch_execution_events(
+                    life, as_events(rows),
+                    at=life.clock,
+                    cost_unit_seconds=self.config.cost_unit_seconds,
+                )
+                if self.config.num_shards > 0:
+                    self._sync_shards(
+                        entry.payload.task for entry in entries
+                    )
         block = build_block(
             ntxs,
             height=height,
@@ -872,7 +881,7 @@ class Node:
         if obs.enabled():
             obs.counter("node.blocks.proposed").inc()
         self._admit(
-            block, replay, recorder,
+            block, replay, report,
             relay=self._block_frame(block), exclude=None, stitched=True,
         )
         return block

@@ -1,5 +1,5 @@
-"""Instrumentation layer: metrics, flight recorder, lifecycle tracer,
-exporters.
+"""Instrumentation layer: metrics, flight-recorder rows, lifecycle
+tracer, exporters.
 
 The rest of the codebase talks to this package through module
 functions that dispatch to a process-global observability state::
@@ -16,7 +16,8 @@ is switched on either for a scope::
 
     with obs.instrumented() as state:
         run_pipeline()
-    state.registry.snapshot(); state.recorder.events()
+    state.registry.snapshot()
+    timeline.as_events(state.rows)   # repro.obs.timeline
 
 or process-wide with :func:`install` / :func:`uninstall`.  Tests swap
 in private registries the same way, so they never observe each other's
@@ -55,21 +56,15 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NoopMetricsRegistry,
 )
-from repro.obs.timeline import (
-    NOOP_RECORDER,
-    FlightRecorder,
-    NoopFlightRecorder,
-    TimelineEvent,
-)
+from repro.obs.timeline import EventRow, TimelineEvent
 
 __all__ = [
     "Counter",
-    "FlightRecorder",
+    "EventRow",
     "Gauge",
     "Histogram",
     "LifecycleTracer",
     "MetricsRegistry",
-    "NoopFlightRecorder",
     "NoopLifecycleTracer",
     "NoopMetricsRegistry",
     "ObservabilityState",
@@ -78,8 +73,8 @@ __all__ = [
     "TraceContext",
     "counter",
     "enabled",
+    "event_rows",
     "gauge",
-    "get_recorder",
     "get_registry",
     "histogram",
     "install",
@@ -93,27 +88,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ObservabilityState:
-    """One (registry, recorder, lifecycle) set — ``instrumented`` yields
-    it.
+    """One (registry, lifecycle) set and its event rows —
+    ``instrumented`` yields it.
 
-    ``enabled`` (anything records) and ``measuring`` (the registry
-    records) are plain fields, computed once here: every component's
-    ``enabled`` is fixed by its class, and the guards are read on every
-    hop of the hot paths.
+    ``rows`` is the plain list of flight-recorder rows
+    (:mod:`repro.obs.timeline`) that the writers with no report to hand
+    back fill while anything records.  ``enabled`` (anything records)
+    and ``measuring`` (the registry records) are plain fields, computed
+    once here: every component's ``enabled`` is fixed by its class, and
+    the guards are read on every hop of the hot paths.
     """
 
     registry: MetricsRegistry
-    recorder: FlightRecorder = NOOP_RECORDER
     lifecycle: LifecycleTracer = NOOP_LIFECYCLE
+    rows: list[EventRow] = field(
+        default_factory=list, compare=False, repr=False
+    )
     enabled: bool = field(init=False, compare=False, repr=False)
     measuring: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         measuring = self.registry.enabled
         object.__setattr__(self, "measuring", measuring)
-        object.__setattr__(self, "enabled", measuring or (
-            self.recorder.enabled or self.lifecycle.enabled
-        ))
+        object.__setattr__(
+            self, "enabled", measuring or self.lifecycle.enabled
+        )
 
 
 _NOOP_STATE = ObservabilityState(registry=NOOP_REGISTRY)
@@ -121,8 +120,7 @@ _state: ObservabilityState = _NOOP_STATE
 
 
 def enabled() -> bool:
-    """True when anything records: registry, flight recorder or
-    lifecycle tracer.
+    """True when anything records: registry or lifecycle tracer.
 
     Hot paths use this to guard instrumentation that would otherwise
     compute something (an extra pass, a division) even when disabled;
@@ -134,11 +132,9 @@ def enabled() -> bool:
 def measuring() -> bool:
     """True when a recording registry is installed.
 
-    The guard for work that only feeds a metric.
-    :func:`enabled` is also true for a flight recorder or a lifecycle
-    tracer alone — the state a node's per-block replay runs under —
-    where such work would be computed for the no-op registry; recorder
-    work is guarded on ``get_recorder().enabled`` instead.
+    The guard for work that only feeds a metric.  :func:`enabled` is
+    also true for a lifecycle tracer alone, where such work would be
+    computed for the no-op registry.
     """
     return _state.measuring
 
@@ -147,8 +143,10 @@ def get_registry() -> MetricsRegistry:
     return _state.registry
 
 
-def get_recorder() -> FlightRecorder:
-    return _state.recorder
+def event_rows() -> list[EventRow]:
+    """The current state's flight-recorder rows; write only while
+    :func:`enabled`."""
+    return _state.rows
 
 
 def lifecycle() -> LifecycleTracer:
@@ -162,7 +160,7 @@ def scoped(state: ObservabilityState) -> Iterator[ObservabilityState]:
 
     Swaps the process state and restores the previous one on exit, so
     scopes nest.  A block replay runs under a private state this way:
-    its own registry and recorder, no-op lifecycle.
+    its own registry, no-op lifecycle.
     """
     global _state
     previous = _state
@@ -175,21 +173,19 @@ def scoped(state: ObservabilityState) -> Iterator[ObservabilityState]:
 
 def install(
     registry: MetricsRegistry | None = None,
-    recorder: FlightRecorder | None = None,
     lifecycle: LifecycleTracer | None = None,
 ) -> ObservabilityState:
     """Install a recording state process-wide; returns it.
 
     Any component left ``None`` gets a fresh recording instance; pass
-    the explicit no-op singleton (e.g. ``NOOP_RECORDER``) to keep one
-    component disabled while the others record.  A fresh lifecycle
+    the explicit no-op singleton (e.g. ``NOOP_LIFECYCLE``) to keep one
+    component disabled while the other records.  A fresh lifecycle
     tracer observes its stage metrics into the installed registry.
     """
     global _state
     resolved_registry = registry if registry is not None else MetricsRegistry()
     _state = ObservabilityState(
         registry=resolved_registry,
-        recorder=recorder if recorder is not None else FlightRecorder(),
         lifecycle=lifecycle if lifecycle is not None
         else LifecycleTracer(registry=resolved_registry),
     )
@@ -205,14 +201,12 @@ def uninstall() -> None:
 @contextmanager
 def instrumented(
     registry: MetricsRegistry | None = None,
-    recorder: FlightRecorder | None = None,
     lifecycle: LifecycleTracer | None = None,
 ) -> Iterator[ObservabilityState]:
     """Scoped recording: install on entry, restore the prior state after."""
     global _state
     previous = _state
-    state = install(registry=registry, recorder=recorder,
-                    lifecycle=lifecycle)
+    state = install(registry=registry, lifecycle=lifecycle)
     try:
         yield state
     finally:

@@ -1,9 +1,9 @@
 """Critical-path profiling of recorded execution timelines.
 
-The flight recorder (:mod:`repro.obs.timeline`) captures *what the
-executor actually did*: which task ran on which lane, when, and whether
-it committed.  This module turns that event stream back into the
-quantities the paper reasons about analytically:
+The flight-recorder rows (:mod:`repro.obs.timeline`) of a run's
+schedule say *what the executor actually did*: which task ran on which
+lane, when, and whether it committed.  This module turns that event
+stream back into the quantities the paper reasons about analytically:
 
 * **empirical makespan** — the last finish clock, which must equal the
   executor's reported wall time (the events are the schedule);
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.core.speedup import group_speedup_bound, speculative_speedup
 from repro.execution.engine import ExecutionReport, TxTask, conflict_groups
@@ -346,29 +346,6 @@ def compare_to_bounds(
     )
 
 
-def profile_recorder(
-    recorder, *, per_block: bool = False
-) -> Mapping[str, list[TimelineProfile]]:
-    """Profile every executor captured by *recorder*.
-
-    Returns ``executor -> [profile, ...]`` — one profile per executor
-    (whole capture), or one per (executor, block) with ``per_block``.
-    """
-    out: dict[str, list[TimelineProfile]] = {}
-    for name in recorder.executors():
-        events = recorder.events(executor=name)
-        if per_block:
-            by_block: dict[int | None, list[TimelineEvent]] = {}
-            for event in events:
-                by_block.setdefault(event.block, []).append(event)
-            out[name] = [
-                profile_events(chunk) for chunk in by_block.values()
-            ]
-        else:
-            out[name] = [profile_events(events)]
-    return out
-
-
 __all__ = [
     "EQ2_STRICT_EXECUTORS",
     "BoundComparison",
@@ -380,6 +357,5 @@ __all__ = [
     "extract_executions",
     "longest_handoff_chain",
     "profile_events",
-    "profile_recorder",
     "task_conflict_profile",
 ]

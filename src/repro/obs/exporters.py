@@ -135,7 +135,7 @@ _QUEUE_TID = 0
 
 
 def _lane_tid(lane: int) -> int:
-    """Map recorder lanes onto trace thread ids (queue gets tid 0)."""
+    """Map event lanes onto trace thread ids (queue gets tid 0)."""
     return _QUEUE_TID if lane == QUEUE_LANE else lane + 1
 
 
@@ -263,7 +263,7 @@ def chrome_trace_events(
 
     # Edge pass: every slice is closed by now, so each dependency can
     # bind its arrow to real slice endpoints.  Edges whose endpoints
-    # never executed (shouldn't happen, but recorders are append-only
+    # never executed (shouldn't happen, but event rows are plain
     # logs, not validated graphs) are skipped rather than drawn dangling.
     for flow_id, event in enumerate(edge_events, start=1):
         pred, sep, succ = event.task.partition(EDGE_SEPARATOR)

@@ -68,7 +68,7 @@ class BlockSample:
 
     ``lane_utilization`` may be given as a float or as a zero-argument
     callable returning it, priced on first read (a node hands the
-    profile of the block's flight recorder this way).
+    profile of the block's execution report this way).
     """
 
     height: int

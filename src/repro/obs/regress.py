@@ -44,13 +44,16 @@ from repro.execution.registry import (
     run_engine,
     validate_engines,
 )
+from repro.execution.schedule import timeline_rows
 from repro.obs.critical_path import (
+    TimelineProfile,
     compare_to_bounds,
-    profile_recorder,
+    profile_events,
     task_conflict_profile,
 )
 from repro.node.network import NodeNetwork, lifecycle_config
 from repro.obs.lifecycle import join_shard_traces, stage_breakdown
+from repro.obs.timeline import as_events
 
 SNAPSHOT_SCHEMA_VERSION = 1
 
@@ -142,8 +145,10 @@ def build_snapshot(
     executors = validate_engines(executors)
 
     bound_checks: dict[str, dict[str, float]] = {}
+    # Per executor: one timeline profile per block, and the event count.
+    profiles: dict[str, list[TimelineProfile]] = {}
+    events: dict[str, int] = {}
     with obs.instrumented() as state:
-        recorder = state.recorder
         # One chain build inside the instrumented scope: its consensus.*
         # counters gate, and so do the staticcheck.* counters of the
         # prediction pass the two static executors need.
@@ -154,11 +159,10 @@ def build_snapshot(
             if not block.tasks:
                 continue
             conflict = task_conflict_profile(block.tasks)
-            with recorder.block(block.height):
-                reports = [
-                    (name, run_engine(name, block, cores))
-                    for name in executors
-                ]
+            reports = [
+                (name, run_engine(name, block, cores))
+                for name in executors
+            ]
             for name, report in reports:
                 comparison = compare_to_bounds(report, conflict)
                 stats = bound_checks.setdefault(
@@ -171,23 +175,30 @@ def build_snapshot(
                 stats["eq2_sum"] += comparison.eq2
                 if not comparison.within_eq2:
                     stats["eq2_exceeded"] += 1
+                block_events = as_events(
+                    timeline_rows(report, block.height)
+                )
+                events[name] = events.get(name, 0) + len(block_events)
+                profiles.setdefault(name, []).append(
+                    profile_events(block_events)
+                )
 
         timeline: dict[str, dict[str, object]] = {}
-        for name, profiles in profile_recorder(
-            recorder, per_block=True
-        ).items():
+        for name, block_profiles in profiles.items():
             timeline[name] = {
-                "events": len(recorder.events(executor=name)),
-                "executions": sum(p.executions for p in profiles),
-                "aborted": sum(p.aborted for p in profiles),
-                "retries": sum(p.retries for p in profiles),
-                "makespan_total": sum(p.makespan for p in profiles),
+                "events": events[name],
+                "executions": sum(p.executions for p in block_profiles),
+                "aborted": sum(p.aborted for p in block_profiles),
+                "retries": sum(p.retries for p in block_profiles),
+                "makespan_total": sum(
+                    p.makespan for p in block_profiles
+                ),
                 "critical_path_total": sum(
-                    p.critical_chain_cost for p in profiles
+                    p.critical_chain_cost for p in block_profiles
                 ),
                 "mean_utilization": (
-                    sum(p.mean_utilization for p in profiles)
-                    / len(profiles) if profiles else 0.0
+                    sum(p.mean_utilization for p in block_profiles)
+                    / len(block_profiles)
                 ),
             }
         # Lifecycle pass: the same seeded workload end to end on the

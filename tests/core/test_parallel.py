@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import multiprocessing
+import os
 import time
 
 import pytest
@@ -56,7 +57,7 @@ def _serial_records(inputs, data_model):
     return history.records
 
 
-# The fan-out's two callers, by the prefix of their recorder lanes.
+# The fan-out's two callers, by their metric families.
 FAMILY_METRICS = {"pipeline": "pipeline.parallel", "replay": "exec.replay"}
 
 
@@ -360,12 +361,12 @@ class TestProcessBackendObservability:
                 inputs, data_model="utxo", name="btc", backend=backend,
                 jobs=jobs, chunk_size=3,
             )
-            return state.registry.snapshot(), state.recorder.events()
+            return state.registry.snapshot()
 
     @pytest.mark.parametrize("backend,jobs", [("process", 3)])
     def test_per_block_metrics_match_serial(self, inputs, backend, jobs):
-        serial, _ = self._snapshot(inputs, "serial", 1)
-        parallel, _ = self._snapshot(inputs, backend, jobs)
+        serial = self._snapshot(inputs, "serial", 1)
+        parallel = self._snapshot(inputs, backend, jobs)
         # Every analysis-domain counter the serial run records must
         # come back identical through the worker merge; the parallel
         # run only ADDS its own pipeline.parallel.* family.
@@ -379,36 +380,21 @@ class TestProcessBackendObservability:
             assert merged["count"] == summary["count"]
             assert merged["sum"] == pytest.approx(summary["sum"])
 
-    def test_process_run_records_chunk_timeline(self, family_inputs):
-        # Both callers in one test: {pipeline, replay} on the pool.
-        jobs, chunk_size = 3, 2
-        forks = multiprocessing.get_start_method(allow_none=True) in (
-            None, "fork"
+    def test_fork_pool_spreads_chunks_over_workers(self):
+        chunks, jobs = 6, 3
+        pids = ordered_chunk_map(
+            _pid_chunk, None, list(range(2 * chunks)),
+            family="test.fanout", backend="process", jobs=jobs,
+            chunk_size=2,
         )
-        for family, inputs in family_inputs.items():
-            chunks = len(chunk_bounds(len(inputs), chunk_size))
-            assert chunks >= 2 * jobs
-            with obs.instrumented() as state:
-                _fan_out(
-                    family, inputs, "process", jobs=jobs,
-                    chunk_size=chunk_size,
-                )
-            where = f"{family}.process"
-            chunk_events = state.recorder.events(executor=where)
-            # One schedule/start/commit triple per chunk, lanes keyed by
-            # worker first-appearance.
-            assert {e.kind for e in chunk_events} == {
-                "schedule", "start", "commit"
-            }, where
-            lanes = [e.lane for e in chunk_events if e.kind == "commit"]
-            assert len(lanes) == chunks, where
-            assert set(lanes) == set(range(len(set(lanes)))), where
-            # Spawned workers come up one import at a time, so the
-            # first may drain a queue this short alone.
-            if forks:
-                assert len(set(lanes)) > 1, (
-                    f"{where}: every chunk landed on one lane"
-                )
+        assert len(pids) == chunks
+        assert os.getpid() not in pids
+        # Spawned workers come up one import at a time, so the first
+        # may drain a queue this short alone.
+        if multiprocessing.get_start_method(allow_none=True) in (
+            None, "fork"
+        ):
+            assert len(set(pids)) > 1, "every chunk ran in one worker"
 
     def test_worker_dump_merge_is_exact_for_counts(self, inputs):
         # analyze_chunk keeps its public 2-tuple contract while the
@@ -452,10 +438,17 @@ def _toy_chunk(params, chunk, record_obs):
     return [(x * x, finished) for x in chunk], finished - started, None, None
 
 
+def _pid_chunk(_params, chunk, _record_obs):
+    """One record per chunk: the pid of the process that ran it, after
+    long enough that an idle worker takes the next chunk."""
+    time.sleep(0.05)
+    return [os.getpid()], 0.05, None, None
+
+
 def _toy_map(params, backend, **kwargs):
     return ordered_chunk_map(
         _toy_chunk, params, list(range(8)),
-        family="test.fanout", lanes="test", backend=backend, jobs=2,
+        family="test.fanout", backend=backend, jobs=2,
         chunk_size=2, **kwargs,
     )
 
@@ -480,7 +473,10 @@ class TestFallbacks:
         counters = state.registry.snapshot()["counters"]
         metrics = FAMILY_METRICS[family]
         assert counters[f"{metrics}.fallbacks{{backend=process}}"] == 1
-        assert state.recorder.events(executor=f"{family}.serial")
+        histograms = state.registry.snapshot()["histograms"]
+        assert histograms[
+            f"{metrics}.chunk_seconds{{backend=serial}}"
+        ]["count"] == 4
         assert parallel._FORK_RUN is None
 
     def test_no_shared_memory_ships_explicit_slices(
@@ -503,7 +499,9 @@ class TestFallbacks:
         assert f"{metrics}.fallbacks{{backend=process}}" not in (
             snapshot["counters"]
         )
-        assert state.recorder.events(executor=f"{family}.process")
+        assert snapshot["histograms"][
+            f"{metrics}.chunk_seconds{{backend=process}}"
+        ]["count"] == 4
 
 
 class TestOrderedChunkMap:

@@ -2,7 +2,8 @@
 
 ``golden/replay_digest.json`` holds, per ``(chain, engine)``, a sha256
 over every field of every :class:`BlockReplay` record of a serial
-replay, a second sha256 over that engine's flight-recorder rows, and
+replay, a second sha256 over that engine's flight-recorder rows (the
+instrumented state's event rows, derived from its reports), and
 the chain state root.  The chains are
 :data:`tests.core.test_golden_regression.GOLDEN_CHAINS`.  A refactor of
 the engines must leave the file byte-identical; an intentional change
@@ -48,7 +49,7 @@ def sha256_json(value) -> str:
 def replay_golden(
     instrumented: bool = True, **replay_kwargs
 ) -> dict[str, tuple[ReplayResult, list]]:
-    """Replay the golden chains; ``chain -> (result, recorder rows)``.
+    """Replay the golden chains; ``chain -> (result, event rows)``.
 
     Uninstrumented, nothing records and the rows come back empty.
     """
@@ -64,7 +65,7 @@ def replay_golden(
                 inputs, data_model=profile.data_model, engines=ENGINES,
                 **replay_kwargs,
             )
-            rows = state.recorder.dump_rows() if instrumented else []
+            rows = list(state.rows) if instrumented else []
         out[name] = (result, rows)
     return out
 
@@ -76,8 +77,6 @@ def render_digest(replays: dict[str, tuple[ReplayResult, list]]) -> str:
                 "records": sha256_json(
                     [asdict(record) for record in result.for_engine(engine)]
                 ),
-                # Chunk lanes (``replay.<backend>``) carry wall-clock
-                # seconds and are left out by the engine filter.
                 "rows": sha256_json(
                     [row for row in rows if row[0] == engine]
                 ),

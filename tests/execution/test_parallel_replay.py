@@ -2,8 +2,8 @@
 
 The differential suite (test_differential.py) proves whole-run
 equivalence; this module pins the pieces — digest semantics, input
-validation, the scoped observability state, recorder row dumps and
-the worker-to-parent metrics merge.
+validation, the scoped observability state, chunk row dumps and the
+worker-to-parent metrics merge.
 """
 
 from __future__ import annotations
@@ -29,14 +29,15 @@ from repro.execution.parallel_replay import (
     receipts_root,
     replay_block_inputs,
     replay_chain,
+    replay_chunk,
     replay_profile,
     state_root,
     validate_engines,
 )
+from repro.execution.schedule import Segment, timeline_rows
 from repro.obs import ObservabilityState
 from repro.obs.lifecycle import NOOP_LIFECYCLE
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeline import FlightRecorder, NoopFlightRecorder
 from repro.workload.profiles import BITCOIN
 
 
@@ -206,14 +207,14 @@ def records_for_orders(tasks, orders):
     """``_block_records`` for engines that committed in *orders*."""
     block = ReplayBlock(height=7, tasks=tuple(tasks), payload=())
     engines = ENGINES[:len(orders)]
+    # Unit tasks back to back from -1 commit at clocks 0, 1, 2, ...
     reports = [
         ExecutionReport(
             executor=engine, cores=4, wall_time=1.0,
             total_work=float(len(tasks)), num_tasks=len(tasks),
-            commits=tuple(
-                (float(clock), tx_hash)
-                for clock, tx_hash in enumerate(order)
-            ),
+            schedule=(Segment(
+                [TxTask(tx_hash) for tx_hash in order], offset=-1.0
+            ),),
         )
         for engine, order in zip(engines, orders)
     ]
@@ -377,26 +378,22 @@ class TestSharedFold:
 
 class TestScopedObservability:
     def test_scoped_binds_and_restores(self):
-        recorder = FlightRecorder()
         state = ObservabilityState(
-            registry=MetricsRegistry(),
-            recorder=recorder, lifecycle=NOOP_LIFECYCLE,
+            registry=MetricsRegistry(), lifecycle=NOOP_LIFECYCLE,
         )
         assert not obs.enabled()
         with obs.scoped(state):
-            assert obs.get_recorder() is recorder
+            assert obs.event_rows() is state.rows
             obs.counter("scoped.test").inc()
         assert not obs.enabled()
         assert state.registry.counter("scoped.test").value == 1
 
     def test_scoped_nests(self):
         outer = ObservabilityState(
-            registry=MetricsRegistry(),
-            recorder=NoopFlightRecorder(), lifecycle=NOOP_LIFECYCLE,
+            registry=MetricsRegistry(), lifecycle=NOOP_LIFECYCLE,
         )
         inner = ObservabilityState(
-            registry=MetricsRegistry(),
-            recorder=NoopFlightRecorder(), lifecycle=NOOP_LIFECYCLE,
+            registry=MetricsRegistry(), lifecycle=NOOP_LIFECYCLE,
         )
         with obs.scoped(outer):
             with obs.scoped(inner):
@@ -407,28 +404,40 @@ class TestScopedObservability:
 
 
 class TestRecorderDump:
-    def test_dump_rows_round_trips_through_extend(self):
-        recorder = FlightRecorder()
-        with recorder.block(7):
-            recorder.record("schedule", "tx1", executor="occ")
-            recorder.record("commit", "tx1", executor="occ", lane=0,
-                            clock=1.0, cost=1.0)
-        rows = recorder.dump_rows()
-        assert pickle.loads(pickle.dumps(rows)) == rows
-        replica = FlightRecorder()
-        replica.extend(rows)
-        assert replica.dump_rows() == rows
-        assert [e.kind for e in replica.events(block=7)] == [
-            "schedule", "commit",
+    def test_dump_rows_round_trips_through_extend(self, tiny_inputs):
+        """A recording chunk ships its reports' rows, in block and
+        engine order; they pickle and land in the parent unchanged."""
+        block = max(tiny_inputs, key=lambda b: len(b.tasks))
+        engines = ("occ", "dag")
+        _records, _elapsed, dump, rows = replay_chunk(
+            (engines, 2), [block], True
+        )
+        assert dump is not None
+        expected = [
+            row for engine in engines for row in timeline_rows(
+                parallel_replay.run_engine(engine, block, 2), block.height
+            )
         ]
+        assert rows == expected
+        assert pickle.loads(pickle.dumps(rows)) == rows
+        with obs.instrumented() as state:
+            replay_chain(
+                [block], data_model="utxo", engines=engines, cores=2,
+                backend="serial",
+            )
+        assert state.rows == rows
 
-    def test_noop_recorder_dump_is_empty(self):
-        assert NoopFlightRecorder().dump_rows() == []
+    def test_noop_recorder_dump_is_empty(self, tiny_inputs):
+        records, _elapsed, dump, rows = replay_chunk(
+            (("occ",), 2), tiny_inputs, False
+        )
+        assert records
+        assert dump is None and rows is None
 
 
 class TestParentObservability:
     def test_worker_obs_merges_into_instrumented_parent(self, tiny_inputs):
-        """Fanned-out replay feeds the parent registry and recorder.
+        """Fanned-out replay feeds the parent registry and event rows.
 
         The per-engine event stream must be identical to a serial
         replay's, and the worker-side ``exec.*`` counters (recorded in
@@ -444,15 +453,8 @@ class TestParentObservability:
                 tiny_inputs, data_model="utxo", engines=("occ",),
                 backend="process", jobs=2, chunk_size=1,
             )
-        serial_rows = [
-            row for row in serial_state.recorder.dump_rows()
-            if row[0] == "occ"
-        ]
-        fanned_rows = [
-            row for row in fanned_state.recorder.dump_rows()
-            if row[0] == "occ"
-        ]
-        assert fanned_rows == serial_rows
+        assert fanned_state.rows == serial_state.rows
+        assert {row[0] for row in serial_state.rows} == {"occ"}
         serial_metrics = serial_state.registry.snapshot()
         fanned_metrics = fanned_state.registry.snapshot()
         occ_keys = [

@@ -1,15 +1,16 @@
 """Replay records come from engine values; the rows must agree.
 
 The replay builds every :class:`BlockReplay` from what an engine's run
-hands back — its :class:`ExecutionReport`, commit stream included — and
-reads no flight-recorder row.  Two things keep that honest:
+hands back — its :class:`ExecutionReport`, whose schedule yields the
+commit stream — and reads no flight-recorder row.  Two things keep that
+honest:
 
 * a property over random blocks and every engine of ``ENGINE_SPECS``:
-  the record built from the values equals the reduction of that same
-  run's own expanded rows (the loop ``_block_records`` used to run, kept
-  here as the oracle);
+  the record built from the values equals the reduction of the rows
+  the same report's schedule expands to (:func:`timeline_rows`; the
+  loop ``_block_records`` used to run, kept here as the oracle);
 * counts, not times, over an uninstrumented replay of the golden
-  chains: no row is expanded, no ``TimelineEvent`` built, no metric-only
+  chains: no row is built, no ``TimelineEvent`` either, no metric-only
   pass runs, a block costs one conflict partition (its predictions are
   exact, so the static engines share the oracle's) and one
   ``state-root`` hash per distinct class of commit order.
@@ -38,14 +39,12 @@ from repro.execution.parallel_replay import (
     replay_chain,
 )
 from repro.execution.registry import ENGINE_SPECS, BlockConflicts, run_engine
+from repro.execution.schedule import timeline_rows
 from repro.execution.speculative import (
     InformedSpeculativeExecutor,
     StaticInformedExecutor,
 )
-from repro.obs import ObservabilityState, timeline
-from repro.obs.lifecycle import NOOP_LIFECYCLE
-from repro.obs.metrics import NOOP_REGISTRY
-from repro.obs.timeline import FlightRecorder
+from repro.obs import timeline
 from repro.staticcheck.predict import PredictedAccess
 from repro.workload.profiles import PROFILES_BY_NAME
 from tests.core.test_golden_regression import GOLDEN_CHAINS
@@ -145,8 +144,8 @@ def test_static_engines_on_the_shared_path_equal_the_standalone_executors(
     """Exact predictions hand the static engines the oracle partition
     itself and skip the nets; any other block keeps its own partition
     and both nets.  Either way ``run_engine`` with a shared
-    :class:`BlockConflicts` reports, commits and records what the
-    standalone executor does."""
+    :class:`BlockConflicts` reports and schedules what the standalone
+    executor does."""
     predictions = {p.tx_hash: p for p in block.predictions}
     conflicts = BlockConflicts(block)
     for engine, executor in STATIC_EXECUTORS.items():
@@ -187,9 +186,11 @@ def test_an_unsound_block_still_fires_the_net_through_run_engine(engine):
     report = run_engine(engine, block, 2, conflicts)
     assert conflicts.predicted is not conflicts.oracle
     assert report.aborts == report.reexecuted == 2
-    assert report == STATIC_EXECUTORS[engine](
+    alone = STATIC_EXECUTORS[engine](
         2, {p.tx_hash: p for p in block.predictions}
     ).run(tasks)
+    assert report == alone
+    assert timeline_rows(report, HEIGHT) == timeline_rows(alone, HEIGHT)
 
 
 @st.composite
@@ -247,15 +248,11 @@ def reduce_rows(rows, engine, tasks):
 
 
 def recorded(height, runs):
-    """Call each of *runs* under one private recorder; reports + rows."""
-    recorder = FlightRecorder()
-    scope = ObservabilityState(
-        registry=NOOP_REGISTRY, recorder=recorder,
-        lifecycle=NOOP_LIFECYCLE,
-    )
-    with obs.scoped(scope), recorder.block(height):
-        reports = [run() for run in runs]
-    return reports, recorder.dump_rows()
+    """Call each of *runs*; reports + their schedules' rows."""
+    reports = [run() for run in runs]
+    return reports, [
+        row for report in reports for row in timeline_rows(report, height)
+    ]
 
 
 def run_recorded(block, cores, conflicts):
@@ -323,7 +320,7 @@ def test_uninstrumented_replay_pays_for_nothing_it_does_not_read(
     golden_inputs, chain, monkeypatch
 ):
     counts = {
-        "expansions": 0, "events": 0, "partitions": 0, "critical_paths": 0,
+        "rows": 0, "events": 0, "partitions": 0, "critical_paths": 0,
         "state_roots": 0,
     }
 
@@ -334,8 +331,8 @@ def test_uninstrumented_replay_pays_for_nothing_it_does_not_read(
         return counted
 
     monkeypatch.setattr(
-        FlightRecorder, "_materialised",
-        counting("expansions", FlightRecorder._materialised),
+        parallel_replay, "timeline_rows",
+        counting("rows", parallel_replay.timeline_rows),
     )
     monkeypatch.setattr(
         timeline, "TimelineEvent",
@@ -364,7 +361,7 @@ def test_uninstrumented_replay_pays_for_nothing_it_does_not_read(
     )
     assert not obs.enabled()
     assert result.summary("occ").aborted > 0
-    assert counts["expansions"] == counts["events"] == 0
+    assert counts["rows"] == counts["events"] == 0
     assert counts["critical_paths"] == 0
     assert counts["partitions"] == sum(1 for block in inputs if block.tasks)
     roots_by_height: dict[int, set[str]] = {}

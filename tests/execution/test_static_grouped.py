@@ -7,6 +7,8 @@ import pytest
 from repro import obs
 from repro.execution.engine import TxTask
 from repro.execution.grouped import GroupedExecutor, StaticGroupedExecutor
+from repro.execution.schedule import timeline_rows
+from repro.obs.timeline import as_events
 from repro.staticcheck.predict import PredictedAccess, unknown_access
 
 
@@ -129,9 +131,9 @@ def test_recorder_rows_cover_all_tasks():
         "a": PredictedAccess(tx_hash="a", writes=frozenset({"p"})),
         "b": PredictedAccess(tx_hash="b", writes=frozenset({"q"})),
     }
-    with obs.instrumented() as state:
-        StaticGroupedExecutor(2, predictions=predictions).run(tasks)
-    events = state.recorder.events(executor="static-grouped")
+    report = StaticGroupedExecutor(2, predictions=predictions).run(tasks)
+    events = as_events(timeline_rows(report, None))
+    assert {e.executor for e in events} == {"static-grouped"}
     committed = [e.task for e in events if e.kind == "commit"]
     aborted = [e.task for e in events if e.kind == "abort"]
     # Both aborted in the wave, then both committed in the retry round.

@@ -18,6 +18,7 @@ from repro.node import (
     network_fingerprint,
 )
 from repro.obs.lifecycle import join_shard_traces
+from repro.obs.timeline import as_events
 from repro.workload.profiles import PROFILES_BY_NAME
 
 
@@ -203,7 +204,10 @@ class TestLifecycleAcrossNetwork:
 
     def test_proposers_fill_the_global_flight_recorder(self):
         _, traces, state = _lifecycle("ethereum", blocks=2)
-        commits = state.recorder.events(kind="commit")
+        commits = [
+            event for event in as_events(state.rows)
+            if event.kind == "commit"
+        ]
         assert {event.executor for event in commits} == {"dag"}
         assert {event.task for event in commits} >= {
             trace.trace_id for trace in traces
@@ -221,9 +225,9 @@ class TestLifecycleAcrossNetwork:
         replay = node_module.replay_single_block
 
         def spy(data_model, block, engine, cores):
-            record, recorder = replay(data_model, block, engine, cores)
+            record, report = replay(data_model, block, engine, cores)
             runs.append((block.tasks, record.commit_order))
-            return record, recorder
+            return record, report
 
         monkeypatch.setattr(node_module, "replay_single_block", spy)
         _lifecycle("ethereum", blocks=10, seed=2020)
@@ -300,7 +304,7 @@ class TestLifecycleAcrossNetwork:
         assert result.converged, result.reason
         assert result.injected > 0
         assert obs.lifecycle().traces() == []
-        assert obs.get_recorder().events() == []
+        assert obs.event_rows() == []
 
     def test_node_metrics_land_in_registry(self):
         with obs.instrumented() as state:

@@ -1,13 +1,14 @@
 """Head samples: a node's ``BlockSample`` prices its lane utilization
-on read, so a listener that never reads it never expands a row."""
+on read, so a listener that never reads it never builds a row."""
 
 from __future__ import annotations
 
 from repro import obs
 from repro.node import NetworkConfig, NodeNetwork
+from repro.execution.schedule import timeline_rows
 from repro.node import node as node_module
 from repro.obs.critical_path import profile_events
-from repro.obs.timeline import FlightRecorder
+from repro.obs.timeline import as_events
 
 CONFIG = NetworkConfig(
     nodes=4, height=3, workload_blocks=2, scale=0.2, seed=11,
@@ -29,7 +30,7 @@ def _count(monkeypatch, owner, name: str) -> list[int]:
 
 def test_a_listener_that_ignores_samples_expands_no_rows(monkeypatch):
     profiles = _count(monkeypatch, node_module, "profile_events")
-    expansions = _count(monkeypatch, FlightRecorder, "_materialised")
+    expansions = _count(monkeypatch, node_module, "timeline_rows")
     samples = []
     result = NodeNetwork(
         CONFIG, on_block=lambda _node_id, sample: samples.append(sample)
@@ -43,17 +44,20 @@ def test_a_listener_that_ignores_samples_expands_no_rows(monkeypatch):
 
 def test_a_listener_that_reads_gets_the_profiled_utilization(monkeypatch):
     """Read on arrival, every sample's utilization is the profile of
-    the flight recorder its block was replayed into."""
+    the schedule its block's replay reported."""
     read: list[tuple[float, float]] = []
-    emitting: list[FlightRecorder] = []
+    emitting: list = []
     real_emit = node_module.Node._emit_sample
 
-    def emit(self, block, replay, recorder):
-        emitting.append(recorder)
-        real_emit(self, block, replay, recorder)
+    def emit(self, block, replay, report):
+        emitting.append((report, block.height))
+        real_emit(self, block, replay, report)
 
     def listen(_node_id, sample):
-        expected = profile_events(emitting[-1].events()).mean_utilization
+        report, height = emitting[-1]
+        expected = profile_events(
+            as_events(timeline_rows(report, height))
+        ).mean_utilization
         read.append((sample.lane_utilization, expected))
 
     monkeypatch.setattr(node_module.Node, "_emit_sample", emit)

@@ -653,7 +653,7 @@ class TestClaimedRoot:
         coinbase = make_genesis("other").transactions[0]
         ntxs = node_txs[:4]
         config = NodeConfig(consensus="pbft", heartbeat=1e6)
-        replay, _recorder = replay_single_block(
+        replay, _report = replay_single_block(
             config.data_model,
             ReplayBlock(
                 height=1,

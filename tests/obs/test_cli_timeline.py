@@ -22,7 +22,7 @@ def _run_timeline(tmp_path, *extra):
     out = tmp_path / "trace.json"
     code = main([
         "timeline", "--chain", "ethereum", "--executor", "speculative",
-        "--jobs", "4", "--blocks", "4", "--seed", "0",
+        "--cores", "4", "--blocks", "4", "--seed", "0",
         "--out", str(out), *extra,
     ])
     return code, out
@@ -89,10 +89,10 @@ class TestTimelineCommand:
         "argv",
         [
             ["timeline", "--chain", "notachain"],
-            ["timeline", "--chain", "ethereum", "--jobs", "0"],
+            ["timeline", "--chain", "ethereum", "--cores", "0"],
             ["timeline", "--chain", "ethereum", "--blocks", "0"],
         ],
-        ids=["bad-chain", "bad-jobs", "bad-blocks"],
+        ids=["bad-chain", "bad-cores", "bad-blocks"],
     )
     def test_usage_errors_exit_2(self, argv, capsys):
         assert main(argv) == 2

@@ -7,10 +7,10 @@ import random
 
 import pytest
 
-from repro import obs
 from repro.execution.dag import DAGExecutor
 from repro.execution.engine import SequentialExecutor, TxTask
 from repro.execution.grouped import GroupedExecutor, StaticGroupedExecutor
+from repro.execution.schedule import timeline_rows
 from repro.execution.occ import OCCExecutor
 from repro.execution.speculative import (
     InformedSpeculativeExecutor,
@@ -24,10 +24,10 @@ from repro.obs.critical_path import (
     extract_executions,
     longest_handoff_chain,
     profile_events,
-    profile_recorder,
     task_conflict_profile,
 )
-from repro.obs.timeline import FlightRecorder
+from repro.obs.timeline import as_events
+from tests.obs.test_timeline import row
 from repro.staticcheck.predict import PredictedAccess
 from repro.workload.account_workload import build_account_chain
 from repro.workload.profiles import ETHEREUM
@@ -59,47 +59,48 @@ def eth_blocks():
 
 class TestExtractExecutions:
     def test_pairs_by_task_round_lane(self):
-        recorder = FlightRecorder()
-        recorder.record("start", "a", executor="e", lane=0, clock=0.0,
-                        cost=1.0)
-        recorder.record("abort", "a", executor="e", lane=0, clock=1.0,
-                        cost=1.0)
-        recorder.record("start", "a", executor="e", lane=0, clock=1.0,
-                        cost=1.0, round_index=1)
-        recorder.record("commit", "a", executor="e", lane=0, clock=2.0,
-                        cost=1.0, round_index=1)
-        executions = extract_executions(recorder.events())
+        rows = [
+            row("start", "a", executor="e", lane=0, clock=0.0, cost=1.0),
+            row("abort", "a", executor="e", lane=0, clock=1.0, cost=1.0),
+            row("start", "a", executor="e", lane=0, clock=1.0, cost=1.0,
+                round_index=1),
+            row("commit", "a", executor="e", lane=0, clock=2.0, cost=1.0,
+                round_index=1),
+        ]
+        executions = extract_executions(as_events(rows))
         assert len(executions) == 2
         assert [e.committed for e in executions] == [False, True]
         assert executions[1].round == 1
 
     def test_finish_without_start_raises(self):
-        recorder = FlightRecorder()
-        recorder.record("commit", "ghost", executor="e", lane=0, clock=1.0)
+        rows = [
+            row("commit", "ghost", executor="e", lane=0, clock=1.0),
+        ]
         with pytest.raises(ValueError, match="without start"):
-            extract_executions(recorder.events())
+            extract_executions(as_events(rows))
 
     def test_unfinished_start_dropped(self):
-        recorder = FlightRecorder()
-        recorder.record("start", "a", executor="e", lane=0, clock=0.0)
-        assert extract_executions(recorder.events()) == []
+        rows = [
+            row("start", "a", executor="e", lane=0, clock=0.0),
+        ]
+        assert extract_executions(as_events(rows)) == []
 
 
 class TestHandoffChain:
     def test_back_walks_finish_start_links(self):
-        recorder = FlightRecorder()
+        rows = []
         # Lane 0: a(0-2) -> b(2-3); lane 1: c(0-1), unlinked.
         for task, start, finish in (("a", 0.0, 2.0), ("b", 2.0, 3.0)):
-            recorder.record("start", task, executor="e", lane=0,
-                            clock=start, cost=finish - start)
-            recorder.record("commit", task, executor="e", lane=0,
-                            clock=finish, cost=finish - start)
-        recorder.record("start", "c", executor="e", lane=1, clock=0.0,
-                        cost=1.0)
-        recorder.record("commit", "c", executor="e", lane=1, clock=1.0,
-                        cost=1.0)
+            rows.append(row("start", task, executor="e", lane=0,
+                            clock=start, cost=finish - start))
+            rows.append(row("commit", task, executor="e", lane=0,
+                            clock=finish, cost=finish - start))
+        rows.append(row("start", "c", executor="e", lane=1, clock=0.0,
+                        cost=1.0))
+        rows.append(row("commit", "c", executor="e", lane=1, clock=1.0,
+                        cost=1.0))
         chain, cost = longest_handoff_chain(
-            extract_executions(recorder.events())
+            extract_executions(as_events(rows))
         )
         assert chain == ("a", "b")
         assert cost == 3.0
@@ -164,10 +165,8 @@ class TestHandoffChain:
 
 class TestProfileEvents:
     def test_sequential_profile_is_exact(self):
-        with obs.instrumented() as state:
-            tasks = _conflicting_tasks()
-            report = SequentialExecutor().run(tasks)
-            profile = profile_events(state.recorder.events())
+        report = SequentialExecutor().run(_conflicting_tasks())
+        profile = profile_events(as_events(timeline_rows(report, None)))
         assert profile.executor == "sequential"
         assert profile.makespan == report.wall_time == 5.0
         assert profile.executions == profile.committed == 5
@@ -179,11 +178,12 @@ class TestProfileEvents:
         assert profile.rounds == 1
 
     def test_mixed_executor_slice_rejected(self):
-        recorder = FlightRecorder()
-        recorder.record("start", "a", executor="x", lane=0, clock=0.0)
-        recorder.record("start", "b", executor="y", lane=0, clock=0.0)
+        rows = [
+            row("start", "a", executor="x", lane=0, clock=0.0),
+            row("start", "b", executor="y", lane=0, clock=0.0),
+        ]
         with pytest.raises(ValueError, match="one at a time"):
-            profile_events(recorder.events())
+            profile_events(as_events(rows))
 
     @pytest.mark.parametrize(
         "factory",
@@ -199,34 +199,17 @@ class TestProfileEvents:
     )
     def test_makespan_matches_reported_wall_time(self, factory, eth_blocks):
         executor = factory()
-        with obs.instrumented() as state:
-            for height, tasks, _executed in eth_blocks:
-                with state.recorder.block(height):
-                    report = executor.run(tasks)
-                profile = profile_events(
-                    state.recorder.events(
-                        executor=executor.name, block=height
-                    )
-                )
-                assert profile.makespan == pytest.approx(
-                    report.wall_time, abs=1e-9
-                )
-                assert all(s.utilization <= 1.0 + 1e-9
-                           for s in profile.lanes)
-
-    def test_profile_recorder_groups_by_executor_and_block(self):
-        with obs.instrumented() as state:
-            tasks = _conflicting_tasks()
-            for height in (1, 2):
-                with state.recorder.block(height):
-                    SpeculativeExecutor(cores=2).run(tasks)
-                    SequentialExecutor().run(tasks)
-            whole = profile_recorder(state.recorder)
-            split = profile_recorder(state.recorder, per_block=True)
-        assert set(whole) == {"speculative", "sequential"}
-        assert len(whole["speculative"]) == 1
-        assert len(split["speculative"]) == 2
-        assert split["speculative"][0].blocks == (1,)
+        for height, tasks, _executed in eth_blocks:
+            report = executor.run(tasks)
+            profile = profile_events(
+                as_events(timeline_rows(report, height))
+            )
+            assert profile.blocks == (height,)
+            assert profile.makespan == pytest.approx(
+                report.wall_time, abs=1e-9
+            )
+            assert all(s.utilization <= 1.0 + 1e-9
+                       for s in profile.lanes)
 
 
 class TestBounds:

@@ -14,7 +14,8 @@ from repro.obs.exporters import (
     write_chrome_trace,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeline import FlightRecorder
+from repro.obs.timeline import as_events
+from tests.obs.test_timeline import row
 
 
 def _populated_registry() -> MetricsRegistry:
@@ -99,24 +100,24 @@ class TestPrometheusSanitization:
 
 
 class TestChromeTrace:
-    def _recorder(self):
-        recorder = FlightRecorder()
-        with recorder.block(5):
-            recorder.record("schedule", "tx0", executor="spec", clock=0.0)
-            recorder.record("start", "tx0", executor="spec", lane=0,
-                            clock=0.0, cost=2.0)
-            recorder.record("commit", "tx0", executor="spec", lane=0,
-                            clock=2.0, cost=2.0)
-            recorder.record("start", "tx1", executor="spec", lane=1,
-                            clock=0.0, cost=1.0)
-            recorder.record("abort", "tx1", executor="spec", lane=1,
-                            clock=1.0, cost=1.0)
-            recorder.record("retry", "tx1", executor="spec", clock=1.0,
-                            round_index=1)
-        return recorder
+    def _rows(self):
+        rows = [
+            row("schedule", "tx0", executor="spec", clock=0.0, block=5),
+            row("start", "tx0", executor="spec", lane=0, clock=0.0, cost=2.0,
+                block=5),
+            row("commit", "tx0", executor="spec", lane=0, clock=2.0, cost=2.0,
+                block=5),
+            row("start", "tx1", executor="spec", lane=1, clock=0.0, cost=1.0,
+                block=5),
+            row("abort", "tx1", executor="spec", lane=1, clock=1.0, cost=1.0,
+                block=5),
+            row("retry", "tx1", executor="spec", clock=1.0, round_index=1,
+                block=5),
+        ]
+        return rows
 
     def test_slices_instants_and_metadata(self):
-        events = chrome_trace_events(self._recorder().events())
+        events = chrome_trace_events(as_events(self._rows()))
         by_phase = {}
         for event in events:
             by_phase.setdefault(event["ph"], []).append(event)
@@ -142,21 +143,20 @@ class TestChromeTrace:
 
     def test_clock_unit_scaling(self):
         events = chrome_trace_events(
-            self._recorder().events(), clock_unit_us=10.0
+            as_events(self._rows()), clock_unit_us=10.0
         )
         (tx0,) = [e for e in events if e.get("name") == "tx0"]
         assert tx0["dur"] == 20.0
 
     def test_blocks_laid_out_side_by_side(self):
-        recorder = FlightRecorder()
+        rows = []
         for height in (1, 2):
-            with recorder.block(height):
-                recorder.record("start", f"b{height}", executor="e",
-                                lane=0, clock=0.0, cost=1.0)
-                recorder.record("commit", f"b{height}", executor="e",
-                                lane=0, clock=1.0, cost=1.0)
+            rows.append(row("start", f"b{height}", executor="e", lane=0,
+                            clock=0.0, cost=1.0, block=height))
+            rows.append(row("commit", f"b{height}", executor="e", lane=0,
+                            clock=1.0, cost=1.0, block=height))
         slices = [
-            e for e in chrome_trace_events(recorder.events())
+            e for e in chrome_trace_events(as_events(rows))
             if e["ph"] == "X"
         ]
         ts = {s["name"]: s["ts"] for s in slices}
@@ -165,7 +165,7 @@ class TestChromeTrace:
 
     def test_write_chrome_trace_file_shape(self, tmp_path):
         path = tmp_path / "trace.json"
-        count = write_chrome_trace(path, self._recorder().events())
+        count = write_chrome_trace(path, as_events(self._rows()))
         document = json.loads(path.read_text())
         assert len(document["traceEvents"]) == count
         assert document["displayTimeUnit"] == "ms"
@@ -174,34 +174,31 @@ class TestChromeTrace:
         assert document["otherData"]["clock_unit_us"] == COST_UNIT_US
 
     def test_unpaired_finish_skipped_not_raised(self):
-        recorder = FlightRecorder()
-        recorder.record("commit", "ghost", executor="e", lane=0, clock=1.0)
+        rows = [
+            row("commit", "ghost", executor="e", lane=0, clock=1.0),
+        ]
         assert [
-            e["ph"] for e in chrome_trace_events(recorder.events())
+            e["ph"] for e in chrome_trace_events(as_events(rows))
         ] == ["M"]  # only the process metadata, no slice
 
 
-def _dag_recorder_with_edge():
+def _dag_rows_with_edge():
     """Two tasks, a handoff a->b, plus one dangling edge."""
-    recorder = FlightRecorder()
-    with recorder.block(1):
-        recorder.record("start", "a", executor="dag", lane=0,
-                        clock=0.0, cost=2.0)
-        recorder.record("commit", "a", executor="dag", lane=0,
-                        clock=2.0)
-        recorder.record("start", "b", executor="dag", lane=1,
-                        clock=2.0, cost=1.0)
-        recorder.record("commit", "b", executor="dag", lane=1,
-                        clock=3.0)
-        recorder.record("edge", "a->b", executor="dag", clock=2.0)
-        recorder.record("edge", "a->ghost", executor="dag", clock=2.0)
-    return recorder
+    rows = [
+        row("start", "a", executor="dag", lane=0, clock=0.0, cost=2.0, block=1),
+        row("commit", "a", executor="dag", lane=0, clock=2.0, block=1),
+        row("start", "b", executor="dag", lane=1, clock=2.0, cost=1.0, block=1),
+        row("commit", "b", executor="dag", lane=1, clock=3.0, block=1),
+        row("edge", "a->b", executor="dag", clock=2.0, block=1),
+        row("edge", "a->ghost", executor="dag", clock=2.0, block=1),
+    ]
+    return rows
 
 
 class TestEdgeFlowEvents:
     def test_edges_become_flow_pairs_bound_to_slices(self):
         events = chrome_trace_events(
-            _dag_recorder_with_edge().events(), clock_unit_us=1.0
+            as_events(_dag_rows_with_edge()), clock_unit_us=1.0
         )
         flows = [e for e in events if e.get("cat") == "handoff"]
         # One resolvable edge -> one s/f pair; the dangling edge
@@ -219,7 +216,7 @@ class TestEdgeFlowEvents:
 
     def test_edge_events_emit_no_slices_or_instants(self):
         events = chrome_trace_events(
-            _dag_recorder_with_edge().events(), clock_unit_us=1.0
+            as_events(_dag_rows_with_edge()), clock_unit_us=1.0
         )
         slices = [e for e in events if e["ph"] == "X"]
         assert {e["name"] for e in slices} == {"a", "b"}
@@ -277,9 +274,9 @@ class TestLifecycleTraceEvents:
         from repro.obs.exporters import LIFECYCLE_PID
 
         path = tmp_path / "joined.json"
-        recorder = _dag_recorder_with_edge()
+        rows = _dag_rows_with_edge()
         count = write_chrome_trace(
-            path, recorder.events(), lifecycle_traces=self._traces()
+            path, as_events(rows), lifecycle_traces=self._traces()
         )
         document = json.loads(path.read_text())
         events = document["traceEvents"]

@@ -1,5 +1,5 @@
 """Lifecycle tracer unit and property tests: causal chains, monotonic
-clamping, terminal sealing, flight-recorder stitching, aggregation, and
+clamping, terminal sealing, flight-rows stitching, aggregation, and
 trace-context pickling across process-pool workers."""
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from repro.obs.lifecycle import (
     stitch_execution_events,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeline import FlightRecorder
+from repro.obs.timeline import as_events
+from tests.obs.test_timeline import row
 
 
 class TestTraceContext:
@@ -235,26 +236,24 @@ class TestStitchedTrace:
 
 
 class TestStitchExecutionEvents:
-    def _recorder_events(self):
-        recorder = FlightRecorder()
-        with recorder.block(1):
-            recorder.record("schedule", "tx1", executor="occ",
-                            clock=0.0)
-            recorder.record("start", "tx1", executor="occ", lane=0,
-                            clock=0.0, cost=2.0)
-            recorder.record("abort", "tx1", executor="occ", lane=0,
-                            clock=2.0)
-            recorder.record("retry", "tx1", executor="occ",
-                            clock=2.0, round_index=1)
-            recorder.record("commit", "tx1", executor="occ", lane=0,
-                            clock=4.0, round_index=1)
-        return recorder.events()
+    def _events(self):
+        rows = [
+            row("schedule", "tx1", executor="occ", clock=0.0, block=1),
+            row("start", "tx1", executor="occ", lane=0, clock=0.0, cost=2.0,
+                block=1),
+            row("abort", "tx1", executor="occ", lane=0, clock=2.0, block=1),
+            row("retry", "tx1", executor="occ", clock=2.0, round_index=1,
+                block=1),
+            row("commit", "tx1", executor="occ", lane=0, clock=4.0,
+                round_index=1, block=1),
+        ]
+        return as_events(rows)
 
     def test_kinds_map_to_stages_and_commit_closes(self):
         tracer = LifecycleTracer()
         tracer.begin("tx1", at=100.0)
         stitched = stitch_execution_events(
-            tracer, self._recorder_events(), at=100.0,
+            tracer, self._events(), at=100.0,
             cost_unit_seconds=0.5,
         )
         assert stitched == 4  # start is skipped
@@ -270,13 +269,13 @@ class TestStitchExecutionEvents:
     def test_unknown_tasks_do_not_count(self):
         tracer = LifecycleTracer()  # no trace begun
         stitched = stitch_execution_events(
-            tracer, self._recorder_events(), at=0.0
+            tracer, self._events(), at=0.0
         )
         assert stitched == 0
 
     def test_disabled_tracer_short_circuits(self):
         assert stitch_execution_events(
-            NOOP_LIFECYCLE, self._recorder_events(), at=0.0
+            NOOP_LIFECYCLE, self._events(), at=0.0
         ) == 0
 
     def test_cost_unit_must_be_positive(self):

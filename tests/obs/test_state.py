@@ -10,22 +10,15 @@ import pytest
 
 from repro import obs
 from repro.obs import (
-    FlightRecorder,
     LifecycleTracer,
     MetricsRegistry,
     ObservabilityState,
 )
 from repro.obs.lifecycle import NOOP_LIFECYCLE
 from repro.obs.metrics import NOOP_REGISTRY
-from repro.obs.timeline import NOOP_RECORDER
 
-NOOP = dict(
-    registry=NOOP_REGISTRY, recorder=NOOP_RECORDER, lifecycle=NOOP_LIFECYCLE,
-)
-RECORDING = dict(
-    registry=MetricsRegistry, recorder=FlightRecorder,
-    lifecycle=LifecycleTracer,
-)
+NOOP = dict(registry=NOOP_REGISTRY, lifecycle=NOOP_LIFECYCLE)
+RECORDING = dict(registry=MetricsRegistry, lifecycle=LifecycleTracer)
 
 
 def _alone(component: str) -> ObservabilityState:
@@ -62,7 +55,7 @@ def test_the_guards_are_fields_not_recomputed():
 
 
 def test_scoped_overrides_follow_the_innermost_state():
-    outer, inner = _alone("recorder"), ObservabilityState(**NOOP)
+    outer, inner = _alone("lifecycle"), ObservabilityState(**NOOP)
     with obs.scoped(outer):
         assert (obs.enabled(), obs.measuring()) == (True, False)
         with obs.scoped(inner):
@@ -91,12 +84,14 @@ class TestGlobalState:
         assert state.registry.counter("hits").value == 1.0
 
     def test_instrumented_accepts_custom_backends(self):
-        registry, recorder = MetricsRegistry(), FlightRecorder()
-        with obs.instrumented(registry=registry, recorder=recorder) as state:
+        registry, lifecycle = MetricsRegistry(), LifecycleTracer()
+        with obs.instrumented(
+            registry=registry, lifecycle=lifecycle
+        ) as state:
             obs.counter("c").inc()
         assert registry.counter("c").value == 1.0
         assert state.registry is registry
-        assert state.recorder is recorder
+        assert state.lifecycle is lifecycle
 
     def test_instrumented_restores_on_exception(self):
         with pytest.raises(RuntimeError):

@@ -1,111 +1,82 @@
-"""Flight-recorder semantics: event capture, deferral, block scoping,
-and the batch helpers the executors call."""
+"""Flight-recorder rows: the one expander of a report's schedule
+(:func:`repro.execution.schedule.timeline_rows`), the events readers
+get from rows, and the instrumented state's list of them."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro import obs
-from repro.execution.engine import TxTask
+from repro.execution.engine import ExecutionReport, TxTask
+from repro.execution.parallel_replay import replay_chain
+from repro.execution.schedule import Segment, Wave, timeline_rows
 from repro.execution.simulator import CoreSimulator
-from repro.obs.timeline import (
-    EVENT_KINDS,
-    NOOP_RECORDER,
-    QUEUE_LANE,
-    FlightRecorder,
-    sequential_rows,
-    wave_log_rows,
-    wave_rows,
-)
+from repro.obs.timeline import EVENT_KINDS, QUEUE_LANE, as_events
+
+
+def row(kind, task, *, executor="e", lane=QUEUE_LANE, clock=0.0,
+        cost=0.0, round_index=0, block=None):
+    """One event row, fields named as the readers name them."""
+    assert kind in EVENT_KINDS
+    return (executor, block, round_index, kind, task, lane, clock, cost)
 
 
 def _tasks(n, cost=1.0):
     return [TxTask(tx_hash=f"tx{i}", cost=cost) for i in range(n)]
 
 
+def _report(name, *schedule):
+    return ExecutionReport(
+        executor=name, cores=2, wall_time=0.0, total_work=0.0,
+        num_tasks=0, schedule=schedule,
+    )
+
+
+def _events(name, *schedule, height=None):
+    return as_events(timeline_rows(_report(name, *schedule), height))
+
+
 class TestRecorderCore:
-    def test_record_and_filter(self):
-        recorder = FlightRecorder()
-        recorder.record("schedule", "a", executor="occ", clock=0.0)
-        recorder.record(
-            "start", "a", executor="occ", lane=2, clock=1.0, cost=3.0
-        )
-        recorder.record("commit", "a", executor="seq", clock=4.0)
-        assert len(recorder) == 3
-        assert [e.kind for e in recorder.events(executor="occ")] == [
-            "schedule", "start",
+    def test_events_number_rows_in_order(self):
+        rows = [
+            row("schedule", "a", executor="occ"),
+            row("start", "a", executor="occ", lane=2, clock=1.0, cost=3.0),
+            row("commit", "a", executor="seq", clock=4.0, block=7),
         ]
-        (start,) = recorder.events(kind="start")
-        assert (start.lane, start.clock, start.cost) == (2, 1.0, 3.0)
-        assert start.seq == 1
-        assert start.as_dict()["task"] == "a"
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown event kind"):
-            FlightRecorder().record("explode", "a", executor="occ")
-
-    def test_block_context_stamps_and_restores(self):
-        recorder = FlightRecorder()
-        with recorder.block(7):
-            recorder.record("start", "a", executor="e")
-            with recorder.block(8):
-                recorder.record("start", "b", executor="e")
-            recorder.record("start", "c", executor="e")
-        recorder.record("start", "d", executor="e")
-        assert [e.block for e in recorder.events()] == [7, 8, 7, None]
-        assert recorder.blocks() == [7, 8, None]
-        assert recorder.executors() == ["e"]
-
-    def test_clear_resets_deferred_and_materialised(self):
-        recorder = FlightRecorder()
-        recorder.defer(lambda: [("e", None, 0, "start", "a", 0, 0.0, 1.0)])
-        assert len(recorder) == 1
-        recorder.clear()
-        assert len(recorder) == 0
-        assert recorder.events() == []
-
-    def test_deferred_batches_expand_in_record_order(self):
-        recorder = FlightRecorder()
-        recorder.record("schedule", "a", executor="e")
-        recorder.defer(lambda: [
-            ("e", None, 0, "start", "a", 0, 0.0, 1.0),
-            ("e", None, 0, "commit", "a", 0, 1.0, 1.0),
-        ])
-        recorder.record("retry", "a", executor="e")
-        kinds = [e.kind for e in recorder.events()]
-        assert kinds == ["schedule", "start", "commit", "retry"]
-        # Reading twice must not duplicate (expansion is cached).
-        assert [e.kind for e in recorder.events()] == kinds
-        # Appends after a read still land after the cached prefix.
-        recorder.record("commit", "b", executor="e")
-        assert [e.kind for e in recorder.events()][-1] == "commit"
-        assert len(recorder) == 5
-
-    def test_noop_recorder_drops_everything(self):
-        assert not NOOP_RECORDER.enabled
-        NOOP_RECORDER.record("start", "a", executor="e")
-        NOOP_RECORDER.extend([("e", None, 0, "start", "a", 0, 0.0, 1.0)])
-        NOOP_RECORDER.defer(lambda: pytest.fail("noop expanded a thunk"))
-        assert NOOP_RECORDER.events() == []
-        assert len(NOOP_RECORDER) == 0
+        events = as_events(rows)
+        assert [e.seq for e in events] == [0, 1, 2]
+        assert [e.kind for e in events] == ["schedule", "start", "commit"]
+        start = events[1]
+        assert (start.executor, start.lane, start.clock, start.cost) == (
+            "occ", 2, 1.0, 3.0
+        )
+        assert (events[2].executor, events[2].block) == ("seq", 7)
 
     def test_default_state_is_noop(self):
-        assert obs.get_recorder() is NOOP_RECORDER
+        assert not obs.enabled()
+        assert obs.event_rows() == []
 
     def test_instrumented_installs_recording_recorder(self):
+        default = obs.event_rows()
         with obs.instrumented() as state:
-            assert obs.get_recorder() is state.recorder
-            assert state.recorder.enabled
-        assert obs.get_recorder() is NOOP_RECORDER
+            assert obs.event_rows() is state.rows == []
+            with obs.instrumented() as inner:
+                assert obs.event_rows() is inner.rows
+                assert inner.rows is not state.rows
+        assert obs.event_rows() is default
+
+    def test_noop_recorder_drops_everything(self):
+        """An uninstrumented replay writes no row anywhere."""
+        tasks = _tasks(3)
+        replay_chain(
+            [(1, tasks, ())], data_model="utxo", backend="serial"
+        )
+        assert obs.event_rows() == []
 
 
 class TestWaveRows:
     def test_schedule_start_finish_per_task(self):
-        recorder = FlightRecorder()
         tasks = _tasks(3)
         run = CoreSimulator(2).run_wave(tasks)
-        wave_rows(recorder, "spec", tasks, run, aborted=[tasks[1]])
-        events = recorder.events()
+        events = _events("spec", Wave(tasks, run, aborted=[tasks[1]]))
         assert len(events) == 9  # schedule + start + finish per task
         schedules = [e for e in events if e.kind == "schedule"]
         assert all(e.lane == QUEUE_LANE and e.clock == 0.0
@@ -119,42 +90,45 @@ class TestWaveRows:
         assert starts["tx0"].lane == run.core_of["tx0"]
 
     def test_offset_shifts_all_clocks(self):
-        recorder = FlightRecorder()
+        """A later round re-queues its tasks at its start: ``retry``
+        rows there, no ``schedule`` row."""
         tasks = _tasks(2)
         run = CoreSimulator(2).run_wave(tasks)
-        wave_rows(recorder, "spec", tasks, run, offset=5.0, scheduled=False)
-        events = recorder.events()
+        events = _events("spec", Wave(tasks, run, offset=5.0, round=1))
         assert all(e.kind != "schedule" for e in events)
+        assert [e.clock for e in events if e.kind == "retry"] == [5.0, 5.0]
         assert min(e.clock for e in events) == 5.0
+        assert {e.round for e in events} == {1}
 
     def test_disabled_or_empty_records_nothing(self):
-        recorder = FlightRecorder()
-        wave_rows(recorder, "spec", [], CoreSimulator(1).run_wave([]))
-        assert len(recorder) == 0
-        wave_rows(NOOP_RECORDER, "spec", _tasks(1),
-                  CoreSimulator(1).run_wave(_tasks(1)))
-        assert len(NOOP_RECORDER) == 0
+        assert _events("spec", Wave([], CoreSimulator(1).run_wave([]))) \
+            == []
+        assert _events("spec", Segment([])) == []
+
+    def test_rows_carry_the_height_asked_for(self):
+        tasks = _tasks(2)
+        report = _report("spec", Segment(tasks))
+        assert {row[1] for row in timeline_rows(report, 7)} == {7}
+        assert {row[1] for row in timeline_rows(report, None)} == {None}
 
 
 class TestSequentialRows:
     def test_back_to_back_on_one_lane(self):
-        recorder = FlightRecorder()
         tasks = _tasks(3, cost=2.0)
-        sequential_rows(recorder, "seq", tasks, offset=1.0, lane=4)
-        starts = recorder.events(kind="start")
+        events = _events("seq", Segment(tasks, offset=1.0))
+        starts = [e for e in events if e.kind == "start"]
         assert [e.clock for e in starts] == [1.0, 3.0, 5.0]
-        assert all(e.lane == 4 for e in starts)
-        commits = recorder.events(kind="commit")
+        assert all(e.lane == 0 for e in starts)
+        commits = [e for e in events if e.kind == "commit"]
         assert [e.clock for e in commits] == [3.0, 5.0, 7.0]
-        assert len(recorder.events(kind="schedule")) == 3
+        schedules = [e for e in events if e.kind == "schedule"]
+        assert [e.clock for e in schedules] == [1.0, 1.0, 1.0]
 
     def test_retry_replaces_schedule(self):
-        recorder = FlightRecorder()
-        sequential_rows(recorder, "spec", _tasks(2), retry=True,
-                        round_index=1)
-        kinds = {e.kind for e in recorder.events()}
+        events = _events("spec", Segment(_tasks(2), round=1, retry=True))
+        kinds = {e.kind for e in events}
         assert "schedule" not in kinds
-        retries = recorder.events(kind="retry")
+        retries = [e for e in events if e.kind == "retry"]
         assert [e.round for e in retries] == [1, 1]
         # Retries are stamped at each task's own start, not the segment
         # start.
@@ -163,33 +137,35 @@ class TestSequentialRows:
 
 class TestWaveLogRows:
     def test_matches_per_wave_emission(self):
+        """OCC's waves: wave 0 schedules every task, its aborts re-queue
+        as ``retry`` rows at the boundary, in round 1, and commit
+        there."""
         tasks = _tasks(4)
-        sim = CoreSimulator(2)
-        run0 = sim.run_wave(tasks)
+        run0 = CoreSimulator(2).run_wave(tasks)
         retried = tasks[2:]
         run1 = CoreSimulator(2).run_wave(retried)
-        log = [
-            (tasks, run0, 0.0, retried),
-            (retried, run1, run0.makespan, []),
-        ]
-        recorder = FlightRecorder()
-        wave_log_rows(recorder, "occ", log)
-        events = recorder.events()
-        # Wave 0 schedules all four; wave 1 schedules nothing.
+        events = _events(
+            "occ",
+            Wave(tasks, run0, 0.0, 0, retried),
+            Wave(retried, run1, run0.makespan, 1),
+        )
         assert len([e for e in events if e.kind == "schedule"]) == 4
         aborts = [e for e in events if e.kind == "abort"]
         assert {e.task for e in aborts} == {"tx2", "tx3"}
         retries = [e for e in events if e.kind == "retry"]
+        assert [e.task for e in retries] == ["tx2", "tx3"]
         assert all(
             e.round == 1 and e.clock == run0.makespan for e in retries
         )
-        # Second-wave executions re-run on round 1 and commit.
+        # The retries sit between wave 0's finishes and wave 1's starts.
+        kinds = [e.kind for e in events]
+        assert kinds.index("retry") > max(
+            index for index, kind in enumerate(kinds) if kind == "abort"
+        )
         round1_commits = [
             e for e in events if e.kind == "commit" and e.round == 1
         ]
         assert {e.task for e in round1_commits} == {"tx2", "tx3"}
 
     def test_empty_log_is_noop(self):
-        recorder = FlightRecorder()
-        wave_log_rows(recorder, "occ", [])
-        assert len(recorder) == 0
+        assert timeline_rows(_report("occ"), 3) == []
