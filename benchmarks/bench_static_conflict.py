@@ -72,12 +72,9 @@ NUM_DYNAMIC = 200
 
 def _runtime_tdg(tasks) -> TDGResult:
     """Task-level TDG from runtime access sets (same rule as predicted)."""
-    return TDGResult(
-        groups=tuple(
-            tuple(tasks[index].tx_hash for index in group)
-            for group in conflict_partition(tasks)
-        ),
-        num_transactions=len(tasks),
+    return TDGResult.from_groups(
+        [tasks[index].tx_hash for index in group]
+        for group in conflict_partition(tasks)
     )
 
 

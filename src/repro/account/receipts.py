@@ -10,9 +10,13 @@ BigQuery ``traces`` table, and the TDG builder consumes the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from repro.account.transaction import AccountTransaction, InternalTransaction
+from repro.account.transaction import (
+    NULL_ADDRESS,
+    AccountTransaction,
+    InternalTransaction,
+)
 from repro.sets import EMPTY
 
 
@@ -85,17 +89,26 @@ class ExecutedTransaction:
         the null address, which would otherwise spuriously connect all
         creations in a block.
         """
+        addresses = self.endpoints()
+        return list(zip(addresses[::2], addresses[1::2]))
+
+    def endpoints(self) -> Sequence[str]:
+        """The addresses of :meth:`edges`, pair after pair, with no
+        pair built: what the account TDG reads per transaction."""
         tx = self.tx
         if tx.is_coinbase:
-            return []
+            return ()
         receipt = self.receipt
         receiver = tx.receiver
-        if tx.is_contract_creation and receipt.created_contract:
+        if receiver == NULL_ADDRESS and receipt.created_contract:
             receiver = receipt.created_contract
-        pairs = [(tx.sender, receiver)]
+        if not receipt.internal_transactions:
+            return (tx.sender, receiver)
+        addresses = [tx.sender, receiver]
         for internal in receipt.internal_transactions:
-            pairs.append((internal.sender, internal.receiver))
-        return pairs
+            addresses.append(internal.sender)
+            addresses.append(internal.receiver)
+        return addresses
 
 
 def total_gas(executed: Iterable[ExecutedTransaction]) -> int:

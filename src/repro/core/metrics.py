@@ -101,20 +101,24 @@ def compute_block_metrics(
     LCC is a subset of the conflicted transactions; with no conflicts
     the single rate is 0 while the group rate is 1/x (a lone transaction
     is its own LCC).  Property tests pin this down.
+
+    The metrics read the TDG's forest — group sizes, and each group's
+    weight summed over its transactions' labels — and never its groups
+    of hashes.
     """
+    sizes = tdg.sizes
+    if weights is None:
+        group_weights = list(map(float, sizes))
+    else:
+        group_weights = [0.0] * len(sizes)
+        for tx_hash, label in zip(tdg.transactions, tdg.labels):
+            group_weights[label] += float(weights.get(tx_hash, 1.0))
     num_conflicted = 0
     lcc_size = 0
     total_weight = 0.0
     conflicted_weight = 0.0
     lcc_weight = 0.0
-    for group in tdg.groups:
-        size = len(group)
-        if weights is None:
-            group_weight = float(size)
-        else:
-            group_weight = sum(
-                [float(weights.get(tx_hash, 1.0)) for tx_hash in group]
-            )
+    for size, group_weight in zip(sizes, group_weights):
         total_weight += group_weight
         if size > 1:
             num_conflicted += size

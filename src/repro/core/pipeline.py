@@ -120,26 +120,26 @@ def analyze_utxo_block(
     timestamp: float,
 ) -> tuple[BlockRecord, TDGResult]:
     """Build the TDG and metrics for one UTXO block."""
-    regular: list[UTXOTransaction] = []
+    num_regular = 0
     num_input_txos = 0
     size_bytes = 0
     for tx in transactions:
         size_bytes += tx.size_bytes
-        if not tx.is_coinbase:
-            regular.append(tx)
+        if tx.inputs:  # a coinbase spends nothing
+            num_regular += 1
             num_input_txos += len(tx.inputs)
-    tdg = utxo_tdg(regular)
+    tdg = utxo_tdg(transactions)
     metrics = compute_block_metrics(tdg)
     record = BlockRecord(
         height=height,
         timestamp=timestamp,
-        num_transactions=len(regular),
+        num_transactions=num_regular,
         metrics=metrics,
         num_input_txos=num_input_txos,
         size_bytes=float(size_bytes),
     )
     obs.counter("pipeline.blocks", model="utxo").inc()
-    obs.counter("pipeline.transactions", model="utxo").inc(len(regular))
+    obs.counter("pipeline.transactions", model="utxo").inc(num_regular)
     return record, tdg
 
 

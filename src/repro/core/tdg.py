@@ -11,22 +11,33 @@ A block is modelled as a graph whose meaning depends on the data model:
 
 Coinbase transactions are ignored in both models (§III-A1).
 
-The central output type is :class:`TDGResult`, which groups the block's
-transactions into dependency classes; everything downstream (conflict
-rates, LCC sizes, speed-up predictions, the grouped executor) works from
-this one structure.
+The central output type is :class:`TDGResult`, which partitions the
+block's transactions into dependency classes; everything downstream
+(conflict rates, LCC sizes, speed-up predictions, the grouped executor)
+works from this one structure.
 
-Both models compute their components the same way: nodes are interned
-to integers and united in a ``list[int]`` parent array in which the
-smaller root wins, so a root is always its component's first node and
-one ascending pass points every node at its root.  The UTXO half
-interns transactions to their block position and unites each in-block
-spender with its creator (:func:`utxo_tdg_from_arrays`); the account
-half interns addresses in first-seen order
-(:func:`account_tdg_from_edges`).  Each states the order of what it
-returns — groups by first transaction, members in block order — and
-callers and the golden TDG digest rely on it.  The paper's UDF itself
-(Fig. 3, an adjacency map and a breadth-first search) is ported in
+The representation is the union-find forest itself: per transaction a
+group label (the position of its group's first transaction) and per
+group its size.  Both models build it the same way: a ``list[int]``
+parent array over the block's transaction positions in which the
+smaller root wins, so a root is always its group's first transaction
+and a parent is never a later position, and one labelling pass
+(:func:`_label`) that points every joined position at its root.  The
+UTXO half unites each in-block spender with its creator
+(:func:`utxo_tdg`, :func:`utxo_tdg_from_arrays`); the account half
+unites each transaction with the first transaction that referenced
+each of its addresses (:func:`account_tdg`,
+:func:`account_tdg_from_edges`).  The metrics read the labels and sizes
+(:func:`repro.core.metrics.compute_block_metrics`), so the analysis
+pipeline never turns a group into a tuple of hashes.
+
+``TDGResult.groups`` and ``TDGResult.address_components`` are views
+derived from the forest on first read, in the order every caller and
+the golden TDG digest rely on: groups by first transaction, members in
+block order; address components by first-seen address, members in
+first-seen order.  :meth:`TDGResult.from_groups` builds the same forest
+from an explicit partition.  The paper's UDF itself (Fig. 3, an
+adjacency map and a breadth-first search) is ported in
 :func:`repro.datasets.queries.process_graph`; the BFS in
 :mod:`repro.core.components` is the tests' reference.
 
@@ -39,7 +50,8 @@ locations with the execution engines' own
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from repro import obs
@@ -47,45 +59,105 @@ from repro.account.receipts import ExecutedTransaction
 from repro.utxo.transaction import UTXOTransaction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TDGResult:
     """A block's transactions partitioned into dependency groups.
 
+    Transactions in the same group must execute sequentially,
+    transactions in different groups are mutually independent.  A group
+    is named by the position of its first transaction.
+
     Attributes:
-        groups: tuple of transaction-hash groups; transactions in the
-            same group must execute sequentially, transactions in
-            different groups are mutually independent.
-        num_transactions: total non-coinbase transactions considered.
-        address_components: for account-model blocks, the underlying
-            address components (empty for UTXO blocks); retained for
-            rendering examples like paper Fig. 1.
+        transactions: the non-coinbase transaction hashes considered,
+            each once, in block order.
+        labels: per transaction, the position of its group's first
+            transaction.
+        sizes: per transaction, the size of the group it is the first
+            transaction of (0 for every other transaction).
+        address_owners: for account-model blocks, every address the
+            block references, in first-seen order, mapped to the
+            position of the first transaction that references it (empty
+            for UTXO blocks); retained for rendering examples like
+            paper Fig. 1.
+
+    Two results are equal when their :attr:`groups` and
+    :attr:`address_components` are.
     """
 
-    groups: tuple[tuple[str, ...], ...]
-    num_transactions: int
-    address_components: tuple[tuple[str, ...], ...] = ()
+    transactions: Sequence[str]
+    labels: Sequence[int]
+    sizes: Sequence[int]
+    address_owners: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        grouped = sum(map(len, self.groups))
-        if grouped != self.num_transactions:
+        count = len(self.transactions)
+        if not len(self.labels) == len(self.sizes) == sum(self.sizes) == count:
             raise ValueError(
-                f"groups cover {grouped} transactions, expected "
-                f"{self.num_transactions}"
+                f"{len(self.labels)} labels and {len(self.sizes)} sizes "
+                f"summing to {sum(self.sizes)} for {count} transactions"
             )
+
+    @classmethod
+    def from_groups(cls, groups: Iterable[Sequence[str]]) -> TDGResult:
+        """The result of an explicit partition, groups in the given order."""
+        transactions: list[str] = []
+        labels: list[int] = []
+        sizes: list[int] = []
+        for group in groups:
+            first = len(transactions)
+            transactions += group
+            labels += [first] * len(group)
+            sizes += [len(group)] + [0] * (len(group) - 1)
+        return cls(transactions=transactions, labels=labels, sizes=sizes)
+
+    @property
+    def num_transactions(self) -> int:
+        """Non-coinbase transactions considered."""
+        return len(self.transactions)
+
+    @cached_property
+    def groups(self) -> tuple[tuple[str, ...], ...]:
+        """Transaction-hash groups: by first transaction, members in
+        block order."""
+        members: dict[int, list[str]] = {}
+        for tx_hash, label in zip(self.transactions, self.labels):
+            members.setdefault(label, []).append(tx_hash)
+        return tuple(map(tuple, members.values()))
+
+    @cached_property
+    def address_components(self) -> tuple[tuple[str, ...], ...]:
+        """Address components: by first-seen address, members in
+        first-seen order.  Addresses share a component exactly when
+        their first transactions share a group."""
+        labels = self.labels
+        components: dict[int, list[str]] = {}
+        for address, owner in self.address_owners.items():
+            components.setdefault(labels[owner], []).append(address)
+        return tuple(map(tuple, components.values()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TDGResult):
+            return NotImplemented
+        return (self.groups, self.address_components) == (
+            other.groups, other.address_components
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.groups, self.address_components))
 
     @property
     def num_conflicted(self) -> int:
         """Transactions sharing a group with at least one other (§III-A2)."""
-        return sum(len(group) for group in self.groups if len(group) > 1)
+        return sum(size for size in self.sizes if size > 1)
 
     @property
     def lcc_size(self) -> int:
         """Size of the largest dependency group, in transactions."""
-        return max((len(group) for group in self.groups), default=0)
+        return max(self.sizes, default=0)
 
     def group_sizes(self) -> list[int]:
         """Sizes of all groups, descending — input to the schedulers."""
-        return sorted((len(group) for group in self.groups), reverse=True)
+        return sorted(filter(None, self.sizes), reverse=True)
 
     def group_of(self, tx_hash: str) -> tuple[str, ...]:
         """Return the dependency group containing *tx_hash*."""
@@ -93,6 +165,25 @@ class TDGResult:
             if tx_hash in group:
                 return group
         raise KeyError(f"transaction {tx_hash!r} not in this TDG")
+
+
+def _label(parent: list[int], joined: Iterable[int]) -> list[int]:
+    """Resolve a forest over transaction positions into group labels.
+
+    In *parent* the smaller root wins, so a parent is never a later
+    position and a root is its group's first transaction.  *joined*
+    lists, ascending, every position that may have a parent other than
+    itself; one pass over it points each at its root, which leaves
+    *parent* holding every transaction's label.  Returns the group
+    sizes in :attr:`TDGResult.sizes` form.
+    """
+    sizes = [1] * len(parent)
+    for node in joined:
+        root = parent[node] = parent[parent[node]]
+        if root != node:
+            sizes[root] += 1
+            sizes[node] = 0
+    return sizes
 
 
 # -- UTXO model -------------------------------------------------------------
@@ -106,11 +197,11 @@ def utxo_tdg(transactions: Sequence[UTXOTransaction]) -> TDGResult:
     :func:`utxo_tdg_from_arrays`'s, with the block's regular
     transactions as ``block_txs``.
     """
+    # A coinbase is the transaction that spends nothing.
     nodes = list(dict.fromkeys(
-        [tx.tx_hash for tx in transactions if not tx.is_coinbase]
+        [tx.tx_hash for tx in transactions if tx.inputs]
     ))
     index = dict(zip(nodes, range(len(nodes))))
-    # A coinbase spends nothing, so every spender found here is a node.
     edges = [
         (index[outpoint.tx_hash], index[tx.tx_hash])
         for tx in transactions
@@ -155,11 +246,8 @@ def _utxo_forest(
 ) -> TDGResult:
     """Group *nodes* (hashes by position) under *edges* between positions.
 
-    The forest is a parent array over the positions in which the
-    smaller root wins, so a root is always its group's first member and
-    a parent is always the smaller position.  Only the nodes an edge
-    touches can leave their own group; one ascending pass over them
-    points each at its root and moves it into its root's group.
+    Only the positions an edge touches can leave their own group, so
+    only they are labelled.
     """
     parent = list(range(len(nodes)))
     for a, b in edges:
@@ -171,32 +259,15 @@ def _utxo_forest(
             parent[b] = a
         elif b < a:
             parent[a] = b
-
-    # Every node starts as its own group; a merged group is built
-    # in block order under its root's position and the other
-    # members' places are emptied.
-    groups: list[tuple[str, ...] | None] = list(zip(nodes))
-    members: dict[int, list[str]] = {}
-    for node in sorted({node for edge in edges for node in edge}):
-        root = parent[node] = parent[parent[node]]
-        if root != node:
-            if root not in members:
-                members[root] = [nodes[root]]
-            members[root].append(nodes[node])
-            groups[node] = None
-    for root, group in members.items():
-        groups[root] = tuple(group)
-    result = TDGResult(
-        groups=tuple(filter(None, groups)), num_transactions=len(nodes)
-    )
+    sizes = _label(parent, sorted({node for edge in edges for node in edge}))
     if obs.enabled():
         obs.counter("tdg.builds", model="utxo").inc()
         obs.counter("tdg.edges_scanned", model="utxo").inc(scanned)
         obs.counter("tdg.edges_in_block", model="utxo").inc(len(edges))
         obs.counter("tdg.components_merged", model="utxo").inc(
-            len(nodes) - len(result.groups)
+            sizes.count(0)
         )
-    return result
+    return TDGResult(transactions=nodes, labels=parent, sizes=sizes)
 
 
 # -- Account model ------------------------------------------------------------
@@ -206,14 +277,16 @@ def account_tdg(executed: Sequence[ExecutedTransaction]) -> TDGResult:
     """Build the TDG of an account-model block from executed transactions.
 
     Uses each transaction's regular edge plus all internal-transaction
-    edges (``ExecutedTransaction.edges``); coinbases contribute nothing.
+    edges (``ExecutedTransaction.endpoints``); coinbases contribute
+    nothing.  A hash repeated in *executed* is one transaction, at its
+    first position, with the edges of its last.
     """
-    tx_edges = {
-        item.tx.tx_hash: item.edges()
-        for item in executed
-        if not item.tx.is_coinbase
+    by_hash = {
+        item.tx.tx_hash: item for item in executed if not item.tx.is_coinbase
     }
-    return account_tdg_from_edges(tx_edges)
+    return _account_forest(
+        by_hash, [item.endpoints() for item in by_hash.values()]
+    )
 
 
 def account_tdg_from_edges(
@@ -231,74 +304,56 @@ def account_tdg_from_edges(
     transaction in *tx_edges*, members in mapping order;
     ``address_components`` in the order their first address was seen,
     members in first-seen order.
-
-    Addresses are interned to their first-seen position and the forest
-    is a parent array over those positions in which the smaller root
-    wins.  Every endpoint of a transaction is united with the
-    transaction's running root, so a transaction lands in exactly one
-    component even when its pairs are not connected to each other (a
-    call tree always is; degenerate inputs need not be).
     """
-    index: dict[str, int] = {}
-    parent: list[int] = []
-    # Per transaction, some node of its component; -1 without pairs.
-    anchors: list[int] = []
-    for pairs in tx_edges.values():
-        root = -1
-        for pair in pairs:
-            for address in pair:
-                node = index.get(address)
-                if node is None:
-                    node = index[address] = len(parent)
-                    parent.append(node)
-                else:
-                    while parent[node] != node:  # find, path halving
-                        parent[node] = node = parent[parent[node]]
-                if root < 0:
-                    root = node
-                elif node < root:
-                    parent[root] = node
-                    root = node
-                else:
-                    parent[node] = root
-        anchors.append(root)
-    # A parent is always the smaller position: one ascending pass
-    # points every node at its root.
-    for node, above in enumerate(parent):
-        parent[node] = parent[above]
+    return _account_forest(
+        tx_edges,
+        [[address for pair in pairs for address in pair]
+         for pairs in tx_edges.values()],
+    )
 
-    groups: list[list[str]] = []
-    group_at: list[list[str] | None] = [None] * len(parent)
-    for tx_hash, anchor in zip(tx_edges, anchors):
-        if anchor < 0:
-            groups.append([tx_hash])
-            continue
-        group = group_at[parent[anchor]]
-        if group is None:
-            group = group_at[parent[anchor]] = []
-            groups.append(group)
-        group.append(tx_hash)
 
-    # ``index`` iterates in first-seen order, the order of ``parent``,
-    # and a root is the first-seen address of its component.
-    components: dict[int, list[str]] = {}
-    for address, root in zip(index, parent):
-        components.setdefault(root, []).append(address)
+def _account_forest(
+    tx_hashes: Iterable[str], tx_addresses: Sequence[Sequence[str]]
+) -> TDGResult:
+    """Group transactions (by hash) whose addresses share a component.
 
+    The forest is over transaction positions, not addresses: each
+    address remembers the first transaction that referenced it, and
+    every later transaction referencing it is united with that one.
+    Transactions then share a group exactly when their addresses share
+    a component of the address graph — every pair of a transaction
+    sits in one component even when its pairs are not connected to
+    each other (a call tree always is; degenerate inputs need not be).
+    """
+    owners: dict[str, int] = {}
+    parent = list(range(len(tx_addresses)))
+    for position, addresses in enumerate(tx_addresses):
+        root = position
+        for address in addresses:
+            owner = owners.setdefault(address, position)
+            if owner == position:
+                continue
+            while parent[owner] != owner:  # find, path halving
+                parent[owner] = owner = parent[parent[owner]]
+            if owner < root:
+                parent[root] = owner
+                root = owner
+            elif root < owner:
+                parent[owner] = root
+    sizes = _label(parent, range(len(parent)))
     if obs.enabled():
         obs.counter("tdg.builds", model="account").inc()
         obs.counter("tdg.edges_scanned", model="account").inc(
-            sum(len(pairs) for pairs in tx_edges.values())
+            sum(map(len, tx_addresses)) // 2
         )
         obs.counter("tdg.components_merged", model="account").inc(
-            len(index) - len(components)
+            len(owners) - len({parent[owner] for owner in owners.values()})
         )
     return TDGResult(
-        groups=tuple(tuple(group) for group in groups),
-        num_transactions=len(tx_edges),
-        address_components=tuple(
-            tuple(component) for component in components.values()
-        ),
+        transactions=list(tx_hashes),
+        labels=parent,
+        sizes=sizes,
+        address_owners=owners,
     )
 
 
@@ -345,7 +400,7 @@ def storage_conflict_groups(
         ))
 
     groups = [
-        tuple(accesses[index].tx_hash for index in group)
+        [accesses[index].tx_hash for index in group]
         for group in conflict_partition(accesses)
     ]
     if obs.enabled():
@@ -354,4 +409,4 @@ def storage_conflict_groups(
             len(frozenset().union(*(access.writes for access in accesses)))
             + len(frozenset().union(*(access.reads for access in accesses)))
         )
-    return TDGResult(groups=tuple(groups), num_transactions=len(accesses))
+    return TDGResult.from_groups(groups)

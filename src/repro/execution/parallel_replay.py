@@ -184,15 +184,51 @@ def coerce_replay_inputs(source) -> list[ReplayBlock]:
 # -- determinism digests ------------------------------------------------------
 
 
-def receipts_root(payload: Sequence) -> str:
-    """One hash over every payload item's canonical fields, in block order.
+def receipt_parts(item: object) -> list[str]:
+    """The strings one payload item gives :func:`receipts_root`, in order.
 
     An account item gives its hash, success, gas used, internal calls,
     created contract and storage reads and writes; a UTXO item its hash,
     inputs, outputs and fee.  Every list is preceded by its length, so
-    the parts parse back into the items, and the receipts' frozensets
+    the parts parse back into the item, and the receipts' frozensets
     are sorted, so parent and spawned workers agree byte for byte under
-    any ``PYTHONHASHSEED``.
+    any ``PYTHONHASHSEED``.  A node screens a transaction with these
+    same parts before it admits one (``Node._digestible``).
+
+    Raises:
+        TypeError: *item* is neither an executed account transaction
+            nor a UTXO transaction.
+    """
+    if isinstance(item, ExecutedTransaction):
+        receipt = item.receipt
+        calls = receipt.internal_transactions
+        parts = [
+            "account-receipt", item.tx_hash, str(receipt.success),
+            str(receipt.gas_used), receipt.created_contract,
+            str(len(calls)),
+        ]
+        for call in calls:
+            parts += (call.sender, call.receiver)
+        for locations in (receipt.storage_reads, receipt.storage_writes):
+            parts.append(str(len(locations)))
+            for location in sorted(locations):
+                parts += location
+        return parts
+    if isinstance(item, UTXOTransaction):
+        parts = ["utxo-receipt", item.tx_hash, str(len(item.inputs))]
+        for outpoint in item.inputs:
+            parts += (outpoint.tx_hash, str(outpoint.index))
+        parts.append(str(len(item.outputs)))
+        for txo in item.outputs:
+            parts += (str(txo.value), txo.owner, txo.script)
+        parts.append(str(item.fee))
+        return parts
+    raise TypeError(f"cannot digest payload item of type {type(item)!r}")
+
+
+def receipts_root(payload: Sequence) -> str:
+    """One hash over every payload item's :func:`receipt_parts`, in
+    block order.
 
     Raises:
         TypeError: an item is neither an executed account transaction
@@ -200,34 +236,7 @@ def receipts_root(payload: Sequence) -> str:
     """
     parts = ["receipts-root"]
     for item in payload:
-        if isinstance(item, ExecutedTransaction):
-            receipt = item.receipt
-            calls = receipt.internal_transactions
-            reads = sorted(receipt.storage_reads)
-            writes = sorted(receipt.storage_writes)
-            parts += (
-                "account-receipt", item.tx_hash, str(receipt.success),
-                str(receipt.gas_used), receipt.created_contract,
-                str(len(calls)),
-            )
-            for call in calls:
-                parts += (call.sender, call.receiver)
-            parts.append(str(len(reads)))
-            parts += itertools.chain.from_iterable(reads)
-            parts.append(str(len(writes)))
-            parts += itertools.chain.from_iterable(writes)
-        elif isinstance(item, UTXOTransaction):
-            parts += ("utxo-receipt", item.tx_hash, str(len(item.inputs)))
-            for outpoint in item.inputs:
-                parts += (outpoint.tx_hash, str(outpoint.index))
-            parts.append(str(len(item.outputs)))
-            for txo in item.outputs:
-                parts += (str(txo.value), txo.owner, txo.script)
-            parts.append(str(item.fee))
-        else:
-            raise TypeError(
-                f"cannot digest payload item of type {type(item)!r}"
-            )
+        parts += receipt_parts(item)
     return hash_parts(*parts)
 
 
@@ -636,6 +645,7 @@ __all__ = [
     "ReplayBlock",
     "ReplayResult",
     "coerce_replay_inputs",
+    "receipt_parts",
     "receipts_root",
     "replay_block_inputs",
     "replay_chain",

@@ -56,6 +56,7 @@ from repro.execution.parallel_replay import (
     ENGINES,
     BlockReplay,
     ReplayBlock,
+    receipt_parts,
     replay_single_block,
     state_root,
 )
@@ -371,14 +372,26 @@ class Node:
 
     def _digestible(self, ntx: object) -> bool:
         """Whether the block roots can digest *ntx*: a :class:`NodeTx`
-        with a payload the receipts root digests, and a hash and
-        locations the roots' ``hash_parts`` accepts."""
-        if not isinstance(ntx, NodeTx):
+        with a payload of this chain's model, whose hash, locations and
+        receipt parts the roots' ``hash_parts`` accepts."""
+        if not isinstance(ntx, NodeTx) or not isinstance(
+            ntx.payload, PAYLOAD_KINDS[self.config.data_model]
+        ):
             return False
         task = ntx.task
-        return isinstance(
-            ntx.payload, PAYLOAD_KINDS[self.config.data_model]
-        ) and joinable(task.tx_hash, *task.reads, *task.writes)
+        try:
+            parts = receipt_parts(ntx.payload)
+        except TypeError:  # storage locations that do not sort
+            return False
+        return joinable(task.tx_hash, *task.reads, *task.writes, *parts)
+
+    def _screened(self, ntx: NodeTx) -> bool:
+        """:meth:`_digestible` for a block's transaction; the very
+        object this node pooled passed it on admission."""
+        tx_hash = ntx.tx_hash
+        if isinstance(tx_hash, str) and self._pooled(tx_hash) is ntx:
+            return True
+        return self._digestible(ntx)
 
     def _admit_to_pool(self, ntx: NodeTx) -> bool:
         if not self._digestible(ntx):
@@ -626,7 +639,7 @@ class Node:
             self._executable(txs)
             if all(isinstance(tx, NodeTx) for tx in txs) else None
         )
-        if ntxs is None or not all(map(self._digestible, ntxs)):
+        if ntxs is None or not all(map(self._screened, ntxs)):
             # Reading or replaying it would raise out of the receive
             # loop.  The block stays seen (every caller marks it), so
             # it is dropped once.

@@ -218,12 +218,9 @@ def predicted_tdg(predictions: Sequence[PredictedAccess]) -> TDGResult:
     """Partition predictions into predicted dependency groups: the
     connected components of :func:`predicted_conflicts`, found per
     location rather than per pair."""
-    return TDGResult(
-        groups=tuple(
-            tuple(predictions[index].tx_hash for index in group)
-            for group in conflict_partition(predictions)
-        ),
-        num_transactions=len(predictions),
+    return TDGResult.from_groups(
+        [predictions[index].tx_hash for index in group]
+        for group in conflict_partition(predictions)
     )
 
 

@@ -87,18 +87,14 @@ class TestAssessApproximation:
         assert quality.pair_recall == pytest.approx(1 / 3)
 
     def test_mismatched_transaction_sets_rejected(self):
-        a = TDGResult(groups=(("t1",),), num_transactions=1)
-        b = TDGResult(groups=(("t2",),), num_transactions=1)
+        a = TDGResult.from_groups((("t1",),))
+        b = TDGResult.from_groups((("t2",),))
         with pytest.raises(ValueError):
             assess_approximation(a, b)
 
     def test_non_refinement_rejected(self):
-        true_tdg = TDGResult(
-            groups=(("t1",), ("t2",)), num_transactions=2
-        )
-        bad_approx = TDGResult(
-            groups=(("t1", "t2"),), num_transactions=2
-        )
+        true_tdg = TDGResult.from_groups((("t1",), ("t2",)))
+        bad_approx = TDGResult.from_groups((("t1", "t2"),))
         with pytest.raises(ValueError):
             assess_approximation(true_tdg, bad_approx)
 

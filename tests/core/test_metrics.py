@@ -11,10 +11,7 @@ from repro.core.tdg import TDGResult
 
 
 def _tdg(*groups: tuple[str, ...]) -> TDGResult:
-    return TDGResult(
-        groups=tuple(groups),
-        num_transactions=sum(len(g) for g in groups),
-    )
+    return TDGResult.from_groups(groups)
 
 
 class TestUnweightedMetrics:
@@ -112,7 +109,7 @@ def _tdg_from_sizes(sizes: list[int]) -> TDGResult:
     for size in sizes:
         groups.append(tuple(f"t{counter + i}" for i in range(size)))
         counter += size
-    return TDGResult(groups=tuple(groups), num_transactions=counter)
+    return TDGResult.from_groups(groups)
 
 
 @settings(max_examples=200)

@@ -16,9 +16,8 @@ from repro.core.tdg import TDGResult
 
 
 def _record(height, num_transactions=5, gas=0.0):
-    tdg = TDGResult(
-        groups=tuple((f"t{height}-{i}",) for i in range(num_transactions)),
-        num_transactions=num_transactions,
+    tdg = TDGResult.from_groups(
+        (f"t{height}-{i}",) for i in range(num_transactions)
     )
     return BlockRecord(
         height=height,

@@ -134,10 +134,7 @@ class TestEquationTwo:
 
 class TestEstimateBlockSpeedups:
     def _metrics(self):
-        tdg = TDGResult(
-            groups=(("a", "b", "c"), ("d",), ("e",), ("f",)),
-            num_transactions=6,
-        )
+        tdg = TDGResult.from_groups((("a", "b", "c"), ("d",), ("e",), ("f",)))
         return compute_block_metrics(tdg)
 
     def test_estimates_are_consistent(self):
@@ -152,7 +149,7 @@ class TestEstimateBlockSpeedups:
         assert estimate.best >= estimate.speculative
 
     def test_weighted_variant_used_when_requested(self):
-        tdg = TDGResult(groups=(("a", "b"), ("c",)), num_transactions=3)
+        tdg = TDGResult.from_groups((("a", "b"), ("c",)))
         metrics = compute_block_metrics(tdg, weights={"c": 8.0})
         weighted = estimate_block_speedups(metrics, cores=4, weighted=True)
         plain = estimate_block_speedups(metrics, cores=4, weighted=False)

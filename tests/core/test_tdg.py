@@ -34,20 +34,21 @@ from repro.utxo.txo import COIN, OutPoint
 class TestTDGResult:
     def test_group_coverage_enforced(self):
         with pytest.raises(ValueError):
-            TDGResult(groups=(("a",),), num_transactions=2)
+            TDGResult(transactions=("a", "b"), labels=(0, 0), sizes=(1, 0))
+        with pytest.raises(ValueError):
+            TDGResult(transactions=("a", "b"), labels=(0,), sizes=(2, 0))
 
     def test_derived_counts(self):
-        tdg = TDGResult(
-            groups=(("a", "b", "c"), ("d",), ("e", "f")),
-            num_transactions=6,
-        )
+        tdg = TDGResult.from_groups((("a", "b", "c"), ("d",), ("e", "f")))
+        assert tdg.num_transactions == 6
         assert tdg.num_conflicted == 5
         assert tdg.lcc_size == 3
         assert tdg.group_sizes() == [3, 2, 1]
         assert tdg.group_of("e") == ("e", "f")
+        assert tdg.groups == (("a", "b", "c"), ("d",), ("e", "f"))
 
     def test_group_of_unknown(self):
-        tdg = TDGResult(groups=(("a",),), num_transactions=1)
+        tdg = TDGResult.from_groups((("a",),))
         with pytest.raises(KeyError):
             tdg.group_of("zz")
 
@@ -490,10 +491,7 @@ def _reference_storage_conflict_groups(executed):
     groups: dict[object, list[str]] = {}
     for tx_hash in hashes:
         groups.setdefault(forest.find(tx_hash), []).append(tx_hash)
-    result = TDGResult(
-        groups=tuple(tuple(group) for group in groups.values()),
-        num_transactions=len(hashes),
-    )
+    result = TDGResult.from_groups(groups.values())
     return result, len(writers) + len(readers)
 
 

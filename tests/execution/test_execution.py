@@ -73,10 +73,7 @@ class TestConflictGroups:
         assert sizes == [1, 1, 1, 2, 3]
 
     def test_tasks_from_tdg_recovers_groups(self):
-        tdg = TDGResult(
-            groups=(("a", "b"), ("c",), ("d", "e", "f")),
-            num_transactions=6,
-        )
+        tdg = TDGResult.from_groups((("a", "b"), ("c",), ("d", "e", "f")))
         tasks = tasks_from_tdg(tdg)
         recovered = sorted(
             sorted(t.tx_hash for t in g) for g in conflict_groups(tasks)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.account.transaction import InternalTransaction
 from repro.chain.block import Block, build_block
 from repro.execution.engine import TxTask
 from repro.execution.parallel_replay import ReplayBlock, replay_single_block
@@ -52,6 +53,13 @@ LEN = struct.Struct(">I")
 @pytest.fixture(scope="module")
 def node_txs():
     return build_node_txs(PROFILE, blocks=2, seed=3, scale=0.2)
+
+
+@pytest.fixture(scope="module")
+def utxo_node_txs():
+    return build_node_txs(
+        PROFILES_BY_NAME["bitcoin"], blocks=3, seed=3, scale=0.5
+    )
 
 
 def _received(frame: Frame, stats: TransportStats | None = None) -> Frame:
@@ -410,9 +418,11 @@ class TestReader:
         assert stats.malformed == 1
 
 
-def _drive(frames, *, tcp_like: bool = True, pooled=()):
-    """Feed *frames* to node ``a`` (peer ``b``) under the virtual clock,
-    after submitting the transactions *pooled* to it.
+def _drive(frames, *, tcp_like: bool = True, pooled=(),
+           data_model: str = "account"):
+    """Feed *frames* to node ``a`` (peer ``b``, executing *data_model*
+    blocks) under the virtual clock, after submitting the transactions
+    *pooled* to it.
 
     Returns the node, the wire stats, and what it relayed to ``b``.
     """
@@ -421,7 +431,9 @@ def _drive(frames, *, tcp_like: bool = True, pooled=()):
     relayed = transport.register("b")
     node = Node(
         "a", runtime=runtime, transport=transport, peers=("b",),
-        config=NodeConfig(consensus="pbft", heartbeat=1e6),
+        config=NodeConfig(
+            consensus="pbft", heartbeat=1e6, data_model=data_model
+        ),
         genesis=make_genesis("ethereum"),
     )
     stats = TransportStats()
@@ -742,11 +754,20 @@ class TestInvalidTransaction:
         ]
 
 
+# Where a receipt field or a UTXO output or input holds the separator
+# (or storage keys that do not sort): the transaction's own hash and
+# locations are clean.
+RECEIPT_CASES = ("created", "storage-key", "internal", "unsortable")
+UTXO_CASES = ("owner", "script", "outpoint")
+
+
 def _with_separator(ntx: NodeTx, where: str) -> NodeTx:
-    """*ntx* with the roots' ``\x1f`` separator in its hash or in one
-    location it writes or reads, or with a location that is no string
-    or has no UTF-8 encoding (a lone surrogate)."""
+    """*ntx* with the roots' ``\x1f`` separator in its hash, in one
+    location it writes or reads, or in one string its payload gives the
+    receipts root; or with a location that is no string or has no UTF-8
+    encoding (a lone surrogate)."""
     task = ntx.task
+    payload = ntx.payload
     if where == "hash":
         task = replace(task, tx_hash=task.tx_hash + "\x1f")
     elif where == "write":
@@ -755,35 +776,75 @@ def _with_separator(ntx: NodeTx, where: str) -> NodeTx:
         task = replace(task, writes=task.writes | {7})
     elif where == "surrogate":
         task = replace(task, writes=task.writes | {"balance:\ud800"})
-    else:
+    elif where == "read":
         task = replace(task, reads=task.reads | {"storage:0x\x1f:0"})
-    return replace(ntx, task=task, fee=100)
+    elif where in RECEIPT_CASES:
+        receipt = payload.receipt
+        if where == "created":
+            receipt = replace(receipt, created_contract="0xc\x1f")
+        elif where == "storage-key":
+            receipt = replace(receipt, storage_writes=(
+                receipt.storage_writes | {("0xc", "slot\x1f")}
+            ))
+        elif where == "unsortable":   # keys the root cannot sort
+            receipt = replace(receipt, storage_writes=(
+                receipt.storage_writes | {("0xc", "slot"), ("0xc", 7)}
+            ))
+        else:
+            receipt = replace(receipt, internal_transactions=(
+                *receipt.internal_transactions,
+                InternalTransaction(sender="0xc", receiver="0xd\x1f"),
+            ))
+        payload = replace(payload, receipt=receipt)
+    elif where in ("owner", "script"):
+        first, *rest = payload.outputs
+        field = {where: getattr(first, where) + "\x1f"}
+        payload = replace(payload, outputs=(replace(first, **field), *rest))
+    else:
+        assert where == "outpoint"
+        first, *rest = payload.inputs
+        spent = replace(first, tx_hash=first.tx_hash + "\x1f")
+        payload = replace(payload, inputs=(spent, *rest))
+    return replace(ntx, task=task, payload=payload, fee=100)
+
+
+def _model_of(where: str) -> str:
+    return "utxo" if where in UTXO_CASES else "account"
 
 
 class TestSeparatorInTransaction:
     """The state and receipts roots join their parts with ``\x1f`` and
     refuse a part that holds it (``hash_parts``); a pooled transaction
-    with one in its hash or a location used to raise ``ValueError`` out
-    of the proposer that packed it."""
+    with one in its hash, a location or a string its payload gives the
+    receipts root used to raise ``ValueError`` out of the proposer that
+    packed it."""
 
     @pytest.mark.parametrize(
-        "where", ["hash", "write", "read", "not-a-str", "surrogate"]
+        "where",
+        ["hash", "write", "read", "not-a-str", "surrogate",
+         *RECEIPT_CASES, *UTXO_CASES],
     )
-    def test_a_proposer_rejects_it_and_keeps_mining(self, node_txs, where):
+    def test_a_proposer_rejects_it_and_keeps_mining(
+        self, node_txs, utxo_node_txs, where
+    ):
+        model = _model_of(where)
+        txs = utxo_node_txs if model == "utxo" else node_txs
         runtime = VirtualRuntime()
         transport = MemoryTransport(runtime)
         transport.register("b")
         node = Node(
             "a", runtime=runtime, transport=transport, peers=("b",),
-            config=NodeConfig(consensus="pow", heartbeat=1e6),
+            config=NodeConfig(
+                consensus="pow", heartbeat=1e6, data_model=model
+            ),
             genesis=make_genesis("ethereum"),
         )
-        bad = _with_separator(node_txs[0], where)
+        bad = _with_separator(txs[0], where)
 
         async def main():
             node.start()
             assert not node.submit_tx(bad)
-            assert node.submit_tx(node_txs[1])
+            assert node.submit_tx(txs[1])
             await runtime.sleep(30.0)
             node.stop()
 
@@ -791,44 +852,72 @@ class TestSeparatorInTransaction:
         assert node.stats.rejected == 1
         assert bad.tx_hash not in node.pool
         assert bad.tx_hash not in node.chain_txs
-        assert node_txs[1].tx_hash in node.chain_txs
+        assert txs[1].tx_hash in node.chain_txs
         assert node.forkchoice.head_block().height > 0
 
     @pytest.mark.parametrize(
-        "where", ["hash", "write", "not-a-str", "surrogate"]
+        "where",
+        ["hash", "write", "not-a-str", "surrogate",
+         *RECEIPT_CASES, *UTXO_CASES],
     )
     def test_a_relayed_one_is_neither_pooled_nor_relayed(
-        self, node_txs, where
+        self, node_txs, utxo_node_txs, where
     ):
-        bad = _with_separator(node_txs[0], where)
+        model = _model_of(where)
+        txs = utxo_node_txs if model == "utxo" else node_txs
+        bad = _with_separator(txs[0], where)
         node, _stats, out = _drive([
-            _tx_frame(bad, src="c"), _tx_frame(node_txs[1], src="c"),
-        ])
+            _tx_frame(bad, src="c"), _tx_frame(txs[1], src="c"),
+        ], data_model=model)
         assert node.stats.rejected == 1
         assert bad.tx_hash not in node.pool
-        assert node_txs[1].tx_hash in node.pool
+        assert txs[1].tx_hash in node.pool
         assert [frame.key for frame in out if frame.kind == "tx"] == [
-            node_txs[1].tx_hash,
+            txs[1].tx_hash,
         ]
 
     @pytest.mark.parametrize(
-        "where", ["hash", "write", "not-a-str", "surrogate"]
+        "where",
+        ["hash", "write", "not-a-str", "surrogate",
+         *RECEIPT_CASES, *UTXO_CASES],
     )
-    def test_a_peer_block_carrying_one_is_dropped(self, node_txs, where):
+    def test_a_peer_block_carrying_one_is_dropped(
+        self, node_txs, utxo_node_txs, where
+    ):
         """Replaying such a block used to raise out of the receive loop
         and stop the node."""
-        block = _block([_with_separator(node_txs[0], where)])
+        model = _model_of(where)
+        txs = utxo_node_txs if model == "utxo" else node_txs
+        block = _block([_with_separator(txs[0], where)])
         node, _stats, out = _drive([
             Frame("block", "c", block, hops=1, key=block.block_hash),
             Frame("block", "c", block, hops=1, key=block.block_hash),
-            _tx_frame(node_txs[1], src="c"),
-        ])
+            _tx_frame(txs[1], src="c"),
+        ], data_model=model)
         assert node.stats.rejected == 1
         assert node.stats.duplicate_blocks == 1      # marked seen
         assert node.head_hash == make_genesis("ethereum").block_hash
         assert block.block_hash not in node.forkchoice.tree
-        assert node_txs[1].tx_hash in node.pool
+        assert txs[1].tx_hash in node.pool
         assert not [frame for frame in out if frame.kind == "block"]
+
+    @pytest.mark.parametrize("where", ["write", *RECEIPT_CASES, *UTXO_CASES])
+    def test_a_peer_block_carrying_a_twin_of_a_pooled_one_is_dropped(
+        self, node_txs, utxo_node_txs, where
+    ):
+        """A block's transaction skips the screen only when it is the
+        very object the node pooled, not one under the same hash.  The
+        block is handed over as an object: decoded from the wire, its
+        transaction would resolve to the pooled one."""
+        model = _model_of(where)
+        txs = utxo_node_txs if model == "utxo" else node_txs
+        block = _block([_with_separator(txs[0], where)])
+        node, _stats, _out = _drive([
+            Frame("block", "c", block, hops=1, key=block.block_hash),
+        ], data_model=model, pooled=(txs[0],), tcp_like=False)
+        assert node.stats.rejected == 1
+        assert node.head_hash == make_genesis("ethereum").block_hash
+        assert txs[0].tx_hash in node.pool
 
 
 class TestReceiveLoopSurvives:
