@@ -12,11 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.account.transaction import (
-    NULL_ADDRESS,
-    AccountTransaction,
-    InternalTransaction,
-)
+from repro.account.transaction import AccountTransaction, InternalTransaction
 from repro.sets import EMPTY
 
 
@@ -100,7 +96,7 @@ class ExecutedTransaction:
             return ()
         receipt = self.receipt
         receiver = tx.receiver
-        if receiver == NULL_ADDRESS and receipt.created_contract:
+        if tx.is_contract_creation and receipt.created_contract:
             receiver = receipt.created_contract
         if not receipt.internal_transactions:
             return (tx.sender, receiver)

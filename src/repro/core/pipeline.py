@@ -125,7 +125,7 @@ def analyze_utxo_block(
     size_bytes = 0
     for tx in transactions:
         size_bytes += tx.size_bytes
-        if tx.inputs:  # a coinbase spends nothing
+        if not tx.is_coinbase:
             num_regular += 1
             num_input_txos += len(tx.inputs)
     tdg = utxo_tdg(transactions)

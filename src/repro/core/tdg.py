@@ -197,9 +197,8 @@ def utxo_tdg(transactions: Sequence[UTXOTransaction]) -> TDGResult:
     :func:`utxo_tdg_from_arrays`'s, with the block's regular
     transactions as ``block_txs``.
     """
-    # A coinbase is the transaction that spends nothing.
     nodes = list(dict.fromkeys(
-        [tx.tx_hash for tx in transactions if tx.inputs]
+        [tx.tx_hash for tx in transactions if not tx.is_coinbase]
     ))
     index = dict(zip(nodes, range(len(nodes))))
     edges = [

@@ -193,7 +193,8 @@ def receipt_parts(item: object) -> list[str]:
     the parts parse back into the item, and the receipts' frozensets
     are sorted, so parent and spawned workers agree byte for byte under
     any ``PYTHONHASHSEED``.  A node screens a transaction with these
-    same parts before it admits one (``Node._digestible``).
+    same parts before it admits one or replays a block holding it
+    (``Node._digestible``).
 
     Raises:
         TypeError: *item* is neither an executed account transaction

