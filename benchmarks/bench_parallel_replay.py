@@ -6,7 +6,7 @@ asserts every configuration commits to byte-identical state roots, and writes th
 speed-up figures to ``BENCH_parallel_replay.json`` at the repo root
 (plus a human-readable summary under ``benchmarks/output/``).
 
-Reported figures, mirroring ``bench_parallel_pipeline``:
+Reported figures:
 
 * ``measured`` — wall-clock serial / parallel on *this* machine; only
   meaningful with >= ``jobs`` idle cores.

@@ -8,16 +8,15 @@ Usage (also installed as the ``repro`` console script)::
     python -m repro.cli compare --left ethereum --right ethereum_classic
     python -m repro.cli examples
     python -m repro.cli export --chain bitcoin --out ./data
-    python -m repro.cli analyze --chain bitcoin --blocks 500 \
-        --backend process --jobs 8
     python -m repro.cli replay --chain ethereum --blocks 40 \
         --backend process --jobs 4 --out replay_trace.json \
         --prometheus-out replay.prom
 
-Every command is deterministic under ``--seed`` — including the
-parallel analysis backends (``--backend`` / ``--jobs``), which produce
-output identical to the serial walk.  Unknown ``--chain`` names, bad
-``--jobs`` and friends exit with status 2 and a one-line message.
+Every command is deterministic under ``--seed`` — including the replay
+fan-out (``--backend`` / ``--jobs`` on ``replay`` and on ``speedup`` /
+``compare --measured``), whose output is identical to a serial replay.
+Analysis always walks the chain serially.  Unknown ``--chain`` names,
+bad ``--jobs`` and friends exit with status 2 and a one-line message.
 """
 
 from __future__ import annotations
@@ -88,34 +87,33 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
 
     parser.add_argument(
         "--backend", choices=BACKENDS, default="serial",
-        help="block-analysis backend (parallel backends produce "
-             "identical output; see docs/parallel_pipeline.md)",
+        help="backend of the executor-replay fan-out; analysis always "
+             "runs serially (the process backend replays identically; "
+             "see docs/parallel_pipeline.md)",
     )
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker count for the process backend "
+        help="replay worker count for the process backend "
              "(default: usable CPU count)",
     )
     parser.add_argument(
         "--chunk-size", type=int, default=None, metavar="BLOCKS",
-        help="blocks per parallel work unit (default: balanced)",
+        help="blocks per replay work unit (default: balanced)",
     )
 
 
 def _parallel_kwargs(args: argparse.Namespace) -> dict:
-    """Validate --backend/--jobs/--chunk-size into analyze kwargs.
+    """Validate --backend/--jobs/--chunk-size into replay kwargs.
 
     Raises :class:`CLIError` (exit 2) instead of a raw traceback on
     ``--jobs 0`` and friends, mirroring the unknown-chain handling.
     """
     from repro.core.parallel import validate_backend, validate_jobs
 
-    backend = getattr(args, "backend", "serial")
-    jobs = getattr(args, "jobs", None)
     try:
-        backend = validate_backend(backend)
-        jobs = validate_jobs(jobs, backend=backend)
-        chunk_size = getattr(args, "chunk_size", None)
+        backend = validate_backend(args.backend)
+        jobs = validate_jobs(args.jobs, backend=backend)
+        chunk_size = args.chunk_size
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(
                 f"chunk size must be >= 1, got {chunk_size}"
@@ -132,7 +130,6 @@ def _generate(args: argparse.Namespace):
         num_blocks=args.blocks,
         seed=args.seed,
         scale=args.scale,
-        **_parallel_kwargs(args),
     )
 
 
@@ -176,6 +173,7 @@ def cmd_speedup(args: argparse.Namespace) -> int:
     if not cores or any(n < 1 for n in cores):
         print("error: core counts must be positive", file=sys.stderr)
         return 2
+    parallel = _parallel_kwargs(args)
     chain = _generate(args)
     panels = figure10(chain.history, cores=cores, num_buckets=args.buckets)
     print(render_series_table(
@@ -192,7 +190,6 @@ def cmd_speedup(args: argparse.Namespace) -> int:
     if args.measured:
         from repro.execution.parallel_replay import ENGINES, replay_profile
 
-        parallel = _parallel_kwargs(args)
         profile = _resolve_profile(args.chain)
         per_core = {}
         for n in cores:
@@ -237,7 +234,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         profile = _resolve_profile(name)
         chain = generate_chain(
             profile, num_blocks=args.blocks, seed=args.seed,
-            scale=args.scale, **parallel,
+            scale=args.scale,
         )
         records = chain.history.non_empty_records()
         weight = sum(r.weight_tx for r in records) or 1.0
@@ -340,14 +337,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     write("table1", render_table1(ALL_PROFILES))
 
     print("generating chains (this takes a minute at full volume)...")
-    parallel = _parallel_kwargs(args)
     chains = {
         profile.name: generate_chain(
             profile,
             num_blocks=args.blocks,
             seed=args.seed,
             scale=args.scale,
-            **parallel,
         )
         for profile in ALL_PROFILES
     }
@@ -1110,7 +1105,6 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze", help="simulate a chain and print its conflict series"
     )
     _add_generation_args(sub)
-    _add_parallel_args(sub)
     sub.set_defaults(func=cmd_analyze)
 
     sub = subparsers.add_parser(
@@ -1477,7 +1471,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--scale", type=float, default=0.5)
     sub.add_argument("--buckets", type=int, default=16)
-    _add_parallel_args(sub)
     sub.set_defaults(func=cmd_report)
 
     return parser

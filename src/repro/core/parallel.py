@@ -1,9 +1,8 @@
-"""Ordered chunk fan-out, and the block-analysis pipeline built on it.
+"""Ordered chunk fan-out, and the serial block-analysis walk.
 
 The paper's per-block work — TDG construction plus the conflict metrics
 of Figs. 4-9, and equally an executor replay of the block — reads only
-that block's transactions and touches no shared ledger state.  This
-module exploits that purity twice over:
+that block's transactions and touches no shared ledger state.
 
 * :func:`ordered_chunk_map` is the repo's ONE fan-out.  It splits a
   sequence of pure items into contiguous chunks, runs a module-level
@@ -12,16 +11,17 @@ module exploits that purity twice over:
   owns start-method selection, the publication of the run to workers,
   the worker initialiser, the pool, the process→serial fallback, and
   the ordered collection that merges worker observability back into
-  the parent.
-* :func:`analyze_chain` is its first caller: chunks of
-  :class:`BlockInput` analyzed by
+  the parent.  Its caller is
+  :func:`repro.execution.parallel_replay.replay_chain`.
+* :func:`analyze_chain` walks a chain's blocks in order through
   :func:`repro.core.pipeline.analyze_utxo_block` /
-  :func:`~repro.core.pipeline.analyze_account_block`, reassembled into a
-  :class:`~repro.core.pipeline.ChainHistory` value-identical to the
-  serial walk.  :func:`repro.execution.parallel_replay.replay_chain` is
-  the second.
+  :func:`~repro.core.pipeline.analyze_account_block` into a
+  :class:`~repro.core.pipeline.ChainHistory`.  It runs in-process:
+  at about 2 µs per transaction a process pool costs more than the
+  analysis it spreads (``docs/parallel_pipeline.md``).
 
-Backends (what each buys is measured in ``docs/parallel_pipeline.md``):
+Backends of the fan-out (what each buys is measured in
+``docs/parallel_pipeline.md``):
 
 * ``"process"`` (the parallel default) — a
   :class:`concurrent.futures.ProcessPoolExecutor` under the configured
@@ -31,32 +31,28 @@ Backends (what each buys is measured in ``docs/parallel_pipeline.md``):
   chunk; under any other start method each chunk ships its own slice.
   A pool that cannot start (sandboxes without ``sem_open``) falls back
   to the serial collection, counted in ``<family>.fallbacks``.
-* ``"serial"`` — in-process.  :func:`analyze_chain` keeps its own plain
-  per-block loop here: it is the reference the golden and equivalence
-  suites compare the fan-out against.
+* ``"serial"`` — in-process, chunk by chunk.
 
 Determinism contract: per-item work is pure, chunking only changes
 *where* an item is processed, and collection is by chunk index — so the
 output is identical regardless of backend, worker count, or chunk size.
-``tests/core/test_parallel.py``, the golden-regression suite and
+``tests/core/test_parallel.py`` and
 ``tests/execution/test_differential.py`` enforce this.
 
 Observability, recorded in the parent under the caller's metric family
-(``pipeline.parallel`` / ``exec.replay``; see
-``docs/parallel_pipeline.md``): counters ``.runs`` / ``.chunks`` /
-``.blocks`` / ``.fallbacks`` and gauge ``.jobs``, labelled by backend,
-and histogram ``.chunk_seconds`` (the in-worker wall time per chunk).
-Whatever a chunk function records privately — a registry dump,
-flight-recorder rows — rides back with its result and is merged at
-join, so metric totals and event streams match a serial walk for every
-backend.
+(``exec.replay``; see ``docs/parallel_pipeline.md``): counters
+``.runs`` / ``.chunks`` / ``.blocks`` / ``.fallbacks`` and gauge
+``.jobs``, labelled by backend, and histogram ``.chunk_seconds`` (the
+in-worker wall time per chunk).  Whatever a chunk function records
+privately — a registry dump, flight-recorder rows — rides back with its
+result and is merged at join, so metric totals and event streams match
+a serial walk for every backend.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -69,7 +65,6 @@ from repro.core.pipeline import (
     analyze_account_block,
     analyze_utxo_block,
 )
-from repro.obs.metrics import MetricsRegistry
 
 BACKENDS = ("serial", "process")
 DEFAULT_BACKEND = "process"
@@ -197,8 +192,6 @@ def coerce_block_inputs(source, data_model: str) -> list[BlockInput]:
     return account_block_inputs(items)
 
 
-
-
 # -- the ordered chunk fan-out: worker side -----------------------------------
 
 # What a chunk function returns: (records, elapsed seconds, registry
@@ -237,10 +230,9 @@ def _worker_init() -> None:
 
     ``gc.freeze()`` moves the heap inherited through fork into the
     permanent generation, so the worker's cyclic GC never traverses the
-    parent's (potentially millions of) chain objects.  Without this,
-    every gen-2 collection triggered by analysis allocations rescans the
-    whole inherited heap and also breaks copy-on-write sharing —
-    measured at ~5x wall-time overhead on a 2k-block chain.
+    parent's (potentially millions of) chain objects.  It does not keep
+    those pages shared: the worker's first reference-count write to an
+    inherited object still copies its page, GC frozen or not.
 
     ``obs.uninstall()`` drops any recording state inherited from an
     instrumented parent: recording into it would be invisible to
@@ -365,8 +357,7 @@ def ordered_chunk_map(
         params: the small picklable per-run parameters every chunk
             shares.
         items: the sliceable sequence of pure, picklable work items.
-        family: metric family (``"pipeline.parallel"``,
-            ``"exec.replay"``).
+        family: metric family (``"exec.replay"``).
         backend / jobs / chunk_size: already validated
             (:func:`validate_backend` / :func:`validate_jobs` /
             :func:`validate_chunk_size`).
@@ -406,10 +397,12 @@ def ordered_chunk_map(
     )
 
 
-# -- block analysis over the fan-out ------------------------------------------
+# -- block analysis -----------------------------------------------------------
 
 
 def _analyze_block(data_model: str, item: BlockInput) -> BlockRecord:
+    # The two per-block entry points are looked up in this module's
+    # globals on every call, so a caller may patch them here.
     if data_model == "utxo":
         record, _tdg = analyze_utxo_block(
             item.payload, height=item.height, timestamp=item.timestamp
@@ -421,51 +414,15 @@ def _analyze_block(data_model: str, item: BlockInput) -> BlockRecord:
     return record
 
 
-def analyze_chunk(
-    data_model: str, chunk: Sequence[BlockInput]
-) -> tuple[list[BlockRecord], float]:
-    """Analyze one chunk of blocks; returns (records, elapsed seconds).
-
-    This is the unit of work every backend executes.  It is pure: the
-    records depend only on *chunk*, never on shared mutable state, so a
-    chunk can run in any process at any time with an identical result.
-    """
-    started = time.perf_counter()
-    records = [_analyze_block(data_model, item) for item in chunk]
-    return records, time.perf_counter() - started
-
-
-def _analyze_chunk_recording(
-    data_model: str, chunk: Sequence[BlockInput], record_obs: bool
-) -> tuple[list[BlockRecord], float, list[dict] | None, None]:
-    """The fan-out's chunk function over :func:`analyze_chunk`.
-
-    Where a recording registry is reachable (the in-process fallback
-    under an instrumented parent) the per-block ``pipeline.blocks`` /
-    ``tdg.*`` instrumentation records straight into it.  Where none is
-    (process workers) and the parent asked for recordings, the chunk
-    runs under a private registry and its lossless dump rides back.
-    """
-    if record_obs and not obs.get_registry().enabled:
-        registry = MetricsRegistry()
-        with obs.scoped(obs.ObservabilityState(registry=registry)):
-            records, elapsed = analyze_chunk(data_model, chunk)
-        return records, elapsed, registry.dump(), None
-    records, elapsed = analyze_chunk(data_model, chunk)
-    return records, elapsed, None, None
-
-
 def analyze_chain(
     source,
     *,
     data_model: str,
     name: str,
     start_year: float = 0.0,
-    backend: str = DEFAULT_BACKEND,
-    jobs: int | None = None,
-    chunk_size: int | None = None,
+    backend: str = "serial",
 ) -> ChainHistory:
-    """Analyze a chain's blocks into a :class:`ChainHistory`, maybe in parallel.
+    """Analyze a chain's blocks, in height order, into a :class:`ChainHistory`.
 
     Args:
         source: a UTXO :class:`~repro.chain.ledger.Ledger` (or iterable
@@ -474,41 +431,23 @@ def analyze_chain(
         data_model: ``"utxo"`` or ``"account"``.
         name: chain name for the history.
         start_year: calendar anchor, as in :class:`ChainHistory`.
-        backend: ``"process"`` (default) or ``"serial"``.
-        jobs: worker count; defaults to the usable CPU count (1 for
-            serial).
-        chunk_size: blocks per work unit; defaults to a balanced value
-            (:data:`CHUNKS_PER_JOB` chunks per worker).
+        backend: ``"serial"``, the only analysis backend.  The keyword
+            stays for callers that still name it, and goes with the next
+            change to the end-to-end benchmark, whose ``batch.py`` does.
 
     Raises:
-        ValueError: on an unknown backend / data model, ``jobs < 1`` or
-            ``chunk_size < 1`` — mirroring the CLI's exit-2 contract.
-
-    The returned history is identical for every (backend, jobs,
-    chunk_size) combination; a process pool that cannot start degrades
-    to the serial collection (counted in ``pipeline.parallel.fallbacks``).
+        ValueError: on an unknown data model or any other backend.
     """
     if data_model not in DATA_MODELS:
         raise ValueError(f"unknown data model {data_model!r}")
-    backend = validate_backend(backend)
-    jobs = validate_jobs(jobs, backend=backend)
-    inputs = coerce_block_inputs(source, data_model)
-    chunk_size = validate_chunk_size(
-        chunk_size, num_blocks=len(inputs), jobs=jobs
-    )
-
+    if backend != "serial":
+        raise ValueError(
+            f"analysis runs serially: backend must be 'serial', "
+            f"got {backend!r}"
+        )
     history = ChainHistory(
         name=name, data_model=data_model, start_year=start_year
     )
-    if backend == "serial":
-        # The reference walk: no chunks, no parallel.* family.
-        for item in inputs:
-            history.append(_analyze_block(data_model, item))
-        return history
-    for record in ordered_chunk_map(
-        _analyze_chunk_recording, data_model, inputs,
-        family="pipeline.parallel",
-        backend=backend, jobs=jobs, chunk_size=chunk_size,
-    ):
-        history.append(record)
+    for item in coerce_block_inputs(source, data_model):
+        history.append(_analyze_block(data_model, item))
     return history

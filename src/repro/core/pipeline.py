@@ -183,26 +183,12 @@ def analyze_utxo_ledger(
     *,
     name: str,
     start_year: float = 0.0,
-    backend: str = "serial",
-    jobs: int | None = None,
-    chunk_size: int | None = None,
 ) -> ChainHistory:
-    """Run the pipeline over every block of a UTXO ledger.
-
-    ``backend`` / ``jobs`` / ``chunk_size`` select the analysis backend
-    (see :func:`repro.core.parallel.analyze_chain`); the default walks
-    the chain serially, and every backend yields an identical history.
-    """
+    """Run the pipeline over every block of a UTXO ledger, in order."""
     from repro.core.parallel import analyze_chain
 
     return analyze_chain(
-        ledger,
-        data_model="utxo",
-        name=name,
-        start_year=start_year,
-        backend=backend,
-        jobs=jobs,
-        chunk_size=chunk_size,
+        ledger, data_model="utxo", name=name, start_year=start_year
     )
 
 
@@ -211,22 +197,10 @@ def analyze_account_blocks(
     *,
     name: str,
     start_year: float = 0.0,
-    backend: str = "serial",
-    jobs: int | None = None,
-    chunk_size: int | None = None,
 ) -> ChainHistory:
-    """Run the pipeline over (block, executed transactions) pairs.
-
-    Accepts the same backend selection as :func:`analyze_utxo_ledger`.
-    """
+    """Run the pipeline over (block, executed transactions) pairs."""
     from repro.core.parallel import analyze_chain
 
     return analyze_chain(
-        blocks,
-        data_model="account",
-        name=name,
-        start_year=start_year,
-        backend=backend,
-        jobs=jobs,
-        chunk_size=chunk_size,
+        blocks, data_model="account", name=name, start_year=start_year
     )

@@ -367,17 +367,6 @@ class LifecycleTracer:
             )
         return out
 
-    def closed_traces(self) -> list[StitchedTrace]:
-        """Closed traces in completion order.
-
-        The dict preserves insertion (= completion) order, so callers
-        that remember a previous :attr:`closed_count` can slice this
-        list to get exactly the traces sealed since — the streaming
-        monitor uses that to attribute closures to block windows.
-        """
-        with self._lock:
-            return list(self._closed.values())
-
     @property
     def open_count(self) -> int:
         return len(self._open)

@@ -38,13 +38,6 @@ class TxBlock:
     epoch: int
     microblocks: tuple[MicroBlock, ...]
 
-    def all_transactions(self) -> list[AccountTransaction]:
-        """Transactions in final (shard-major) order."""
-        merged: list[AccountTransaction] = []
-        for microblock in self.microblocks:
-            merged.extend(microblock.transactions)
-        return merged
-
     def __len__(self) -> int:
         return sum(len(microblock) for microblock in self.microblocks)
 

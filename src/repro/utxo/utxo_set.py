@@ -54,14 +54,6 @@ class UTXOSet:
             txo.value for txo in self._utxos.values() if txo.owner == owner
         )
 
-    def outpoints_of(self, owner: str) -> list[OutPoint]:
-        """All outpoints currently spendable by *owner*."""
-        return [
-            txo.outpoint
-            for txo in self._utxos.values()
-            if txo.owner == owner
-        ]
-
     # -- transaction / block application ---------------------------------
 
     def validate_transaction(self, tx: UTXOTransaction) -> None:

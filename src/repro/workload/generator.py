@@ -44,9 +44,6 @@ def generate_chain(
     num_blocks: int = DEFAULT_NUM_BLOCKS,
     seed: int = 0,
     scale: float = 1.0,
-    backend: str = "serial",
-    jobs: int | None = None,
-    chunk_size: int | None = None,
 ) -> GeneratedChain:
     """Build and analyze one chain's synthetic history.
 
@@ -57,11 +54,6 @@ def generate_chain(
             so longer chains cover the same years at finer resolution).
         seed: determinism seed.
         scale: per-block transaction volume multiplier.
-        backend: analysis backend (``serial`` / ``process``,
-            see :mod:`repro.core.parallel`); chain *generation* stays
-            serial either way, and every backend yields the same history.
-        jobs: worker count for the parallel backends.
-        chunk_size: blocks per parallel work unit.
     """
     if isinstance(profile, str):
         profile = get_profile(profile)
@@ -73,9 +65,6 @@ def generate_chain(
             ledger,
             name=profile.name,
             start_year=profile.start_year,
-            backend=backend,
-            jobs=jobs,
-            chunk_size=chunk_size,
         )
         return GeneratedChain(profile=profile, history=history)
     builder = build_account_chain(
@@ -85,9 +74,6 @@ def generate_chain(
         builder.executed_blocks,
         name=profile.name,
         start_year=profile.start_year,
-        backend=backend,
-        jobs=jobs,
-        chunk_size=chunk_size,
     )
     return GeneratedChain(
         profile=profile, history=history, account_builder=builder
@@ -100,8 +86,6 @@ def generate_all_chains(
     seed: int = 0,
     scale: float = 1.0,
     names: tuple[str, ...] | None = None,
-    backend: str = "serial",
-    jobs: int | None = None,
 ) -> dict[str, GeneratedChain]:
     """Generate every profile (or the named subset); keyed by chain name."""
     from repro.workload.profiles import ALL_PROFILES
@@ -113,8 +97,7 @@ def generate_all_chains(
     ]
     return {
         profile.name: generate_chain(
-            profile, num_blocks=num_blocks, seed=seed, scale=scale,
-            backend=backend, jobs=jobs,
+            profile, num_blocks=num_blocks, seed=seed, scale=scale
         )
         for profile in selected
     }

@@ -50,19 +50,12 @@ class TestBrokenPipe:
 
 
 class TestParallelFlags:
-    def test_analyze_process_backend_matches_serial_output(self, capsys):
-        args = ["analyze", "--chain", "dogecoin", "--blocks", "8",
-                "--buckets", "4", "--seed", "3"]
-        assert main(args) == 0
-        serial_out = capsys.readouterr().out
-        assert main(
-            args + ["--backend", "process", "--jobs", "2"]
-        ) == 0
-        assert capsys.readouterr().out == serial_out
+    """``--backend`` / ``--jobs`` / ``--chunk-size`` select the replay
+    fan-out; a bad value is a usage error (exit 2)."""
 
     def test_jobs_zero_exits_2_with_clear_message(self, capsys):
         code = main([
-            "analyze", "--chain", "dogecoin", "--blocks", "4",
+            "replay", "--chain", "dogecoin", "--blocks", "4",
             "--jobs", "0",
         ])
         assert code == 2
@@ -78,12 +71,12 @@ class TestParallelFlags:
 
     def test_unknown_backend_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["analyze", "--chain", "dogecoin", "--backend", "warp"])
+            main(["replay", "--chain", "dogecoin", "--backend", "warp"])
         assert excinfo.value.code == 2
 
     def test_chunk_size_zero_exits_2(self, capsys):
         code = main([
-            "analyze", "--chain", "dogecoin", "--blocks", "4",
+            "replay", "--chain", "dogecoin", "--blocks", "4",
             "--backend", "process", "--chunk-size", "0",
         ])
         assert code == 2

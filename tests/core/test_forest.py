@@ -251,8 +251,6 @@ def test_analyze_chain_builds_no_group_or_component(
             small_ethereum_builder.executed_blocks
         )),
     ):
-        history = analyze_chain(
-            inputs, data_model=data_model, name=data_model, backend="serial"
-        )
+        history = analyze_chain(inputs, data_model=data_model, name=data_model)
         assert len(history) == len(inputs)
         assert any(record.metrics.num_conflicted for record in history.records)

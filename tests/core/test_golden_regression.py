@@ -3,9 +3,8 @@
 ``golden/chain_metrics.json`` holds the full per-block metrics of two
 tiny fixed-seed chains (one UTXO, one account), serialised in a stable
 format.  The tests regenerate the chains and assert the rendered JSON
-matches the fixture *byte for byte*, under both the serial and the
-process backends — so a future refactor of the workload builders, the
-TDG, the metrics or the parallel fan-out cannot silently drift the
+matches the fixture *byte for byte* — so a future refactor of the
+workload builders, the TDG or the metrics cannot silently drift the
 paper's numbers.
 
 ``golden/tdg_digest.json`` pins what the metrics cannot see — the
@@ -83,12 +82,10 @@ def history_as_dict(history: ChainHistory) -> dict:
     }
 
 
-def render_golden(**analyze_kwargs) -> str:
+def render_golden() -> str:
     """Build the golden chains and render their histories stably."""
     payload = {
-        name: history_as_dict(
-            generate_chain(name, **args, **analyze_kwargs).history
-        )
+        name: history_as_dict(generate_chain(name, **args).history)
         for name, args in GOLDEN_CHAINS
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -143,13 +140,7 @@ class TestGoldenRegression:
         )
 
     def test_serial_backend_reproduces_fixture_bytes(self):
-        assert render_golden(backend="serial") == GOLDEN_PATH.read_text()
-
-    def test_process_backend_reproduces_fixture_bytes(self):
-        assert (
-            render_golden(backend="process", jobs=2, chunk_size=3)
-            == GOLDEN_PATH.read_text()
-        )
+        assert render_golden() == GOLDEN_PATH.read_text()
 
     def test_bitcoin_records_need_no_bfs_and_no_tdg_counts(
         self, monkeypatch
@@ -170,7 +161,7 @@ class TestGoldenRegression:
             TDGResult.from_groups(()).lcc_size
 
         name, args = GOLDEN_CHAINS[0]
-        history = generate_chain(name, **args, backend="serial").history
+        history = generate_chain(name, **args).history
         expected = json.loads(GOLDEN_PATH.read_text())[name]
         assert history_as_dict(history) == expected
 
@@ -227,7 +218,7 @@ if __name__ == "__main__":
 
     if "--regen" in sys.argv:
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN_PATH.write_text(render_golden(backend="serial"))
+        GOLDEN_PATH.write_text(render_golden())
         TDG_DIGEST_PATH.write_text(render_tdg_digest())
         print(f"wrote {GOLDEN_PATH} and {TDG_DIGEST_PATH}")
     else:

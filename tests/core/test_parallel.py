@@ -1,13 +1,14 @@
-"""Equivalence harness for the parallel block-analysis backend.
+"""The ordered chunk fan-out and the serial analysis walk.
 
-The purity contract of :mod:`repro.core.parallel` — per-block analysis
-reads only that block's transactions — implies a strong invariant: the
-serial and process backends must produce *equal* ``BlockRecord``
-sequences for every chain, worker count and chunk size.
-These tests enforce the invariant on seeded-random UTXO and account
-chains, exercise the chunking helpers, and pin down the clear-error
-contract (``ValueError`` on bad ``jobs`` / ``backend`` instead of a raw
-traceback).
+:func:`repro.core.parallel.ordered_chunk_map` must return its chunks'
+records in submission order whatever the backend, worker count, chunk
+size or start method; it must survive a host whose process pool cannot
+start, and withdraw the run it published to forked workers however the
+run ends.  These tests drive it with toy chunk functions and through
+its caller, :func:`repro.execution.parallel_replay.replay_chain`,
+exercise the chunking helpers, and pin down the clear-error contract
+(``ValueError`` on bad ``jobs`` / ``backend`` instead of a raw
+traceback) of both the fan-out and :func:`analyze_chain`.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ from repro.core.components import (
 from repro import obs
 from repro.core import parallel
 from repro.core.parallel import (
-    BACKENDS,
     BlockInput,
-    account_block_inputs,
     analyze_chain,
     chunk_bounds,
     default_chunk_size,
@@ -42,29 +41,17 @@ from repro.core.parallel import (
     validate_chunk_size,
     validate_jobs,
 )
-from repro.core.pipeline import analyze_account_blocks, analyze_utxo_ledger
 from repro.execution.engine import tasks_from_utxo_block
 from repro.execution.parallel_replay import coerce_replay_inputs, replay_chain
-from repro.workload.account_workload import build_account_chain
-from repro.workload.profiles import BITCOIN, ETHEREUM
-from repro.workload.utxo_workload import build_utxo_chain
 
 
-def _serial_records(inputs, data_model):
-    history = analyze_chain(
-        inputs, data_model=data_model, name="ref", backend="serial"
-    )
-    return history.records
-
-
-# The fan-out's two callers, by their metric families.
-FAMILY_METRICS = {"pipeline": "pipeline.parallel", "replay": "exec.replay"}
+# The fan-out's caller, by its metric family.
+FAMILY_METRICS = {"replay": "exec.replay"}
 
 
 @pytest.fixture(scope="module")
 def family_inputs(small_bitcoin_ledger):
     return {
-        "pipeline": utxo_block_inputs(small_bitcoin_ledger),
         "replay": coerce_replay_inputs(
             (
                 block.height,
@@ -76,13 +63,8 @@ def family_inputs(small_bitcoin_ledger):
     }
 
 
-def _fan_out(family, inputs, backend, **kwargs):
-    """Records of one caller's run over its own kind of inputs."""
-    if family == "pipeline":
-        return analyze_chain(
-            inputs, data_model="utxo", name="btc", backend=backend,
-            **kwargs,
-        ).records
+def _fan_out(inputs, backend, **kwargs):
+    """Records of a replay of *inputs* through two engines."""
     return list(replay_chain(
         inputs, data_model="utxo", engines=("sequential", "occ"),
         backend=backend, **kwargs,
@@ -160,71 +142,26 @@ class TestValidation:
             validate_chunk_size(chunk_size, num_blocks=10, jobs=2)
 
     def test_analyze_chain_rejects_bad_args(self, small_bitcoin_ledger):
-        with pytest.raises(ValueError, match="unknown backend"):
-            analyze_chain(
-                small_bitcoin_ledger, data_model="utxo", name="btc",
-                backend="warp",
-            )
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            analyze_chain(
-                small_bitcoin_ledger, data_model="utxo", name="btc",
-                jobs=0,
-            )
+        for backend in ("warp", "process"):
+            with pytest.raises(ValueError, match="must be 'serial'"):
+                analyze_chain(
+                    small_bitcoin_ledger, data_model="utxo", name="btc",
+                    backend=backend,
+                )
         with pytest.raises(ValueError, match="unknown data model"):
             analyze_chain([], data_model="nosql", name="x")
 
-    def test_pipeline_entry_points_propagate_the_error(
-        self, small_bitcoin_ledger, small_ethereum_builder
-    ):
-        with pytest.raises(ValueError, match="unknown backend"):
-            analyze_utxo_ledger(
-                small_bitcoin_ledger, name="btc", backend="warp"
-            )
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            analyze_account_blocks(
-                small_ethereum_builder.executed_blocks, name="eth",
-                backend="process", jobs=-3,
-            )
+
+# -- the serial analysis walk -------------------------------------------------
 
 
-# -- backend equivalence on the shared fixtures -------------------------------
-
-
-class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend", ["process"])
-    @pytest.mark.parametrize("jobs,chunk_size", [
-        (1, None), (2, 1), (3, 7), (2, 1000),
-    ])
-    def test_utxo_records_identical(
-        self, small_bitcoin_ledger, backend, jobs, chunk_size
-    ):
-        inputs = utxo_block_inputs(small_bitcoin_ledger)
-        reference = _serial_records(inputs, "utxo")
-        history = analyze_chain(
-            inputs, data_model="utxo", name="btc", backend=backend,
-            jobs=jobs, chunk_size=chunk_size,
-        )
-        assert history.records == reference
-
-    @pytest.mark.parametrize("backend", ["process"])
-    @pytest.mark.parametrize("jobs,chunk_size", [(2, None), (3, 4)])
-    def test_account_records_identical(
-        self, small_ethereum_builder, backend, jobs, chunk_size
-    ):
-        inputs = account_block_inputs(small_ethereum_builder.executed_blocks)
-        reference = _serial_records(inputs, "account")
-        history = analyze_chain(
-            inputs, data_model="account", name="eth", backend=backend,
-            jobs=jobs, chunk_size=chunk_size,
-        )
-        assert history.records == reference
-
+class TestAnalyzeChain:
     def test_histories_match_ledger_order_and_metadata(
         self, small_bitcoin_ledger
     ):
         history = analyze_chain(
             small_bitcoin_ledger, data_model="utxo", name="btc",
-            start_year=2009.0, backend="process", jobs=2,
+            start_year=2009.0,
         )
         assert history.name == "btc"
         assert history.start_year == 2009.0
@@ -233,51 +170,8 @@ class TestBackendEquivalence:
         assert len(history) == len(small_bitcoin_ledger)
 
     def test_empty_chain(self):
-        for backend in BACKENDS:
-            history = analyze_chain(
-                [], data_model="utxo", name="empty", backend=backend,
-                jobs=2,
-            )
-            assert history.records == []
-
-
-# -- seeded-random equivalence across fresh chains ----------------------------
-
-
-class TestSeededRandomEquivalence:
-    """Property-style: fresh seeds, both data models, varied fan-out."""
-
-    @pytest.mark.parametrize("seed", [1, 11, 42])
-    def test_random_utxo_chains(self, seed):
-        ledger = build_utxo_chain(
-            BITCOIN, num_blocks=12, seed=seed, scale=0.15
-        )
-        inputs = utxo_block_inputs(ledger)
-        reference = _serial_records(inputs, "utxo")
-        for backend, jobs, chunk_size in [
-            ("process", 2, None), ("process", 4, 3), ("process", 3, 5),
-        ]:
-            history = analyze_chain(
-                inputs, data_model="utxo", name=f"btc-{seed}",
-                backend=backend, jobs=jobs, chunk_size=chunk_size,
-            )
-            assert history.records == reference, (backend, jobs, chunk_size)
-
-    @pytest.mark.parametrize("seed", [5, 23])
-    def test_random_account_chains(self, seed):
-        builder = build_account_chain(
-            ETHEREUM, num_blocks=8, seed=seed, scale=0.3
-        )
-        inputs = account_block_inputs(builder.executed_blocks)
-        reference = _serial_records(inputs, "account")
-        for backend, jobs, chunk_size in [
-            ("process", 3, 2), ("process", 2, None),
-        ]:
-            history = analyze_chain(
-                inputs, data_model="account", name=f"eth-{seed}",
-                backend=backend, jobs=jobs, chunk_size=chunk_size,
-            )
-            assert history.records == reference, (backend, jobs, chunk_size)
+        history = analyze_chain([], data_model="utxo", name="empty")
+        assert history.records == []
 
     def test_block_inputs_are_pure_snapshots(self, small_bitcoin_ledger):
         # Re-deriving inputs from the same ledger gives equal payloads:
@@ -340,45 +234,12 @@ class TestComponentEquivalence:
             assert bfs == dsu
 
 
-# -- observability across process boundaries ----------------------------------
+# -- the process pool ---------------------------------------------------------
 
 
 class TestProcessBackendObservability:
-    """Worker registries must fold into the parent at join: the
-    per-block analysis metrics recorded inside process workers match a
-    serial run exactly (counters sum, histograms merge), closing the
-    process-backend blind spot."""
-
-    @pytest.fixture(scope="class")
-    def inputs(self, small_bitcoin_ledger):
-        return utxo_block_inputs(small_bitcoin_ledger)
-
-    def _snapshot(self, inputs, backend, jobs):
-        from repro import obs
-
-        with obs.instrumented() as state:
-            analyze_chain(
-                inputs, data_model="utxo", name="btc", backend=backend,
-                jobs=jobs, chunk_size=3,
-            )
-            return state.registry.snapshot()
-
-    @pytest.mark.parametrize("backend,jobs", [("process", 3)])
-    def test_per_block_metrics_match_serial(self, inputs, backend, jobs):
-        serial = self._snapshot(inputs, "serial", 1)
-        parallel = self._snapshot(inputs, backend, jobs)
-        # Every analysis-domain counter the serial run records must
-        # come back identical through the worker merge; the parallel
-        # run only ADDS its own pipeline.parallel.* family.
-        for key, value in serial["counters"].items():
-            assert parallel["counters"].get(key) == value, key
-        extra = set(parallel["counters"]) - set(serial["counters"])
-        assert all(k.startswith("pipeline.parallel.") for k in extra)
-        for key, summary in serial["histograms"].items():
-            merged = parallel["histograms"].get(key)
-            assert merged is not None, key
-            assert merged["count"] == summary["count"]
-            assert merged["sum"] == pytest.approx(summary["sum"])
+    """The process backend really runs chunks in worker processes, and
+    in more than one of them."""
 
     def test_fork_pool_spreads_chunks_over_workers(self):
         chunks, jobs = 6, 3
@@ -395,16 +256,6 @@ class TestProcessBackendObservability:
             None, "fork"
         ):
             assert len(set(pids)) > 1, "every chunk ran in one worker"
-
-    def test_worker_dump_merge_is_exact_for_counts(self, inputs):
-        # analyze_chunk keeps its public 2-tuple contract while the
-        # pool path ships ChunkResult dumps; both must agree on totals.
-        from repro.core.parallel import analyze_chunk
-
-        records, elapsed = analyze_chunk("utxo", inputs[:3])
-        assert len(records) == 3
-        assert elapsed >= 0.0
-
 
 # -- the fan-out primitive: fallbacks, transports, clean-up -------------------
 
@@ -453,22 +304,20 @@ def _toy_map(params, backend, **kwargs):
     )
 
 
-@pytest.mark.parametrize("family", ["pipeline", "replay"])
+@pytest.mark.parametrize("family", ["replay"])
 class TestFallbacks:
-    """Both callers survive a host with no process pool or no fork."""
+    """The fan-out survives a host with no process pool or no fork."""
 
     def test_pool_that_cannot_start_degrades_to_serial(
         self, family_inputs, family, monkeypatch
     ):
         inputs = family_inputs[family][:8]
-        expected = _fan_out(family, inputs, "serial")
+        expected = _fan_out(inputs, "serial")
         monkeypatch.setattr(
             concurrent.futures, "ProcessPoolExecutor", _refuse
         )
         with obs.instrumented() as state:
-            records = _fan_out(
-                family, inputs, "process", jobs=2, chunk_size=2
-            )
+            records = _fan_out(inputs, "process", jobs=2, chunk_size=2)
         assert records == expected
         counters = state.registry.snapshot()["counters"]
         metrics = FAMILY_METRICS[family]
@@ -484,11 +333,9 @@ class TestFallbacks:
     ):
         """Spawned workers get their chunk's slice, nothing shared."""
         inputs = family_inputs[family][:8]
-        expected = _fan_out(family, inputs, "serial")
+        expected = _fan_out(inputs, "serial")
         with obs.instrumented() as state:
-            records = _fan_out(
-                family, inputs, "process", jobs=2, chunk_size=2
-            )
+            records = _fan_out(inputs, "process", jobs=2, chunk_size=2)
         assert records == expected
         snapshot = state.registry.snapshot()
         metrics = FAMILY_METRICS[family]

@@ -54,60 +54,6 @@ class TestResultsUnperturbed:
         }
 
 
-class TestParallelInstrumentation:
-    """Instrumented parallel runs emit the ``pipeline.parallel.*``
-    family and still match an uninstrumented serial run exactly."""
-
-    def test_process_backend_counters_and_identical_output(self):
-        baseline = generate_chain("bitcoin", **CHAIN_ARGS)
-        with obs.instrumented() as state:
-            parallel = generate_chain(
-                "bitcoin", **CHAIN_ARGS, backend="process", jobs=2,
-                chunk_size=2,
-            )
-        assert _record_tuples(parallel.history) == _record_tuples(
-            baseline.history
-        )
-        snapshot = state.registry.snapshot()
-        counters = snapshot["counters"]
-        assert counters["pipeline.parallel.runs{backend=process}"] == 1.0
-        assert counters["pipeline.parallel.blocks{backend=process}"] == 6.0
-        assert counters["pipeline.parallel.chunks{backend=process}"] == 3.0
-        assert snapshot["gauges"][
-            "pipeline.parallel.jobs{backend=process}"
-        ] == 2.0
-        # One chunk-time observation per chunk.
-        chunk_seconds = snapshot["histograms"][
-            "pipeline.parallel.chunk_seconds{backend=process}"
-        ]
-        assert chunk_seconds["count"] == 3
-
-    def test_worker_counters_merge_into_the_parent(self):
-        """Each worker records the per-block counters privately; the
-        parent's registry holds them all after the join."""
-        with obs.instrumented() as state:
-            generate_chain(
-                "ethereum", **CHAIN_ARGS, backend="process", jobs=2,
-                chunk_size=3,
-            )
-        snapshot = state.registry.snapshot()
-        counters = snapshot["counters"]
-        assert counters["pipeline.blocks{model=account}"] == 6.0
-        assert counters["tdg.builds{model=account}"] == 6.0
-        assert counters["pipeline.parallel.chunks{backend=process}"] == 2.0
-        assert snapshot["histograms"][
-            "pipeline.parallel.chunk_seconds{backend=process}"
-        ]["count"] == 2
-
-    def test_uninstrumented_parallel_run_records_nothing(self):
-        generate_chain(
-            "bitcoin", **CHAIN_ARGS, backend="process", jobs=2
-        )
-        assert obs.get_registry().snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
-
-
 class TestExecutorsUnperturbed:
     def test_reports_identical_with_and_without_instrumentation(self):
         from repro.execution.engine import tasks_from_account_block
