@@ -16,7 +16,9 @@ Every command is deterministic under ``--seed`` — including the replay
 fan-out (``--backend`` / ``--jobs`` on ``replay`` and on ``speedup`` /
 ``compare --measured``), whose output is identical to a serial replay.
 Analysis always walks the chain serially.  Unknown ``--chain`` names,
-bad ``--jobs`` and friends exit with status 2 and a one-line message.
+bad ``--jobs`` and friends, and fan-out flags on ``speedup`` /
+``compare`` without ``--measured`` exit with status 2 and a one-line
+message.
 """
 
 from __future__ import annotations
@@ -86,10 +88,10 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
     from repro.core.parallel import BACKENDS
 
     parser.add_argument(
-        "--backend", choices=BACKENDS, default="serial",
-        help="backend of the executor-replay fan-out; analysis always "
-             "runs serially (the process backend replays identically; "
-             "see docs/parallel_pipeline.md)",
+        "--backend", choices=BACKENDS, default=None,
+        help="backend of the executor-replay fan-out (default: serial); "
+             "analysis always runs serially (the process backend "
+             "replays identically; see docs/parallel_pipeline.md)",
     )
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -102,16 +104,21 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _parallel_kwargs(args: argparse.Namespace) -> dict:
+def _parallel_kwargs(
+    args: argparse.Namespace, *, measured: bool = True
+) -> dict:
     """Validate --backend/--jobs/--chunk-size into replay kwargs.
 
     Raises :class:`CLIError` (exit 2) instead of a raw traceback on
-    ``--jobs 0`` and friends, mirroring the unknown-chain handling.
+    ``--jobs 0`` and friends, mirroring the unknown-chain handling.  A
+    command whose replay is optional (``speedup``, ``compare``) passes
+    *measured* ``False`` when it will not replay; any of the three
+    flags given then is an error too, not silently ignored.
     """
     from repro.core.parallel import validate_backend, validate_jobs
 
     try:
-        backend = validate_backend(args.backend)
+        backend = validate_backend(args.backend or "serial")
         jobs = validate_jobs(args.jobs, backend=backend)
         chunk_size = args.chunk_size
         if chunk_size is not None and chunk_size < 1:
@@ -120,6 +127,12 @@ def _parallel_kwargs(args: argparse.Namespace) -> dict:
             )
     except ValueError as exc:
         raise CLIError(str(exc)) from None
+    given = (args.backend, args.jobs, args.chunk_size)
+    if not measured and given != (None, None, None):
+        raise CLIError(
+            "--backend / --jobs / --chunk-size select the replay fan-out; "
+            "add --measured to replay"
+        )
     return {"backend": backend, "jobs": jobs, "chunk_size": chunk_size}
 
 
@@ -173,7 +186,7 @@ def cmd_speedup(args: argparse.Namespace) -> int:
     if not cores or any(n < 1 for n in cores):
         print("error: core counts must be positive", file=sys.stderr)
         return 2
-    parallel = _parallel_kwargs(args)
+    parallel = _parallel_kwargs(args, measured=args.measured)
     chain = _generate(args)
     panels = figure10(chain.history, cores=cores, num_buckets=args.buckets)
     print(render_series_table(
@@ -225,7 +238,7 @@ def cmd_speedup(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    parallel = _parallel_kwargs(args)
+    parallel = _parallel_kwargs(args, measured=args.measured)
     headers = ["chain", "mean txs", "single conflict", "group conflict"]
     if args.measured:
         headers += ["spec R", "group R"]

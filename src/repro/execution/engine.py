@@ -252,11 +252,19 @@ def utxo_writes(tx: UTXOTransaction) -> frozenset[str]:
 
     An input outpoint is a read-modify-write of the UTXO set entry, so
     inputs are placed in the write set; created outputs are writes by
-    definition.  The static prediction of a UTXO block is this same set.
+    definition.  The set is built once, on the first call, and kept on
+    the transaction: its task and its static prediction hold this same
+    frozenset, and every location in it is the outpoint's own string.
     """
-    writes = {str(op) for op in tx.inputs}
-    writes.update(str(op) for op in tx.outpoints_created())
-    return frozenset(writes)
+    writes = tx._writes
+    if writes is None:
+        # Copying a set sizes the frozenset's table to fit; one grown
+        # element by element from a list keeps a larger table.
+        writes = frozenset({
+            *map(str, tx.inputs), *map(str, tx.outpoints_created())
+        })
+        object.__setattr__(tx, "_writes", writes)
+    return writes
 
 
 def tasks_from_account_block(

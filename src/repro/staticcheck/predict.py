@@ -179,8 +179,9 @@ def predict_utxo_block(
 
     UTXO access sets are syntactic — a transaction names every outpoint
     it consumes or creates — so the "prediction" is exact: the writes
-    are :func:`repro.execution.engine.utxo_writes`, the same set the
-    task adapter uses, and nothing ever widens.
+    are :func:`repro.execution.engine.utxo_writes`, built once per
+    transaction and shared, so a prediction holds the very frozenset
+    its task holds, and nothing ever widens.
     """
     return [
         PredictedAccess(tx_hash=tx.tx_hash, writes=utxo_writes(tx))

@@ -14,7 +14,7 @@ from repro.chain.hashing import hash_fields
 from repro.utxo.txo import TXO, OutPoint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxOutputSpec:
     """Specification of an output to create: a value locked to an owner."""
 
@@ -29,7 +29,7 @@ class TxOutputSpec:
             raise ValueError("output owner must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UTXOTransaction:
     """A UTXO-model transaction.
 
@@ -40,6 +40,12 @@ class UTXOTransaction:
         fee: implicit miner fee (inputs total minus outputs total); it is
             stored denormalised so validation can be re-checked without
             the UTXO set.
+
+    ``_writes`` memoises the write set
+    :func:`repro.execution.engine.utxo_writes` builds on first use, so a
+    transaction's task and prediction share one frozenset; like the
+    outpoint's location memo it takes no part in equality, hashing or
+    ``repr``.
     """
 
     inputs: tuple[OutPoint, ...]
@@ -47,6 +53,9 @@ class UTXOTransaction:
     tx_hash: str
     fee: int = 0
     size_bytes: int = field(default=250, compare=False)
+    _writes: frozenset[str] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.outputs:

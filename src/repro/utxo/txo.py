@@ -10,19 +10,29 @@ within the same block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # Values are in integer base units (satoshi-style) to avoid floating-point
 # drift in value-conservation checks.
 COIN = 100_000_000
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class OutPoint:
-    """A reference to the *index*-th output of transaction *tx_hash*."""
+    """A reference to the *index*-th output of transaction *tx_hash*.
+
+    ``str(outpoint)`` is its location, ``"<tx_hash>:<index>"``: built on
+    first use and kept, so the creator's and the spender's access sets
+    hold one string object per outpoint (the spender's input is the
+    creator's :attr:`TXO.outpoint`).  The memo takes no part in equality,
+    hashing, ordering or ``repr``.
+    """
 
     tx_hash: str
     index: int
+    _location: str | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.tx_hash:
@@ -31,10 +41,14 @@ class OutPoint:
             raise ValueError("output index must be non-negative")
 
     def __str__(self) -> str:
-        return f"{self.tx_hash}:{self.index}"
+        location = self._location
+        if location is None:
+            location = f"{self.tx_hash}:{self.index}"
+            object.__setattr__(self, "_location", location)
+        return location
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TXO:
     """A transaction output: a value locked to an address.
 

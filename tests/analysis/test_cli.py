@@ -69,6 +69,18 @@ class TestParallelFlags:
         assert code == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["compare", "--left", "bitcoin", "--right", "bitcoin_cash",
+         "--blocks", "4"],
+        ["speedup", "--chain", "bitcoin", "--blocks", "4"],
+    ])
+    def test_fan_out_flags_without_measured_exit_2(self, capsys, command):
+        code = main([*command, "--backend", "process", "--jobs", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--measured" in captured.err
+        assert captured.out == ""
+
     def test_unknown_backend_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["replay", "--chain", "dogecoin", "--backend", "warp"])
