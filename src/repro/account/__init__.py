@@ -1,12 +1,7 @@
 """Account data-model substrate (Ethereum, Ethereum Classic, Zilliqa)."""
 
-from repro.account.gas import (
-    DEFAULT_GAS_SCHEDULE,
-    ETHEREUM_BLOCK_GAS_LIMITS,
-    GasSchedule,
-    block_gas_limit_for_year,
-)
-from repro.account.receipts import ExecutedTransaction, Receipt, total_gas
+from repro.account.gas import DEFAULT_GAS_SCHEDULE, GasSchedule
+from repro.account.receipts import ExecutedTransaction, Receipt
 from repro.account.state import Account, WorldState
 from repro.account.trie import EMPTY_ROOT, StateTrie, TrieProof, state_root
 from repro.account.transaction import (
@@ -19,12 +14,9 @@ from repro.account.transaction import (
 
 __all__ = [
     "DEFAULT_GAS_SCHEDULE",
-    "ETHEREUM_BLOCK_GAS_LIMITS",
     "GasSchedule",
-    "block_gas_limit_for_year",
     "ExecutedTransaction",
     "Receipt",
-    "total_gas",
     "Account",
     "WorldState",
     "EMPTY_ROOT",

@@ -43,22 +43,3 @@ class GasSchedule:
 
 
 DEFAULT_GAS_SCHEDULE = GasSchedule()
-
-# Block gas limit trajectory for the synthetic Ethereum history; mainnet
-# moved from ~3.1M (2016) to ~10M (2019).
-ETHEREUM_BLOCK_GAS_LIMITS = {
-    2016: 4_000_000,
-    2017: 6_700_000,
-    2018: 8_000_000,
-    2019: 10_000_000,
-}
-
-
-def block_gas_limit_for_year(year: int) -> int:
-    """Return the simulated block gas limit in force during *year*."""
-    years = sorted(ETHEREUM_BLOCK_GAS_LIMITS)
-    chosen = years[0]
-    for candidate in years:
-        if candidate <= year:
-            chosen = candidate
-    return ETHEREUM_BLOCK_GAS_LIMITS[chosen]

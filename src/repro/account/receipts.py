@@ -10,7 +10,7 @@ BigQuery ``traces`` table, and the TDG builder consumes the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.account.transaction import AccountTransaction, InternalTransaction
 from repro.sets import EMPTY
@@ -36,21 +36,6 @@ class Receipt:
     def trace_count(self) -> int:
         """Number of internal transactions (geth traces) produced."""
         return len(self.internal_transactions)
-
-    def touched_addresses(self, tx: AccountTransaction) -> set[str]:
-        """All addresses this execution referenced.
-
-        This is the node set the account-model TDG derives from a single
-        transaction: the top-level endpoints plus every internal
-        transaction endpoint.
-        """
-        touched = {tx.sender, tx.receiver}
-        for internal in self.internal_transactions:
-            touched.add(internal.sender)
-            touched.add(internal.receiver)
-        if self.created_contract:
-            touched.add(self.created_contract)
-        return touched
 
 
 @dataclass(frozen=True)
@@ -105,8 +90,3 @@ class ExecutedTransaction:
             addresses.append(internal.sender)
             addresses.append(internal.receiver)
         return addresses
-
-
-def total_gas(executed: Iterable[ExecutedTransaction]) -> int:
-    """Total gas consumed by a sequence of executed transactions."""
-    return sum(item.gas_used for item in executed)

@@ -68,9 +68,6 @@ class WorldState:
             self._accounts[address] = existing
         return existing
 
-    def has_account(self, address: str) -> bool:
-        return address in self._accounts
-
     def balance_of(self, address: str) -> int:
         account = self._accounts.get(address)
         return account.balance if account else 0

@@ -32,7 +32,6 @@ from repro.analysis.stats import (
 from repro.analysis.report import (
     format_rate,
     format_speedup,
-    render_series,
     render_series_table,
     render_table,
     render_table1,
@@ -64,7 +63,6 @@ __all__ = [
     "weighted_mean",
     "format_rate",
     "format_speedup",
-    "render_series",
     "render_series_table",
     "render_table",
     "render_table1",

@@ -64,25 +64,6 @@ def render_table1(profiles: Sequence[ChainProfile]) -> str:
     )
 
 
-def render_series(
-    series: BucketedSeries,
-    *,
-    label: str = "",
-    position_format: str = "{:8.2f}",
-    value_format: str = "{:10.4f}",
-) -> str:
-    """Render one bucketed series as aligned (position, value) rows."""
-    lines: list[str] = []
-    if label:
-        lines.append(label)
-    for position, value in zip(series.positions, series.values):
-        lines.append(
-            f"  {position_format.format(position)}  "
-            f"{value_format.format(value)}"
-        )
-    return "\n".join(lines)
-
-
 def render_series_table(
     series_by_label: dict[str, BucketedSeries],
     *,

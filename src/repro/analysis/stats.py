@@ -42,9 +42,6 @@ class ConfidenceInterval:
     def width(self) -> float:
         return self.high - self.low
 
-    def contains(self, value: float) -> bool:
-        return self.low <= value <= self.high
-
 
 def weighted_mean(
     values: Sequence[float], weights: Sequence[float]

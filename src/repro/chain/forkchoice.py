@@ -40,10 +40,6 @@ class Reorg(Generic[TxT]):
         """Number of blocks undone (0 for a plain extension)."""
         return len(self.rolled_back)
 
-    @property
-    def is_extension(self) -> bool:
-        return not self.rolled_back
-
 
 class BlockTree(Generic[TxT]):
     """All known blocks, indexed by hash, with cumulative work."""

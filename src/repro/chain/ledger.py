@@ -80,13 +80,6 @@ class Ledger(Generic[TxT]):
             raise IndexError(f"no block at height {height}")
         return self._blocks[height]
 
-    def block_by_hash(self, block_hash: str) -> Block[TxT]:
-        """Return the block with the given header hash."""
-        try:
-            return self._blocks[self._by_hash[block_hash]]
-        except KeyError:
-            raise KeyError(f"unknown block hash {block_hash!r}") from None
-
     def verify_links(self) -> bool:
         """Re-validate the whole hash chain; True when intact.
 

@@ -16,14 +16,15 @@ Every command is deterministic under ``--seed`` — including the replay
 fan-out (``--backend`` / ``--jobs`` on ``replay`` and on ``speedup`` /
 ``compare --measured``), whose output is identical to a serial replay.
 Analysis always walks the chain serially.  Unknown ``--chain`` names,
-bad ``--jobs`` and friends, and fan-out flags on ``speedup`` /
-``compare`` without ``--measured`` exit with status 2 and a one-line
-message.
+numeric flags out of range (checked when the arguments are parsed) and
+fan-out flags on ``speedup`` / ``compare`` without ``--measured`` exit
+with status 2 and a one-line message.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Sequence
@@ -53,6 +54,44 @@ class CLIError(Exception):
     """A user-facing CLI failure: printed to stderr, exit status 2."""
 
 
+def _bounded(convert, admits, requirement: str):
+    """An argparse ``type``: *convert* the flag's text and keep it only
+    if *admits* it, so a bad value exits 2 with a message naming the
+    flag, before any command runs."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if admits(value):
+                return value
+        raise argparse.ArgumentTypeError(
+            f"must be {requirement}, got {text!r}"
+        )
+    return parse
+
+
+positive_int = _bounded(int, lambda v: v >= 1, "an integer >= 1")
+non_negative_int = _bounded(int, lambda v: v >= 0, "an integer >= 0")
+positive_float = _bounded(
+    float, lambda v: 0 < v < math.inf, "a finite number > 0"
+)
+non_negative_float = _bounded(
+    float, lambda v: 0 <= v < math.inf, "a finite number >= 0"
+)
+
+
+def _core_counts(text: str) -> tuple[int, ...]:
+    """``speedup --cores``: comma-separated integers >= 1."""
+    try:
+        return tuple(positive_int(part) for part in text.split(","))
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers >= 1, got {text!r}"
+        ) from None
+
+
 def _resolve_profile(name: str):
     """Profile lookup with a clear, nonzero-exit error for bad names."""
     try:
@@ -74,13 +113,14 @@ def _add_generation_args(
         metavar="NAME",
         help=f"which blockchain profile to simulate (one of: {known})",
     )
-    parser.add_argument("--blocks", type=int, default=default_blocks,
+    parser.add_argument("--blocks", type=positive_int,
+                        default=default_blocks,
                         help="number of blocks to simulate")
     parser.add_argument("--seed", type=int, default=0,
                         help="determinism seed")
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=positive_float, default=1.0,
                         help="transaction-volume multiplier")
-    parser.add_argument("--buckets", type=int, default=16,
+    parser.add_argument("--buckets", type=positive_int, default=16,
                         help="number of time buckets in printed series")
 
 
@@ -94,12 +134,12 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
              "replays identically; see docs/parallel_pipeline.md)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=positive_int, default=None, metavar="N",
         help="replay worker count for the process backend "
              "(default: usable CPU count)",
     )
     parser.add_argument(
-        "--chunk-size", type=int, default=None, metavar="BLOCKS",
+        "--chunk-size", type=positive_int, default=None, metavar="BLOCKS",
         help="blocks per replay work unit (default: balanced)",
     )
 
@@ -107,33 +147,23 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
 def _parallel_kwargs(
     args: argparse.Namespace, *, measured: bool = True
 ) -> dict:
-    """Validate --backend/--jobs/--chunk-size into replay kwargs.
+    """--backend/--jobs/--chunk-size as replay kwargs.
 
-    Raises :class:`CLIError` (exit 2) instead of a raw traceback on
-    ``--jobs 0`` and friends, mirroring the unknown-chain handling.  A
-    command whose replay is optional (``speedup``, ``compare``) passes
-    *measured* ``False`` when it will not replay; any of the three
-    flags given then is an error too, not silently ignored.
+    A command whose replay is optional (``speedup``, ``compare``)
+    passes *measured* ``False`` when it will not replay; any of the
+    three flags given then is an error (exit 2), not silently ignored.
     """
-    from repro.core.parallel import validate_backend, validate_jobs
-
-    try:
-        backend = validate_backend(args.backend or "serial")
-        jobs = validate_jobs(args.jobs, backend=backend)
-        chunk_size = args.chunk_size
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(
-                f"chunk size must be >= 1, got {chunk_size}"
-            )
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
     given = (args.backend, args.jobs, args.chunk_size)
     if not measured and given != (None, None, None):
         raise CLIError(
             "--backend / --jobs / --chunk-size select the replay fan-out; "
             "add --measured to replay"
         )
-    return {"backend": backend, "jobs": jobs, "chunk_size": chunk_size}
+    return {
+        "backend": args.backend or "serial",
+        "jobs": args.jobs,
+        "chunk_size": args.chunk_size,
+    }
 
 
 def _generate(args: argparse.Namespace):
@@ -177,15 +207,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_speedup(args: argparse.Namespace) -> int:
-    try:
-        cores = tuple(int(part) for part in args.cores.split(","))
-    except ValueError:
-        print(f"error: --cores must be comma-separated integers, "
-              f"got {args.cores!r}", file=sys.stderr)
-        return 2
-    if not cores or any(n < 1 for n in cores):
-        print("error: core counts must be positive", file=sys.stderr)
-        return 2
+    cores = args.cores
     parallel = _parallel_kwargs(args, measured=args.measured)
     chain = _generate(args)
     panels = figure10(chain.history, cores=cores, num_buckets=args.buckets)
@@ -451,10 +473,6 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     from repro.obs.timeline import as_events
 
     profile = _resolve_profile(args.chain)
-    if args.cores < 1:
-        raise CLIError("--cores must be at least 1")
-    if args.blocks < 1:
-        raise CLIError("--blocks must be at least 1")
 
     info = sys.stderr if not args.out else sys.stdout
     rows = []
@@ -540,10 +558,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     from repro.obs.timeline import as_events
 
     profile = _resolve_profile(args.chain)
-    if args.cores < 1:
-        raise CLIError("--cores must be at least 1")
-    if args.blocks < 1:
-        raise CLIError("--blocks must be at least 1")
     if args.engines:
         requested = tuple(
             part.strip() for part in args.engines.split(",") if part.strip()
@@ -674,8 +688,6 @@ def cmd_lifecycle(args: argparse.Namespace) -> int:
     from repro.obs.timeline import as_events
 
     _resolve_profile(args.chain)
-    if args.top < 1:
-        raise CLIError("--top must be at least 1")
     config = _lifecycle_network(args)
     try:
         with obs.instrumented() as state:
@@ -781,12 +793,6 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     )
 
     _resolve_profile(args.chain)
-    if args.window < 1:
-        raise CLIError("--window must be at least 1")
-    if args.max_abort_rate is not None and args.max_abort_rate < 0:
-        raise CLIError("--max-abort-rate must be non-negative")
-    if args.wall_p95 is not None and args.wall_p95 <= 0:
-        raise CLIError("--wall-p95 must be positive")
     config = _lifecycle_network(
         args, transport=args.transport, max_sim_time=args.max_sim_time,
     )
@@ -1063,8 +1069,6 @@ def cmd_staticcheck(args: argparse.Namespace) -> int:
             f"chain {args.chain!r} is a {profile.data_model} chain with "
             "no contract code; pick an account chain"
         )
-    if args.dynamic < 0:
-        raise CLIError("--dynamic must be non-negative")
     if args.dynamic:
         if args.dynamic > profile.num_contracts:
             raise CLIError(
@@ -1125,8 +1129,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_generation_args(sub)
     _add_parallel_args(sub)
-    sub.add_argument("--cores", default="4,8,64",
-                     help="comma-separated core counts")
+    sub.add_argument("--cores", type=_core_counts, default=(4, 8, 64),
+                     help="comma-separated core counts (default: 4,8,64)")
     sub.add_argument(
         "--measured", action="store_true",
         help="also replay every engine at each core count and print "
@@ -1139,11 +1143,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--left", required=True)
     sub.add_argument("--right", required=True)
-    sub.add_argument("--blocks", type=int, default=80)
+    sub.add_argument("--blocks", type=positive_int, default=80)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--scale", type=float, default=0.5)
+    sub.add_argument("--scale", type=positive_float, default=0.5)
     _add_parallel_args(sub)
-    sub.add_argument("--cores", type=int, default=4,
+    sub.add_argument("--cores", type=positive_int, default=4,
                      help="simulated cores for --measured replays")
     sub.add_argument(
         "--measured", action="store_true",
@@ -1181,14 +1185,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution engine to record (default: speculative)",
     )
     sub.add_argument(
-        "--cores", type=int, default=4, metavar="N",
+        "--cores", type=positive_int, default=4, metavar="N",
         help="simulated worker lanes / cores (default: 4)",
     )
-    sub.add_argument("--blocks", type=int, default=20,
+    sub.add_argument("--blocks", type=positive_int, default=20,
                      help="number of blocks to replay")
     sub.add_argument("--seed", type=int, default=0,
                      help="determinism seed")
-    sub.add_argument("--scale", type=float, default=1.0,
+    sub.add_argument("--scale", type=positive_float, default=1.0,
                      help="transaction-volume multiplier")
     sub.add_argument(
         "--out", default="",
@@ -1212,13 +1216,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated engine subset (default: all of "
              f"{', '.join(ENGINES)})",
     )
-    sub.add_argument("--blocks", type=int, default=20,
+    sub.add_argument("--blocks", type=positive_int, default=20,
                      help="number of blocks to replay")
     sub.add_argument("--seed", type=int, default=0,
                      help="determinism seed")
-    sub.add_argument("--scale", type=float, default=1.0,
+    sub.add_argument("--scale", type=positive_float, default=1.0,
                      help="transaction-volume multiplier")
-    sub.add_argument("--cores", type=int, default=4,
+    sub.add_argument("--cores", type=positive_int, default=4,
                      help="simulated cores handed to each engine")
     _add_parallel_args(sub)
     sub.add_argument(
@@ -1245,23 +1249,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor", default="dag", choices=ENGINES,
         help="execution engine for the commit stage (default: dag)",
     )
-    sub.add_argument("--blocks", type=int, default=5,
+    sub.add_argument("--blocks", type=positive_int, default=5,
                      help="workload blocks, and the chain height the "
                           "network runs to")
     sub.add_argument("--seed", type=int, default=0,
                      help="determinism seed")
-    sub.add_argument("--scale", type=float, default=1.0,
+    sub.add_argument("--scale", type=positive_float, default=1.0,
                      help="transaction-volume multiplier")
-    sub.add_argument("--cores", type=int, default=4,
+    sub.add_argument("--cores", type=positive_int, default=4,
                      help="simulated cores for the executor")
-    sub.add_argument("--nodes", type=int, default=4,
+    sub.add_argument("--nodes", type=positive_int, default=4,
                      help="node network size (default: 4)")
     sub.add_argument(
-        "--mempool-weight", type=int, default=None, metavar="W",
+        "--mempool-weight", type=positive_int, default=None, metavar="W",
         help="mempool capacity; small values force evictions "
              "(default: unbounded)",
     )
-    sub.add_argument("--top", type=int, default=3, metavar="N",
+    sub.add_argument("--top", type=positive_int, default=3, metavar="N",
                      help="slowest traces to drill into (default: 3)")
     sub.add_argument(
         "--out", default="",
@@ -1283,24 +1287,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor", default="dag", choices=ENGINES,
         help="execution engine for the commit stage (default: dag)",
     )
-    sub.add_argument("--blocks", type=int, default=8,
+    sub.add_argument("--blocks", type=positive_int, default=8,
                      help="workload blocks, and the chain height the "
                           "network runs to")
     sub.add_argument("--seed", type=int, default=0,
                      help="determinism seed")
-    sub.add_argument("--scale", type=float, default=1.0,
+    sub.add_argument("--scale", type=positive_float, default=1.0,
                      help="transaction-volume multiplier")
-    sub.add_argument("--cores", type=int, default=4,
+    sub.add_argument("--cores", type=positive_int, default=4,
                      help="simulated cores for the executor")
-    sub.add_argument("--nodes", type=int, default=4,
+    sub.add_argument("--nodes", type=positive_int, default=4,
                      help="node network size (default: 4)")
     sub.add_argument(
-        "--mempool-weight", type=int, default=None, metavar="W",
+        "--mempool-weight", type=positive_int, default=None, metavar="W",
         help="mempool capacity; small values force evictions "
              "(default: unbounded)",
     )
     sub.add_argument(
-        "--window", type=int, default=8, metavar="BLOCKS",
+        "--window", type=positive_int, default=8, metavar="BLOCKS",
         help="sliding-window size in blocks (default: 8)",
     )
     sub.add_argument(
@@ -1309,12 +1313,12 @@ def build_parser() -> argparse.ArgumentParser:
              "after every block (CI snapshot mode)",
     )
     sub.add_argument(
-        "--max-abort-rate", type=float, default=None, metavar="FRAC",
+        "--max-abort-rate", type=non_negative_float, default=None, metavar="FRAC",
         help="hard SLO: fail (exit 1) when the windowed abort rate "
              "exceeds this fraction",
     )
     sub.add_argument(
-        "--wall-p95", type=float, default=None, metavar="SECONDS",
+        "--wall-p95", type=positive_float, default=None, metavar="SECONDS",
         help="advisory SLO: report (never fail) when the windowed "
              "block wall-clock p95 exceeds this many real seconds",
     )
@@ -1332,7 +1336,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="network transport (default: virtual)",
     )
     sub.add_argument(
-        "--max-sim-time", type=float, default=600.0, metavar="SECONDS",
+        "--max-sim-time", type=positive_float, default=600.0, metavar="SECONDS",
         help="simulated-time budget before giving up with exit 1 "
              "(default: 600)",
     )
@@ -1367,46 +1371,46 @@ def build_parser() -> argparse.ArgumentParser:
         "--consensus", default="pow", choices=("pow", "pbft"),
         help="block proposal schedule (default: pow)",
     )
-    sub.add_argument("--nodes", type=int, default=4,
+    sub.add_argument("--nodes", type=positive_int, default=4,
                      help="network size (default: 4)")
-    sub.add_argument("--height", type=int, default=5,
+    sub.add_argument("--height", type=positive_int, default=5,
                      help="target chain height (default: 5)")
     sub.add_argument("--seed", type=int, default=2020,
                      help="determinism seed")
-    sub.add_argument("--scale", type=float, default=1.0,
+    sub.add_argument("--scale", type=positive_float, default=1.0,
                      help="transaction-volume multiplier")
-    sub.add_argument("--cores", type=int, default=2,
+    sub.add_argument("--cores", type=positive_int, default=2,
                      help="simulated executor cores per node")
     sub.add_argument(
-        "--workload-blocks", type=int, default=6, metavar="N",
+        "--workload-blocks", type=positive_int, default=6, metavar="N",
         help="seeded workload size in source blocks (default: 6)",
     )
     sub.add_argument(
-        "--block-interval", type=float, default=2.0, metavar="SECONDS",
+        "--block-interval", type=positive_float, default=2.0, metavar="SECONDS",
         help="target seconds between blocks (default: 2.0)",
     )
     sub.add_argument(
-        "--block-weight", type=int, default=400, metavar="W",
+        "--block-weight", type=positive_int, default=400, metavar="W",
         help="block weight budget for packing (default: 400)",
     )
     sub.add_argument(
-        "--latency", type=float, default=0.01, metavar="SECONDS",
+        "--latency", type=positive_float, default=0.01, metavar="SECONDS",
         help="virtual-transport base link latency (default: 0.01)",
     )
     sub.add_argument(
-        "--loss", type=float, default=0.0, metavar="FRAC",
+        "--loss", type=non_negative_float, default=0.0, metavar="FRAC",
         help="virtual-transport frame loss probability (default: 0)",
     )
     sub.add_argument(
-        "--duplicate", type=float, default=0.0, metavar="FRAC",
+        "--duplicate", type=non_negative_float, default=0.0, metavar="FRAC",
         help="virtual-transport duplication probability (default: 0)",
     )
     sub.add_argument(
-        "--reorder", type=float, default=0.0, metavar="FRAC",
+        "--reorder", type=non_negative_float, default=0.0, metavar="FRAC",
         help="virtual-transport reorder probability (default: 0)",
     )
     sub.add_argument(
-        "--max-sim-time", type=float, default=600.0, metavar="SECONDS",
+        "--max-sim-time", type=positive_float, default=600.0, metavar="SECONDS",
         help="simulated-time budget before giving up with exit 1 "
              "(default: 600)",
     )
@@ -1441,9 +1445,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--chain", default="ethereum",
                      help="workload chain (with --update)")
-    sub.add_argument("--blocks", type=int, default=10,
+    sub.add_argument("--blocks", type=positive_int, default=10,
                      help="workload blocks (with --update)")
-    sub.add_argument("--cores", type=int, default=4,
+    sub.add_argument("--cores", type=positive_int, default=4,
                      help="simulated cores (with --update)")
     sub.add_argument("--seed", type=int, default=2020,
                      help="determinism seed (with --update)")
@@ -1462,7 +1466,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=0,
                      help="determinism seed")
     sub.add_argument(
-        "--dynamic", type=int, default=0, metavar="N",
+        "--dynamic", type=non_negative_int, default=0, metavar="N",
         help="deploy N dynamic-operand contracts (⊤-widening cases)",
     )
     sub.add_argument(
@@ -1480,10 +1484,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate every paper table/figure into a directory",
     )
     sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--blocks", type=int, default=120)
+    sub.add_argument("--blocks", type=positive_int, default=120)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--scale", type=float, default=0.5)
-    sub.add_argument("--buckets", type=int, default=16)
+    sub.add_argument("--scale", type=positive_float, default=0.5)
+    sub.add_argument("--buckets", type=positive_int, default=16)
     sub.set_defaults(func=cmd_report)
 
     return parser
@@ -1491,7 +1495,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # A usage error (status 2, printed by argparse) or ``--help`` (0).
+        return int(exc.code or 0)
     try:
         status = args.func(args)
         sys.stdout.flush()

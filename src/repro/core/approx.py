@@ -60,8 +60,6 @@ class ApproximationQuality:
         pair_recall: fraction of truly-conflicting pairs the
             approximation keeps together (1.0 = perfect).
         true_lcc / approx_lcc: LCC sizes under each view.
-        predicted_speedup_ratio: (1/l_approx) / (1/l_true) — how much
-            the approximation *over-promises* speed-up (>= 1.0).
     """
 
     num_transactions: int
@@ -71,12 +69,6 @@ class ApproximationQuality:
     pair_recall: float
     true_lcc: int
     approx_lcc: int
-
-    @property
-    def predicted_speedup_ratio(self) -> float:
-        if self.true_lcc == 0 or self.approx_lcc == 0:
-            return 1.0
-        return self.true_lcc / self.approx_lcc
 
     @property
     def is_exact(self) -> bool:

@@ -121,12 +121,6 @@ class UnionFind:
         self._parent[root_b] = root_a
         self._size[root_a] += self._size[root_b]
 
-    def connected(self, a: Hashable, b: Hashable) -> bool:
-        return self.find(a) == self.find(b)
-
-    def component_size(self, node: Hashable) -> int:
-        return self._size[self.find(node)]
-
     def groups(self) -> list[list[Hashable]]:
         """All disjoint sets, each as a list of members."""
         buckets: dict[Hashable, list[Hashable]] = {}
@@ -155,13 +149,3 @@ def components_as_partition(
 ) -> frozenset[frozenset[Node]]:
     """Canonical form of a component list for equality comparison."""
     return frozenset(frozenset(component) for component in components)
-
-
-def largest_component_size(components: Sequence[Sequence[Node]]) -> int:
-    """Size of the largest connected component; 0 for no components."""
-    return max((len(component) for component in components), default=0)
-
-
-def singleton_count(components: Sequence[Sequence[Node]]) -> int:
-    """Number of size-1 components (unconflicted nodes in the paper)."""
-    return sum(1 for component in components if len(component) == 1)

@@ -43,20 +43,6 @@ class WindowConcurrency:
     window_tdg: TDGResult
     per_block_group_sizes: tuple[tuple[int, ...], ...]
 
-    @property
-    def per_block_lccs(self) -> tuple[int, ...]:
-        """Each block's intra-block critical path (its LCC size)."""
-        return tuple(
-            max(sizes, default=0) for sizes in self.per_block_group_sizes
-        )
-
-    @property
-    def window_group_conflict_rate(self) -> float:
-        """Relative LCC size over the whole window."""
-        if self.num_transactions == 0:
-            return 0.0
-        return self.window_tdg.lcc_size / self.num_transactions
-
     def pipeline_makespan(self, cores: int) -> float:
         """Block-at-a-time execution: blocks are barriers.
 

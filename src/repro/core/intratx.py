@@ -108,10 +108,6 @@ class IntraTxConcurrency:
             return 1.0
         return self.total_work / self.critical_path
 
-    @property
-    def is_sequential(self) -> bool:
-        return self.speedup_potential <= 1.0 + 1e-12
-
 
 def analyze_intra_tx(item: ExecutedTransaction) -> IntraTxConcurrency:
     """Measure one transaction's internal concurrency."""

@@ -78,11 +78,6 @@ class BlockMetrics:
             return 0.0
         return self.lcc_weight / self.total_weight
 
-    @property
-    def is_fully_concurrent(self) -> bool:
-        """True when no two transactions in the block conflict."""
-        return self.num_conflicted == 0
-
 
 def compute_block_metrics(
     tdg: TDGResult,

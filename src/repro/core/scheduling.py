@@ -40,13 +40,6 @@ class Schedule:
     makespan: float
     cores: int
 
-    def core_loads(self, sizes: Sequence[float]) -> list[float]:
-        """Total work assigned to each core."""
-        return [
-            sum(sizes[index] for index in core_jobs)
-            for core_jobs in self.assignments
-        ]
-
 
 def _validate(sizes: Sequence[float], cores: int) -> None:
     if cores < 1:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Iterable, TypeVar
 
 from repro.chain.errors import DatasetError
 from repro.datasets.schema import (
@@ -55,18 +55,6 @@ class DatasetStore:
                     f"got {type(row).__name__}"
                 )
             bucket.append(row)
-
-    def scan(
-        self,
-        table: str,
-        *,
-        where: Callable[[object], bool] | None = None,
-    ) -> list:
-        """Full-table scan with an optional row predicate."""
-        rows = self.tables.get(table, [])
-        if where is None:
-            return list(rows)
-        return [row for row in rows if where(row)]
 
     def group_by_block(self, table: str) -> dict[int, list]:
         """Group a table's rows by ``block_number``, ascending."""

@@ -134,10 +134,6 @@ class SecurityGain:
     baseline_fraction: float
     improved_fraction: float
 
-    @property
-    def absolute_gain(self) -> float:
-        return self.improved_fraction - self.baseline_fraction
-
 
 def security_gain_from_speedup(
     params: VerifierParams, speedup: float

@@ -108,16 +108,6 @@ class DependencyDAG:
             finish[tx_hash] = ready + self.costs[tx_hash]
         return max(finish.values(), default=0.0)
 
-    def downstream_path(self) -> dict[str, float]:
-        """For each task, the cost of the longest path it heads.
-
-        The standard critical-path (HLF) priority: tasks heading long
-        dependency chains should dispatch first, or a late-starting
-        chain dominates the makespan.
-        """
-        costs, successors = self._by_position()
-        return dict(zip(self.order, _downstream(costs, successors)))
-
     def _by_position(self) -> tuple[list[float], list[list[int]]]:
         """Costs and successor lists indexed by block position."""
         position, successors = self.position, self.successors

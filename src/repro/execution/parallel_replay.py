@@ -1,11 +1,11 @@
 """Parallel executor replay — fan per-block engine replay over workers.
 
-:func:`repro.core.parallel.analyze_chain` fans the *analysis* pipeline
-(TDG + metrics) across blocks; this module is the second caller of the
-same :func:`~repro.core.parallel.ordered_chunk_map`, for the
-*execution* replay itself.  A chain's blocks are partitioned into
-contiguous chunks, each chunk replays every requested engine (the eight
-of :data:`ENGINES`) inside a worker, and the per-(block, engine)
+Analysis walks a chain serially (:func:`repro.core.parallel.analyze_chain`);
+the *execution* replay is what fans out, through
+:func:`~repro.core.parallel.ordered_chunk_map`, whose one caller this
+module is.  A chain's blocks are partitioned into contiguous chunks,
+each chunk replays every requested engine (the eight of
+:data:`ENGINES`) inside a worker, and the per-(block, engine)
 :class:`BlockReplay` records are reassembled in height order — together
 with two determinism digests per record, one SHA-256 each:
 
@@ -57,6 +57,8 @@ from repro import obs
 from repro.account.receipts import ExecutedTransaction
 from repro.chain.hashing import hash_fields, hash_parts
 from repro.core.parallel import (
+    DATA_MODELS,
+    DEFAULT_BACKEND,
     ordered_chunk_map,
     validate_backend,
     validate_chunk_size,
@@ -82,9 +84,6 @@ from repro.obs.timeline import EventRow
 from repro.utxo.transaction import UTXOTransaction
 
 DEFAULT_CORES = 4
-DEFAULT_BACKEND = "process"
-
-DATA_MODELS = ("utxo", "account")
 
 
 # -- inputs -------------------------------------------------------------------
@@ -165,20 +164,6 @@ def replay_block_inputs(
         )
         for block, executed in builder.executed_blocks
     ]
-
-
-def coerce_replay_inputs(source) -> list[ReplayBlock]:
-    """Accept a ReplayBlock list or (height, tasks, payload) triples."""
-    out: list[ReplayBlock] = []
-    for item in source:
-        if isinstance(item, ReplayBlock):
-            out.append(item)
-        else:
-            height, tasks, payload = item
-            out.append(ReplayBlock(
-                height=height, tasks=tuple(tasks), payload=tuple(payload),
-            ))
-    return out
 
 
 # -- determinism digests ------------------------------------------------------
@@ -557,8 +542,8 @@ def replay_chain(
     """Replay a chain's blocks through *engines*, maybe in parallel.
 
     Args:
-        source: a :class:`ReplayBlock` list or an iterable of
-            ``(height, tasks, payload)`` triples.
+        source: the blocks' :class:`ReplayBlock` inputs, in any
+            iterable.
         data_model: ``"utxo"`` or ``"account"``; checked, not read —
             every engine runs the blocks' tasks.
         engines: engine names from :data:`ENGINES`, order preserved.
@@ -584,7 +569,7 @@ def replay_chain(
     require(cores)
     backend = validate_backend(backend)
     jobs = validate_jobs(jobs, backend=backend)
-    inputs = coerce_replay_inputs(source)
+    inputs = list(source)
     chunk_size = validate_chunk_size(
         chunk_size, num_blocks=len(inputs), jobs=jobs
     )
@@ -645,7 +630,6 @@ __all__ = [
     "EngineSummary",
     "ReplayBlock",
     "ReplayResult",
-    "coerce_replay_inputs",
     "receipt_parts",
     "receipts_root",
     "replay_block_inputs",

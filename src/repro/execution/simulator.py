@@ -25,13 +25,6 @@ class SimulatedRun:
     finish_times: dict[str, float]
     core_of: dict[str, int]
 
-    def busy_time(self) -> float:
-        """Total core-seconds of useful work."""
-        return sum(
-            self.finish_times[tx] - self.start_times[tx]
-            for tx in self.finish_times
-        )
-
 
 class CoreSimulator:
     """A bank of *cores* identical cores with greedy dispatch."""

@@ -9,8 +9,7 @@ the workload layer (and downstream users) that machinery:
 * replace-by-fee: a transaction with the same replacement key and a
   sufficiently higher fee rate supersedes the old one;
 * greedy fee-density block packing under a weight budget — the
-  classical knapsack heuristic miners actually use;
-* fee estimation (percentile of recent inclusion fee rates).
+  classical knapsack heuristic miners actually use.
 
 The pool is deliberately model-agnostic: it stores
 :class:`PoolEntry` records with opaque payloads, so both UTXO and
@@ -90,7 +89,6 @@ class Mempool(Generic[PayloadT]):
 
     _entries: dict[str, PoolEntry[PayloadT]] = field(default_factory=dict)
     _by_replacement: dict[str, str] = field(default_factory=dict)
-    _recent_rates: list[float] = field(default_factory=list)
     _total_weight: int = 0
 
     def __post_init__(self) -> None:
@@ -203,8 +201,7 @@ class Mempool(Generic[PayloadT]):
 
         Greedy by fee rate (ties broken by insertion order), skipping
         entries that no longer fit — the standard miner heuristic.
-        Selected entries leave the pool and their fee rates feed the
-        estimator.
+        Selected entries leave the pool.
         """
         if weight_budget <= 0:
             raise MempoolError("weight_budget must be positive")
@@ -224,10 +221,6 @@ class Mempool(Generic[PayloadT]):
             remaining -= entry.weight
         for entry in selected:
             self._remove(entry.tx_hash)
-            self._recent_rates.append(entry.fee_rate)
-        # Keep the estimator window bounded.
-        if len(self._recent_rates) > 10_000:
-            self._recent_rates = self._recent_rates[-5_000:]
         self._note_packed(selected)
         return selected
 
@@ -292,7 +285,6 @@ class Mempool(Generic[PayloadT]):
             del pending[best.tx_hash]
         for entry in selected:
             self._remove(entry.tx_hash)
-            self._recent_rates.append(entry.fee_rate)
         self._note_packed(selected)
         return selected
 
@@ -317,25 +309,3 @@ class Mempool(Generic[PayloadT]):
     def tx_hashes(self) -> list[str]:
         """Pending transaction hashes in insertion order."""
         return list(self._entries)
-
-    def estimate_fee_rate(self, percentile: float = 0.5) -> float:
-        """Fee-rate estimate from recently included transactions.
-
-        Falls back to the admission floor with no history.
-        """
-        if not 0.0 <= percentile <= 1.0:
-            raise ValueError("percentile must be in [0, 1]")
-        if not self._recent_rates:
-            return self.min_fee_rate
-        ordered = sorted(self._recent_rates)
-        index = min(
-            len(ordered) - 1, int(round(percentile * (len(ordered) - 1)))
-        )
-        return ordered[index]
-
-    def entries_by_fee_rate(self) -> list[PoolEntry[PayloadT]]:
-        """All entries, most attractive first."""
-        return sorted(
-            self._entries.values(),
-            key=lambda entry: -entry.fee_rate,
-        )

@@ -4,12 +4,10 @@ from repro.network.gossip import (
     GossipNetwork,
     PropagationResult,
     orphan_rate_estimate,
-    propagation_experiment,
 )
 
 __all__ = [
     "GossipNetwork",
     "PropagationResult",
     "orphan_rate_estimate",
-    "propagation_experiment",
 ]

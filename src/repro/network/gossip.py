@@ -10,8 +10,9 @@ validation time R-fold cuts the relay delay at every hop.
 
 The simulator is a classic event-queue design: nodes connected by
 latency-weighted links flood-relay a block after a per-node validation
-delay.  :func:`propagation_experiment` measures how long a block takes
-to reach given coverage percentiles, and :func:`orphan_rate_estimate`
+delay.  :meth:`GossipNetwork.propagate` floods one block,
+:meth:`PropagationResult.coverage_time` reads how long it took to reach
+a given coverage fraction, and :func:`orphan_rate_estimate`
 converts propagation delay and block interval into the probability of
 simultaneous competing blocks (the orphan/uncle rate).
 """
@@ -245,42 +246,6 @@ class GossipNetwork:
         return PropagationResult(
             arrival_times=arrival, validation_delay=validation_delay
         )
-
-
-def propagation_experiment(
-    *,
-    num_nodes: int,
-    degree: int = 8,
-    latency_mean: float = 0.05,
-    validation_delay: float = 0.25,
-    trials: int = 5,
-    seed: int = 0,
-) -> dict[str, float]:
-    """Median 50%/90%/100% coverage times over random origins."""
-    rng = random.Random(seed)
-    network = GossipNetwork.random_topology(
-        num_nodes, degree=degree, latency_mean=latency_mean, rng=rng
-    )
-    ids = [f"n{i}" for i in range(num_nodes)]
-    p50, p90, p100 = [], [], []
-    for _ in range(trials):
-        origin = rng.choice(ids)
-        result = network.propagate(
-            origin, validation_delay=validation_delay
-        )
-        p50.append(result.coverage_time(0.5))
-        p90.append(result.coverage_time(0.9))
-        p100.append(result.coverage_time(1.0))
-
-    def median(values: list[float]) -> float:
-        ordered = sorted(values)
-        return ordered[len(ordered) // 2]
-
-    return {
-        "t50": median(p50),
-        "t90": median(p90),
-        "t100": median(p100),
-    }
 
 
 def orphan_rate_estimate(

@@ -50,9 +50,9 @@ from repro.chain.errors import ValidationError
 from repro.chain.forkchoice import ForkChoice, Reorg
 from repro.chain.hashing import hash_fields, joinable
 from repro.consensus.pow import Miner, PoWSimulator
+from repro.core.parallel import DATA_MODELS
 from repro.execution.engine import ExecutionReport, TxTask
 from repro.execution.parallel_replay import (
-    DATA_MODELS,
     ENGINES,
     BlockReplay,
     ReplayBlock,
@@ -153,7 +153,6 @@ class NodeConfig:
     # past it until the driver stops them.
     stop_height: int = 5
     mempool_weight: int = 2 ** 62
-    min_fee_rate: float = 1.0
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
@@ -225,10 +224,7 @@ class Node:
         self.on_block = on_block
         self.inbox = transport.register(node_id)
         self.rng = random.Random(f"{seed}|{node_id}")
-        self.pool: Mempool[NodeTx] = Mempool(
-            max_weight=config.mempool_weight,
-            min_fee_rate=config.min_fee_rate,
-        )
+        self.pool: Mempool[NodeTx] = Mempool(max_weight=config.mempool_weight)
         self.forkchoice: ForkChoice[NodeTx] = ForkChoice()
         self.forkchoice.receive(genesis)
         self.block_roots: dict[str, str] = {

@@ -309,11 +309,6 @@ class BoundComparison:
     def within_eq2(self) -> bool:
         return self.measured <= self.eq2 + 1e-9
 
-    @property
-    def violates(self) -> bool:
-        """True only when a *strict* executor exceeds the Eq. 2 bound."""
-        return self.strict and not self.within_eq2
-
     def as_dict(self) -> dict[str, object]:
         return {
             "executor": self.executor,

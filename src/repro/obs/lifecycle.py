@@ -50,6 +50,8 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from repro.obs.metrics import percentile_of
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.timeline import TimelineEvent
@@ -371,10 +373,6 @@ class LifecycleTracer:
     def open_count(self) -> int:
         return len(self._open)
 
-    @property
-    def closed_count(self) -> int:
-        return len(self._closed)
-
     def clear(self) -> None:
         with self._lock:
             self._open.clear()
@@ -526,16 +524,6 @@ class StageStats:
         return self.total / self.count if self.count else 0.0
 
 
-def _percentile(ordered: Sequence[float], p: float) -> float:
-    if not ordered:
-        return 0.0
-    rank = p * (len(ordered) - 1)
-    lower = int(rank)
-    upper = min(lower + 1, len(ordered) - 1)
-    fraction = rank - lower
-    return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
-
-
 def stage_breakdown(
     traces: Iterable[StitchedTrace],
 ) -> dict[str, StageStats]:
@@ -560,9 +548,9 @@ def stage_breakdown(
             stage=stage,
             count=len(values),
             total=sum(values),
-            p50=_percentile(values, 0.50),
-            p95=_percentile(values, 0.95),
-            p99=_percentile(values, 0.99),
+            p50=percentile_of(values, 0.50),
+            p95=percentile_of(values, 0.95),
+            p99=percentile_of(values, 0.99),
             max=values[-1],
         )
     return out

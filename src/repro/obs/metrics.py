@@ -17,7 +17,7 @@ Two registry implementations share one interface:
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 LabelItems = tuple[tuple[str, str], ...]
 
@@ -33,6 +33,18 @@ def render_metric_key(name: str, labels: LabelItems) -> str:
         return name
     rendered = ",".join(f"{key}={value}" for key, value in labels)
     return f"{name}{{{rendered}}}"
+
+
+def percentile_of(ordered: Sequence[float], p: float) -> float:
+    """Linearly interpolated percentile of *ordered* (sorted ascending),
+    ``p`` in [0, 1]; 0.0 for no values."""
+    if not ordered:
+        return 0.0
+    rank = p * (len(ordered) - 1)
+    lower = int(rank)
+    upper = min(lower + 1, len(ordered) - 1)
+    fraction = rank - lower
+    return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
 
 
 class Counter:
@@ -121,13 +133,7 @@ class Histogram:
             raise ValueError("percentile must be in [0, 1]")
         with self._lock:
             ordered = sorted(self._values)
-        if not ordered:
-            return 0.0
-        rank = p * (len(ordered) - 1)
-        lower = int(rank)
-        upper = min(lower + 1, len(ordered) - 1)
-        fraction = rank - lower
-        return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
+        return percentile_of(ordered, p)
 
     def summary(self) -> dict[str, float]:
         """Count, sum, extremes, and the standard percentile trio.

@@ -28,7 +28,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from repro.obs.lifecycle import STAGES, _percentile
+from repro.obs.lifecycle import STAGES
+from repro.obs.metrics import percentile_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.obs.metrics import MetricsRegistry
@@ -263,10 +264,6 @@ class StreamingMonitor:
         self._blocks_seen = 0
 
     @property
-    def window_size(self) -> int:
-        return self._samples.maxlen or 0
-
-    @property
     def blocks_seen(self) -> int:
         return self._blocks_seen
 
@@ -318,9 +315,9 @@ class StreamingMonitor:
             values.sort()
             stage_percentiles[stage] = {
                 "count": float(len(values)),
-                "p50": _percentile(values, 0.50),
-                "p95": _percentile(values, 0.95),
-                "p99": _percentile(values, 0.99),
+                "p50": percentile_of(values, 0.50),
+                "p95": percentile_of(values, 0.95),
+                "p99": percentile_of(values, 0.99),
             }
         if samples:
             utilization = sum(
@@ -340,9 +337,9 @@ class StreamingMonitor:
             abort_rate=aborted / attempts if attempts else 0.0,
             mempool_depth=depth,
             mean_lane_utilization=utilization,
-            wall_p50=_percentile(walls, 0.50),
-            wall_p95=_percentile(walls, 0.95),
-            wall_p99=_percentile(walls, 0.99),
+            wall_p50=percentile_of(walls, 0.50),
+            wall_p95=percentile_of(walls, 0.95),
+            wall_p99=percentile_of(walls, 0.99),
             sim_seconds=sum(s.sim_seconds for s in samples),
             stage_percentiles=stage_percentiles,
         )

@@ -1,6 +1,6 @@
 """Zilliqa-style network sharding substrate."""
 
-from repro.sharding.epochs import EpochCosts, EpochTiming, epoch_time, shard_sweep
+from repro.sharding.epochs import EpochCosts, shard_sweep
 from repro.sharding.committee import (
     CommitteeAssignment,
     NodeIdentity,
@@ -10,8 +10,6 @@ from repro.sharding.zilliqa import MicroBlock, ShardedChainBuilder, TxBlock
 
 __all__ = [
     "EpochCosts",
-    "EpochTiming",
-    "epoch_time",
     "shard_sweep",
     "CommitteeAssignment",
     "NodeIdentity",

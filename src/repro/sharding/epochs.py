@@ -10,11 +10,11 @@ therefore three parts:
 3. DS aggregation plus global state synchronisation, proportional to
    the state delta every committee must import from every other.
 
-:func:`epoch_time` composes these; :func:`shard_sweep` shows the
-characteristic plateau: adding shards divides execution but the sync
-term grows with the cross-shard state volume, so throughput saturates —
-which is exactly why reducing execution cost *within* a committee
-(§II-C) remains important in sharded designs.
+:func:`shard_sweep` composes these and shows the characteristic
+plateau: adding shards divides execution but the sync term grows with
+the cross-shard state volume, so throughput saturates — which is
+exactly why reducing execution cost *within* a committee (§II-C)
+remains important in sharded designs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import random
 from dataclasses import dataclass
 
 from repro.consensus.pbft import PBFTCommittee
-from repro.sharding.zilliqa import TxBlock
 
 
 @dataclass(frozen=True)
@@ -51,55 +50,6 @@ class EpochCosts:
             raise ValueError("committee size must be >= 4")
         if self.execution_speedup <= 0:
             raise ValueError("execution_speedup must be positive")
-
-
-@dataclass(frozen=True)
-class EpochTiming:
-    """Breakdown of one epoch's wall time."""
-
-    consensus: float
-    execution: float
-    sync: float
-
-    @property
-    def total(self) -> float:
-        return self.consensus + self.execution + self.sync
-
-    def execution_share(self) -> float:
-        if self.total == 0:
-            return 0.0
-        return self.execution / self.total
-
-
-def epoch_time(
-    block: TxBlock,
-    costs: EpochCosts,
-    *,
-    rng: random.Random | None = None,
-) -> EpochTiming:
-    """Wall time for one TxBlock under the cost model.
-
-    Consensus and execution are bounded by the *slowest shard* (they
-    run in parallel across committees); synchronisation moves every
-    shard's transaction effects to every other committee, so it scales
-    with the total transaction count (times shards-aware fan-out folded
-    into ``sync_time_per_tx``).
-    """
-    rng = rng or random.Random(0)
-    committee = PBFTCommittee(
-        size=costs.shard_committee_size, rng=rng
-    )
-    consensus = committee.run_round().latency
-    slowest_shard = max(
-        (len(microblock) for microblock in block.microblocks), default=0
-    )
-    execution = (
-        slowest_shard
-        * costs.execution_time_per_tx
-        / costs.execution_speedup
-    )
-    sync = len(block) * costs.sync_time_per_tx
-    return EpochTiming(consensus=consensus, execution=execution, sync=sync)
 
 
 def shard_sweep(

@@ -95,15 +95,3 @@ class ShardedChainBuilder:
         block = TxBlock(epoch=self._epoch, microblocks=microblocks)
         self._epoch += 1
         return block
-
-    def shard_load_balance(self, block: TxBlock) -> float:
-        """Max/mean shard load — 1.0 is perfectly balanced.
-
-        Returns 0.0 for an empty block.
-        """
-        sizes = [len(microblock) for microblock in block.microblocks]
-        total = sum(sizes)
-        if total == 0:
-            return 0.0
-        mean = total / len(sizes)
-        return max(sizes) / mean

@@ -99,12 +99,6 @@ class ProgramSummary:
         return any(site.targets is None for site in self.calls)
 
     @property
-    def has_unknown_transfer_target(self) -> bool:
-        return any(
-            site.targets is None and not site.is_call for site in self.calls
-        )
-
-    @property
     def top_widened(self) -> bool:
         """Did any access set widen to ⊤?"""
         return (
@@ -117,10 +111,6 @@ class ProgramSummary:
     @property
     def errors(self) -> tuple[Diagnostic, ...]:
         return tuple(d for d in self.diagnostics if d.is_error)
-
-    @property
-    def warnings(self) -> tuple[Diagnostic, ...]:
-        return tuple(d for d in self.diagnostics if not d.is_error)
 
 
 @dataclass

@@ -75,9 +75,5 @@ class MaySet:
         """May this set contain *item*?  (⊤ covers everything.)"""
         return self.top or item in self.items
 
-    def is_superset_of(self, concrete: frozenset[str]) -> bool:
-        return self.top or concrete <= self.items
-
     def __bool__(self) -> bool:
         return self.top or bool(self.items)
-

@@ -5,7 +5,6 @@ from repro.utxo.script import (
     ScriptResult,
     can_spend,
     evaluate,
-    multisig_script,
     p2pkh_script,
 )
 from repro.utxo.transaction import (
@@ -30,7 +29,6 @@ __all__ = [
     "ScriptResult",
     "can_spend",
     "evaluate",
-    "multisig_script",
     "p2pkh_script",
     "TxOutputSpec",
     "UTXOTransaction",

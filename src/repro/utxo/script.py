@@ -44,14 +44,6 @@ def p2pkh_script(owner: str) -> str:
     return f"CHECKSIG:{owner} VERIFY PUSH:1"
 
 
-def multisig_script(threshold: int, owners: list[str]) -> str:
-    """A simplified k-of-n locking script."""
-    if threshold < 1 or threshold > len(owners):
-        raise ScriptError("threshold out of range")
-    joined = ",".join(owners)
-    return f"THRESHOLD:{threshold}:{joined} VERIFY PUSH:1"
-
-
 def evaluate(script: str, spender: str) -> ScriptResult:
     """Execute *script* on behalf of *spender*.
 

@@ -10,7 +10,7 @@ from repro.vm.contract import (
     proxy_asm,
 )
 from repro.vm.opcodes import Instruction, Op, gas_cost
-from repro.vm.tracer import TraceRow, internal_rows, trace_rows_for_block
+from repro.vm.tracer import TraceRow, trace_rows_for_block
 from repro.vm.vm import MAX_CALL_DEPTH, VM, ExecutionContext
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "Op",
     "gas_cost",
     "TraceRow",
-    "internal_rows",
     "trace_rows_for_block",
     "MAX_CALL_DEPTH",
     "VM",

@@ -102,17 +102,3 @@ def trace_rows_for_block(
                 )
             )
     return rows
-
-
-def internal_rows(rows: list[TraceRow]) -> list[TraceRow]:
-    """Filter to rows the paper counts as internal transactions.
-
-    Per §II-A these are trace-generating interactions that are not
-    regular or coinbase transactions: every row with a non-empty
-    trace_address (depth >= 1), excluding rewards.
-    """
-    return [
-        row
-        for row in rows
-        if row.trace_type != "reward" and row.trace_address != ""
-    ]

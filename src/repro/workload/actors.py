@@ -172,16 +172,8 @@ class ActorPopulation:
             raise ValueError(f"chain {self.chain} has no exchanges")
         return rng.choice(self.exchanges)
 
-    def sample_pool(self, rng: random.Random) -> Actor:
-        if not self.pools:
-            raise ValueError(f"chain {self.chain} has no pools")
-        return rng.choice(self.pools)
-
     def sample_contract(self, rng: random.Random) -> Actor:
         if not self.contracts:
             raise ValueError(f"chain {self.chain} has no contracts")
         assert self._contract_sampler is not None
         return self.contracts[self._contract_sampler.sample(rng)]
-
-    def all_actors(self) -> list[Actor]:
-        return [*self.users, *self.exchanges, *self.pools, *self.contracts]

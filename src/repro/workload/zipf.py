@@ -59,12 +59,6 @@ class ZipfSampler:
         """Draw one rank."""
         return bisect.bisect_left(self._cdf, rng.random())
 
-    def sample_many(self, rng: random.Random, count: int) -> list[int]:
-        """Draw *count* i.i.d. ranks."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return [self.sample(rng) for _ in range(count)]
-
     def probability_of(self, rank: int) -> float:
         """Probability mass of *rank*."""
         if not 0 <= rank < self.population:

@@ -4,12 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.account.gas import (
-    DEFAULT_GAS_SCHEDULE,
-    GasSchedule,
-    block_gas_limit_for_year,
-)
-from repro.account.receipts import ExecutedTransaction, Receipt, total_gas
+from repro.account.gas import DEFAULT_GAS_SCHEDULE, GasSchedule
+from repro.account.receipts import ExecutedTransaction, Receipt
 from repro.account.transaction import (
     NULL_ADDRESS,
     AccountTransaction,
@@ -54,11 +50,6 @@ class TestGasSchedule:
             schedule.intrinsic_gas(is_create=False, data_length=10)
             == 21_000 + 680
         )
-
-    def test_block_gas_limit_interpolation(self):
-        assert block_gas_limit_for_year(2015) == 4_000_000
-        assert block_gas_limit_for_year(2017) == 6_700_000
-        assert block_gas_limit_for_year(2025) == 10_000_000
 
 
 class TestInternalTransaction:
@@ -120,21 +111,6 @@ class TestReceipts:
         )
         item = ExecutedTransaction(tx=tx, receipt=receipt)
         assert item.edges() == [("0xa", "0xnew")]
-
-    def test_touched_addresses(self):
-        internals = [
-            InternalTransaction(sender="0xb", receiver="0xc", depth=1)
-        ]
-        item = _executed(internals=internals)
-        assert item.receipt.touched_addresses(item.tx) == {
-            "0xa",
-            "0xb",
-            "0xc",
-        }
-
-    def test_total_gas(self):
-        items = [_executed(), _executed(sender="0xz")]
-        assert total_gas(items) == 42_000
 
 
 class TestTransactionValidation:

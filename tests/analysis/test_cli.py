@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -10,7 +11,15 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import build_parser, main
+from repro.cli import (
+    _core_counts,
+    build_parser,
+    main,
+    non_negative_float,
+    non_negative_int,
+    positive_float,
+    positive_int,
+)
 
 
 class TestParser:
@@ -30,6 +39,67 @@ class TestParser:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "invalid choice" in err and "profile" in err
+
+
+# One value each shared numeric type refuses.
+_REFUSED = {
+    positive_int: "0",
+    non_negative_int: "-1",
+    positive_float: "0",
+    non_negative_float: "-1",
+    _core_counts: "4,0",
+}
+# What a subcommand needs besides the flag under test.
+_REQUIRED = {
+    "compare": ["--left", "bitcoin", "--right", "dogecoin"],
+    "export": ["--chain", "bitcoin", "--out", "unused"],
+    "node": ["run", "--chain", "ethereum"],
+    "regress": [],
+    "report": ["--out", "unused"],
+}
+
+
+def _subcommands():
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return commands.choices.items()
+
+
+def _numeric_flags():
+    """(subcommand, flag, refused value) for every flag with a shared type."""
+    return [
+        (command, action.option_strings[0], _REFUSED[action.type])
+        for command, sub in _subcommands()
+        for action in sub._actions
+        if action.type in _REFUSED
+    ]
+
+
+class TestNumericFlags:
+    """Every numeric flag is checked once, when the arguments are
+    parsed: a bad value exits 2 naming the flag, before a command runs."""
+
+    @pytest.mark.parametrize("command, flag, value", _numeric_flags())
+    def test_bad_value_exits_2_naming_the_flag(
+        self, capsys, command, flag, value
+    ):
+        required = _REQUIRED.get(command, ["--chain", "bitcoin"])
+        assert main([command, *required, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: must be" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_only_seeds_take_any_number(self):
+        bare = [
+            (command, action.option_strings[0])
+            for command, sub in _subcommands()
+            for action in sub._actions
+            if action.type in (int, float) and action.dest != "seed"
+        ]
+        assert bare == []
 
 
 class TestBrokenPipe:
@@ -59,7 +129,9 @@ class TestParallelFlags:
             "--jobs", "0",
         ])
         assert code == 2
-        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert "argument --jobs: must be an integer >= 1" in (
+            capsys.readouterr().err
+        )
 
     def test_negative_jobs_rejected_on_compare(self, capsys):
         code = main([
@@ -67,7 +139,9 @@ class TestParallelFlags:
             "--blocks", "4", "--jobs", "-1",
         ])
         assert code == 2
-        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert "argument --jobs: must be an integer >= 1" in (
+            capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize("command", [
         ["compare", "--left", "bitcoin", "--right", "bitcoin_cash",
@@ -82,9 +156,12 @@ class TestParallelFlags:
         assert captured.out == ""
 
     def test_unknown_backend_rejected_by_argparse(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["replay", "--chain", "dogecoin", "--backend", "warp"])
-        assert excinfo.value.code == 2
+        assert main(
+            ["replay", "--chain", "dogecoin", "--backend", "warp"]
+        ) == 2
+        assert "argument --backend: invalid choice" in (
+            capsys.readouterr().err
+        )
 
     def test_chunk_size_zero_exits_2(self, capsys):
         code = main([
@@ -92,7 +169,9 @@ class TestParallelFlags:
             "--backend", "process", "--chunk-size", "0",
         ])
         assert code == 2
-        assert "chunk size must be >= 1" in capsys.readouterr().err
+        assert "argument --chunk-size: must be an integer >= 1" in (
+            capsys.readouterr().err
+        )
 
 
 class TestCommands:

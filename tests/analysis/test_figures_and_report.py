@@ -17,7 +17,6 @@ from repro.analysis.figures import (
 from repro.analysis.report import (
     format_rate,
     format_speedup,
-    render_series,
     render_series_table,
     render_table,
     render_table1,
@@ -142,14 +141,6 @@ class TestReportRendering:
         for profile in ALL_PROFILES:
             assert profile.display_name in text
         assert "PoW+Sharding" in text
-
-    def test_render_series(self, ethereum_history):
-        data = conflict_series(ethereum_history, metric="single")
-        text = render_series(data.series["tx_weighted"], label="eth")
-        assert text.startswith("eth")
-        assert len(text.splitlines()) == len(
-            data.series["tx_weighted"].values
-        ) + 1
 
     def test_render_series_table(self, ethereum_history):
         data = conflict_series(ethereum_history, metric="single")

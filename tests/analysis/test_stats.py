@@ -37,10 +37,8 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError):
             ConfidenceInterval(point=1.0, low=0.0, high=2.0, confidence=1.5)
 
-    def test_contains_and_width(self):
+    def test_width(self):
         ci = ConfidenceInterval(point=0.5, low=0.4, high=0.7, confidence=0.95)
-        assert ci.contains(0.5)
-        assert not ci.contains(0.39)
         assert ci.width == pytest.approx(0.3)
 
 

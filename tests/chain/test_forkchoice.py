@@ -90,7 +90,7 @@ class TestForkChoice:
         fc = ForkChoice()
         genesis = _block(0, GENESIS_PARENT)
         reorg = fc.receive(genesis)
-        assert reorg is not None and reorg.is_extension
+        assert reorg is not None and reorg.depth == 0
         return fc, genesis
 
     def test_extension_reports_no_rollback(self):
@@ -98,7 +98,7 @@ class TestForkChoice:
         child = _block(1, genesis.block_hash)
         reorg = fc.receive(child)
         assert reorg is not None
-        assert reorg.is_extension
+        assert reorg.rolled_back == ()
         assert [b.height for b in reorg.applied] == [1]
         assert fc.head == child.block_hash
 

@@ -71,21 +71,15 @@ class TestAppend:
 
 
 class TestLookupsAndVerification:
-    def test_block_at_and_by_hash(self):
+    def test_block_at(self):
         ledger = _chain(5)
         block = ledger.block_at(3)
         assert block.height == 3
-        assert ledger.block_by_hash(block.block_hash) is block
 
     def test_block_at_out_of_range(self):
         ledger = _chain(2)
         with pytest.raises(IndexError):
             ledger.block_at(2)
-
-    def test_unknown_hash(self):
-        ledger = _chain(1)
-        with pytest.raises(KeyError):
-            ledger.block_by_hash("nope")
 
     def test_verify_links_on_intact_chain(self):
         assert _chain(10).verify_links()

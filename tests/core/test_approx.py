@@ -69,7 +69,6 @@ class TestAssessApproximation:
         assert quality.pair_recall == 0.0   # 0 of 1 conflicting pairs kept
         assert quality.true_lcc == 2
         assert quality.approx_lcc == 1
-        assert quality.predicted_speedup_ratio == pytest.approx(2.0)
 
     def test_partial_recall(self):
         """A 3-tx group where the approximation keeps 2 together."""

@@ -63,12 +63,14 @@ class TestUTXOWindows:
         assert window.num_transactions == 4
         # a-b-c chain spans the block boundary.
         assert window.window_tdg.lcc_size == 3
-        assert window.per_block_lccs == (2, 1)
+        # Each block alone: the a-b chain, then c and d apart.
+        assert window.per_block_group_sizes == ((2,), (1, 1))
 
     def test_single_block_window_equals_block_tdg(self):
         block1, _ = _utxo_chain_blocks()
         window = utxo_window_concurrency([block1])
-        assert window.window_tdg.lcc_size == max(window.per_block_lccs)
+        (sizes,) = window.per_block_group_sizes
+        assert sorted(sizes, reverse=True) == window.window_tdg.group_sizes()
 
     def test_interblock_speedup_gains_from_imbalance(self):
         """Interleaving absorbs per-block LCC tails across boundaries."""
@@ -117,12 +119,6 @@ class TestAccountWindows:
         block2 = [_executed("0xc", "0xhub2"), _executed("0xd", "0xhub2")]
         window = account_window_concurrency([block1, block2])
         assert window.interblock_speedup(cores=8) == pytest.approx(2.0)
-
-    def test_window_group_conflict_rate(self):
-        block1 = [_executed("0xa", "0xhub")]
-        block2 = [_executed("0xb", "0xother")]
-        window = account_window_concurrency([block1, block2])
-        assert window.window_group_conflict_rate == pytest.approx(0.5)
 
 
 class TestSlidingWindows:

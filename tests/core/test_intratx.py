@@ -84,7 +84,6 @@ class TestCriticalPath:
             for i in range(len(chain) - 1)
         ]
         result = analyze_intra_tx(_executed(internals))
-        assert result.is_sequential
         assert result.critical_path == result.total_work
 
     def test_mixed_tree(self):

@@ -26,7 +26,7 @@ class TestUnweightedMetrics:
         metrics = compute_block_metrics(_tdg(("a",), ("b",)))
         assert metrics.single_conflict_rate == 0.0
         assert metrics.group_conflict_rate == 0.5  # 1/x floor
-        assert metrics.is_fully_concurrent
+        assert metrics.num_conflicted == 0
 
     def test_fully_sequential_block(self):
         """The Bitcoin block 358624 case: nearly everything dependent."""

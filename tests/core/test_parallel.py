@@ -42,7 +42,7 @@ from repro.core.parallel import (
     validate_jobs,
 )
 from repro.execution.engine import tasks_from_utxo_block
-from repro.execution.parallel_replay import coerce_replay_inputs, replay_chain
+from repro.execution.parallel_replay import ReplayBlock, replay_chain
 
 
 # The fan-out's caller, by its metric family.
@@ -52,14 +52,14 @@ FAMILY_METRICS = {"replay": "exec.replay"}
 @pytest.fixture(scope="module")
 def family_inputs(small_bitcoin_ledger):
     return {
-        "replay": coerce_replay_inputs(
-            (
-                block.height,
-                tasks_from_utxo_block(block.transactions),
-                block.transactions,
+        "replay": [
+            ReplayBlock(
+                height=block.height,
+                tasks=tuple(tasks_from_utxo_block(block.transactions)),
+                payload=tuple(block.transactions),
             )
             for block in small_bitcoin_ledger
-        ),
+        ],
     }
 
 

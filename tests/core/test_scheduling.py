@@ -49,7 +49,9 @@ class TestSchedulers:
     def test_lpt_preserves_job_identity(self):
         sizes = [2, 9, 4]
         schedule = lpt_schedule(sizes, 2)
-        loads = schedule.core_loads(sizes)
+        loads = [
+            sum(sizes[job] for job in jobs) for jobs in schedule.assignments
+        ]
         assert sum(loads) == pytest.approx(sum(sizes))
         assert max(loads) == schedule.makespan
 

@@ -63,14 +63,11 @@ class TestSchemaRoundTrip:
 
 
 class TestDatasetStore:
-    def test_insert_and_scan(self):
+    def test_insert_and_count(self):
         store = DatasetStore(chain="test")
         store.insert("utxo_inputs", [_input_row(), _input_row(block=2)])
         assert store.count("utxo_inputs") == 2
-        filtered = store.scan(
-            "utxo_inputs", where=lambda row: row.block_number == 2
-        )
-        assert len(filtered) == 1
+        assert store.tables["utxo_inputs"][1].block_number == 2
 
     def test_schema_enforced(self):
         store = DatasetStore(chain="test")
@@ -111,7 +108,7 @@ class TestDatasetStore:
         loaded = DatasetStore.import_csv("test", tmp_path)
         assert loaded.count("utxo_inputs") == 1
         assert loaded.count("blocks") == 1
-        assert loaded.scan("blocks")[0].timestamp == pytest.approx(1.25)
+        assert loaded.tables["blocks"][0].timestamp == pytest.approx(1.25)
 
     def test_import_ignores_missing_tables(self, tmp_path):
         loaded = DatasetStore.import_csv("test", tmp_path)

@@ -25,7 +25,6 @@ from repro.execution.engine import ExecutionReport, TxTask
 from repro.execution.parallel_replay import (
     ENGINES,
     ReplayBlock,
-    coerce_replay_inputs,
     receipts_root,
     replay_block_inputs,
     replay_chain,
@@ -144,16 +143,6 @@ class TestValidation:
     def test_bad_block_count(self):
         with pytest.raises(ValueError, match="blocks"):
             replay_profile("bitcoin", blocks=0, seed=0)
-
-    def test_coerce_accepts_triples(self, tiny_inputs):
-        """Bare triples coerce to blocks with no predictions attached."""
-        triples = [(b.height, b.tasks, b.payload) for b in tiny_inputs]
-        stripped = [
-            ReplayBlock(height=b.height, tasks=b.tasks, payload=b.payload)
-            for b in tiny_inputs
-        ]
-        assert coerce_replay_inputs(triples) == stripped
-        assert all(b.predictions == () for b in coerce_replay_inputs(triples))
 
     def test_inputs_carry_predictions(self, tiny_inputs):
         """UTXO predictions are exact: writes mirror the task writes."""

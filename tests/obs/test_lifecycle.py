@@ -136,7 +136,6 @@ class TestLifecycleTracer:
         tracer.begin("tx1")
         tracer.record("tx1", COMMITTED)
         assert tracer.open_count == 0
-        assert tracer.closed_count == 1
         assert tracer.trace("tx1").outcome == "committed"
 
     def test_close_requires_terminal_stage(self):

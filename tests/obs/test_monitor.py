@@ -45,7 +45,6 @@ class TestRingBuffer:
         assert aggregate.window == 2
         assert aggregate.blocks_seen == 3
         assert aggregate.txs == 30  # block 1 evicted
-        assert monitor.window_size == 2
 
     def test_lane_utilization_may_be_priced_on_read(self):
         """A callable is run on the first read only, and the sample then

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from repro import obs
 from repro.execution.engine import ExecutionReport, TxTask
-from repro.execution.parallel_replay import replay_chain
+from repro.execution.parallel_replay import ReplayBlock, replay_chain
 from repro.execution.schedule import Segment, Wave, timeline_rows
 from repro.execution.simulator import CoreSimulator
 from repro.obs.timeline import EVENT_KINDS, QUEUE_LANE, as_events
@@ -67,7 +67,8 @@ class TestRecorderCore:
         """An uninstrumented replay writes no row anywhere."""
         tasks = _tasks(3)
         replay_chain(
-            [(1, tasks, ())], data_model="utxo", backend="serial"
+            [ReplayBlock(height=1, tasks=tuple(tasks), payload=())],
+            data_model="utxo", backend="serial",
         )
         assert obs.event_rows() == []
 

@@ -2,28 +2,9 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from repro.account.transaction import make_account_transaction
-from repro.chain.hashing import address_from_seed
-from repro.sharding.epochs import EpochCosts, epoch_time, shard_sweep
-from repro.sharding.zilliqa import ShardedChainBuilder
-
-
-def _block(num_txs, num_shards=4):
-    builder = ShardedChainBuilder(num_shards=num_shards)
-    txs = [
-        make_account_transaction(
-            sender=address_from_seed(f"s{i}"),
-            receiver=address_from_seed(f"r{i}"),
-            value=1,
-            nonce=0,
-        )
-        for i in range(num_txs)
-    ]
-    return builder.build_tx_block(txs)
+from repro.sharding.epochs import EpochCosts, shard_sweep
 
 
 class TestEpochCosts:
@@ -34,40 +15,6 @@ class TestEpochCosts:
             EpochCosts(shard_committee_size=2)
         with pytest.raises(ValueError):
             EpochCosts(execution_speedup=0)
-
-
-class TestEpochTime:
-    def test_components_positive(self):
-        timing = epoch_time(
-            _block(100), EpochCosts(), rng=random.Random(1)
-        )
-        assert timing.consensus > 0
-        assert timing.execution > 0
-        assert timing.sync > 0
-        assert timing.total == pytest.approx(
-            timing.consensus + timing.execution + timing.sync
-        )
-
-    def test_execution_speedup_shrinks_execution_only(self):
-        slow = epoch_time(
-            _block(200), EpochCosts(execution_speedup=1.0),
-            rng=random.Random(2),
-        )
-        fast = epoch_time(
-            _block(200), EpochCosts(execution_speedup=6.0),
-            rng=random.Random(2),
-        )
-        assert fast.execution == pytest.approx(slow.execution / 6.0)
-        assert fast.sync == pytest.approx(slow.sync)
-
-    def test_empty_block(self):
-        timing = epoch_time(_block(0), EpochCosts(), rng=random.Random(3))
-        assert timing.execution == 0.0
-        assert timing.sync == 0.0
-
-    def test_execution_share(self):
-        timing = epoch_time(_block(500), EpochCosts(), rng=random.Random(4))
-        assert 0.0 < timing.execution_share() < 1.0
 
 
 class TestShardSweep:

@@ -158,15 +158,6 @@ class TestShardedChainBuilder:
         assert len(block) == 12
         assert builder.rejected == []
 
-    def test_load_balance_metric(self):
-        builder = ShardedChainBuilder(num_shards=4)
-        txs = [self._tx(f"s{i}", f"r{i}") for i in range(100)]
-        block = builder.build_tx_block(txs)
-        balance = builder.shard_load_balance(block)
-        assert balance >= 1.0
-        empty = builder.build_tx_block([])
-        assert builder.shard_load_balance(empty) == 0.0
-
     def test_epochs_increment(self):
         builder = ShardedChainBuilder(num_shards=2)
         first = builder.build_tx_block([])

@@ -88,7 +88,7 @@ def test_non_constant_call_target_widens():
     summary = analyze_program(
         assemble("sload payee\ntransfer $ 3\nstop")
     )
-    assert summary.has_unknown_transfer_target
+    assert summary.has_unknown_call_target
     assert summary.top_widened
     assert TOP_WIDENED in codes(summary)
 

@@ -8,7 +8,6 @@ from repro.utxo.script import (
     ScriptError,
     can_spend,
     evaluate,
-    multisig_script,
     p2pkh_script,
 )
 
@@ -23,16 +22,14 @@ class TestP2PKH:
 
 class TestMultisig:
     def test_member_can_spend(self):
-        script = multisig_script(1, ["a", "b", "c"])
-        assert can_spend(script, "b")
+        assert can_spend("THRESHOLD:1:a,b,c VERIFY PUSH:1", "b")
 
     def test_non_member_cannot(self):
-        script = multisig_script(1, ["a", "b"])
-        assert not can_spend(script, "z")
+        assert not can_spend("THRESHOLD:1:a,b VERIFY PUSH:1", "z")
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ScriptError):
-            multisig_script(3, ["a", "b"])
+            evaluate("THRESHOLD:3:a,b VERIFY PUSH:1", "a")
 
 
 class TestEvaluate:

@@ -8,7 +8,7 @@ from repro.account.transaction import (
     make_account_transaction,
     make_coinbase_transaction,
 )
-from repro.vm.tracer import internal_rows, trace_rows_for_block
+from repro.vm.tracer import trace_rows_for_block
 
 
 def _executed_with_internals():
@@ -43,9 +43,8 @@ class TestTraceRows:
     def test_internal_rows_have_dotted_paths(self):
         item = _executed_with_internals()
         rows = trace_rows_for_block(7, [item])
-        internals = internal_rows(rows)
+        internals = [row for row in rows if row.trace_address]
         assert len(internals) == 3
-        assert all(row.trace_address != "" for row in internals)
         assert internals[0].depth == 2
 
     def test_coinbase_becomes_reward_row(self):
@@ -56,7 +55,7 @@ class TestTraceRows:
         )
         rows = trace_rows_for_block(1, [item])
         assert rows[0].trace_type == "reward"
-        assert internal_rows(rows) == []
+        assert rows[0].trace_address == ""
 
     def test_failed_tx_status_zero(self):
         tx = make_account_transaction(
@@ -70,7 +69,9 @@ class TestTraceRows:
         assert rows[0].status == 0
 
     def test_internal_count_matches_paper_definition(self):
-        """internal_rows == trace-generating non-regular non-coinbase."""
+        """Rows with a trace address (§II-A's internal transactions:
+        trace-generating, neither regular nor coinbase) are the
+        receipt's traces."""
         item = _executed_with_internals()
         cb = make_coinbase_transaction(miner="0xm", reward=5, height=0)
         cb_item = ExecutedTransaction(
@@ -78,4 +79,8 @@ class TestTraceRows:
             receipt=Receipt(tx_hash=cb.tx_hash, success=True, gas_used=0),
         )
         rows = trace_rows_for_block(0, [cb_item, item])
-        assert len(internal_rows(rows)) == item.receipt.trace_count
+        internals = [
+            row for row in rows
+            if row.trace_type != "reward" and row.trace_address
+        ]
+        assert len(internals) == item.receipt.trace_count

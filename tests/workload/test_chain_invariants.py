@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.account.receipts import total_gas
 from repro.core.metrics import compute_block_metrics
 from repro.core.tdg import account_tdg, utxo_tdg
 from repro.utxo.utxo_set import UTXOSet
@@ -109,11 +108,6 @@ class TestAccountChainInvariants:
                     item.tx.receiver in contracts
                     or item.tx.receiver == burst
                 )
-
-    def test_per_block_gas_totals(self, small_ethereum_builder):
-        for _block, executed in small_ethereum_builder.executed_blocks:
-            regular = [i for i in executed if not i.is_coinbase]
-            assert total_gas(regular) == sum(i.gas_used for i in regular)
 
     def test_tdg_groups_partition_block(self, small_ethereum_builder):
         for _block, executed in small_ethereum_builder.executed_blocks[-10:]:

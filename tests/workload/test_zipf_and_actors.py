@@ -57,13 +57,13 @@ class TestZipfSampler:
     def test_samples_within_range(self):
         sampler = ZipfSampler.create(50, 1.2)
         rng = random.Random(1)
-        ranks = sampler.sample_many(rng, 1000)
+        ranks = [sampler.sample(rng) for _ in range(1000)]
         assert all(0 <= rank < 50 for rank in ranks)
 
     def test_empirical_skew(self):
         sampler = ZipfSampler.create(1000, 1.5)
         rng = random.Random(2)
-        counts = Counter(sampler.sample_many(rng, 5000))
+        counts = Counter(sampler.sample(rng) for _ in range(5000))
         assert counts[0] > counts.get(500, 0)
 
     def test_validation(self):
@@ -90,9 +90,9 @@ class TestZipfSampler:
         """10 k seeded draws land where ``bisect`` over the reference
         tuple puts the same random numbers."""
         reference = _reference_cdf(population, exponent)
-        draws = ZipfSampler.create(population, exponent).sample_many(
-            random.Random(population), 10_000
-        )
+        sampler = ZipfSampler.create(population, exponent)
+        draws_rng = random.Random(population)
+        draws = [sampler.sample(draws_rng) for _ in range(10_000)]
         rng = random.Random(population)
         assert draws == [
             bisect.bisect_left(reference, rng.random()) for _ in range(10_000)
@@ -178,11 +178,15 @@ class TestActorPopulation:
         assert len(population.exchanges) == 3
         assert len(population.pools) == 2
         assert len(population.contracts) == 4
-        assert len(population.all_actors()) == 109
 
     def test_addresses_unique(self):
         population = self._population()
-        addresses = [actor.address for actor in population.all_actors()]
+        actors = [
+            *population.users, *population.exchanges,
+            *population.pools, *population.contracts,
+        ]
+        addresses = [actor.address for actor in actors]
+        assert len(addresses) == 109
         assert len(addresses) == len(set(addresses))
 
     def test_addresses_deterministic_per_chain(self):
@@ -199,7 +203,6 @@ class TestActorPopulation:
         rng = random.Random(5)
         assert population.sample_user(rng).kind is ActorKind.USER
         assert population.sample_exchange(rng).kind is ActorKind.EXCHANGE
-        assert population.sample_pool(rng).kind is ActorKind.MINING_POOL
         assert population.sample_contract(rng).kind is ActorKind.CONTRACT
 
     def test_user_sampling_is_zipf_skewed(self):
