@@ -67,10 +67,6 @@ class MerkleTree:
         """The Merkle root committing to all leaves in order."""
         return self._levels[-1][0]
 
-    @property
-    def leaves(self) -> tuple[str, ...]:
-        return tuple(self._leaves)
-
     def __len__(self) -> int:
         return len(self._leaves)
 

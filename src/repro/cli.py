@@ -13,12 +13,10 @@ Usage (also installed as the ``repro`` console script)::
         --prometheus-out replay.prom
 
 Every command is deterministic under ``--seed`` — including the replay
-fan-out (``--backend`` / ``--jobs`` on ``replay`` and on ``speedup`` /
-``compare --measured``), whose output is identical to a serial replay.
-Analysis always walks the chain serially.  Unknown ``--chain`` names,
-numeric flags out of range (checked when the arguments are parsed) and
-fan-out flags on ``speedup`` / ``compare`` without ``--measured`` exit
-with status 2 and a one-line message.
+fan-out (``replay --backend`` / ``--jobs``), whose output is identical
+to a serial replay.  Analysis always walks the chain serially.  Unknown
+``--chain`` names and numeric flags out of range (checked when the
+arguments are parsed) exit with status 2 and a one-line message.
 """
 
 from __future__ import annotations
@@ -124,48 +122,6 @@ def _add_generation_args(
                         help="number of time buckets in printed series")
 
 
-def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
-    from repro.core.parallel import BACKENDS
-
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default=None,
-        help="backend of the executor-replay fan-out (default: serial); "
-             "analysis always runs serially (the process backend "
-             "replays identically; see docs/parallel_pipeline.md)",
-    )
-    parser.add_argument(
-        "--jobs", type=positive_int, default=None, metavar="N",
-        help="replay worker count for the process backend "
-             "(default: usable CPU count)",
-    )
-    parser.add_argument(
-        "--chunk-size", type=positive_int, default=None, metavar="BLOCKS",
-        help="blocks per replay work unit (default: balanced)",
-    )
-
-
-def _parallel_kwargs(
-    args: argparse.Namespace, *, measured: bool = True
-) -> dict:
-    """--backend/--jobs/--chunk-size as replay kwargs.
-
-    A command whose replay is optional (``speedup``, ``compare``)
-    passes *measured* ``False`` when it will not replay; any of the
-    three flags given then is an error (exit 2), not silently ignored.
-    """
-    given = (args.backend, args.jobs, args.chunk_size)
-    if not measured and given != (None, None, None):
-        raise CLIError(
-            "--backend / --jobs / --chunk-size select the replay fan-out; "
-            "add --measured to replay"
-        )
-    return {
-        "backend": args.backend or "serial",
-        "jobs": args.jobs,
-        "chunk_size": args.chunk_size,
-    }
-
-
 def _generate(args: argparse.Namespace):
     profile = _resolve_profile(args.chain)
     return generate_chain(
@@ -207,10 +163,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_speedup(args: argparse.Namespace) -> int:
-    cores = args.cores
-    parallel = _parallel_kwargs(args, measured=args.measured)
     chain = _generate(args)
-    panels = figure10(chain.history, cores=cores, num_buckets=args.buckets)
+    panels = figure10(
+        chain.history, cores=args.cores, num_buckets=args.buckets
+    )
     print(render_series_table(
         panels["speculative"].series,
         title=f"{args.chain}: speculative speed-ups (Eq. 1)",
@@ -222,48 +178,10 @@ def cmd_speedup(args: argparse.Namespace) -> int:
         title=f"{args.chain}: group-concurrency speed-ups (Eq. 2)",
         value_format="{:10.3f}",
     ))
-    if args.measured:
-        from repro.execution.parallel_replay import ENGINES, replay_profile
-
-        profile = _resolve_profile(args.chain)
-        per_core = {}
-        for n in cores:
-            result = replay_profile(
-                profile, blocks=args.blocks, seed=args.seed,
-                scale=args.scale, engines=ENGINES, cores=n, **parallel,
-            )
-            per_core[n] = {s.engine: s for s in result.summaries()}
-        print()
-        print(render_table(
-            ["engine", *(f"{n} cores" for n in cores)],
-            [
-                (engine,
-                 *(f"{per_core[n][engine].speedup:7.3f}" for n in cores))
-                for engine in ENGINES
-            ],
-            title=(
-                f"{args.chain}: measured replay speed-ups "
-                f"({parallel['backend']} backend)"
-            ),
-        ))
-        roots = {
-            per_core[n][engine].state_root
-            for n in cores for engine in ENGINES
-        }
-        if len(roots) == 1:
-            print("state roots identical across all engines and core "
-                  "counts")
-        else:
-            print("warning: engines disagree on committed state roots",
-                  file=sys.stderr)
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    parallel = _parallel_kwargs(args, measured=args.measured)
-    headers = ["chain", "mean txs", "single conflict", "group conflict"]
-    if args.measured:
-        headers += ["spec R", "group R"]
     rows = []
     for name in (args.left, args.right):
         profile = _resolve_profile(name)
@@ -279,29 +197,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
         group = sum(
             r.metrics.group_conflict_rate * r.weight_tx for r in records
         ) / weight
-        row = (
+        rows.append((
             name,
             f"{chain.history.mean_transactions_per_block():9.1f}",
             format_rate(single),
             format_rate(group),
-        )
-        if args.measured:
-            from repro.execution.parallel_replay import replay_profile
-
-            result = replay_profile(
-                profile, blocks=args.blocks, seed=args.seed,
-                scale=args.scale, engines=("speculative", "grouped"),
-                cores=args.cores, **parallel,
-            )
-            row = row + (
-                f"{result.summary('speculative').speedup:6.3f}",
-                f"{result.summary('grouped').speedup:6.3f}",
-            )
-        rows.append(row)
-    title = "chain comparison (cf. paper Figs. 8-9)"
-    if args.measured:
-        title += f"; measured R on {args.cores} cores"
-    print(render_table(headers, rows, title=title))
+        ))
+    print(render_table(
+        ["chain", "mean txs", "single conflict", "group conflict"], rows,
+        title="chain comparison (cf. paper Figs. 8-9)",
+    ))
     return 0
 
 
@@ -453,95 +358,21 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_timeline(args: argparse.Namespace) -> int:
-    """Replay a chain through one executor; emit a Chrome trace.
-
-    Every block's run comes back with its schedule; its events are
-    exported as Chrome trace-event JSON (``--out`` or stdout) and a
-    per-block measured-vs-analytical table (Eq. 1 / Eq. 2) is printed —
-    to stderr when the JSON goes to stdout, so the trace stays parseable.
-    """
-    from repro.execution.parallel_replay import replay_block_inputs
-    from repro.execution.registry import PREDICTION_ENGINES, run_engine
-    from repro.execution.schedule import timeline_rows
-    from repro.obs.critical_path import (
-        compare_to_bounds,
-        profile_events,
-        task_conflict_profile,
-    )
-    from repro.obs.exporters import write_chrome_trace
-    from repro.obs.timeline import as_events
-
-    profile = _resolve_profile(args.chain)
-
-    info = sys.stderr if not args.out else sys.stdout
-    rows = []
-    event_rows = []
-    for block in replay_block_inputs(
-        profile, blocks=args.blocks, seed=args.seed, scale=args.scale,
-        predict=args.executor in PREDICTION_ENGINES,
-    ):
-        if not block.tasks:
-            continue
-        height = block.height
-        conflict = task_conflict_profile(block.tasks)
-        report = run_engine(args.executor, block, args.cores)
-        block_rows = timeline_rows(report, height)
-        event_rows += block_rows
-        block_profile = profile_events(as_events(block_rows))
-        comparison = compare_to_bounds(report, conflict)
-        flag = "" if comparison.within_eq2 else (
-            " !" if not comparison.strict else " VIOLATION"
-        )
-        rows.append((
-            str(height), str(conflict.x),
-            f"{comparison.measured:.3f}", f"{comparison.eq1:.3f}",
-            f"{comparison.eq2:.3f}{flag}",
-            f"{block_profile.critical_chain_cost:.1f}",
-            f"{block_profile.mean_utilization:.2f}",
-        ))
-    events = as_events(event_rows)
-    if args.out:
-        try:
-            count = write_chrome_trace(args.out, events)
-        except OSError as exc:
-            raise CLIError(f"cannot write trace file: {exc}") from None
-        print(f"wrote {count} trace events to {args.out}", file=info)
-    else:
-        import json
-
-        from repro.obs.exporters import chrome_trace_events
-
-        print(json.dumps(
-            {"traceEvents": chrome_trace_events(events),
-             "displayTimeUnit": "ms"},
-        ))
-    if not rows:
-        print(
-            "(no executable transactions in the replayed blocks — "
-            "empty timeline; try more --blocks or a larger --scale)",
-            file=info,
-        )
-        return 0
-    print(render_table(
-        ["block", "txs", "measured R", "Eq.1 R", "Eq.2 bound",
-         "crit path", "util"],
-        rows,
-        title=(
-            f"{args.chain} / {args.executor} on {args.cores} lanes "
-            "(! = bound legitimately exceeded; see docs/observability.md)"
-        ),
-    ), file=info)
-    return 0
-
-
 def cmd_replay(args: argparse.Namespace) -> int:
-    """Fan a chain's executor replay over workers; print per-engine digests.
+    """Replay a chain through its engines; print R, bounds and digests.
 
     Every block replays through every requested engine on the chosen
-    backend (``--backend serial|process``).  The printed table
-    carries each engine's measured speed-up and determinism digests;
-    the command exits 1 when any two engines disagree on the committed
+    backend (``--backend serial|process``).  The printed table carries
+    each engine's measured speed-up, the number of blocks on which it
+    beat that block's Eq. 2 bound (``VIOLATION`` for an engine the
+    bound binds, ``!`` for occ / dag, which may legitimately beat it)
+    and its determinism digests.  One line under it gives the chain's
+    Eq. 1 R, its Eq. 2 bound and the number of blocks whose LCC binds
+    (``1/l < n``).  Both chain values are work-weighted harmonic means
+    of the per-block values, the way the engines' chain R aggregates
+    per-block R, so a strict engine's R never exceeds the Eq. 2 one.
+
+    The command exits 1 when any two engines disagree on the committed
     state root — the same cross-executor differential check
     ``tests/execution/test_differential.py`` runs in CI.  ``--out``
     writes the replay's engines' events as a Chrome trace and
@@ -549,11 +380,18 @@ def cmd_replay(args: argparse.Namespace) -> int:
     format.
     """
     from repro import obs
+    from repro.core.speedup import group_speedup_bound, speculative_speedup
     from repro.execution.parallel_replay import (
         ENGINES,
-        replay_profile,
+        replay_block_inputs,
+        replay_chain,
         validate_engines,
     )
+    from repro.execution.registry import (
+        EQ2_STRICT_EXECUTORS,
+        PREDICTION_ENGINES,
+    )
+    from repro.obs.critical_path import task_conflict_profile
     from repro.obs.exporters import render_prometheus, write_chrome_trace
     from repro.obs.timeline import as_events
 
@@ -568,17 +406,49 @@ def cmd_replay(args: argparse.Namespace) -> int:
         engines = validate_engines(requested)
     except ValueError as exc:
         raise CLIError(str(exc)) from None
-    parallel = _parallel_kwargs(args)
 
     with obs.instrumented() as state:
-        result = replay_profile(
+        blocks = replay_block_inputs(
             profile, blocks=args.blocks, seed=args.seed, scale=args.scale,
-            engines=engines, cores=args.cores, **parallel,
+            predict=not PREDICTION_ENGINES.isdisjoint(engines),
         )
+        result = replay_chain(
+            blocks, data_model=profile.data_model, engines=engines,
+            cores=args.cores, backend=args.backend, jobs=args.jobs,
+            chunk_size=args.chunk_size,
+        )
+
+    work = eq1_time = eq2_time = 0.0
+    eq2_of: dict[int, float] = {}
+    lcc_binds = 0
+    for block in blocks:
+        conflict = task_conflict_profile(block.tasks)
+        cost = sum(task.cost for task in block.tasks)
+        eq2 = eq2_of[block.height] = group_speedup_bound(
+            args.cores, conflict.l
+        )
+        work += cost
+        eq1_time += cost / speculative_speedup(
+            conflict.x, args.cores, conflict.c
+        )
+        eq2_time += cost / eq2
+        lcc_binds += conflict.lcc * args.cores > conflict.x
+
+    def over_eq2(engine: str) -> str:
+        count = sum(
+            record.speedup > eq2_of[record.height] + 1e-9
+            for record in result.for_engine(engine)
+        )
+        if not count:
+            return "0"
+        return f"{count} " + (
+            "VIOLATION" if engine in EQ2_STRICT_EXECUTORS else "!"
+        )
+
     summaries = result.summaries()
     print(render_table(
-        ["engine", "blocks", "txs", "wall", "R", "commits", "aborts",
-         "retries", "state root"],
+        ["engine", "blocks", "txs", "wall", "R", "> Eq.2", "commits",
+         "aborts", "retries", "state root"],
         [
             (
                 s.engine,
@@ -586,6 +456,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
                 str(s.tasks),
                 f"{s.wall_time:9.1f}",
                 f"{s.speedup:6.3f}",
+                over_eq2(s.engine),
                 str(s.committed),
                 str(s.aborted),
                 str(s.retried),
@@ -595,9 +466,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
         ],
         title=(
             f"{args.chain}: executor replay on {args.cores} cores "
-            f"({parallel['backend']} backend, {args.blocks} blocks)"
+            f"({args.backend} backend, {args.blocks} blocks)"
         ),
     ))
+    print(
+        f"{args.chain} bounds: Eq. 1 R "
+        f"{work / eq1_time if work else 1.0:.3f}; chain Eq. 2 bound "
+        f"{work / eq2_time if work else float(args.cores):.3f}; "
+        f"LCC binds on {lcc_binds} of {len(blocks)} blocks"
+    )
     roots = {s.state_root for s in summaries}
     receipt_roots = {s.receipt_root for s in summaries}
     if len(roots) == 1 and len(receipt_roots) == 1:
@@ -868,7 +745,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             print(
                 f"SLO BREACH: {breach.rule.name}: "
                 f"{breach.rule.metric}={breach.value:.4g} violates "
-                f"{breach.rule.op} {breach.rule.threshold:g}",
+                f"<= {breach.rule.threshold:g}",
                 file=sys.stderr,
             )
         return 1
@@ -1128,14 +1005,8 @@ def build_parser() -> argparse.ArgumentParser:
         "speedup", help="print Fig. 10-style speed-up series"
     )
     _add_generation_args(sub)
-    _add_parallel_args(sub)
     sub.add_argument("--cores", type=_core_counts, default=(4, 8, 64),
                      help="comma-separated core counts (default: 4,8,64)")
-    sub.add_argument(
-        "--measured", action="store_true",
-        help="also replay every engine at each core count and print "
-             "measured speed-ups beside the Eq. 1 / Eq. 2 bounds",
-    )
     sub.set_defaults(func=cmd_speedup)
 
     sub = subparsers.add_parser(
@@ -1146,14 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--blocks", type=positive_int, default=80)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--scale", type=positive_float, default=0.5)
-    _add_parallel_args(sub)
-    sub.add_argument("--cores", type=positive_int, default=4,
-                     help="simulated cores for --measured replays")
-    sub.add_argument(
-        "--measured", action="store_true",
-        help="add measured speculative/grouped speed-up columns from a "
-             "replay of each chain",
-    )
     sub.set_defaults(func=cmd_compare)
 
     sub = subparsers.add_parser(
@@ -1168,43 +1031,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", required=True, help="output directory")
     sub.set_defaults(func=cmd_export)
 
-    sub = subparsers.add_parser(
-        "timeline",
-        help="replay one executor and trace its schedule; emit a "
-             "Chrome trace and measured-vs-analytical bounds",
-    )
-    known = ", ".join(sorted(PROFILES_BY_NAME))
-    sub.add_argument(
-        "--chain", required=True, metavar="NAME",
-        help=f"which blockchain profile to replay (one of: {known})",
-    )
+    from repro.core.parallel import BACKENDS
     from repro.execution.registry import ENGINES
-
-    sub.add_argument(
-        "--executor", default="speculative", choices=ENGINES,
-        help="execution engine to record (default: speculative)",
-    )
-    sub.add_argument(
-        "--cores", type=positive_int, default=4, metavar="N",
-        help="simulated worker lanes / cores (default: 4)",
-    )
-    sub.add_argument("--blocks", type=positive_int, default=20,
-                     help="number of blocks to replay")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="determinism seed")
-    sub.add_argument("--scale", type=positive_float, default=1.0,
-                     help="transaction-volume multiplier")
-    sub.add_argument(
-        "--out", default="",
-        help="write the Chrome trace JSON here (default: stdout)",
-    )
-    sub.set_defaults(func=cmd_timeline)
 
     sub = subparsers.add_parser(
         "replay",
-        help="fan the per-block executor replay over workers; print "
-             "per-engine speed-ups and state-root digests (exit 1 on "
-             "cross-engine divergence)",
+        help="replay a chain through the engines; print per-engine "
+             "speed-ups beside the Eq. 1 / Eq. 2 bounds and state-root "
+             "digests (exit 1 on cross-engine divergence)",
     )
     known = ", ".join(sorted(PROFILES_BY_NAME))
     sub.add_argument(
@@ -1224,7 +1058,21 @@ def build_parser() -> argparse.ArgumentParser:
                      help="transaction-volume multiplier")
     sub.add_argument("--cores", type=positive_int, default=4,
                      help="simulated cores handed to each engine")
-    _add_parallel_args(sub)
+    sub.add_argument(
+        "--backend", choices=BACKENDS, default="serial",
+        help="backend of the replay fan-out (default: serial; the "
+             "process backend replays identically, see "
+             "docs/parallel_pipeline.md)",
+    )
+    sub.add_argument(
+        "--jobs", type=positive_int, default=None, metavar="N",
+        help="replay worker count for the process backend "
+             "(default: usable CPU count)",
+    )
+    sub.add_argument(
+        "--chunk-size", type=positive_int, default=None, metavar="BLOCKS",
+        help="blocks per replay work unit (default: balanced)",
+    )
     sub.add_argument(
         "--out", default="",
         help="write the merged replay events as a Chrome trace here",

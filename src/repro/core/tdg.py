@@ -159,13 +159,6 @@ class TDGResult:
         """Sizes of all groups, descending — input to the schedulers."""
         return sorted(filter(None, self.sizes), reverse=True)
 
-    def group_of(self, tx_hash: str) -> tuple[str, ...]:
-        """Return the dependency group containing *tx_hash*."""
-        for group in self.groups:
-            if tx_hash in group:
-                return group
-        raise KeyError(f"transaction {tx_hash!r} not in this TDG")
-
 
 def _label(parent: list[int], joined: Iterable[int]) -> list[int]:
     """Resolve a forest over transaction positions into group labels.

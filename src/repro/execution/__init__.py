@@ -25,7 +25,6 @@ from repro.execution.parallel_replay import (
     ReplayResult,
     replay_block_inputs,
     replay_chain,
-    replay_profile,
 )
 from repro.execution.registry import (
     ENGINES,
@@ -63,7 +62,6 @@ __all__ = [
     "ReplayResult",
     "replay_block_inputs",
     "replay_chain",
-    "replay_profile",
     "CoreSimulator",
     "SimulatedRun",
     "InformedSpeculativeExecutor",

@@ -581,47 +581,6 @@ def replay_chain(
     return ReplayResult(engines=engines, records=tuple(ordered))
 
 
-def replay_profile(
-    chain,
-    *,
-    blocks: int,
-    seed: int,
-    scale: float = 1.0,
-    engines: Sequence[str] = ENGINES,
-    cores: int = DEFAULT_CORES,
-    backend: str = DEFAULT_BACKEND,
-    jobs: int | None = None,
-    chunk_size: int | None = None,
-) -> ReplayResult:
-    """Build a seeded chain by profile (name or object) and replay it."""
-    if isinstance(chain, str):
-        from repro.workload.profiles import PROFILES_BY_NAME
-
-        try:
-            profile = PROFILES_BY_NAME[chain]
-        except KeyError:
-            known = ", ".join(sorted(PROFILES_BY_NAME))
-            raise ValueError(
-                f"unknown chain {chain!r}; known chains: {known}"
-            ) from None
-    else:
-        profile = chain
-    if blocks < 1:
-        raise ValueError("blocks must be at least 1")
-    inputs = replay_block_inputs(
-        profile, blocks=blocks, seed=seed, scale=scale
-    )
-    return replay_chain(
-        inputs,
-        data_model=profile.data_model,
-        engines=engines,
-        cores=cores,
-        backend=backend,
-        jobs=jobs,
-        chunk_size=chunk_size,
-    )
-
-
 __all__ = [
     "DEFAULT_BACKEND",
     "DEFAULT_CORES",
@@ -635,7 +594,6 @@ __all__ = [
     "replay_block_inputs",
     "replay_chain",
     "replay_chunk",
-    "replay_profile",
     "replay_single_block",
     "state_root",
     "validate_engines",

@@ -22,7 +22,8 @@ Which executors the Eq. 2 bound actually binds: the sequential,
 two-phase and chain schedules serialize every conflict component, so
 their measured speed-up can never exceed ``min(n, 1/l)`` under unit
 costs (:data:`EQ2_STRICT_EXECUTORS`, derived from the engine table in
-:mod:`repro.execution.registry`; asserted in tests and the timeline CLI).
+:mod:`repro.execution.registry`; asserted in tests and counted per
+engine by ``repro replay``).
 The OCC and DAG engines exploit the partial order *inside* a component
 and may legitimately beat the bound — the LCC-sequential assumption is
 pessimistic for them (see :mod:`repro.execution.dag`), so they are

@@ -87,37 +87,23 @@ class BlockSample:
     stage_latencies: Mapping[str, tuple[float, ...]] = \
         field(default_factory=dict)
 
-    @property
-    def attempts(self) -> int:
-        return self.committed + self.aborted
-
 
 @dataclass(frozen=True)
 class SLORule:
-    """``metric op threshold`` over the window aggregate.
+    """``metric <= threshold`` over the window aggregate.
 
-    ``metric`` addresses :meth:`WindowAggregate.value` keys, e.g.
-    ``abort_rate``, ``wall_p95``, ``mempool_depth``,
-    ``stage.committed.p99``.  ``advisory`` rules report breaches but
-    never fail a run.
+    ``metric`` names a numeric :class:`WindowAggregate` field, e.g.
+    ``abort_rate``, ``wall_p95``, ``mempool_depth``.  ``advisory``
+    rules report breaches but never fail a run.
     """
 
     name: str
     metric: str
-    op: str                  # "<=" or ">="
     threshold: float
     advisory: bool = False
 
-    def __post_init__(self) -> None:
-        if self.op not in ("<=", ">="):
-            raise ValueError(
-                f"unsupported SLO operator {self.op!r}; use <= or >="
-            )
-
     def check(self, value: float) -> bool:
-        if self.op == "<=":
-            return value <= self.threshold
-        return value >= self.threshold
+        return value <= self.threshold
 
 
 @dataclass(frozen=True)
@@ -136,7 +122,7 @@ class RuleResult:
         return {
             "name": self.rule.name,
             "metric": self.rule.metric,
-            "op": self.rule.op,
+            "op": "<=",
             "threshold": self.rule.threshold,
             "value": self.value,
             "ok": self.ok,
@@ -172,12 +158,6 @@ class WindowAggregate:
 
     def value(self, metric: str) -> float:
         """Resolve an :class:`SLORule` metric key."""
-        if metric.startswith("stage."):
-            _, stage, quantile = metric.split(".", 2)
-            stats = self.stage_percentiles.get(stage)
-            if stats is None:
-                return 0.0
-            return float(stats.get(quantile, 0.0))
         try:
             value = getattr(self, metric)
         except AttributeError:
@@ -226,14 +206,12 @@ def default_rules(
         rules.append(SLORule(
             name="abort-rate",
             metric="abort_rate",
-            op="<=",
             threshold=max_abort_rate,
         ))
     if wall_p95_budget is not None:
         rules.append(SLORule(
             name="block-wall-p95",
             metric="wall_p95",
-            op="<=",
             threshold=wall_p95_budget,
             advisory=True,
         ))
@@ -420,8 +398,7 @@ def render_monitor(
         rows = [
             (
                 result.rule.name,
-                f"{result.rule.metric} {result.rule.op} "
-                f"{result.rule.threshold:g}",
+                f"{result.rule.metric} <= {result.rule.threshold:g}",
                 f"{result.value:.4g}",
                 result.severity.upper(),
             )

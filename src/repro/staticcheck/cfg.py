@@ -54,10 +54,6 @@ class CFG:
                 return block
         raise KeyError(f"no basic block starts at pc {pc}")
 
-    @property
-    def entry(self) -> BasicBlock | None:
-        return self.blocks[0] if self.blocks else None
-
 
 def _valid_target(operand: object, length: int) -> int | None:
     """The jump target as an int if it lies inside the program."""

@@ -121,7 +121,7 @@ class TestBrokenPipe:
 
 class TestParallelFlags:
     """``--backend`` / ``--jobs`` / ``--chunk-size`` select the replay
-    fan-out; a bad value is a usage error (exit 2)."""
+    fan-out, on ``replay`` only; a bad value is a usage error (exit 2)."""
 
     def test_jobs_zero_exits_2_with_clear_message(self, capsys):
         code = main([
@@ -139,7 +139,7 @@ class TestParallelFlags:
             "--blocks", "4", "--jobs", "-1",
         ])
         assert code == 2
-        assert "argument --jobs: must be an integer >= 1" in (
+        assert "unrecognized arguments: --jobs -1" in (
             capsys.readouterr().err
         )
 
@@ -149,10 +149,12 @@ class TestParallelFlags:
         ["speedup", "--chain", "bitcoin", "--blocks", "4"],
     ])
     def test_fan_out_flags_without_measured_exit_2(self, capsys, command):
+        """``speedup`` and ``compare`` do not replay: the fan-out flags
+        are refused, not silently ignored."""
         code = main([*command, "--backend", "process", "--jobs", "2"])
         captured = capsys.readouterr()
         assert code == 2
-        assert "--measured" in captured.err
+        assert "unrecognized arguments: --backend process" in captured.err
         assert captured.out == ""
 
     def test_unknown_backend_rejected_by_argparse(self, capsys):

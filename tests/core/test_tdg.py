@@ -44,13 +44,7 @@ class TestTDGResult:
         assert tdg.num_conflicted == 5
         assert tdg.lcc_size == 3
         assert tdg.group_sizes() == [3, 2, 1]
-        assert tdg.group_of("e") == ("e", "f")
         assert tdg.groups == (("a", "b", "c"), ("d",), ("e", "f"))
-
-    def test_group_of_unknown(self):
-        tdg = TDGResult.from_groups((("a",),))
-        with pytest.raises(KeyError):
-            tdg.group_of("zz")
 
 
 class TestUTXOTDG:

@@ -29,7 +29,6 @@ from repro.execution.parallel_replay import (
     replay_block_inputs,
     replay_chain,
     replay_chunk,
-    replay_profile,
     state_root,
     validate_engines,
 )
@@ -135,14 +134,6 @@ class TestValidation:
     def test_bad_chunk_size(self, tiny_inputs):
         with pytest.raises(ValueError, match="chunk"):
             replay_chain(tiny_inputs, data_model="utxo", chunk_size=0)
-
-    def test_unknown_profile_name(self):
-        with pytest.raises(ValueError, match="unknown chain"):
-            replay_profile("namecoin", blocks=2, seed=0)
-
-    def test_bad_block_count(self):
-        with pytest.raises(ValueError, match="blocks"):
-            replay_profile("bitcoin", blocks=0, seed=0)
 
     def test_inputs_carry_predictions(self, tiny_inputs):
         """UTXO predictions are exact: writes mirror the task writes."""

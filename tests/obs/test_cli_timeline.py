@@ -1,102 +1,16 @@
-"""CLI contract for ``repro.cli timeline`` and ``repro.cli regress``:
-Chrome-trace schema, bound invariants, and the gate's exit codes."""
+"""CLI contract for ``repro.cli regress``: the checked-in baseline
+passes, and the gate's exit codes."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.cli import main
 
 BASELINE = (
     Path(__file__).resolve().parent / "baseline" / "regress_baseline.json"
 )
-
-# Chrome trace-event fields by phase type (the subset we emit).
-COMMON_FIELDS = {"name", "ph", "pid", "tid"}
-
-
-def _run_timeline(tmp_path, *extra):
-    out = tmp_path / "trace.json"
-    code = main([
-        "timeline", "--chain", "ethereum", "--executor", "speculative",
-        "--cores", "4", "--blocks", "4", "--seed", "0",
-        "--out", str(out), *extra,
-    ])
-    return code, out
-
-
-class TestTimelineCommand:
-    def test_acceptance_invocation_emits_valid_chrome_trace(
-        self, tmp_path, capsys
-    ):
-        code, out = _run_timeline(tmp_path)
-        assert code == 0
-        document = json.loads(out.read_text())
-        assert set(document) == {
-            "traceEvents", "displayTimeUnit", "otherData",
-        }
-        assert document["displayTimeUnit"] == "ms"
-        events = document["traceEvents"]
-        assert events, "trace is empty"
-        phases = {e["ph"] for e in events}
-        assert phases <= {"X", "i", "M"}
-        for event in events:
-            assert COMMON_FIELDS <= set(event)
-            if event["ph"] == "X":  # complete slice
-                assert event["dur"] >= 0
-                assert event["ts"] >= 0
-                assert event["args"]["outcome"] in ("commit", "abort")
-            elif event["ph"] == "i":  # instant
-                assert event["s"] == "t"
-            else:  # metadata
-                assert event["name"] in ("process_name", "thread_name")
-        # Slices exist for the executor and land on worker lanes
-        # (tid >= 1; tid 0 is the queue).
-        slices = [e for e in events if e["ph"] == "X"]
-        assert all(e["tid"] >= 1 for e in slices)
-
-    def test_per_block_speedup_within_eq2(self, tmp_path, capsys):
-        code, _out = _run_timeline(tmp_path)
-        assert code == 0
-        # With the trace in a file the per-block table goes to stdout;
-        # every row of the strict speculative executor must be within
-        # the Eq. 2 bound (no flags).
-        out = capsys.readouterr().out
-        assert "VIOLATION" not in out
-        rows = [
-            line for line in out.splitlines()
-            if line and line[0].isdigit()
-        ]
-        assert len(rows) >= 3
-        for row in rows:
-            cells = [c.strip() for c in row.split("|")]
-            measured, eq2 = float(cells[2]), float(cells[4])
-            assert measured <= eq2 + 1e-9
-
-    def test_stdout_json_mode(self, capsys):
-        code = main([
-            "timeline", "--chain", "ethereum", "--blocks", "2",
-        ])
-        assert code == 0
-        captured = capsys.readouterr()
-        document = json.loads(captured.out)
-        assert document["traceEvents"]
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["timeline", "--chain", "notachain"],
-            ["timeline", "--chain", "ethereum", "--cores", "0"],
-            ["timeline", "--chain", "ethereum", "--blocks", "0"],
-        ],
-        ids=["bad-chain", "bad-cores", "bad-blocks"],
-    )
-    def test_usage_errors_exit_2(self, argv, capsys):
-        assert main(argv) == 2
-        assert "error:" in capsys.readouterr().err
 
 
 class TestRegressCommand:
@@ -152,15 +66,3 @@ class TestRegressCommand:
         assert code == 0
         assert json.loads(snap_out.read_text())["workload"]["blocks"] == 2
 
-
-class TestDegenerateInputs:
-    def test_empty_replay_exits_zero_with_note(self, capsys):
-        # A scale so small no block carries an executable transaction:
-        # the table/summary path must explain itself, not traceback.
-        code = main([
-            "timeline", "--chain", "ethereum", "--blocks", "1",
-            "--seed", "0", "--scale", "0.001",
-        ])
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "empty timeline" in err

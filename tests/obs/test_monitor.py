@@ -99,9 +99,7 @@ class TestRingBuffer:
             1, stages={"committed": (1.0, 2.0)},
         ))
         assert aggregate.value("abort_rate") == 0.0
-        assert aggregate.value("stage.committed.p50") == \
-            pytest.approx(1.5)
-        assert aggregate.value("stage.scheduled.p99") == 0.0
+        assert aggregate.value("txs") == 10.0
         with pytest.raises(ValueError, match="unknown monitor metric"):
             aggregate.value("no_such_metric")
         with pytest.raises(ValueError, match="unknown monitor metric"):
@@ -109,17 +107,11 @@ class TestRingBuffer:
 
 
 class TestSLORules:
-    def test_operator_validation(self):
-        with pytest.raises(ValueError, match="unsupported SLO"):
-            SLORule(name="r", metric="abort_rate", op="<",
-                    threshold=0.5)
-
     def test_hard_breach_vs_advisory(self):
         monitor = StreamingMonitor(window=4, rules=[
-            SLORule(name="aborts", metric="abort_rate", op="<=",
-                    threshold=0.25),
-            SLORule(name="wall", metric="wall_p95", op="<=",
-                    threshold=1e-9, advisory=True),
+            SLORule(name="aborts", metric="abort_rate", threshold=0.25),
+            SLORule(name="wall", metric="wall_p95", threshold=1e-9,
+                    advisory=True),
         ])
         monitor.observe_block(_sample(1, committed=1, aborted=9))
         results = monitor.evaluate()
@@ -129,9 +121,8 @@ class TestSLORules:
 
     def test_passing_rules(self):
         monitor = StreamingMonitor(window=4, rules=[
-            SLORule(name="aborts", metric="abort_rate", op="<=",
-                    threshold=0.5),
-            SLORule(name="work", metric="txs", op=">=", threshold=5),
+            SLORule(name="aborts", metric="abort_rate", threshold=0.5),
+            SLORule(name="work", metric="txs", threshold=50),
         ])
         monitor.observe_block(_sample(1))
         assert all(r.ok for r in monitor.evaluate())

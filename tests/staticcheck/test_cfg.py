@@ -23,7 +23,6 @@ def test_straight_line_program_is_one_block():
 def test_empty_program_has_no_blocks():
     cfg = build_cfg(())
     assert cfg.blocks == ()
-    assert cfg.entry is None
 
 
 def test_jumpi_splits_blocks_and_adds_both_edges():

@@ -3,8 +3,10 @@
 A def counts as called when some file in ``src/``, ``benchmarks/`` or
 ``examples/`` names it: a ``Name``, an ``Attribute`` or a string
 constant shaped like an identifier (``benchmarks/e2e/layers.py`` patches
-entry points by name).  An ``__all__`` list and a package re-export are
-not callers.  A def nothing names stays only with a reason in
+entry points by name).  A method is reached through an object, so only
+an ``Attribute`` or a string names it: a bare ``Name`` is some local
+variable or parameter that happens to share its name.  An ``__all__``
+list and a package re-export are not callers.  A def nothing names stays only with a reason in
 :data:`KEEP`:
 
 * k1 — a test uses it to check other code (an oracle, a fixture
@@ -36,12 +38,17 @@ KEEP = {
         "k3: account/trie.py is the value root of ROADMAP item 15",
     "repro.account.trie.StateTrie.verify_proof":
         "k3: account/trie.py is the value root of ROADMAP item 15",
+    "repro.analysis.stats.ConfidenceInterval.width":
+        "k1: the bootstrap tests check that intervals narrow with it",
     "repro.analysis.stats.series_with_ci":
         "k3: ROADMAP item 10(c) adds its intervals to Figs. 4, 5 and 7",
     "repro.chain.ledger.Ledger.block_at":
         "k1: the pipeline tests fetch the block they check",
     "repro.chain.ledger.Ledger.verify_links":
         "k1: the workload tests check the builders' hash links with it",
+    "repro.chain.merkle.MerkleTree.proof":
+        "k1: its inclusion proofs check that the tree's levels commit "
+        "every leaf to the root",
     "repro.chain.merkle.MerkleTree.verify":
         "k1: checks the proofs MerkleTree.proof builds",
     "repro.chain.transaction.TransactionStub":
@@ -71,6 +78,8 @@ KEEP = {
         "k1: builds the DAGs the schedule tests check",
     "repro.network.gossip.BoundedSeenCache.evictions":
         "k1: the node soak test checks that relay caches evicted",
+    "repro.network.gossip.GossipNetwork.degree":
+        "k1: the topology test checks connect's adjacency with it",
     "repro.node.runtime.SimQueue.qsize":
         "k1: the wire tests drain what a node relayed with it",
     "repro.node.transport._FrameReader.connection_lost":
@@ -81,6 +90,8 @@ KEEP = {
         "k4: asyncio.Protocol callback",
     "repro.obs.lifecycle.LifecycleTracer.open_count":
         "k1: the node network test checks that every trace closed",
+    "repro.obs.lifecycle.TraceContext.child":
+        "k1: derives the contexts the process-pool round-trip test checks",
     "repro.sharding.committee.CommitteeAssignment":
         "k2: DESIGN.md's PoW-based committee assignment",
     "repro.sharding.committee.CommitteeAssignment.assign":
@@ -102,6 +113,8 @@ KEEP = {
         "k1: the widening tests check ⊤ with it",
     "repro.utxo.script.p2pkh_script":
         "k1: builds the scripts the spend and validation tests check",
+    "repro.utxo.utxo_set.UTXOSet.total_value":
+        "k1: oracle for value conservation in the UTXO and workload tests",
     "repro.utxo.validation.validate_block_transactions":
         "k3: utxo/validation.py is what ROADMAP item 11(b) calls",
     "repro.vm.contract.busy_loop_asm":
@@ -117,8 +130,9 @@ def _python_files(root: Path, folder: str) -> list[Path]:
     return sorted((root / folder).rglob("*.py"))
 
 
-def _names(tree: ast.AST) -> set[str]:
-    """Every name *tree* refers to, outside its ``__all__`` lists."""
+def _names(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """The names *tree* refers to, outside its ``__all__`` lists: bare
+    ``Name``s, and the names of attributes and identifier strings."""
     skipped: set[int] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
@@ -126,50 +140,59 @@ def _names(tree: ast.AST) -> set[str]:
             for target in node.targets
         ):
             skipped.update(id(sub) for sub in ast.walk(node))
-    names: set[str] = set()
+    bare: set[str] = set()
+    reached: set[str] = set()
     for node in ast.walk(tree):
         if id(node) in skipped:
             continue
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            reached.add(node.attr)
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and _IDENTIFIER.match(node.value)
         ):
-            names.add(node.value)
-    return names
+            reached.add(node.value)
+    return bare, reached
 
 
 def _defs(tree: ast.Module, module: str):
-    """(qualified name, bare name) of each top-level def and method."""
+    """(qualified name, bare name, is a method) of each top-level def
+    and method."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if not isinstance(node, kinds):
             continue
-        yield f"{module}.{node.name}", node.name
+        yield f"{module}.{node.name}", node.name, False
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, kinds[:2]):
-                    yield f"{module}.{node.name}.{member.name}", member.name
+                    yield (
+                        f"{module}.{node.name}.{member.name}", member.name,
+                        True,
+                    )
 
 
 def uncalled(root: Path = ROOT) -> list[str]:
     """Qualified names of the defs in ``root/src`` that nothing names."""
-    named: set[str] = set()
+    bare: set[str] = set()
+    reached: set[str] = set()
     for folder in SCANNED:
         for path in _python_files(root, folder):
-            named |= _names(ast.parse(path.read_text(encoding="utf-8")))
+            names = _names(ast.parse(path.read_text(encoding="utf-8")))
+            bare |= names[0]
+            reached |= names[1]
     found = []
     for path in _python_files(root, "src"):
         parts = path.relative_to(root / "src").with_suffix("").parts
         module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for qualified, bare in _defs(tree, module):
-            dunder = bare.startswith("__") and bare.endswith("__")
-            if not dunder and bare not in named:
+        for qualified, name, method in _defs(tree, module):
+            dunder = name.startswith("__") and name.endswith("__")
+            named = name in reached or (not method and name in bare)
+            if not dunder and not named:
                 found.append(qualified)
     return found
 
