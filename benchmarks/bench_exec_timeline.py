@@ -28,7 +28,7 @@ from pathlib import Path
 
 from _common import write_output
 
-from repro.execution import make_executor, replay_block_inputs
+from repro.execution import replay_block_inputs, run_engine
 from repro.execution.schedule import timeline_rows
 from repro.obs.critical_path import (
     EQ2_STRICT_EXECUTORS,
@@ -67,10 +67,9 @@ def test_exec_timeline_bounds():
     per_executor: dict[str, dict[str, object]] = {}
     conflicts = {h: task_conflict_profile(t) for h, t in blocks}
     for name in EXECUTORS:
-        executor = make_executor(name, CORES)
         rows = []
         for height, tasks in blocks:
-            report = executor.run(tasks)
+            report = run_engine(name, tasks, CORES)
             comparison = compare_to_bounds(report, conflicts[height])
             profile = profile_events(
                 as_events(timeline_rows(report, height))

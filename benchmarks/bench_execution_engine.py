@@ -20,9 +20,7 @@ from repro.analysis.report import render_table
 from repro.core.speedup import group_speedup_bound
 from repro.core.tdg import account_tdg
 from repro.execution.engine import tasks_from_tdg
-from repro.execution.grouped import GroupedExecutor
-from repro.execution.occ import OCCExecutor
-from repro.execution.speculative import SpeculativeExecutor
+from repro.execution.registry import run_engine
 
 CORES = 8
 
@@ -47,9 +45,9 @@ def _run_engines(blocks):
         x = tdg.num_transactions
         c = tdg.num_conflicted / x
         l = tdg.lcc_size / x
-        spec = SpeculativeExecutor(cores=CORES).run(tasks)
-        grouped = GroupedExecutor(cores=CORES).run(tasks)
-        occ = OCCExecutor(cores=CORES).run(tasks)
+        spec = run_engine("speculative", tasks, CORES)
+        grouped = run_engine("grouped", tasks, CORES)
+        occ = run_engine("occ", tasks, CORES)
         rows.append(
             {
                 "height": height,
@@ -138,8 +136,8 @@ def test_execution_engine_gas_weighted_costs(benchmark):
         rows = []
         for _height, executed in blocks:
             tasks = tasks_from_account_block(executed, unit_cost=False)
-            spec = SpeculativeExecutor(cores=CORES).run(tasks)
-            grouped = GroupedExecutor(cores=CORES).run(tasks)
+            spec = run_engine("speculative", tasks, CORES)
+            grouped = run_engine("grouped", tasks, CORES)
             rows.append((spec, grouped))
         return rows
 

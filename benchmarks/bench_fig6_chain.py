@@ -13,13 +13,13 @@ from _common import write_output
 from repro.analysis.examples import figure_6_chain
 from repro.chain.hashing import short_hash
 from repro.execution.engine import tasks_from_utxo_block
-from repro.execution.grouped import GroupedExecutor
+from repro.execution.registry import run_engine
 
 
 def _build_and_schedule():
     transactions, tdg = figure_6_chain()
     tasks = tasks_from_utxo_block(transactions)
-    report = GroupedExecutor(cores=64).run(tasks)
+    report = run_engine("grouped", tasks, 64)
     return transactions, tdg, report
 
 

@@ -41,13 +41,7 @@ from repro import obs
 from repro.core.tdg import TDGResult
 from repro.execution.conflict_partition import conflict_partition
 from repro.execution.engine import tasks_from_account_block
-from repro.execution.grouped import StaticGroupedExecutor
-from repro.execution.occ import OCCExecutor
-from repro.execution.speculative import (
-    InformedSpeculativeExecutor,
-    SpeculativeExecutor,
-    StaticInformedExecutor,
-)
+from repro.execution.registry import BlockConflicts, run_engine
 from repro.staticcheck import (
     ContractAnalyzer,
     code_bindings,
@@ -186,25 +180,23 @@ def test_static_conflict_prediction():
             )
             k_units = block_k_seconds / max(seconds_per_task, 1e-12)
             charged_k_units += k_units
-            prediction_map = {p.tx_hash: p for p in predictions}
+            conflicts = BlockConflicts(tasks, predictions)
             reports = {
-                "speculative": SpeculativeExecutor(CORES).run(tasks),
-                "informed-oracle": InformedSpeculativeExecutor(
-                    CORES, preprocessing_cost=k_units
-                ).run(tasks),
-                "static-informed": StaticInformedExecutor(
-                    CORES,
-                    predictions=prediction_map,
-                    preprocessing_cost=k_units,
-                ).run(tasks),
-                "static-grouped": StaticGroupedExecutor(
-                    CORES,
-                    predictions=prediction_map,
-                    scheduling_cost=k_units,
-                ).run(tasks),
-                "occ-runtime": OCCExecutor(CORES).run(tasks),
-                "occ-predicted": OCCExecutor(CORES).run(
-                    expanded_tasks(predictions)
+                "speculative": run_engine("speculative", tasks, CORES),
+                "informed-oracle": run_engine(
+                    "speculative-informed", tasks, CORES, k=k_units
+                ),
+                "static-informed": run_engine(
+                    "static-informed", tasks, CORES,
+                    k=k_units, conflicts=conflicts,
+                ),
+                "static-grouped": run_engine(
+                    "static-grouped", tasks, CORES,
+                    k=k_units, conflicts=conflicts,
+                ),
+                "occ-runtime": run_engine("occ", tasks, CORES),
+                "occ-predicted": run_engine(
+                    "occ", expanded_tasks(predictions), CORES
                 ),
             }
             total_cost += sum(task.cost for task in tasks)
@@ -321,7 +313,7 @@ def test_static_conflict_prediction():
             for key, value in snapshot["counters"].items()
             if key.startswith((
                 "staticcheck.", "exec.static-informed",
-                "exec.static_grouped",
+                "exec.static-grouped",
             ))
         },
         "per_block": per_block,

@@ -18,7 +18,7 @@ import random
 from repro.chain.block import GENESIS_PARENT, build_block
 from repro.chain.forkchoice import ForkChoice
 from repro.core.tdg import utxo_tdg
-from repro.execution import GroupedExecutor, tasks_from_utxo_block
+from repro.execution import run_engine, tasks_from_utxo_block
 from repro.mempool import Mempool, PoolEntry
 from repro.utxo.transaction import (
     TxOutputSpec,
@@ -136,7 +136,7 @@ def main() -> None:
 
     # -- parallel validation of the losing block (what a fast node does) ---------
     tasks = tasks_from_utxo_block(block1.transactions)
-    report = GroupedExecutor(cores=8).run(tasks)
+    report = run_engine("grouped", tasks, 8)
     tdg = utxo_tdg(block1.transactions)
     print(f"parallel re-validation of block 1: {report.speedup:.2f}x "
           f"on 8 cores ({len(tdg.groups)} dependency groups, "

@@ -17,13 +17,7 @@ from __future__ import annotations
 from repro.analysis.report import render_table
 from repro.core.speedup import group_speedup_bound, speculative_speedup
 from repro.core.tdg import account_tdg
-from repro.execution import (
-    GroupedExecutor,
-    OCCExecutor,
-    SequentialExecutor,
-    SpeculativeExecutor,
-    tasks_from_tdg,
-)
+from repro.execution import run_engine, tasks_from_tdg
 from repro.workload import build_account_chain
 from repro.workload.profiles import ETHEREUM
 
@@ -47,15 +41,9 @@ def main() -> None:
     )
 
     tasks = tasks_from_tdg(tdg)
-    engines = [
-        SequentialExecutor(),
-        SpeculativeExecutor(cores=CORES),
-        OCCExecutor(cores=CORES),
-        GroupedExecutor(cores=CORES),
-    ]
     rows = []
-    for engine in engines:
-        report = engine.run(tasks)
+    for engine in ("sequential", "speculative", "occ", "grouped"):
+        report = run_engine(engine, tasks, CORES)
         rows.append(
             (
                 report.executor,

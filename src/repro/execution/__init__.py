@@ -2,7 +2,6 @@
 
 from repro.execution.engine import (
     ExecutionReport,
-    SequentialExecutor,
     TxTask,
     conflict_groups,
     tasks_from_account_block,
@@ -10,14 +9,11 @@ from repro.execution.engine import (
     tasks_from_utxo_block,
 )
 from repro.execution.dag import (
-    DAGExecutor,
     DAGSchedule,
     DependencyDAG,
     run_dag,
     task_dag,
 )
-from repro.execution.grouped import GroupedExecutor, StaticGroupedExecutor
-from repro.execution.occ import OCCExecutor
 from repro.execution.parallel_replay import (
     BlockReplay,
     EngineSummary,
@@ -28,34 +24,26 @@ from repro.execution.parallel_replay import (
 )
 from repro.execution.registry import (
     ENGINES,
-    make_executor,
+    BlockConflicts,
     run_engine,
     validate_engines,
 )
 from repro.execution.simulator import CoreSimulator, SimulatedRun
-from repro.execution.speculative import (
-    InformedSpeculativeExecutor,
-    SpeculativeExecutor,
-    StaticInformedExecutor,
-    split_conflicted,
-)
+from repro.execution.speculative import split_conflicted
 
 __all__ = [
     "ExecutionReport",
-    "SequentialExecutor",
     "TxTask",
     "conflict_groups",
     "tasks_from_account_block",
     "tasks_from_tdg",
     "tasks_from_utxo_block",
-    "DAGExecutor",
     "DAGSchedule",
     "DependencyDAG",
     "run_dag",
     "task_dag",
-    "GroupedExecutor",
-    "OCCExecutor",
     "ENGINES",
+    "BlockConflicts",
     "BlockReplay",
     "EngineSummary",
     "ReplayBlock",
@@ -64,11 +52,6 @@ __all__ = [
     "replay_chain",
     "CoreSimulator",
     "SimulatedRun",
-    "InformedSpeculativeExecutor",
-    "SpeculativeExecutor",
-    "StaticGroupedExecutor",
-    "StaticInformedExecutor",
-    "make_executor",
     "run_engine",
     "split_conflicted",
     "validate_engines",

@@ -18,9 +18,10 @@ is a *partial order*, over the block's task sets in block order:
 
 :func:`task_dag` builds the partial order, :class:`DependencyDAG`
 computes the critical path and schedules it on ``n`` cores with
-precedence-constrained list scheduling, and :class:`DAGExecutor` is the
-``dag`` engine.  The bench compares the resulting speed-ups against the
-chain-per-component model (Eq. 2's basis).
+precedence-constrained list scheduling, and :func:`run_dag` over
+:func:`task_dag` is the ``dag`` engine.  The bench compares the
+resulting speed-ups against the chain-per-component model (Eq. 2's
+basis).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro import obs
-from repro.execution.engine import ExecutionReport, TxTask, finish_run, require
+from repro.execution.engine import ExecutionReport, TxTask, require
 from repro.execution.schedule import Plan
 
 
@@ -232,14 +233,16 @@ def _downstream(
 def run_dag(dag: DependencyDAG, cores: int) -> ExecutionReport:
     """Execute *dag* on a simulated multicore as the ``dag`` engine.
 
-    Wraps :meth:`DependencyDAG.schedule` in the uniform executor
-    contract — an :class:`~repro.execution.engine.ExecutionReport` whose
-    schedule is the :class:`~repro.execution.schedule.Plan` (its rows
-    carry one ``edge`` per dependency, which the Chrome exporter draws
-    as a flow arrow), and the ``exec.*`` metric family.  Its measured
-    speed-up may legitimately *exceed* the Eq. 2 bound ``min(n, 1/l)``:
-    the bound treats each dependency group as sequential, while the DAG
-    exploits the partial order inside it.
+    Wraps :meth:`DependencyDAG.schedule` in the report every engine
+    hands back — an
+    :class:`~repro.execution.engine.ExecutionReport` whose schedule is
+    the :class:`~repro.execution.schedule.Plan` (its rows carry one
+    ``edge`` per dependency, which the Chrome exporter draws as a flow
+    arrow) — and records the DAG's edges and critical path
+    (``exec.dag.*``).  Its measured speed-up may legitimately *exceed*
+    the Eq. 2 bound ``min(n, 1/l)``: the bound treats each dependency
+    group as sequential, while the DAG exploits the partial order
+    inside it.
     """
     plan = dag.schedule(cores)
     if obs.measuring():
@@ -249,7 +252,7 @@ def run_dag(dag: DependencyDAG, cores: int) -> ExecutionReport:
         obs.histogram("exec.dag.critical_path").observe(
             dag.critical_path()
         )
-    return finish_run("dag", cores, ExecutionReport(
+    return ExecutionReport(
         executor="dag",
         cores=cores,
         wall_time=plan.makespan,
@@ -257,7 +260,7 @@ def run_dag(dag: DependencyDAG, cores: int) -> ExecutionReport:
         num_tasks=len(dag.order),
         rounds=1,
         schedule=(Plan(dag, plan),),
-    ))
+    )
 
 
 def _block_dag(hashes: list[str], costs: list[float]) -> DependencyDAG:
@@ -321,17 +324,3 @@ def task_dag(tasks: Sequence[TxTask]) -> DependencyDAG:
             successors[earlier].add(tx_hash)
     return dag
 
-
-@dataclass
-class DAGExecutor:
-    """The ``dag`` engine as an executor: :func:`run_dag` over
-    :func:`task_dag`."""
-
-    cores: int
-    name = "dag"
-
-    def __post_init__(self) -> None:
-        require(self.cores)
-
-    def run(self, tasks: Sequence[TxTask]) -> ExecutionReport:
-        return run_dag(task_dag(tasks), self.cores)

@@ -5,14 +5,17 @@ did not exist yet ("we have not designed and implemented an execution
 engine that can exploit the available concurrency").  This package
 builds that engine in simulation: transactions become
 :class:`TxTask` objects carrying a cost and read/write sets, and the
-executors in :mod:`repro.execution.speculative`, :mod:`.grouped` and
-:mod:`.occ` schedule them on a simulated multicore, so their measured
-wall-clock can be compared against Eqs. 1-2.
+schedules in :mod:`repro.execution.speculative`, :mod:`.grouped`,
+:mod:`.occ` and :mod:`.dag` place them on a simulated multicore, so
+their measured wall-clock can be compared against Eqs. 1-2.  An engine
+is a row of :data:`repro.execution.registry.ENGINE_SPECS`, and
+:func:`repro.execution.registry.run_engine` runs it.
 
-What every engine shares lives here: the constructor check
+What every engine shares lives here: the argument check
 (:func:`require`), the two sources of conflict information, as groups
-of tasks (:func:`conflict_groups`, :func:`predicted_groups`), and the
-one way a run ends (:func:`finish_run`).  What a run hands back is an
+of tasks (:func:`conflict_groups`, :func:`predicted_groups`), the
+baseline schedule (:func:`sequential`) and the one way a run ends
+(:func:`finish_run`).  What a run hands back is an
 :class:`ExecutionReport` carrying the run's schedule
 (:mod:`repro.execution.schedule`): the replay builds its records from
 the commit stream derived from it, and whoever wants the run's
@@ -75,7 +78,7 @@ class TxTask:
 
 @dataclass(frozen=True)
 class ExecutionReport:
-    """Outcome of running a block through an executor.
+    """Outcome of running a block through an engine.
 
     ``schedule`` is the run itself, phase by phase
     (:mod:`repro.execution.schedule`); it takes no part in equality.
@@ -114,9 +117,8 @@ class ExecutionReport:
 
 
 def require(cores: int, **costs: float) -> None:
-    """The constructor check of every engine: at least one core, and no
-    negative charge K (keyword = the engine's field name, for the
-    message)."""
+    """The argument check of every run: at least one core, and no
+    negative charge (keyword = the argument's name, for the message)."""
     if cores < 1:
         raise ValueError("cores must be at least 1")
     for name, value in costs.items():
@@ -129,7 +131,7 @@ def finish_run(
 ) -> ExecutionReport:
     """End a run: feed *report* into the metrics registry, return it.
 
-    Shared by every executor so the snapshot carries a uniform
+    Shared by every engine so the snapshot carries a uniform
     ``exec.*`` family (runs, tasks, aborts, re-executions, wall-time
     and utilization distributions) labelled by executor and core count.
     With no report — an empty block, which runs nothing and records
@@ -203,22 +205,18 @@ def predicted_groups(
     ]
 
 
-class SequentialExecutor:
-    """The baseline every blockchain client implements today (§II-A)."""
-
-    name = "sequential"
-
-    def run(self, tasks: Sequence[TxTask], cores: int = 1) -> ExecutionReport:
-        """Execute in block order on one core; wall time is total work."""
-        total = sum(task.cost for task in tasks)
-        return finish_run(self.name, 1, ExecutionReport(
-            executor=self.name,
-            cores=1,
-            wall_time=total,
-            total_work=total,
-            num_tasks=len(tasks),
-            schedule=(Segment(tasks),),
-        ))
+def sequential(tasks: Sequence[TxTask]) -> ExecutionReport:
+    """The baseline every blockchain client implements today (§II-A):
+    block order on one core, so the wall time is the total work."""
+    total = sum(task.cost for task in tasks)
+    return ExecutionReport(
+        executor="sequential",
+        cores=1,
+        wall_time=total,
+        total_work=total,
+        num_tasks=len(tasks),
+        schedule=(Segment(tasks),),
+    )
 
 
 # -- task adapters ------------------------------------------------------------
@@ -306,7 +304,7 @@ def tasks_from_tdg(
 
     Each dependency group gets a private synthetic location written by
     all its members, so ``conflict_groups`` recovers exactly the TDG
-    groups.  Used to drive the executors from address-level TDGs, whose
+    groups.  Used to drive the engines from address-level TDGs, whose
     conflicts are coarser than storage-level ones.
     """
     tasks: list[TxTask] = []

@@ -453,9 +453,11 @@ def _run_block(
     """Run one block through *engines*, sharing one
     :class:`BlockConflicts`, dropped on return.  The caller owns the
     observability scope."""
-    conflicts = BlockConflicts(block)
+    tasks = block.tasks
+    conflicts = BlockConflicts(tasks, block.predictions)
     return [
-        run_engine(engine, block, cores, conflicts) for engine in engines
+        run_engine(engine, tasks, cores, conflicts=conflicts)
+        for engine in engines
     ]
 
 

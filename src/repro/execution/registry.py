@@ -2,42 +2,47 @@
 
 Eight engines replay a block.  Each is a *source of conflict
 information* crossed with a *schedule*, and :data:`ENGINE_SPECS` says
-which: every per-engine list — :data:`ENGINES`, the engines that want
-the block's static predictions next to its task list
-(:data:`PREDICTION_ENGINES`), the engines Eq. 2 binds
+which: a row is the engine.  Every per-engine list — :data:`ENGINES`,
+the engines that want the block's static predictions next to its task
+list (:data:`PREDICTION_ENGINES`), the engines Eq. 2 binds
 (:data:`EQ2_STRICT_EXECUTORS`) — is derived from it, so a new engine is
-one new row.  Every engine runs the block's task list, and every
-conflict it knows of is a location those tasks share; the two
-schedules that take groups take them from the source their row names
-(:class:`BlockConflicts`).  :func:`run_engine` is the one way to run an
-engine over a block — the replay fan-out, the node's validation path,
-the regress snapshot, the lifecycle pipeline and the CLI all hand it a
-block and an engine name.
+one new row, and a new source of information one new partition of
+:class:`BlockConflicts`.  Every engine runs the block's task list, and
+every conflict it knows of is a location those tasks share.
+
+:func:`run_engine` is the one way to run an engine — the replay
+fan-out, the node's validation path, the regress snapshot, the
+lifecycle pipeline, the CLI, the benches and the examples all hand it
+an engine name and a block's tasks.  It takes the row's groups from a
+:class:`BlockConflicts` and calls the row's schedule: the sequential
+baseline, the two-phase schedule of §V-A
+(:func:`~repro.execution.speculative.two_phase`), the chains of §V-B
+(:func:`~repro.execution.grouped.chain_schedule`), optimistic waves
+(:func:`~repro.execution.occ.occ`) or the dependency DAG
+(:func:`~repro.execution.dag.run_dag`).  Its ``exec.*`` metrics carry
+the row's name.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from repro.execution.dag import DAGExecutor
+from repro.execution.dag import run_dag, task_dag
 from repro.execution.engine import (
     ExecutionReport,
-    SequentialExecutor,
     TxTask,
     conflict_groups,
+    finish_run,
     predicted_groups,
+    require,
+    sequential,
 )
-from repro.execution.grouped import GroupedExecutor, StaticGroupedExecutor
-from repro.execution.occ import OCCExecutor
-from repro.execution.speculative import (
-    InformedSpeculativeExecutor,
-    SpeculativeExecutor,
-    StaticInformedExecutor,
-)
+from repro.execution.grouped import chain_schedule
+from repro.execution.occ import occ
+from repro.execution.speculative import two_phase
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.execution.parallel_replay import ReplayBlock
     from repro.staticcheck.predict import PredictedAccess
 
 
@@ -48,31 +53,21 @@ class EngineSpec(NamedTuple):
     structure, which only exists after execution) or ``"predicted"``
     (static access sets); ``schedule`` is ``"sequential"``,
     ``"two-phase"`` (§V-A), ``"chain"`` (§V-B), ``"occ"`` or ``"dag"``.
-    ``build`` takes a core count (and ``predictions=`` when predicted).
     """
 
     information: str
     schedule: str
-    build: Callable[..., object]
 
 
 ENGINE_SPECS: dict[str, EngineSpec] = {
-    "sequential": EngineSpec(
-        "none", "sequential", lambda cores: SequentialExecutor()
-    ),
-    "speculative": EngineSpec("none", "two-phase", SpeculativeExecutor),
-    "speculative-informed": EngineSpec(
-        "oracle", "two-phase", InformedSpeculativeExecutor
-    ),
-    "occ": EngineSpec("none", "occ", OCCExecutor),
-    "grouped": EngineSpec("oracle", "chain", GroupedExecutor),
-    "static-informed": EngineSpec(
-        "predicted", "two-phase", StaticInformedExecutor
-    ),
-    "static-grouped": EngineSpec(
-        "predicted", "chain", StaticGroupedExecutor
-    ),
-    "dag": EngineSpec("oracle", "dag", DAGExecutor),
+    "sequential": EngineSpec("none", "sequential"),
+    "speculative": EngineSpec("none", "two-phase"),
+    "speculative-informed": EngineSpec("oracle", "two-phase"),
+    "occ": EngineSpec("none", "occ"),
+    "grouped": EngineSpec("oracle", "chain"),
+    "static-informed": EngineSpec("predicted", "two-phase"),
+    "static-grouped": EngineSpec("predicted", "chain"),
+    "dag": EngineSpec("oracle", "dag"),
 }
 
 ENGINES = tuple(ENGINE_SPECS)
@@ -97,54 +92,48 @@ def validate_engines(engines: Sequence[str]) -> tuple[str, ...]:
     chosen = tuple(engines)
     if not chosen:
         raise ValueError("engines must name at least one engine")
-    known = ", ".join(ENGINES)
     for name in chosen:
-        if name not in ENGINES:
-            raise ValueError(
-                f"unknown engine {name!r}; expected one of: {known}"
-            )
+        _spec(name)
     if len(set(chosen)) != len(chosen):
         raise ValueError("engines must not repeat")
     return chosen
 
 
-def make_executor(name: str, cores: int, predictions: Mapping | None = None):
-    """Instantiate one of the task executors by registry name.
-
-    Unknown names raise :class:`ValueError` listing the choices.
-    *predictions* (``tx_hash`` →
-    :class:`~repro.staticcheck.predict.PredictedAccess`) feeds the two
-    :data:`PREDICTION_ENGINES`; other executors ignore it, and with no
-    predictions those two degrade soundly to sequential block order.
-    """
+def _spec(name: str) -> EngineSpec:
     spec = ENGINE_SPECS.get(name)
     if spec is None:
         known = ", ".join(ENGINES)
         raise ValueError(
-            f"unknown executor {name!r}; expected one of: {known}"
+            f"unknown engine {name!r}; expected one of: {known}"
         )
-    if spec.information == "predicted":
-        return spec.build(cores, predictions=predictions or {})
-    return spec.build(cores)
+    return spec
 
 
 class BlockConflicts:
     """One block's conflict information, each partition built at most
     once: the two sources of :data:`ENGINE_SPECS`' ``information``
-    column, as groups of tasks.
+    column, as groups of *tasks*.
 
-    An instance serves the engines of ONE replay of one block and goes
-    with it.  Engines that share it share the partitions; the groups
-    are read, never mutated, by the schedules.
+    *predictions* are the block's
+    :class:`~repro.staticcheck.predict.PredictedAccess` records; a task
+    with none is "may touch anything".  An instance serves the engines
+    of ONE run over one block and goes with it.  Engines that share it
+    share the partitions; the groups are read, never mutated, by the
+    schedules.
     """
 
-    def __init__(self, block: "ReplayBlock") -> None:
-        self._block = block
+    def __init__(
+        self,
+        tasks: Sequence[TxTask],
+        predictions: Iterable["PredictedAccess"] = (),
+    ) -> None:
+        self._tasks = tasks
+        self._predictions = predictions
 
     @cached_property
     def oracle(self) -> list[list[TxTask]]:
         """The runtime partition (:func:`conflict_groups`)."""
-        return conflict_groups(self._block.tasks)
+        return conflict_groups(self._tasks)
 
     @cached_property
     def predicted(self) -> list[list[TxTask]]:
@@ -155,18 +144,16 @@ class BlockConflicts:
         is the oracle's, and :attr:`oracle` itself is returned: checked
         per task, on every block.
         """
-        predictions = _prediction_map(self._block)
+        predictions = {
+            prediction.tx_hash: prediction
+            for prediction in self._predictions
+        }
         if all(
             _exact(predictions.get(task.tx_hash), task)
-            for task in self._block.tasks
+            for task in self._tasks
         ):
             return self.oracle
-        return predicted_groups(predictions, self._block.tasks)
-
-
-def _prediction_map(block: "ReplayBlock") -> dict[str, "PredictedAccess"]:
-    """``tx_hash`` → prediction, what the static executors look up."""
-    return {prediction.tx_hash: prediction for prediction in block.predictions}
+        return predicted_groups(predictions, self._tasks)
 
 
 def _exact(prediction: "PredictedAccess | None", task: TxTask) -> bool:
@@ -181,40 +168,81 @@ def _exact(prediction: "PredictedAccess | None", task: TxTask) -> bool:
 
 def run_engine(
     engine: str,
-    block: "ReplayBlock",
+    tasks: Sequence[TxTask],
     cores: int,
+    *,
+    k: float = 0.0,
     conflicts: BlockConflicts | None = None,
 ) -> ExecutionReport:
-    """Run *block* through *engine* on *cores* simulated cores.
+    """Run a block's *tasks* through *engine* on *cores* simulated cores.
 
-    ``exec.*`` metrics land wherever the caller's observability scope
-    points; the run's schedule comes back on the report.  A caller
-    running several engines over the block passes them one
-    :class:`BlockConflicts`, so the oracle partition is built once for
-    ``speculative`` (whose wave, the whole block, is validated against
-    it), ``speculative-informed`` and ``grouped``, and the predicted one
-    once for the two static engines — or not at all, when the
-    predictions are exact and the static engines' groups are the
-    oracle's; they then run ``exact``, without the safety net that
-    equal sets leave nothing to find.
-    Without *conflicts* the engine runs as its standalone executor
-    does, building what it needs itself.
+    The row's ``information`` names its groups: none, or
+    :attr:`BlockConflicts.oracle`, or :attr:`BlockConflicts.predicted`
+    of *conflicts*, the :class:`BlockConflicts` built over this same
+    *tasks* object and the block's predictions.  A caller running
+    several engines over the block passes one, so each partition is
+    built once: the oracle's for ``speculative`` (whose wave, the whole
+    block, is validated against it), ``speculative-informed`` and
+    ``grouped``, and the predicted one for the two static engines — or
+    not at all, when the predictions are exact and the static engines'
+    groups are the oracle's; they then run ``exact``, without the
+    safety net that equal sets leave nothing to find.  Without
+    *conflicts* the run builds its own, with no predictions: every
+    task "may touch anything".
+
+    *k* is the charge K of §V, paid before the schedule starts: the
+    price of the information, so only the engines that are handed
+    groups take one.  ``exec.*`` metrics land wherever the caller's
+    observability scope points; the run's schedule comes back on the
+    report.  On an empty block the baseline and the DAG run (and
+    record) their empty schedules; the other engines record nothing
+    and return the all-zero report.
+
+    Raises:
+        ValueError: an unknown engine, fewer than one core, a negative
+            *k*, a *k* for an engine that takes none, or *conflicts*
+            built over another task sequence.
     """
-    predicted = engine in PREDICTION_ENGINES
-    if (
-        conflicts is None or not block.tasks
-        or ENGINE_SPECS[engine].schedule not in ("two-phase", "chain")
+    spec = _spec(engine)
+    schedule = spec.schedule
+    require(cores, k=k)
+    if conflicts is None:
+        conflicts = BlockConflicts(tasks)
+    elif conflicts._tasks is not tasks:
+        raise ValueError("conflicts must be built over these tasks")
+    if k and (
+        spec.information == "none" or schedule not in ("two-phase", "chain")
     ):
-        # Nothing to share: the engine's standalone run.
-        predictions = _prediction_map(block) if predicted else None
-        return make_executor(engine, cores, predictions).run(block.tasks)
-    executor = make_executor(engine, cores)
-    if not predicted:
-        return executor.run(block.tasks, groups=conflicts.oracle)
-    groups = conflicts.predicted
-    return executor.run(
-        block.tasks, groups=groups, exact=groups is conflicts.oracle
-    )
+        raise ValueError(f"engine {engine!r} takes no charge k")
+    if schedule == "sequential":
+        cores = 1
+        report = sequential(tasks)
+    elif schedule == "dag":
+        report = run_dag(task_dag(tasks), cores)
+    elif not tasks:
+        # Nothing to wave or chain: the all-zero report, unrecorded.
+        return finish_run(engine, cores)
+    elif schedule == "occ":
+        report = occ(cores, tasks)
+    else:
+        if spec.information == "none":
+            # Nothing binned: the wave is the whole block, and its own
+            # runtime partition is the block's.
+            report = two_phase(
+                engine, cores, tasks, (), k, exact=False,
+                wave_groups=conflicts.oracle,
+            )
+        else:
+            groups = (
+                conflicts.oracle if spec.information == "oracle"
+                else conflicts.predicted
+            )
+            run = two_phase if schedule == "two-phase" else chain_schedule
+            report = run(
+                engine, cores, tasks, groups, k,
+                exact=groups is conflicts.oracle,
+            )
+    return finish_run(engine, cores, report)
 
 
 __all__ = [
@@ -224,7 +252,6 @@ __all__ = [
     "EQ2_STRICT_EXECUTORS",
     "PREDICTION_ENGINES",
     "EngineSpec",
-    "make_executor",
     "run_engine",
     "validate_engines",
 ]

@@ -1,6 +1,6 @@
 """Metric primitives: counters, gauges, histograms, and their registry.
 
-Metrics are keyed by a dotted name (``exec.speculative.reexecuted``)
+Metrics are keyed by a dotted name (``exec.grouped.groups``)
 plus an optional label set (``executor="occ", cores=8``); the same
 (name, labels) pair always resolves to the same metric object, so hot
 paths can call ``registry.counter(...)`` repeatedly without allocating.

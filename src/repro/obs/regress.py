@@ -41,6 +41,7 @@ from repro.execution.parallel_replay import replay_block_inputs
 from repro.execution.registry import (
     ENGINES as EXECUTOR_CHOICES,
     PREDICTION_ENGINES,
+    BlockConflicts,
     run_engine,
     validate_engines,
 )
@@ -159,8 +160,12 @@ def build_snapshot(
             if not block.tasks:
                 continue
             conflict = task_conflict_profile(block.tasks)
+            # One BlockConflicts per block, as the replay shares it.
+            partitions = BlockConflicts(block.tasks, block.predictions)
             reports = [
-                (name, run_engine(name, block, cores))
+                (name, run_engine(
+                    name, block.tasks, cores, conflicts=partitions
+                ))
                 for name in executors
             ]
             for name, report in reports:

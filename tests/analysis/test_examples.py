@@ -92,11 +92,11 @@ class TestFigure6:
         """'The transactions within this sequence must be executed
         sequentially' — the group executor can do no better than 18."""
         from repro.execution.engine import tasks_from_utxo_block
-        from repro.execution.grouped import GroupedExecutor
+        from repro.execution.registry import run_engine
 
         transactions, _ = figure_6_chain()
         tasks = tasks_from_utxo_block(transactions)
-        report = GroupedExecutor(cores=64).run(tasks)
+        report = run_engine("grouped", tasks, 64)
         assert report.wall_time == 18.0
 
     def test_values_decrease_along_chain(self):

@@ -74,7 +74,7 @@ def pairwise_components(items, conflicts) -> list[list[int]]:
 
 
 def pairwise_cross_group_aborts(tasks, groups) -> list[TxTask]:
-    """StaticGroupedExecutor's safety net as it was: every pair."""
+    """The chain schedule's safety net as it was: every pair."""
     group_of = {
         task.tx_hash: index
         for index, group in enumerate(groups) for task in group

@@ -12,7 +12,6 @@ from repro.account.receipts import ExecutedTransaction, Receipt
 from repro.account.transaction import make_account_transaction
 from repro.core.tdg import utxo_tdg
 from repro.execution.dag import (
-    DAGExecutor,
     DAGSchedule,
     DependencyDAG,
     _block_dag,
@@ -24,6 +23,7 @@ from repro.execution.engine import (
     tasks_from_account_block,
     tasks_from_utxo_block,
 )
+from repro.execution.registry import run_engine
 from repro.utxo.transaction import TxOutputSpec, make_coinbase, make_transaction
 from repro.utxo.txo import COIN
 
@@ -518,9 +518,9 @@ def test_dag_executor_runs_task_dag():
         TxTask("c", reads=frozenset({"x"})),
         TxTask("d", writes=frozenset({"x"})),
     ]
-    report = DAGExecutor(cores=2).run(tasks)
+    report = run_engine("dag", tasks, 2)
     assert report == run_dag(task_dag(tasks), 2)
     assert report.executor == "dag"
     assert report.wall_time == 3.0  # a, then b and c together, then d
     with pytest.raises(ValueError):
-        DAGExecutor(cores=0)
+        run_engine("dag", tasks, 0)

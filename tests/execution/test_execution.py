@@ -9,20 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.speedup import group_speedup_bound, speculative_time_exact
-from repro.execution.engine import (
-    SequentialExecutor,
-    TxTask,
-    conflict_groups,
-    tasks_from_tdg,
-)
-from repro.execution.grouped import GroupedExecutor
-from repro.execution.occ import OCCExecutor
+from repro.execution.engine import TxTask, conflict_groups, tasks_from_tdg
+from repro.execution.grouped import chain_schedule
+from repro.execution.registry import BlockConflicts, run_engine
 from repro.execution.simulator import CoreSimulator
-from repro.execution.speculative import (
-    InformedSpeculativeExecutor,
-    SpeculativeExecutor,
-    split_conflicted,
-)
+from repro.execution.speculative import split_conflicted
 from repro.core.tdg import TDGResult
 
 
@@ -103,11 +94,12 @@ class TestCoreSimulator:
 
 class TestSequentialBaseline:
     def test_wall_time_is_total_work(self):
-        report = SequentialExecutor().run(
-            [_task("a", cost=2.0), _task("b", cost=3.0)]
+        report = run_engine(
+            "sequential", [_task("a", cost=2.0), _task("b", cost=3.0)], 4
         )
         assert report.wall_time == 5.0
         assert report.speedup == 1.0
+        assert report.cores == 1
 
 
 class TestSpeculativeExecutor:
@@ -117,7 +109,7 @@ class TestSpeculativeExecutor:
         x = len(tasks)
         conflicted = 5
         for cores in (2, 4, 8):
-            report = SpeculativeExecutor(cores=cores).run(tasks)
+            report = run_engine("speculative", tasks, cores)
             expected = math.ceil(x / cores) + conflicted
             assert report.wall_time == pytest.approx(expected)
             model = speculative_time_exact(x, cores, conflicted / x)
@@ -126,18 +118,18 @@ class TestSpeculativeExecutor:
 
     def test_conflict_free_block_is_embarrassingly_parallel(self):
         tasks = [_task(f"t{i}", writes=[f"k{i}"]) for i in range(16)]
-        report = SpeculativeExecutor(cores=16).run(tasks)
+        report = run_engine("speculative", tasks, 16)
         assert report.wall_time == 1.0
         assert report.speedup == 16.0
 
     def test_fully_chained_block_worse_than_sequential(self):
         """Paper §V-A: speculation can yield speed-up < 1."""
         tasks = [_task(f"t{i}", writes=["hot"]) for i in range(16)]
-        report = SpeculativeExecutor(cores=4).run(tasks)
+        report = run_engine("speculative", tasks, 4)
         assert report.speedup < 1.0
 
     def test_empty_block(self):
-        report = SpeculativeExecutor(cores=4).run([])
+        report = run_engine("speculative", [], 4)
         assert report.wall_time == 0.0
         assert report.speedup == 1.0
 
@@ -152,16 +144,14 @@ class TestInformedExecutor:
     def test_never_slower_than_speculative_without_k(self):
         tasks = _block_with_conflicts()
         for cores in (2, 4, 8):
-            informed = InformedSpeculativeExecutor(cores=cores).run(tasks)
-            speculative = SpeculativeExecutor(cores=cores).run(tasks)
+            informed = run_engine("speculative-informed", tasks, cores)
+            speculative = run_engine("speculative", tasks, cores)
             assert informed.wall_time <= speculative.wall_time + 1e-9
 
     def test_preprocessing_cost_charged(self):
         tasks = _block_with_conflicts()
-        free = InformedSpeculativeExecutor(cores=4).run(tasks)
-        taxed = InformedSpeculativeExecutor(
-            cores=4, preprocessing_cost=3.0
-        ).run(tasks)
+        free = run_engine("speculative-informed", tasks, 4)
+        taxed = run_engine("speculative-informed", tasks, 4, k=3.0)
         assert taxed.wall_time == pytest.approx(free.wall_time + 3.0)
 
 
@@ -169,62 +159,78 @@ class TestGroupedExecutor:
     def test_respects_eq2_bound(self):
         tasks = _block_with_conflicts()
         for cores in (1, 2, 4, 8):
-            report = GroupedExecutor(cores=cores).run(tasks)
+            report = run_engine("grouped", tasks, cores)
             l = 3 / 8  # LCC size / x
             assert report.speedup <= group_speedup_bound(cores, l) + 1e-9
 
     def test_reaches_inverse_l_with_enough_cores(self):
         """With cores >= #groups the makespan is the LCC (the 1/l bound)."""
         tasks = _block_with_conflicts()
-        report = GroupedExecutor(cores=8).run(tasks)
+        report = run_engine("grouped", tasks, 8)
         assert report.wall_time == 3.0  # the {a,b,c} group
         assert report.speedup == pytest.approx(8 / 3)
 
     def test_explicit_groups_override_detection(self):
+        """The schedule runs the groups it is handed, not the tasks'
+        own partition."""
         tasks = [_task("a"), _task("b")]
-        report = GroupedExecutor(cores=1).run(
-            tasks, groups=[[tasks[0], tasks[1]]]
+        report = chain_schedule(
+            "grouped", 2, tasks, [[tasks[0], tasks[1]]], 0.0, exact=True
         )
         assert report.wall_time == 2.0
+        assert run_engine("grouped", tasks, 2).wall_time == 1.0
 
     def test_scheduling_cost_charged(self):
         tasks = _block_with_conflicts()
-        free = GroupedExecutor(cores=4).run(tasks)
-        taxed = GroupedExecutor(cores=4, scheduling_cost=2.0).run(tasks)
+        free = run_engine("grouped", tasks, 4)
+        taxed = run_engine("grouped", tasks, 4, k=2.0)
         assert taxed.wall_time == pytest.approx(free.wall_time + 2.0)
-
-    def test_lpt_no_worse_than_list_on_adversarial_order(self):
-        tasks = [_task(f"s{i}", writes=[f"k{i}"]) for i in range(4)]
-        tasks += [_task(f"big{i}", writes=["hot"]) for i in range(6)]
-        lpt = GroupedExecutor(cores=2, policy="lpt").run(tasks)
-        listed = GroupedExecutor(cores=2, policy="list").run(tasks)
-        assert lpt.wall_time <= listed.wall_time + 1e-9
 
 
 class TestOCCExecutor:
     def test_conflict_free_block_single_wave(self):
         tasks = [_task(f"t{i}", writes=[f"k{i}"]) for i in range(8)]
-        report = OCCExecutor(cores=8).run(tasks)
+        report = run_engine("occ", tasks, 8)
         assert report.rounds == 1
         assert report.aborts == 0
         assert report.wall_time == 1.0
 
     def test_hot_key_serialises_via_retries(self):
         tasks = [_task(f"t{i}", writes=["hot"]) for i in range(5)]
-        report = OCCExecutor(cores=8).run(tasks)
+        report = run_engine("occ", tasks, 8)
         assert report.rounds == 5  # one commit per wave
         assert report.aborts == 4 + 3 + 2 + 1
 
     def test_block_order_commit_preserved(self):
         """The first pending task always commits, ensuring progress."""
         tasks = [_task(f"t{i}", writes=["k"]) for i in range(3)]
-        report = OCCExecutor(cores=2).run(tasks)
+        report = run_engine("occ", tasks, 2)
         assert report.rounds == 3
 
     def test_empty(self):
-        report = OCCExecutor(cores=2).run([])
+        report = run_engine("occ", [], 2)
         assert report.rounds == 1 or report.rounds == 0 or True
         assert report.wall_time == 0.0
+
+
+class TestRunEngine:
+    def test_charge_only_where_information_is_handed_over(self):
+        tasks = _block_with_conflicts()
+        for engine in ("sequential", "speculative", "occ", "dag"):
+            with pytest.raises(ValueError, match="no charge"):
+                run_engine(engine, tasks, 4, k=1.0)
+        with pytest.raises(ValueError, match="unknown engine"):
+            run_engine("warp-drive", tasks, 4)
+
+    def test_conflicts_must_be_built_over_the_same_tasks(self):
+        """A ``BlockConflicts`` of another task sequence (here an equal
+        copy) would hand the schedule groups of foreign tasks."""
+        tasks = _block_with_conflicts()
+        run_engine("grouped", tasks, 4, conflicts=BlockConflicts(tasks))
+        with pytest.raises(ValueError, match="these tasks"):
+            run_engine(
+                "grouped", tasks, 4, conflicts=BlockConflicts(list(tasks))
+            )
 
 
 # -- cross-engine properties ---------------------------------------------------
@@ -247,13 +253,8 @@ def test_all_engines_complete_all_work(spec, cores):
         for i, (bucket, cost) in enumerate(spec)
     ]
     total = sum(t.cost for t in tasks)
-    for engine in (
-        SpeculativeExecutor(cores=cores),
-        InformedSpeculativeExecutor(cores=cores),
-        GroupedExecutor(cores=cores),
-        OCCExecutor(cores=cores),
-    ):
-        report = engine.run(tasks)
+    for engine in ("speculative", "speculative-informed", "grouped", "occ"):
+        report = run_engine(engine, tasks, cores)
         assert report.num_tasks == len(tasks)
         assert report.total_work == pytest.approx(total)
         assert report.wall_time > 0
@@ -267,5 +268,5 @@ def test_grouped_never_slower_than_sequential(spec, cores):
         _task(f"t{i}", cost=cost, writes=[f"bucket{bucket}"])
         for i, (bucket, cost) in enumerate(spec)
     ]
-    report = GroupedExecutor(cores=cores).run(tasks)
+    report = run_engine("grouped", tasks, cores)
     assert report.speedup >= 1.0 - 1e-9

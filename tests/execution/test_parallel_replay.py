@@ -57,19 +57,19 @@ class TestEngineRegistry:
         predictions — without them it is sequential in disguise."""
         from repro.execution.registry import (
             PREDICTION_ENGINES,
-            make_executor,
+            BlockConflicts,
             run_engine,
         )
 
         assert PREDICTION_ENGINES == {"static-informed", "static-grouped"}
         block = max(tiny_inputs, key=lambda b: len(b.tasks))
-        by_hash = {p.tx_hash: p for p in block.predictions}
         for name in sorted(PREDICTION_ENGINES):
-            by_name = run_engine(name, block, 4)
-            direct = make_executor(name, 4, by_hash).run(block.tasks)
-            assert by_name == direct
+            by_name = run_engine(
+                name, block.tasks, 4,
+                conflicts=BlockConflicts(block.tasks, block.predictions),
+            )
             assert by_name.speedup > 1.0
-            blind = make_executor(name, 4).run(block.tasks)
+            blind = run_engine(name, block.tasks, 4)
             assert blind.wall_time == blind.total_work
 
     def test_every_engine_list_is_derived_from_the_one_table(self):
@@ -77,13 +77,14 @@ class TestEngineRegistry:
             ENGINE_SPECS,
             EQ2_STRICT_EXECUTORS,
             PREDICTION_ENGINES,
-            make_executor,
+            run_engine,
         )
         from repro.obs import critical_path
 
         assert ENGINES == tuple(ENGINE_SPECS)
+        tasks = [TxTask("a", writes=frozenset({"x"}))]
         for name in ENGINES:
-            assert make_executor(name, 2).name == name
+            assert run_engine(name, tasks, 2).executor == name
         assert PREDICTION_ENGINES == {
             name for name, spec in ENGINE_SPECS.items()
             if spec.information == "predicted"
@@ -395,7 +396,8 @@ class TestRecorderDump:
         assert dump is not None
         expected = [
             row for engine in engines for row in timeline_rows(
-                parallel_replay.run_engine(engine, block, 2), block.height
+                parallel_replay.run_engine(engine, block.tasks, 2),
+                block.height,
             )
         ]
         assert rows == expected
@@ -438,10 +440,11 @@ class TestParentObservability:
         serial_metrics = serial_state.registry.snapshot()
         fanned_metrics = fanned_state.registry.snapshot()
         occ_keys = [
-            key for key in serial_metrics["counters"]
-            if key.startswith("exec.occ.")
+            f"exec.{name}{{cores=4,executor=occ}}"
+            for name in ("aborts", "rounds")
         ]
-        assert occ_keys
+        assert occ_keys[0] in serial_metrics["counters"]
+        assert serial_metrics["counters"][occ_keys[1]] > 0
         for key in occ_keys:
             assert (
                 fanned_metrics["counters"][key]

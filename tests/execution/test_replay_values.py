@@ -15,10 +15,11 @@ honest:
   exact, so the static engines share the oracle's) and one
   ``state-root`` hash per distinct class of commit order.
 
-A second property holds the shared path of the two static engines —
-the oracle partition and no safety net when every prediction is exact,
-their own partition and both nets otherwise — to the standalone
-executors.
+A second property holds the path of the two static engines — the
+oracle partition and no safety net when every prediction is exact,
+their own partition and both nets otherwise — to their schedules run
+over the predicted partition with the net always on, and a shared
+:class:`BlockConflicts` to one the run builds itself.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from repro import obs
 from repro.execution import engine as engine_module
 from repro.execution import parallel_replay
 from repro.execution.dag import DependencyDAG
-from repro.execution.engine import TxTask
-from repro.execution.grouped import GroupedExecutor, StaticGroupedExecutor
+from repro.execution.engine import TxTask, finish_run, predicted_groups
+from repro.execution.grouped import chain_schedule
 from repro.execution.parallel_replay import (
     ReplayBlock,
     replay_block_inputs,
@@ -40,10 +41,7 @@ from repro.execution.parallel_replay import (
 )
 from repro.execution.registry import ENGINE_SPECS, BlockConflicts, run_engine
 from repro.execution.schedule import timeline_rows
-from repro.execution.speculative import (
-    InformedSpeculativeExecutor,
-    StaticInformedExecutor,
-)
+from repro.execution.speculative import two_phase
 from repro.obs import timeline
 from repro.staticcheck.predict import PredictedAccess
 from repro.workload.profiles import PROFILES_BY_NAME
@@ -130,10 +128,43 @@ def predicted_blocks(draw):
     )
 
 
-STATIC_EXECUTORS = {
-    "static-informed": StaticInformedExecutor,
-    "static-grouped": StaticGroupedExecutor,
+STATIC_SCHEDULES = {
+    "static-grouped": chain_schedule,
+    "static-informed": two_phase,
 }
+STATIC_ENGINES = tuple(STATIC_SCHEDULES)
+
+
+def run_block(engine, block, cores, conflicts=None, **kwargs):
+    """*engine* over *block*: sharing *conflicts*, or building its own."""
+    if conflicts is None:
+        conflicts = BlockConflicts(block.tasks, block.predictions)
+    return run_engine(
+        engine, block.tasks, cores, conflicts=conflicts, **kwargs
+    )
+
+
+def net_always_on(engine, block, cores):
+    """A static *engine*'s schedule over the predicted partition with
+    the safety net on, whether or not the predictions are exact."""
+    if not block.tasks:
+        return finish_run(engine, cores)
+    groups = predicted_groups(
+        {p.tx_hash: p for p in block.predictions}, block.tasks
+    )
+    return STATIC_SCHEDULES[engine](
+        engine, cores, block.tasks, groups, 0.0, exact=False
+    )
+
+
+def sequential_root_holds(block, engine):
+    """Does *engine*'s commit-order root over *block* equal sequential's?"""
+    result = replay_chain(
+        [block], data_model="account", backend="serial",
+        engines=("sequential", engine),
+    )
+    sequential, record = result.records
+    return record.state_root == sequential.state_root
 
 
 @settings(max_examples=300, deadline=None)
@@ -143,34 +174,35 @@ def test_static_engines_on_the_shared_path_equal_the_standalone_executors(
 ):
     """Exact predictions hand the static engines the oracle partition
     itself and skip the nets; any other block keeps its own partition
-    and both nets.  Either way ``run_engine`` with a shared
-    :class:`BlockConflicts` reports and schedules what the standalone
-    executor does."""
+    and both nets.  Either way ``run_engine`` reports and schedules
+    what the same schedule over the predicted partition, net always
+    on, does — with a shared :class:`BlockConflicts` or its own."""
     predictions = {p.tx_hash: p for p in block.predictions}
-    conflicts = BlockConflicts(block)
-    for engine, executor in STATIC_EXECUTORS.items():
+    conflicts = BlockConflicts(block.tasks, block.predictions)
+    for engine in STATIC_ENGINES:
+        netted = recorded(block.height, [
+            lambda engine=engine: net_always_on(engine, block, cores),
+        ])
         shared = recorded(block.height, [
-            lambda engine=engine: run_engine(
-                engine, block, cores, conflicts
-            ),
+            lambda engine=engine: run_block(engine, block, cores, conflicts),
         ])
         alone = recorded(block.height, [
-            lambda executor=executor: executor(cores, predictions).run(
-                block.tasks
-            ),
+            lambda engine=engine: run_block(engine, block, cores),
         ])
-        assert shared == alone, engine
+        assert shared == netted, engine
+        assert alone == netted, engine
     exact = all(
         is_exact(predictions.get(task.tx_hash), task) for task in block.tasks
     )
     assert (conflicts.predicted is conflicts.oracle) == exact
 
 
-@pytest.mark.parametrize("engine", sorted(STATIC_EXECUTORS))
+@pytest.mark.parametrize("engine", STATIC_ENGINES)
 def test_an_unsound_block_still_fires_the_net_through_run_engine(engine):
     """The prediction of tx1 misses the location it shares with tx0:
     the predicted groups split a true conflict, which the net catches
-    on the shared path as it does standalone."""
+    through ``run_engine`` as the schedule run with its net always on
+    does, and the commit order stays sequential's."""
     tasks = (
         TxTask("tx0", writes=frozenset({"balance:a"})),
         TxTask("tx1", writes=frozenset({"balance:a", "balance:b"})),
@@ -182,15 +214,69 @@ def test_an_unsound_block_still_fires_the_net_through_run_engine(engine):
             PredictedAccess("tx1", writes=frozenset({"balance:b"})),
         ),
     )
-    conflicts = BlockConflicts(block)
-    report = run_engine(engine, block, 2, conflicts)
+    conflicts = BlockConflicts(tasks, block.predictions)
+    report = run_block(engine, block, 2, conflicts)
     assert conflicts.predicted is not conflicts.oracle
     assert report.aborts == report.reexecuted == 2
-    alone = STATIC_EXECUTORS[engine](
-        2, {p.tx_hash: p for p in block.predictions}
-    ).run(tasks)
-    assert report == alone
-    assert timeline_rows(report, HEIGHT) == timeline_rows(alone, HEIGHT)
+    netted = net_always_on(engine, block, 2)
+    assert report == netted
+    assert timeline_rows(report, HEIGHT) == timeline_rows(netted, HEIGHT)
+    assert sequential_root_holds(block, engine)
+
+
+def test_exact_only_when_every_prediction_equals_its_sets():
+    """The static engines share the oracle's groups only when every
+    task has a prediction, unwidened, naming its own sets: one wider,
+    missing or widened prediction keeps the predicted partition."""
+    tasks = (
+        TxTask("tx0", reads=frozenset({"storage:x:0"}),
+               writes=frozenset({"balance:a"})),
+        TxTask("tx1", writes=frozenset({"balance:b"})),
+    )
+    exact = tuple(
+        PredictedAccess(t.tx_hash, reads=t.reads, writes=t.writes)
+        for t in tasks
+    )
+    wider = PredictedAccess(
+        "tx1", writes=frozenset({"balance:b", "balance:c"})
+    )
+    widened = PredictedAccess(
+        "tx1", writes=tasks[1].writes, global_top=True
+    )
+    for predictions, shared in (
+        (exact, True),
+        (exact[:1], False),
+        ((exact[0], wider), False),
+        ((exact[0], widened), False),
+    ):
+        conflicts = BlockConflicts(tasks, predictions)
+        assert (conflicts.predicted is conflicts.oracle) is shared
+
+
+def test_wave_is_validated_against_its_own_partition():
+    """tx0 truly conflicts only with tx1, which its prediction misses;
+    tx1 and tx2 are binned together on a false positive.  Nothing in
+    the wave conflicts within it, so nothing aborts: tx0 commits in the
+    wave ahead of the binned tx1, as block order wants.  Validated
+    against the block's partition, tx0 would abort for a conflict with
+    a binned task."""
+    tasks = (
+        TxTask("tx0", writes=frozenset({"balance:a"})),
+        TxTask("tx1", writes=frozenset({"balance:a"})),
+        TxTask("tx2", writes=frozenset({"balance:c"})),
+    )
+    block = ReplayBlock(
+        height=HEIGHT, tasks=tasks, payload=(),
+        predictions=(
+            PredictedAccess("tx0", writes=frozenset({"balance:z"})),
+            PredictedAccess("tx1", writes=frozenset({"balance:b"})),
+            PredictedAccess("tx2", writes=frozenset({"balance:b"})),
+        ),
+    )
+    report = run_block("static-informed", block, 2)
+    assert report.aborts == 0
+    assert [task.tx_hash for task in report.schedule[0].tasks] == ["tx0"]
+    assert sequential_root_holds(block, "static-informed")
 
 
 @st.composite
@@ -257,9 +343,7 @@ def recorded(height, runs):
 
 def run_recorded(block, cores, conflicts):
     return recorded(block.height, [
-        lambda engine=engine: run_engine(
-            engine, block, cores, conflicts
-        )
+        lambda engine=engine: run_block(engine, block, cores, conflicts)
         for engine in ENGINES
     ])
 
@@ -267,7 +351,9 @@ def run_recorded(block, cores, conflicts):
 @settings(max_examples=250, deadline=None)
 @given(block=blocks(), cores=st.integers(min_value=1, max_value=4))
 def test_values_equal_the_reduction_of_the_rows(block, cores):
-    reports, rows = run_recorded(block, cores, BlockConflicts(block))
+    reports, rows = run_recorded(
+        block, cores, BlockConflicts(block.tasks, block.predictions)
+    )
     records = parallel_replay._block_records(block, ENGINES, reports)
     for engine, record in zip(ENGINES, records):
         assert (
@@ -283,25 +369,22 @@ def test_values_equal_the_reduction_of_the_rows(block, cores):
 @settings(max_examples=60, deadline=None)
 @given(block=blocks(), cores=st.integers(min_value=1, max_value=3))
 def test_commit_clocks_are_the_rows_clocks_behind_a_charge(block, cores):
-    """``run_engine`` charges no K; the schedules' own K shifts every
-    commit, retries included, exactly as it shifts the rows."""
-    predictions = {p.tx_hash: p for p in block.predictions}
-    executors = [
-        InformedSpeculativeExecutor(cores, preprocessing_cost=0.75),
-        StaticInformedExecutor(cores, predictions, preprocessing_cost=0.75),
-        GroupedExecutor(cores, scheduling_cost=0.75),
-        StaticGroupedExecutor(cores, predictions, scheduling_cost=0.75),
-    ]
+    """The charge K shifts every commit, retries included, exactly as it
+    shifts the rows."""
+    engines = (
+        "speculative-informed", "static-informed", "grouped",
+        "static-grouped",
+    )
     reports, rows = recorded(HEIGHT, [
-        lambda executor=executor: executor.run(block.tasks)
-        for executor in executors
+        lambda engine=engine: run_block(engine, block, cores, k=0.75)
+        for engine in engines
     ])
-    for executor, report in zip(executors, reports):
+    for engine, report in zip(engines, reports):
         assert sorted(report.commits) == sorted(
             (clock, task)
             for name, _b, _r, kind, task, _lane, clock, _cost in rows
-            if name == executor.name and kind == "commit"
-        ), executor.name
+            if name == engine and kind == "commit"
+        ), engine
 
 
 @pytest.fixture(scope="module")

@@ -1,16 +1,14 @@
-"""StaticInformedExecutor: prediction-binned two-phase execution."""
+"""The ``static-informed`` engine: prediction-binned two-phase execution."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import obs
-from repro.execution.engine import TxTask
+from repro.execution.engine import TxTask, predicted_groups
 from repro.execution.parallel_replay import ReplayBlock, replay_chain
-from repro.execution.speculative import (
-    InformedSpeculativeExecutor,
-    StaticInformedExecutor,
-)
+from repro.execution.registry import BlockConflicts, run_engine
+from repro.execution.speculative import two_phase
 from repro.staticcheck.predict import PredictedAccess, unknown_access
 
 
@@ -29,42 +27,55 @@ def exact_prediction(item: TxTask) -> PredictedAccess:
     )
 
 
+def static_informed(tasks, cores, predictions=(), k=0.0):
+    return run_engine(
+        "static-informed", tasks, cores, k=k,
+        conflicts=BlockConflicts(tasks, predictions),
+    )
+
+
 def test_validates_constructor_args():
     with pytest.raises(ValueError):
-        StaticInformedExecutor(0)
+        static_informed([], 0)
     with pytest.raises(ValueError):
-        StaticInformedExecutor(2, preprocessing_cost=-1.0)
+        static_informed([], 2, k=-1.0)
 
 
 def test_empty_block_is_free():
-    report = StaticInformedExecutor(4).run([])
+    report = static_informed([], 4)
     assert report.wall_time == 0.0
     assert report.num_tasks == 0
 
 
 def test_exact_predictions_match_oracle_executor():
+    """With perfect predictions the two phases equal the runtime-set
+    oracle (``speculative-informed``), and the safety net ``run_engine``
+    skips would not have fired: the two phases over the predicted
+    partition, net on, report the same."""
     tasks = [
         task("a", writes={"x"}),
         task("b", writes={"x"}),
         task("c", writes={"y"}),
         task("d", writes={"z"}),
     ]
-    predictions = {t.tx_hash: exact_prediction(t) for t in tasks}
-    static = StaticInformedExecutor(
-        2, predictions=predictions, preprocessing_cost=1.5
-    ).run(tasks)
-    oracle = InformedSpeculativeExecutor(
-        2, preprocessing_cost=1.5
-    ).run(tasks)
+    predictions = [exact_prediction(t) for t in tasks]
+    static = static_informed(tasks, 2, predictions, k=1.5)
+    oracle = run_engine("speculative-informed", tasks, 2, k=1.5)
     assert static.wall_time == oracle.wall_time
     assert static.aborts == 0
+    netted = two_phase(
+        "static-informed", 2, tasks,
+        predicted_groups({p.tx_hash: p for p in predictions}, tasks),
+        1.5, exact=False,
+    )
+    assert netted == static
 
 
 def test_false_positives_shrink_parallel_phase():
     tasks = [task("a", writes={"x"}), task("b", writes={"y"})]
     # Over-approximated predictions force both into the bin.
-    predictions = {t.tx_hash: unknown_access(t.tx_hash) for t in tasks}
-    report = StaticInformedExecutor(2, predictions=predictions).run(tasks)
+    predictions = [unknown_access(t.tx_hash) for t in tasks]
+    report = static_informed(tasks, 2, predictions)
     # No parallel phase at all: both run sequentially.
     assert report.wall_time == 2.0
     assert report.aborts == 0
@@ -72,8 +83,7 @@ def test_false_positives_shrink_parallel_phase():
 
 def test_missing_prediction_is_treated_as_top():
     tasks = [task("a", writes={"x"}), task("b", writes={"y"})]
-    predictions = {"a": exact_prediction(tasks[0])}
-    report = StaticInformedExecutor(2, predictions=predictions).run(tasks)
+    report = static_informed(tasks, 2, [exact_prediction(tasks[0])])
     # "b" defaults to global-⊤, conflicting with "a": both binned.
     assert report.wall_time == 2.0
 
@@ -81,11 +91,11 @@ def test_missing_prediction_is_treated_as_top():
 def test_unsound_predictions_trigger_safety_net():
     tasks = [task("a", writes={"x"}), task("b", writes={"x"})]
     # Deliberately wrong predictions claim the tasks are independent.
-    predictions = {
-        "a": PredictedAccess(tx_hash="a", writes=frozenset({"p"})),
-        "b": PredictedAccess(tx_hash="b", writes=frozenset({"q"})),
-    }
-    report = StaticInformedExecutor(2, predictions=predictions).run(tasks)
+    predictions = [
+        PredictedAccess(tx_hash="a", writes=frozenset({"p"})),
+        PredictedAccess(tx_hash="b", writes=frozenset({"q"})),
+    ]
+    report = static_informed(tasks, 2, predictions)
     # Both ran in parallel, truly conflicted, and were re-executed.
     assert report.aborts == 2
     assert report.reexecuted == 2
@@ -95,9 +105,9 @@ def test_unsound_predictions_trigger_safety_net():
 
 def test_reports_obs_counters():
     tasks = [task("a", writes={"x"}), task("b", writes={"x"})]
-    predictions = {t.tx_hash: exact_prediction(t) for t in tasks}
+    predictions = [exact_prediction(t) for t in tasks]
     with obs.instrumented() as state:
-        StaticInformedExecutor(2, predictions=predictions).run(tasks)
+        static_informed(tasks, 2, predictions)
     counters = state.registry.snapshot()["counters"]
     assert counters["exec.static-informed.binned"] == 2
     assert (

@@ -248,7 +248,7 @@ class TestReplayBounds:
         work = eq1_time = eq2_time = 0.0
         lcc_bound = 0
         for block in inputs:
-            report = run_engine("grouped", block, 4)
+            report = run_engine("grouped", block.tasks, 4)
             comparison = compare_to_bounds(
                 report, task_conflict_profile(block.tasks)
             )

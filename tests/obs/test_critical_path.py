@@ -7,16 +7,9 @@ import random
 
 import pytest
 
-from repro.execution.dag import DAGExecutor
-from repro.execution.engine import SequentialExecutor, TxTask
-from repro.execution.grouped import GroupedExecutor, StaticGroupedExecutor
+from repro.execution.engine import TxTask
+from repro.execution.registry import BlockConflicts, run_engine
 from repro.execution.schedule import timeline_rows
-from repro.execution.occ import OCCExecutor
-from repro.execution.speculative import (
-    InformedSpeculativeExecutor,
-    SpeculativeExecutor,
-    StaticInformedExecutor,
-)
 from repro.obs.critical_path import (
     EQ2_STRICT_EXECUTORS,
     Execution,
@@ -165,7 +158,7 @@ class TestHandoffChain:
 
 class TestProfileEvents:
     def test_sequential_profile_is_exact(self):
-        report = SequentialExecutor().run(_conflicting_tasks())
+        report = run_engine("sequential", _conflicting_tasks(), 1)
         profile = profile_events(as_events(timeline_rows(report, None)))
         assert profile.executor == "sequential"
         assert profile.makespan == report.wall_time == 5.0
@@ -186,21 +179,18 @@ class TestProfileEvents:
             profile_events(as_events(rows))
 
     @pytest.mark.parametrize(
-        "factory",
+        ("engine", "k"),
         [
-            lambda: SpeculativeExecutor(cores=4),
-            lambda: InformedSpeculativeExecutor(
-                cores=4, preprocessing_cost=1.0
-            ),
-            lambda: OCCExecutor(cores=4),
-            lambda: GroupedExecutor(cores=4),
+            ("speculative", 0.0),
+            ("speculative-informed", 1.0),
+            ("occ", 0.0),
+            ("grouped", 0.0),
         ],
         ids=["speculative", "speculative-informed", "occ", "grouped"],
     )
-    def test_makespan_matches_reported_wall_time(self, factory, eth_blocks):
-        executor = factory()
+    def test_makespan_matches_reported_wall_time(self, engine, k, eth_blocks):
         for height, tasks, _executed in eth_blocks:
-            report = executor.run(tasks)
+            report = run_engine(engine, tasks, 4, k=k)
             profile = profile_events(
                 as_events(timeline_rows(report, height))
             )
@@ -225,27 +215,25 @@ class TestBounds:
 
     def test_strict_executors_stay_within_eq2(self, eth_blocks):
         def exact(tasks):
-            return {
-                t.tx_hash: PredictedAccess(
+            return [
+                PredictedAccess(
                     tx_hash=t.tx_hash, reads=t.reads, writes=t.writes
                 )
                 for t in tasks
-            }
+            ]
 
-        for name, build in (
-            ("speculative", lambda tasks: SpeculativeExecutor(cores=8)),
-            ("speculative-informed",
-             lambda tasks: InformedSpeculativeExecutor(cores=8)),
-            ("grouped", lambda tasks: GroupedExecutor(cores=8)),
-            ("static-informed",
-             lambda tasks: StaticInformedExecutor(8, exact(tasks))),
-            ("static-grouped",
-             lambda tasks: StaticGroupedExecutor(8, exact(tasks))),
+        for name in (
+            "speculative", "speculative-informed", "grouped",
+            "static-informed", "static-grouped",
         ):
             assert name in EQ2_STRICT_EXECUTORS
             for _height, tasks, _executed in eth_blocks:
+                report = run_engine(
+                    name, tasks, 8,
+                    conflicts=BlockConflicts(tasks, exact(tasks)),
+                )
                 comparison = compare_to_bounds(
-                    build(tasks).run(tasks), task_conflict_profile(tasks)
+                    report, task_conflict_profile(tasks)
                 )
                 assert comparison.strict
                 assert comparison.within_eq2, (
@@ -254,7 +242,7 @@ class TestBounds:
 
     def test_dag_may_exceed_but_never_violates(self, eth_blocks):
         for _height, tasks, _executed in eth_blocks:
-            report = DAGExecutor(cores=8).run(tasks)
+            report = run_engine("dag", tasks, 8)
             comparison = compare_to_bounds(
                 report, task_conflict_profile(tasks)
             )

@@ -57,19 +57,16 @@ class TestResultsUnperturbed:
 class TestExecutorsUnperturbed:
     def test_reports_identical_with_and_without_instrumentation(self):
         from repro.execution.engine import tasks_from_account_block
-        from repro.execution.grouped import GroupedExecutor
-        from repro.execution.occ import OCCExecutor
-        from repro.execution.speculative import SpeculativeExecutor
+        from repro.execution.registry import run_engine
 
         chain = generate_chain("ethereum", **CHAIN_ARGS)
         _block, executed = chain.account_builder.executed_blocks[-1]
         tasks = tasks_from_account_block(executed)
 
         def run_all():
-            return (
-                SpeculativeExecutor(8).run(tasks),
-                OCCExecutor(8).run(tasks),
-                GroupedExecutor(8).run(tasks),
+            return tuple(
+                run_engine(engine, tasks, 8)
+                for engine in ("speculative", "occ", "grouped")
             )
 
         baseline = run_all()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.execution import make_executor
+from repro.execution import run_engine
 from repro.obs.regress import (
     EXACT,
     SNAPSHOT_SCHEMA_VERSION,
@@ -59,8 +59,8 @@ class TestSnapshotBuild:
             build_snapshot(blocks=0)
         with pytest.raises(ValueError, match="cores"):
             build_snapshot(blocks=1, cores=0)
-        with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("warp-drive", 2)
+        with pytest.raises(ValueError, match="unknown engine"):
+            run_engine("warp-drive", [], 2)
 
     def test_realtime_metrics_reduced_to_counts(self):
         snapshot = {
