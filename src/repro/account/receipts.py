@@ -16,7 +16,7 @@ from repro.account.transaction import AccountTransaction, InternalTransaction
 from repro.sets import EMPTY
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Receipt:
     """Outcome of executing one regular transaction."""
 
@@ -38,7 +38,7 @@ class Receipt:
         return len(self.internal_transactions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutedTransaction:
     """A transaction paired with its receipt — one row of an executed block."""
 

@@ -21,7 +21,7 @@ from repro.chain.hashing import hash_fields
 NULL_ADDRESS = "0x" + "0" * 40
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InternalTransaction:
     """One geth-style trace entry: a call between two addresses.
 
@@ -46,7 +46,7 @@ class InternalTransaction:
             raise ValueError("value must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccountTransaction:
     """A regular (or coinbase) account-model transaction.
 

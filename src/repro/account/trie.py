@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.chain.hashing import sha256_hex
+from repro.sets import balance_location, storage_location
 
 _RADIX = 16
 EMPTY_ROOT = sha256_hex(b"empty-trie")
@@ -199,10 +200,10 @@ def state_root(state) -> str:
     """
     trie = StateTrie()
     for address, account in sorted(state.iter_accounts()):
-        trie.put(f"balance:{address}", str(account.balance))
+        trie.put(balance_location(address), str(account.balance))
         trie.put(f"nonce:{address}", str(account.nonce))
         if account.code_id:
             trie.put(f"code:{address}", account.code_id)
         for key, value in account.storage.items():
-            trie.put(f"storage:{address}:{key}", value)
+            trie.put(storage_location(address, key), value)
     return trie.root

@@ -32,7 +32,12 @@ from repro.account.receipts import ExecutedTransaction
 from repro.core.tdg import TDGResult
 from repro.execution.conflict_partition import conflict_partition
 from repro.execution.schedule import Commit, Phase, Segment, schedule_commits
-from repro.sets import EMPTY
+from repro.sets import (
+    EMPTY,
+    access_set,
+    balance_location,
+    storage_location,
+)
 from repro.utxo.transaction import UTXOTransaction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -268,21 +273,28 @@ def utxo_writes(tx: UTXOTransaction) -> frozenset[str]:
 def tasks_from_account_block(
     executed: Sequence[ExecutedTransaction], *, unit_cost: bool = True
 ) -> list[TxTask]:
-    """Tasks for an account block: balance cells plus storage accesses."""
+    """Tasks for an account block: balance cells plus storage accesses.
+
+    Locations and sets come from :mod:`repro.sets`, so a task holds the
+    same objects as every other task and prediction naming them.
+    """
     tasks: list[TxTask] = []
     for item in executed:
         if item.is_coinbase:
             continue
-        writes = {f"balance:{item.tx.sender}", f"balance:{item.tx.receiver}"}
+        writes = {
+            balance_location(item.tx.sender),
+            balance_location(item.tx.receiver),
+        }
         for internal in item.receipt.internal_transactions:
-            writes.add(f"balance:{internal.sender}")
-            writes.add(f"balance:{internal.receiver}")
+            writes.add(balance_location(internal.sender))
+            writes.add(balance_location(internal.receiver))
         writes.update(
-            f"storage:{address}:{key}"
+            storage_location(address, key)
             for address, key in item.receipt.storage_writes
         )
         reads = {
-            f"storage:{address}:{key}"
+            storage_location(address, key)
             for address, key in item.receipt.storage_reads
         }
         cost = 1.0 if unit_cost else max(1.0, item.gas_used / 21_000.0)
@@ -290,8 +302,8 @@ def tasks_from_account_block(
             TxTask(
                 tx_hash=item.tx_hash,
                 cost=cost,
-                reads=frozenset(reads) if reads else EMPTY,
-                writes=frozenset(writes),
+                reads=access_set(reads),
+                writes=access_set(writes),
             )
         )
     return tasks

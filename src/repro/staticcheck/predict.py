@@ -4,7 +4,8 @@
 transaction's read/write sets from its execution receipt — information
 that is only available *after* running the VM.  This module derives the
 same sets *before* execution from the receiver's closed static access
-set, in exactly the same location vocabulary::
+set, in exactly the same location vocabulary (spelled by
+:mod:`repro.sets`)::
 
     storage:<address>:<key>     storage slot (``__balance__`` for the
                                 BALANCE opcode's read, mirroring the
@@ -33,7 +34,12 @@ from repro.account.transaction import AccountTransaction
 from repro.core.tdg import TDGResult
 from repro.execution.conflict_partition import conflict_partition
 from repro.execution.engine import TxTask, utxo_writes
-from repro.sets import EMPTY
+from repro.sets import (
+    EMPTY,
+    access_set,
+    balance_location,
+    storage_location,
+)
 from repro.staticcheck.interproc import ContractAnalyzer
 from repro.utxo.transaction import UTXOTransaction
 
@@ -99,12 +105,14 @@ def predict_transaction(
     Mirrors :func:`tasks_from_account_block`: the sender's and
     receiver's balance cells are always written (nonce/fee and value),
     and when the receiver is a known contract its closed static access
-    set is added.
+    set is added.  Locations and sets come from :mod:`repro.sets`: a
+    prediction that equals its task holds the task's frozensets, and a
+    wider one sets of its own.
     """
     reads: set[str] = set()
     writes: set[str] = {
-        f"balance:{tx.sender}",
-        f"balance:{tx.receiver}",
+        balance_location(tx.sender),
+        balance_location(tx.receiver),
     }
     read_wild: frozenset[str] = EMPTY
     write_wild: frozenset[str] = EMPTY
@@ -113,23 +121,19 @@ def predict_transaction(
     if analyzer.has_code(tx.receiver):
         closed = analyzer.closed_access(tx.receiver)
         reads.update(
-            f"storage:{address}:{key}"
+            storage_location(address, key)
             for address, key in closed.storage_reads
         )
         reads.update(
-            f"storage:{address}:__balance__"
+            storage_location(address, "__balance__")
             for address in closed.balance_reads
         )
         writes.update(
-            f"storage:{address}:{key}"
+            storage_location(address, key)
             for address, key in closed.storage_writes
         )
-        writes.update(
-            f"balance:{address}" for address in closed.internal_endpoints
-        )
-        writes.update(
-            f"balance:{address}" for address in closed.balance_writes
-        )
+        writes.update(map(balance_location, closed.internal_endpoints))
+        writes.update(map(balance_location, closed.balance_writes))
         read_wild = closed.storage_read_top
         write_wild = closed.storage_write_top
         global_top = (
@@ -146,12 +150,12 @@ def predict_transaction(
         for location in locations:
             if location.startswith("storage:"):
                 found.add(location.split(":", 2)[1])
-        return frozenset(found) if found else EMPTY
+        return access_set(found)
 
     return PredictedAccess(
         tx_hash=tx.tx_hash,
-        reads=frozenset(reads) if reads else EMPTY,
-        writes=frozenset(writes),
+        reads=access_set(reads),
+        writes=access_set(writes),
         read_wild=read_wild,
         write_wild=write_wild,
         global_top=global_top,
@@ -250,7 +254,7 @@ def expanded_tasks(
         # Wildcard markers join the universe so a global-⊤ task also
         # intersects wildcard-only tasks with no concrete locations.
         for address in prediction.read_wild | prediction.write_wild:
-            universe.add(f"storage:{address}:*")
+            universe.add(storage_location(address, "*"))
 
     def expand(
         concrete: frozenset[str], wild: frozenset[str], top: bool
@@ -260,7 +264,7 @@ def expanded_tasks(
         expanded = set(concrete)
         for address in wild:
             expanded |= by_address.get(address, set())
-            expanded.add(f"storage:{address}:*")
+            expanded.add(storage_location(address, "*"))
         return frozenset(expanded)
 
     tasks: list[TxTask] = []

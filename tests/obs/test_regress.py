@@ -12,6 +12,7 @@ from repro.execution import run_engine
 from repro.obs.regress import (
     EXACT,
     SNAPSHOT_SCHEMA_VERSION,
+    RegressionReport,
     Tolerance,
     build_snapshot,
     compare_snapshots,
@@ -173,20 +174,25 @@ class TestPersistence:
             load_snapshot(path)
 
 
+def checked_in_report() -> RegressionReport:
+    """A fresh run of the baseline's own workload, compared with it."""
+    baseline = load_snapshot(BASELINE)
+    tolerances = tolerances_from_spec(baseline.pop("tolerances", {}))
+    workload = baseline["workload"]
+    fresh = build_snapshot(
+        chain=workload["chain"],
+        blocks=workload["blocks"],
+        cores=workload["cores"],
+        seed=workload["seed"],
+        executors=workload["executors"],
+    )
+    return compare_snapshots(baseline, fresh, tolerances=tolerances)
+
+
 class TestCheckedInBaseline:
     def test_fresh_run_matches_baseline(self):
         """The gate's CI contract: default workload vs the repo baseline."""
-        baseline = load_snapshot(BASELINE)
-        tolerances = tolerances_from_spec(baseline.pop("tolerances", {}))
-        workload = baseline["workload"]
-        fresh = build_snapshot(
-            chain=workload["chain"],
-            blocks=workload["blocks"],
-            cores=workload["cores"],
-            seed=workload["seed"],
-            executors=workload["executors"],
-        )
-        report = compare_snapshots(baseline, fresh, tolerances=tolerances)
+        report = checked_in_report()
         assert report.ok, report.render()
 
     def test_perturbed_baseline_detected(self):
