@@ -194,9 +194,8 @@ def run_engine(
     price of the information, so only the engines that are handed
     groups take one.  ``exec.*`` metrics land wherever the caller's
     observability scope points; the run's schedule comes back on the
-    report.  On an empty block the baseline and the DAG run (and
-    record) their empty schedules; the other engines record nothing
-    and return the all-zero report.
+    report.  On an empty block every engine records nothing and
+    returns the all-zero report.
 
     Raises:
         ValueError: an unknown engine, fewer than one core, a negative
@@ -216,12 +215,13 @@ def run_engine(
         raise ValueError(f"engine {engine!r} takes no charge k")
     if schedule == "sequential":
         cores = 1
+    if not tasks:
+        # Nothing to run: the all-zero report, unrecorded.
+        return finish_run(engine, cores)
+    if schedule == "sequential":
         report = sequential(tasks)
     elif schedule == "dag":
         report = run_dag(task_dag(tasks), cores)
-    elif not tasks:
-        # Nothing to wave or chain: the all-zero report, unrecorded.
-        return finish_run(engine, cores)
     elif schedule == "occ":
         report = occ(cores, tasks)
     else:

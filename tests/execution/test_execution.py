@@ -9,9 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.speedup import group_speedup_bound, speculative_time_exact
-from repro.execution.engine import TxTask, conflict_groups, tasks_from_tdg
+from repro import obs
+from repro.execution.engine import (
+    TxTask,
+    conflict_groups,
+    finish_run,
+    tasks_from_tdg,
+)
 from repro.execution.grouped import chain_schedule
-from repro.execution.registry import BlockConflicts, run_engine
+from repro.execution.registry import ENGINES, BlockConflicts, run_engine
 from repro.execution.simulator import CoreSimulator
 from repro.execution.speculative import split_conflicted
 from repro.core.tdg import TDGResult
@@ -214,6 +220,17 @@ class TestOCCExecutor:
 
 
 class TestRunEngine:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_empty_block_is_the_unrecorded_all_zero_report(self, engine):
+        with obs.instrumented() as state:
+            report = run_engine(engine, [], 4)
+        cores = 1 if engine == "sequential" else 4
+        assert report == finish_run(engine, cores)
+        assert report.schedule == ()
+        assert type(report.total_work) is type(report.wall_time) is float
+        counters = state.registry.snapshot()["counters"]
+        assert not [key for key in counters if key.startswith("exec.")]
+
     def test_charge_only_where_information_is_handed_over(self):
         tasks = _block_with_conflicts()
         for engine in ("sequential", "speculative", "occ", "dag"):
