@@ -213,8 +213,7 @@ def run_engine(
         spec.information == "none" or schedule not in ("two-phase", "chain")
     ):
         raise ValueError(f"engine {engine!r} takes no charge k")
-    if schedule == "sequential":
-        cores = 1
+    cores = 1 if schedule == "sequential" else cores
     if not tasks:
         # Nothing to run: the all-zero report, unrecorded.
         return finish_run(engine, cores)
