@@ -48,6 +48,10 @@ from repro.workload.generator import generate_chain
 from repro.workload.profiles import ALL_PROFILES, PROFILES_BY_NAME
 
 
+# Traces ``node run`` drills into, stage by stage.
+SLOWEST_TRACES = 3
+
+
 class CLIError(Exception):
     """A user-facing CLI failure: printed to stderr, exit status 2."""
 
@@ -509,28 +513,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return status
 
 
-def _lifecycle_network(args: argparse.Namespace, **fields):
-    """The node network ``lifecycle`` and ``monitor`` run, from their
-    shared options (a bad value raises :class:`CLIError`, exit 2)."""
-    from repro.node import lifecycle_config
-
-    if args.mempool_weight is not None:
-        fields["mempool_weight"] = args.mempool_weight
-    try:
-        return lifecycle_config(
-            args.chain,
-            blocks=args.blocks,
-            seed=args.seed,
-            scale=args.scale,
-            cores=args.cores,
-            nodes=args.nodes,
-            engine=args.executor,
-            **fields,
-        )
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
-
-
 def _not_converged(result) -> int:
     print(
         f"error: network did not converge ({result.reason})",
@@ -539,23 +521,12 @@ def _not_converged(result) -> int:
     return 1
 
 
-def cmd_lifecycle(args: argparse.Namespace) -> int:
-    """Run the full pipeline; print the per-stage latency breakdown.
-
-    The seeded workload runs on a virtual node network
-    (:func:`repro.node.lifecycle_config`): every transaction flows
-    mempool → gossip → (sharding) → packing → consensus → execution
-    under lifecycle tracing; the report shows where end-to-end latency
-    goes per stage (count/p50/p95/p99 and the share of total traced
-    time), the slowest traces stage by stage, and the proposers'
-    per-lane Gantt chart.  ``--out`` additionally writes the stitched
-    traces and execution timeline as one Chrome trace file.  Exits 1
-    when the network does not converge.
-    """
-    from repro import obs
+def _print_lifecycle_report(result, state, executor: str) -> list:
+    """Where a node run's transactions spent their time: the trace
+    counts, the per-stage latency table and share bars, the slowest
+    traces stage by stage and the proposers' per-lane Gantt chart.
+    Returns the joined traces."""
     from repro.analysis.report import render_gantt, render_stage_shares
-    from repro.node import NodeNetwork
-    from repro.obs.exporters import write_chrome_trace
     from repro.obs.lifecycle import (
         join_shard_traces,
         slowest_traces,
@@ -564,27 +535,19 @@ def cmd_lifecycle(args: argparse.Namespace) -> int:
     )
     from repro.obs.timeline import as_events
 
-    _resolve_profile(args.chain)
-    config = _lifecycle_network(args)
-    try:
-        with obs.instrumented() as state:
-            result = NodeNetwork(config).run()
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
     traces = join_shard_traces(state.lifecycle.traces())
     outcomes = [trace.outcome for trace in traces]
-
+    print()
     print(
-        f"{args.chain} / {args.executor}: {result.injected} admitted, "
+        f"lifecycle traces: {result.injected} admitted, "
         f"{outcomes.count('committed')} committed, "
         f"{outcomes.count('dropped')} dropped, "
-        f"{outcomes.count(None)} open over {args.blocks} block(s) on "
-        f"{config.nodes} nodes ({result.reason})"
+        f"{outcomes.count(None)} open over {result.height} block(s)"
     )
     breakdown = stage_breakdown(traces)
     if not breakdown:
         print("(no traces recorded)")
-        return 0 if result.converged else _not_converged(result)
+        return traces
     shares = stage_shares(breakdown)
     print()
     print(render_table(
@@ -609,9 +572,9 @@ def cmd_lifecycle(args: argparse.Namespace) -> int:
         title="share of total traced latency",
     ))
     print()
-    slowest = slowest_traces(traces, limit=args.top)
+    slowest = slowest_traces(traces, limit=SLOWEST_TRACES)
     if slowest:
-        print(f"slowest {args.top} trace(s):")
+        print(f"slowest {SLOWEST_TRACES} trace(s):")
         for trace in slowest:
             print(
                 f"  {trace.trace_id}  total {trace.total_latency:.3f}s "
@@ -624,155 +587,46 @@ def cmd_lifecycle(args: argparse.Namespace) -> int:
             "(no closed traces to drill into — every traced "
             "transaction is still in flight)"
         )
-    events = as_events(state.rows)
-    gantt = render_gantt(
-        events, title=f"executor lanes ({args.executor})"
-    )
     print()
-    print(gantt)
-    if args.out:
-        try:
-            count = write_chrome_trace(
-                args.out, events, lifecycle_traces=traces
-            )
-        except OSError as exc:
-            raise CLIError(f"cannot write trace file: {exc}") from None
-        print()
-        print(f"wrote {count} trace events to {args.out}")
-    return 0 if result.converged else _not_converged(result)
-
-
-def cmd_monitor(args: argparse.Namespace) -> int:
-    """Stream the pipeline through the sliding-window SLO monitor.
-
-    Runs the same seeded node network as ``lifecycle`` but watches it
-    live: after each block the followed node (``--follow-node``) makes
-    its head, the monitor folds that node's :class:`BlockSample` into
-    its ring buffer and (unless ``--once``) re-renders the windowed
-    dashboard — abort rate, stage percentiles, lane
-    utilization, mempool depth, and block wall-clock percentiles.
-    ``--once`` prints only the final window (the CI snapshot mode);
-    ``--snapshot-out`` writes the aggregate + rule verdicts as JSON.
-
-    Exit status: 0 when no *hard* rule breached and the network
-    converged, 1 on a hard breach (only ``--max-abort-rate`` installs
-    one; the wall-clock gate from ``--wall-p95`` is always advisory) or
-    a network that does not converge, 2 on bad arguments.
-    """
-    from repro import obs
-    from repro.node import NodeNetwork
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.monitor import (
-        StreamingMonitor,
-        default_rules,
-        monitor_snapshot,
-        render_monitor,
-    )
-
-    _resolve_profile(args.chain)
-    config = _lifecycle_network(
-        args, transport=args.transport, max_sim_time=args.max_sim_time,
-    )
-    follow_id = args.follow_node
-    if follow_id not in (f"n{i}" for i in range(config.nodes)):
-        raise CLIError(
-            f"--follow-node {follow_id!r} is not in the network "
-            f"(nodes are n0..n{config.nodes - 1})"
-        )
-    rules = default_rules(
-        max_abort_rate=args.max_abort_rate,
-        wall_p95_budget=args.wall_p95,
-    )
-    registry = MetricsRegistry()
-    monitor = StreamingMonitor(
-        window=args.window, rules=rules, registry=registry
-    )
-    live = not args.once
-
-    def on_block(node_id: str, sample) -> None:
-        if node_id != follow_id:
-            return
-        aggregate = monitor.observe_block(sample)
-        if live:
-            print(render_monitor(
-                aggregate,
-                monitor.evaluate(aggregate),
-                title=f"{args.chain} block {sample.height}",
-            ))
-            print()
-
-    try:
-        with obs.instrumented(registry=registry):
-            result = NodeNetwork(config, on_block=on_block).run()
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
-    print(
-        f"network {result.reason} at height {result.height} "
-        f"(sim {result.sim_seconds:.2f}s, "
-        f"{result.committed} committed)"
-    )
-
-    aggregate = monitor.aggregate()
-    results = monitor.evaluate(aggregate)
-    if monitor.blocks_seen == 0:
-        print(
-            "(no blocks produced transactions — nothing to monitor; "
-            "try more --blocks or a larger --scale)"
-        )
-        return 0 if result.converged else _not_converged(result)
-    if not live:
-        print(render_monitor(
-            aggregate, results,
-            title=f"{args.chain} / {args.executor}",
-        ))
-    if args.snapshot_out:
-        import json
-
-        try:
-            with open(args.snapshot_out, "w", encoding="utf-8") as fh:
-                json.dump(
-                    monitor_snapshot(aggregate, results), fh, indent=2
-                )
-                fh.write("\n")
-        except OSError as exc:
-            raise CLIError(
-                f"cannot write monitor snapshot: {exc}"
-            ) from None
-        print(f"wrote monitor snapshot to {args.snapshot_out}")
-    breaches = monitor.hard_breaches(results)
-    if breaches:
-        for breach in breaches:
-            print(
-                f"SLO BREACH: {breach.rule.name}: "
-                f"{breach.rule.metric}={breach.value:.4g} violates "
-                f"<= {breach.rule.threshold:g}",
-                file=sys.stderr,
-            )
-        return 1
-    return 0 if result.converged else _not_converged(result)
+    print(render_gantt(
+        as_events(state.rows), title=f"executor lanes ({executor})"
+    ))
+    return traces
 
 
 def cmd_node(args: argparse.Namespace) -> int:
-    """Run an N-node in-process network to a target height.
+    """Run an N-node in-process network to a target height and explain it.
 
     ``repro node run`` boots N full nodes (mempool ingress, push-relay
     gossip, PoW/PBFT proposal, executor-replay validation with fork
     choice) over the chosen transport, injects the seeded chain
     workload through random ingress nodes, and runs until every node
     converges — same head, height at least ``--height``, every mempool
-    drained — or the simulation budget runs out.
+    drained — or the simulation budget runs out.  Every transaction is
+    traced mempool → gossip → (sharding) → packing → consensus →
+    execution; after the network summary the command prints where that
+    latency went per stage, the slowest traces and the executor lanes.
+    ``--out`` writes the stitched traces and the execution timeline as
+    one Chrome trace file.
+
+    ``--max-abort-rate`` gates the run-wide abort rate, aborted /
+    (committed + aborted) over the blocks ``n0`` makes its head.
 
     Exit status: 0 when the network converged with byte-identical
-    per-node chain state roots; 1 on divergence, timeout, or a root
-    mismatch; 2 on bad arguments.
+    per-node chain state roots and no gate was breached; 1 on
+    divergence, timeout, a root mismatch or an abort rate over the
+    limit; 2 on bad arguments.
     """
     from repro import obs
     from repro.node import (
         FaultProfile,
         NetworkConfig,
         NodeNetwork,
+        default_consensus,
         network_fingerprint,
     )
+    from repro.obs.exporters import write_chrome_trace
+    from repro.obs.timeline import as_events
 
     _resolve_profile(args.chain)
     try:
@@ -787,7 +641,7 @@ def cmd_node(args: argparse.Namespace) -> int:
             chain=args.chain,
             engine=args.executor,
             cores=args.cores,
-            consensus=args.consensus,
+            consensus=args.consensus or default_consensus(args.chain),
             transport=args.transport,
             height=args.height,
             seed=args.seed,
@@ -802,19 +656,24 @@ def cmd_node(args: argparse.Namespace) -> int:
         raise CLIError(str(exc)) from None
 
     quiet = args.quiet
+    head_executions = {"committed": 0, "aborted": 0}
 
     def on_block(node_id: str, sample) -> None:
+        if node_id == "n0":
+            head_executions["committed"] += sample.committed
+            head_executions["aborted"] += sample.aborted
         if not quiet:
             print(
                 f"[{node_id}] block {sample.height}: "
                 f"{sample.txs} txs, {sample.committed} committed, "
                 f"{sample.aborted} aborted, "
-                f"pool depth {sample.mempool_depth}"
+                f"pool depth {sample.mempool_depth}, "
+                f"lane-util {sample.lane_utilization:.2f}"
             )
 
     network = NodeNetwork(config, on_block=on_block)
     try:
-        with obs.instrumented():
+        with obs.instrumented() as state:
             result = network.run()
     except ValueError as exc:
         raise CLIError(str(exc)) from None
@@ -853,15 +712,36 @@ def cmd_node(args: argparse.Namespace) -> int:
             ) from None
         print(f"wrote network snapshot to {args.snapshot_out}")
 
+    traces = _print_lifecycle_report(result, state, args.executor)
+    if args.out:
+        try:
+            count = write_chrome_trace(
+                args.out, as_events(state.rows), lifecycle_traces=traces
+            )
+        except OSError as exc:
+            raise CLIError(f"cannot write trace file: {exc}") from None
+        print()
+        print(f"wrote {count} trace events to {args.out}")
+
+    status = 0
     if not result.converged:
-        return _not_converged(result)
-    if not result.roots_agree:
+        status = _not_converged(result)
+    elif not result.roots_agree:
         print(
             "error: per-node chain state roots disagree",
             file=sys.stderr,
         )
-        return 1
-    return 0
+        status = 1
+    attempts = head_executions["committed"] + head_executions["aborted"]
+    abort_rate = head_executions["aborted"] / attempts if attempts else 0.0
+    if args.max_abort_rate is not None and abort_rate > args.max_abort_rate:
+        print(
+            f"SLO BREACH: abort-rate: abort_rate={abort_rate:.4g} "
+            f"violates <= {args.max_abort_rate:g}",
+            file=sys.stderr,
+        )
+        status = 1
+    return status
 
 
 def cmd_regress(args: argparse.Namespace) -> int:
@@ -1084,117 +964,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_replay)
 
     sub = subparsers.add_parser(
-        "lifecycle",
-        help="trace every transaction mempool→gossip→consensus→commit; "
-             "print the per-stage latency breakdown",
-    )
-    known = ", ".join(sorted(PROFILES_BY_NAME))
-    sub.add_argument(
-        "--chain", required=True, metavar="NAME",
-        help=f"which blockchain profile to run (one of: {known})",
-    )
-    sub.add_argument(
-        "--executor", default="dag", choices=ENGINES,
-        help="execution engine for the commit stage (default: dag)",
-    )
-    sub.add_argument("--blocks", type=positive_int, default=5,
-                     help="workload blocks, and the chain height the "
-                          "network runs to")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="determinism seed")
-    sub.add_argument("--scale", type=positive_float, default=1.0,
-                     help="transaction-volume multiplier")
-    sub.add_argument("--cores", type=positive_int, default=4,
-                     help="simulated cores for the executor")
-    sub.add_argument("--nodes", type=positive_int, default=4,
-                     help="node network size (default: 4)")
-    sub.add_argument(
-        "--mempool-weight", type=positive_int, default=None, metavar="W",
-        help="mempool capacity; small values force evictions "
-             "(default: unbounded)",
-    )
-    sub.add_argument("--top", type=positive_int, default=3, metavar="N",
-                     help="slowest traces to drill into (default: 3)")
-    sub.add_argument(
-        "--out", default="",
-        help="write a Chrome trace (execution + lifecycle flows) here",
-    )
-    sub.set_defaults(func=cmd_lifecycle)
-
-    sub = subparsers.add_parser(
-        "monitor",
-        help="stream the pipeline through a sliding-window SLO "
-             "monitor (abort rate, stage percentiles, lane "
-             "utilization, mempool depth)",
-    )
-    sub.add_argument(
-        "--chain", required=True, metavar="NAME",
-        help=f"which blockchain profile to run (one of: {known})",
-    )
-    sub.add_argument(
-        "--executor", default="dag", choices=ENGINES,
-        help="execution engine for the commit stage (default: dag)",
-    )
-    sub.add_argument("--blocks", type=positive_int, default=8,
-                     help="workload blocks, and the chain height the "
-                          "network runs to")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="determinism seed")
-    sub.add_argument("--scale", type=positive_float, default=1.0,
-                     help="transaction-volume multiplier")
-    sub.add_argument("--cores", type=positive_int, default=4,
-                     help="simulated cores for the executor")
-    sub.add_argument("--nodes", type=positive_int, default=4,
-                     help="node network size (default: 4)")
-    sub.add_argument(
-        "--mempool-weight", type=positive_int, default=None, metavar="W",
-        help="mempool capacity; small values force evictions "
-             "(default: unbounded)",
-    )
-    sub.add_argument(
-        "--window", type=positive_int, default=8, metavar="BLOCKS",
-        help="sliding-window size in blocks (default: 8)",
-    )
-    sub.add_argument(
-        "--once", action="store_true",
-        help="print only the final window instead of re-rendering "
-             "after every block (CI snapshot mode)",
-    )
-    sub.add_argument(
-        "--max-abort-rate", type=non_negative_float, default=None, metavar="FRAC",
-        help="hard SLO: fail (exit 1) when the windowed abort rate "
-             "exceeds this fraction",
-    )
-    sub.add_argument(
-        "--wall-p95", type=positive_float, default=None, metavar="SECONDS",
-        help="advisory SLO: report (never fail) when the windowed "
-             "block wall-clock p95 exceeds this many real seconds",
-    )
-    sub.add_argument(
-        "--snapshot-out", default="", metavar="PATH",
-        help="write the final window aggregate + rule verdicts as "
-             "JSON (CI artifact)",
-    )
-    sub.add_argument(
-        "--follow-node", default="n0", metavar="ID",
-        help="which node's block stream to follow (default: n0)",
-    )
-    sub.add_argument(
-        "--transport", default="virtual", choices=("virtual", "tcp"),
-        help="network transport (default: virtual)",
-    )
-    sub.add_argument(
-        "--max-sim-time", type=positive_float, default=600.0, metavar="SECONDS",
-        help="simulated-time budget before giving up with exit 1 "
-             "(default: 600)",
-    )
-    sub.set_defaults(func=cmd_monitor)
-
-    sub = subparsers.add_parser(
         "node",
-        help="run a long-running N-node network (mempool ingress, "
-             "gossip, consensus, executor-replay validation) to a "
-             "target height",
+        help="run an N-node network (mempool ingress, gossip, "
+             "consensus, executor-replay validation) to a target "
+             "height; print where each transaction's latency went",
     )
     sub.add_argument(
         "action", choices=("run",),
@@ -1216,8 +989,9 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: virtual)",
     )
     sub.add_argument(
-        "--consensus", default="pow", choices=("pow", "pbft"),
-        help="block proposal schedule (default: pow)",
+        "--consensus", default=None, choices=("pow", "pbft"),
+        help="block proposal schedule (default: pbft for sharded "
+             "chains, pow otherwise)",
     )
     sub.add_argument("--nodes", type=positive_int, default=4,
                      help="network size (default: 4)")
@@ -1270,6 +1044,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--snapshot-out", default="", metavar="PATH",
         help="write the deterministic network snapshot as JSON "
              "(CI artifact)",
+    )
+    sub.add_argument(
+        "--out", default="", metavar="PATH",
+        help="write a Chrome trace (execution + lifecycle flows) here",
+    )
+    sub.add_argument(
+        "--max-abort-rate", type=non_negative_float, default=None,
+        metavar="FRAC",
+        help="fail (exit 1) when n0's run-wide abort rate, aborted / "
+             "(committed + aborted), exceeds this fraction",
     )
     sub.set_defaults(func=cmd_node)
 

@@ -14,6 +14,7 @@ from repro.node.network import (
     NodeNetwork,
     NodeSnapshot,
     build_node_txs,
+    default_consensus,
     lifecycle_config,
     network_fingerprint,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "VirtualRuntime",
     "build_node_txs",
     "chain_state_root",
+    "default_consensus",
     "lifecycle_config",
     "make_genesis",
     "network_fingerprint",

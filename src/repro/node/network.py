@@ -36,6 +36,7 @@ from repro.chain.hashing import hash_fields
 from repro.execution.parallel_replay import replay_block_inputs
 from repro.execution.registry import PREDICTION_ENGINES
 from repro.node.node import (
+    BlockSample,
     Node,
     NodeConfig,
     NodeTx,
@@ -47,7 +48,6 @@ from repro.node.transport import (
     MemoryTransport,
     TcpTransport,
 )
-from repro.obs.monitor import BlockSample
 from repro.workload.profiles import get_profile
 
 TRANSPORTS = ("virtual", "tcp")
@@ -212,20 +212,27 @@ def build_node_txs(
     return txs
 
 
+def default_consensus(chain: str) -> str:
+    """The proposal schedule *chain* runs unless told otherwise: PBFT
+    for sharded profiles (their shard committees agree by it), PoW for
+    the rest."""
+    return "pbft" if get_profile(chain).num_shards > 0 else "pow"
+
+
 def lifecycle_config(chain: str, *, blocks: int, **fields) -> NetworkConfig:
     """The network a batch lifecycle run drives.
 
     *blocks* source blocks of *chain*'s seeded workload are injected
     and mined to height *blocks*; each block packs the whole pool, and
-    sharded chains agree by PBFT.  *fields* set the rest of the config.
-    ``repro lifecycle``, ``repro monitor`` and the regress gate run it.
+    consensus is :func:`default_consensus`.  *fields* set the rest of
+    the config.  The regress gate and the lifecycle-trace bench run it.
     """
     return NetworkConfig(
         chain=chain,
         height=blocks,
         workload_blocks=blocks,
         block_weight=2 ** 62,
-        consensus="pbft" if get_profile(chain).num_shards > 0 else "pow",
+        consensus=default_consensus(chain),
         **fields,
     )
 

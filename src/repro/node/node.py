@@ -66,7 +66,6 @@ from repro.network.gossip import BoundedSeenCache
 from repro.node.transport import Frame, MalformedFrame
 from repro.obs.critical_path import profile_events
 from repro.obs.lifecycle import shard_subtrace_id, stitch_execution_events
-from repro.obs.monitor import BlockSample
 from repro.obs.timeline import as_events
 from repro.utxo.transaction import UTXOTransaction
 
@@ -114,6 +113,50 @@ def make_genesis(chain: str) -> Block[NodeTx]:
         [marker], height=0, parent_hash=GENESIS_PARENT,
         timestamp=0.0, miner=GENESIS_PREFIX,
     )
+
+
+class _PricedOnRead:
+    """A dataclass field that may be given a zero-argument callable.
+
+    The callable runs the first time the field is read, and its value
+    replaces it (the callable, and whatever it holds, is dropped), so a
+    sample that nobody reads never pays for the value.  A plain value
+    is stored and read as is.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._key = f"_{name}"
+
+    def __get__(self, sample: object, owner: type | None = None):
+        if sample is None:
+            # Read on the class: tells the dataclass there is no default.
+            raise AttributeError(self._key[1:])
+        value = sample.__dict__[self._key]
+        if callable(value):
+            value = sample.__dict__[self._key] = value()
+        return value
+
+    def __set__(self, sample: object, value: object) -> None:
+        sample.__dict__[self._key] = value
+
+
+@dataclass(frozen=True)
+class BlockSample:
+    """One block a node made its head, as its ``on_block`` listener
+    sees it.
+
+    ``lane_utilization`` may be given as a float or as a zero-argument
+    callable returning it, priced on first read (a node hands the
+    profile of the block's execution report this way).
+    """
+
+    height: int
+    txs: int                 # transactions packed into the block
+    committed: int           # tasks committed by the executor
+    aborted: int             # execution aborts (optimistic conflicts)
+    mempool_depth: int       # pool size after the block applied
+    # Mean busy fraction of execution lanes.
+    lane_utilization: float = _PricedOnRead()  # type: ignore[assignment]
 
 
 def _mean_utilization(report: ExecutionReport, height: int) -> float:
@@ -245,7 +288,6 @@ class Node:
         self.stats = NodeStats()
         self.running = True
         self.diverged = False
-        self._last_head_at = 0.0
         self._all_ids = tuple(sorted((node_id, *peers)))
         self._pow: PoWSimulator | None = None
         self._pbft = None
@@ -736,24 +778,11 @@ class Node:
         replay: BlockReplay,
         report: ExecutionReport,
     ) -> None:
-        now = self.runtime.now()
-        life = obs.lifecycle()
-        stage_latencies: dict[str, list[float]] = {}
-        if life.enabled:
-            for tx in self._executable(block.transactions):
-                trace = life.trace(tx.tx_hash)
-                if trace is None or not trace.closed:
-                    continue
-                for stage, wait in trace.stage_latencies():
-                    stage_latencies.setdefault(stage, []).append(wait)
-        sample = BlockSample(
+        self.on_block(self.node_id, BlockSample(
             height=block.height,
             txs=replay.num_tasks,
             committed=replay.committed,
             aborted=replay.aborted,
-            retried=replay.retried,
-            wall_clock_s=replay.wall_time * self.config.cost_unit_seconds,
-            sim_seconds=max(0.0, now - self._last_head_at),
             mempool_depth=len(self.pool),
             # The one read of a validated block's schedule, priced on
             # the listener's first read of it: a listener that never
@@ -761,13 +790,7 @@ class Node:
             lane_utilization=lambda: _mean_utilization(
                 report, replay.height
             ),
-            stage_latencies={
-                stage: tuple(values)
-                for stage, values in stage_latencies.items()
-            },
-        )
-        self._last_head_at = now
-        self.on_block(self.node_id, sample)
+        ))
 
     # -- proposer --------------------------------------------------------------
 

@@ -315,7 +315,7 @@ def lifecycle_trace_events(
     trace renders as one ``"X"`` slice per stage event (extending to the
     next event) plus a flow chain (``"s"``/``"t"``/``"f"`` sharing the
     trace's id) arrowing the transaction's hop from stage to stage —
-    ``repro lifecycle --out`` joins these to the proposers' executor
+    ``repro node run --out`` joins these to the proposers' executor
     timelines, so a transaction can be followed from admission to
     commit.
     """

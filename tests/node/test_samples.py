@@ -4,9 +4,10 @@ on read, so a listener that never reads it never builds a row."""
 from __future__ import annotations
 
 from repro import obs
-from repro.node import NetworkConfig, NodeNetwork
 from repro.execution.schedule import timeline_rows
+from repro.node import NetworkConfig, NodeNetwork
 from repro.node import node as node_module
+from repro.node.node import BlockSample
 from repro.obs.critical_path import profile_events
 from repro.obs.timeline import as_events
 
@@ -80,3 +81,22 @@ def test_a_sample_read_late_keeps_its_value_and_drops_the_recorder():
     assert 0.0 < value <= 1.0
     assert sample.__dict__["_lane_utilization"] == value
     assert sample.lane_utilization == value
+
+
+def test_lane_utilization_may_be_priced_on_read():
+    """A callable is run on the first read only, and the sample then
+    equals one given the float."""
+    calls = []
+
+    def price():
+        calls.append(1)
+        return 0.25
+
+    fields = dict(height=1, txs=10, committed=10, aborted=0,
+                  mempool_depth=3)
+    priced = BlockSample(**fields, lane_utilization=price)
+    assert calls == []
+    assert priced.lane_utilization == 0.25
+    assert priced.lane_utilization == 0.25
+    assert priced == BlockSample(**fields, lane_utilization=0.25)
+    assert calls == [1]
