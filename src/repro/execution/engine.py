@@ -47,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 Predictions = Mapping[str, "PredictedAccess"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxTask:
     """One schedulable transaction.
 

@@ -44,7 +44,7 @@ from repro.staticcheck.interproc import ContractAnalyzer
 from repro.utxo.transaction import UTXOTransaction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictedAccess:
     """Predicted read/write sets of one transaction.
 

@@ -13,14 +13,17 @@ slotted account records keep equality, hashing and pickling.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import pickle
 
 import pytest
 
 from repro import sets
 from repro.account.transaction import InternalTransaction
+from repro.execution.engine import TxTask
 from repro.execution.parallel_replay import replay_block_inputs
 from repro.node.node import NodeTx
+from repro.staticcheck.predict import PredictedAccess
 from repro.workload.profiles import ETHEREUM
 
 
@@ -135,8 +138,23 @@ def test_pickle_round_trip_keeps_records(blocks):
     assert restored.payload.tx.data == executed.tx.data
 
 
+def test_a_replay_block_crosses_a_process_boundary(blocks):
+    """A block's slotted tasks and predictions reach a worker of the
+    configured start method (spawn under ``REPRO_MP_START_METHOD=spawn``)
+    and come back equal, as the replay fan-out ships them."""
+    block = next(block for block in blocks if block.predictions)
+    assert pickle.loads(pickle.dumps(block)) == block
+    with multiprocessing.get_context().Pool(1) as pool:
+        (restored,) = pool.apply(tuple, ((block,),))
+    assert restored == block
+    assert restored.tasks[0].writes == block.tasks[0].writes
+
+
 def test_account_records_have_no_instance_dict(blocks):
     item = next(item for block in blocks for item in block.payload)
     internal = InternalTransaction(sender="a", receiver="b")
-    for value in (item, item.receipt, item.tx, internal):
+    task, prediction = next(pairs(blocks))
+    assert isinstance(task, TxTask)
+    assert isinstance(prediction, PredictedAccess)
+    for value in (item, item.receipt, item.tx, internal, task, prediction):
         assert not hasattr(value, "__dict__"), type(value).__name__
