@@ -332,9 +332,12 @@ class NodeNetwork:
         await runtime.sleep(config.check_interval)
         await transport.close()
 
-        committed = max(
-            0,
-            len(self.nodes[0].chain_txs) - 1,  # minus the genesis marker
+        # Payload-bearing transactions on n0's active chain: the
+        # genesis and coinbase markers execute nothing.
+        committed = sum(
+            tx.payload is not None
+            for block in self.nodes[0].forkchoice.active_chain()
+            for tx in block.transactions
         )
         if obs.enabled():
             obs.gauge("node.network.height").set(self.nodes[0].height)

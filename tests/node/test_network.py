@@ -62,8 +62,7 @@ class TestConvergence:
         )).run()
         assert result.converged, result.reason
         assert all(not snap.pool_hashes for snap in result.snapshots)
-        # chain_txs counts one coinbase marker per block.
-        assert result.committed - result.height == result.injected
+        assert result.committed == result.injected
 
     def test_faulty_links_still_converge(self):
         result = NodeNetwork(_small(
