@@ -521,21 +521,17 @@ def _not_converged(result) -> int:
     return 1
 
 
-def _print_lifecycle_report(result, state, executor: str) -> list:
+def _print_lifecycle_report(result, traces, events, executor: str) -> None:
     """Where a node run's transactions spent their time: the trace
     counts, the per-stage latency table and share bars, the slowest
-    traces stage by stage and the proposers' per-lane Gantt chart.
-    Returns the joined traces."""
+    traces stage by stage and the proposers' per-lane Gantt chart."""
     from repro.analysis.report import render_gantt, render_stage_shares
     from repro.obs.lifecycle import (
-        join_shard_traces,
         slowest_traces,
         stage_breakdown,
         stage_shares,
     )
-    from repro.obs.timeline import as_events
 
-    traces = join_shard_traces(state.lifecycle.traces())
     outcomes = [trace.outcome for trace in traces]
     print()
     print(
@@ -547,7 +543,7 @@ def _print_lifecycle_report(result, state, executor: str) -> list:
     breakdown = stage_breakdown(traces)
     if not breakdown:
         print("(no traces recorded)")
-        return traces
+        return
     shares = stage_shares(breakdown)
     print()
     print(render_table(
@@ -588,10 +584,7 @@ def _print_lifecycle_report(result, state, executor: str) -> list:
             "transaction is still in flight)"
         )
     print()
-    print(render_gantt(
-        as_events(state.rows), title=f"executor lanes ({executor})"
-    ))
-    return traces
+    print(render_gantt(events, title=f"executor lanes ({executor})"))
 
 
 def cmd_node(args: argparse.Namespace) -> int:
@@ -626,6 +619,7 @@ def cmd_node(args: argparse.Namespace) -> int:
         network_fingerprint,
     )
     from repro.obs.exporters import write_chrome_trace
+    from repro.obs.lifecycle import join_shard_traces
     from repro.obs.timeline import as_events
 
     _resolve_profile(args.chain)
@@ -712,11 +706,13 @@ def cmd_node(args: argparse.Namespace) -> int:
             ) from None
         print(f"wrote network snapshot to {args.snapshot_out}")
 
-    traces = _print_lifecycle_report(result, state, args.executor)
+    traces = join_shard_traces(state.lifecycle.traces())
+    events = as_events(state.rows)
+    _print_lifecycle_report(result, traces, events, args.executor)
     if args.out:
         try:
             count = write_chrome_trace(
-                args.out, as_events(state.rows), lifecycle_traces=traces
+                args.out, events, lifecycle_traces=traces
             )
         except OSError as exc:
             raise CLIError(f"cannot write trace file: {exc}") from None
