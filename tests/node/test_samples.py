@@ -1,14 +1,17 @@
-"""Head samples: a node's ``BlockSample`` prices its lane utilization
-on read, so a listener that never reads it never builds a row."""
+"""Head samples: a network streams each node's ``BlockSample`` to its
+``on_block`` listener, and a sample prices its lane utilization on
+read, so a listener that never reads it never builds a row."""
 
 from __future__ import annotations
 
 from repro import obs
 from repro.execution.schedule import timeline_rows
 from repro.node import NetworkConfig, NodeNetwork
+from repro.node.network import lifecycle_config
 from repro.node import node as node_module
 from repro.node.node import BlockSample
 from repro.obs.critical_path import profile_events
+from repro.obs.lifecycle import join_shard_traces
 from repro.obs.timeline import as_events
 
 CONFIG = NetworkConfig(
@@ -27,6 +30,48 @@ def _count(monkeypatch, owner, name: str) -> list[int]:
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _stream_n0(chain: str, *, blocks: int):
+    """Run *chain*'s lifecycle network under recording; keep the
+    samples of the blocks ``n0`` makes its head."""
+    samples: list[BlockSample] = []
+
+    def on_block(node_id, sample):
+        if node_id == "n0":
+            samples.append(sample)
+
+    with obs.instrumented() as state:
+        result = NodeNetwork(
+            lifecycle_config(chain, blocks=blocks, seed=2020, cores=2),
+            on_block=on_block,
+        ).run()
+    assert result.converged, result.reason
+    return samples, state.lifecycle, result
+
+
+def test_network_streams_block_samples():
+    samples, tracer, result = _stream_n0("ethereum", blocks=4)
+    assert {sample.height for sample in samples} >= {1, 2, 3, 4}
+    assert sum(sample.txs for sample in samples) > 0
+    assert any(sample.lane_utilization > 0.0 for sample in samples)
+    assert result.injected > 0
+    # Full-rate tracing: every injected transaction's trace commits.
+    outcomes = [trace.outcome for trace in tracer.traces()]
+    assert outcomes.count("committed") == result.injected
+    assert tracer.open_count == 0
+
+
+def test_sharded_profile_streams_joined_traces():
+    """A sharded chain's shard sub-traces join into one trace per
+    transaction, and n0 still streams one sample per head."""
+    samples, tracer, result = _stream_n0("zilliqa", blocks=3)
+    assert {sample.height for sample in samples} >= {1, 2, 3}
+    assert sum(sample.txs for sample in samples) > 0
+    parts = tracer.traces()
+    traces = join_shard_traces(parts)
+    assert len(parts) > len(traces) == result.injected > 0
+    assert all(trace.closed for trace in traces)
 
 
 def test_a_listener_that_ignores_samples_expands_no_rows(monkeypatch):

@@ -69,10 +69,41 @@ class TestNodeRun:
         assert out.count("[n0] block ") >= 3
         assert "converged at height" in out
 
+    def test_per_block_stream_renders_every_block(self, capsys):
+        """Without --quiet, n0 prints one line per block it makes its
+        head, each with its lane utilization."""
+        code = main([
+            "node", "run", "--chain", "ethereum", "--height", "2",
+            "--workload-blocks", "2", "--seed", "2020", "--cores", "2",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        lines = [line for line in out.splitlines()
+                 if line.startswith("[n0] block ")]
+        assert len(lines) >= 2
+        assert all("lane-util " in line for line in lines)
+
     def test_timeout_exits_1(self, capsys):
         code, _out, err = _run(capsys, "--max-sim-time", "1", "--quiet")
         assert code == 1
         assert "did not converge" in err
+
+    def test_timeout_exits_1_with_traces_left_open(self, capsys):
+        code, out, err = _run(
+            capsys, "--height", "5", "--workload-blocks", "5",
+            "--max-sim-time", "1",
+        )
+        assert code == 1
+        assert "did not converge" in err
+        (line,) = [
+            line for line in out.splitlines()
+            if line.startswith("lifecycle traces: ")
+        ]
+        admitted = _count(line, "admitted")
+        assert admitted > 0
+        assert admitted == (_count(line, "committed")
+                            + _count(line, "dropped") + _count(line, "open"))
+        assert _count(line, "open") > 0
 
     def test_bad_arguments_exit_2(self, capsys):
         code = main(["node", "run", "--chain", "no-such-chain"])
@@ -117,6 +148,27 @@ class TestLifecycleReport:
         assert admitted > 0
         assert admitted == _count(line, "committed") + _count(line, "dropped")
         assert _count(line, "open") == 0
+
+    def test_report_shows_stage_latency_table(self, capsys):
+        code, out, _err = _two_blocks(capsys, "--chain", "ethereum")
+        assert code == 0
+        lines = out.splitlines()
+        header = lines.index(
+            "per-stage latency (simulated seconds since previous stage)"
+        )
+        columns = [cell.strip() for cell in lines[header + 1].split("|")]
+        assert columns[:2] == ["stage", "count"]
+        rows = {}
+        for row in lines[header + 3:]:
+            if not row:
+                break
+            cells = [cell.strip() for cell in row.split("|")]
+            rows[cells[0]] = int(cells[1])
+        assert {"included", "committed"} <= set(rows)
+        (trace_line,) = [
+            line for line in lines if line.startswith("lifecycle traces: ")
+        ]
+        assert rows["committed"] == _count(trace_line, "committed") > 0
 
     def test_sharded_chains_agree_by_pbft_unless_told(self, capsys):
         _code, out, _err = _two_blocks(capsys, "--chain", "zilliqa")
@@ -210,6 +262,12 @@ class TestUsageErrors:
         assert "argument --executor: invalid choice" in (
             capsys.readouterr().err
         )
+
+    def test_unknown_chain_exits_2(self, capsys):
+        assert main(["node", "run", "--chain", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown chain 'nope'" in err
+        assert all(name in err for name in PROFILES_BY_NAME)
 
     @pytest.mark.parametrize("command", ["lifecycle", "monitor"])
     def test_removed_commands_are_invalid_choices(self, command, capsys):
